@@ -10,6 +10,7 @@ on explicit windows.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .lattices import LatticeSubset, lattice_from_congruences
@@ -192,9 +193,7 @@ class GradedAssocAlgebra:
                     orders[(i, j)] = m
         self._tau_mode = "direct"
         if all_roots:
-            L = 1
-            for m in orders.values():
-                L = L * m // _gcd(L, m)
+            L = math.lcm(*orders.values())
             zl = field_root_of_unity(self.field, L)
             if zl is not None:
                 powers = [self.field.one]
@@ -459,12 +458,6 @@ def _inv_scalar(c):
     if isinstance(c, Cyclo):
         return c.inverse()
     return Fraction(1) / Fraction(c)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _box(n, w):

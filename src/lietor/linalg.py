@@ -7,6 +7,7 @@ and solutions are exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -114,6 +115,16 @@ def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 
 
+def inverse(m, field):
+    """Inverse of a square matrix; ValueError if it is singular."""
+    n = len(m)
+    aug = [list(row) + e for row, e in zip(m, identity(n, field))]
+    red, pivots = rref(aug, field)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red[:n]]
+
+
 def span_contains(basis_rows, v, field) -> bool:
     """Is v in the row span of basis_rows?"""
     if not any(v):
@@ -207,17 +218,9 @@ def integer_kernel(rows, ncols=None):
     basis = kernel([[Fraction(x) for x in row] for row in rows], _QFIELD, ncols)
     out = []
     for v in basis:
-        den = 1
-        for x in v:
-            den = den * x.denominator // _gcd(den, x.denominator)
+        den = math.lcm(*(x.denominator for x in v))
         out.append([int(x * den) for x in v])
     return hnf(out)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _QF:

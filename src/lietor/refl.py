@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattices import LatticeSubset
-from .linalg import kernel, rank as mat_rank
+from .linalg import inverse, kernel, rank as mat_rank
 from .report import AxiomReport
 from .rootsys import (
+    IntegerRoots,
     RootSpace,
     RootSystem,
     classify,
@@ -22,8 +23,6 @@ from .rootsys import (
     indivisible_part,
     length_partition,
     normalized,
-    vec_add,
-    vec_is_zero,
     vec_scale,
     vec_sub,
 )
@@ -75,71 +74,13 @@ class PreReflectionSystem:
         return vec_sub(x, vec_scale(c, tuple(alpha)))
 
 
-class _IntModel:
-    """Integer-rescaled view of a pre-reflection system for the hot loops.
-
-    Roots are scaled by a common denominator dr, coroots by dc; pairings are
-    integer dot products divided by dr*dc.  Only built when that quotient is
-    integral for every pair, which covers all integral systems.
-    """
-
-    def __init__(self, prs: PreReflectionSystem):
-        dr = dc = 1
-        for a in prs.roots:
-            for x in a:
-                dr = dr * x.denominator // _gcd(dr, x.denominator)
-        for c in prs.coroots.values():
-            for x in c:
-                dc = dc * x.denominator // _gcd(dc, x.denominator)
-        self.den = dr * dc
-        self.to_int = {a: tuple(int(x * dr) for x in a) for a in prs.roots}
-        self.from_int = {v: k for k, v in self.to_int.items()}
-        self.cor = {self.to_int[a]: tuple(int(x * dc) for x in prs.coroots[a])
-                    for a in prs.roots}
-        self.roots = set(self.to_int.values())
-        self.real = {self.to_int[a] for a in prs.roots if any(prs.coroots[a])}
-        self.imag = self.roots - self.real
-        self.integral = True
-        self._pair = {}
-        for a in self.roots:
-            cor = self.cor[a]
-            if not any(cor):
-                continue
-            for b in self.roots:
-                dot = sum(x * y for x, y in zip(b, cor) if x and y)
-                q, r = divmod(dot, self.den)
-                if r:
-                    self.integral = False
-                    return
-                self._pair[(b, a)] = q
-
-    def pairing(self, b, a) -> int:
-        return self._pair[(b, a)] if any(self.cor[a]) else 0
-
-    def reflect(self, a, b):
-        c = self.pairing(b, a)
-        if not c:
-            return b
-        return tuple(x - c * y for x, y in zip(b, a))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     """ReS0 through ReS4, each reported separately with a witness on failure."""
-    model = _IntModel(prs)
-    if model.integral:
-        return _validate_axioms_int(prs, model)
-    return _validate_axioms_generic(prs)
-
-
-def _validate_axioms_int(prs: PreReflectionSystem, m: _IntModel) -> AxiomReport:
+    m = IntegerRoots(prs.roots, prs.coroots)
     rep = AxiomReport()
     zero = (0,) * prs.dim
+    # X is the span of R; the ambient coordinates are only a carrier, so the
+    # spanning half of ReS0 holds by construction and we record the rank.
     note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
 
     ok0, witness0 = zero in m.roots, None
@@ -149,7 +90,7 @@ def _validate_axioms_int(prs: PreReflectionSystem, m: _IntModel) -> AxiomReport:
         for a in m.real:
             if m.pairing(a, a) != 2:
                 ok0 = False
-                witness0 = f"s_alpha^2 != id at alpha={m.from_int[a]}"
+                witness0 = f"s_alpha^2 != id at alpha={m.orig[a]}"
                 break
     rep.add("ReS0", ok0, witness0, note=note0)
 
@@ -159,7 +100,7 @@ def _validate_axioms_int(prs: PreReflectionSystem, m: _IntModel) -> AxiomReport:
             ok1, witness1 = False, "0 assigned a nonzero coroot"
             break
         if m.reflect(a, a) != tuple(-x for x in a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={m.from_int[a]}"
+            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={m.orig[a]}"
             break
     rep.add("ReS1", ok1, witness1)
 
@@ -168,31 +109,29 @@ def _validate_axioms_int(prs: PreReflectionSystem, m: _IntModel) -> AxiomReport:
         for b in sorted(m.real):
             img = m.reflect(a, b)
             if img not in m.real:
-                ok2, witness2 = False, f"s_{m.from_int[a]}({m.from_int[b]}) leaves the real part"
+                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the real part"
                 break
         if not ok2:
             break
         for b in sorted(m.imag):
             img = m.reflect(a, b)
             if img not in m.imag:
-                ok2, witness2 = False, f"s_{m.from_int[a]}({m.from_int[b]}) leaves the imaginary part"
+                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the imaginary part"
                 break
         if not ok2:
             break
     rep.add("ReS2", ok2, witness2)
 
     ok3, witness3 = True, None
-    real_frac = sorted(prs.real_roots())
-    for a in real_frac:
-        for b in real_frac:
-            if a >= b:
-                continue
+    real = sorted(m.real)
+    for i, a in enumerate(real):
+        for b in real[i + 1:]:
             c = _collinearity(a, b)
             if c is None:
                 continue
-            expect = tuple(x / c for x in prs.coroots[a])
-            if prs.coroots[b] != expect:
-                ok3, witness3 = False, f"s_({c})*{a} != s_{a}"
+            # b = c a; s_b == s_a iff b_check = a_check / c.
+            if m.cor[b] != tuple(x / c for x in m.cor[a]):
+                ok3, witness3 = False, f"s_({c})*{m.orig[a]} != s_{m.orig[a]}"
                 break
         if not ok3:
             break
@@ -205,105 +144,16 @@ def _validate_axioms_int(prs: PreReflectionSystem, m: _IntModel) -> AxiomReport:
         for b in sorted(m.roots):
             cor_b = m.cor[b]
             if not a_real and not any(cor_b):
-                continue
+                continue  # both reflections are the identity
             img = m.reflect(a, b)
             if img not in m.roots:
-                continue
+                continue  # already a ReS2 failure
             pba = m.pairing(a, b)
             expect = cor_b if not pba else tuple(
                 cb - pba * ca for cb, ca in zip(cor_b, cor_a)
             )
             if m.cor[img] != expect:
-                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={m.from_int[a]}, b={m.from_int[b]}"
-                break
-        if not ok4:
-            break
-    rep.add("ReS4", ok4, witness4)
-    return rep
-
-
-def _validate_axioms_generic(prs: PreReflectionSystem) -> AxiomReport:
-    rep = AxiomReport()
-    zero = (ZERO,) * prs.dim
-    real = set(prs.real_roots())
-    imag = set(prs.imaginary_roots())
-
-    # X is the span of R; the ambient coordinates are only a carrier, so the
-    # spanning half of ReS0 holds by construction and we record the rank.
-    ok0 = zero in prs.roots
-    witness0 = None if ok0 else "0 missing from R"
-    note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
-    if ok0:
-        for a in real:
-            if prs.pairing(a, a) != 2:
-                ok0, witness0 = False, f"s_alpha^2 != id at alpha={a} (<a,a_check>={prs.pairing(a, a)})"
-                break
-    rep.add("ReS0", ok0, witness0, note=note0)
-
-    ok1, witness1 = True, None
-    for a in real:
-        if vec_is_zero(a):
-            ok1, witness1 = False, "0 assigned a nonzero coroot"
-            break
-        if prs.reflect(a, a) != vec_scale(-1, a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={a}"
-            break
-    rep.add("ReS1", ok1, witness1)
-
-    ok2, witness2 = True, None
-    for a in sorted(prs.roots):
-        for b in sorted(real):
-            img = prs.reflect(a, b)
-            if img not in real:
-                ok2, witness2 = False, f"s_{a}({b}) = {img} leaves the real part"
-                break
-        if not ok2:
-            break
-        for b in sorted(imag):
-            img = prs.reflect(a, b)
-            if img not in imag:
-                ok2, witness2 = False, f"s_{a}({b}) = {img} leaves the imaginary part"
-                break
-        if not ok2:
-            break
-    rep.add("ReS2", ok2, witness2)
-
-    ok3, witness3 = True, None
-    real_sorted = sorted(real)
-    for a in real_sorted:
-        for b in real_sorted:
-            if a >= b:
-                continue
-            c = _collinearity(a, b)
-            if c is None:
-                continue
-            # b = c a; s_b == s_a iff b_check = a_check / c.
-            expect = tuple(x / c for x in prs.coroots[a])
-            if prs.coroots[b] != expect:
-                ok3, witness3 = False, f"s_({c})*{a} != s_{a}"
-                break
-        if not ok3:
-            break
-    rep.add("ReS3", ok3, witness3)
-
-    ok4, witness4 = True, None
-    roots_sorted = sorted(prs.roots)
-    for a in roots_sorted:
-        cor_a = prs.coroots[a]
-        a_real = any(cor_a)
-        for b in roots_sorted:
-            cor_b = prs.coroots[b]
-            if not a_real and not any(cor_b):
-                continue  # both reflections are the identity
-            img = prs.reflect(a, b)
-            if img not in prs.roots:
-                continue  # already a ReS2 failure
-            pba = prs.pairing(a, b)
-            expect = cor_b if not pba else tuple(
-                cb - pba * ca for cb, ca in zip(cor_b, cor_a)
-            )
-            if prs.coroots[img] != expect:
-                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={a}, b={b}"
+                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={m.orig[a]}, b={m.orig[b]}"
                 break
         if not ok4:
             break
@@ -312,13 +162,13 @@ def _validate_axioms_generic(prs: PreReflectionSystem) -> AxiomReport:
 
 
 def _collinearity(a, b):
-    """c with b = c a, or None."""
+    """c with b = c a, or None; exact on int and Fraction tuples."""
     ratio = None
     for x, y in zip(a, b):
         if bool(x) != bool(y):
             return None
         if x:
-            r = y / x
+            r = Fraction(y) / x
             if ratio is None:
                 ratio = r
             elif r != ratio:
@@ -328,54 +178,7 @@ def _collinearity(a, b):
 
 def predicates(prs: PreReflectionSystem) -> dict:
     """The six basic flags evaluated by direct quantification."""
-    model = _IntModel(prs)
-    if model.integral:
-        return _predicates_int(prs, model)
-    real = prs.real_roots()
-    imag = prs.imaginary_roots()
-    reduced = True
-    for a in real:
-        for b in real:
-            if a < b:
-                c = _collinearity(a, b)
-                if c is not None and c not in (1, -1):
-                    reduced = False
-    integral = all(
-        prs.pairing(b, a).denominator == 1 for a in real for b in prs.roots
-    )
-    # Nondegenerate: no nonzero vector of span(R) killed by every coroot.
-    cors = [list(prs.coroots[a]) for a in real]
-    span_rows = [list(r) for r in prs.roots if any(r)]
-    ker = kernel(cors, QQ, prs.dim) if cors else [list(_unit_vec(prs.dim, i)) for i in range(prs.dim)]
-    span_rank = mat_rank(span_rows, QQ) if span_rows else 0
-    nondegenerate = True
-    if ker and span_rows:
-        nondegenerate = mat_rank(span_rows + ker, QQ) == span_rank + mat_rank(ker, QQ)
-    elif ker and not span_rows:
-        nondegenerate = False
-    symmetric = all(vec_scale(-1, a) in prs.roots for a in prs.roots)
-    coherent = all(
-        (prs.pairing(a, b) == 0) == (prs.pairing(b, a) == 0)
-        for a in real
-        for b in real
-    )
-    real_set = set(real)
-    tame = True
-    for d in imag:
-        if not any(vec_sub(d, a) in real_set for a in real):
-            tame = False
-            break
-    return {
-        "reduced": reduced,
-        "integral": integral,
-        "nondegenerate": nondegenerate,
-        "symmetric": symmetric,
-        "coherent": coherent,
-        "tame": tame,
-    }
-
-
-def _predicates_int(prs: PreReflectionSystem, m: _IntModel) -> dict:
+    m = IntegerRoots(prs.roots, prs.coroots)
     real = sorted(m.real)
     reduced = True
     for i, a in enumerate(real):
@@ -383,7 +186,9 @@ def _predicates_int(prs: PreReflectionSystem, m: _IntModel) -> dict:
             c = _collinearity(a, b)
             if c is not None and c not in (1, -1):
                 reduced = False
-    cors = [list(prs.coroots[a]) for a in prs.real_roots()]
+    integral = all(type(m.pairing(b, a)) is int for a in real for b in m.roots)
+    # Nondegenerate: no nonzero vector of span(R) killed by every coroot.
+    cors = [list(prs.coroots[m.orig[a]]) for a in real]
     span_rows = [list(r) for r in prs.roots if any(r)]
     ker = kernel(cors, QQ, prs.dim) if cors else [
         list(_unit_vec(prs.dim, i)) for i in range(prs.dim)
@@ -406,7 +211,7 @@ def _predicates_int(prs: PreReflectionSystem, m: _IntModel) -> dict:
             break
     return {
         "reduced": reduced,
-        "integral": True,
+        "integral": integral,
         "nondegenerate": nondegenerate,
         "symmetric": symmetric,
         "coherent": coherent,
@@ -805,9 +610,7 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
         if mat_rank([list(v) for v in rad_basis] + [list(c) for c in comp] + [list(cand)], QQ) > len(rad_basis) + len(comp):
             comp.append(cand)
     basis = [list(v) for v in rad_basis] + [list(c) for c in comp]
-    from .rootsys import _matrix_inverse
-
-    binv = _matrix_inverse([list(col) for col in zip(*basis)])
+    binv = inverse([list(col) for col in zip(*basis)], QQ)
 
     def project(x):
         coords = [sum(binv[i][j] * x[j] for j in range(prs.dim)) for i in range(prs.dim)]
@@ -980,15 +783,13 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     tame = lam0.is_subset_of(diff_lattice)
 
     prs = ars.to_prs(window)
+    m = IntegerRoots(prs.roots, prs.coroots)
     max_len = 0
-    real = prs.real_roots()
-    roots = sorted(prs.roots)
-    for a in real:
-        for b in roots:
-            length = 0
-            for i in range(-6, 7):
-                if vec_add(b, vec_scale(i, a)) in prs.roots:
-                    length += 1
+    for a in m.real:
+        for b in m.roots:
+            length = sum(
+                tuple(x + i * y for x, y in zip(b, a)) in m.roots for i in range(-6, 7)
+            )
             max_len = max(max_len, length)
     strings_ok = max_len <= 5
 

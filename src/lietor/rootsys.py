@@ -9,10 +9,11 @@ Q^(n+1) and spans the sum-zero hyperplane.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import mat_vec, rank as mat_rank, rref
+from .linalg import inverse, mat_mul, mat_vec, rank as mat_rank, rref
 from .scalars import QQ
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
@@ -148,6 +149,43 @@ def reflect(rs: RootSystem, alpha, x):
     if not c:
         return tuple(x)
     return vec_sub(tuple(x), vec_scale(c, alpha))
+
+
+class IntegerRoots:
+    """Roots and coroots rescaled to integer tuples, for the root-level checks.
+
+    Roots are multiplied by the lcm of their coordinate denominators and
+    coroots by the lcm of theirs; den is the product of the two, so
+    <b, a_check> is an integer dot product divided by den.  Built per call
+    from a root set and a coroot map, both with Fraction coordinates.
+    """
+
+    def __init__(self, roots, coroots):
+        dr = math.lcm(*(x.denominator for a in roots for x in a))
+        dc = math.lcm(*(x.denominator for a in roots for x in coroots[a]))
+        self.den = dr * dc
+        self.orig = {}  # scaled root -> root in the original coordinates
+        self.cor = {}   # scaled root -> scaled coroot
+        for a in roots:
+            ia = tuple(int(x * dr) for x in a)
+            self.orig[ia] = a
+            self.cor[ia] = tuple(int(x * dc) for x in coroots[a])
+        self.roots = set(self.orig)
+        self.real = {a for a, c in self.cor.items() if any(c)}
+        self.imag = self.roots - self.real
+
+    def pairing(self, b, a):
+        """<b, a_check>: an int when exact, a Fraction otherwise."""
+        dot = sum(x * y for x, y in zip(b, self.cor[a]) if x and y)
+        q, r = divmod(dot, self.den)
+        return Fraction(dot, self.den) if r else q
+
+    def reflect(self, a, b):
+        """s_a(b); an image with a fractional coordinate is in no root set."""
+        c = self.pairing(b, a)
+        if not c:
+            return b
+        return tuple(x - c * y for x, y in zip(b, a))
 
 
 def build_classical(family: str, n: int) -> RootSystem:
@@ -306,25 +344,20 @@ def root_string(rs: RootSystem, beta, alpha):
 def root_strings_exhaustive(rs: RootSystem, buffer: int = 3):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 
-    Roots are rescaled to integer tuples once so the membership walks stay
-    cheap; returns (ok, max_string_length, witness).
+    Strings are walked in IntegerRoots coordinates; returns
+    (ok, max_string_length, witness).
     """
-    den = 1
-    for a in rs.roots:
-        for x in a:
-            den = den * x.denominator // _gcd_int(den, x.denominator)
-    scaled = {tuple(int(x * den) for x in a) for a in rs.roots}
-    nonzero = [a for a in rs.nonzero_roots()]
+    m = IntegerRoots(rs.roots, rs.coroots)
     max_len = 0
-    for alpha in nonzero:
-        ia = tuple(int(x * den) for x in alpha)
-        for beta in rs.roots:
-            ib = tuple(int(x * den) for x in beta)
+    for ia, alpha in m.orig.items():
+        if not any(ia):
+            continue
+        for ib, beta in m.orig.items():
             lo = 0
             cur = ib
             while True:
                 nxt = tuple(c - a for c, a in zip(cur, ia))
-                if nxt in scaled:
+                if nxt in m.roots:
                     cur, lo = nxt, lo - 1
                 else:
                     break
@@ -332,26 +365,20 @@ def root_strings_exhaustive(rs: RootSystem, buffer: int = 3):
             cur = ib
             while True:
                 nxt = tuple(c + a for c, a in zip(cur, ia))
-                if nxt in scaled:
+                if nxt in m.roots:
                     cur, hi = nxt, hi + 1
                 else:
                     break
             for i in range(lo - buffer, lo):
-                if tuple(b + i * a for b, a in zip(ib, ia)) in scaled:
+                if tuple(b + i * a for b, a in zip(ib, ia)) in m.roots:
                     return False, max_len, (beta, alpha, "broken string")
             for i in range(hi + 1, hi + buffer + 1):
-                if tuple(b + i * a for b, a in zip(ib, ia)) in scaled:
+                if tuple(b + i * a for b, a in zip(ib, ia)) in m.roots:
                     return False, max_len, (beta, alpha, "broken string")
-            if hi - (-lo) != -rs.pairing(beta, alpha):
+            if hi - (-lo) != -m.pairing(ib, ia):
                 return False, max_len, (beta, alpha, "p - q mismatch")
             max_len = max(max_len, hi - lo + 1)
     return True, max_len, None
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def weyl_orbit(rs: RootSystem, alpha):
@@ -443,37 +470,9 @@ def normalized_form(rs: RootSystem):
             else:
                 gram[i][j] = Fraction(0)
     # Solve M F M^T = G for the coordinate matrix F.
-    m = [list(b) for b in basis]
-    minv = _matrix_inverse(m)
-    tmp = _mat_mul(minv, gram)
-    f = _mat_mul(tmp, _transpose(minv))
+    minv = inverse([list(b) for b in basis], QQ)
+    f = mat_mul(mat_mul(minv, gram, QQ), [list(col) for col in zip(*minv)], QQ)
     return tuple(tuple(row) for row in f)
-
-
-def _matrix_inverse(m):
-    n = len(m)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug, QQ)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix not invertible")
-    return [row[n:] for row in red[:n]]
-
-
-def _mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c:
-                for j in range(m):
-                    if b[t][j]:
-                        out[i][j] += c * b[t][j]
-    return out
-
-
-def _transpose(m):
-    return [list(col) for col in zip(*m)]
 
 
 def with_form(rs: RootSystem, form) -> RootSystem:

@@ -18,7 +18,7 @@ from .graded import (
     _box,
     degree_derivations,
 )
-from .linalg import kernel, rank as mat_rank, rref, solve
+from .linalg import identity, kernel, mat_mul, rank as mat_rank, rref, solve
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket, lift_derivation
 from .report import AxiomReport
 from .scalars import QQ
@@ -651,22 +651,18 @@ class MultiloopAlgebra:
         self.orders = list(orders)
         self.r = len(sigmas)
         self.field = field
+        eye = identity(base.dim, field)
         for idx, (s, m) in enumerate(zip(self.sigmas, self.orders)):
-            acc = [[field.one if i == j else field.zero for j in range(base.dim)]
-                   for i in range(base.dim)]
+            acc = eye
             for _ in range(m):
-                acc = _mat_mul_f(s, acc, field)
-            if acc != [[field.one if i == j else field.zero for j in range(base.dim)]
-                       for i in range(base.dim)]:
+                acc = mat_mul(s, acc, field)
+            if acc != eye:
                 raise ValueError(f"sigma_{idx} does not have order dividing {m}")
         for a in range(self.r):
             for b in range(a + 1, self.r):
-                if _mat_mul_f(self.sigmas[a], self.sigmas[b], field) != _mat_mul_f(
+                if mat_mul(self.sigmas[a], self.sigmas[b], field) != mat_mul(
                         self.sigmas[b], self.sigmas[a], field):
                     raise ValueError(f"sigma_{a} and sigma_{b} do not commute")
-        lcm = 1
-        for m in self.orders:
-            lcm = lcm * m // _gcd_int(lcm, m)
         self._zetas = []
         from .graded import field_root_of_unity
 
@@ -703,18 +699,6 @@ class MultiloopAlgebra:
             for key in itertools.product(*[range(m) for m in self.orders])
         )
         return total == self.base.dim
-
-
-def _mat_mul_f(a, b, field):
-    n = len(a)
-    return [[sum((a[i][k] * b[k][j] for k in range(n)), field.zero) for j in range(n)]
-            for i in range(n)]
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_multiloop(base: FiniteDimAlgebra, sigmas, orders, field) -> MultiloopAlgebra:

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from lietor.lattices import LatticeSubset
+from lietor.linalg import rank as mat_rank
 from lietor.refl import (
     ExtensionDatum,
     PreReflectionSystem,
@@ -19,13 +21,19 @@ from lietor.refl import (
     validate_extension_datum,
 )
 from lietor.rootsys import (
+    RootSystem,
     build_classical,
     build_exceptional,
     classify,
     indivisible_part,
     length_partition,
     normalized,
+    root_string,
+    root_strings_exhaustive,
+    vec_add,
+    with_form,
 )
+from lietor.scalars import QQ
 
 
 def F(*args):
@@ -276,3 +284,147 @@ def test_broken_strings_and_asymmetry_detected():
     ars = build_extension(a1, ed.S_prime, ed, window=2)
     st = ars_structure(ars, window=2)
     assert st["symmetric"] is False
+
+
+# Reference ReS0-ReS4 and predicates in plain Fraction arithmetic, written from
+# the definitions: reflections are compared as linear maps on the standard
+# basis, never through the coroot identities validate_axioms uses.
+
+def _pair(x, cor):
+    return sum((a * b for a, b in zip(x, cor) if a and b), F(0))
+
+
+def _multiple(a, b):
+    """c with b = c a, or None."""
+    k = next((i for i, x in enumerate(a) if x), None)
+    if k is None:
+        return None
+    c = Fraction(b[k]) / a[k]
+    return c if tuple(c * x for x in a) == tuple(b) else None
+
+
+def _reference(prs):
+    R, cor = prs.roots, prs.coroots
+    real = {a for a in R if any(cor[a])}
+    imag = R - real
+    basis = [tuple(F(int(i == j)) for j in range(prs.dim)) for i in range(prs.dim)]
+
+    def s(a, x):
+        c = _pair(x, cor[a])
+        return tuple(xi - c * ai if ai else xi for xi, ai in zip(x, a)) if c else x
+
+    # s_a as the images of the standard basis
+    maps = {a: [s(a, e) for e in basis] for a in R}
+    pairs = [(a, b) for a in real for b in real]
+    table = [[_pair(r, cor[a]) for a in real] for r in R]
+    status = {
+        "ReS0": (F(0),) * prs.dim in R and all(_pair(a, cor[a]) == 2 for a in real),
+        "ReS1": all(any(a) and s(a, a) == tuple(-x for x in a) for a in real),
+        "ReS2": all(s(a, b) in (real if b in real else imag) for a in R for b in R),
+        "ReS3": all(maps[a] == maps[b] for a, b in pairs if _multiple(a, b) is not None),
+        "ReS4": all(maps[s(a, b)] == [s(a, s(b, x)) for x in maps[a]]
+                    for a in R for b in R if s(a, b) in R),
+    }
+    flags = {
+        "reduced": all(_multiple(a, b) in (None, 1, -1) for a, b in pairs),
+        "integral": all(x.denominator == 1 for row in table for x in row),
+        "nondegenerate": mat_rank(table, QQ) == mat_rank([list(r) for r in R], QQ),
+        "symmetric": all(tuple(-x for x in a) in R for a in R),
+        "coherent": all((_pair(a, cor[b]) == 0) == (_pair(b, cor[a]) == 0) for a, b in pairs),
+        "tame": all(any(tuple(x + y for x, y in zip(a, b)) == d for a in real for b in real)
+                    for d in imag),
+    }
+    return status, flags
+
+
+SMALL_SYSTEMS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
+                 ("BC", 1), ("BC", 2), ("G2", None)]
+
+
+def _small(fam, rk):
+    return build_exceptional(fam) if rk is None else build_classical(fam, rk)
+
+
+def _variants(rs):
+    """The system, its normalized and 3x forms, roots scaled by 1/3, and a
+    diag(1, 2, 3, ...) form, whose pairings are not integral."""
+    n = rs.dim
+    thirds = RootSystem(rs.space, {tuple(x / 3 for x in a) for a in rs.roots})
+    diag = [[F(i + 1) if i == j else F(0) for j in range(n)] for i in range(n)]
+    return {
+        "plain": rs,
+        "normalized": normalized(rs),
+        "3x-form": with_form(rs, [[3 * x for x in row] for row in rs.space.form]),
+        "thirds": thirds,
+        "diag": with_form(rs, diag),
+    }
+
+
+def _perturbed(prs, rng):
+    """Drop a root, rescale a coroot, zero a coroot, add one coroot to
+    another; one seeded pick each."""
+    roots = sorted(prs.roots)
+    real = prs.real_roots()
+    drop = rng.choice(roots)
+    yield "drop", PreReflectionSystem(prs.dim, set(roots) - {drop}, prs.coroots)
+    a = rng.choice(real)
+    c = rng.choice([F(2), F(3), F(1, 2), F(-1)])
+    yield "rescale", PreReflectionSystem(
+        prs.dim, roots, {**prs.coroots, a: tuple(c * x for x in prs.coroots[a])})
+    a = rng.choice(real)
+    yield "zero", PreReflectionSystem(
+        prs.dim, roots, {**prs.coroots, a: (F(0),) * prs.dim})
+    a, b = rng.sample(real, 2)
+    yield "shear", PreReflectionSystem(
+        prs.dim, roots, {**prs.coroots, a: vec_add(prs.coroots[a], prs.coroots[b])})
+
+
+@pytest.mark.parametrize("fam,rk", SMALL_SYSTEMS)
+def test_axioms_and_predicates_match_reference(fam, rk):
+    rng = random.Random(f"{fam}{rk}")
+    cases = []
+    for name, rs in _variants(_small(fam, rk)).items():
+        prs = prs_of(rs)
+        cases.append((name, prs))
+        cases.extend((f"{name}/{kind}", p) for kind, p in _perturbed(prs, rng))
+    # a window of the untwisted affine system: imaginary roots, degenerate
+    cases.append(("affine", build_affine_rs(_small(fam, rk), 1)[0].to_prs(1)))
+    for name, prs in cases:
+        status, flags = _reference(prs)
+        rep = validate_axioms(prs)
+        assert {k: rep[k].ok for k in status} == status, name
+        assert predicates(prs) == flags, name
+
+
+def _strings_by_single_pair(rs):
+    longest = 0
+    for alpha in rs.nonzero_roots():
+        for beta in rs.roots:
+            try:
+                interval, _, _ = root_string(rs, beta, alpha)
+            except ArithmeticError:
+                return False, None
+            longest = max(longest, len(interval))
+    return True, longest
+
+
+@pytest.mark.parametrize("fam,rk", SMALL_SYSTEMS)
+def test_root_strings_exhaustive_matches_root_string(fam, rk):
+    for name, rs in _variants(_small(fam, rk)).items():
+        ok, longest, witness = root_strings_exhaustive(rs)
+        assert (ok, longest if ok else None) == _strings_by_single_pair(rs), name
+        assert (witness is None) == ok, name
+
+
+def test_reduced_flag_is_exact():
+    # a and b agree in their ratio to 17 digits but are not collinear; a
+    # floating-point ratio test calls them collinear with c = 2.
+    n = 3 * 10**17
+    a, b = (F(1), F(n)), (F(2), F(2 * n + 1))
+    two = (F(2), F(0))
+    roots = {(F(0), F(0)), a, b, tuple(-x for x in a), tuple(-x for x in b)}
+    coroots = {r: tuple(x if r[0] > 0 else -x for x in two) if any(r) else (F(0), F(0))
+               for r in roots}
+    prs = PreReflectionSystem(2, roots, coroots)
+    assert predicates(prs)["reduced"] is True
+    assert _reference(prs)[1]["reduced"] is True
