@@ -21,6 +21,7 @@ from .graded import (
     commutator_decomposition,
     skew_centroidal_space,
 )
+from .lattices import box
 from .matlie import MatrixLieAlgebra, bracket as mat_bracket, verify_root_graded
 from .refl import (
     AFFINE_TABLE,
@@ -49,9 +50,14 @@ class InputError(Exception):
 
 
 def clamp_window(w: int) -> int:
+    """w, capped by LIETOR_MAX_WINDOW; a negative window or cap is malformed."""
     cap = os.environ.get("LIETOR_MAX_WINDOW")
     if cap is not None:
-        return min(w, int(cap))
+        if int(cap) < 0:
+            raise InputError(f"LIETOR_MAX_WINDOW={cap} is negative")
+        w = min(w, int(cap))
+    if w < 0:
+        raise InputError(f"window {w} is negative")
     return w
 
 
@@ -266,12 +272,7 @@ def cmd_qtorus(args, run: Runner) -> None:
 def cmd_alg(args, run: Runner) -> None:
     window = clamp_window(args.window)
     A = load_coord(args, run)
-    degs = []
-    import itertools
-
-    for d in itertools.product(range(-window, window + 1), repeat=A.n):
-        if A.in_support(d):
-            degs.append(d)
+    degs = [d for d in box(A.n, window) if A.in_support(d)]
     ok = True
     witness = None
     for d1 in degs:
@@ -377,7 +378,6 @@ def cmd_eala(args, run: Runner) -> None:
     from .eala import (
         build_E,
         classify_variant,
-        core_and_tameness,
         default_iara_data,
         jacobi_sample,
         nullity_of,
@@ -392,14 +392,13 @@ def cmd_eala(args, run: Runner) -> None:
                              C="dual" if args.C == "dual" else "min")
     if args.tau != "zero":
         raise InputError("only tau = zero is constructible; supply data programmatically")
-    E = build_E(data, window=min(window, 2))
+    E = build_E(data, window=window)
     ia = verify_iara(E, window)
     run.merge(ia)
     if args.check in ("all", "eala"):
         ea = verify_eala(E, window, iara=ia)
         run.merge(ea)
-        ct = core_and_tameness(E, window)
-        run.record("tame", ct["tame"], ct.get("witness"), window=window)
+        run.record("tame", ea["EA5"].ok, ea["EA5"].witness, window=window)
         run.record("nullity", True, detail=str(nullity_of(E, window)))
         cv = classify_variant(E, window, iara=ia, eala=ea)
         for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .graded import CentroidalDerivation, _box, cder_bracket, degree_derivations
+from .graded import CentroidalDerivation, _independent_rows, cder_bracket, degree_derivations
+from .lattices import box
 from .linalg import rank as mat_rank, solve
 from .matlie import (
     MatLieElement,
@@ -30,7 +31,7 @@ from .matlie import (
     verify_root_graded,
 )
 from .report import AxiomReport
-from .rootsys import connected_components
+from .rootsys import connected_components, root_strings_exhaustive
 from .scalars import QQ
 
 
@@ -76,13 +77,14 @@ def sigma_d_values(data_or_pair, l1: MatLieElement, l2: MatLieElement):
 def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
                       D=None, C="min", tau=None) -> IaraData:
     """The guaranteed-valid choice D = T_D = degree derivations,
-    C = T_C = C_min, tau = 0 (C="dual" takes all of D*)."""
+    C = T_C = C_min, tau = 0 (C="dual" takes all of D*).  A supplied D
+    keeps its degree-0 part as T_D."""
     if phi is None:
         phi = L.field.one
     form = invariant_form(L, phi)
     if D is None:
         D = degree_derivation_basis(L)
-    t_d = list(range(len(D)))
+    t_d = [k for k, dk in enumerate(D) if not any(dk.gamma)]
     cfuncs = []
     if C == "dual":
         for k, dk in enumerate(D):
@@ -94,36 +96,35 @@ def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
     return IaraData(L=L, form=form, D=list(D), T_D=t_d, C=cfuncs, T_C=t_c, tau=tau or {})
 
 
-def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
-    """Homogeneous basis of C_min = span sigma_D(L, L) on the window.
+def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
+    """The nonzero values of sigma_D on the window, keyed by degree.
 
     sigma_D(l1, l2) has degree deg(l1) + deg(l2) and can only be nonzero
-    when some D basis element has the opposite degree.
+    when some D basis element has the opposite degree -gamma, so the pairs
+    are l1 in L_(xi, d1), l2 in L_(-xi, d2) with d1 + d2 = -gamma.
     """
-    target_degs = sorted({tuple(-g for g in dk.gamma) for dk in D})
-    by_degree = {}
-    box = _box(L.z_rank, window)
-    boxset = set(box)
-    for s in target_degs:
-        for d1 in box:
+    out = {}
+    degs = box(L.z_rank, window)
+    in_box = set(degs)
+    for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
+        for d1 in degs:
             d2 = tuple(a - b for a, b in zip(s, d1))
-            if d2 not in boxset:
+            if d2 not in in_box:
                 continue
             for ro in L.S.sorted_roots():
-                neg_ro = tuple(-x for x in ro)
                 for l1 in L.homog_basis(ro, d1):
-                    for l2 in L.homog_basis(neg_ro, d2):
+                    for l2 in L.homog_basis(tuple(-x for x in ro), d2):
                         vals = sigma_d_values((L, form, D), l1, l2)
                         if any(vals):
-                            by_degree.setdefault(s, []).append(vals)
-    cfuncs = []
-    for s in sorted(by_degree):
-        seen = []
-        for vals in by_degree[s]:
-            if not seen or mat_rank(seen + [list(vals)], L.field) > len(seen):
-                seen.append(list(vals))
-        cfuncs.extend(CFunc(tuple(v), tuple(s)) for v in seen)
-    return cfuncs
+                            out.setdefault(s, []).append(vals)
+    return out
+
+
+def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
+    """Homogeneous basis of C_min = span sigma_D(L, L) on the window."""
+    return [CFunc(tuple(v), s)
+            for s, rows in sigma_rows(L, form, D, window).items()
+            for v in _independent_rows(rows, L.field)]
 
 
 class _LinearSolver:
@@ -214,6 +215,7 @@ class BuiltE:
         self._dc_cache = {}
         self._sigma_degs = {tuple(-g for g in dk.gamma) for dk in data.D}
         self._c_solver = None
+        self._t_solver = None
 
     # Element constructors
 
@@ -245,12 +247,8 @@ class BuiltE:
 
     # Structure maps
 
-    def sigma_values(self, l1, l2):
-        form = self.data.form
-        return [form.pair(lift(l1), l2) for lift in self._lifts]
-
     def sigma_coords(self, l1, l2):
-        vals = self.sigma_values(l1, l2)
+        vals = sigma_d_values(self.data, l1, l2)
         return self._c_coords_from_values(vals, witness="sigma_D of a pair")
 
     def _sigma_possible(self, l1, l2) -> bool:
@@ -403,7 +401,7 @@ class BuiltE:
     def windowed_roots(self, window: int):
         out = []
         zero_root = (Fraction(0),) * self.L.n
-        for deg in _box(self.L.z_rank, window):
+        for deg in box(self.L.z_rank, window):
             if self.root_space_basis(zero_root, deg):
                 out.append((zero_root, tuple(deg)))
             for ro in self.L.S.sorted_roots():
@@ -423,7 +421,7 @@ class BuiltE:
 
     def windowed_basis(self, window: int):
         out = [self.c_basis_elem(k) for k in range(self.nC)]
-        for deg in _box(self.L.z_rank, window):
+        for deg in box(self.L.z_rank, window):
             for ro in self.L.S.sorted_roots():
                 out.extend(self.from_l(b) for b in self.L.homog_basis(ro, deg))
         out.extend(self.d_basis_elem(k) for k in range(self.nD))
@@ -447,9 +445,10 @@ class BuiltE:
         if got is not None:
             return got
         tbasis = self.t_basis()
-        gram = [[self.form(a, b) for b in tbasis] for a in tbasis]
-        target = [self.root_value(root, deg, t) for t in tbasis]
-        sol = solve(gram, target, self.field)
+        if self._t_solver is None:
+            gram = [[self.form(a, b) for b in tbasis] for a in tbasis]
+            self._t_solver = _LinearSolver(gram, self.field)
+        sol = self._t_solver.solve([self.root_value(root, deg, t) for t in tbasis])
         if sol is None:
             raise ValueError("form is degenerate on T (IA1 fails)")
         out = self.zero()
@@ -506,35 +505,14 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
     ok = mat_rank(rows, L.field) == L.z_rank if rows else L.z_rank == 0
     rep.add("INV-c", ok, None if ok else "ev restricted to T_D is not injective on Z^n")
 
-    ok, witness = True, None
-    for deg in _box(L.z_rank, window):
-        for ro in L.S.sorted_roots():
-            for l1 in L.homog_basis(ro, deg):
-                neg = tuple(-x for x in ro)
-                ndeg = tuple(-x for x in deg)
-                for l2 in L.homog_basis(neg, ndeg):
-                    try:
-                        E.sigma_coords(l1, l2)
-                    except ValueError:
-                        ok, witness = False, f"sigma_D outside C at ({ro}, {deg})"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    if ok:
-        for i in range(len(data.D)):
-            for k in range(len(data.C)):
-                try:
-                    E.d_action_on_c(i, k)
-                except ValueError:
-                    ok, witness = False, f"D action leaves C at (d_{i}, c_{k})"
-                    break
-            if not ok:
-                break
-    rep.add("INV-d", ok, witness, window=window)
+    sigma = sigma_rows(L, data.form, data.D, window)
+    witness = next((f"sigma_D outside C in degree {s}" for s, rows in sigma.items()
+                    if any(_raises(E._c_coords_from_values, vals) for vals in rows)), None)
+    if witness is None:
+        witness = next((f"D action leaves C at (d_{i}, c_{k})"
+                        for i in range(len(data.D)) for k in range(len(data.C))
+                        if _raises(E.d_action_on_c, i, k)), None)
+    rep.add("INV-d", witness is None, witness, window=window)
 
     ok, witness = True, None
     rows = []
@@ -543,14 +521,14 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
     if rows and mat_rank(rows, L.field) < len(rows):
         ok, witness = False, "restriction T_C -> T_D* not injective"
     if ok:
-        for deg in _box(L.z_rank, window):
+        tc_rows = [[data.C[k].values[i] for k in data.T_C] for i in range(len(data.D))]
+        for deg in box(L.z_rank, window):
             for ro in L.S.sorted_roots():
                 pair = _invertible_pair(L, ro, deg, form=data.form)
                 if pair is None:
                     continue
                 e, f = pair
                 vals = sigma_d_values(data, e, f)
-                tc_rows = [[data.C[k].values[i] for k in data.T_C] for i in range(len(data.D))]
                 if data.T_C:
                     if solve(tc_rows, vals, L.field) is None:
                         ok, witness = False, f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
@@ -563,18 +541,17 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
     rep.add("INV-e", ok, witness, window=window)
 
     ok, witness = True, None
-    nD, nC = len(data.D), len(data.C)
-    E0 = BuiltE(data)
+    nD = len(data.D)
     for i in range(nD):
-        if any(E0.tau_coords(i, i)):
+        if any(E.tau_coords(i, i)):
             ok, witness = False, f"tau(d,d) != 0 at {i}"
             break
     if ok:
         for i in range(nD):
             for j in range(nD):
                 for k in range(nD):
-                    lhs = _c_eval(data, E0.tau_coords(i, j), k)
-                    rhs = _c_eval(data, E0.tau_coords(j, k), i)
+                    lhs = _c_eval(data, E.tau_coords(i, j), k)
+                    rhs = _c_eval(data, E.tau_coords(j, k), i)
                     if lhs != rhs:
                         ok, witness = False, f"tau cyclic identity fails at ({i},{j},{k})"
                         break
@@ -585,13 +562,22 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
     if ok:
         for ti in data.T_D:
             for j in range(nD):
-                if any(E0.tau_coords(ti, j)):
+                if any(E.tau_coords(ti, j)):
                     ok, witness = False, f"tau(T_D, D) != 0 at ({ti},{j})"
                     break
             if not ok:
                 break
     rep.add("INV-f", ok, witness)
     return rep
+
+
+def _raises(fn, *args) -> bool:
+    """Does fn(*args) raise ValueError (a value outside C or D)?"""
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
 
 
 def _c_eval(data: IaraData, c_coords, d_index):
@@ -679,27 +665,28 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
             break
     rep.add("IA2", ok, witness, window=window)
 
-    ok, witness = True, None
-    span = E.windowed_basis(window)
+    # For x in E_a, a real, (ad x)^k y lies in E_(b + k a); its S-part
+    # b_S + k a_S leaves S once k passes the a_S-string through b_S.  So
+    # IA3 follows from T acting on each root space by its root and from the
+    # string bound of S; no power of ad x is taken.
+    strings_ok, longest, string_witness = root_strings_exhaustive(E.L.S)
+    witness = None
+    if not strings_ok:
+        witness = f"root strings of S: {string_witness}"
+    elif longest > 5:
+        witness = f"an S-string has length {longest} > 5"
     for ro, deg in roots:
-        if not E.root_norm(ro, deg):
-            continue
-        for e in E.root_space_basis(ro, deg):
-            for b in span:
-                y = b
-                for _ in range(6):
-                    y = E.bracket(e, y)
-                    if y.is_zero():
-                        break
-                else:
-                    ok, witness = False, f"(ad x)^6 != 0 for root ({ro}, {deg})"
-                    break
-            if not ok:
-                break
-        if not ok:
+        if witness is not None:
             break
-    rep.add("IA3", ok, witness, window=window,
-            note="nilpotence bound 6 from the root-string bound |S(b,a)| <= 5")
+        if not any(ro) and E.root_norm(ro, deg):
+            witness = f"real root ({ro}, {deg}) has S-part 0"
+        elif any(E.bracket(t, b) != b.scale(E.root_value(ro, deg, t))
+                 for b in E.root_space_basis(ro, deg) for t in tbasis):
+            witness = f"T does not act on E_({ro}, {deg}) by its root"
+    rep.add("IA3", witness is None, witness, window=window,
+            note=f"structural: T acts on each windowed root space by its root and "
+                 f"the S-strings have length <= {longest}, so (ad x)^{longest} = 0 "
+                 f"for real x")
     return rep
 
 
@@ -748,9 +735,7 @@ def verify_eala(E: BuiltE, window: int = 2, iara: AxiomReport = None) -> AxiomRe
     tame_rep = core_and_tameness(E, window)
     rep.add("EA5", tame_rep["tame"], tame_rep.get("witness"), window=window)
 
-    lam_rows = [list(deg) for ro, deg in E.windowed_roots(window) if not any(ro)]
-    nullity = mat_rank([[Fraction(x) for x in r] for r in lam_rows], QQ) if lam_rows else 0
-    rep.add("EA6", True, note=f"<R^0> is a sublattice of Z^n; nullity {nullity}")
+    rep.add("EA6", True, note=f"<R^0> is a sublattice of Z^n; nullity {nullity_of(E, window)}")
     return rep
 
 
@@ -768,14 +753,7 @@ def core_and_tameness(E: BuiltE, window: int = 2) -> dict:
     i.e. sigma_D(L, L) spanning C while L is perfect.
     """
     L = E.L
-    rows = []
-    for deg in _box(L.z_rank, window):
-        for ro in L.S.sorted_roots():
-            for l1 in L.homog_basis(ro, deg):
-                for l2 in L.homog_basis(tuple(-x for x in ro), tuple(-x for x in deg)):
-                    vals = sigma_d_values(E.data, l1, l2)
-                    if any(vals):
-                        rows.append(vals)
+    rows = [r for rs in sigma_rows(L, E.data.form, E.data.D, window).values() for r in rs]
     c_rows = [list(c.values) for c in E.data.C]
     sigma_rank = mat_rank(rows, E.field) if rows else 0
     c_rank = mat_rank(c_rows, E.field) if c_rows else 0
@@ -803,10 +781,8 @@ def classify_variant(E: BuiltE, window: int = 2, iara: AxiomReport = None,
     """IARA / EALA / LEALA / GRLA-style / toral-type flags."""
     ia = iara if iara is not None else verify_iara(E, window)
     ea = eala if eala is not None else verify_eala(E, window, iara=ia)
-    zero_root = (Fraction(0),) * E.L.n
-    zero_deg = (0,) * E.L.z_rank
-    splitting = len(E.root_space_basis(zero_root, zero_deg)) == len(E.t_basis())
-    connected = len(connected_components(E.L.S)) == 1
+    splitting = ea["EA2"].ok
+    connected = ea["EA4"].ok
     finite_t = True
     tame = ea["EA5"].ok
     return {

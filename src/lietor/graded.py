@@ -9,11 +9,10 @@ on explicit windows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
-from .lattices import LatticeSubset, lattice_from_congruences
+from .lattices import LatticeSubset, box, lattice_from_congruences
 from .linalg import integer_kernel, kernel, mat_vec, rank as mat_rank, solve
 from .report import AxiomReport
 from .scalars import Cyclo, QQ, root_of_unity_order
@@ -334,7 +333,7 @@ class GradedAssocAlgebra:
         return self.monomial(neg, cinv * _inv_scalar(fac))
 
     def is_commutative_window(self, window: int) -> bool:
-        degs = _box(self.n, window)
+        degs = box(self.n, window)
         for dl in degs:
             if not self.in_support(dl):
                 continue
@@ -369,7 +368,7 @@ class GradedAssocAlgebra:
                 return []
             return [self.monomial(deg)] if self.in_support(deg) else []
         vecs = []
-        for dl in _box(self.n, window):
+        for dl in box(self.n, window):
             dm = tuple(d - l for d, l in zip(deg, dl))
             if self.n and max(abs(x) for x in dm) > window:
                 continue
@@ -460,10 +459,6 @@ def _inv_scalar(c):
     return Fraction(1) / Fraction(c)
 
 
-def _box(n, w):
-    return list(itertools.product(range(-w, w + 1), repeat=n))
-
-
 def _independent_rows(vecs, field):
     out = []
     for v in vecs:
@@ -538,7 +533,7 @@ def centre_of_qtorus(A: GradedAssocAlgebra) -> LatticeSubset:
 def centre_scan_oracle(A: GradedAssocAlgebra, window: int) -> list:
     """Brute-force: all gamma in the box with prod_j q_ij^gamma_j = 1."""
     out = []
-    for gamma in _box(A.n, window):
+    for gamma in box(A.n, window):
         ok = True
         for i in range(A.n):
             acc = A.field.one
@@ -557,12 +552,12 @@ def commutator_decomposition(A: GradedAssocAlgebra, window: int):
     """Per-degree split of a quantum torus into centre and [A,A]."""
     gamma = A.centre_lattice()
     report = []
-    for deg in _box(A.n, window):
+    for deg in box(A.n, window):
         if deg in gamma:
             report.append({"degree": deg, "central": True, "witness": None})
             continue
         witness = None
-        for mu in _box(A.n, window):
+        for mu in box(A.n, window):
             nu = tuple(d - m for d, m in zip(deg, mu))
             c = A.tau(mu, nu) - A.tau(nu, mu)
             if c:
@@ -581,7 +576,7 @@ def validate_crossed_product(B: FiniteDimAlgebra, tau, sigma, window: int, n: in
     field = field or B.field
     if n is None:
         raise ValueError("pass the lattice rank n")
-    degs = _box(n, window)
+    degs = box(n, window)
 
     ok, witness = True, None
     for lam in degs:
@@ -678,7 +673,7 @@ class GradedForm:
         return self._apply_phi(a * b)
 
     def nondegenerate_on_window(self, window: int) -> bool:
-        for deg in _box(self.A.n, window):
+        for deg in box(self.A.n, window):
             basis = self.A.basis_of_degree(deg)
             dual = self.A.basis_of_degree(tuple(-d for d in deg))
             if not basis:
@@ -776,7 +771,7 @@ def centroid_component(A: GradedAssocAlgebra, deg, window: int):
     deg = tuple(deg)
     if A.bdim != 1:
         raise NotImplementedError("centroid solve implemented for torus-like algebras")
-    degs = [d for d in _box(A.n, window) if A.in_support(d)]
+    degs = [d for d in box(A.n, window) if A.in_support(d)]
     index = {d: i for i, d in enumerate(degs)}
     rows = []
     for dl in degs:

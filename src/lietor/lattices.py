@@ -12,6 +12,11 @@ import itertools
 from .linalg import hnf, lattice_rank, lattice_reduce
 
 
+def box(n: int, w: int):
+    """All points v of Z^n with max |v_i| <= w, in lexicographic order."""
+    return list(itertools.product(range(-w, w + 1), repeat=n))
+
+
 class LatticeSubset:
     """Union of cosets c + L for a sublattice L of Z^n."""
 
@@ -138,11 +143,7 @@ class LatticeSubset:
 
     def window_elements(self, w: int):
         """All members v with max |v_i| <= w, in lexicographic order."""
-        out = []
-        for point in itertools.product(range(-w, w + 1), repeat=self.n):
-            if point in self:
-                out.append(point)
-        return out
+        return [point for point in box(self.n, w) if point in self]
 
     def to_json(self) -> dict:
         return {

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import AlgElement, GradedAssocAlgebra, _box, graded_form
+from .graded import AlgElement, GradedAssocAlgebra, graded_form
+from .lattices import box
 from .linalg import kernel, rank as mat_rank
 from .report import AxiomReport
 from .rootsys import RootSystem, build_classical, vec_is_zero
@@ -247,7 +248,7 @@ class MatrixLieAlgebra:
     def windowed_basis(self, window: int):
         """Homogeneous basis across all roots and windowed lattice degrees."""
         out = []
-        for deg in _box(self.z_rank, window):
+        for deg in box(self.z_rank, window):
             if not self.A.in_support(deg):
                 continue
             for i in range(self.n):
@@ -260,7 +261,7 @@ class MatrixLieAlgebra:
 
     def lambda_support(self, root, window: int):
         """Windowed Lambda_root = {deg : L_root^deg != 0}."""
-        return [deg for deg in _box(self.z_rank, window) if self.homog_basis(root, deg)]
+        return [deg for deg in box(self.z_rank, window) if self.homog_basis(root, deg)]
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -308,7 +309,7 @@ def eigenvalue_law_holds(L: MatrixLieAlgebra, triple: Sl2Triple, root, window: i
     S = L.S
     for q in S.sorted_roots():
         c = S.pairing(q, tuple(root))
-        for deg in _box(L.z_rank, window):
+        for deg in box(L.z_rank, window):
             for b in L.homog_basis(q, deg):
                 if bracket(triple.h, b) != b.scale(L.field.from_int(int(c))):
                     return False
@@ -323,7 +324,7 @@ def centre(L: MatrixLieAlgebra, window: int = 3):
     """
     out = []
     n = L.n
-    for deg in _box(L.z_rank, window):
+    for deg in box(L.z_rank, window):
         if not L.A.in_support(deg):
             continue
         bdim = L.A.bdim
@@ -332,7 +333,7 @@ def centre(L: MatrixLieAlgebra, window: int = 3):
             continue
         # z central in A: [z, b] = 0 for windowed basis b.
         rows = []
-        for dl in _box(L.z_rank, window):
+        for dl in box(L.z_rank, window):
             for b in L.A.basis_of_degree(dl):
                 target_deg = tuple(a + c for a, c in zip(deg, dl))
                 for k in range(bdim):
@@ -411,7 +412,7 @@ def standard_toral(L: MatrixLieAlgebra, psi, window: int = 2):
 
 def _roots_match(L: MatrixLieAlgebra, h_basis, window) -> bool:
     for q in L.S.sorted_roots():
-        for deg in _box(L.z_rank, window):
+        for deg in box(L.z_rank, window):
             for b in L.homog_basis(q, deg):
                 for idx, h in enumerate(h_basis):
                     ev = q[idx] - q[idx + 1]
@@ -549,7 +550,7 @@ class DirectSumSl(MatrixLieAlgebra):
 
     def windowed_basis(self, window: int):
         out = []
-        for deg in _box(self.z_rank, window):
+        for deg in box(self.z_rank, window):
             if not self.A.in_support(deg):
                 continue
             for lo, hi in self.blocks:
@@ -606,7 +607,18 @@ def leibniz_holds(L: MatrixLieAlgebra, lifted, window: int = 1) -> bool:
 
 
 def verify_root_graded(L, window: int = 2) -> dict:
-    """RG1-RG3 plus the predivision / division / Lie-torus flags."""
+    """RG1-RG3 plus the predivision / division / Lie-torus flags.
+
+    The flags are a fact about (L, window): they are computed once and kept
+    on L, so the eala verifiers can ask for them again at no cost.
+    """
+    cache = vars(L).setdefault("_root_graded_cache", {})
+    if window not in cache:
+        cache[window] = _root_graded(L, window)
+    return dict(cache[window])
+
+
+def _root_graded(L, window: int) -> dict:
     base = L.L if isinstance(L, IsotopedLie) else L
     S = base.S
     field = base.field
@@ -628,14 +640,14 @@ def verify_root_graded(L, window: int = 2) -> dict:
 
     rg3, rg3_witness = True, None
     nz = [a for a in S.sorted_roots() if any(a)]
-    for deg in _box(base.z_rank, window):
+    for deg in box(base.z_rank, window):
         target = basis_fn((Fraction(0),) * base.n, deg)
         if not target:
             continue
         coords_basis = _diag_coords(base, target, deg)
         spans = []
         for a in nz:
-            for mu in _box(base.z_rank, window):
+            for mu in box(base.z_rank, window):
                 rest = tuple(d - m for d, m in zip(deg, mu))
                 if base.z_rank and max(abs(x) for x in rest) > window:
                     continue
@@ -654,7 +666,7 @@ def verify_root_graded(L, window: int = 2) -> dict:
     division = True
     torus = base.A.bdim == 1
     for a in nz:
-        for deg in _box(base.z_rank, window):
+        for deg in box(base.z_rank, window):
             basis = basis_fn(a, deg)
             if not basis:
                 continue

@@ -193,12 +193,10 @@ def predicates(prs: PreReflectionSystem) -> dict:
     ker = kernel(cors, QQ, prs.dim) if cors else [
         list(_unit_vec(prs.dim, i)) for i in range(prs.dim)
     ]
-    span_rank = mat_rank(span_rows, QQ) if span_rows else 0
     nondegenerate = True
     if ker and span_rows:
-        nondegenerate = mat_rank(span_rows + ker, QQ) == span_rank + mat_rank(ker, QQ)
-    elif ker and not span_rows:
-        nondegenerate = False
+        nondegenerate = (mat_rank(span_rows + ker, QQ)
+                         == mat_rank(span_rows, QQ) + mat_rank(ker, QQ))
     symmetric = all(tuple(-x for x in a) in m.roots for a in m.roots)
     coherent = all(
         (m.pairing(a, b) == 0) == (m.pairing(b, a) == 0)

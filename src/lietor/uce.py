@@ -15,9 +15,9 @@ from .graded import (
     AlgElement,
     FiniteDimAlgebra,
     GradedAssocAlgebra,
-    _box,
     degree_derivations,
 )
+from .lattices import box
 from .linalg import identity, kernel, mat_mul, rank as mat_rank, rref, solve
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket, lift_derivation
 from .report import AxiomReport
@@ -116,7 +116,7 @@ class WedgeWindow:
     def __init__(self, A: GradedAssocAlgebra, window: int):
         self.A = A
         self.window = window
-        degs = [d for d in _box(A.n, window) if A.in_support(d)]
+        degs = [d for d in box(A.n, window) if A.in_support(d)]
         keys = []
         for d1 in degs:
             for s1 in range(A.bdim):
@@ -195,7 +195,7 @@ def hc1_component(A: GradedAssocAlgebra, deg, max_window: int = 8):
 
 def _hc1_dim_window(A: GradedAssocAlgebra, deg, window: int) -> int:
     """B is degree-homogeneous, so the quotient is computed inside one degree."""
-    degs = [d for d in _box(A.n, window) if A.in_support(d)]
+    degs = [d for d in box(A.n, window) if A.in_support(d)]
     degset = set(degs)
     keys = []
     for d1 in degs:
@@ -369,7 +369,7 @@ class UceAlgebra:
     def homogeneous_pool(self, window: int):
         """Homogeneous elements for sampling: matrix units and wedge basis."""
         pool = []
-        for deg in _box(self.A.n, window):
+        for deg in box(self.A.n, window):
             if not self.A.in_support(deg):
                 continue
             for a in self.A.basis_of_degree(deg):
@@ -397,7 +397,7 @@ def steinberg_check(U: UceAlgebra, window: int = 2) -> AxiomReport:
     """st1-st3 on windowed homogeneous coefficients."""
     rep = AxiomReport()
     A = U.A
-    degs = [d for d in _box(A.n, window) if A.in_support(d)]
+    degs = [d for d in box(A.n, window) if A.in_support(d)]
     mono = [AlgElement(A, {(tuple(d), s): A.field.one}) for d in degs for s in range(A.bdim)]
 
     a0, b0 = mono[0], mono[-1]

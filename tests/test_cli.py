@@ -148,6 +148,24 @@ def test_sl_and_hc1_commands():
     assert main(["alg", "--coord", "laurent", "--window", "2"]) == 0
 
 
+def test_negative_window_exit_2():
+    assert main(["alg", "--coord", "laurent", "--window", "-1"]) == 2
+
+
+def test_negative_window_cap_exit_2(monkeypatch):
+    monkeypatch.setenv("LIETOR_MAX_WINDOW", "-1")
+    assert main(["sl", "--n", "3", "--coord", "laurent"]) == 2
+
+
+def test_eala_laurent_report(tmp_path):
+    rep = tmp_path / "eala.json"
+    assert main(["eala", "--coord", "laurent", "--window", "1", "--out", str(rep)]) == 0
+    checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert checks["tame"]["status"] == checks["EA5"]["status"] == "windowed-pass"
+    assert "structural" in checks["IA3"]["note"]
+    assert checks["IA3"]["window"] == 1
+
+
 def test_scalar_tokens():
     from fractions import Fraction
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietor.graded import GradedAssocAlgebra
+from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra
 from lietor.eala import (
     IaraData,
@@ -299,3 +299,101 @@ def test_ad_nilpotence_bound(affine_E):
             if y.is_zero():
                 break
         assert y.is_zero()
+
+
+def test_t_alpha_represents_each_root(affine_E):
+    # (t_alpha | s) = alpha(s) for every s in T, the defining property
+    E = affine_E
+    tbasis = E.t_basis()
+    for ro, deg in E.windowed_roots(2):
+        t = E.t_alpha(ro, deg)
+        assert [E.form(t, s) for s in tbasis] == [E.root_value(ro, deg, s) for s in tbasis]
+
+
+# IA3 reference: (ad x)^6 y = 0 for every real root vector x and every y in
+# the windowed span, by taking the brackets.  verify_iara derives IA3 from
+# the T-weights and the string bound of S instead.
+
+def _brute_ia3(E, window):
+    span = E.windowed_basis(window)
+    for ro, deg in E.windowed_roots(window):
+        if not E.root_norm(ro, deg):
+            continue
+        for e in E.root_space_basis(ro, deg):
+            for b in span:
+                y = b
+                for _ in range(6):
+                    y = E.bracket(e, y)
+                    if y.is_zero():
+                        break
+                else:
+                    return False
+    return True
+
+
+def _z3_torus():
+    F3 = cyclotomic_field(3)
+    z3 = F3.zeta()
+    return GradedAssocAlgebra.quantum_torus([[F3.one, z3], [z3.inverse(), F3.one]], F3)
+
+
+IA3_INPUTS = {
+    "laurent-1": (lambda: MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), "min", 1),
+    "laurent-2": (lambda: MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), "min", 2),
+    "z3-torus-1": (lambda: MatrixLieAlgebra(3, _z3_torus()), "min", 1),
+    "direct-sum-1": (lambda: DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), "min", 1),
+    "split-1": (lambda: MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(0)), "min", 1),
+    "reductive-1": (lambda: MatrixLieAlgebra(
+        3, GradedAssocAlgebra.group_algebra(1, support="zero")), "dual", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IA3_INPUTS))
+def test_structural_ia3_matches_brute_force(name):
+    make_L, C, window = IA3_INPUTS[name]
+    E = build_E(default_iara_data(make_L(), window=window, C=C), window=window)
+    ia3 = verify_iara(E, window)["IA3"]
+    assert ia3.ok == _brute_ia3(E, window)
+    assert ia3.ok and ia3.note.startswith("structural")
+
+
+def test_structural_ia3_fails_on_anisotropic_imaginary_root():
+    # Shift the value of the root (0, 1) on all of T: it becomes anisotropic
+    # with S-part 0, so no string bound applies and brute force sees
+    # (ad h t)^6 != 0 as well.
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    E = build_E(default_iara_data(L, window=1), window=1, validate=False)
+    root_value = E.root_value
+    target = ((F(0),) * 3, (1,))
+
+    def shifted(root, deg, t):
+        return root_value(root, deg, t) + (1 if (tuple(root), tuple(deg)) == target else 0)
+
+    E.root_value = shifted
+    ia3 = verify_iara(E, 1)["IA3"]
+    assert not ia3.ok
+    assert f"({target[0]}, {target[1]})" in ia3.witness
+    assert not _brute_ia3(E, 1)
+
+
+def test_sigma_d_pairs_of_every_d_degree():
+    # A derivation of degree (1, 0) makes C_min reach degree (-1, 0); the
+    # core must count those sigma_D values too, and T_D keeps only degree 0.
+    A = GradedAssocAlgebra.group_algebra(2)
+    L = MatrixLieAlgebra(3, A)
+    D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
+    data = default_iara_data(L, window=1, D=D)
+    assert data.T_D == [0, 1]
+    assert len(data.C) == 3
+    E = build_E(data, window=1)
+    assert verify_iara(E, 1).ok
+    ct = core_and_tameness(E, 1)
+    assert ct["sigma_rank"] == 3
+    assert ct["tame"] is True
+    # without the degree-(-1, 0) functional, sigma_D leaves C there
+    C = [c for c in data.C if c.degree != (-1, 0)]
+    short = IaraData(L=L, form=data.form, D=data.D, T_D=data.T_D, C=C,
+                     T_C=[k for k, c in enumerate(C) if not any(c.degree)])
+    rep = validate_inv_data(short, window=1)
+    assert not rep["INV-d"].ok
+    assert rep["INV-d"].witness == "sigma_D outside C in degree (-1, 0)"

@@ -389,6 +389,9 @@ def test_axioms_and_predicates_match_reference(fam, rk):
         cases.extend((f"{name}/{kind}", p) for kind, p in _perturbed(prs, rng))
     # a window of the untwisted affine system: imaginary roots, degenerate
     cases.append(("affine", build_affine_rs(_small(fam, rk), 1)[0].to_prs(1)))
+    # the zero system: span(R) = 0, so nothing in it can be killed
+    zero = (F(0),) * prs.dim
+    cases.append(("zero", PreReflectionSystem(prs.dim, {zero}, {zero: zero})))
     for name, prs in cases:
         status, flags = _reference(prs)
         rep = validate_axioms(prs)
