@@ -2,8 +2,9 @@
 
 Subcommands: roots, refl, ars, qtorus, alg, sl, uce, affine, hc1, eala,
 table.  Exit codes: 0 all requested checks pass, 1 a check failed,
-2 malformed input.  Reports print as text; --out writes the JSON report.
-Iteration orders are fixed, so identical inputs give identical reports.
+2 malformed input, 3 an internal error.  Reports print as text; --out
+writes the JSON report.  Iteration orders are fixed, so identical inputs
+give identical reports.
 """
 
 from __future__ import annotations
@@ -329,8 +330,10 @@ def cmd_uce(args, run: Runner) -> None:
     run.merge(steinberg_check(U, min(window, 2)))
     rng = random.Random(args.seed)
     # A triple bracket of pool elements produces wedge terms of coordinate
-    # size up to twice the pool window, so that is all the quotient needs;
-    # box sizes grow like (4 pool + 1)^(2n), so rank >= 2 uses a unit pool.
+    # size up to twice the pool window, so that is all the quotient needs.
+    # The quotient is reduced one total degree at a time, and the block of a
+    # degree enumerates (4 pool + 1)^(2n) degree pairs, so rank >= 2 keeps a
+    # unit pool.
     pool_w = min(window, 2 if A.n <= 1 else 1)
     pool = U.homogeneous_pool(pool_w)
     ok = True
@@ -340,7 +343,8 @@ def cmd_uce(args, run: Runner) -> None:
             ok = False
             break
     run.record("jacobi-sample", ok, detail=f"{args.jacobi} triples, seed {args.seed}")
-    hc_max = window + 3 if A.n <= 1 else min(window, 3)
+    # HC_1 needs two windows >= 2 to compare; rank >= 2 stops at window 3.
+    hc_max = window + 3 if A.n <= 1 else 3
     hc = hc1_component(A, (0,) * A.n, max_window=hc_max)
     run.record("projection-kernel-degree-0", hc["stable"], window=hc["window"],
                detail=f"dim {hc['dim']} (stable={hc['stable']})")
@@ -522,6 +526,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     return run.finish(getattr(args, "out", None))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graded import (
     AlgElement,
@@ -18,7 +19,8 @@ from .graded import (
     degree_derivations,
 )
 from .lattices import box
-from .linalg import identity, kernel, mat_mul, rank as mat_rank, rref, solve
+# mat_rank stays importable from here: the benchmark hooks it by this name.
+from .linalg import identity, kernel, mat_mul, rank as mat_rank, rref, solve  # noqa: F401
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket, lift_derivation
 from .report import AxiomReport
 from .scalars import QQ
@@ -110,67 +112,108 @@ def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
     return WedgeElement(A, out)
 
 
+class WedgeBlock(NamedTuple):
+    """B in one total degree: the wedge keys of that degree, their index and
+    the rref rows and pivot columns of its relations."""
+
+    keys: list
+    index: dict
+    rows: list
+    pivots: list
+
+
 class WedgeWindow:
-    """Windowed coordinates of (A wedge A)/B with a precomputed relation rref."""
+    """Windowed (A wedge A)/B, one degree at a time.
+
+    A relation ab^c + bc^a + ca^b is homogeneous of degree
+    deg a + deg b + deg c, so B splits by total degree: each degree has its
+    own relation rref, built on first use and kept in the window.
+    """
 
     def __init__(self, A: GradedAssocAlgebra, window: int):
         self.A = A
         self.window = window
-        degs = [d for d in box(A.n, window) if A.in_support(d)]
+        self.degs = [tuple(d) for d in box(A.n, window) if A.in_support(d)]
+        self._degset = set(self.degs)
+        self._blocks = {}
+
+    def block(self, deg) -> WedgeBlock:
+        """Keys k1 < k2 with d1 + d2 = deg on the window, and the rref of the
+        relations (a, b, c) of that total degree whose pairwise degree sums
+        stay on the window."""
+        deg = tuple(deg)
+        got = self._blocks.get(deg)
+        if got is not None:
+            return got
+        A, degset = self.A, self._degset
         keys = []
-        for d1 in degs:
+        for d1 in self.degs:
+            d2 = tuple(x - y for x, y in zip(deg, d1))
+            if d2 not in degset:
+                continue
             for s1 in range(A.bdim):
-                for d2 in degs:
-                    for s2 in range(A.bdim):
-                        k1, k2 = (tuple(d1), s1), (tuple(d2), s2)
-                        if k1 < k2:
-                            keys.append((k1, k2))
-        self.keys = sorted(keys)
-        self.index = {k: i for i, k in enumerate(self.keys)}
-        rel_rows = []
-        degset = set(degs)
-        mono = [AlgElement(A, {(tuple(d), s): A.field.one}) for d in degs for s in range(A.bdim)]
-        for a in mono:
-            da = a.degrees()[0]
-            for b in mono:
-                db = b.degrees()[0]
-                dab = tuple(x + y for x, y in zip(da, db))
-                if dab not in degset:
+                for s2 in range(A.bdim):
+                    k1, k2 = (d1, s1), (d2, s2)
+                    if k1 < k2:
+                        keys.append((k1, k2))
+        keys.sort()
+        index = {k: i for i, k in enumerate(keys)}
+        # A cyclic shift of (a, b, c) gives the same relation, so only the
+        # least shift is formed; over a commutative A any permutation does,
+        # and a set of rows keeps one.
+        rel_rows = {}
+        for da in self.degs:
+            for db in self.degs:
+                dc = tuple(x - y - z for x, y, z in zip(deg, da, db))
+                if (dc not in degset
+                        or tuple(x + y for x, y in zip(da, db)) not in degset
+                        or tuple(x + y for x, y in zip(db, dc)) not in degset
+                        or tuple(x + y for x, y in zip(dc, da)) not in degset):
                     continue
-                for c in mono:
-                    dc = c.degrees()[0]
-                    if (tuple(x + y for x, y in zip(db, dc)) not in degset
-                            or tuple(x + y for x, y in zip(dc, da)) not in degset):
+                for ka, kb, kc in itertools.product(*(
+                        [(d, s) for s in range(A.bdim)] for d in (da, db, dc))):
+                    if (kb, kc, ka) < (ka, kb, kc) or (kc, ka, kb) < (ka, kb, kc):
                         continue
+                    a, b, c = (AlgElement(A, {k: A.field.one}) for k in (ka, kb, kc))
                     rel = wedge(a * b, c) + wedge(b * c, a) + wedge(c * a, b)
                     if rel:
-                        rel_rows.append(self.coords(rel))
-        self.rel_rref, self.rel_pivots = rref(rel_rows, A.field) if rel_rows else ([], [])
+                        row = [A.field.zero] * len(keys)
+                        for k, v in rel.terms.items():
+                            row[index[k]] = v
+                        rel_rows[tuple(row)] = None
+        rel_rows = [list(row) for row in rel_rows]
+        rows, pivots = rref(rel_rows, A.field) if rel_rows else ([], [])
+        got = self._blocks[deg] = WedgeBlock(keys, index, rows[:len(pivots)], pivots)
+        return got
 
-    def coords(self, w: WedgeElement):
-        v = [self.A.field.zero] * len(self.keys)
+    def _reduced_parts(self, w: WedgeElement):
+        """(block, reduced coordinates) for each total degree of w."""
+        parts = {}
         for k, c in w.terms.items():
-            if k not in self.index:
+            (d1, _), (d2, _) = k
+            if d1 not in self._degset or d2 not in self._degset:
                 raise ValueError(f"wedge term {k} outside window {self.window}")
-            v[self.index[k]] = c
-        return v
-
-    def reduce_coords(self, v):
-        v = list(v)
-        for row, p in zip(self.rel_rref, self.rel_pivots):
-            c = v[p]
-            if c:
-                for idx in range(len(v)):
-                    if row[idx]:
-                        v[idx] = v[idx] - c * row[idx]
-        return v
+            parts.setdefault(tuple(x + y for x, y in zip(d1, d2)), {})[k] = c
+        for deg, terms in parts.items():
+            blk = self.block(deg)
+            v = [self.A.field.zero] * len(blk.keys)
+            for k, c in terms.items():
+                v[blk.index[k]] = c
+            for row, p in zip(blk.rows, blk.pivots):
+                c = v[p]
+                if c:
+                    for idx, r in enumerate(row):
+                        if r:
+                            v[idx] = v[idx] - c * r
+            yield blk, v
 
     def reduce(self, w: WedgeElement) -> WedgeElement:
-        v = self.reduce_coords(self.coords(w))
-        return WedgeElement(self.A, {self.keys[i]: c for i, c in enumerate(v) if c})
+        return WedgeElement(self.A, {
+            blk.keys[i]: c for blk, v in self._reduced_parts(w) for i, c in enumerate(v) if c
+        })
 
     def is_zero_mod_b(self, w: WedgeElement) -> bool:
-        return not any(self.reduce_coords(self.coords(w)))
+        return not any(any(v) for _, v in self._reduced_parts(w))
 
 
 def wedge_reduce(w: WedgeElement, window: int) -> WedgeElement:
@@ -180,9 +223,13 @@ def wedge_reduce(w: WedgeElement, window: int) -> WedgeElement:
 def hc1_component(A: GradedAssocAlgebra, deg, max_window: int = 8):
     """(dimension, window, stable) for HC_1(A) in one lattice degree.
 
-    The dimension is ker(<a,b> -> [a,b]) modulo B, computed per window and
-    reported once two consecutive windows agree.
+    The dimension is ker(<a,b> -> [a,b]) modulo B, computed per window from
+    window 2 on and reported once two consecutive windows agree, so
+    max_window must be at least 3.
     """
+    if max_window < 3:
+        raise ValueError(f"HC_1 compares two windows >= 2, so it needs max window >= 3 "
+                         f"(got {max_window})")
     deg = tuple(deg)
     prev = None
     for w in range(2, max_window + 1):
@@ -194,59 +241,17 @@ def hc1_component(A: GradedAssocAlgebra, deg, max_window: int = 8):
 
 
 def _hc1_dim_window(A: GradedAssocAlgebra, deg, window: int) -> int:
-    """B is degree-homogeneous, so the quotient is computed inside one degree."""
-    degs = [d for d in box(A.n, window) if A.in_support(d)]
-    degset = set(degs)
-    keys = []
-    for d1 in degs:
-        d2 = tuple(a - b for a, b in zip(deg, d1))
-        if d2 not in degset:
-            continue
-        for s1 in range(A.bdim):
-            for s2 in range(A.bdim):
-                k1, k2 = (tuple(d1), s1), (tuple(d2), s2)
-                if k1 < k2:
-                    keys.append((k1, k2))
-    keys = sorted(set(keys))
-    if not keys:
+    """dim of ker(<a,b> -> [a,b]) modulo B in one degree: the commutator
+    kernel on the block's keys less the rank of its relations."""
+    blk = WedgeWindow(A, window).block(deg)
+    if not blk.keys:
         return 0
-    idx = {k: i for i, k in enumerate(keys)}
-
-    def coords(w: WedgeElement):
-        vec = [A.field.zero] * len(keys)
-        for k, c in w.terms.items():
-            vec[idx[k]] = c
-        return vec
-
-    # Commutator map on the degree component.
     cols = []
-    for k in keys:
+    for k in blk.keys:
         img = WedgeElement(A, {k: A.field.one}).commutator_image()
         cols.append([img.coefficient(deg, s) for s in range(A.bdim)])
-    m = [[cols[j][i] for j in range(len(keys))] for i in range(A.bdim)]
-    ker = kernel(m, A.field, len(keys))
-    # Relations (ab)^c + (bc)^a + (ca)^b for triples landing in this degree.
-    rel_rows = []
-    for da in degs:
-        for db in degs:
-            dc = tuple(x - y - z for x, y, z in zip(deg, da, db))
-            if dc not in degset:
-                continue
-            if (tuple(x + y for x, y in zip(da, db)) not in degset
-                    or tuple(x + y for x, y in zip(db, dc)) not in degset
-                    or tuple(x + y for x, y in zip(dc, da)) not in degset):
-                continue
-            for sa in range(A.bdim):
-                a = AlgElement(A, {(tuple(da), sa): A.field.one})
-                for sb in range(A.bdim):
-                    b = AlgElement(A, {(tuple(db), sb): A.field.one})
-                    for sc in range(A.bdim):
-                        c = AlgElement(A, {(tuple(dc), sc): A.field.one})
-                        rel = wedge(a * b, c) + wedge(b * c, a) + wedge(c * a, b)
-                        if rel:
-                            rel_rows.append(coords(rel))
-    rel_rank = mat_rank(rel_rows, A.field) if rel_rows else 0
-    return len(ker) - rel_rank
+    m = [list(row) for row in zip(*cols)]
+    return len(kernel(m, A.field, len(blk.keys))) - len(blk.pivots)
 
 
 class UceElement:

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from lietor import cli
 from lietor.cli import main, render_affine_table
 from lietor.serialize import (
     coord_algebra_from_json,
@@ -155,6 +156,34 @@ def test_negative_window_exit_2():
 def test_negative_window_cap_exit_2(monkeypatch):
     monkeypatch.setenv("LIETOR_MAX_WINDOW", "-1")
     assert main(["sl", "--n", "3", "--coord", "laurent"]) == 2
+
+
+def test_hc1_below_two_windows_exit_2(capsys):
+    for max_window in ("0", "1", "2"):
+        assert main(["hc1", "--coord", "laurent", "--max-window", max_window]) == 2
+        assert "two windows" in capsys.readouterr().err
+
+
+def test_uce_rank_two_small_window_stabilises(tmp_path):
+    coord = tmp_path / "lau2.json"
+    coord.write_text('{"kind": "group", "n": 2}')
+    for window in ("1", "2"):
+        rep = tmp_path / f"uce{window}.json"
+        assert main(["uce", "--n", "3", "--coord", str(coord), "--window", window,
+                     "--jacobi", "20", "--out", str(rep)]) == 0
+        checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+        hc = checks["projection-kernel-degree-0"]
+        assert hc["status"] == "windowed-pass" and hc["window"] == 3
+        assert hc["detail"] == "dim 2 (stable=True)"
+
+
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(args, run):
+        raise RuntimeError("broken handler")
+
+    monkeypatch.setitem(cli._HANDLERS, "table", broken)
+    assert main(["table", "affine"]) == 3
+    assert "internal error: RuntimeError: broken handler" in capsys.readouterr().err
 
 
 def test_eala_laurent_report(tmp_path):
