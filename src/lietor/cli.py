@@ -35,7 +35,7 @@ from .refl import (
     validate_axioms,
     validate_extension_datum,
 )
-from .report import AxiomReport
+from .report import AxiomReport, CheckResult
 from .rootsys import build_classical, build_exceptional, classify, normalized
 from .serialize import (
     coord_algebra_from_json,
@@ -111,10 +111,9 @@ class Runner:
         self.inputs.append({"input": label, "sha256": hashlib.sha256(data).hexdigest()})
 
     def record(self, name: str, ok: bool, detail: str = None, window=None):
-        entry = {"name": name, "status": "pass" if ok else "fail"}
+        entry = {"name": name, "status": CheckResult(name, ok, window=window).status}
         if window is not None:
             entry["window"] = window
-            entry["status"] = "windowed-pass" if ok else "fail"
         if detail:
             entry["detail"] = detail
         self.checks.append(entry)

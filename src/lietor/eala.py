@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .graded import CentroidalDerivation, _independent_rows, cder_bracket, degree_derivations
 from .lattices import box
-from .linalg import rank as mat_rank, solve
+from .linalg import LinearSolver, rank as mat_rank, solve
 from .matlie import (
     MatLieElement,
     MatrixLieAlgebra,
@@ -127,41 +127,6 @@ def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
             for v in _independent_rows(rows, L.field)]
 
 
-class _LinearSolver:
-    """Repeated exact solves of mat x = b against a fixed matrix.
-
-    One rref pass over [mat | I] records the row transformation T with
-    T mat = R in reduced echelon form; each solve is then a T b evaluation
-    plus the consistency check on the zero rows of R.
-    """
-
-    def __init__(self, mat, field):
-        self.field = field
-        self.nrows = len(mat)
-        self.ncols = len(mat[0]) if mat else 0
-        from .linalg import rref
-
-        aug = [list(row) + [field.one if i == j else field.zero for j in range(self.nrows)]
-               for i, row in enumerate(mat)]
-        self.red, self.pivots = rref(aug, field)
-
-    def solve(self, b):
-        f = self.field
-        x = [f.zero] * self.ncols
-        for r, row in enumerate(self.red):
-            tb = f.zero
-            for k in range(self.nrows):
-                c = row[self.ncols + k]
-                if c and b[k]:
-                    tb = tb + c * b[k]
-            p = self.pivots[r] if r < len(self.pivots) else None
-            if p is not None and p < self.ncols:
-                x[p] = tb
-            elif tb:
-                return None
-        return x
-
-
 class EElement:
     """c + l + d with c, d in coordinates over the C and D bases."""
 
@@ -266,7 +231,7 @@ class BuiltE:
             return [self.field.zero] * self.nC
         if self._c_solver is None:
             mat = [[c.values[k] for c in self.data.C] for k in range(self.nD)]
-            self._c_solver = _LinearSolver(mat, self.field)
+            self._c_solver = LinearSolver.factor(mat, self.field)
         sol = self._c_solver.solve(list(vals))
         if sol is None:
             raise ValueError(f"functional outside C: {witness} (INV d violated)")
@@ -447,7 +412,7 @@ class BuiltE:
         tbasis = self.t_basis()
         if self._t_solver is None:
             gram = [[self.form(a, b) for b in tbasis] for a in tbasis]
-            self._t_solver = _LinearSolver(gram, self.field)
+            self._t_solver = LinearSolver.factor(gram, self.field)
         sol = self._t_solver.solve([self.root_value(root, deg, t) for t in tbasis])
         if sol is None:
             raise ValueError("form is degenerate on T (IA1 fails)")
@@ -521,7 +486,8 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
     if rows and mat_rank(rows, L.field) < len(rows):
         ok, witness = False, "restriction T_C -> T_D* not injective"
     if ok:
-        tc_rows = [[data.C[k].values[i] for k in data.T_C] for i in range(len(data.D))]
+        tc = LinearSolver.factor([[data.C[k].values[i] for k in data.T_C]
+                                  for i in range(len(data.D))], L.field)
         for deg in box(L.z_rank, window):
             for ro in L.S.sorted_roots():
                 pair = _invertible_pair(L, ro, deg, form=data.form)
@@ -530,7 +496,7 @@ def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
                 e, f = pair
                 vals = sigma_d_values(data, e, f)
                 if data.T_C:
-                    if solve(tc_rows, vals, L.field) is None:
+                    if tc.solve(vals) is None:
                         ok, witness = False, f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
                         break
                 elif any(vals):

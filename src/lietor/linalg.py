@@ -74,19 +74,44 @@ def kernel(m, field, ncols=None):
     return basis
 
 
+class LinearSolver:
+    """Exact solutions of m x = b, read off one rref of [m | B].
+
+    The right block of the rref is T B, where T is the row transformation
+    with T m = R in reduced echelon form.  ``factor`` takes B = I and so
+    keeps T: each solve is then T b on the pivot rows of R plus the check
+    that T b vanishes on its zero rows, with no further elimination.
+    """
+
+    def __init__(self, red, pivots, ncols, field):
+        self.red, self.pivots, self.ncols, self.field = red, pivots, ncols, field
+
+    @classmethod
+    def factor(cls, m, field):
+        """Solver for m x = b for any b: one rref of [m | I]."""
+        red, pivots = rref([list(row) + e for row, e in zip(m, identity(len(m), field))], field)
+        return cls(red, pivots, len(m[0]) if m else 0, field)
+
+    def solve(self, b):
+        """x with m x = B b (B is I after ``factor``), or None if inconsistent."""
+        f, n = self.field, self.ncols
+        x = [f.zero] * n
+        for row, p in zip(self.red, self.pivots):
+            tb = f.zero
+            for c, v in zip(row[n:], b):
+                if c and v:
+                    tb = tb + c * v
+            if p < n:
+                x[p] = tb
+            elif tb:
+                return None
+        return x
+
+
 def solve(m, b, field):
-    """One solution of m x = b, or None if inconsistent."""
-    if not m:
-        return None if any(b) else []
-    ncols = len(m[0])
-    aug = [list(row) + [bv] for row, bv in zip(m, b)]
-    rows, pivots = rref(aug, field)
-    if ncols in pivots:
-        return None
-    x = [field.zero] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][ncols]
-    return x
+    """One solution of m x = b, or None if inconsistent: the solver on [m | b]."""
+    red, pivots = rref([list(row) + [v] for row, v in zip(m, b)], field)
+    return LinearSolver(red, pivots, len(m[0]) if m else 0, field).solve([field.one])
 
 
 def mat_mul(a, b, field):
@@ -116,13 +141,12 @@ def identity(n, field):
 
 
 def inverse(m, field):
-    """Inverse of a square matrix; ValueError if it is singular."""
+    """Inverse of a square matrix (T of its solver); ValueError if singular."""
     n = len(m)
-    aug = [list(row) + e for row, e in zip(m, identity(n, field))]
-    red, pivots = rref(aug, field)
-    if pivots[:n] != list(range(n)):
+    solver = LinearSolver.factor(m, field)
+    if solver.pivots[:n] != list(range(n)):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red[:n]]
+    return [row[n:] for row in solver.red[:n]]
 
 
 def span_contains(basis_rows, v, field) -> bool:

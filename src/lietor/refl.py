@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .lattices import LatticeSubset
 from .linalg import inverse, kernel, rank as mat_rank
-from .report import AxiomReport
+from .report import AxiomReport, CheckResult
 from .rootsys import (
     IntegerRoots,
     RootSpace,
@@ -23,8 +23,8 @@ from .rootsys import (
     indivisible_part,
     length_partition,
     normalized,
+    reflect,
     vec_scale,
-    vec_sub,
 )
 from .scalars import QQ
 
@@ -45,7 +45,6 @@ class PreReflectionSystem:
         missing = [r for r in self.roots if r not in self.coroots]
         if missing:
             raise ValueError(f"coroot missing for {missing[0]}")
-        self._pair_cache = {}
 
     @classmethod
     def from_root_system(cls, rs: RootSystem) -> "PreReflectionSystem":
@@ -57,70 +56,13 @@ class PreReflectionSystem:
     def imaginary_roots(self):
         return [a for a in sorted(self.roots) if not any(self.coroots[a])]
 
-    def pairing(self, x, alpha) -> Fraction:
-        key = (x, alpha)
-        got = self._pair_cache.get(key)
-        if got is None:
-            cor = self.coroots[tuple(alpha)]
-            got = sum((xi * ci for xi, ci in zip(x, cor) if xi and ci), ZERO)
-            self._pair_cache[key] = got
-        return got
-
-    def reflect(self, alpha, x):
-        x = tuple(x)
-        c = self.pairing(x, alpha)
-        if not c:
-            return x
-        return vec_sub(x, vec_scale(c, tuple(alpha)))
-
 
 def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     """ReS0 through ReS4, each reported separately with a witness on failure."""
     m = IntegerRoots(prs.roots, prs.coroots)
-    rep = AxiomReport()
-    zero = (0,) * prs.dim
     # X is the span of R; the ambient coordinates are only a carrier, so the
     # spanning half of ReS0 holds by construction and we record the rank.
     note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
-
-    ok0, witness0 = zero in m.roots, None
-    if not ok0:
-        witness0 = "0 missing from R"
-    else:
-        for a in m.real:
-            if m.pairing(a, a) != 2:
-                ok0 = False
-                witness0 = f"s_alpha^2 != id at alpha={m.orig[a]}"
-                break
-    rep.add("ReS0", ok0, witness0, note=note0)
-
-    ok1, witness1 = True, None
-    for a in m.real:
-        if not any(a):
-            ok1, witness1 = False, "0 assigned a nonzero coroot"
-            break
-        if m.reflect(a, a) != tuple(-x for x in a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={m.orig[a]}"
-            break
-    rep.add("ReS1", ok1, witness1)
-
-    ok2, witness2 = True, None
-    for a in sorted(m.roots):
-        for b in sorted(m.real):
-            img = m.reflect(a, b)
-            if img not in m.real:
-                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the real part"
-                break
-        if not ok2:
-            break
-        for b in sorted(m.imag):
-            img = m.reflect(a, b)
-            if img not in m.imag:
-                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the imaginary part"
-                break
-        if not ok2:
-            break
-    rep.add("ReS2", ok2, witness2)
 
     ok3, witness3 = True, None
     real = sorted(m.real)
@@ -135,29 +77,74 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
                 break
         if not ok3:
             break
-    rep.add("ReS3", ok3, witness3)
+    return _reflection_axioms(m, prs.dim, m.cor.get, CheckResult("ReS3", ok3, witness3),
+                              note0=note0)
+
+
+def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
+                       window=None, note0=None) -> AxiomReport:
+    """ReS0, ReS1, ReS2 and ReS4 on the roots of m, with res3 in its place.
+
+    coroot_of(v) is the coroot (in the coordinates of m) of a vector v if v is
+    a root of the whole system, else None; m may hold only a window of it.
+    ReS2 and ReS4 loop over real a: an imaginary reflection is the identity.
+    """
+    rep = AxiomReport()
+    ok0, witness0 = coroot_of((0,) * dim) is not None, None
+    if not ok0:
+        witness0 = "0 missing from R"
+    else:
+        for a in m.real:
+            if m.pairing(a, a) != 2:
+                ok0 = False
+                witness0 = f"s_alpha^2 != id at alpha={m.orig[a]}"
+                break
+    rep.add("ReS0", ok0, witness0, window=window, note=note0)
+
+    ok1, witness1 = True, None
+    for a in m.real:
+        if not any(a):
+            ok1, witness1 = False, "0 assigned a nonzero coroot"
+            break
+        if m.reflect(a, a) != tuple(-x for x in a):
+            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={m.orig[a]}"
+            break
+    rep.add("ReS1", ok1, witness1, window=window)
+
+    real = sorted(m.real)
+    real_then_imag = real + sorted(m.imag)
+    ok2, witness2 = True, None
+    for a in real:
+        for b in real_then_imag:
+            cor = coroot_of(m.reflect(a, b))
+            if cor is None or any(cor) != (b in m.real):
+                part = "real" if b in m.real else "imaginary"
+                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the {part} part"
+                break
+        if not ok2:
+            break
+    rep.add("ReS2", ok2, witness2, window=window)
+    rep.checks.append(res3)
 
     ok4, witness4 = True, None
-    for a in sorted(m.roots):
+    roots = sorted(m.roots)
+    for a in real:
         cor_a = m.cor[a]
-        a_real = any(cor_a)
-        for b in sorted(m.roots):
-            cor_b = m.cor[b]
-            if not a_real and not any(cor_b):
-                continue  # both reflections are the identity
-            img = m.reflect(a, b)
-            if img not in m.roots:
+        for b in roots:
+            cor_img = coroot_of(m.reflect(a, b))
+            if cor_img is None:
                 continue  # already a ReS2 failure
+            cor_b = m.cor[b]
             pba = m.pairing(a, b)
             expect = cor_b if not pba else tuple(
                 cb - pba * ca for cb, ca in zip(cor_b, cor_a)
             )
-            if m.cor[img] != expect:
+            if cor_img != expect:
                 ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={m.orig[a]}, b={m.orig[b]}"
                 break
         if not ok4:
             break
-    rep.add("ReS4", ok4, witness4)
+    rep.add("ReS4", ok4, witness4, window=window)
     return rep
 
 
@@ -225,11 +212,13 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     def pair(x, y):
         return space.pair(x, y)
 
+    m = IntegerRoots(prs.roots, prs.coroots)
     invariant = True
-    for a in prs.real_roots():
+    for ia in m.real:
+        a = m.orig[ia]
         na = pair(a, a)
-        for x in basis:
-            if 2 * pair(x, a) != prs.pairing(x, a) * na:
+        for ix, x in m.orig.items():
+            if 2 * pair(x, a) != m.pairing(ix, ia) * na:
                 invariant = False
                 break
         if not invariant:
@@ -299,7 +288,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
             continue
         for eta in roots:
             k = S.pairing(eta, xi)
-            target = ed.lam(_reflect_root(S, xi, eta))
+            target = ed.lam(reflect(S, xi, eta))
             for lam in wins[xi]:
                 for mu in wins[eta]:
                     moved = tuple(m - int(k) * l for m, l in zip(mu, lam))
@@ -353,7 +342,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
         if not any(xi_p):
             continue
         for eta in roots:
-            if ed.lam(_reflect_root(S, xi_p, eta)) != ed.lam(eta):
+            if ed.lam(reflect(S, xi_p, eta)) != ed.lam(eta):
                 ok, witness = False, f"W_S'-invariance fails at xi'={xi_p}, eta={eta}"
                 break
         if not ok:
@@ -390,11 +379,6 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
 
     _type_specific_checks(ed, rep, window, wins)
     return rep
-
-
-def _reflect_root(S: RootSystem, alpha, beta):
-    c = S.pairing(beta, alpha)
-    return vec_sub(tuple(beta), vec_scale(c, tuple(alpha)))
 
 
 def _type_specific_checks(ed, rep: AxiomReport, window, wins):
@@ -451,6 +435,9 @@ class AffineReflectionSystem:
         return tuple(alpha[: self.y_dim]), tuple(int(x) for x in alpha[self.y_dim:])
 
     def contains(self, alpha) -> bool:
+        """Exact membership; a non-integral Z-coordinate is never in R."""
+        if any(x != int(x) for x in alpha[self.y_dim:]):
+            return False
         xi, lam = self.split(alpha)
         if tuple(xi) not in self.S.roots:
             return False
@@ -479,13 +466,6 @@ class AffineReflectionSystem:
                 coroots[alpha] = (ZERO,) * self.dim
         return PreReflectionSystem(self.dim, roots, coroots)
 
-    def reflect(self, alpha, x):
-        """s_alpha(x) per the extension formula; alpha = xi + lambda real."""
-        xi, lam = self.split(alpha)
-        cor = self.coroot(xi)
-        c = sum((xi_ * ci for xi_, ci in zip(x, cor) if xi_ and ci), ZERO)
-        return vec_sub(tuple(x), vec_scale(c, tuple(alpha)))
-
     def fiber_window(self, xi, window: int):
         return self.datum.lam(xi).window_elements(window)
 
@@ -511,85 +491,32 @@ def build_extension(S: RootSystem, S_prime, ed: ExtensionDatum, validate: bool =
 
 
 def validate_ars_axioms(ars: AffineReflectionSystem, window: int = 4) -> AxiomReport:
-    """ReS0-ReS4 for an affine reflection system.
+    """ReS0-ReS4 for an affine reflection system, on the roots in the window.
 
-    Windowed roots are reflected and tested for membership in the full
-    system, so a reflection leaving the window is not a spurious failure.
+    Reflected images are tested for membership in the full system, so a
+    reflection leaving the window is not a spurious failure.
     """
-    rep = AxiomReport()
-    zero = (ZERO,) * ars.dim
-    roots = ars.windowed_roots(window)
+    prs = ars.to_prs(window)
+    m = IntegerRoots(prs.roots, prs.coroots)
+    zero_cor = (ZERO,) * ars.dim
 
-    ok0, witness0 = ars.contains(zero), None
-    if not ok0:
-        witness0 = "0 missing from R"
-    else:
-        for a in roots:
-            xi, _ = ars.split(a)
-            if any(xi):
-                val = ars.S.pairing(xi, xi)
-                if val != 2:
-                    ok0, witness0 = False, f"<a,a_check> = {val} at {a}"
-                    break
-    rep.add("ReS0", ok0, witness0, window=window)
-
-    ok1, witness1 = True, None
-    for a in roots:
-        xi, _ = ars.split(a)
-        if any(xi):
-            if ars.reflect(a, a) != vec_scale(-1, a):
-                ok1, witness1 = False, f"s_alpha(alpha) != -alpha at {a}"
-                break
-    rep.add("ReS1", ok1, witness1, window=window)
-
-    ok2, witness2 = True, None
-    for a in roots:
-        xi_a, _ = ars.split(a)
-        if not any(xi_a):
-            continue
-        for b in roots:
-            img = ars.reflect(a, b)
-            if not ars.contains(img):
-                ok2, witness2 = False, f"s_{a}({b}) = {img} leaves R"
-                break
-            xi_b, _ = ars.split(b)
-            xi_i, _ = ars.split(img)
-            if bool(any(xi_b)) != bool(any(xi_i)):
-                ok2, witness2 = False, f"s_{a}({b}) crosses the real/imaginary partition"
-                break
-        if not ok2:
-            break
-    rep.add("ReS2", ok2, witness2, window=window)
+    def coroot_of(v):
+        got = m.cor.get(v)
+        if got is not None:
+            return got
+        x = tuple(Fraction(c) / m.root_scale for c in v)
+        if not ars.contains(x):
+            return None
+        xi = x[:ars.y_dim]
+        cor = ars.coroot(xi) if any(xi) else zero_cor
+        return tuple(c * m.coroot_scale for c in cor)
 
     # For c(xi + lam) both real, s uses ((c xi)_check, c lam); equality of the
     # two reflections reduces to ReS3 of the quotient system S.
-    s_rep = validate_axioms(PreReflectionSystem.from_root_system(ars.S))
-    rep.add("ReS3", s_rep["ReS3"].ok, s_rep["ReS3"].witness,
-            note="reduces to ReS3 of the quotient root system")
-
-    ok4, witness4 = True, None
-    for a in roots:
-        xi_a, lam_a = ars.split(a)
-        if not any(xi_a):
-            continue
-        cor_a = ars.coroot(xi_a)
-        for b in roots:
-            xi_b, _ = ars.split(b)
-            img = ars.reflect(a, b)
-            xi_img, _ = ars.split(img)
-            if tuple(xi_img) not in ars.S.roots:
-                continue
-            cor_b = ars.coroot(xi_b) if any(xi_b) else (ZERO,) * ars.dim
-            cor_img = ars.coroot(xi_img) if any(xi_img) else (ZERO,) * ars.dim
-            pba = sum((x * c for x, c in zip(a, cor_b)), ZERO)
-            expect = tuple(cb - pba * ca for cb, ca in zip(cor_b, cor_a))
-            if cor_img != expect:
-                ok4, witness4 = False, f"ReS4 fails at a={a}, b={b}"
-                break
-        if not ok4:
-            break
-    rep.add("ReS4", ok4, witness4, window=window)
-    return rep
+    s_res3 = validate_axioms(PreReflectionSystem.from_root_system(ars.S))["ReS3"]
+    res3 = CheckResult("ReS3", s_res3.ok, s_res3.witness,
+                       note="reduces to ReS3 of the quotient root system")
+    return _reflection_axioms(m, ars.dim, coroot_of, res3, window=window)
 
 
 def quotient_by_affine_form(prs: PreReflectionSystem, form):
@@ -624,30 +551,9 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
     if not srep.ok:
         raise ValueError(f"projected set is not a root system: {srep.failures()[0].name}")
     # connectedness transfers along the projection
-    real_comps = _real_components(prs)
-    if len(connected_components(S)) != real_comps:
+    if len(connected_components(S)) != len(connected_components(prs)):
         raise AssertionError("component count changed under the quotient map")
     return S, project, fibers
-
-
-def _real_components(prs: PreReflectionSystem) -> int:
-    real = prs.real_roots()
-    index = {a: i for i, a in enumerate(real)}
-    parent = list(range(len(real)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, a in enumerate(real):
-        for j in range(i + 1, len(real)):
-            if prs.pairing(real[j], a) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    return len({find(i) for i in range(len(real))})
 
 
 def _unit_vec(n, i):

@@ -154,15 +154,16 @@ def reflect(rs: RootSystem, alpha, x):
 class IntegerRoots:
     """Roots and coroots rescaled to integer tuples, for the root-level checks.
 
-    Roots are multiplied by the lcm of their coordinate denominators and
-    coroots by the lcm of theirs; den is the product of the two, so
-    <b, a_check> is an integer dot product divided by den.  Built per call
-    from a root set and a coroot map, both with Fraction coordinates.
+    Roots are multiplied by the lcm of their coordinate denominators
+    (root_scale) and coroots by the lcm of theirs (coroot_scale); den is
+    the product of the two, so <b, a_check> is an integer dot product
+    divided by den.  Built per call from a root set and a coroot map, both
+    with Fraction coordinates.
     """
 
     def __init__(self, roots, coroots):
-        dr = math.lcm(*(x.denominator for a in roots for x in a))
-        dc = math.lcm(*(x.denominator for a in roots for x in coroots[a]))
+        self.root_scale = dr = math.lcm(*(x.denominator for a in roots for x in a))
+        self.coroot_scale = dc = math.lcm(*(x.denominator for a in roots for x in coroots[a]))
         self.den = dr * dc
         self.orig = {}  # scaled root -> root in the original coordinates
         self.cor = {}   # scaled root -> scaled coroot
@@ -401,11 +402,15 @@ def weyl_orbit(rs: RootSystem, alpha):
     return orbit
 
 
-def connected_components(rs: RootSystem):
-    """Partition of the nonzero roots into connection components."""
-    nonzero = sorted(rs.nonzero_roots())
-    index = {a: i for i, a in enumerate(nonzero)}
-    parent = list(range(len(nonzero)))
+def connected_components(rs):
+    """Partition of the real roots into connection components.
+
+    Serves a RootSystem (real = nonzero) and a PreReflectionSystem alike:
+    a and b are connected when <b, a_check> != 0.
+    """
+    m = IntegerRoots(rs.roots, rs.coroots)
+    real = sorted(m.real)
+    parent = list(range(len(real)))
 
     def find(i):
         while parent[i] != i:
@@ -413,15 +418,15 @@ def connected_components(rs: RootSystem):
             i = parent[i]
         return i
 
-    for i, a in enumerate(nonzero):
-        for j in range(i + 1, len(nonzero)):
-            if rs.pairing(nonzero[j], a) != 0:
+    for i, a in enumerate(real):
+        for j in range(i + 1, len(real)):
+            if m.pairing(real[j], a) != 0:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
     groups = {}
-    for i, a in enumerate(nonzero):
-        groups.setdefault(find(i), []).append(a)
+    for i, a in enumerate(real):
+        groups.setdefault(find(i), []).append(m.orig[a])
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
 
 

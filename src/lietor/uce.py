@@ -20,7 +20,7 @@ from .graded import (
 )
 from .lattices import box
 # mat_rank stays importable from here: the benchmark hooks it by this name.
-from .linalg import identity, kernel, mat_mul, rank as mat_rank, rref, solve  # noqa: F401
+from .linalg import LinearSolver, identity, kernel, mat_mul, rank as mat_rank, rref  # noqa: F401
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket, lift_derivation
 from .report import AxiomReport
 from .scalars import QQ
@@ -623,11 +623,10 @@ def sl_structure_algebra(m: int, field) -> tuple:
         basis.append(mat)
     dim = len(basis)
     flat = [[v for row in b for v in row] for b in basis]
-    coord_cols = [list(col) for col in zip(*flat)]
+    solver = LinearSolver.factor([list(col) for col in zip(*flat)], field)
 
     def coords(mat):
-        target = [v for row in mat for v in row]
-        sol = solve(coord_cols, target, field)
+        sol = solver.solve([v for row in mat for v in row])
         if sol is None:
             raise ValueError("matrix outside sl_m")
         return sol

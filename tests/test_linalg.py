@@ -1,14 +1,20 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from lietor.lattices import LatticeSubset, lattice_from_congruences
 from lietor.linalg import (
+    LinearSolver,
     hnf,
     in_lattice,
     integer_kernel,
+    inverse,
     kernel,
     lattice_reduce,
+    mat_mul,
     rank,
+    rref,
     solve,
 )
 from lietor.scalars import QQ, cyclotomic_field
@@ -61,6 +67,70 @@ def test_solve():
     m = [[F(2), F(0)], [F(0), F(3)]]
     assert solve(m, [F(4), F(9)], QQ) == [F(2), F(3)]
     assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)], QQ) is None
+
+
+def _solve_one_shot(m, b, field):
+    """Reference: one rref of [m | b], read off directly."""
+    if not m:
+        return None if any(b) else []
+    ncols = len(m[0])
+    rows, pivots = rref([list(row) + [bv] for row, bv in zip(m, b)], field)
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][ncols]
+    return x
+
+
+def _random_systems(field, scalar, rng):
+    """(m, b) pairs: square, wide and tall; full rank, singular (a row
+    repeated or a zero column) and inconsistent right-hand sides."""
+    for _ in range(40):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[scalar(rng) for _ in range(nc)] for _ in range(nr)]
+        kind = rng.choice(["plain", "repeat", "zero-col"])
+        if kind == "repeat" and nr > 1:
+            m[-1] = list(m[0])
+        elif kind == "zero-col":
+            for row in m:
+                row[rng.randrange(nc)] = field.zero
+        x0 = [scalar(rng) for _ in range(nc)]
+        consistent = [sum((c * x for c, x in zip(row, x0)), field.zero) for row in m]
+        yield m, consistent
+        yield m, [scalar(rng) for _ in range(nr)]  # inconsistent when rank < nr
+    yield [[field.zero, field.zero]], [field.one]
+    yield [[field.one, field.one], [field.one, field.one]], [field.zero, field.one]
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_linear_solver_matches_one_shot_rref(order):
+    field = QQ if order == 1 else cyclotomic_field(3)
+    if order == 1:
+        def scalar(rng):
+            return F(rng.randint(-3, 3))
+    else:
+        def scalar(rng):
+            return field([rng.randint(-2, 2), rng.randint(-2, 2)])
+    rng = random.Random(order)
+    inconsistent = 0
+    for m, b in _random_systems(field, scalar, rng):
+        want = _solve_one_shot(m, b, field)
+        assert LinearSolver.factor(m, field).solve(b) == want
+        assert solve(m, b, field) == want
+        if want is None:
+            inconsistent += 1
+        else:
+            assert [sum((c * x for c, x in zip(row, want)), field.zero) for row in m] == b
+        if len(m) == len(m[0]):
+            if rank(m, field) < len(m):
+                with pytest.raises(ValueError):
+                    inverse(m, field)
+            else:
+                ident = [[field.one if i == j else field.zero for j in range(len(m))]
+                         for i in range(len(m))]
+                assert mat_mul(inverse(m, field), m, field) == ident
+    assert inconsistent >= 5
 
 
 def test_hnf_and_membership():

@@ -6,6 +6,7 @@ import pytest
 from lietor.lattices import LatticeSubset
 from lietor.linalg import rank as mat_rank
 from lietor.refl import (
+    AffineReflectionSystem,
     ExtensionDatum,
     PreReflectionSystem,
     ars_structure,
@@ -25,6 +26,8 @@ from lietor.rootsys import (
     build_classical,
     build_exceptional,
     classify,
+    connected_components,
+    direct_sum,
     indivisible_part,
     length_partition,
     normalized,
@@ -33,6 +36,7 @@ from lietor.rootsys import (
     vec_add,
     with_form,
 )
+from lietor.report import AxiomReport
 from lietor.scalars import QQ
 
 
@@ -62,6 +66,19 @@ def test_res2_failure_with_witness():
     rep = validate_axioms(PreReflectionSystem(2, roots, coroots))
     assert not rep["ReS2"].ok
     assert rep["ReS2"].witness
+
+
+def test_res2_failure_on_imaginary_root():
+    # d = (1, 1) imaginary: s_e1(d) = (-1, 1) is not a root, while the real
+    # roots +-e1 are closed under their reflections.
+    d = (F(1), F(1))
+    roots = {(F(0), F(0)), (F(1), F(0)), (F(-1), F(0)), d}
+    coroots = {r: ((F(2) * r[0], F(0)) if r != d else (F(0), F(0))) for r in roots}
+    prs = PreReflectionSystem(2, roots, coroots)
+    rep = validate_axioms(prs)
+    assert not rep["ReS2"].ok
+    assert rep["ReS2"].witness.endswith("leaves the imaginary part")
+    assert _reference(prs)[0]["ReS2"] is False
 
 
 def test_res3_failure_on_rescaled_coroot():
@@ -431,3 +448,221 @@ def test_reduced_flag_is_exact():
     prs = PreReflectionSystem(2, roots, coroots)
     assert predicates(prs)["reduced"] is True
     assert _reference(prs)[1]["reduced"] is True
+
+
+def test_ars_membership_is_exact():
+    ars = build_affine_rs(build_classical("A", 1), 1)[0]
+    assert ars.contains((F(-1), F(1), F(1)))
+    assert ars.contains((F(-1), F(1), 1))
+    assert not ars.contains((F(-1), F(1), F(1, 2)))
+    assert not ars.contains((F(-1), F(1), F(-3, 2)))
+
+
+# The Fraction-tuple ReS0-ReS4 body that validate_ars_axioms had before it ran
+# on IntegerRoots, kept as a reference: it reflects windowed roots by the
+# extension formula and asks ars.contains for every image.
+
+def _ars_reflect(ars, alpha, x):
+    xi, _ = ars.split(alpha)
+    c = _pair(x, ars.coroot(xi))
+    return tuple(xi_ - c * ai for xi_, ai in zip(x, alpha))
+
+
+def _ars_reference(ars, window):
+    rep = AxiomReport()
+    zero = (F(0),) * ars.dim
+    roots = ars.windowed_roots(window)
+
+    ok0, witness0 = ars.contains(zero), None
+    if not ok0:
+        witness0 = "0 missing from R"
+    else:
+        for a in roots:
+            xi, _ = ars.split(a)
+            if any(xi):
+                val = ars.S.pairing(xi, xi)
+                if val != 2:
+                    ok0, witness0 = False, f"<a,a_check> = {val} at {a}"
+                    break
+    rep.add("ReS0", ok0, witness0, window=window)
+
+    ok1, witness1 = True, None
+    for a in roots:
+        xi, _ = ars.split(a)
+        if any(xi):
+            if _ars_reflect(ars, a, a) != tuple(-x for x in a):
+                ok1, witness1 = False, f"s_alpha(alpha) != -alpha at {a}"
+                break
+    rep.add("ReS1", ok1, witness1, window=window)
+
+    ok2, witness2 = True, None
+    for a in roots:
+        xi_a, _ = ars.split(a)
+        if not any(xi_a):
+            continue
+        for b in roots:
+            img = _ars_reflect(ars, a, b)
+            if not ars.contains(img):
+                ok2, witness2 = False, f"s_{a}({b}) = {img} leaves R"
+                break
+            xi_b, _ = ars.split(b)
+            xi_i, _ = ars.split(img)
+            if bool(any(xi_b)) != bool(any(xi_i)):
+                ok2, witness2 = False, f"s_{a}({b}) crosses the real/imaginary partition"
+                break
+        if not ok2:
+            break
+    rep.add("ReS2", ok2, witness2, window=window)
+
+    s_rep = validate_axioms(PreReflectionSystem.from_root_system(ars.S))
+    rep.add("ReS3", s_rep["ReS3"].ok, s_rep["ReS3"].witness,
+            note="reduces to ReS3 of the quotient root system")
+
+    ok4, witness4 = True, None
+    for a in roots:
+        xi_a, _ = ars.split(a)
+        if not any(xi_a):
+            continue
+        cor_a = ars.coroot(xi_a)
+        for b in roots:
+            xi_b, _ = ars.split(b)
+            img = _ars_reflect(ars, a, b)
+            xi_img, _ = ars.split(img)
+            if tuple(xi_img) not in ars.S.roots:
+                continue
+            cor_b = ars.coroot(xi_b) if any(xi_b) else (F(0),) * ars.dim
+            cor_img = ars.coroot(xi_img) if any(xi_img) else (F(0),) * ars.dim
+            pba = _pair(a, cor_b)
+            expect = tuple(cb - pba * ca for cb, ca in zip(cor_b, cor_a))
+            if cor_img != expect:
+                ok4, witness4 = False, f"ReS4 fails at a={a}, b={b}"
+                break
+        if not ok4:
+            break
+    rep.add("ReS4", ok4, witness4, window=window)
+    return rep
+
+
+def _with_lambda(ars, xi, lam):
+    ed = ExtensionDatum(ars.S, ars.S_prime, ars.z_rank, {**ars.datum.family, xi: lam})
+    return AffineReflectionSystem(ars.S, ars.S_prime, ed)
+
+
+def _with_coroot(ars, xi, cor):
+    S = RootSystem(ars.S.space, ars.S.roots, coroots={**ars.S.coroots, xi: cor})
+    ed = ExtensionDatum(S, ars.S_prime, ars.z_rank, ars.datum.family)
+    return AffineReflectionSystem(S, ars.S_prime, ed)
+
+
+def _ars_perturbed(ars, rng):
+    """Seeded perturbations of Lambda (odd coset, Lambda_0 = 0, a shifted and
+    a finite Lambda_xi) and of the coroots of S (rescale, zero, shear)."""
+    n = ars.z_rank
+    e1 = (1,) + (0,) * (n - 1)
+    real = sorted(a for a in ars.S.roots if any(a))
+    # 1 + 2Z in the first coordinate, Z in the others
+    gens = [[2 * x for x in e1]] + [[int(i == j) for j in range(n)] for i in range(1, n)]
+    odd = LatticeSubset(n, gens=gens, cosets=(e1,))
+    yield "odd", _with_lambda(ars, rng.choice(real), odd)
+    yield "lambda0=0", _with_lambda(ars, (F(0),) * ars.y_dim, LatticeSubset.zero(n))
+    xi = rng.choice(real)
+    yield "shift", _with_lambda(ars, xi, ars.datum.lam(xi).shift(e1))
+    yield "finite", _with_lambda(ars, rng.choice(real), LatticeSubset.finite(n, [(0,) * n, e1]))
+    xi = rng.choice(real)
+    c = rng.choice([F(2), F(3), F(1, 2), F(-1)])
+    yield "rescale", _with_coroot(ars, xi, tuple(c * x for x in ars.S.coroots[xi]))
+    yield "zero", _with_coroot(ars, rng.choice(real), (F(0),) * ars.y_dim)
+    a, b = rng.sample(real, 2)
+    yield "shear", _with_coroot(ars, a, vec_add(ars.S.coroots[a], ars.S.coroots[b]))
+
+
+def _zero_coroot_on_real(ars):
+    return any(any(a) and not any(ars.S.coroots[a]) for a in ars.S.roots)
+
+
+def _check_key(rep):
+    return [(c.name, c.status, c.window, c.note, c.witness is not None) for c in rep.checks]
+
+
+# (family, rank, tier, windows of the unperturbed system, windows of the
+# perturbations); the larger systems stay at small windows, and F4 is only
+# checked unperturbed, to keep this quick.
+ARS_CASES = [
+    ("A", 1, 1, (1, 2, 3), (1, 2)),
+    ("A", 2, 1, (1, 2, 3), (1,)),
+    ("B", 2, 1, (1, 2, 3), (1,)),
+    ("B", 2, 2, (1, 2, 3), (1,)),
+    ("B", 3, 2, (1, 2), (1,)),
+    ("C", 3, 2, (1,), (1,)),
+    ("BC", 1, 1, (1, 2, 3), (1, 2, 3)),
+    ("BC", 2, 1, (1, 2), (1,)),
+    ("G2", None, 1, (1,), (1,)),
+    ("G2", None, 3, (1, 2), (1,)),
+    ("F4", None, 2, (1,), ()),
+    ("A2/Z2", None, 1, (1,), (1,)),
+]
+
+
+@pytest.mark.parametrize("fam,rk,tier,windows,pert_windows", ARS_CASES,
+                         ids=[f"{c[0]}{c[1] or ''}-t{c[2]}" for c in ARS_CASES])
+def test_ars_axioms_match_fraction_reference(fam, rk, tier, windows, pert_windows):
+    if fam == "A2/Z2":
+        a2 = build_classical("A", 2)
+        ed = untwisted_datum(a2, 2)
+        ars = AffineReflectionSystem(a2, ed.S_prime, ed)
+    else:
+        ars = build_affine_rs(_small(fam, rk), tier)[0]
+    cases = [("valid", ars, w) for w in windows]
+    rng = random.Random(f"{fam}{rk}{tier}")
+    cases += [(kind, p, w) for kind, p in _ars_perturbed(ars, rng) for w in pert_windows]
+    failed = set()
+    for kind, v, w in cases:
+        got, want = validate_ars_axioms(v, w), _ars_reference(v, w)
+        for c in got.checks:
+            assert (c.witness is not None) == (not c.ok), (kind, w, c.name)
+            if not c.ok:
+                failed.add(c.name)
+        if not _zero_coroot_on_real(v):
+            assert _check_key(got) == _check_key(want), (kind, w)
+            continue
+        # A nonzero xi with zero coroot: its reflection is the identity, so
+        # its roots are imaginary, as in validate_axioms and the finite
+        # reference; the old body called them real by their S-part.  ReS0
+        # and ReS1 do not depend on the window and follow the finite
+        # reference; s_(-xi) sends xi to the real root -xi, failing ReS2.
+        finite = _reference(v.to_prs(w))[0]
+        assert [got[k].ok for k in ("ReS0", "ReS1")] == [finite["ReS0"], finite["ReS1"]]
+        assert not got["ReS2"].ok and want["ReS2"].ok
+        assert [(got[k].ok, got[k].window) for k in ("ReS3", "ReS4")] == \
+            [(want[k].ok, want[k].window) for k in ("ReS3", "ReS4")], (kind, w)
+    if pert_windows:
+        assert {"ReS0", "ReS1", "ReS2", "ReS4"} <= failed
+
+
+def _components_by_union_find(roots, coroots):
+    """Number of classes of the real roots under <b, a_check> != 0."""
+    real = [a for a in sorted(roots) if any(coroots[a])]
+    label = {a: a for a in real}
+
+    def find(a):
+        while label[a] != a:
+            a = label[a]
+        return a
+
+    for i, a in enumerate(real):
+        for b in real[i + 1:]:
+            if find(a) != find(b) and _pair(b, coroots[a]):
+                label[find(a)] = find(b)
+    return len({find(a) for a in real})
+
+
+@pytest.mark.parametrize("fam,rk", SMALL_SYSTEMS)
+def test_connected_components_matches_union_find(fam, rk):
+    rs = _small(fam, rk)
+    cases = [(name, prs_of(v)) for name, v in _variants(rs).items()]
+    cases.append(("a1+rs", prs_of(direct_sum(build_classical("A", 1), rs))))
+    cases.append(("affine", build_affine_rs(rs, 1)[0].to_prs(1)))
+    for name, prs in cases:
+        want = _components_by_union_find(prs.roots, prs.coroots)
+        assert len(connected_components(prs)) == want, name
+    assert len(connected_components(rs)) == _components_by_union_find(rs.roots, rs.coroots)
