@@ -26,7 +26,7 @@ from .matlie import (
     SlInvariantForm,
     bracket as mat_bracket,
     invariant_form,
-    is_invertible,
+    invertible_triple,
     lift_derivation,
     verify_root_graded,
 )
@@ -102,7 +102,18 @@ def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
     sigma_D(l1, l2) has degree deg(l1) + deg(l2) and can only be nonzero
     when some D basis element has the opposite degree -gamma, so the pairs
     are l1 in L_(xi, d1), l2 in L_(-xi, d2) with d1 + d2 = -gamma.
+
+    The rows are a fact about (form, D, window): they are computed once and
+    kept on the form, so C_min, INV-d and EA5 share one enumeration.
     """
+    cache = vars(form).setdefault("_sigma_rows_cache", {})
+    key = (tuple(D), window)
+    if key not in cache:
+        cache[key] = _sigma_rows(L, form, D, window)
+    return dict(cache[key])
+
+
+def _sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
     out = {}
     degs = box(L.z_rank, window)
     in_box = set(degs)
@@ -178,6 +189,7 @@ class BuiltE:
         self._talpha_cache = {}
         self._dbr_cache = {}
         self._dc_cache = {}
+        self._roots_cache = {}
         self._sigma_degs = {tuple(-g for g in dk.gamma) for dk in data.D}
         self._c_solver = None
         self._t_solver = None
@@ -364,6 +376,13 @@ class BuiltE:
         return val
 
     def windowed_roots(self, window: int):
+        """(root, degree) of each nonzero windowed root space, computed once
+        per window for IA1, EA1, EA6 and the nullity."""
+        if window not in self._roots_cache:
+            self._roots_cache[window] = self._windowed_roots(window)
+        return list(self._roots_cache[window])
+
+    def _windowed_roots(self, window: int):
         out = []
         zero_root = (Fraction(0),) * self.L.n
         for deg in box(self.L.z_rank, window):
@@ -560,11 +579,8 @@ def _invertible_pair(L: MatrixLieAlgebra, root, deg, form=None):
     root = tuple(root)
     deg = tuple(deg)
     if any(root):
-        for b in L.homog_basis(root, deg):
-            triple = is_invertible(L, b)
-            if triple is not None:
-                return triple.e, triple.f
-        return None
+        triple = invertible_triple(L, root, deg)
+        return None if triple is None else (triple.e, triple.f)
     basis = L.homog_basis(root, deg)
     if not basis or not any(deg):
         return None

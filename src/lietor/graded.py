@@ -301,8 +301,8 @@ class GradedAssocAlgebra:
         return len(self.basis_of_degree(deg))
 
     def try_invert(self, x: AlgElement):
-        """Inverse of x, or None.  Units are single-degree terms with an
-        invertible coefficient whose opposite degree is in the support."""
+        """Inverse of a homogeneous x, or None; None also for x of several
+        degrees.  The inverse of a unit of degree lam has degree -lam."""
         degs = x.degrees()
         if len(degs) != 1:
             return None
@@ -311,26 +311,51 @@ class GradedAssocAlgebra:
         if not self.in_support(neg):
             return None
         if self.kind == "crossed":
-            bvec = [self.field.zero] * self.bdim
-            for (d, s), c in x.terms.items():
-                bvec[s] = c
-            cand = self.B.is_unit_vec(bvec)
-            if cand is None:
+            # x y = 1 is linear in y over the bdim coordinates of A^(-lam); a
+            # right inverse that is also a left inverse is the inverse.
+            zero = (0,) * self.n
+            cols = [self.mul(x, self.monomial(neg, sym=k)) for k in range(self.bdim)]
+            m = [[c.coefficient(zero, i) for c in cols] for i in range(self.bdim)]
+            sol = solve(m, self.B.unit, self.field)
+            if sol is None:
                 return None
-            # Solve x * y = 1 with y supported in degree -lam.
-            y = AlgElement(self, {(neg, k): v for k, v in enumerate(cand) if v})
-            prod = self.mul(x, y)
-            corr = prod.coefficient((0,) * self.n, _unit_sym(self.B))
-            if not corr:
-                return None
-            y = y * _inv_scalar(corr)
-            if self.mul(x, y) == self.one() and self.mul(y, x) == self.one():
-                return y
-            return None
+            y = AlgElement(self, {(neg, k): v for k, v in enumerate(sol) if v})
+            return y if self.mul(y, x) == self.one() else None
         ((_, _), c), = x.terms.items()
         cinv = _inv_scalar(c)
         fac = self.tau(lam, neg)
         return self.monomial(neg, cinv * _inv_scalar(fac))
+
+    def unit_of_degree(self, deg):
+        """A unit of A^deg, or None when A^deg holds no unit.
+
+        A group algebra or quantum torus has A^deg = F t^deg, and t^deg is a
+        unit exactly when deg and -deg are both in the support.
+
+        A crossed product B * Z^n multiplies by
+        (b t^lam)(c t^mu) = b sigma_lam(c) tau(lam, mu) t^(lam+mu).  The
+        candidate 1_B t^lam decides the degree.  If some u = b t^lam is a
+        unit, its inverse is some c t^-lam, so b sigma_lam(c) tau(lam, -lam)
+        = 1 and c sigma_-lam(b) tau(-lam, lam) = 1: both tau values have a
+        left inverse in the finite-dimensional B, hence are units, and then
+        1_B t^lam has the right inverse sigma_lam^-1(tau(lam, -lam)^-1) t^-lam
+        and the left inverse tau(-lam, lam)^-1 t^-lam.  So A^lam has a unit
+        iff 1_B t^lam is one.  Given a unit u of A^lam, x -> x u^-1 maps
+        A^lam onto A^0 and x is a unit iff x u^-1 is: A^lam = A^0 u, and
+        b u is a unit iff b is.
+        """
+        deg = tuple(deg)
+        cache = vars(self).setdefault("_unit_cache", {})
+        if deg not in cache:
+            u = None
+            if self.in_support(deg) and self.in_support(tuple(-d for d in deg)):
+                if self.kind != "crossed":
+                    u = self.monomial(deg)
+                else:
+                    t = AlgElement(self, {(deg, k): c for k, c in enumerate(self.B.unit)})
+                    u = t if self.try_invert(t) is not None else None
+            cache[deg] = u
+        return cache[deg]
 
     def is_commutative_window(self, window: int) -> bool:
         degs = box(self.n, window)
@@ -436,21 +461,6 @@ class GradedAssocAlgebra:
             rows.append([sum(cv[t] * ker[t][j] for t in range(len(ker))) for j in range(self.n)])
         self._gamma = LatticeSubset(self.n, rows)
         return self._gamma
-
-    def zero_coeff_functional(self, x: AlgElement):
-        """Coefficient of the identity component of x (trace-like functional)."""
-        z = (0,) * self.n
-        if self.bdim == 1:
-            return x.coefficient(z, 0)
-        # crossed products: read the coordinate along the unit basis vector
-        return x.coefficient(z, _unit_sym(self.B))
-
-
-def _unit_sym(B: FiniteDimAlgebra) -> int:
-    for i, c in enumerate(B.unit):
-        if c:
-            return i
-    raise ValueError("algebra without unit")
 
 
 def _inv_scalar(c):

@@ -149,29 +149,6 @@ def inverse(m, field):
     return [row[n:] for row in solver.red[:n]]
 
 
-def span_contains(basis_rows, v, field) -> bool:
-    """Is v in the row span of basis_rows?"""
-    if not any(v):
-        return True
-    if not basis_rows:
-        return False
-    return rank(basis_rows, field) == rank(basis_rows + [v], field)
-
-
-def span_basis(rows, field):
-    """Deterministic basis of the row span (rref rows without zero rows)."""
-    red, pivots = rref(rows, field)
-    return [red[i] for i in range(len(pivots))]
-
-
-def span_equal(rows_a, rows_b, field) -> bool:
-    ra = rank(rows_a, field) if rows_a else 0
-    rb = rank(rows_b, field) if rows_b else 0
-    if ra != rb:
-        return False
-    return rank(rows_a + rows_b, field) == ra if rows_a else rb == 0
-
-
 # Integer lattice routines (exact, arbitrary precision ints).
 
 

@@ -15,7 +15,7 @@ from .graded import AlgElement, GradedAssocAlgebra, graded_form
 from .lattices import box
 from .linalg import kernel, rank as mat_rank
 from .report import AxiomReport
-from .rootsys import RootSystem, build_classical, vec_is_zero
+from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
 from .scalars import QQ
 
 
@@ -120,7 +120,11 @@ class Sl2Triple:
 
 
 class MatrixLieAlgebra:
-    """sl_n(A) for a Z^m-graded unital associative algebra A."""
+    """sl_n(A) for a Z^m-graded unital associative algebra A.
+
+    blocks are the diagonal index ranges [lo, hi) that carry an sl factor:
+    one block for sl_n(A), several for DirectSumSl.
+    """
 
     def __init__(self, n: int, A: GradedAssocAlgebra):
         if n < 3:
@@ -130,7 +134,11 @@ class MatrixLieAlgebra:
         self.field = A.field
         self.S = build_classical("A", n - 1)
         self.z_rank = A.n
+        self.blocks = ((0, n),)
         self._diag_cache = {}
+
+    def _same_block(self, i, j):
+        return any(lo <= i < hi and lo <= j < hi for lo, hi in self.blocks)
 
     def root_of(self, i, j):
         v = [Fraction(0)] * self.n
@@ -153,32 +161,18 @@ class MatrixLieAlgebra:
         return self.E(i, i) - self.E(j, j)
 
     def cartan_basis(self):
-        return [self.cartan(i, i + 1) for i in range(self.n - 1)]
+        return [self.cartan(i, i + 1) for lo, hi in self.blocks for i in range(lo, hi - 1)]
 
     def in_cartan(self, x: MatLieElement) -> bool:
-        """Is x in the span of the Cartan basis (scalar diagonals, trace 0)?"""
+        """Is x in the span of the Cartan basis (scalar diagonals, trace 0 on
+        each block)?"""
         zero_deg = (0,) * self.z_rank
         for (i, j), v in x.entries.items():
-            if i != j:
+            if i != j or v.degrees() != [zero_deg]:
                 return False
-            if v.degrees() != [zero_deg]:
-                return False
-        return not x.trace()
-
-    def in_sl(self, x: MatLieElement, window: int = 3) -> bool:
-        t = x.trace()
-        for deg in t.degrees():
-            comp = t.component(deg)
-            comm = self.A.commutator_component(deg, window)
-            rows = [[c.coefficient(deg, k) for k in range(self.A.bdim)] for c in comm]
-            vec = [comp.coefficient(deg, k) for k in range(self.A.bdim)]
-            if not rows:
-                if any(vec):
-                    return False
-                continue
-            if mat_rank(rows, self.field) != mat_rank(rows + [vec], self.field):
-                return False
-        return True
+        return not any(sum((x.entries[(i, i)] for i in range(lo, hi) if (i, i) in x.entries),
+                           self.A.zero())
+                       for lo, hi in self.blocks)
 
     def homog_basis(self, root, deg):
         """Basis of the (root, lattice degree) homogeneous space."""
@@ -187,7 +181,7 @@ class MatrixLieAlgebra:
         if vec_is_zero(root):
             return self._diag_basis(deg)
         pair = self._root_indices(root)
-        if pair is None:
+        if pair is None or not self._same_block(*pair):
             return []
         i, j = pair
         return [self.E(i, j, b) for b in self.A.basis_of_degree(deg)]
@@ -215,34 +209,30 @@ class MatrixLieAlgebra:
         return out
 
     def _diag_basis_uncached(self, deg):
-        abasis = self.A.basis_of_degree(deg)
-        if not abasis:
+        """Per block, the diagonals over A^deg whose trace lies in [A,A]^deg."""
+        if not self.A.basis_of_degree(deg):
             return []
         bdim = self.A.bdim
         comm = self.A.commutator_component(deg, window=3)
         comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
         # Functionals on A^deg vanishing on [A,A]^deg.
-        functionals = kernel(comm_rows, self.field, bdim) if comm_rows else [
-            [self.field.one if t == s else self.field.zero for t in range(bdim)]
-            for s in range(bdim)
-        ]
-        # Unknowns: n blocks of bdim coordinates; constraints: each functional
-        # kills the diagonal sum.
-        rows = []
-        for f in functionals:
-            rows.append([f[t % bdim] for t in range(self.n * bdim)])
-        sols = kernel(rows, self.field, self.n * bdim) if rows else []
-        if not rows:
-            sols = [[self.field.one if t == s else self.field.zero for t in range(self.n * bdim)]
-                    for s in range(self.n * bdim)]
+        functionals = (kernel(comm_rows, self.field, bdim) if comm_rows
+                       else _identity_rows(self.field, bdim))
         out = []
-        for v in sols:
-            entries = {}
-            for i in range(self.n):
-                coeffs = v[i * bdim:(i + 1) * bdim]
-                if any(coeffs):
-                    entries[(i, i)] = AlgElement(self.A, {(deg, k): c for k, c in enumerate(coeffs) if c})
-            out.append(MatLieElement(self, entries))
+        for lo, hi in self.blocks:
+            # Unknowns: hi - lo slots of bdim coordinates; constraints: each
+            # functional kills the diagonal sum.
+            m = (hi - lo) * bdim
+            rows = [[f[t % bdim] for t in range(m)] for f in functionals]
+            sols = kernel(rows, self.field, m) if rows else _identity_rows(self.field, m)
+            for v in sols:
+                entries = {}
+                for i in range(lo, hi):
+                    coeffs = v[(i - lo) * bdim:(i - lo + 1) * bdim]
+                    if any(coeffs):
+                        entries[(i, i)] = AlgElement(
+                            self.A, {(deg, k): c for k, c in enumerate(coeffs) if c})
+                out.append(MatLieElement(self, entries))
         return out
 
     def windowed_basis(self, window: int):
@@ -251,17 +241,18 @@ class MatrixLieAlgebra:
         for deg in box(self.z_rank, window):
             if not self.A.in_support(deg):
                 continue
-            for i in range(self.n):
-                for j in range(self.n):
-                    if i != j:
-                        for b in self.A.basis_of_degree(deg):
-                            out.append(self.E(i, j, b))
+            for lo, hi in self.blocks:
+                for i in range(lo, hi):
+                    for j in range(lo, hi):
+                        if i != j:
+                            for b in self.A.basis_of_degree(deg):
+                                out.append(self.E(i, j, b))
             out.extend(self._diag_basis(deg))
         return out
 
-    def lambda_support(self, root, window: int):
-        """Windowed Lambda_root = {deg : L_root^deg != 0}."""
-        return [deg for deg in box(self.z_rank, window) if self.homog_basis(root, deg)]
+
+def _identity_rows(field, k):
+    return [[field.one if t == s else field.zero for t in range(k)] for s in range(k)]
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -349,17 +340,14 @@ def centre(L: MatrixLieAlgebra, window: int = 3):
         # n z in [A,A]^deg.
         comm = L.A.commutator_component(deg, window)
         comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
-        functionals = kernel(comm_rows, L.field, bdim) if comm_rows else [
-            [L.field.one if t == s else L.field.zero for t in range(bdim)] for s in range(bdim)
-        ]
+        functionals = (kernel(comm_rows, L.field, bdim) if comm_rows
+                       else _identity_rows(L.field, bdim))
         cond = []
         for f in functionals:
             cond.append([sum((L.field.from_int(n) * z[s] * f[s] for s in range(bdim)),
                              L.field.zero) for z in central])
-        coeffs = kernel(cond, L.field, len(central)) if cond else [
-            [L.field.one if t == s else L.field.zero for t in range(len(central))]
-            for s in range(len(central))
-        ]
+        coeffs = (kernel(cond, L.field, len(central)) if cond
+                  else _identity_rows(L.field, len(central)))
         for cv in coeffs:
             zvec = [sum((cv[t] * central[t][s] for t in range(len(central))), L.field.zero)
                     for s in range(bdim)]
@@ -449,21 +437,8 @@ class IsotopedLie:
 
     def root_graded_report(self, window: int = 2) -> AxiomReport:
         rep = AxiomReport()
-        from .rootsys import indivisible_part
-
-        ok, witness = True, None
-        for a in sorted(indivisible_part(self.L.S)):
-            if not any(a):
-                continue
-            found = False
-            for b in self.homog_basis(a, (0,) * self.L.z_rank):
-                if is_invertible(self.L, b) is not None:
-                    found = True
-                    break
-            if not found:
-                ok, witness = False, f"no invertible element in (L^iota)_{a}^0"
-                break
-        rep.add("RG2-isotope", ok, witness, window=window)
+        witness = _rg2_witness(self)
+        rep.add("RG2-isotope", witness is None, witness, window=window)
         return rep
 
 
@@ -499,68 +474,6 @@ class DirectSumSl(MatrixLieAlgebra):
                     if i != j:
                         roots.add(self.root_of(i, j))
         self.S = RootSystem(self.S.space, roots)
-
-    def _same_block(self, i, j):
-        return any(lo <= i < hi and lo <= j < hi for lo, hi in self.blocks)
-
-    def homog_basis(self, root, deg):
-        root = tuple(root)
-        if vec_is_zero(root):
-            return self._diag_basis(tuple(deg))
-        pair = self._root_indices(root)
-        if pair is None or not self._same_block(*pair):
-            return []
-        return super().homog_basis(root, deg)
-
-    def _diag_basis_uncached(self, deg):
-        # Per-block sl-diagonal solutions, shifted into position.
-        got = []
-        for lo, hi in self.blocks:
-            inner = MatrixLieAlgebra.__new__(MatrixLieAlgebra)
-            inner.n = hi - lo
-            inner.A = self.A
-            inner.field = self.field
-            inner.z_rank = self.z_rank
-            inner._diag_cache = {}
-            for elem in MatrixLieAlgebra._diag_basis_uncached(inner, deg):
-                shifted = {(i + lo, j + lo): v for (i, j), v in elem.entries.items()}
-                got.append(MatLieElement(self, shifted))
-        return got
-
-    def cartan_basis(self):
-        out = []
-        for lo, hi in self.blocks:
-            out.extend(self.cartan(i, i + 1) for i in range(lo, hi - 1))
-        return out
-
-    def in_cartan(self, x: MatLieElement) -> bool:
-        zero_deg = (0,) * self.z_rank
-        for (i, j), v in x.entries.items():
-            if i != j or v.degrees() != [zero_deg]:
-                return False
-        for lo, hi in self.blocks:
-            tr = self.A.zero()
-            for i in range(lo, hi):
-                e = x.entries.get((i, i))
-                if e is not None:
-                    tr = tr + e
-            if tr:
-                return False
-        return True
-
-    def windowed_basis(self, window: int):
-        out = []
-        for deg in box(self.z_rank, window):
-            if not self.A.in_support(deg):
-                continue
-            for lo, hi in self.blocks:
-                for i in range(lo, hi):
-                    for j in range(lo, hi):
-                        if i != j:
-                            for b in self.A.basis_of_degree(deg):
-                                out.append(self.E(i, j, b))
-            out.extend(self._diag_basis(deg))
-        return out
 
 
 def chevalley_tensor(m: int, C: GradedAssocAlgebra, window: int = 2) -> MatrixLieAlgebra:
@@ -618,84 +531,158 @@ def verify_root_graded(L, window: int = 2) -> dict:
     return dict(cache[window])
 
 
+def invertible_triple(L: MatrixLieAlgebra, root, deg):
+    """The sl2-triple of uE_ij for the unit u of A^deg, root = eps_i - eps_j
+    a root of L; None when A^deg has no unit (see _root_graded)."""
+    pair = L._root_indices(tuple(root))
+    u = L.A.unit_of_degree(deg)
+    if pair is None or not L._same_block(*pair) or u is None:
+        return None
+    i, j = pair
+    return Sl2Triple(e=L.E(i, j, u), h=L.cartan(i, j),
+                     f=L.E(j, i, L.A.try_invert(u)).scale(L.field.from_int(-1)))
+
+
 def _root_graded(L, window: int) -> dict:
-    base = L.L if isinstance(L, IsotopedLie) else L
-    S = base.S
-    field = base.field
-    zero_deg = (0,) * base.z_rank
+    """RG1-RG3 and the flags on the window, decided over the coordinates A.
 
-    def basis_fn(root, deg):
-        return L.homog_basis(root, deg) if isinstance(L, IsotopedLie) else base.homog_basis(root, deg)
+    For a = eps_i - eps_j, L_a^d = A^d E_ij, and xE_ij is invertible (it
+    lies in an sl2-triple (e, h, f) whose h acts on each L_q by <q, a_check>,
+    as is_invertible(..., action_window=w) tests) exactly when x is a unit
+    of A.  If it is, f = -x^-1 E_ji gives h = E_ii - E_jj.  Conversely
+    f = yE_ji for some y in A^-d, h = xyE_ii - yxE_jj, and h acting by 1 on
+    E_ik and on E_kj (k a third index, n >= 3) gives xy = 1 = yx.  So RG2
+    asks for a unit in A^0 and predivision for a unit in each windowed
+    A^d != 0: one A.unit_of_degree lookup per degree.  Division also needs
+    every nonzero element of A^d to be a unit.  As A^d = A^0 u for a unit
+    u, it equals predivision when bdim = 1; when bdim > 1 a basis vector b
+    of B that is not a unit refutes it (bu is nonzero and not a unit), and
+    otherwise it is left undecided (None).
 
-    rg1 = True  # support inside A_(n-1) by construction of the entry grading
-    from .rootsys import indivisible_part
+    RG3: for unital A, [xE_ij, yE_ji] = xyE_ii - yxE_jj.  With y = 1 these
+    are x(E_ii - E_jj), which span the trace-zero diagonals over A^d of each
+    block, (n_b - 1) dim A^d of them; modulo those a bracket is [x, y]E_ii.
+    So the brackets of windowed degrees span, per block,
+    (n_b - 1) dim A^d + dim [A,A]^d, with [A,A]^d spanned by the commutators
+    of windowed degrees (A.commutator_component), and RG3 holds at d iff
+    that sum is dim L_0^d.  An isotope pairs A^(mu + iota(a)) with
+    A^(d - mu - iota(a)) on the window, so its RG3 is decided on brackets.
+    """
+    iso = isinstance(L, IsotopedLie)
+    base = L.L if iso else L
+    A = base.A
+    degs = box(base.z_rank, window)
+    nz = [a for a in base.S.sorted_roots() if any(a)]
 
-    rg2, rg2_witness = True, None
-    for a in sorted(indivisible_part(S)):
-        if not any(a):
-            continue
-        if not any(is_invertible(base, b) for b in basis_fn(a, zero_deg)):
-            rg2, rg2_witness = False, f"no invertible element in L_{a}^0"
+    prediv_witness = None
+    for a in nz:
+        bad = next((deg for deg in degs if A.in_support(_shifted(L, a, deg))
+                    and A.unit_of_degree(_shifted(L, a, deg)) is None), None)
+        if bad is not None:
+            prediv_witness = f"no invertible element in {_space_name(L, a, bad)}"
             break
 
-    rg3, rg3_witness = True, None
-    nz = [a for a in S.sorted_roots() if any(a)]
+    division, division_witness = prediv_witness is None, prediv_witness
+    if division and A.bdim > 1:
+        division, division_witness = _division_beyond_dim_one(L, nz[0], degs)
+
+    if iso:
+        rg3_witness = _rg3_witness_by_brackets(L, window)
+    else:
+        rg3_witness = None
+        for deg in degs:
+            need = len(base._diag_basis(deg))
+            have = (sum(hi - lo - 1 for lo, hi in base.blocks) * A.dim_of_degree(deg)
+                    + len(base.blocks) * len(A.commutator_component(deg, window)))
+            if have < need:
+                rg3_witness = f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
+                break
+
+    rg2_witness = _rg2_witness(L)
+    return {
+        "RG1": True,  # support inside A_(n-1) by construction of the entry grading
+        "RG2": rg2_witness is None,
+        "RG2_witness": rg2_witness,
+        "RG3": rg3_witness is None,
+        "RG3_witness": rg3_witness,
+        "predivision": prediv_witness is None,
+        "predivision_witness": prediv_witness,
+        "division": division,
+        "division_witness": division_witness,
+        "torus": A.bdim == 1 and prediv_witness is None,
+        "window": window,
+    }
+
+
+def _division_beyond_dim_one(L, a, degs):
+    """(False, witness) when a basis vector b of B is not a unit, else
+    (None, None): with a unit u of A^d, bu is a nonzero element of A^d that
+    is not a unit; the degree-0 space of root a is preferred."""
+    base = L.L if isinstance(L, IsotopedLie) else L
+    A = base.A
+    zero = (0,) * base.z_rank
+    b = next((b for b in A.basis_of_degree(zero) if A.try_invert(b) is None), None)
+    deg = next((d for d in [zero] + degs if A.unit_of_degree(_shifted(L, a, d))), None)
+    if b is None or deg is None:
+        return None, None
+    i, j = base._root_indices(a)
+    x = base.E(i, j, b * A.unit_of_degree(_shifted(L, a, deg)))
+    return False, f"{x!r} in {_space_name(L, a, deg)} is nonzero and not invertible"
+
+
+def _rg2_witness(L):
+    """None if each L_a^0 (a indivisible, nonzero) holds an invertible
+    element, else a witness: one unit lookup at degree iota(a) of A."""
+    base = L.L if isinstance(L, IsotopedLie) else L
+    zero = (0,) * base.z_rank
+    for a in sorted(indivisible_part(base.S)):
+        if any(a) and base.A.unit_of_degree(_shifted(L, a, zero)) is None:
+            return f"no invertible element in {_space_name(L, a, zero)}"
+    return None
+
+
+def _shifted(L, root, deg):
+    """The degree of A behind L_root^deg: deg + iota(root) on an isotope."""
+    if not isinstance(L, IsotopedLie):
+        return tuple(deg)
+    return tuple(d + s for d, s in zip(deg, L.iota(root)))
+
+
+def _deg_name(deg):
+    return "(" + ", ".join(str(int(d)) for d in deg) + ")"
+
+
+def _space_name(L, root, deg):
+    """L_(eps_i - eps_j)^(d), or (L^iota)_... on an isotope."""
+    base = L.L if isinstance(L, IsotopedLie) else L
+    i, j = base._root_indices(tuple(root))
+    return f"{'(L^iota)' if base is not L else 'L'}_(eps_{i} - eps_{j})^{_deg_name(deg)}"
+
+
+def _rg3_witness_by_brackets(L: IsotopedLie, window: int):
+    """RG3 of an isotope: the rank of the opposite-root brackets of windowed
+    degrees against dim L_0^d."""
+    base = L.L
+    nz = [a for a in base.S.sorted_roots() if any(a)]
+    zero_root = (Fraction(0),) * base.n
     for deg in box(base.z_rank, window):
-        target = basis_fn((Fraction(0),) * base.n, deg)
-        if not target:
+        need = len(L.homog_basis(zero_root, deg))
+        if not need:
             continue
-        coords_basis = _diag_coords(base, target, deg)
         spans = []
         for a in nz:
             for mu in box(base.z_rank, window):
                 rest = tuple(d - m for d, m in zip(deg, mu))
                 if base.z_rank and max(abs(x) for x in rest) > window:
                     continue
-                for xa in basis_fn(a, mu):
-                    for xb in basis_fn(tuple(-t for t in a), rest):
+                for xa in L.homog_basis(a, mu):
+                    for xb in L.homog_basis(tuple(-t for t in a), rest):
                         br = bracket(xa, xb)
                         if br:
                             spans.append(_diag_coord_vec(base, br, deg))
-        have = mat_rank(spans, field) if spans else 0
-        need = len(coords_basis)
-        if have < need:
-            rg3, rg3_witness = False, f"L_0^{deg} not spanned by opposite-root brackets"
-            break
-
-    prediv, prediv_witness = True, None
-    division = True
-    torus = base.A.bdim == 1
-    for a in nz:
-        for deg in box(base.z_rank, window):
-            basis = basis_fn(a, deg)
-            if not basis:
-                continue
-            if not any(is_invertible(base, b) for b in basis):
-                prediv, prediv_witness = False, f"no invertible element in L_{a}^{deg}"
-                division = False
-                break
-            if base.A.bdim == 1:
-                if is_invertible(base, basis[0]) is None:
-                    division = False
-        if not prediv:
-            break
-
-    return {
-        "RG1": rg1,
-        "RG2": rg2,
-        "RG2_witness": rg2_witness,
-        "RG3": rg3,
-        "RG3_witness": rg3_witness,
-        "predivision": prediv,
-        "predivision_witness": prediv_witness,
-        "division": division,
-        "torus": torus and prediv,
-        "window": window,
-    }
-
-
-def _diag_coords(L: MatrixLieAlgebra, basis, deg):
-    return [_diag_coord_vec(L, b, deg) for b in basis]
+        if (mat_rank(spans, base.field) if spans else 0) < need:
+            return f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
+    return None
 
 
 def _diag_coord_vec(L: MatrixLieAlgebra, x: MatLieElement, deg):

@@ -19,10 +19,6 @@ from .scalars import QQ
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
-def _v(*coords):
-    return tuple(Fraction(c) for c in coords)
-
-
 def _unit(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
@@ -79,9 +75,6 @@ class TypeLabel:
             raise ValueError("reducible system has no single rank")
         return self.components[0][1]
 
-    def is_irreducible(self) -> bool:
-        return len(self.components) == 1
-
     def __str__(self):
         return " x ".join(
             f if f in ("E6", "E7", "E8", "F4", "G2") else f"{f}{r}"
@@ -134,9 +127,6 @@ class RootSystem:
 
     def sorted_roots(self):
         return sorted(self.roots)
-
-    def span_rank(self) -> int:
-        return mat_rank([list(a) for a in self.nonzero_roots()], QQ)
 
 
 def reflect(rs: RootSystem, alpha, x):

@@ -375,15 +375,6 @@ def root_of_unity_order(x):
     raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
-def scalar_field(x):
-    """Field object an element belongs to."""
-    if isinstance(x, (int, Fraction)):
-        return QQ
-    if isinstance(x, Cyclo):
-        return x.field
-    raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
 def scalar_to_json(x) -> dict:
     """Serialize per the scalar schema, integers as decimal strings."""
     if isinstance(x, (int, Fraction)):

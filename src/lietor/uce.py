@@ -67,13 +67,6 @@ class WedgeElement:
             return NotImplemented
         return self.A is other.A and self.terms == other.terms
 
-    def degree_component(self, deg):
-        deg = tuple(deg)
-        return WedgeElement(self.A, {
-            k: v for k, v in self.terms.items()
-            if tuple(a + b for a, b in zip(k[0][0], k[1][0])) == deg
-        })
-
     def degrees(self):
         return sorted({tuple(a + b for a, b in zip(k[0][0], k[1][0])) for k in self.terms})
 

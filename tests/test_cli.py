@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from lietor import cli
 from lietor.cli import main, render_affine_table
@@ -251,3 +252,16 @@ def test_qtorus_json_round_trip():
     A = GradedAssocAlgebra.quantum_torus([[F3.one, z3], [z3.inverse(), F3.one]], F3)
     back = coord_algebra_from_json(json.loads(json.dumps(qtorus_to_json(A))))
     assert back.kind == "qtorus" and back.q[0][1] == z3
+
+
+def test_eala_report_golden(tmp_path, monkeypatch):
+    # lietor eala over the zeta_3 torus at window 3; the expected report
+    # (tests/data/eala_q3_w3.json) is the --out report without its command.
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data.parent.parent)
+    out = tmp_path / "report.json"
+    assert main(["eala", "--coord", "tests/data/q3.json", "--n", "3", "--window", "3",
+                 "--out", str(out)]) == 0
+    got = [line for line in out.read_text().splitlines(keepends=True)
+           if not line.startswith('  "command": ')]
+    assert "".join(got) == (data / "eala_q3_w3.json").read_text()

@@ -397,3 +397,28 @@ def test_sigma_d_pairs_of_every_d_degree():
     rep = validate_inv_data(short, window=1)
     assert not rep["INV-d"].ok
     assert rep["INV-d"].witness == "sigma_D outside C in degree (-1, 0)"
+
+
+def test_windowed_facts_enumerated_once_per_run(monkeypatch):
+    # C_min, INV-d and EA5 read the same sigma_D values, and IA1, EA1, EA6
+    # and the nullity the same windowed roots; one enumeration serves each.
+    import lietor.eala as eala
+
+    sigma_calls, root_calls = [], []
+    sigma_rows = eala._sigma_rows
+    windowed_roots = eala.BuiltE._windowed_roots
+    monkeypatch.setattr(eala, "_sigma_rows",
+                        lambda *a: sigma_calls.append(a) or sigma_rows(*a))
+    monkeypatch.setattr(eala.BuiltE, "_windowed_roots",
+                        lambda *a: root_calls.append(a) or windowed_roots(*a))
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    E = build_E(default_iara_data(L, window=2), window=2)
+    ia = verify_iara(E, 2)
+    assert verify_eala(E, 2, iara=ia).ok
+    assert nullity_of(E, 2) == 1
+    assert core_and_tameness(E, 2)["tame"]
+    assert (len(sigma_calls), len(root_calls)) == (1, 1)
+    # another window is another enumeration
+    core_and_tameness(E, 1)
+    E.windowed_roots(1)
+    assert (len(sigma_calls), len(root_calls)) == (2, 2)

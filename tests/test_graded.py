@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lietor.graded import (
+    AlgElement,
     CentroidalDerivation,
     FiniteDimAlgebra,
     GradedAssocAlgebra,
@@ -19,6 +20,7 @@ from lietor.graded import (
 )
 from lietor.lattices import LatticeSubset
 from lietor.scalars import QQ, cyclotomic_field
+from test_uce import _swap_crossed
 
 
 def F(*args):
@@ -281,3 +283,14 @@ def test_polynomial_support():
     assert P.try_invert(P.one()) == P.one()
     with pytest.raises(ValueError):
         P.monomial((-1,))
+
+
+def test_crossed_try_invert_with_nontrivial_sigma():
+    # In (Q x Q) * Z with t swapping the factors, x = (1, 2)t has the inverse
+    # (1/2, 1)t^-1, which is not a multiple of the B-inverse of (1, 2).
+    A = _swap_crossed()
+    x = AlgElement(A, {((1,), 0): F(1), ((1,), 1): F(2)})
+    y = A.try_invert(x)
+    assert y == AlgElement(A, {((-1,), 0): F(1, 2), ((-1,), 1): F(1)})
+    assert x * y == A.one() == y * x
+    assert A.try_invert(AlgElement(A, {((1,), 0): F(1)})) is None
