@@ -18,7 +18,9 @@ from .rootsys import (
     IntegerRoots,
     RootSpace,
     RootSystem,
+    _unit,
     classify,
+    complete_basis,
     connected_components,
     indivisible_part,
     length_partition,
@@ -63,22 +65,29 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     # X is the span of R; the ambient coordinates are only a carrier, so the
     # spanning half of ReS0 holds by construction and we record the rank.
     note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
+    return _reflection_axioms(m, prs.dim, m.cor.get, _res3(m), note0=note0)
 
-    ok3, witness3 = True, None
-    real = sorted(m.real)
-    for i, a in enumerate(real):
-        for b in real[i + 1:]:
-            c = _collinearity(a, b)
-            if c is None:
-                continue
-            # b = c a; s_b == s_a iff b_check = a_check / c.
-            if m.cor[b] != tuple(x / c for x in m.cor[a]):
-                ok3, witness3 = False, f"s_({c})*{m.orig[a]} != s_{m.orig[a]}"
-                break
-        if not ok3:
-            break
-    return _reflection_axioms(m, prs.dim, m.cor.get, CheckResult("ReS3", ok3, witness3),
-                              note0=note0)
+
+def _res3(m: IntegerRoots, note=None) -> CheckResult:
+    """ReS3 on the real roots of m, witnessed by the first failing pair of
+    collinear roots in sorted order.  For b = c a, s_b == s_a iff
+    b_check = a_check / c, that is iff a0 a_check = b0 b_check for the
+    first nonzero coordinates a0 and b0 = c a0."""
+    def key(a):
+        return tuple(_lead(a) * x for x in m.cor[a])
+
+    bad = min(((a, b) for group in m.collinear_classes()
+               for i, a in enumerate(group) for b in group[i + 1:]
+               if key(a) != key(b)), default=None)
+    witness = None
+    if bad:
+        a, b = bad
+        witness = f"s_({Fraction(_lead(b), _lead(a))})*{m.orig[a]} != s_{m.orig[a]}"
+    return CheckResult("ReS3", bad is None, witness, note=note)
+
+
+def _lead(a):
+    return next(x for x in a if x)
 
 
 def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
@@ -148,52 +157,28 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
     return rep
 
 
-def _collinearity(a, b):
-    """c with b = c a, or None; exact on int and Fraction tuples."""
-    ratio = None
-    for x, y in zip(a, b):
-        if bool(x) != bool(y):
-            return None
-        if x:
-            r = Fraction(y) / x
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    return ratio
-
-
 def predicates(prs: PreReflectionSystem) -> dict:
     """The six basic flags evaluated by direct quantification."""
     m = IntegerRoots(prs.roots, prs.coroots)
     real = sorted(m.real)
-    reduced = True
-    for i, a in enumerate(real):
-        for b in real[i + 1:]:
-            c = _collinearity(a, b)
-            if c is not None and c not in (1, -1):
-                reduced = False
-    integral = all(type(m.pairing(b, a)) is int for a in real for b in m.roots)
+    # Collinear real roots are +-each other.
+    reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
+                  for group in m.collinear_classes())
+    roots = real + sorted(m.imag)
+    pair = [[m.pairing(b, a) for b in roots] for a in real]  # <roots[j], real[i]_check>
+    integral = all(type(k) is int for row in pair for k in row)
+    coherent = all((pair[i][j] == 0) == (pair[j][i] == 0)
+                   for i in range(len(real)) for j in range(len(real)))
     # Nondegenerate: no nonzero vector of span(R) killed by every coroot.
     cors = [list(prs.coroots[m.orig[a]]) for a in real]
     span_rows = [list(r) for r in prs.roots if any(r)]
-    ker = kernel(cors, QQ, prs.dim) if cors else [
-        list(_unit_vec(prs.dim, i)) for i in range(prs.dim)
-    ]
+    ker = kernel(cors, QQ, prs.dim)
     nondegenerate = True
     if ker and span_rows:
         nondegenerate = (mat_rank(span_rows + ker, QQ)
                          == mat_rank(span_rows, QQ) + mat_rank(ker, QQ))
     symmetric = all(tuple(-x for x in a) in m.roots for a in m.roots)
-    coherent = all(
-        (m.pairing(a, b) == 0) == (m.pairing(b, a) == 0)
-        for a in real for b in real
-    )
-    tame = True
-    for d in sorted(m.imag):
-        if not any(tuple(x - y for x, y in zip(d, a)) in m.real for a in real):
-            tame = False
-            break
+    tame = all(any(tuple(x - y for x, y in zip(d, a)) in m.real for a in real) for d in m.imag)
     return {
         "reduced": reduced,
         "integral": integral,
@@ -208,10 +193,7 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     """Invariance flags of a symmetric bilinear form on the ambient space."""
     space = RootSpace(prs.dim, tuple(tuple(Fraction(x) for x in row) for row in form))
     basis = sorted(prs.roots)
-
-    def pair(x, y):
-        return space.pair(x, y)
-
+    pair = space.pair
     m = IntegerRoots(prs.roots, prs.coroots)
     invariant = True
     for ia in m.real:
@@ -261,21 +243,34 @@ def untwisted_datum(S: RootSystem, z_rank: int) -> ExtensionDatum:
     )
 
 
-def default_datum_window(ed: ExtensionDatum) -> int:
-    """4 times the largest |<beta, alpha_check>| in delta-degree directions."""
-    if ed.z_rank != 1:
-        return 4
-    biggest = 1
-    for a in ed.S.nonzero_roots():
-        for b in ed.S.roots:
-            biggest = max(biggest, abs(int(ed.S.pairing(b, a))))
-    return 4 * biggest
+def _integral_pairings(S: RootSystem) -> dict:
+    """{(alpha, beta): <beta, alpha_check>} over the roots of S, as ints.
+
+    Raises a ValueError naming the failing axiom or pair unless S passes
+    ReS0-ReS4 and every pairing is an integer: an extension datum moves
+    lattice points by these pairings.
+    """
+    bad = validate_axioms(PreReflectionSystem.from_root_system(S)).failures()
+    if bad:
+        raise ValueError(f"S is not a reflection system: {bad[0].name} fails ({bad[0].witness})")
+    m = IntegerRoots(S.roots, S.coroots)
+    pair = {(a, b): m.pairing(b, a) for a in m.roots for b in m.roots}
+    frac = min((ab for ab, k in pair.items() if type(k) is not int), default=None)
+    if frac:
+        a, b = frac
+        raise ValueError(f"S is not integral: <{m.orig[b]}, {m.orig[a]}_check> = {pair[frac]}")
+    return {(m.orig[a], m.orig[b]): k for (a, b), k in pair.items()}
 
 
 def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomReport:
+    """ED1-ED3 and the derived properties of 3.3.  S must be a reflection
+    system with integral pairings, else a ValueError names the failing axiom
+    or pair."""
     rep = AxiomReport()
+    pairings = _integral_pairings(ed.S)
     if window is None:
-        window = default_datum_window(ed)
+        # 4 times the largest |<beta, alpha_check>| in delta-degree directions
+        window = 4 * max([1, *map(abs, pairings.values())]) if ed.z_rank == 1 else 4
     S = ed.S
     roots = S.sorted_roots()
     n = ed.z_rank
@@ -287,11 +282,11 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
         if not any(xi):
             continue
         for eta in roots:
-            k = S.pairing(eta, xi)
+            k = pairings[xi, eta]
             target = ed.lam(reflect(S, xi, eta))
             for lam in wins[xi]:
                 for mu in wins[eta]:
-                    moved = tuple(m - int(k) * l for m, l in zip(mu, lam))
+                    moved = tuple(m - k * l for m, l in zip(mu, lam))
                     if moved not in target:
                         ok, witness = False, f"ED1 fails at xi={xi}, eta={eta}, lambda={lam}, mu={mu}"
                         break
@@ -354,7 +349,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
         if not any(xi_p):
             continue
         for eta in roots:
-            k = int(S.pairing(eta, xi_p))
+            k = pairings[xi_p, eta]
             lam_eta = ed.lam(eta)
             for mu in wins[eta]:
                 for lam in wins[xi_p]:
@@ -513,9 +508,8 @@ def validate_ars_axioms(ars: AffineReflectionSystem, window: int = 4) -> AxiomRe
 
     # For c(xi + lam) both real, s uses ((c xi)_check, c lam); equality of the
     # two reflections reduces to ReS3 of the quotient system S.
-    s_res3 = validate_axioms(PreReflectionSystem.from_root_system(ars.S))["ReS3"]
-    res3 = CheckResult("ReS3", s_res3.ok, s_res3.witness,
-                       note="reduces to ReS3 of the quotient root system")
+    res3 = _res3(IntegerRoots(ars.S.roots, ars.S.coroots),
+                 note="reduces to ReS3 of the quotient root system")
     return _reflection_axioms(m, ars.dim, coroot_of, res3, window=window)
 
 
@@ -525,15 +519,10 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
     if not flags["affine"]:
         raise ValueError("form is not an affine form for this system")
     space = RootSpace(prs.dim, tuple(tuple(Fraction(x) for x in row) for row in form))
-    gram = [[space.pair(_unit_vec(prs.dim, i), _unit_vec(prs.dim, j)) for j in range(prs.dim)]
+    gram = [[space.pair(_unit(prs.dim, i), _unit(prs.dim, j)) for j in range(prs.dim)]
             for i in range(prs.dim)]
-    rad = kernel(gram, QQ, prs.dim)
-    rad_basis = [tuple(v) for v in rad]
-    comp = []
-    for i in range(prs.dim):
-        cand = _unit_vec(prs.dim, i)
-        if mat_rank([list(v) for v in rad_basis] + [list(c) for c in comp] + [list(cand)], QQ) > len(rad_basis) + len(comp):
-            comp.append(cand)
+    rad_basis = [tuple(v) for v in kernel(gram, QQ, prs.dim)]
+    comp = complete_basis(rad_basis, prs.dim)
     basis = [list(v) for v in rad_basis] + [list(c) for c in comp]
     binv = inverse([list(col) for col in zip(*basis)], QQ)
 
@@ -554,10 +543,6 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
     if len(connected_components(S)) != len(connected_components(prs)):
         raise AssertionError("component count changed under the quotient map")
     return S, project, fibers
-
-
-def _unit_vec(n, i):
-    return tuple(Fraction(1) if j == i else ZERO for j in range(n))
 
 
 def extract_datum(ars: AffineReflectionSystem, phi=None, window: int = 4) -> ExtensionDatum:
@@ -688,19 +673,10 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
 
     prs = ars.to_prs(window)
     m = IntegerRoots(prs.roots, prs.coroots)
-    max_len = 0
-    for a in m.real:
-        for b in m.roots:
-            length = sum(
-                tuple(x + i * y for x, y in zip(b, a)) in m.roots for i in range(-6, 7)
-            )
-            max_len = max(max_len, length)
+    max_len = max((len(string) for a in m.real for string in m.strings(a)), default=0)
     strings_ok = max_len <= 5
 
-    s_comps = connected_components(ars.S)
-    connected = len(s_comps) == 1
-    s_prs = PreReflectionSystem.from_root_system(ars.S)
-    s_flags = predicates(s_prs)
+    connected = len(connected_components(ars.S)) == 1
     reduced = _ars_reduced(ars, window)
 
     # R = Re(R) means the only imaginary root is 0 itself.

@@ -12,8 +12,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 
-from .linalg import inverse, mat_mul, mat_vec, rank as mat_rank, rref
+from .linalg import inverse, mat_mul, mat_vec, rref
 from .scalars import QQ
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
@@ -92,12 +93,9 @@ class RootSystem:
         if zero not in self.roots:
             raise ValueError("0 must be a root")
         if coroots is None:
-            coroots = {}
-            for a in self.roots:
-                coroots[a] = self._coroot_from_form(a)
+            coroots = {a: self._coroot_from_form(a) for a in self.roots}
         self.coroots = coroots
         self.label = label
-        self._pair_cache = {}
 
     def _coroot_from_form(self, a):
         if vec_is_zero(a):
@@ -117,13 +115,7 @@ class RootSystem:
 
     def pairing(self, beta, alpha) -> Fraction:
         """<beta, alpha_check>."""
-        key = (beta, alpha)
-        got = self._pair_cache.get(key)
-        if got is None:
-            cor = self.coroots[alpha]
-            got = sum((b * c for b, c in zip(beta, cor) if b and c), Fraction(0))
-            self._pair_cache[key] = got
-        return got
+        return sum((b * c for b, c in zip(beta, self.coroots[alpha]) if b and c), Fraction(0))
 
     def sorted_roots(self):
         return sorted(self.roots)
@@ -134,11 +126,8 @@ def reflect(rs: RootSystem, alpha, x):
     alpha = tuple(alpha)
     if alpha not in rs.roots:
         raise ValueError(f"{alpha} is not a root")
-    cor = rs.coroots[alpha]
-    c = sum((xi * ci for xi, ci in zip(x, cor) if xi and ci), Fraction(0))
-    if not c:
-        return tuple(x)
-    return vec_sub(tuple(x), vec_scale(c, alpha))
+    c = rs.pairing(x, alpha)
+    return vec_sub(tuple(x), vec_scale(c, alpha)) if c else tuple(x)
 
 
 class IntegerRoots:
@@ -167,7 +156,7 @@ class IntegerRoots:
 
     def pairing(self, b, a):
         """<b, a_check>: an int when exact, a Fraction otherwise."""
-        dot = sum(x * y for x, y in zip(b, self.cor[a]) if x and y)
+        dot = sum(map(mul, b, self.cor[a]))
         q, r = divmod(dot, self.den)
         return Fraction(dot, self.den) if r else q
 
@@ -177,6 +166,31 @@ class IntegerRoots:
         if not c:
             return b
         return tuple(x - c * y for x, y in zip(b, a))
+
+    def strings(self, a):
+        """Each a-string once, as [b, b + a, ...] from its bottom b (b - a not
+        a root) up; a broken string shows as several strings on one line."""
+        roots = self.roots
+        for b in roots:
+            if tuple(map(sub, b, a)) in roots:
+                continue
+            string = [b]
+            nxt = tuple(map(add, b, a))
+            while nxt in roots:
+                string.append(nxt)
+                nxt = tuple(map(add, nxt, a))
+            yield string
+
+    def collinear_classes(self):
+        """The nonzero real roots grouped by line, each group sorted, groups
+        of one left out.  The line of a is a divided by the gcd of its
+        coordinates, signed to make the first nonzero coordinate positive."""
+        lines = {}
+        for a in sorted(self.real):
+            if any(a):
+                g = math.gcd(*a) if next(x for x in a if x) > 0 else -math.gcd(*a)
+                lines.setdefault(tuple(x // g for x in a), []).append(a)
+        return [group for group in lines.values() if len(group) > 1]
 
 
 def build_classical(family: str, n: int) -> RootSystem:
@@ -332,43 +346,43 @@ def root_string(rs: RootSystem, beta, alpha):
     return list(range(lo, hi + 1)), p, q
 
 
-def root_strings_exhaustive(rs: RootSystem, buffer: int = 3):
+# How far past each end of a string root_strings_exhaustive looks for a root.
+_STRING_PROBE = 3
+
+
+def root_strings_exhaustive(rs: RootSystem):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 
-    Strings are walked in IntegerRoots coordinates; returns
-    (ok, max_string_length, witness).
+    Each alpha-string is walked once in IntegerRoots coordinates, then the
+    verdicts are read in a fixed order of the roots beta.  Returns
+    (ok, max_string_length, witness), the length being the largest read
+    before a failure.
     """
     m = IntegerRoots(rs.roots, rs.coroots)
     max_len = 0
     for ia, alpha in m.orig.items():
         if not any(ia):
             continue
+        p_aa = m.pairing(ia, ia)
+        # bottom - alpha and top + alpha are not roots: the walk stopped there
+        probes = [tuple(k * x for x in ia) for k in range(2, _STRING_PROBE + 1)]
+        place = {}  # root -> (length of its string, reason it fails or None)
+        for string in m.strings(ia):
+            n = len(string)
+            broken = any(tuple(map(sub, string[0], v)) in m.roots
+                         or tuple(map(add, string[-1], v)) in m.roots for v in probes)
+            p_ba = m.pairing(string[0], ia)
+            for q, ib in enumerate(string):
+                # p - q = (n - 1 - q) - q, and <b + q alpha, alpha_check> is linear in q
+                reason = ("broken string" if broken
+                          else "p - q mismatch" if n - 1 - 2 * q != -(p_ba + q * p_aa)
+                          else None)
+                place[ib] = (n, reason)
         for ib, beta in m.orig.items():
-            lo = 0
-            cur = ib
-            while True:
-                nxt = tuple(c - a for c, a in zip(cur, ia))
-                if nxt in m.roots:
-                    cur, lo = nxt, lo - 1
-                else:
-                    break
-            hi = 0
-            cur = ib
-            while True:
-                nxt = tuple(c + a for c, a in zip(cur, ia))
-                if nxt in m.roots:
-                    cur, hi = nxt, hi + 1
-                else:
-                    break
-            for i in range(lo - buffer, lo):
-                if tuple(b + i * a for b, a in zip(ib, ia)) in m.roots:
-                    return False, max_len, (beta, alpha, "broken string")
-            for i in range(hi + 1, hi + buffer + 1):
-                if tuple(b + i * a for b, a in zip(ib, ia)) in m.roots:
-                    return False, max_len, (beta, alpha, "broken string")
-            if hi - (-lo) != -m.pairing(ib, ia):
-                return False, max_len, (beta, alpha, "p - q mismatch")
-            max_len = max(max_len, hi - lo + 1)
+            n, reason = place[ib]
+            if reason:
+                return False, max_len, (beta, alpha, reason)
+            max_len = max(max_len, n)
     return True, max_len, None
 
 
@@ -426,6 +440,15 @@ def _span_basis_vectors(vectors):
     return [tuple(red[i]) for i in range(len(pivots))]
 
 
+def complete_basis(vectors, dim):
+    """The standard vectors e_i outside the span of the independent vectors
+    and of e_0, ..., e_(i-1): the pivot columns of one rref."""
+    cols = [list(v) for v in vectors] + [list(_unit(dim, i)) for i in range(dim)]
+    _, pivots = rref([list(row) for row in zip(*cols)], QQ)
+    k = len(vectors)
+    return [_unit(dim, c - k) for c in pivots if c >= k]
+
+
 def normalized_form(rs: RootSystem):
     """The invariant form rescaled so each component has minimal norm 2."""
     comps = connected_components(rs)
@@ -436,12 +459,9 @@ def normalized_form(rs: RootSystem):
         for v in _span_basis_vectors(comp):
             basis.append(v)
             owners.append(k)
-    # Extend to a basis of the ambient space with standard vectors.
-    for i in range(dim):
-        cand = _unit(dim, i)
-        if mat_rank([list(b) for b in basis] + [list(cand)], QQ) > len(basis):
-            basis.append(cand)
-            owners.append(None)
+    extra = complete_basis(basis, dim)
+    basis += extra
+    owners += [None] * len(extra)
     scales = []
     for comp in comps:
         norms = [rs.space.pair(a, a) for a in comp]

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from lietor import cli
 from lietor.cli import main, render_affine_table
 from lietor.serialize import (
@@ -262,6 +264,59 @@ def test_eala_report_golden(tmp_path, monkeypatch):
     out = tmp_path / "report.json"
     assert main(["eala", "--coord", "tests/data/q3.json", "--n", "3", "--window", "3",
                  "--out", str(out)]) == 0
-    got = [line for line in out.read_text().splitlines(keepends=True)
-           if not line.startswith('  "command": ')]
-    assert "".join(got) == (data / "eala_q3_w3.json").read_text()
+    assert _without_command(out) == (data / "eala_q3_w3.json").read_text()
+
+
+def _without_command(report):
+    return "".join(line for line in report.read_text().splitlines(keepends=True)
+                   if not line.startswith('  "command": '))
+
+
+# The --out reports of the root layer, without their command, as committed
+# under tests/data.
+ROOT_LAYER_GOLDEN = [
+    ("ars_b3_t2_w4.json", ["ars", "build", "--type", "B", "--rank", "3", "--tier", "2",
+                           "--window", "4"]),
+    ("refl_bc2.json", ["refl", "--family", "BC", "--rank", "2"]),
+    ("refl_g2_normalized.json", ["refl", "--family", "G2", "--normalized"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", ROOT_LAYER_GOLDEN, ids=[g[0] for g in ROOT_LAYER_GOLDEN])
+def test_root_layer_report_golden(tmp_path, name, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _without_command(out) == (Path(__file__).parent / "data" / name).read_text()
+
+
+def _datum_file(tmp_path, S):
+    from lietor.refl import untwisted_datum
+
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(datum_to_json(untwisted_datum(S, 1))))
+    return str(path)
+
+
+def test_ars_check_rejects_a_non_reflection_system(tmp_path, capsys):
+    # A2 under the form diag(1, 2, 3): s_alpha(beta) leaves the roots
+    from fractions import Fraction
+    from lietor.rootsys import build_classical, with_form
+
+    diag = [[Fraction(i + 1) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+    path = _datum_file(tmp_path, with_form(build_classical("A", 2), diag))
+    assert main(["ars", "check", "--in", path]) == 2
+    assert "error: S is not a reflection system: ReS2 fails" in capsys.readouterr().err
+
+
+def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
+    # B2 with long roots 3(+-e1 +-e2): <e1, (3, 3)_check> = 1/3
+    from fractions import Fraction
+    from lietor.rootsys import RootSpace, RootSystem
+
+    one, zero = Fraction(1), Fraction(0)
+    roots = {(zero, zero), (one, zero), (-one, zero), (zero, one), (zero, -one)}
+    roots |= {(3 * s * one, 3 * t * one) for s in (1, -1) for t in (1, -1)}
+    S = RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots)
+    assert main(["ars", "check", "--in", _datum_file(tmp_path, S)]) == 2
+    err = capsys.readouterr().err
+    assert "error: S is not integral: <" in err and "= 1/3" in err
