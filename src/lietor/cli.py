@@ -356,15 +356,17 @@ def cmd_affine(args, run: Runner) -> None:
         raise InputError("only g = sl<m> is supported")
     m = int(args.g[2:])
     window = clamp_window(args.window)
-    E = build_affine(m)
-    run.record("root-spaces", E.verify_root_spaces(window), window=window)
-    dims = E.root_space_dims(window)
-    run.record("dim-E0", True, detail=str(dims[("delta", 0)]))
+    E = build_affine(m, window)
+    run.record("root-spaces", all(E.acts_by_root(ro, deg) for ro, deg in E.windowed_roots(window)),
+               window=window)
+    # dim E_(k delta): the root space of the zero root in t-degree k
+    dims = {k: len(E.root_space_basis((0,) * m, (k,))) for k in range(-window, window + 1)}
+    run.record("dim-E0", True, detail=str(dims[0]))
     if window >= 1:
-        run.record("dim-E-delta", True, detail=str(dims[("delta", 1)]))
+        run.record("dim-E-delta", True, detail=str(dims[1]))
     if args.emit == "roots":
         for k in range(-window, window + 1):
-            run.echo(f"delta-degree {k}: dim {dims[('delta', k)]}")
+            run.echo(f"delta-degree {k}: dim {dims[k]}")
 
 
 def cmd_hc1(args, run: Runner) -> None:

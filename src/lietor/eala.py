@@ -393,6 +393,13 @@ class BuiltE:
                     out.append((tuple(ro), tuple(deg)))
         return out
 
+    def acts_by_root(self, root, deg) -> bool:
+        """Does T act on E_(root, deg) by its root, [t, b] = (root + deg)(t) b
+        for t in T and b in the root space's basis?"""
+        tbasis = self.t_basis()
+        return all(self.bracket(t, b) == b.scale(self.root_value(root, deg, t))
+                   for b in self.root_space_basis(root, deg) for t in tbasis)
+
     def root_space_basis(self, root, deg):
         root = tuple(root)
         deg = tuple(deg)
@@ -662,8 +669,7 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
             break
         if not any(ro) and E.root_norm(ro, deg):
             witness = f"real root ({ro}, {deg}) has S-part 0"
-        elif any(E.bracket(t, b) != b.scale(E.root_value(ro, deg, t))
-                 for b in E.root_space_basis(ro, deg) for t in tbasis):
+        elif not E.acts_by_root(ro, deg):
             witness = f"T does not act on E_({ro}, {deg}) by its root"
     rep.add("IA3", witness is None, witness, window=window,
             note=f"structural: T acts on each windowed root space by its root and "

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .scalars import QQ
+
 
 def mat_copy(m):
     return [list(row) for row in m]
@@ -216,17 +218,9 @@ def integer_kernel(rows, ncols=None):
             [1 if i == j else 0 for j in range(ncols)] for i in range(ncols)
         ]
     ncols = len(rows[0]) if ncols is None else ncols
-    basis = kernel([[Fraction(x) for x in row] for row in rows], _QFIELD, ncols)
+    basis = kernel([[Fraction(x) for x in row] for row in rows], QQ, ncols)
     out = []
     for v in basis:
         den = math.lcm(*(x.denominator for x in v))
         out.append([int(x * den) for x in v])
     return hnf(out)
-
-
-class _QF:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-
-_QFIELD = _QF()

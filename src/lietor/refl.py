@@ -28,7 +28,7 @@ from .rootsys import (
     reflect,
     vec_scale,
 )
-from .scalars import QQ
+from .scalars import QQ, frac_to_str as fs
 
 ZERO = Fraction(0)
 
@@ -82,7 +82,7 @@ def _res3(m: IntegerRoots, note=None) -> CheckResult:
     witness = None
     if bad:
         a, b = bad
-        witness = f"s_({Fraction(_lead(b), _lead(a))})*{m.orig[a]} != s_{m.orig[a]}"
+        witness = f"s_({fs(Fraction(_lead(b), _lead(a)))})*{fs(m.orig[a])} != s_{fs(m.orig[a])}"
     return CheckResult("ReS3", bad is None, witness, note=note)
 
 
@@ -97,6 +97,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
     coroot_of(v) is the coroot (in the coordinates of m) of a vector v if v is
     a root of the whole system, else None; m may hold only a window of it.
     ReS2 and ReS4 loop over real a: an imaginary reflection is the identity.
+    A reflected image with a fractional coordinate (None) is no root.
     """
     rep = AxiomReport()
     ok0, witness0 = coroot_of((0,) * dim) is not None, None
@@ -106,7 +107,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
         for a in m.real:
             if m.pairing(a, a) != 2:
                 ok0 = False
-                witness0 = f"s_alpha^2 != id at alpha={m.orig[a]}"
+                witness0 = f"s_alpha^2 != id at alpha={fs(m.orig[a])}"
                 break
     rep.add("ReS0", ok0, witness0, window=window, note=note0)
 
@@ -116,7 +117,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
             ok1, witness1 = False, "0 assigned a nonzero coroot"
             break
         if m.reflect(a, a) != tuple(-x for x in a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={m.orig[a]}"
+            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.orig[a])}"
             break
     rep.add("ReS1", ok1, witness1, window=window)
 
@@ -125,10 +126,11 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
     ok2, witness2 = True, None
     for a in real:
         for b in real_then_imag:
-            cor = coroot_of(m.reflect(a, b))
+            img = m.reflect(a, b)
+            cor = None if img is None else coroot_of(img)
             if cor is None or any(cor) != (b in m.real):
                 part = "real" if b in m.real else "imaginary"
-                ok2, witness2 = False, f"s_{m.orig[a]}({m.orig[b]}) leaves the {part} part"
+                ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[b])}) leaves the {part} part"
                 break
         if not ok2:
             break
@@ -140,7 +142,8 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
     for a in real:
         cor_a = m.cor[a]
         for b in roots:
-            cor_img = coroot_of(m.reflect(a, b))
+            img = m.reflect(a, b)
+            cor_img = None if img is None else coroot_of(img)
             if cor_img is None:
                 continue  # already a ReS2 failure
             cor_b = m.cor[b]
@@ -149,7 +152,8 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
                 cb - pba * ca for cb, ca in zip(cor_b, cor_a)
             )
             if cor_img != expect:
-                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={m.orig[a]}, b={m.orig[b]}"
+                ok4 = False
+                witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.orig[a])}, b={fs(m.orig[b])}"
                 break
         if not ok4:
             break
@@ -258,7 +262,8 @@ def _integral_pairings(S: RootSystem) -> dict:
     frac = min((ab for ab, k in pair.items() if type(k) is not int), default=None)
     if frac:
         a, b = frac
-        raise ValueError(f"S is not integral: <{m.orig[b]}, {m.orig[a]}_check> = {pair[frac]}")
+        raise ValueError(f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
+                         f"= {fs(pair[frac])}")
     return {(m.orig[a], m.orig[b]): k for (a, b), k in pair.items()}
 
 
@@ -288,7 +293,8 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
                 for mu in wins[eta]:
                     moved = tuple(m - k * l for m, l in zip(mu, lam))
                     if moved not in target:
-                        ok, witness = False, f"ED1 fails at xi={xi}, eta={eta}, lambda={lam}, mu={mu}"
+                        ok = False
+                        witness = f"ED1 fails at xi={fs(xi)}, eta={fs(eta)}, lambda={lam}, mu={mu}"
                         break
                 if not ok:
                     break
@@ -300,7 +306,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
 
     zero_vec = (0,) * n
     bad = [x for x in sorted(ed.S_prime) if zero_vec not in ed.lam(x)]
-    rep.add("ED2", not bad, f"0 not in Lambda_{bad[0]}" if bad else None)
+    rep.add("ED2", not bad, f"0 not in Lambda_{fs(bad[0])}" if bad else None)
 
     gens = []
     for a in roots:
@@ -313,7 +319,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
     ok, witness = True, None
     for xi in real:
         if ed.lam(vec_scale(-1, xi)) != ed.lam(xi).neg():
-            ok, witness = False, f"Lambda_(-xi) != -Lambda_xi at xi={xi}"
+            ok, witness = False, f"Lambda_(-xi) != -Lambda_xi at xi={fs(xi)}"
             break
     rep.add("negation", ok, witness)
 
@@ -324,7 +330,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
             for b in wins[xi]:
                 v = tuple(2 * x - y for x, y in zip(a, b))
                 if v not in lam:
-                    ok, witness = False, f"2L-L not in L at xi={xi}, pair={(a, b)}"
+                    ok, witness = False, f"2L-L not in L at xi={fs(xi)}, pair={(a, b)}"
                     break
             if not ok:
                 break
@@ -338,7 +344,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
             continue
         for eta in roots:
             if ed.lam(reflect(S, xi_p, eta)) != ed.lam(eta):
-                ok, witness = False, f"W_S'-invariance fails at xi'={xi_p}, eta={eta}"
+                ok, witness = False, f"W_S'-invariance fails at xi'={fs(xi_p)}, eta={fs(eta)}"
                 break
         if not ok:
             break
@@ -355,7 +361,9 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
                 for lam in wins[xi_p]:
                     v = tuple(m - k * l for m, l in zip(mu, lam))
                     if v not in lam_eta:
-                        ok, witness = False, f"Lambda_eta - <eta,xi'>Lambda_xi' escapes at eta={eta}, xi'={xi_p}"
+                        ok = False
+                        witness = (f"Lambda_eta - <eta,xi'>Lambda_xi' escapes at eta={fs(eta)}, "
+                                   f"xi'={fs(xi_p)}")
                         break
                 if not ok:
                     break
@@ -368,7 +376,7 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
     ok, witness = True, None
     for xi_p in sorted(ed.S_prime):
         if any(xi_p) and ed.lam(xi_p) != ed.lam(vec_scale(-1, xi_p)):
-            ok, witness = False, f"Lambda_xi' != Lambda_(-xi') at xi'={xi_p}"
+            ok, witness = False, f"Lambda_xi' != Lambda_(-xi') at xi'={fs(xi_p)}"
             break
     rep.add("S'-symmetry", ok, witness)
 
@@ -561,7 +569,7 @@ def extract_datum(ars: AffineReflectionSystem, phi=None, window: int = 4) -> Ext
         shift = _linear_extend(phi, span_keys, xi, ars.z_rank)
         if any(xi) and tuple(xi) in ars.S_prime and shift != (0,) * ars.z_rank:
             if shift not in ars.datum.lam(xi):
-                raise ValueError(f"g is not a partial section: phi({xi}) not in Lambda")
+                raise ValueError(f"g is not a partial section: phi({fs(xi)}) not in Lambda")
         family[xi] = ars.datum.lam(xi).shift(tuple(-s for s in shift))
     return ExtensionDatum(ars.S, ars.S_prime, ars.z_rank, family)
 
@@ -576,13 +584,13 @@ def _linear_extend(phi, span_keys, xi, z_rank):
     mat = [[Fraction(k[i]) for k in span_keys] for i in range(len(xi))]
     sol = solve(mat, [Fraction(x) for x in xi], QQ)
     if sol is None:
-        raise ValueError(f"{xi} outside the span of the section data")
+        raise ValueError(f"{fs(xi)} outside the span of the section data")
     out = [Fraction(0)] * z_rank
     for c, key in zip(sol, span_keys):
         for i in range(z_rank):
             out[i] += c * phi[key][i]
     if any(x.denominator != 1 for x in out):
-        raise ValueError(f"section shift at {xi} is not a lattice point")
+        raise ValueError(f"section shift at {fs(xi)} is not a lattice point")
     return tuple(int(x) for x in out)
 
 

@@ -161,11 +161,16 @@ class IntegerRoots:
         return Fraction(dot, self.den) if r else q
 
     def reflect(self, a, b):
-        """s_a(b); an image with a fractional coordinate is in no root set."""
-        c = self.pairing(b, a)
-        if not c:
-            return b
-        return tuple(x - c * y for x, y in zip(b, a))
+        """s_a(b) = b - <b, a_check> a, or None when that has a fractional
+        coordinate: such an image is in no root set."""
+        dot = sum(map(mul, b, self.cor[a]))
+        c, r = divmod(dot, self.den)
+        if not r:
+            return tuple(x - c * y for x, y in zip(b, a)) if c else b
+        den = self.den
+        if any(dot * y % den for y in a):
+            return None
+        return tuple(x - dot * y // den for x, y in zip(b, a))
 
     def strings(self, a):
         """Each a-string once, as [b, b + a, ...] from its bottom b (b - a not

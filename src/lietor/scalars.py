@@ -85,6 +85,16 @@ class RationalField:
 QQ = RationalField()
 
 
+def frac_to_str(x) -> str:
+    """A rational as "3" or "-1/2"; a tuple of them as "(-1, 0, 1/2)"."""
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(frac_to_str, x)) + ")"
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
 class CycloField:
     """The cyclotomic field Q(zeta_N) in the power basis of Q[x]/Phi_N."""
 

@@ -14,14 +14,7 @@ from fractions import Fraction
 from .lattices import LatticeSubset
 from .refl import ExtensionDatum
 from .rootsys import RootSpace, RootSystem, classify
-from .scalars import Cyclo, QQ, cyclotomic_field
-
-
-def frac_to_str(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+from .scalars import Cyclo, QQ, cyclotomic_field, frac_to_str
 
 
 def frac_from_str(s: str) -> Fraction:

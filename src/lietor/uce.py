@@ -1,5 +1,6 @@
-"""Universal central extensions of sl_n(A), first cyclic homology, the loop
-cocycle and the three-step affine construction, plus multiloop algebras.
+"""Universal central extensions of sl_n(A), first cyclic homology, the
+untwisted affine algebra as an instance of E = C + L + D (eala), plus
+multiloop algebras.
 
 <A,A> = (A wedge A)/B with B spanned by ab^c + bc^a + ca^b.  The kernel of
 <a,b> -> [a,b] is HC_1(A); windowed dimensions are only reported once they
@@ -12,17 +13,14 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graded import (
-    AlgElement,
-    FiniteDimAlgebra,
-    GradedAssocAlgebra,
-    degree_derivations,
-)
+from .eala import BuiltE, build_E, default_iara_data
+from .graded import AlgElement, FiniteDimAlgebra, GradedAssocAlgebra
 from .lattices import box
 # mat_rank stays importable from here: the benchmark hooks it by this name.
 from .linalg import LinearSolver, identity, kernel, mat_mul, rank as mat_rank, rref  # noqa: F401
-from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket, lift_derivation
+from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket
 from .report import AxiomReport
+from .rootsys import build_classical
 from .scalars import QQ
 
 
@@ -436,165 +434,32 @@ def steinberg_check(U: UceAlgebra, window: int = 2) -> AxiomReport:
     return rep
 
 
-# The untwisted affine Lie algebra E = (g tensor K[t,t^-1]) + Kc + Kd.
-
-
-class AffineElement:
-    __slots__ = ("E", "loop", "c", "d")
-
-    def __init__(self, E, loop: MatLieElement, c, d):
-        self.E = E
-        self.loop = loop
-        self.c = c
-        self.d = d
-
-    def __add__(self, other):
-        return AffineElement(self.E, self.loop + other.loop, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other):
-        return AffineElement(self.E, self.loop - other.loop, self.c - other.c, self.d - other.d)
-
-    def __neg__(self):
-        return AffineElement(self.E, -self.loop, -self.c, -self.d)
-
-    def scale(self, s):
-        return AffineElement(self.E, self.loop.scale(s), self.c * s, self.d * s)
-
-    def __eq__(self, other):
-        if not isinstance(other, AffineElement):
-            return NotImplemented
-        return self.loop == other.loop and self.c == other.c and self.d == other.d
-
-    def is_zero(self):
-        return not self.loop and not self.c and not self.d
-
-    def __repr__(self):
-        return f"({self.loop}) + ({self.c})c + ({self.d})d"
-
-
-class AffineLie:
-    """Untwisted affine Lie algebra over g = sl_m(Q).
-
-    kappa is the invariant form on g used by the central cocycle; the
-    default is the trace form kappa(x, y) = tr(xy).
-    """
-
-    def __init__(self, m: int, kappa=None):
-        if m < 2:
-            raise ValueError("need m >= 2")
-        self.m = m
-        self.A = GradedAssocAlgebra.laurent()
-        self.gl = MatrixLieAlgebra(m, self.A) if m >= 3 else _SmallMatrixLie(m, self.A)
-        self._ddelta = degree_derivations(self.A)[0]
-        self._lift = lift_derivation(self.gl, self._ddelta.apply)
-        self._kappa = kappa
-
-    def zero(self):
-        return AffineElement(self, self.gl.zero(), Fraction(0), Fraction(0))
-
-    def from_loop(self, x: MatLieElement):
-        return AffineElement(self, x, Fraction(0), Fraction(0))
-
-    def c(self):
-        return AffineElement(self, self.gl.zero(), Fraction(1), Fraction(0))
-
-    def d(self):
-        return AffineElement(self, self.gl.zero(), Fraction(0), Fraction(1))
-
-    def loop_cocycle(self, x: MatLieElement, y: MatLieElement) -> Fraction:
-        """sigma(x tensor t^p, y tensor t^q) = delta_(p+q,0) p kappa(x, y).
-
-        A custom kappa is called on entry dicts (i, j) -> coefficient of the
-        graded pieces x_p and y_(-p).
-        """
-        if self._kappa is not None:
-            out = Fraction(0)
-            for p in {d[0] for v in x.entries.values() for d in v.degrees()}:
-                xmat = {k: v.coefficient((p,)) for k, v in x.entries.items()}
-                ymat = {k: v.coefficient((-p,)) for k, v in y.entries.items()}
-                if any(xmat.values()) and any(ymat.values()):
-                    out += Fraction(p) * self._kappa(xmat, ymat)
-            return out
-        prod = self._lift(x).matmul(y)
-        return prod.trace().coefficient((0,))
-
-    def kappa_loop(self, x: MatLieElement, y: MatLieElement) -> Fraction:
-        return x.matmul(y).trace().coefficient((0,))
-
-    def bracket(self, e1: AffineElement, e2: AffineElement) -> AffineElement:
-        loop = mat_bracket(e1.loop, e2.loop)
-        if e1.d:
-            loop = loop + self._lift(e2.loop).scale(e1.d)
-        if e2.d:
-            loop = loop - self._lift(e1.loop).scale(e2.d)
-        cpart = self.loop_cocycle(e1.loop, e2.loop)
-        return AffineElement(self, loop, cpart, Fraction(0))
-
-    def form(self, e1: AffineElement, e2: AffineElement) -> Fraction:
-        return self.kappa_loop(e1.loop, e2.loop) + e1.c * e2.d + e2.c * e1.d
-
-    def cartan_basis(self):
-        h = [self.from_loop(self.gl.E(i, i) - self.gl.E(i + 1, i + 1)) for i in range(self.m - 1)]
-        return h + [self.c(), self.d()]
-
-    def root_space_dims(self, window: int):
-        """dims of E_(m delta) and E_(alpha + m delta) from the graded pieces."""
-        dims = {}
-        for k in range(-window, window + 1):
-            key = ("delta", k)
-            if k == 0:
-                dims[key] = len(self.cartan_basis())
-            else:
-                dims[key] = self.m - 1
-            for i in range(self.m):
-                for j in range(self.m):
-                    if i != j:
-                        dims[("root", i, j, k)] = 1
-        return dims
-
-    def verify_root_spaces(self, window: int) -> bool:
-        """[h, x] eigenvalues match for loop basis elements on the window."""
-        hbasis = self.cartan_basis()
-        for k in range(-window, window + 1):
-            mono = self.A.monomial((k,))
-            for i in range(self.m):
-                for j in range(self.m):
-                    if i == j:
-                        continue
-                    x = self.from_loop(self.gl.E(i, j, mono))
-                    for idx in range(self.m - 1):
-                        ev = (1 if idx == i else 0) - (1 if idx + 1 == i else 0)
-                        ev -= (1 if idx == j else 0) - (1 if idx + 1 == j else 0)
-                        got = self.bracket(hbasis[idx], x)
-                        if got != x.scale(Fraction(ev)):
-                            return False
-                    if self.bracket(self.d(), x) != x.scale(Fraction(k)):
-                        return False
-            for idx in range(self.m - 1):
-                x = self.from_loop(self.gl.E(idx, idx, mono) - self.gl.E(idx + 1, idx + 1, mono))
-                if self.bracket(self.d(), x) != x.scale(Fraction(k)):
-                    return False
-                if not self.bracket(self.c(), x).is_zero():
-                    return False
-        return True
+# The untwisted affine Lie algebra E = (sl_m tensor K[t,t^-1]) + Kc + Kd.
 
 
 class _SmallMatrixLie(MatrixLieAlgebra):
-    """sl_2-sized matrix algebra for loop constructions (no n >= 3 gate)."""
+    """sl_n(A) without the n >= 3 gate, for the affine algebra over sl_2."""
 
     def __init__(self, n, A):
         self.n = n
         self.A = A
         self.field = A.field
-        from .rootsys import build_classical
-
         self.S = build_classical("A", n - 1)
         self.z_rank = A.n
+        self.blocks = ((0, n),)
         self._diag_cache = {}
 
 
-def build_affine(m: int) -> AffineLie:
-    return AffineLie(m)
+def build_affine(m: int, window: int = 2) -> BuiltE:
+    """The untwisted affine algebra over sl_m as E = C + L + D with
+    L = sl_m(K[t,t^-1]), D = K d (the degree derivation), C = D* (c pairs
+    with d to 1) and tau = 0; the construction data are validated on the
+    window."""
+    if m < 2:
+        raise ValueError("need m >= 2")
+    A = GradedAssocAlgebra.laurent()
+    L = MatrixLieAlgebra(m, A) if m >= 3 else _SmallMatrixLie(m, A)
+    return build_E(default_iara_data(L, C="dual"), window)
 
 
 def sl_structure_algebra(m: int, field) -> tuple:
@@ -624,15 +489,12 @@ def sl_structure_algebra(m: int, field) -> tuple:
             raise ValueError("matrix outside sl_m")
         return sol
 
-    def mul(a, b):
-        return [[sum((a[i][k] * b[k][j] for k in range(m)), field.zero) for j in range(m)]
-                for i in range(m)]
-
     table = []
     for a in basis:
         row = []
         for b in basis:
-            comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(mul(a, b), mul(b, a))]
+            comm = [[x - y for x, y in zip(r1, r2)]
+                    for r1, r2 in zip(mat_mul(a, b, field), mat_mul(b, a, field))]
             row.append(coords(comm))
         table.append(row)
     alg = FiniteDimAlgebra(field, dim, table, [field.zero] * dim)

@@ -289,6 +289,23 @@ def test_root_layer_report_golden(tmp_path, name, argv):
     assert _without_command(out) == (Path(__file__).parent / "data" / name).read_text()
 
 
+@pytest.mark.parametrize("g", ["sl2", "sl3"])
+def test_affine_report_golden(tmp_path, capsys, g):
+    # lietor affine at window 3: stdout and the --out report without its
+    # command, as committed under tests/data
+    data = Path(__file__).parent / "data"
+    out = tmp_path / "report.json"
+    assert main(["affine", "--g", g, "--window", "3", "--emit", "roots",
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (data / f"affine_{g}_w3.txt").read_text()
+    assert _without_command(out) == (data / f"affine_{g}_w3.json").read_text()
+
+
+def test_affine_rejects_sl1_and_gl3():
+    assert main(["affine", "--g", "sl1"]) == 2
+    assert main(["affine", "--g", "gl3"]) == 2
+
+
 def _datum_file(tmp_path, S):
     from lietor.refl import untwisted_datum
 
@@ -305,7 +322,10 @@ def test_ars_check_rejects_a_non_reflection_system(tmp_path, capsys):
     diag = [[Fraction(i + 1) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
     path = _datum_file(tmp_path, with_form(build_classical("A", 2), diag))
     assert main(["ars", "check", "--in", path]) == 2
-    assert "error: S is not a reflection system: ReS2 fails" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: S is not a reflection system: ReS2 fails" in err
+    assert "s_(-1, 0, 1)((-1, 1, 0)) leaves the real part" in err
+    assert "Fraction(" not in err
 
 
 def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):

@@ -178,3 +178,23 @@ def test_degenerate_form_rejected():
 def test_d1_rejected():
     with pytest.raises(ValueError):
         build_classical("D", 1)
+
+
+def test_integer_roots_reflect_decides_the_image():
+    from lietor.rootsys import IntegerRoots, RootSpace, with_form
+
+    # B2 with long roots 3(+-e1 +-e2): <e1, (3, 3)_check> = 1/3, yet
+    # s_(3,3)(e1) = (0, -1) is a root
+    one, zero = F(1), F(0)
+    roots = {(zero, zero), (one, zero), (-one, zero), (zero, one), (zero, -one)}
+    roots |= {(3 * s * one, 3 * t * one) for s in (1, -1) for t in (1, -1)}
+    m = IntegerRoots(roots, RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots).coroots)
+    assert m.pairing((1, 0), (3, 3)) == F(1, 3)
+    assert m.reflect((3, 3), (1, 0)) == (0, -1)
+    # A2 under diag(1, 2, 3): s_(-1,0,1)((-1,1,0)) = (-1/2, 1, -1/2)
+    diag = [[F(i + 1) if i == j else F(0) for j in range(3)] for i in range(3)]
+    a2 = with_form(build_classical("A", 2), diag)
+    m = IntegerRoots(a2.roots, a2.coroots)
+    assert m.pairing((-1, 1, 0), (-1, 0, 1)) == F(1, 2)
+    assert m.reflect((-1, 0, 1), (-1, 1, 0)) is None
+    assert m.reflect((-1, 0, 1), (0, 0, 0)) == (0, 0, 0)

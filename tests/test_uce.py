@@ -11,8 +11,9 @@ from lietor.graded import (
     validate_crossed_product,
 )
 from lietor.lattices import box
+from lietor.eala import build_E, default_iara_data
 from lietor.linalg import kernel, rank, rref
-from lietor.matlie import bracket as mat_bracket
+from lietor.matlie import MatrixLieAlgebra, bracket as mat_bracket
 from lietor.scalars import QQ, cyclotomic_field
 from lietor.uce import (
     WedgeElement,
@@ -307,60 +308,63 @@ def test_steinberg_st2_value(laurent):
     assert got.m == want.m and not got.w
 
 
+def _cocycle(E, x, y):
+    """The c-coordinate of [x, y] for loop elements x, y of the affine E."""
+    return E.bracket(E.from_l(x), E.from_l(y)).c[0]
+
+
 def test_loop_cocycle():
     E = build_affine(3)
-    x = E.gl.E(0, 1, E.A.monomial((1,)))
-    y = E.gl.E(1, 0, E.A.monomial((-1,)))
-    assert E.loop_cocycle(x, y) == 1  # m = 1, tr(E01 E10) = 1
-    assert E.loop_cocycle(E.gl.E(0, 1), E.gl.E(1, 0)) == 0  # m = 0
-    assert E.loop_cocycle(x, E.gl.E(1, 0, E.A.monomial((2,)))) == 0  # m+n != 0
+    L, A = E.L, E.L.A
+    x = L.E(0, 1, A.monomial((1,)))
+    y = L.E(1, 0, A.monomial((-1,)))
+    assert _cocycle(E, x, y) == 1  # p = 1, tr(E01 E10) = 1
+    assert _cocycle(E, L.E(0, 1), L.E(1, 0)) == 0  # p = 0
+    assert _cocycle(E, x, L.E(1, 0, A.monomial((2,)))) == 0  # p + q != 0
     # antisymmetry and the cocycle identity on sampled triples
     rng = random.Random(2)
-    basis = [E.gl.E(i, j, E.A.monomial((k,)))
+    basis = [L.E(i, j, A.monomial((k,)))
              for i in range(3) for j in range(3) if i != j for k in (-2, -1, 0, 1, 2)]
     for _ in range(60):
         a, b, c = (rng.choice(basis) for _ in range(3))
-        assert E.loop_cocycle(a, b) == -E.loop_cocycle(b, a)
-        total = (E.loop_cocycle(mat_bracket(a, b), c)
-                 + E.loop_cocycle(mat_bracket(b, c), a)
-                 + E.loop_cocycle(mat_bracket(c, a), b))
+        assert _cocycle(E, a, b) == -_cocycle(E, b, a)
+        total = (_cocycle(E, mat_bracket(a, b), c)
+                 + _cocycle(E, mat_bracket(b, c), a)
+                 + _cocycle(E, mat_bracket(c, a), b))
         assert total == 0
 
 
 def test_custom_kappa_scales_cocycle():
-    from lietor.uce import AffineLie
-
-    def kappa2(xm, ym):
-        out = F(0)
-        for (i, j), v in xm.items():
-            w = ym.get((j, i))
-            if w:
-                out += 2 * v * w
-        return out
-
-    E = AffineLie(3, kappa=kappa2)
-    x = E.gl.E(0, 1, E.A.monomial((1,)))
-    y = E.gl.E(1, 0, E.A.monomial((-1,)))
-    assert E.loop_cocycle(x, y) == 2
+    # the invariant form 2 tr(xy)^0 (phi = 2) doubles the cocycle
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    E = build_E(default_iara_data(L, phi=F(2), C="dual"), window=2)
+    x = L.E(0, 1, L.A.monomial((1,)))
+    y = L.E(1, 0, L.A.monomial((-1,)))
+    assert _cocycle(E, x, y) == 2
 
 
 def test_affine_brackets():
     E = build_affine(3)
-    x5 = E.from_loop(E.gl.E(0, 1, E.A.monomial((5,))))
-    assert E.bracket(E.d(), x5) == x5.scale(F(5))
-    assert E.bracket(E.c(), x5).is_zero()
-    assert E.bracket(E.d(), E.c()).is_zero()
+    c, d = E.c_basis_elem(0), E.d_basis_elem(0)
+    x5 = E.from_l(E.L.E(0, 1, E.L.A.monomial((5,))))
+    assert E.bracket(d, x5) == x5.scale(F(5))
+    assert E.bracket(c, x5).is_zero()
+    assert E.bracket(d, c).is_zero()
+    assert E.form(c, d) == 1
 
 
 def test_affine_root_spaces():
-    E = build_affine(3)
-    assert E.verify_root_spaces(3)
-    dims = E.root_space_dims(3)
-    assert dims[("delta", 0)] == 4
-    assert all(dims[("delta", m)] == 2 for m in (-3, -1, 1, 2))
-    E2 = build_affine(2)
-    assert E2.verify_root_spaces(2)
-    assert E2.root_space_dims(2)[("delta", 1)] == 1
+    for m, window, dim0, dim_delta in ((3, 3, 4, 2), (2, 2, 3, 1)):
+        E = build_affine(m, window)
+        assert all(E.acts_by_root(ro, deg) for ro, deg in E.windowed_roots(window))
+        zero = (F(0),) * m
+        assert len(E.root_space_basis(zero, (0,))) == dim0
+        assert all(len(E.root_space_basis(zero, (k,))) == dim_delta
+                   for k in range(-window, window + 1) if k)
+    # with d lifted as the identity, d acts on E_(k delta) by 1, not by k
+    E._lifts[0] = lambda l: l
+    assert E.acts_by_root((F(0),) * 2, (1,))
+    assert not E.acts_by_root((F(0),) * 2, (2,))
 
 
 def test_affine_matches_affine_rs():
@@ -368,38 +372,87 @@ def test_affine_matches_affine_rs():
     from lietor.refl import build_affine_rs
     from lietor.rootsys import build_classical
 
-    E = build_affine(3)
+    window = 3
+    E = build_affine(3, window)
     ars, mp, kac = build_affine_rs(build_classical("A", 2), 1)
     assert mp == "A_2^(1)"
-    window = 3
     for root in ars.S.sorted_roots():
-        fiber = ars.fiber_window(root, window)
-        if any(root):
-            assert fiber == [(k,) for k in range(-window, window + 1)]
-        else:
-            assert fiber == [(k,) for k in range(-window, window + 1)]
+        assert ars.fiber_window(root, window) == [(k,) for k in range(-window, window + 1)]
     # and every nonzero root space of E in the window is 1-dimensional
-    dims = E.root_space_dims(window)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                for k in range(-window, window + 1):
-                    assert dims[("root", i, j, k)] == 1
+    for root in ars.S.sorted_roots():
+        if any(root):
+            for k in range(-window, window + 1):
+                assert len(E.root_space_basis(root, (k,))) == 1
 
 
 def test_k_is_root_graded_covering():
     # K = loop + Qc: invertibility lifts and c is central, so the
     # (A_2, Z)-grading transfers between K and the loop algebra.
     E = build_affine(3)
+    L, A = E.L, E.L.A
     for m in (-2, 0, 1):
-        e = E.from_loop(E.gl.E(0, 1, E.A.monomial((m,))))
-        fvec = E.from_loop(E.gl.E(1, 0, E.A.monomial((-m,))).scale(F(-1)))
+        e = E.from_l(L.E(0, 1, A.monomial((m,))))
+        fvec = E.from_l(L.E(1, 0, A.monomial((-m,))).scale(F(-1)))
         h = E.bracket(fvec, e)
         assert E.bracket(h, e) == e.scale(F(2))
         assert E.bracket(h, fvec) == fvec.scale(F(-2))
         # eigenvalue law against another root space
-        x = E.from_loop(E.gl.E(1, 2, E.A.monomial((1,))))
+        x = E.from_l(L.E(1, 2, A.monomial((1,))))
         assert E.bracket(h, x) == x.scale(F(-1))
+
+
+# The affine bracket and form as a formula, on x t^p + alpha c + beta d
+# stored as ({(p, i, j): coefficient}, alpha, beta):
+#   [x t^p + alpha c + beta d, y t^q + gamma c + delta d]
+#     = [x, y] t^(p+q) + beta q y t^q - delta p x t^p + delta_(p+q,0) p tr(xy) c
+#   (x t^p + alpha c + beta d | y t^q + gamma c + delta d)
+#     = tr(xy)^0 + alpha delta + gamma beta
+
+def _affine_coords(e):
+    loop = {(p, i, j): v for (i, j), a in e.l.entries.items() for ((p,), _), v in a.terms.items()}
+    return loop, e.c[0], e.d[0]
+
+
+def _formula_bracket(e1, e2):
+    (x, _, beta), (y, _, delta) = e1, e2
+    loop, c = {}, F(0)
+
+    def add(key, v):
+        loop[key] = loop.get(key, F(0)) + v
+
+    for (p, i, k), u in x.items():
+        for (q, l, j), v in y.items():
+            if k == l:
+                add((p + q, i, j), u * v)
+                if i == j and p + q == 0:
+                    c += p * u * v
+            if j == i:
+                add((p + q, l, k), -v * u)
+    for (q, i, j), v in y.items():
+        add((q, i, j), beta * q * v)
+    for (p, i, j), u in x.items():
+        add((p, i, j), -delta * p * u)
+    return {k: v for k, v in loop.items() if v}, c, F(0)
+
+
+def _formula_form(e1, e2):
+    (x, alpha, beta), (y, gamma, delta) = e1, e2
+    tr0 = sum((u * v for (p, i, k), u in x.items() for (q, l, j), v in y.items()
+               if k == l and i == j and p + q == 0), F(0))
+    return tr0 + alpha * delta + gamma * beta
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_affine_matches_the_formula(m):
+    E = build_affine(m, 2)
+    basis = E.windowed_basis(2)
+    assert len(basis) == 2 + 5 * (m * m - 1)
+    for a in basis:
+        ca = _affine_coords(a)
+        for b in basis:
+            cb = _affine_coords(b)
+            assert _affine_coords(E.bracket(a, b)) == _formula_bracket(ca, cb)
+            assert E.form(a, b) == _formula_form(ca, cb)
 
 
 def test_multiloop_twisted_sl3():
