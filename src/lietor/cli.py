@@ -201,8 +201,8 @@ def cmd_refl(args, run: Runner) -> None:
 
 
 def cmd_ars(args, run: Runner) -> None:
-    window = clamp_window(args.window)
     if args.action == "build":
+        window = clamp_window(args.window)
         S = build_system(args.type, args.rank)
         ars, mp, kac = build_affine_rs(S, args.tier)
         run.echo(f"labels: {mp}  {kac}")
@@ -220,7 +220,7 @@ def cmd_ars(args, run: Runner) -> None:
                 fh.write("\n")
     elif args.action == "check":
         ed = datum_from_json(load_json(args.infile, run))
-        run.merge(validate_extension_datum(ed, window))
+        run.merge(validate_extension_datum(ed))
     else:
         raise InputError(f"unknown ars action {args.action!r}")
 
@@ -438,7 +438,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", default="A")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("--tier", type=int, default=1)
-    q.add_argument("--window", type=int, default=3)
+    q.add_argument("--window", type=int, default=3, help="build only; check is exact")
     q.add_argument("--in", dest="infile")
     q.add_argument("--out-ars", dest="out_ars")
 

@@ -1,8 +1,8 @@
 """Subsets of Z^n of the form (union of cosets of a sublattice).
 
-This is the exact representation behind extension data: membership is
-decidable, enumeration happens on a box window.  Finite sets are the rank-0
-case (sublattice {0}).
+This is the exact representation behind extension data: membership,
+containment and sums are decided by coset arithmetic; enumeration happens
+on a box window.  Finite sets are the rank-0 case (sublattice {0}).
 """
 
 from __future__ import annotations
@@ -111,35 +111,35 @@ class LatticeSubset:
 
     def is_subset_of(self, other: "LatticeSubset") -> bool:
         """Exact containment test."""
-        if self.is_empty():
-            return True
-        if other.is_empty():
-            return False
+        return self.point_outside(other) is None
+
+    def point_outside(self, other: "LatticeSubset"):
+        """A member of self that is not in other, or None if there is none."""
         other_set = set(other.cosets)
-        # Image of our sublattice in Z^n / L_other: each of our cosets covers
-        # |image| residues, so containment is impossible once the image
-        # outgrows the other side's coset list.
-        frontier = {(0,) * self.n}
-        image = {(0,) * self.n}
+        # Image of our sublattice in Z^n / L_other, each residue with a member
+        # of our sublattice that reaches it.  Each of our cosets covers every
+        # residue of the image, so once the image outgrows the other side's
+        # coset list some residue of each coset is missed.
+        zero = (0,) * self.n
+        image = {zero: zero}
+        frontier = [zero]
         step_gens = [tuple(r) for r in self.basis] + [tuple(-x for x in r) for r in self.basis]
-        while frontier:
-            nxt = set()
-            for g in step_gens:
-                for f in frontier:
-                    r = lattice_reduce(tuple(a + b for a, b in zip(f, g)), other.basis)
+        while frontier and len(image) <= len(other.cosets):
+            nxt = []
+            for f in frontier:
+                for g in step_gens:
+                    v = tuple(a + b for a, b in zip(image[f], g))
+                    r = lattice_reduce(v, other.basis)
                     if r not in image:
-                        image.add(r)
-                        nxt.add(r)
-            if len(image) > len(other.cosets):
-                return False
+                        image[r] = v
+                        nxt.append(r)
             frontier = nxt
         for c in self.cosets:
-            base = lattice_reduce(c, other.basis)
-            for img in image:
-                r = lattice_reduce(tuple(a + b for a, b in zip(base, img)), other.basis)
-                if r not in other_set:
-                    return False
-        return True
+            for v in image.values():
+                p = tuple(a + b for a, b in zip(c, v))
+                if lattice_reduce(p, other.basis) not in other_set:
+                    return p
+        return None
 
     def window_elements(self, w: int):
         """All members v with max |v_i| <= w, in lexicographic order."""

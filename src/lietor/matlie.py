@@ -216,15 +216,14 @@ class MatrixLieAlgebra:
         comm = self.A.commutator_component(deg, window=3)
         comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
         # Functionals on A^deg vanishing on [A,A]^deg.
-        functionals = (kernel(comm_rows, self.field, bdim) if comm_rows
-                       else _identity_rows(self.field, bdim))
+        functionals = kernel(comm_rows, self.field, bdim)
         out = []
         for lo, hi in self.blocks:
             # Unknowns: hi - lo slots of bdim coordinates; constraints: each
             # functional kills the diagonal sum.
             m = (hi - lo) * bdim
             rows = [[f[t % bdim] for t in range(m)] for f in functionals]
-            sols = kernel(rows, self.field, m) if rows else _identity_rows(self.field, m)
+            sols = kernel(rows, self.field, m)
             for v in sols:
                 entries = {}
                 for i in range(lo, hi):
@@ -249,10 +248,6 @@ class MatrixLieAlgebra:
                                 out.append(self.E(i, j, b))
             out.extend(self._diag_basis(deg))
         return out
-
-
-def _identity_rows(field, k):
-    return [[field.one if t == s else field.zero for t in range(k)] for s in range(k)]
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -340,14 +335,12 @@ def centre(L: MatrixLieAlgebra, window: int = 3):
         # n z in [A,A]^deg.
         comm = L.A.commutator_component(deg, window)
         comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
-        functionals = (kernel(comm_rows, L.field, bdim) if comm_rows
-                       else _identity_rows(L.field, bdim))
+        functionals = kernel(comm_rows, L.field, bdim)
         cond = []
         for f in functionals:
             cond.append([sum((L.field.from_int(n) * z[s] * f[s] for s in range(bdim)),
                              L.field.zero) for z in central])
-        coeffs = (kernel(cond, L.field, len(central)) if cond
-                  else _identity_rows(L.field, len(central)))
+        coeffs = kernel(cond, L.field, len(central))
         for cv in coeffs:
             zvec = [sum((cv[t] * central[t][s] for t in range(len(central))), L.field.zero)
                     for s in range(bdim)]

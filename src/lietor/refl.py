@@ -1,9 +1,11 @@
 """Pre-reflection and reflection systems, extension data, affine reflection
 systems and the affine root systems with their twisted labels.
 
-Finite data is checked exhaustively.  Data quantified over the lattice Z^n
-is checked on a box window and the verdict records the window; lattice
-membership itself is always exact (see lattices.LatticeSubset).
+Finite data is checked exhaustively.  Extension data, and whether an
+affine reflection system is reduced, are decided exactly by coset arithmetic
+on the Lambda_xi (see lattices.LatticeSubset).  The reflection axioms and
+root strings of an affine reflection system are checked on a box window and
+the verdict records the window.
 """
 
 from __future__ import annotations
@@ -267,42 +269,24 @@ def _integral_pairings(S: RootSystem) -> dict:
     return {(m.orig[a], m.orig[b]): k for (a, b), k in pair.items()}
 
 
-def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomReport:
-    """ED1-ED3 and the derived properties of 3.3.  S must be a reflection
-    system with integral pairings, else a ValueError names the failing axiom
-    or pair."""
+def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
+    """ED1-ED3 and the derived properties of 3.3, each decided exactly by
+    coset arithmetic on the Lambda_xi.  S must be a reflection system with
+    integral pairings, else a ValueError names the failing axiom or pair."""
     rep = AxiomReport()
     pairings = _integral_pairings(ed.S)
-    if window is None:
-        # 4 times the largest |<beta, alpha_check>| in delta-degree directions
-        window = 4 * max([1, *map(abs, pairings.values())]) if ed.z_rank == 1 else 4
     S = ed.S
     roots = S.sorted_roots()
     n = ed.z_rank
+    real = [a for a in roots if any(a)]
+    s_prime = [a for a in sorted(ed.S_prime) if any(a)]
 
-    wins = {a: ed.lam(a).window_elements(window) for a in roots}
-
-    ok, witness = True, None
-    for xi in roots:
-        if not any(xi):
-            continue
-        for eta in roots:
-            k = pairings[xi, eta]
-            target = ed.lam(reflect(S, xi, eta))
-            for lam in wins[xi]:
-                for mu in wins[eta]:
-                    moved = tuple(m - k * l for m, l in zip(mu, lam))
-                    if moved not in target:
-                        ok = False
-                        witness = f"ED1 fails at xi={fs(xi)}, eta={fs(eta)}, lambda={lam}, mu={mu}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("ED1", ok, witness, window=window)
+    # ED1: Lambda_eta - <eta, xi_check> Lambda_xi lies in Lambda_(s_xi eta).
+    witness = _first_escape(
+        (f"ED1 fails at xi={fs(xi)}, eta={fs(eta)}",
+         ed.lam(eta), ed.lam(xi), -pairings[xi, eta], ed.lam(reflect(S, xi, eta)))
+        for xi in real for eta in roots)
+    rep.add("ED1", witness is None, witness)
 
     zero_vec = (0,) * n
     bad = [x for x in sorted(ed.S_prime) if zero_vec not in ed.lam(x)]
@@ -315,7 +299,6 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
     rep.add("ED3", ok3, None if ok3 else "union of Lambda_xi does not span")
 
     # Derived properties of 3.3.
-    real = [a for a in roots if any(a)]
     ok, witness = True, None
     for xi in real:
         if ed.lam(vec_scale(-1, xi)) != ed.lam(xi).neg():
@@ -323,25 +306,13 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
             break
     rep.add("negation", ok, witness)
 
-    ok, witness = True, None
-    for xi in real:
-        lam = ed.lam(xi)
-        for a in wins[xi]:
-            for b in wins[xi]:
-                v = tuple(2 * x - y for x, y in zip(a, b))
-                if v not in lam:
-                    ok, witness = False, f"2L-L not in L at xi={fs(xi)}, pair={(a, b)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("reflection-subspace", ok, witness, window=window)
+    witness = _first_escape(
+        (f"2L-L not in L at xi={fs(xi)}", ed.lam(xi).scale(2), ed.lam(xi), -1, ed.lam(xi))
+        for xi in real)
+    rep.add("reflection-subspace", witness is None, witness)
 
     ok, witness = True, None
-    for xi_p in sorted(ed.S_prime):
-        if not any(xi_p):
-            continue
+    for xi_p in s_prime:
         for eta in roots:
             if ed.lam(reflect(S, xi_p, eta)) != ed.lam(eta):
                 ok, witness = False, f"W_S'-invariance fails at xi'={fs(xi_p)}, eta={fs(eta)}"
@@ -350,60 +321,45 @@ def validate_extension_datum(ed: ExtensionDatum, window: int = None) -> AxiomRep
             break
     rep.add("WS'-invariance", ok, witness)
 
-    ok, witness = True, None
-    for xi_p in sorted(ed.S_prime):
-        if not any(xi_p):
-            continue
-        for eta in roots:
-            k = pairings[xi_p, eta]
-            lam_eta = ed.lam(eta)
-            for mu in wins[eta]:
-                for lam in wins[xi_p]:
-                    v = tuple(m - k * l for m, l in zip(mu, lam))
-                    if v not in lam_eta:
-                        ok = False
-                        witness = (f"Lambda_eta - <eta,xi'>Lambda_xi' escapes at eta={fs(eta)}, "
-                                   f"xi'={fs(xi_p)}")
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("S'-shift", ok, witness, window=window)
+    witness = _first_escape(
+        (f"Lambda_eta - <eta,xi'>Lambda_xi' not in Lambda_eta at eta={fs(eta)}, xi'={fs(xi_p)}",
+         ed.lam(eta), ed.lam(xi_p), -pairings[xi_p, eta], ed.lam(eta))
+        for xi_p in s_prime for eta in roots)
+    rep.add("S'-shift", witness is None, witness)
 
     ok, witness = True, None
-    for xi_p in sorted(ed.S_prime):
-        if any(xi_p) and ed.lam(xi_p) != ed.lam(vec_scale(-1, xi_p)):
+    for xi_p in s_prime:
+        if ed.lam(xi_p) != ed.lam(vec_scale(-1, xi_p)):
             ok, witness = False, f"Lambda_xi' != Lambda_(-xi') at xi'={fs(xi_p)}"
             break
     rep.add("S'-symmetry", ok, witness)
 
-    _type_specific_checks(ed, rep, window, wins)
+    _type_specific_checks(ed, rep)
     return rep
 
 
-def _type_specific_checks(ed, rep: AxiomReport, window, wins):
+def _first_escape(sums):
+    """Witness of the first (label, A, B, f, T) in sums with A + f B not
+    inside T: the label and a point of A + f B outside T.  None if every
+    sum lies inside its T."""
+    for label, A, B, f, T in sums:
+        p = A.add(B.scale(f)).point_outside(T)
+        if p is not None:
+            return f"{label}: {p} escapes"
+    return None
+
+
+def _type_specific_checks(ed, rep: AxiomReport):
     S = ed.S
     if len(connected_components(S)) != 1:
         return
     rs = normalized(S)
     sh, lg, div, k = length_partition(rs)
-    pick_sh = sorted(sh)[0]
-    lam_sh = ed.lam(pick_sh)
+    lam_sh = ed.lam(sorted(sh)[0])
 
     def sum_check(name, A, B, target, factor=1):
-        ok, witness = True, None
-        for a in A.window_elements(window):
-            for b in B.window_elements(window):
-                v = tuple(x + factor * y for x, y in zip(a, b))
-                if v not in target:
-                    ok, witness = False, f"{name} escapes at {(a, b)}"
-                    break
-            if not ok:
-                break
-        rep.add(name, ok, witness, window=window)
+        witness = _first_escape([(f"{name} fails", A, B, factor, target)])
+        rep.add(name, witness is None, witness)
 
     if lg:
         lam_lg = ed.lam(sorted(lg)[0])
@@ -416,8 +372,8 @@ def _type_specific_checks(ed, rep: AxiomReport, window, wins):
             sum_check("Lsh+Ldiv<Lsh", lam_sh, lam_div, lam_sh)
             sum_check("Ldiv+4Lsh<Ldiv", lam_div, lam_sh, lam_div, factor=4)
         else:  # BC_I, |I| >= 2
-            sum_check("Llg+Ldiv<Llg", ed.lam(sorted(lg)[0]), lam_div, ed.lam(sorted(lg)[0]))
-            sum_check("Ldiv+2Llg<Ldiv", lam_div, ed.lam(sorted(lg)[0]), lam_div, factor=2)
+            sum_check("Llg+Ldiv<Llg", lam_lg, lam_div, lam_lg)
+            sum_check("Ldiv+2Llg<Ldiv", lam_div, lam_lg, lam_div, factor=2)
 
 
 class AffineReflectionSystem:
@@ -483,10 +439,10 @@ class AffineReflectionSystem:
         return gens
 
 
-def build_extension(S: RootSystem, S_prime, ed: ExtensionDatum, validate: bool = True,
-                    window: int = 4) -> AffineReflectionSystem:
+def build_extension(S: RootSystem, S_prime, ed: ExtensionDatum,
+                    validate: bool = True) -> AffineReflectionSystem:
     if validate:
-        rep = validate_extension_datum(ed, window=window)
+        rep = validate_extension_datum(ed)
         if not rep.ok:
             bad = rep.failures()[0]
             raise ValueError(f"invalid extension datum: {bad.name} ({bad.witness})")
@@ -553,7 +509,7 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
     return S, project, fibers
 
 
-def extract_datum(ars: AffineReflectionSystem, phi=None, window: int = 4) -> ExtensionDatum:
+def extract_datum(ars: AffineReflectionSystem, phi=None) -> ExtensionDatum:
     """Datum extracted along the partial section g(xi) = xi + phi(xi).
 
     phi maps the roots of S linearly into Z^n; it is given on a spanning set
@@ -685,7 +641,7 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     strings_ok = max_len <= 5
 
     connected = len(connected_components(ars.S)) == 1
-    reduced = _ars_reduced(ars, window)
+    reduced = _ars_reduced(ars)
 
     # R = Re(R) means the only imaginary root is 0 itself.
     sears = lam0.basis == [] and lam0.cosets == ((0,) * ars.z_rank,)
@@ -710,20 +666,17 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     }
 
 
-def _ars_reduced(ars: AffineReflectionSystem, window: int) -> bool:
-    # R is reduced iff Lambda_(c xi) and c Lambda_xi are disjoint whenever
-    # xi and c xi are both roots, c != 0, +-1.
+def _ars_reduced(ars: AffineReflectionSystem) -> bool:
+    # R is reduced iff c Lambda_xi misses Lambda_(c xi) whenever xi and c xi
+    # are both nonzero roots, c != 0, +-1.  A factor c = +-1/2 is the factor
+    # 2c read from the root c xi, so the integers c suffice.
+    zero = (0,) * ars.z_rank
+    lam = ars.datum.lam
     for xi in ars.S.sorted_roots():
         if not any(xi):
             continue
-        for c in (2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3):
+        for c in (2, -2, 3, -3):
             cxi = vec_scale(c, xi)
-            if cxi in ars.S.roots and any(cxi):
-                lam_c = ars.datum.lam(cxi)
-                lam = ars.datum.lam(xi)
-                for v in lam.window_elements(window):
-                    scaled = tuple(Fraction(c) * x for x in v)
-                    if all(x.denominator == 1 for x in scaled):
-                        if tuple(int(x) for x in scaled) in lam_c:
-                            return False
+            if cxi in ars.S.roots and zero in lam(cxi).add(lam(xi).scale(-c)):
+                return False
     return True

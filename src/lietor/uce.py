@@ -21,7 +21,6 @@ from .linalg import LinearSolver, identity, kernel, mat_mul, rank as mat_rank, r
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket
 from .report import AxiomReport
 from .rootsys import build_classical
-from .scalars import QQ
 
 
 class WedgeElement:
@@ -281,6 +280,7 @@ class UceAlgebra:
         self.A = A
         self.field = A.field
         self.sl = MatrixLieAlgebra(n, A)
+        self._ninv = self.field(Fraction(1, n))
         self._ww_cache = {}
 
     def wedge_window(self, window: int) -> "WedgeWindow":
@@ -317,8 +317,7 @@ class UceAlgebra:
             b = m2.entries.get((j, i))
             if b is not None:
                 wout = wout + wedge(a, b)
-        ninv = _field_fraction(self.field, Fraction(1, self.n))
-        wout = wout.scale(ninv)
+        wout = wout.scale(self._ninv)
         # wedge-wedge and wedge-matrix parts act through commutator images.
         u_w1 = w1.commutator_image()
         u_w2 = w2.commutator_image()
@@ -327,7 +326,7 @@ class UceAlgebra:
         mout = mat_bracket(m1, m2)
         tr = mout.trace()
         if tr:
-            corr = {(i, i): tr * ninv for i in range(self.n)}
+            corr = {(i, i): tr * self._ninv for i in range(self.n)}
             mout = mout - MatLieElement(self.sl, corr)
         if w1:
             mout = mout + MatLieElement(self.sl, {
@@ -377,12 +376,6 @@ class UceAlgebra:
                     m = self.sl.E(i, i, a) - self.sl.E(i + 1, i + 1, a)
                     pool.append(self.from_matrix(m))
         return pool
-
-
-def _field_fraction(field, fr: Fraction):
-    if field is QQ:
-        return fr
-    return field(fr)
 
 
 def build_uce_sl(n: int, A: GradedAssocAlgebra) -> UceAlgebra:

@@ -277,7 +277,7 @@ def test_criterion_9_property_suites():
                             ("BC", 2, 1), ("G2", None, 3)):
         S = build_exceptional(fam) if rank is None else build_classical(fam, rank)
         ars, _, _ = build_affine_rs(S, tier)
-        rep = validate_extension_datum(ars.datum, window=3)
+        rep = validate_extension_datum(ars.datum)
         assert rep.ok, (fam, rep.failures()[0].name)
         st = ars_structure(ars, window=3)
         assert st["max_string_len"] <= 5

@@ -139,6 +139,19 @@ def test_check_failure_exit_1(tmp_path):
     assert code == 1
 
 
+def test_ars_check_fails_outside_any_small_window(capsys):
+    # Lambda_(+-alpha) = {0, 10, 13} + 23Z over A1: ED1 and the
+    # reflection-subspace property fail at 0 - 2*10 = -20 = 3 mod 23, a point
+    # no window of radius 3 holds; each check prints its witness point.
+    path = Path(__file__).parent / "data" / "ed_outside_window.json"
+    assert main(["ars", "check", "--in", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("ED1", "reflection-subspace"):
+        line = next(x for x in lines if x.startswith(f"{name}: "))
+        assert line.startswith(f"{name}: fail") and "(3,) escapes" in line
+    assert not any("window" in x for x in lines)
+
+
 def test_unknown_subcommand_exit_2():
     code, out, err = run_cli(["definitely-not-a-command"])
     assert code == 2

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hs
 
 from lietor.lattices import LatticeSubset
 from lietor.linalg import rank as mat_rank
@@ -130,14 +132,16 @@ def test_form_with_nonisotropic_imaginary_root():
 
 
 def test_untwisted_datum_valid():
-    ed = untwisted_datum(build_classical("A", 1), 1)
-    rep = validate_extension_datum(ed, window=3)
-    assert rep.ok, rep.failures()[0]
+    for rank, z_rank in ((1, 1), (2, 2)):
+        ed = untwisted_datum(build_classical("A", rank), z_rank)
+        rep = validate_extension_datum(ed)
+        assert rep.ok, rep.failures()[0]
+        assert all(c.window is None for c in rep.checks)
 
 
 def test_affine_b2_datum_valid():
     ars, _, _ = build_affine_rs(build_classical("B", 2), 2)
-    rep = validate_extension_datum(ars.datum, window=3)
+    rep = validate_extension_datum(ars.datum)
     assert rep.ok
     lg = sorted(a for a in length_partition(ars.S)[1])[0]
     assert ars.datum.lam(lg) == LatticeSubset.scaled_full(1, 2)
@@ -150,7 +154,7 @@ def test_ed2_failure():
     full = LatticeSubset.full(1)
     fam = {a: (odd if a in lg else full) for a in rs.roots}
     ed = ExtensionDatum(rs, frozenset(indivisible_part(rs)), 1, fam)
-    rep = validate_extension_datum(ed, window=2)
+    rep = validate_extension_datum(ed)
     assert not rep["ED2"].ok
 
 
@@ -166,7 +170,7 @@ def test_trivial_extension_is_s():
     a2 = build_classical("A", 2)
     fam = {a: LatticeSubset.finite(0, [()]) for a in a2.roots}
     ed = ExtensionDatum(a2, frozenset(indivisible_part(a2)), 0, fam)
-    ars = build_extension(a2, ed.S_prime, ed, window=2)
+    ars = build_extension(a2, ed.S_prime, ed)
     assert set(ars.windowed_roots(2)) == a2.roots
     assert ars_structure(ars, window=2)["nullity"] == 0
 
@@ -185,7 +189,7 @@ def test_extract_datum_shifted_section():
     # Lambda'_xi = Lambda_xi - phi(xi); Z and 2Z are shift-invariant here.
     assert ed.lam((F(1), F(0))) == ars.datum.lam((F(1), F(0)))
     assert ed.lam((F(1), F(1))) == ars.datum.lam((F(1), F(1)))
-    rep = validate_extension_datum(ed, window=2)
+    rep = validate_extension_datum(ed)
     assert rep.ok
 
 
@@ -276,7 +280,7 @@ def test_untamed_lambda0_detected():
     full = LatticeSubset.full(1)
     fam = {a: (full if not any(a) else two) for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed, window=2)
+    ars = build_extension(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["tame"] is False
     assert st["unbroken"] is True
@@ -289,7 +293,7 @@ def test_broken_strings_and_asymmetry_detected():
     full = LatticeSubset.full(1)
     fam = {a: (LatticeSubset.zero(1) if not any(a) else full) for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed, window=2)
+    ars = build_extension(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["unbroken"] is False
     assert st["tame"] is True
@@ -298,9 +302,110 @@ def test_broken_strings_and_asymmetry_detected():
     fam = {a: (LatticeSubset.finite(1, [(0,), (1,)]) if not any(a) else full)
            for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed, window=2)
+    ars = build_extension(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["symmetric"] is False
+
+
+def test_ars_reduced_beyond_any_small_window():
+    # BC_1 with Lambda_div = 7 + 23Z: 2 * 15 = 30 lies in Lambda_div, so the
+    # short root 15 and the divisible root 30 are collinear and R is not
+    # reduced, although no such pair lies in a window of radius 4.
+    rs = normalized(build_classical("BC", 1))
+    div = length_partition(rs)[2]
+    full = LatticeSubset.full(1)
+    odd7 = LatticeSubset(1, gens=[[23]], cosets=((7,),))
+    fam = {}
+    for a in rs.roots:
+        if a in div and any(a):
+            fam[a] = odd7 if a[0] > 0 else odd7.neg()
+        else:
+            fam[a] = full
+    ed = ExtensionDatum(rs, frozenset(indivisible_part(rs)), 1, fam)
+    ars = AffineReflectionSystem(rs, ed.S_prime, ed)
+    st = ars_structure(ars, window=4)
+    assert st["reduced"] is False
+    assert st["class_flags"]["EARS"] is False
+
+
+@pytest.mark.parametrize("fam,rank,tier", [
+    ("A", 1, 1), ("A", 2, 1), ("B", 2, 2), ("B", 3, 2), ("C", 3, 2), ("BC", 1, 1),
+    ("BC", 2, 1), ("G2", None, 1), ("G2", None, 3), ("F4", None, 2), ("E6", None, 1),
+])
+def test_affine_datum_passes_every_check_exactly(fam, rank, tier):
+    S = build_exceptional(fam) if rank is None else build_classical(fam, rank)
+    ars, _, _ = build_affine_rs(S, tier)
+    rep = validate_extension_datum(ars.datum)
+    assert [c.status for c in rep.checks] == ["pass"] * len(rep.checks)
+    assert all(c.window is None for c in rep.checks)
+
+
+def test_ed1_failure_outside_any_small_window():
+    # Lambda_(+-alpha) = {0, 10, 13} + 23Z over A1: 0 - 2*10 = -20 = 3 mod 23
+    # is not in Lambda_(-alpha); in a window of radius 9 only 0 is in Lambda.
+    a1 = build_classical("A", 1)
+    lam = LatticeSubset(1, gens=[[23]], cosets=((0,), (10,), (13,)))
+    fam = {a: (lam if any(a) else LatticeSubset.full(1)) for a in a1.roots}
+    rep = validate_extension_datum(ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam))
+    assert not rep["ED1"].ok and "(3,) escapes" in rep["ED1"].witness
+    assert not rep["reflection-subspace"].ok and not rep["S'-shift"].ok
+    assert _brute_sum_escape(lam, lam, -2, lam, 9) is None
+
+
+# Windowed references for the coset arithmetic of extension data: pairs of
+# window points, as the checks were once run.  They are exact when every set
+# is a union of cosets of a lattice containing m Z^n and the window holds m
+# consecutive integers in each coordinate.
+
+def _brute_sum_escape(A, B, f, T, window):
+    """The first window pair (a, b) of A x B with a + f b outside T, or None."""
+    for a in A.window_elements(window):
+        for b in B.window_elements(window):
+            if tuple(x + f * y for x, y in zip(a, b)) not in T:
+                return a, b
+    return None
+
+
+def _brute_meets(A, B, c, window):
+    """Whether c b lies in A for some window point b of B."""
+    return any(tuple(c * x for x in b) in A for b in B.window_elements(window))
+
+
+ORACLE_WINDOW = 3
+
+
+@hs.composite
+def _coset_unions(draw):
+    """(m, [A, B, T]): unions of cosets of lattices containing m Z^n, n = 1, 2.
+    A set is sparse (a few residues mod m) or dense (all but a few)."""
+    n = draw(hs.integers(1, 2))
+    m = draw(hs.integers(1, 6))
+    residue = hs.tuples(*[hs.integers(0, m - 1)] * n)
+    sets = []
+    for _ in range(3):
+        extra = draw(hs.lists(residue, max_size=1))
+        gens = [[m if i == j else 0 for j in range(n)] for i in range(n)] + [list(g) for g in extra]
+        picked = draw(hs.lists(residue, max_size=4))
+        if draw(hs.booleans()):
+            picked = [r for r in itertools.product(range(m), repeat=n) if r not in picked]
+        sets.append(LatticeSubset(n, gens, tuple(picked)))
+    return m, sets
+
+
+@seed(20111)
+@settings(max_examples=500, deadline=None, database=None)
+@given(_coset_unions(), hs.integers(-3, 3))
+def test_coset_arithmetic_agrees_with_window_oracle(data, f):
+    m, (A, B, T) = data
+    assert 2 * ORACLE_WINDOW + 1 >= m  # the window reaches every residue mod m
+    left = A.add(B.scale(f))
+    point = left.point_outside(T)
+    assert (point is None) == (_brute_sum_escape(A, B, f, T, ORACLE_WINDOW) is None)
+    assert left.is_subset_of(T) == (point is None)
+    if point is not None:
+        assert point in left and point not in T
+    meets = (0,) * A.n in A.add(B.scale(f).neg())
+    assert meets == _brute_meets(A, B, f, ORACLE_WINDOW)
 
 
 # Reference ReS0-ReS4 and predicates in plain Fraction arithmetic, written from
