@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
-from .linalg import integer_kernel, kernel, mat_vec, rank as mat_rank, solve
+from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
 from .report import AxiomReport
 from .scalars import Cyclo, QQ, root_of_unity_order
 
@@ -402,7 +402,7 @@ class GradedAssocAlgebra:
                     c = a * b - b * a
                     if c:
                         vecs.append([c.coefficient(deg, k) for k in range(self.bdim)])
-        basis_rows = _independent_rows(vecs, self.field)
+        basis_rows = independent_rows(vecs, self.field)
         out = []
         for row in basis_rows:
             out.append(AlgElement(self, {(deg, k): v for k, v in enumerate(row) if v}))
@@ -467,19 +467,6 @@ def _inv_scalar(c):
     if isinstance(c, Cyclo):
         return c.inverse()
     return Fraction(1) / Fraction(c)
-
-
-def _independent_rows(vecs, field):
-    out = []
-    for v in vecs:
-        if not any(v):
-            continue
-        if not out:
-            out.append(v)
-            continue
-        if mat_rank(out + [v], field) > len(out):
-            out.append(v)
-    return out
 
 
 def _factor_rational(v: Fraction):

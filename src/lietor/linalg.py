@@ -52,6 +52,15 @@ def rank(m, field) -> int:
     return len(rref(m, field)[1])
 
 
+def independent_rows(vecs, field):
+    """The vectors of vecs outside the span of those before them, in order:
+    the pivot columns of one rref of the matrix whose columns are vecs."""
+    if not vecs:
+        return []
+    _, pivots = rref([list(col) for col in zip(*vecs)], field)
+    return [vecs[c] for c in pivots]
+
+
 def kernel(m, field, ncols=None):
     """Basis of the right null space {v : m v = 0}."""
     if not m:

@@ -126,8 +126,10 @@ class MatrixLieAlgebra:
     one block for sl_n(A), several for DirectSumSl.
     """
 
+    min_n = 3
+
     def __init__(self, n: int, A: GradedAssocAlgebra):
-        if n < 3:
+        if n < self.min_n:
             raise ValueError("sl_n(A) needs n >= 3 (product formula needs three indices)")
         self.n = n
         self.A = A
@@ -233,6 +235,10 @@ class MatrixLieAlgebra:
                             self.A, {(deg, k): c for k, c in enumerate(coeffs) if c})
                 out.append(MatLieElement(self, entries))
         return out
+
+    def jacobi_holds(self, x: MatLieElement, y: MatLieElement, z: MatLieElement) -> bool:
+        return not (bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
+                    + bracket(bracket(z, x), y))
 
     def windowed_basis(self, window: int):
         """Homogeneous basis across all roots and windowed lattice degrees."""

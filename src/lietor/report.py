@@ -1,7 +1,12 @@
-"""Check results and axiom reports shared by the verifier modules."""
+"""Check results, axiom reports and the seeded sampler of sampled checks.
+
+A CheckResult is the one place that decides a check's status, formats its
+text line and writes its JSON entry.
+"""
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 
@@ -12,6 +17,7 @@ class CheckResult:
     witness: str | None = None
     window: int | None = None
     note: str | None = None
+    detail: str | None = None  # the value the check reports
 
     @property
     def status(self) -> str:
@@ -21,22 +27,34 @@ class CheckResult:
 
     def to_json(self) -> dict:
         out = {"name": self.name, "status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.window is not None:
-            out["window"] = self.window
-        if self.note is not None:
-            out["note"] = self.note
+        for key in ("witness", "window", "note", "detail"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
         return out
+
+    def line(self) -> str:
+        line = f"{self.name}: {self.status}"
+        if self.window is not None:
+            line += f" (window {self.window})"
+        if self.detail is not None:
+            line += f"  ({self.detail})"
+        if not self.ok and self.witness:
+            line += f"  witness: {self.witness}"
+        if self.note:
+            line += f"  [{self.note}]"
+        return line
 
 
 @dataclass
 class AxiomReport:
     checks: list = field(default_factory=list)
 
-    def add(self, name, ok, witness=None, window=None, note=None):
-        self.checks.append(CheckResult(name, bool(ok), witness, window, note))
-        return self.checks[-1]
+    def add(self, name, ok, witness=None, window=None, note=None, detail=None):
+        return self.append(CheckResult(name, bool(ok), witness, window, note, detail))
+
+    def append(self, check: CheckResult) -> CheckResult:
+        self.checks.append(check)
+        return check
 
     def __getitem__(self, name: str) -> CheckResult:
         for c in self.checks:
@@ -58,14 +76,21 @@ class AxiomReport:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
 
     def lines(self):
-        out = []
-        for c in self.checks:
-            line = f"{c.name}: {c.status}"
-            if c.window is not None:
-                line += f" (window {c.window})"
-            if not c.ok and c.witness:
-                line += f"  witness: {c.witness}"
-            if c.note:
-                line += f"  [{c.note}]"
-            out.append(line)
-        return out
+        return [c.line() for c in self.checks]
+
+
+def sampled_triples(pool, count: int, seed: int):
+    """count triples of pool, drawn with replacement by random.Random(seed).
+
+    The triples are drawn lazily, so a check that stops at its first
+    failure draws no further; a seed always gives the same triples.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(rng.choice(pool) for _ in range(3))
+
+
+def sampled_check(name: str, pool, count: int, seed: int, holds) -> CheckResult:
+    """Does holds(x, y, z) hold on count sampled triples of pool?"""
+    ok = all(holds(*t) for t in sampled_triples(pool, count, seed))
+    return CheckResult(name, ok, detail=f"{count} triples, seed {seed}")

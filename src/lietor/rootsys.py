@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
 
-from .linalg import inverse, mat_mul, mat_vec, rref
+from .linalg import independent_rows, inverse, mat_mul, mat_vec, rref
 from .scalars import QQ
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
@@ -447,11 +447,9 @@ def _span_basis_vectors(vectors):
 
 def complete_basis(vectors, dim):
     """The standard vectors e_i outside the span of the independent vectors
-    and of e_0, ..., e_(i-1): the pivot columns of one rref."""
-    cols = [list(v) for v in vectors] + [list(_unit(dim, i)) for i in range(dim)]
-    _, pivots = rref([list(row) for row in zip(*cols)], QQ)
-    k = len(vectors)
-    return [_unit(dim, c - k) for c in pivots if c >= k]
+    and of e_0, ..., e_(i-1)."""
+    units = [_unit(dim, i) for i in range(dim)]
+    return independent_rows(list(vectors) + units, QQ)[len(vectors):]
 
 
 def normalized_form(rs: RootSystem):

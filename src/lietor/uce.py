@@ -20,7 +20,6 @@ from .lattices import box
 from .linalg import LinearSolver, identity, kernel, mat_mul, rank as mat_rank, rref  # noqa: F401
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket
 from .report import AxiomReport
-from .rootsys import build_classical
 
 
 class WedgeElement:
@@ -433,14 +432,7 @@ def steinberg_check(U: UceAlgebra, window: int = 2) -> AxiomReport:
 class _SmallMatrixLie(MatrixLieAlgebra):
     """sl_n(A) without the n >= 3 gate, for the affine algebra over sl_2."""
 
-    def __init__(self, n, A):
-        self.n = n
-        self.A = A
-        self.field = A.field
-        self.S = build_classical("A", n - 1)
-        self.z_rank = A.n
-        self.blocks = ((0, n),)
-        self._diag_cache = {}
+    min_n = 2
 
 
 def build_affine(m: int, window: int = 2) -> BuiltE:

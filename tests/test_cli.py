@@ -353,3 +353,71 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
     assert main(["ars", "check", "--in", _datum_file(tmp_path, S)]) == 2
     err = capsys.readouterr().err
     assert "error: S is not integral: <" in err and "= 1/3" in err
+
+
+# Small runs of the subcommands that print windowed checks.
+WINDOWED_RUNS = [
+    ["sl", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"],
+    ["uce", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"],
+    ["affine", "--g", "sl2", "--window", "1"],
+    ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
+    ["eala", "--coord", "laurent", "--window", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", WINDOWED_RUNS, ids=[a[0] for a in WINDOWED_RUNS])
+def test_check_lines_carry_the_window_of_the_report(tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = iter(capsys.readouterr().out.splitlines())
+    checks = json.loads(out.read_text())["checks"]
+    assert any("window" in c for c in checks)
+    for c in checks:
+        line = next(x for x in lines if x.startswith(f"{c['name']}: {c['status']}"))
+        if "window" in c:
+            assert f"(window {c['window']})" in line
+        else:
+            assert "(window" not in line
+
+
+def _checks(tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    return {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+def test_ars_build_exact_structure_has_no_window(tmp_path):
+    # ars_structure decides all but the string lengths from the cosets
+    checks = _checks(tmp_path, ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2",
+                                "--window", "2"])
+    exact = [f"structure:{k}" for k in ("nullity", "symmetric", "unbroken", "tame")]
+    exact += [name for name in checks if name.startswith("class:")]
+    assert len(exact) == 8
+    for name in exact:
+        assert checks[name]["status"] == "pass" and "window" not in checks[name]
+    for name in ("structure:max_string_len", "ReS0", "ReS1", "ReS2", "ReS4"):
+        assert checks[name]["status"] == "windowed-pass" and checks[name]["window"] == 2
+
+
+def test_sl_rg1_and_rg2_have_no_window(tmp_path):
+    # RG1 holds by construction, RG2 is a unit lookup at degree 0
+    checks = _checks(tmp_path, ["sl", "--n", "3", "--coord", "laurent", "--window", "1",
+                                "--jacobi", "5"])
+    for name in ("RG1", "RG2"):
+        assert checks[name]["status"] == "pass" and "window" not in checks[name]
+    for name in ("RG3", "flag:predivision", "flag:division", "flag:torus"):
+        assert checks[name]["status"] == "windowed-pass" and checks[name]["window"] == 1
+
+
+def test_eala_seed_reaches_ea1(monkeypatch):
+    from lietor import eala, report
+
+    draws = []
+
+    def spy(pool, count, seed):
+        draws.append((count, seed))
+        return report.sampled_triples(pool, count, seed)
+
+    monkeypatch.setattr(eala, "sampled_triples", spy)
+    assert main(["eala", "--coord", "laurent", "--window", "1", "--seed", "5"]) == 0
+    assert draws == [(200, 5)]

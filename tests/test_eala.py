@@ -12,7 +12,6 @@ from lietor.eala import (
     core_and_tameness,
     default_iara_data,
     degree_derivation_basis,
-    jacobi_sample,
     nullity_of,
     root_reflection_data,
     sigma_d_values,
@@ -20,6 +19,7 @@ from lietor.eala import (
     verify_eala,
     verify_iara,
 )
+from lietor.report import sampled_check, sampled_triples
 from lietor.scalars import cyclotomic_field
 
 
@@ -141,11 +141,9 @@ def test_affine_root_data_matches_ars(affine_E):
 
 def test_jacobi_and_invariance(affine_E):
     E = affine_E
-    assert jacobi_sample(E, 150, seed=0, window=1)
-    rng = random.Random(1)
     pool = E.windowed_basis(1)
-    for _ in range(100):
-        a, b, c = (rng.choice(pool) for _ in range(3))
+    assert sampled_check("jacobi-sample", pool, 150, 0, E.jacobi_holds).ok
+    for a, b, c in sampled_triples(pool, 100, 1):
         assert E.form(E.bracket(a, b), c) == E.form(a, E.bracket(b, c))
 
 

@@ -8,6 +8,7 @@ from lietor.linalg import (
     LinearSolver,
     hnf,
     in_lattice,
+    independent_rows,
     integer_kernel,
     inverse,
     kernel,
@@ -176,3 +177,29 @@ def test_congruence_lattice():
     got = lattice_from_congruences([[1, 1]], 2, 2)
     sub = LatticeSubset(2, got)
     assert (1, 1) in sub and (2, 0) in sub and (1, 0) not in sub
+
+
+def _independent_rows_by_rank(vecs, field):
+    """The reference: keep a vector when it raises the rank of those kept."""
+    out = []
+    for v in vecs:
+        if rank(out + [v], field) > len(out):
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_independent_rows_matches_rank_per_row(order):
+    field = QQ if order == 1 else cyclotomic_field(3)
+    if order == 1:
+        def scalar(rng):
+            return F(rng.randint(-3, 3))
+    else:
+        def scalar(rng):
+            return field([rng.randint(-2, 2), rng.randint(-2, 2)])
+    rng = random.Random(order)
+    for m, _ in _random_systems(field, scalar, rng):
+        vecs = m + [list(m[0]), [field.zero] * len(m[0])]
+        rng.shuffle(vecs)
+        assert independent_rows(vecs, field) == _independent_rows_by_rank(vecs, field)
+    assert independent_rows([], QQ) == []
