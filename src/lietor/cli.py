@@ -187,10 +187,8 @@ def cmd_ars(args, run: Runner) -> None:
         window = clamp_window(args.window)
         S = build_system(args.type, args.rank)
         ars, mp, kac = build_affine_rs(S, args.tier)
-        run.echo(f"labels: {mp}  {kac}")
         run.add("labels", True, detail=f"{mp} {kac}")
-        rep = validate_ars_axioms(ars, window)
-        run.merge(rep)
+        run.merge(validate_ars_axioms(ars))
         # Only the string lengths are read on the window; the rest is
         # decided exactly from the cosets of the datum.
         st = ars_structure(ars, window)
@@ -277,7 +275,7 @@ def cmd_alg(args, run: Runner) -> None:
                 break
         if not ok:
             break
-    run.add("associativity", ok, detail=witness, window=window)
+    run.add("associativity", ok, witness, window=window)
     one = A.one()
     ok = all(one * A.monomial(d) == A.monomial(d) == A.monomial(d) * one for d in degs)
     run.add("unit", ok, window=window)
@@ -373,7 +371,7 @@ def cmd_eala(args, run: Runner) -> None:
     if args.check in ("all", "eala"):
         ea = verify_eala(E, window, iara=ia, seed=args.seed)
         run.merge(ea)
-        run.add("tame", ea["EA5"].ok, detail=ea["EA5"].witness, window=window)
+        run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=window)
         run.add("nullity", True, detail=str(nullity_of(E, window)))
         cv = classify_variant(E, window, iara=ia, eala=ea)
         for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):
@@ -408,7 +406,8 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", default="A")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("--tier", type=int, default=1)
-    q.add_argument("--window", type=int, default=3, help="build only; check is exact")
+    q.add_argument("--window", type=int, default=3,
+                   help="build only: scopes structure:max_string_len alone")
     q.add_argument("--in", dest="infile")
     q.add_argument("--out-ars", dest="out_ars")
 

@@ -45,9 +45,6 @@ class LatticeSubset:
     def finite(cls, n: int, points) -> "LatticeSubset":
         return cls(n, gens=(), cosets=tuple(tuple(p) for p in points))
 
-    def is_empty(self) -> bool:
-        return not self.cosets
-
     def __contains__(self, v) -> bool:
         v = tuple(v)
         if len(v) != self.n:

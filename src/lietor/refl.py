@@ -1,11 +1,12 @@
 """Pre-reflection and reflection systems, extension data, affine reflection
 systems and the affine root systems with their twisted labels.
 
-Finite data is checked exhaustively.  Extension data, and whether an
-affine reflection system is reduced, are decided exactly by coset arithmetic
-on the Lambda_xi (see lattices.LatticeSubset).  The reflection axioms and
-root strings of an affine reflection system are checked on a box window and
-the verdict records the window.
+Finite data is checked exhaustively.  Extension data, and the reflection
+axioms ReS0-ReS4 and reducedness of an affine reflection system, are decided
+exactly by coset arithmetic on the Lambda_xi (see lattices.LatticeSubset):
+the axioms of R are those of the finite S plus ED1's coset containment.  Only
+the root strings of an affine reflection system are read on a box window,
+and that verdict records the window.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .rootsys import (
     indivisible_part,
     length_partition,
     normalized,
-    reflect,
     vec_scale,
 )
 from .scalars import QQ, frac_to_str as fs
@@ -61,16 +61,7 @@ class PreReflectionSystem:
         return [a for a in sorted(self.roots) if not any(self.coroots[a])]
 
 
-def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
-    """ReS0 through ReS4, each reported separately with a witness on failure."""
-    m = IntegerRoots(prs.roots, prs.coroots)
-    # X is the span of R; the ambient coordinates are only a carrier, so the
-    # spanning half of ReS0 holds by construction and we record the rank.
-    note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
-    return _reflection_axioms(m, prs.dim, m.cor.get, _res3(m), note0=note0)
-
-
-def _res3(m: IntegerRoots, note=None) -> CheckResult:
+def _res3(m: IntegerRoots) -> CheckResult:
     """ReS3 on the real roots of m, witnessed by the first failing pair of
     collinear roots in sorted order.  For b = c a, s_b == s_a iff
     b_check = a_check / c, that is iff a0 a_check = b0 b_check for the
@@ -85,24 +76,25 @@ def _res3(m: IntegerRoots, note=None) -> CheckResult:
     if bad:
         a, b = bad
         witness = f"s_({fs(Fraction(_lead(b), _lead(a)))})*{fs(m.orig[a])} != s_{fs(m.orig[a])}"
-    return CheckResult("ReS3", bad is None, witness, note=note)
+    return CheckResult("ReS3", bad is None, witness)
 
 
 def _lead(a):
     return next(x for x in a if x)
 
 
-def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
-                       window=None, note0=None) -> AxiomReport:
-    """ReS0, ReS1, ReS2 and ReS4 on the roots of m, with res3 in its place.
+def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
+    """ReS0 through ReS4, each reported separately with a witness on failure.
 
-    coroot_of(v) is the coroot (in the coordinates of m) of a vector v if v is
-    a root of the whole system, else None; m may hold only a window of it.
     ReS2 and ReS4 loop over real a: an imaginary reflection is the identity.
     A reflected image with a fractional coordinate (None) is no root.
     """
+    m = IntegerRoots(prs.roots, prs.coroots)
     rep = AxiomReport()
-    ok0, witness0 = coroot_of((0,) * dim) is not None, None
+    # X is the span of R; the ambient coordinates are only a carrier, so the
+    # spanning half of ReS0 holds by construction and we record the rank.
+    note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
+    ok0, witness0 = (0,) * prs.dim in m.roots, None
     if not ok0:
         witness0 = "0 missing from R"
     else:
@@ -111,7 +103,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
                 ok0 = False
                 witness0 = f"s_alpha^2 != id at alpha={fs(m.orig[a])}"
                 break
-    rep.add("ReS0", ok0, witness0, window=window, note=note0)
+    rep.add("ReS0", ok0, witness0, note=note0)
 
     ok1, witness1 = True, None
     for a in m.real:
@@ -121,7 +113,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
         if m.reflect(a, a) != tuple(-x for x in a):
             ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.orig[a])}"
             break
-    rep.add("ReS1", ok1, witness1, window=window)
+    rep.add("ReS1", ok1, witness1)
 
     real = sorted(m.real)
     real_then_imag = real + sorted(m.imag)
@@ -129,23 +121,21 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
     for a in real:
         for b in real_then_imag:
             img = m.reflect(a, b)
-            cor = None if img is None else coroot_of(img)
-            if cor is None or any(cor) != (b in m.real):
+            if img not in m.roots or (img in m.real) != (b in m.real):
                 part = "real" if b in m.real else "imaginary"
                 ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[b])}) leaves the {part} part"
                 break
         if not ok2:
             break
-    rep.add("ReS2", ok2, witness2, window=window)
-    rep.checks.append(res3)
+    rep.add("ReS2", ok2, witness2)
+    rep.append(_res3(m))
 
     ok4, witness4 = True, None
     roots = sorted(m.roots)
     for a in real:
         cor_a = m.cor[a]
         for b in roots:
-            img = m.reflect(a, b)
-            cor_img = None if img is None else coroot_of(img)
+            cor_img = m.cor.get(m.reflect(a, b))
             if cor_img is None:
                 continue  # already a ReS2 failure
             cor_b = m.cor[b]
@@ -159,7 +149,7 @@ def _reflection_axioms(m: IntegerRoots, dim: int, coroot_of, res3: CheckResult,
                 break
         if not ok4:
             break
-    rep.add("ReS4", ok4, witness4, window=window)
+    rep.add("ReS4", ok4, witness4)
     return rep
 
 
@@ -249,8 +239,8 @@ def untwisted_datum(S: RootSystem, z_rank: int) -> ExtensionDatum:
     )
 
 
-def _integral_pairings(S: RootSystem) -> dict:
-    """{(alpha, beta): <beta, alpha_check>} over the roots of S, as ints.
+def _integral_roots(S: RootSystem) -> IntegerRoots:
+    """The IntegerRoots of S.
 
     Raises a ValueError naming the failing axiom or pair unless S passes
     ReS0-ReS4 and every pairing is an integer: an extension datum moves
@@ -260,13 +250,25 @@ def _integral_pairings(S: RootSystem) -> dict:
     if bad:
         raise ValueError(f"S is not a reflection system: {bad[0].name} fails ({bad[0].witness})")
     m = IntegerRoots(S.roots, S.coroots)
-    pair = {(a, b): m.pairing(b, a) for a in m.roots for b in m.roots}
-    frac = min((ab for ab, k in pair.items() if type(k) is not int), default=None)
+    frac = min(((a, b) for a in m.roots for b in m.roots if type(m.pairing(b, a)) is not int),
+               default=None)
     if frac:
         a, b = frac
         raise ValueError(f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
-                         f"= {fs(pair[frac])}")
-    return {(m.orig[a], m.orig[b]): k for (a, b), k in pair.items()}
+                         f"= {fs(m.pairing(b, a))}")
+    return m
+
+
+def _ed1_sums(m: IntegerRoots, lam):
+    """The sums of ED1 as _first_escape takes them: ((xi, eta), Lambda_eta,
+    Lambda_xi, -<eta, xi_check>, Lambda_(s_xi eta)) for real xi and every eta
+    of m in sorted order, the last None when s_xi(eta) is no root of m."""
+    fam = {a: lam(x) for a, x in m.orig.items()}
+    roots = sorted(m.roots)
+    for a in sorted(m.real):
+        for b in roots:
+            yield ((m.orig[a], m.orig[b]), fam[b], fam[a], -m.pairing(b, a),
+                   fam.get(m.reflect(a, b)))
 
 
 def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
@@ -274,18 +276,14 @@ def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
     coset arithmetic on the Lambda_xi.  S must be a reflection system with
     integral pairings, else a ValueError names the failing axiom or pair."""
     rep = AxiomReport()
-    pairings = _integral_pairings(ed.S)
-    S = ed.S
-    roots = S.sorted_roots()
+    m = _integral_roots(ed.S)
+    roots = ed.S.sorted_roots()
     n = ed.z_rank
     real = [a for a in roots if any(a)]
     s_prime = [a for a in sorted(ed.S_prime) if any(a)]
 
     # ED1: Lambda_eta - <eta, xi_check> Lambda_xi lies in Lambda_(s_xi eta).
-    witness = _first_escape(
-        (f"ED1 fails at xi={fs(xi)}, eta={fs(eta)}",
-         ed.lam(eta), ed.lam(xi), -pairings[xi, eta], ed.lam(reflect(S, xi, eta)))
-        for xi in real for eta in roots)
+    witness = _first_escape("ED1 fails at xi={}, eta={}", _ed1_sums(m, ed.lam))
     rep.add("ED1", witness is None, witness)
 
     zero_vec = (0,) * n
@@ -306,25 +304,18 @@ def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
             break
     rep.add("negation", ok, witness)
 
-    witness = _first_escape(
-        (f"2L-L not in L at xi={fs(xi)}", ed.lam(xi).scale(2), ed.lam(xi), -1, ed.lam(xi))
-        for xi in real)
+    witness = _first_escape("2L-L not in L at xi={}", (
+        ((xi,), ed.lam(xi).scale(2), ed.lam(xi), -1, ed.lam(xi)) for xi in real))
     rep.add("reflection-subspace", witness is None, witness)
 
-    ok, witness = True, None
-    for xi_p in s_prime:
-        for eta in roots:
-            if ed.lam(reflect(S, xi_p, eta)) != ed.lam(eta):
-                ok, witness = False, f"W_S'-invariance fails at xi'={fs(xi_p)}, eta={fs(eta)}"
-                break
-        if not ok:
-            break
-    rep.add("WS'-invariance", ok, witness)
+    bad = next((where for where, lam_eta, _, _, lam_img in _ed1_sums(m, ed.lam)
+                if lam_img != lam_eta and where[0] in ed.S_prime), None)
+    rep.add("WS'-invariance", bad is None,
+            None if bad is None else f"W_S'-invariance fails at xi'={fs(bad[0])}, eta={fs(bad[1])}")
 
-    witness = _first_escape(
-        (f"Lambda_eta - <eta,xi'>Lambda_xi' not in Lambda_eta at eta={fs(eta)}, xi'={fs(xi_p)}",
-         ed.lam(eta), ed.lam(xi_p), -pairings[xi_p, eta], ed.lam(eta))
-        for xi_p in s_prime for eta in roots)
+    witness = _first_escape("Lambda_eta - <eta,xi'>Lambda_xi' not in Lambda_eta at eta={}, xi'={}", (
+        (where[::-1], lam_eta, lam_xi, f, lam_eta)
+        for where, lam_eta, lam_xi, f, _ in _ed1_sums(m, ed.lam) if where[0] in ed.S_prime))
     rep.add("S'-shift", witness is None, witness)
 
     ok, witness = True, None
@@ -338,14 +329,28 @@ def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
     return rep
 
 
-def _first_escape(sums):
-    """Witness of the first (label, A, B, f, T) in sums with A + f B not
-    inside T: the label and a point of A + f B outside T.  None if every
-    sum lies inside its T."""
-    for label, A, B, f, T in sums:
-        p = A.add(B.scale(f)).point_outside(T)
+def _first_escape(label: str, sums):
+    """Witness of the first (where, A, B, f, T) in sums with A + f B not
+    inside T: label, formatted with the roots in where, and a point of
+    A + f B outside T.  None if every sum lies inside its T.
+
+    Each distinct (A, B, f, T) is decided once.  A rational f = p/q is
+    decided as q A + p B inside q T, so a point of A + f B off Z^n escapes.
+    """
+    inside = set()
+    for where, A, B, f, T in sums:
+        key = (A, B, f, T)
+        if key in inside:
+            continue
+        f = Fraction(f)
+        q = f.denominator
+        if q > 1:
+            A, T = A.scale(q), T.scale(q)
+        p = A.add(B.scale(f.numerator)).point_outside(T)
         if p is not None:
-            return f"{label}: {p} escapes"
+            p = fs(tuple(Fraction(x, q) for x in p)) if q > 1 else p
+            return f"{label.format(*map(fs, where))}: {p} escapes"
+        inside.add(key)
     return None
 
 
@@ -358,7 +363,7 @@ def _type_specific_checks(ed, rep: AxiomReport):
     lam_sh = ed.lam(sorted(sh)[0])
 
     def sum_check(name, A, B, target, factor=1):
-        witness = _first_escape([(f"{name} fails", A, B, factor, target)])
+        witness = _first_escape(f"{name} fails", [((), A, B, factor, target)])
         rep.add(name, witness is None, witness)
 
     if lg:
@@ -425,9 +430,6 @@ class AffineReflectionSystem:
                 coroots[alpha] = (ZERO,) * self.dim
         return PreReflectionSystem(self.dim, roots, coroots)
 
-    def fiber_window(self, xi, window: int):
-        return self.datum.lam(xi).window_elements(window)
-
     def imaginary_lattice(self) -> LatticeSubset:
         return self.datum.lam((ZERO,) * self.y_dim)
 
@@ -449,32 +451,32 @@ def build_extension(S: RootSystem, S_prime, ed: ExtensionDatum,
     return AffineReflectionSystem(S, S_prime, ed)
 
 
-def validate_ars_axioms(ars: AffineReflectionSystem, window: int = 4) -> AxiomReport:
-    """ReS0-ReS4 for an affine reflection system, on the roots in the window.
+def validate_ars_axioms(ars: AffineReflectionSystem) -> AxiomReport:
+    """ReS0-ReS4 for an affine reflection system R, decided exactly.
 
-    Reflected images are tested for membership in the full system, so a
-    reflection leaving the window is not a spurious failure.
+    The coroot of xi + lambda is (xi_check, 0), so s_(xi+lambda)(eta+mu) =
+    s_xi(eta) + (mu - <eta, xi_check> lambda).  So ReS0, ReS1, ReS3 and ReS4
+    of R are those of S, ReS0 also asking for 0 in Lambda_0, and ReS2 adds
+    ED1's containment to ReS2 of S.
     """
-    prs = ars.to_prs(window)
-    m = IntegerRoots(prs.roots, prs.coroots)
-    zero_cor = (ZERO,) * ars.dim
-
-    def coroot_of(v):
-        got = m.cor.get(v)
-        if got is not None:
-            return got
-        x = tuple(Fraction(c) / m.root_scale for c in v)
-        if not ars.contains(x):
-            return None
-        xi = x[:ars.y_dim]
-        cor = ars.coroot(xi) if any(xi) else zero_cor
-        return tuple(c * m.coroot_scale for c in cor)
-
+    S = ars.S
+    finite = validate_axioms(PreReflectionSystem.from_root_system(S))
+    rep = AxiomReport()
+    witness = finite["ReS0"].witness
+    if witness is None and (0,) * ars.z_rank not in ars.imaginary_lattice():
+        witness = "0 not in Lambda_0"
+    rep.add("ReS0", witness is None, witness)
+    rep.append(finite["ReS1"])
+    witness = finite["ReS2"].witness or _first_escape(
+        "s_xi(eta + Lambda_eta) leaves R at xi={}, eta={}",
+        _ed1_sums(IntegerRoots(S.roots, S.coroots), ars.datum.lam))
+    rep.add("ReS2", witness is None, witness)
     # For c(xi + lam) both real, s uses ((c xi)_check, c lam); equality of the
     # two reflections reduces to ReS3 of the quotient system S.
-    res3 = _res3(IntegerRoots(ars.S.roots, ars.S.coroots),
-                 note="reduces to ReS3 of the quotient root system")
-    return _reflection_axioms(m, ars.dim, coroot_of, res3, window=window)
+    rep.add("ReS3", finite["ReS3"].ok, finite["ReS3"].witness,
+            note="reduces to ReS3 of the quotient root system")
+    rep.append(finite["ReS4"])
+    return rep
 
 
 def quotient_by_affine_form(prs: PreReflectionSystem, form):

@@ -386,17 +386,41 @@ def _checks(tmp_path, argv):
     return {c["name"]: c for c in json.loads(out.read_text())["checks"]}
 
 
-def test_ars_build_exact_structure_has_no_window(tmp_path):
-    # ars_structure decides all but the string lengths from the cosets
+def test_ars_build_exact_structure_has_no_window(tmp_path, capsys):
+    # ReS0-ReS4 and ars_structure are decided from S and the cosets, all but
+    # the string lengths
     checks = _checks(tmp_path, ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2",
                                 "--window", "2"])
-    exact = [f"structure:{k}" for k in ("nullity", "symmetric", "unbroken", "tame")]
+    exact = [f"ReS{i}" for i in range(5)]
+    exact += [f"structure:{k}" for k in ("nullity", "symmetric", "unbroken", "tame")]
     exact += [name for name in checks if name.startswith("class:")]
-    assert len(exact) == 8
+    assert len(exact) == 13
     for name in exact:
         assert checks[name]["status"] == "pass" and "window" not in checks[name]
-    for name in ("structure:max_string_len", "ReS0", "ReS1", "ReS2", "ReS4"):
-        assert checks[name]["status"] == "windowed-pass" and checks[name]["window"] == 2
+    windowed = [name for name, c in checks.items() if "window" in c]
+    assert windowed == ["structure:max_string_len"]
+    assert checks["structure:max_string_len"]["status"] == "windowed-pass"
+    assert checks["structure:max_string_len"]["window"] == 2
+    # the labels print once, as their check
+    labels = [x for x in capsys.readouterr().out.splitlines() if x.startswith("labels")]
+    assert labels == ["labels: pass  (B_2^(2) D_3^(2))"]
+
+
+def test_alg_associativity_failure_has_a_witness(tmp_path, monkeypatch):
+    # a factor 2 on t^1 t^mu for mu != 0 is no 2-cocycle:
+    # (t t) t^-1 = 4 t, t (t t^-1) = 2 t
+    from fractions import Fraction
+
+    from lietor.graded import GradedAssocAlgebra
+
+    monkeypatch.setattr(GradedAssocAlgebra, "tau",
+                        lambda self, lam, mu: Fraction(2 if lam == (1,) and any(mu) else 1))
+    out = tmp_path / "report.json"
+    assert main(["alg", "--coord", "laurent", "--window", "1", "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assoc = checks["associativity"]
+    assert assoc["status"] == "fail" and assoc["witness"].startswith("associativity fails at")
+    assert "detail" not in assoc
 
 
 def test_sl_rg1_and_rg2_have_no_window(tmp_path):

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
@@ -24,6 +26,7 @@ from lietor.refl import (
     validate_extension_datum,
 )
 from lietor.rootsys import (
+    RootSpace,
     RootSystem,
     build_classical,
     build_exceptional,
@@ -40,6 +43,9 @@ from lietor.rootsys import (
 )
 from lietor.report import AxiomReport
 from lietor.scalars import QQ
+from lietor.serialize import datum_from_json
+
+DATA = Path(__file__).parent / "data"
 
 
 def F(*args):
@@ -162,7 +168,7 @@ def test_build_extension_passes_axioms():
     for fam, rk, tier in [("A", 2, 1), ("B", 2, 2), ("BC", 1, 1), ("BC", 2, 1)]:
         S = build_classical(fam, rk)
         ars, _, _ = build_affine_rs(S, tier)
-        rep = validate_ars_axioms(ars, window=2)
+        rep = validate_ars_axioms(ars)
         assert rep.ok, (fam, rep.failures()[0].name, rep.failures()[0].witness)
 
 
@@ -685,10 +691,6 @@ def _zero_coroot_on_real(ars):
     return any(any(a) and not any(ars.S.coroots[a]) for a in ars.S.roots)
 
 
-def _check_key(rep):
-    return [(c.name, c.status, c.window, c.note, c.witness is not None) for c in rep.checks]
-
-
 # (family, rank, tier, windows of the unperturbed system, windows of the
 # perturbations); the larger systems stay at small windows, and F4 is only
 # checked unperturbed, to keep this quick.
@@ -708,6 +710,32 @@ ARS_CASES = [
 ]
 
 
+def _assert_exact_matches_reference(kind, ars, window, reach=None):
+    """validate_ars_axioms against the windowed reference: the same ok for
+    every check, except where the exact verdict fails on a failure outside
+    the window, which the reference then sees on the window reach."""
+    got, want = validate_ars_axioms(ars), _ars_reference(ars, window)
+    assert [c.name for c in got.checks] == [c.name for c in want.checks]
+    for c in got.checks:
+        assert c.window is None and (c.witness is not None) == (not c.ok), (kind, c.name)
+    if _zero_coroot_on_real(ars):
+        # A nonzero xi with zero coroot: its reflection is the identity, so
+        # its roots are imaginary, as in validate_axioms and the finite
+        # reference; the reference calls them real by their S-part.  ReS0
+        # and ReS1 follow the finite reference; s_(-xi) sends xi to the real
+        # root -xi, failing ReS2.
+        finite = _reference(ars.to_prs(window))[0]
+        assert [got[k].ok for k in ("ReS0", "ReS1")] == [finite["ReS0"], finite["ReS1"]]
+        assert not got["ReS2"].ok and want["ReS2"].ok
+        assert [got[k].ok for k in ("ReS3", "ReS4")] == [want[k].ok for k in ("ReS3", "ReS4")]
+        return got
+    for c in got.checks:
+        if c.ok != want[c.name].ok:
+            assert not c.ok and reach is not None, (kind, window, c.name)
+            assert not _ars_reference(ars, reach)[c.name].ok, (kind, reach, c.name)
+    return got
+
+
 @pytest.mark.parametrize("fam,rk,tier,windows,pert_windows", ARS_CASES,
                          ids=[f"{c[0]}{c[1] or ''}-t{c[2]}" for c in ARS_CASES])
 def test_ars_axioms_match_fraction_reference(fam, rk, tier, windows, pert_windows):
@@ -722,26 +750,51 @@ def test_ars_axioms_match_fraction_reference(fam, rk, tier, windows, pert_window
     cases += [(kind, p, w) for kind, p in _ars_perturbed(ars, rng) for w in pert_windows]
     failed = set()
     for kind, v, w in cases:
-        got, want = validate_ars_axioms(v, w), _ars_reference(v, w)
-        for c in got.checks:
-            assert (c.witness is not None) == (not c.ok), (kind, w, c.name)
-            if not c.ok:
-                failed.add(c.name)
-        if not _zero_coroot_on_real(v):
-            assert _check_key(got) == _check_key(want), (kind, w)
-            continue
-        # A nonzero xi with zero coroot: its reflection is the identity, so
-        # its roots are imaginary, as in validate_axioms and the finite
-        # reference; the old body called them real by their S-part.  ReS0
-        # and ReS1 do not depend on the window and follow the finite
-        # reference; s_(-xi) sends xi to the real root -xi, failing ReS2.
-        finite = _reference(v.to_prs(w))[0]
-        assert [got[k].ok for k in ("ReS0", "ReS1")] == [finite["ReS0"], finite["ReS1"]]
-        assert not got["ReS2"].ok and want["ReS2"].ok
-        assert [(got[k].ok, got[k].window) for k in ("ReS3", "ReS4")] == \
-            [(want[k].ok, want[k].window) for k in ("ReS3", "ReS4")], (kind, w)
+        got = _assert_exact_matches_reference(kind, v, w)
+        failed |= {c.name for c in got.failures()}
     if pert_windows:
         assert {"ReS0", "ReS1", "ReS2", "ReS4"} <= failed
+
+
+def test_exact_ars_res2_fails_outside_every_small_window():
+    # Lambda_(+-alpha) = {0, 10, 13} + 23Z over A1: s_(alpha + 10)(alpha)
+    # = -alpha - 20 and -20 = 3 mod 23 is not in Lambda_(-alpha).  Up to
+    # window 9 only 0 of Lambda_alpha is in the window, so the reference
+    # passes; window 10 holds 10 and sees the failure.
+    ed = datum_from_json(json.loads((DATA / "ed_outside_window.json").read_text()))
+    ars = AffineReflectionSystem(ed.S, ed.S_prime, ed)
+    for w in (1, 2, 3, 4):
+        assert _ars_reference(ars, w).ok
+        got = _assert_exact_matches_reference("ed_outside_window", ars, w, reach=10)
+    assert [c.name for c in got.failures()] == ["ReS2"]
+    assert "(3,) escapes" in got["ReS2"].witness
+
+
+def test_exact_ars_res0_needs_zero_in_lambda0():
+    # Lambda_0 = 1 + 2Z: every axiom of S holds, but 0 is not a root of R
+    ars = build_affine_rs(build_classical("A", 1), 1)[0]
+    odd = LatticeSubset(1, gens=[[2]], cosets=((1,),))
+    got = validate_ars_axioms(_with_lambda(ars, (F(0), F(0)), odd))
+    assert not got["ReS0"].ok and got["ReS0"].witness == "0 not in Lambda_0"
+
+
+def test_exact_ars_res2_fractional_image():
+    # B2 with long roots 3(+-e1 +-e2), a reflection system with
+    # <e1, (3, 3)_check> = 1/3.  Over Lambda = Z, s_(3,3)+l sends e1 to a
+    # point with Z-part -l/3, which leaves R; with Lambda_long = 3Z every
+    # image is integral and R is closed.
+    one, zero = F(1), F(0)
+    roots = {(zero, zero), (one, zero), (-one, zero), (zero, one), (zero, -one)}
+    long = {(3 * s * one, 3 * t * one) for s in (1, -1) for t in (1, -1)}
+    S = RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots | long)
+    ed = untwisted_datum(S, 1)
+    ars = AffineReflectionSystem(S, ed.S_prime, ed)
+    got = _assert_exact_matches_reference("thirds", ars, 1)
+    assert [c.name for c in got.failures()] == ["ReS2"]
+    assert "/3" in got["ReS2"].witness and "escapes" in got["ReS2"].witness
+    for a in sorted(long):
+        ars = _with_lambda(ars, a, LatticeSubset.scaled_full(1, 3))
+    assert _assert_exact_matches_reference("thirds, 3Z", ars, 2).ok
 
 
 def _components_by_union_find(roots, coroots):

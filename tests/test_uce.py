@@ -377,7 +377,8 @@ def test_affine_matches_affine_rs():
     ars, mp, kac = build_affine_rs(build_classical("A", 2), 1)
     assert mp == "A_2^(1)"
     for root in ars.S.sorted_roots():
-        assert ars.fiber_window(root, window) == [(k,) for k in range(-window, window + 1)]
+        assert ars.datum.lam(root).window_elements(window) == \
+            [(k,) for k in range(-window, window + 1)]
     # and every nonzero root space of E in the window is 1-dimensional
     for root in ars.S.sorted_roots():
         if any(root):
