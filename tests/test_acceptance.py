@@ -147,24 +147,20 @@ def test_criterion_4_qtorus_centre():
 def test_criterion_5_hc1_laurent():
     t0 = time.time()
     A = GradedAssocAlgebra.laurent()
-    got = hc1_component(A, (0,), max_window=8)
-    assert got["dim"] == 1 and got["stable"] and got["window"] <= 6, got
+    got = hc1_component(A, (0,))
+    assert got == 1, got
     for m in (1, 2, 3, 4):
-        res = hc1_component(A, (m,), max_window=8)
-        assert res["dim"] == 0 and res["stable"], (m, res)
-        res = hc1_component(A, (-m,), max_window=8)
-        assert res["dim"] == 0 and res["stable"], (-m, res)
+        assert hc1_component(A, (m,)) == 0, m
+        assert hc1_component(A, (-m,)) == 0, -m
     elapsed = time.time() - t0
-    report(5, elapsed < 10.0,
-           f"dim HC1 deg 0 = 1 (window {got['window']}), nonzero degrees 0, {elapsed:.1f}s")
+    report(5, elapsed < 10.0, f"dim HC1 deg 0 = 1, nonzero degrees 0, {elapsed:.1f}s")
 
 
 def test_criterion_6_uce():
     t0 = time.time()
     A = GradedAssocAlgebra.laurent()
     U = build_uce_sl(3, A)
-    kernel_dim = hc1_component(A, (0,), max_window=5)
-    assert kernel_dim["dim"] == 1 and kernel_dim["stable"]
+    assert hc1_component(A, (0,)) == 1
     rep = steinberg_check(U, window=2)
     assert rep.ok, rep.failures()[0].name
     pool = U.homogeneous_pool(2)
@@ -174,7 +170,7 @@ def test_criterion_6_uce():
         assert U.jacobi_holds(u1, u2, u3, window=8)
     elapsed = time.time() - t0
     report(6, elapsed < 60.0,
-           f"kernel dim 1 (window 5), 1000 Jacobi triples, st1-st3, {elapsed:.1f}s")
+           f"kernel dim 1, 1000 Jacobi triples, st1-st3, {elapsed:.1f}s")
 
 
 def test_criterion_7_affine_equivalence():

@@ -174,12 +174,6 @@ def test_negative_window_cap_exit_2(monkeypatch):
     assert main(["sl", "--n", "3", "--coord", "laurent"]) == 2
 
 
-def test_hc1_below_two_windows_exit_2(capsys):
-    for max_window in ("0", "1", "2"):
-        assert main(["hc1", "--coord", "laurent", "--max-window", max_window]) == 2
-        assert "two windows" in capsys.readouterr().err
-
-
 def test_uce_rank_two_small_window_stabilises(tmp_path):
     coord = tmp_path / "lau2.json"
     coord.write_text('{"kind": "group", "n": 2}')
@@ -189,8 +183,8 @@ def test_uce_rank_two_small_window_stabilises(tmp_path):
                      "--jacobi", "20", "--out", str(rep)]) == 0
         checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
         hc = checks["projection-kernel-degree-0"]
-        assert hc["status"] == "windowed-pass" and hc["window"] == 3
-        assert hc["detail"] == "dim 2 (stable=True)"
+        assert hc["status"] == "pass" and "window" not in hc
+        assert hc["detail"] == "dim 2"
 
 
 def test_internal_error_exit_3(monkeypatch, capsys):

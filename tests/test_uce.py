@@ -15,10 +15,11 @@ from lietor.eala import build_E, default_iara_data
 from lietor.linalg import kernel, rank, rref
 from lietor.matlie import MatrixLieAlgebra, bracket as mat_bracket
 from lietor.scalars import QQ, cyclotomic_field
+from lietor.cli import main
 from lietor.uce import (
+    UceAlgebra,
     WedgeElement,
     WedgeWindow,
-    _hc1_dim_window,
     build_affine,
     build_multiloop,
     build_uce_sl,
@@ -140,6 +141,20 @@ def _dense(name):
     return _DenseWedgeWindow(_algebra(name), ALGEBRAS[name][1])
 
 
+def _hc1_dim_blocks(A, deg, window):
+    """The block count of HC_1 in one degree: the commutator kernel on the
+    keys of WedgeWindow's block less the rank of its relations."""
+    blk = WedgeWindow(A, window).block(deg)
+    if not blk.keys:
+        return 0
+    cols = []
+    for k in blk.keys:
+        img = WedgeElement(A, {k: A.field.one}).commutator_image()
+        cols.append([img.coefficient(deg, s) for s in range(A.bdim)])
+    m = [list(row) for row in zip(*cols)]
+    return len(kernel(m, A.field, len(blk.keys))) - len(blk.pivots)
+
+
 def _hc1_dim_reference(A, deg, window):
     """The relation-rank count of HC_1 in one degree: commutator kernel on the
     degree's keys minus the rank of every relation landing in that degree."""
@@ -216,27 +231,22 @@ def test_wedge_window_overflow(laurent):
 
 
 def test_hc1_laurent(laurent):
-    got = hc1_component(laurent, (0,), max_window=8)
-    assert got == {"dim": 1, "window": 3, "stable": True}
+    assert hc1_component(laurent, (0,)) == 1
     for m in (1, 2, 3, 4):
-        got = hc1_component(laurent, (m,), max_window=8)
-        assert got["dim"] == 0 and got["stable"], (m, got)
+        assert hc1_component(laurent, (m,)) == 0, m
 
 
 def test_hc1_rationals():
     A = GradedAssocAlgebra.group_algebra(0)
-    got = hc1_component(A, (), max_window=4)
-    assert got["dim"] == 0 and got["stable"]
+    assert hc1_component(A, ()) == 0
 
 
 def test_hc1_quantum_torus_windowed():
-    # windowed dimensions stabilize; outside the centre lattice they vanish,
-    # and degree 0 carries the two classes <t_i^-1, t_i>
+    # outside the centre lattice HC_1 vanishes, and degree 0 carries the two
+    # classes <t_i^-1, t_i>
     A = _zeta3_torus()
-    off = hc1_component(A, (1, 0), max_window=3)
-    assert off["stable"] and off["dim"] == 0
-    central = hc1_component(A, (0, 0), max_window=3)
-    assert central == {"dim": 2, "window": 3, "stable": True}
+    assert hc1_component(A, (1, 0)) == 0
+    assert hc1_component(A, (0, 0)) == 2
 
 
 def test_uce_bracket_constants(laurent):
@@ -595,10 +605,72 @@ def test_hc1_block_count_matches_relation_rank(name, windows, degrees):
     A = _algebra(name)
     for w in windows:
         for deg in degrees:
-            assert _hc1_dim_window(A, deg, w) == _hc1_dim_reference(A, deg, w), (w, deg)
+            assert _hc1_dim_blocks(A, deg, w) == _hc1_dim_reference(A, deg, w), (w, deg)
 
 
-def test_hc1_needs_two_windows(laurent):
-    for max_window in (0, 1, 2):
-        with pytest.raises(ValueError, match="two windows"):
-            hc1_component(laurent, (0,), max_window=max_window)
+HC1_PROBES = {
+    "laurent": (GradedAssocAlgebra.laurent, [(0,), (1,), (-2,), (3,)]),
+    "polynomial": (GradedAssocAlgebra.polynomial, [(0,), (1,), (-2,), (3,)]),
+    "Q": (lambda: GradedAssocAlgebra.group_algebra(0), [()]),
+    "Q[Z^2]": (lambda: GradedAssocAlgebra.group_algebra(2), None),
+    "Q[N^2]": (lambda: GradedAssocAlgebra.group_algebra(2, support="nonneg"), None),
+    "Q on {0} in Z^2": (lambda: GradedAssocAlgebra.group_algebra(2, support="zero"), None),
+    "zeta3-torus": (_zeta3_torus, None),
+    "q=2": (lambda: GradedAssocAlgebra.quantum_torus([[F(1), F(2)], [F(1, 2), F(1)]], QQ), None),
+    "q=-1": (lambda: GradedAssocAlgebra.quantum_torus([[F(1), F(-1)], [F(-1), F(1)]], QQ), None),
+}
+RANK_2_PROBE_DEGREES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (2, 2), (3, 0), (3, -3), (-1, 2)]
+
+
+@pytest.mark.parametrize("name", list(HC1_PROBES))
+def test_hc1_formula_matches_both_oracles(name):
+    # On these degrees the block count holds one value from window 2 through
+    # window 5, so the oracles are read at window 2 (rank 2) and 3 (rank <= 1).
+    make, degrees = HC1_PROBES[name]
+    A = make()
+    window = 2 if A.n == 2 else 3
+    for deg in degrees or RANK_2_PROBE_DEGREES:
+        got = hc1_component(A, deg)
+        assert isinstance(got, int)
+        assert got == _hc1_dim_blocks(A, deg, window) == _hc1_dim_reference(A, deg, window), deg
+
+
+@pytest.mark.parametrize("name, deg, window", [
+    # Two equal windows in a row stopped the windowed count at the wrong
+    # value on these: 0 at windows 2-3 for (7, 0) and (9, 0), and 2 at
+    # windows 3-4 for (5, 5).  Each window here is one from which the block
+    # count holds its value.
+    ("Q[Z^2]", (7, 0), 6),
+    ("Q[Z^2]", (5, 5), 5),
+    ("zeta3-torus", (9, 0), 7),
+])
+def test_hc1_where_the_window_count_stabilised_early(name, deg, window):
+    A = HC1_PROBES[name][0]()
+    assert hc1_component(A, deg) == _hc1_dim_blocks(A, deg, window) == 1
+
+
+def test_hc1_refuses_crossed_products_and_ignores_max_window(capsys):
+    with pytest.raises(ValueError, match="crossed"):
+        hc1_component(_algebra("swap-crossed"), (0,))
+    assert main(["hc1", "--coord", "laurent", "--max-window", "0"]) == 0
+    assert capsys.readouterr().out.startswith("hc1: pass  (dim 1)")
+
+
+def test_st3_brackets_every_pair_of_the_window(monkeypatch):
+    A = _algebra("Q[Z^2]")
+    U = build_uce_sl(3, A)
+    assert steinberg_check(U, window=2)["st3"].ok
+    # Neither coefficient is among the two first or two last monomials of
+    # the window.
+    a, b = A.monomial((0, 1)), A.monomial((1, -1))
+    plain = UceAlgebra.bracket
+
+    def bracket(self, u, v):
+        if u.m.entries == {(0, 1): a} and v.m.entries == {(0, 2): b}:
+            return self.from_wedge(wedge(a, b))
+        return plain(self, u, v)
+
+    monkeypatch.setattr(UceAlgebra, "bracket", bracket)
+    rep = steinberg_check(U, window=2)
+    assert rep["st2"].ok
+    assert not rep["st3"].ok and rep["st3"].witness == "st3 fails at (0,1,0,2)"
