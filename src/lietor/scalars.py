@@ -2,15 +2,17 @@
 
 Rational numbers are stdlib ``fractions.Fraction`` (already canonical:
 reduced, positive denominator).  Cyclotomic numbers live in the power basis
-of Q[x]/Phi_N(x) and are eagerly reduced, so equality is literal coefficient
-comparison.  Elements of different cyclotomic orders never mix implicitly;
-use :func:`embed` to move along Q -> Q(zeta_N) -> Q(zeta_M) for N | M.
+of Q[x]/Phi_N(x) as integer numerators over one common denominator, eagerly
+reduced and in lowest terms, so equality is literal comparison.  Elements of
+different cyclotomic orders never mix implicitly; use :func:`embed` to move
+along Q -> Q(zeta_N) -> Q(zeta_M) for N | M.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 
 def _poly_trim(c: list) -> list:
@@ -102,22 +104,25 @@ class CycloField:
         if order < 1:
             raise ValueError("order must be positive")
         self.order = order
-        self.degree = euler_phi(order)
+        self.degree = d = euler_phi(order)
         self.name = f"Q(zeta_{order})"
-        phi = [Fraction(c) for c in cyclotomic_polynomial(order)]
-        d = self.degree
-        # Row k holds zeta^(d+k) in the power basis; grown lazily by _red_row.
-        self._red = [tuple(-phi[i] / phi[d] for i in range(d))]
-        self.zero = Cyclo(self, (Fraction(0),) * d)
-        self.one = Cyclo(self, ((Fraction(1),) + (Fraction(0),) * (d - 1)))
+        # Row k holds zeta^(d+k) in the power basis; _reduce grows the table.
+        # Phi_N is monic, so the rows are integral.
+        self._red = [tuple(-c for c in cyclotomic_polynomial(order)[:d])]
+        self._pad = (0,) * (d - 1)
+        self.zero = Cyclo(self, (0,) * d)
+        self.one = Cyclo(self, (1,) + self._pad)
 
     def __call__(self, coeffs) -> "Cyclo":
         if isinstance(coeffs, (int, Fraction)):
-            coeffs = [Fraction(coeffs)] + [Fraction(0)] * (self.degree - 1)
-        coeffs = [Fraction(c) for c in coeffs]
+            return Cyclo(self, (coeffs.numerator,) + self._pad, coeffs.denominator)
+        coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError(f"need {self.degree} coefficients for {self.name}")
-        return Cyclo(self, tuple(coeffs))
+        # Over the lcm of the reduced denominators the numerators are coprime
+        # to it, so the result is in lowest terms.
+        den = lcm(*(c.denominator for c in coeffs))
+        return Cyclo(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def from_int(self, k: int) -> "Cyclo":
         return self(k)
@@ -125,31 +130,42 @@ class CycloField:
     def zeta(self, power: int = 1) -> "Cyclo":
         """zeta_N^power as a field element."""
         power %= self.order
-        conv = [Fraction(0)] * power + [Fraction(1)]
-        return Cyclo(self, self._reduce(conv))
-
-    def _red_row(self, k: int) -> tuple:
-        """zeta^(degree + k) in the power basis, extending the table as needed."""
-        d = self.degree
-        top = self._red[0]
-        while len(self._red) <= k:
-            cur = self._red[-1]
-            nxt = [Fraction(0)] + list(cur[:-1])
-            lead = cur[-1]
-            if lead:
-                nxt = [nxt[i] + lead * top[i] for i in range(d)]
-            self._red.append(tuple(nxt))
-        return self._red[k]
+        return Cyclo(self, self._reduce([0] * power + [1]))
 
     def _reduce(self, conv: list) -> tuple:
-        d = self.degree
-        out = list(conv[:d]) + [Fraction(0)] * max(0, d - len(conv))
-        for k in range(d, len(conv)):
+        """Integer coefficients of conv(zeta) in the power basis."""
+        d, n = self.degree, len(conv)
+        if n <= d:
+            return tuple(conv) + (0,) * (d - n)
+        red = self._red
+        while len(red) < n - d:
+            cur = red[-1]
+            red.append(tuple(cur[-1] * t + c for t, c in zip(red[0], (0,) + cur[:-1])))
+        out = conv[:d]
+        for k in range(d, n):
             c = conv[k]
             if c:
-                red = self._red_row(k - d)
-                out = [out[i] + c * red[i] for i in range(d)]
+                for i, r in enumerate(red[k - d]):
+                    out[i] += c * r
         return tuple(out)
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """Product of two integer power-basis vectors, reduced."""
+        conv = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        return self._reduce(conv)
+
+    def _conjugate(self, a: tuple, k: int) -> tuple:
+        """The Galois conjugate zeta -> zeta^k of an integer power-basis vector."""
+        n = self.order
+        conv = [0] * n
+        for i, ai in enumerate(a):
+            conv[i * k % n] += ai
+        return self._reduce(conv)
 
     def __repr__(self):
         return f"CycloField({self.order})"
@@ -166,78 +182,115 @@ def cyclotomic_field(order: int) -> CycloField:
     return CycloField(order)
 
 
+def _canonical(field: CycloField, num: tuple, den: int) -> "Cyclo":
+    """num / den (den > 0) in lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            return Cyclo(field, tuple(c // g for c in num), den // g)
+    return Cyclo(field, num, den)
+
+
+def _check_orders(a: CycloField, b: CycloField):
+    if a.order != b.order:
+        raise TypeError(
+            "mixed cyclotomic orders %d and %d; embed explicitly" % (a.order, b.order)
+        )
+
+
 class Cyclo:
-    """Element of Q(zeta_N), eagerly reduced modulo Phi_N."""
+    """Element of Q(zeta_N): integer numerators ``num`` in the power basis over
+    one denominator ``den`` > 0.  It is eagerly reduced modulo Phi_N and kept
+    in lowest terms, gcd(den, *num) == 1, so equality is literal comparison.
+    """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field: CycloField, coeffs: tuple):
+    def __init__(self, field: CycloField, num: tuple, den: int = 1):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as exact rationals: ``num`` itself when
+        den == 1 (an int has numerator and denominator), else Fractions."""
+        den = self.den
+        if den == 1:
+            return self.num
+        return tuple(Fraction(c, den) for c in self.num)
 
     def _lift(self, other):
         if isinstance(other, Cyclo):
-            if other.field.order != self.field.order:
-                raise TypeError(
-                    "mixed cyclotomic orders %d and %d; embed explicitly"
-                    % (self.field.order, other.field.order)
-                )
+            if other.field is not self.field:
+                _check_orders(self.field, other.field)
             return other
         if isinstance(other, (int, Fraction)):
             return self.field(other)
         return None
 
+    def _sum(self, other, sign: int):
+        """self + sign * other."""
+        field, a, da = self.field, self.num, self.den
+        if isinstance(other, Cyclo):
+            if other.field is not field:
+                _check_orders(field, other.field)
+            b, db = other.num, other.den
+            if da != db:
+                a, b, da = tuple(x * db for x in a), tuple(y * da for y in b), da * db
+            if sign > 0:
+                return _canonical(field, tuple(x + y for x, y in zip(a, b)), da)
+            return _canonical(field, tuple(x - y for x, y in zip(a, b)), da)
+        if isinstance(other, (int, Fraction)):
+            p, q = sign * other.numerator, other.denominator
+            if q == 1:
+                # Adding a multiple of den to one numerator keeps the gcd 1.
+                return Cyclo(field, (a[0] + p * da,) + a[1:], da)
+            return _canonical(field, (a[0] * q + p * da,) + tuple(x * q for x in a[1:]), da * q)
+        return NotImplemented
+
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.field, tuple(-a for a in self.coeffs))
+        return Cyclo(self.field, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return Cyclo(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        return Cyclo(self.field, self.field._reduce(conv))
+        field = self.field
+        if isinstance(other, Cyclo):
+            if other.field is not field:
+                _check_orders(field, other.field)
+            return _canonical(field, field._mul(self.num, other.num), self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return _canonical(field, tuple(c * p for c in self.num), self.den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero in " + self.field.name)
-        # Extended Euclid in Q[x] against Phi_N.
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.field.order)]
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            r1 = _frac_trim(r1)
-            if len(r1) == 1:
-                inv = [s / r1[0] for s in s1]
-                conv = inv + [Fraction(0)] * max(0, self.field.degree - len(inv))
-                return Cyclo(self.field, self.field._reduce(conv))
-            q, r = _frac_divmod(r0, r1)
-            s = _frac_sub(s0, _frac_mul(q, s1))
-            r0, s0, r1, s1 = r1, s1, r, s
+        # For the integral part a = num: a^-1 = (product of the other Galois
+        # conjugates of a) / N(a), with N(a) a nonzero integer.
+        field, a = self.field, self.num
+        n = field.order
+        cof = field.one.num
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                cof = field._mul(cof, field._conjugate(a, k))
+        norm = field._mul(cof, a)[0]
+        if norm < 0:
+            norm, cof = -norm, tuple(-c for c in cof)
+        return _canonical(field, tuple(c * self.den for c in cof), norm)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -247,6 +300,8 @@ class Cyclo:
 
     def __rtruediv__(self, other):
         o = self._lift(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, k: int):
@@ -262,24 +317,26 @@ class Cyclo:
         return out
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, Cyclo):
-            return self.field.order == other.field.order and self.coeffs == other.coeffs
+            return (self.num == other.num and self.den == other.den
+                    and self.field.order == other.field.order)
         if isinstance(other, (int, Fraction)):
-            return self.coeffs[0] == other and not any(self.coeffs[1:])
+            return (self.den == other.denominator and self.num[0] == other.numerator
+                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.coeffs[1:]):
-            return hash(self.coeffs[0])
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
         return hash(("lietor.Cyclo", self.field.order, self.coeffs))
 
     def rational_part(self) -> Fraction:
-        if any(self.coeffs[1:]):
+        if any(self.num[1:]):
             raise ValueError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         z = f"z{self.field.order}"
@@ -294,45 +351,6 @@ class Cyclo:
             else:
                 parts.append(f"{c}*{z}^{i}" if c != 1 else f"{z}^{i}")
         return " + ".join(parts) if parts else "0"
-
-
-def _frac_trim(c):
-    c = list(c)
-    while c and not c[-1]:
-        c.pop()
-    return c or [Fraction(0)]
-
-
-def _frac_divmod(num, den):
-    num = _frac_trim(num)
-    den = _frac_trim(den)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        c = num[-1] / den[-1]
-        q[shift] = c
-        for i, d in enumerate(den):
-            num[shift + i] -= c * d
-        num = _frac_trim(num)
-        if len(num) < len(den) or not any(num):
-            break
-    return q, num
-
-
-def _frac_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _frac_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
 
 
 def embed(x, target):
@@ -400,7 +418,10 @@ def scalar_to_json(x) -> dict:
 
 def scalar_from_json(data: dict):
     field = data["field"]
-    coeffs = [Fraction(int(n), int(d)) for n, d in data["coeffs"]]
+    pairs = [(int(n), int(d)) for n, d in data["coeffs"]]
+    if any(d == 0 for _, d in pairs):
+        raise ValueError("zero denominator in a scalar coefficient")
+    coeffs = [Fraction(n, d) for n, d in pairs]
     if field == "Q":
         if len(coeffs) != 1:
             raise ValueError("rational scalar needs exactly one coefficient pair")

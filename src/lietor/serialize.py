@@ -18,7 +18,11 @@ from .scalars import Cyclo, QQ, cyclotomic_field, frac_to_str
 
 
 def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
+    """A rational from "p" or "p/q"; a zero denominator is a ValueError."""
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 def scalar_to_str(x) -> str:
@@ -56,7 +60,7 @@ def scalar_from_str(s: str, field=None):
         from .scalars import scalar_from_json
 
         return scalar_from_json(json.loads(s))
-    val = Fraction(s)
+    val = frac_from_str(s)
     if field is not None and field is not QQ:
         return field(val)
     return val

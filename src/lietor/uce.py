@@ -379,13 +379,18 @@ def steinberg_check(U: UceAlgebra, window: int = 2) -> AxiomReport:
     degs = [d for d in box(A.n, window) if A.in_support(d)]
     mono = [AlgElement(A, {(tuple(d), s): A.field.one}) for d in degs for s in range(A.bdim)]
 
-    a0, b0 = mono[0], mono[-1]
-    lin = (U.x(0, 1, a0 + b0).m == (U.x(0, 1, a0) + U.x(0, 1, b0)).m)
-    rep.add("st1", lin)
-
     idx = range(U.n)
     # X_ij(a) for every monomial a of the window, built once per index pair.
     xs = {(i, j): [U.x(i, j, a) for a in mono] for i in idx for j in idx if i != j}
+
+    def st1_holds(p, q):
+        got, want = U.x(0, 1, mono[p] + mono[q]), xs[0, 1][p] + xs[0, 1][q]
+        return got.m == want.m and got.w == want.w
+
+    pairs = itertools.combinations_with_replacement(range(len(mono)), 2)
+    bad = next((pq for pq in pairs if not st1_holds(*pq)), None)
+    rep.add("st1", bad is None, None if bad is None else
+            "st1 fails at a = {!r}, b = {!r}".format(*(mono[p] for p in bad)), window=window)
 
     def st2_holds(i, j, l):
         for a, xa in zip(mono, xs[i, j]):

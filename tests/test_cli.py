@@ -203,6 +203,24 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: broken handler" in capsys.readouterr().err
 
 
+def test_zero_denominator_in_a_coordinate_algebra_exit_2(tmp_path, capsys):
+    coord = tmp_path / "bad.json"
+    coord.write_text(json.dumps({"kind": "qtorus", "n": 2, "q": [["1", "1/0"], ["1", "1"]]}))
+    assert main(["hc1", "--coord", str(coord), "--degree", "0,0"]) == 2
+    err = capsys.readouterr().err
+    assert "error: zero denominator in '1/0'" in err and "internal error" not in err
+
+
+def test_zero_denominator_in_a_datum_exit_2(tmp_path, capsys):
+    data = json.loads((Path(__file__).parent / "data" / "ed_outside_window.json").read_text())
+    data["S"]["space"]["form"][0][0] = "1/0"
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps(data))
+    assert main(["ars", "check", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error: zero denominator in '1/0'" in err and "internal error" not in err
+
+
 def test_eala_laurent_report(tmp_path):
     rep = tmp_path / "eala.json"
     assert main(["eala", "--coord", "laurent", "--window", "1", "--out", str(rep)]) == 0

@@ -671,3 +671,24 @@ def test_st3_brackets_every_pair_of_the_window(monkeypatch):
     rep = steinberg_check(U, window=2)
     assert rep["st2"].ok
     assert not rep["st3"].ok and rep["st3"].witness == "st3 fails at (0,1,0,2)"
+
+
+def test_st1_adds_every_pair_of_the_window(monkeypatch):
+    A = _algebra("Q[Z^2]")
+    U = build_uce_sl(3, A)
+    st1 = steinberg_check(U, window=2)["st1"]
+    assert st1.ok and st1.line() == "st1: windowed-pass (window 2)"
+    # Neither summand is among the first or last monomials of the window.
+    a, b = A.monomial((0, 1)), A.monomial((1, -1))
+    plain = UceAlgebra.x
+
+    def x(self, i, j, c):
+        if (i, j) == (0, 1) and c == a + b:
+            return plain(self, i, j, c + c)
+        return plain(self, i, j, c)
+
+    monkeypatch.setattr(UceAlgebra, "x", x)
+    rep = steinberg_check(U, window=2)
+    assert rep["st2"].ok and rep["st3"].ok
+    assert not rep["st1"].ok
+    assert rep["st1"].witness == "st1 fails at a = (1)t^(0, 1), b = (1)t^(1, -1)"
