@@ -34,13 +34,16 @@ def rref(m, field):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        if inv != field.one:
-            rows[r] = [x / inv for x in rows[r]]
+        piv = rows[r][c]
+        if piv != field.one:
+            # one inverse per pivot; zero entries stay as they are
+            inv = field.one / piv
+            rows[r] = [x * inv if x else x for x in rows[r]]
+        prow = rows[r]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], prow)]
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -31,10 +32,17 @@ BC_l (l >= 2)  1     BC_l^(2)  A_{2l}^(2)
 """
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run_cli(args):
+    # pytest's pythonpath setting does not reach a child process, so the
+    # checkout's src goes first on the child's PYTHONPATH.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "lietor.cli"] + args,
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

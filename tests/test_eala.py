@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
-from lietor.matlie import DirectSumSl, MatrixLieAlgebra
+from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
 from lietor.eala import (
     IaraData,
     build_E,
@@ -21,6 +21,7 @@ from lietor.eala import (
 )
 from lietor.report import sampled_check, sampled_triples
 from lietor.scalars import cyclotomic_field
+from lietor.uce import build_affine
 
 
 def F(*args):
@@ -420,3 +421,110 @@ def test_windowed_facts_enumerated_once_per_run(monkeypatch):
     core_and_tameness(E, 1)
     E.windowed_roots(1)
     assert (len(sigma_calls), len(root_calls)) == (2, 2)
+
+
+# sigma_D reference: lift each d_k entrywise and pair, one lift and one
+# form pair per d_k.  sigma_d_values pairs each degree part of l1 once for
+# all degree-0 d_k.
+
+def _sigma_lifted(data, l1, l2):
+    return [data.form.pair(lift_derivation(data.L, dk.apply)(l1), l2) for dk in data.D]
+
+
+def _mixed_pairs(L, window, count, seed):
+    """(l1, l2) with l1 a sum of basis elements of different degrees, or the
+    bracket of such a sum with a basis element, and l2 such a sum."""
+    from lietor.matlie import bracket as mb
+
+    basis = L.windowed_basis(window)
+    rng = random.Random(seed)
+    for _ in range(count):
+        l1 = sum(rng.sample(basis, 3), L.zero())
+        l2 = sum(rng.sample(basis, 3), L.zero())
+        yield l1, l2
+        yield mb(l1, rng.choice(basis)), l2
+
+
+def test_sigma_d_values_match_the_lifted_reference(qtorus_E):
+    E = qtorus_E
+    mixed = nonzero = 0
+    for l1, l2 in _mixed_pairs(E.L, 1, 40, 3):
+        got = sigma_d_values(E.data, l1, l2)
+        assert got == _sigma_lifted(E.data, l1, l2)
+        mixed += len({d for v in l1.entries.values() for d in v.degrees()}) > 1
+        nonzero += any(got)
+    assert mixed > 40 and nonzero
+
+
+def test_sigma_d_values_match_the_lifted_reference_off_degree_0():
+    # D holds a derivation of degree (1, 0), which keeps its lift
+    A = GradedAssocAlgebra.group_algebra(2)
+    L = MatrixLieAlgebra(3, A)
+    D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
+    data = default_iara_data(L, window=1, D=D)
+    basis = L.windowed_basis(1)
+    nonzero = 0
+    for l1 in basis:
+        for l2 in basis:
+            got = sigma_d_values(data, l1, l2)
+            assert got == _sigma_lifted(data, l1, l2)
+            nonzero += bool(got[2])
+    assert nonzero
+    for l1, l2 in _mixed_pairs(L, 1, 40, 4):
+        assert sigma_d_values(data, l1, l2) == _sigma_lifted(data, l1, l2)
+
+
+# T-action reference: [t, b] == (root + deg)(t) b by the full bracket, for
+# every t in the T basis and b in the root space's basis.
+
+def _q3_E(window):
+    F3 = cyclotomic_field(3)
+    z3 = F3.zeta()
+    q = [[F3.one, z3], [z3.inverse(), F3.one]]
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.quantum_torus(q, F3))
+    return build_E(default_iara_data(L, window=window), window=window)
+
+
+T_ACTION_INPUTS = {
+    "q3-3": (lambda: _q3_E(3), 3),
+    "affine-sl2-3": (lambda: build_affine(2, 3), 3),
+    "affine-sl3-3": (lambda: build_affine(3, 3), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(T_ACTION_INPUTS))
+def test_t_action_matches_the_bracket(name):
+    make_E, window = T_ACTION_INPUTS[name]
+    E = make_E()
+    tbasis = E.t_basis()
+    in_l = set()
+    for ro, deg in E.windowed_roots(window):
+        basis = E.root_space_basis(ro, deg)
+        assert all(E.bracket(t, b) == b.scale(E.root_value(ro, deg, t))
+                   for b in basis for t in tbasis)
+        assert E.acts_by_root(ro, deg)
+        for b in basis:
+            if any(b.c) or any(b.d):
+                continue
+            in_l.add(bool(any(ro)))
+            for t in tbasis:
+                br = E.bracket(t, b)
+                assert br.l == E._t_action_on_l(t, b.l)
+                assert not any(br.c) and not any(br.d)
+    # real root spaces and the L part of the zero root space
+    assert in_l == {True, False}
+
+
+def test_t_action_reads_the_lifts_on_real_root_spaces():
+    # with d_0 lifted as the identity, d_0 acts on L_(xi, lam) by 1, not by
+    # lam_0: acts_by_root fails off lam_0 = 1, as the full bracket does
+    E = _q3_E(1)
+    root = E.L.root_of(0, 1)
+    assert E.acts_by_root(root, (1, 0))
+    E._lifts[0] = lambda l: l
+    tbasis = E.t_basis()
+    for deg, ok in (((1, 0), True), ((1, -1), True), ((0, 0), False), ((-1, 1), False)):
+        assert E.acts_by_root(root, deg) is ok
+        b = E.root_space_basis(root, deg)[0]
+        assert all(E.bracket(t, b) == b.scale(E.root_value(root, deg, t))
+                   for t in tbasis) is ok

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hs
 
 from lietor.lattices import LatticeSubset, lattice_from_congruences
 from lietor.linalg import (
@@ -132,6 +133,62 @@ def test_linear_solver_matches_one_shot_rref(order):
                          for i in range(len(m))]
                 assert mat_mul(inverse(m, field), m, field) == ident
     assert inconsistent >= 5
+
+
+def _rref_dividing(m, field):
+    """Reference rref: divides every entry of a pivot row by the pivot."""
+    rows = [list(row) for row in m]
+    if not rows:
+        return rows, []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        if inv != field.one:
+            rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+@hs.composite
+def _matrices(draw):
+    """(field, m): QQ or Q(zeta_3), up to 5 x 6, sparse entries, and now and
+    then a last row that repeats a multiple of the first."""
+    field = draw(hs.sampled_from([QQ, cyclotomic_field(3)]))
+    small = hs.integers(-3, 3)
+    if field is QQ:
+        entry = hs.builds(F, small, hs.integers(1, 4))
+    else:
+        entry = hs.builds(lambda a, b, d: field([F(a, d), F(b, d)]), small, small,
+                          hs.integers(1, 3))
+    entry = hs.one_of(hs.just(field.zero), entry)
+    nr, nc = draw(hs.integers(1, 5)), draw(hs.integers(1, 6))
+    m = [draw(hs.lists(entry, min_size=nc, max_size=nc)) for _ in range(nr)]
+    if nr > 1 and draw(hs.booleans()):
+        k = draw(entry)
+        m[-1] = [k * x for x in m[0]]
+    return field, m
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_matrices())
+def test_rref_matches_the_dividing_reference(data):
+    # rref inverts each pivot once and multiplies; the reference divides
+    # entry by entry.  Exact arithmetic makes both the same matrix.
+    field, m = data
+    assert rref(m, field) == _rref_dividing(m, field)
 
 
 def test_hnf_and_membership():
