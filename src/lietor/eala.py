@@ -683,7 +683,7 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
 
         rad = kernel(gram, E.field, len(tbasis))[0]
         witness = f"radical vector of T in coordinates {rad} over the T basis"
-    rep.add("IA1", nondeg, witness, window=window)
+    rep.add("IA1", nondeg, witness)
     if not nondeg:
         return rep
 

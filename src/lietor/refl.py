@@ -11,8 +11,10 @@ and that verdict records the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, not_, sub
 
 from .lattices import LatticeSubset
 from .linalg import inverse, kernel, rank as mat_rank
@@ -93,7 +95,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     rep = AxiomReport()
     # X is the span of R; the ambient coordinates are only a carrier, so the
     # spanning half of ReS0 holds by construction and we record the rank.
-    note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
+    note0 = f"X = span(R), rank {mat_rank(m.root_gram(), QQ)} in ambient dim {prs.dim}"
     ok0, witness0 = (0,) * prs.dim in m.roots, None
     if not ok0:
         witness0 = "0 missing from R"
@@ -115,66 +117,76 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             break
     rep.add("ReS1", ok1, witness1)
 
-    real = sorted(m.real)
-    real_then_imag = real + sorted(m.imag)
-    ok2, witness2 = True, None
-    for a in real:
-        for b in real_then_imag:
-            img = m.reflect(a, b)
-            if img not in m.roots or (img in m.real) != (b in m.real):
-                part = "real" if b in m.real else "imaginary"
-                ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[b])}) leaves the {part} part"
-                break
-        if not ok2:
+    # ReS2 and ReS4 read one row per real a, with the positions of the images
+    # s_a(b).  ReS4 asks that the coroot of s_a(b) be b_check - <a, b_check>
+    # a_check; both, times den, are compared by their keys.  The first
+    # failing b is sought only on a failure.
+    nr, order = m.n_real, m.order
+    cokeys = [m.key(m.cor[b]) for b in order]
+    den_cokeys = [m.den * k for k in cokeys]
+    ok2 = ok4 = True
+    witness2 = witness4 = None
+    for i, a in enumerate(order[:nr]):
+        img = m.images(a, m.row(m.cor[a]))
+        if ok2 and not _keeps_parts(img, nr):
+            j = next(j for j, k in enumerate(img) if k is None or (k < nr) != (j < nr))
+            part = "real" if j < nr else "imaginary"
+            ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[order[j]])}) leaves the {part} part"
+        if ok4:
+            expect = list(map(sub, den_cokeys, map(cokeys[i].__mul__, m.corow(a))))
+            if None in img or list(map(den_cokeys.__getitem__, img)) != expect:
+                bad = [b for b, k, e in zip(order, img, expect)
+                       if k is not None and den_cokeys[k] != e]
+                if bad:
+                    ok4 = False
+                    witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.orig[a])}, b={fs(m.orig[min(bad)])}"
+        if not (ok2 or ok4):
             break
     rep.add("ReS2", ok2, witness2)
     rep.append(_res3(m))
-
-    ok4, witness4 = True, None
-    roots = sorted(m.roots)
-    for a in real:
-        cor_a = m.cor[a]
-        for b in roots:
-            cor_img = m.cor.get(m.reflect(a, b))
-            if cor_img is None:
-                continue  # already a ReS2 failure
-            cor_b = m.cor[b]
-            pba = m.pairing(a, b)
-            expect = cor_b if not pba else tuple(
-                cb - pba * ca for cb, ca in zip(cor_b, cor_a)
-            )
-            if cor_img != expect:
-                ok4 = False
-                witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.orig[a])}, b={fs(m.orig[b])}"
-                break
-        if not ok4:
-            break
     rep.add("ReS4", ok4, witness4)
     return rep
 
 
+def _keeps_parts(img, nr):
+    """Does each image position lie in the part of its root: the real part
+    (positions below nr) for the first nr roots, the imaginary part for the
+    rest?  None, no root, lies in neither."""
+    return (None not in img and max(img[:nr], default=-1) < nr
+            and min(img[nr:], default=nr) >= nr)
+
+
 def predicates(prs: PreReflectionSystem) -> dict:
-    """The six basic flags evaluated by direct quantification."""
+    """The six basic flags evaluated by direct quantification, the pairings
+    read one row per real root."""
     m = IntegerRoots(prs.roots, prs.coroots)
-    real = sorted(m.real)
+    nr, den = m.n_real, m.den
+    real = m.order[:nr]
     # Collinear real roots are +-each other.
     reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
                   for group in m.collinear_classes())
-    roots = real + sorted(m.imag)
-    pair = [[m.pairing(b, a) for b in roots] for a in real]  # <roots[j], real[i]_check>
-    integral = all(type(k) is int for row in pair for k in row)
-    coherent = all((pair[i][j] == 0) == (pair[j][i] == 0)
-                   for i in range(len(real)) for j in range(len(real)))
-    # Nondegenerate: no nonzero vector of span(R) killed by every coroot.
-    cors = [list(prs.coroots[m.orig[a]]) for a in real]
-    span_rows = [list(r) for r in prs.roots if any(r)]
-    ker = kernel(cors, QQ, prs.dim)
+    integral = coherent = True
+    for a in real:
+        row = m.row(m.cor[a])  # den <b, a_check>
+        integral = integral and (den == 1 or not any(map(den.__rmod__, row)))
+        # <b, a_check> = 0 iff <a, b_check> = 0, over the real b
+        coherent = coherent and (list(map(not_, row[:nr]))
+                                 == list(map(not_, m.corow(a)[:nr])))
+        if not (integral or coherent):
+            break
+    # Nondegenerate: no nonzero vector of span(R) killed by every coroot,
+    # that is rank [R; K] = rank R + dim K for K the kernel of the coroots.
+    # Each rank and kernel is read off a dim x dim Gram matrix X^T X.
+    ker = kernel(m.coroot_gram(), QQ, prs.dim)
+    gram = m.root_gram()
     nondegenerate = True
-    if ker and span_rows:
-        nondegenerate = (mat_rank(span_rows + ker, QQ)
-                         == mat_rank(span_rows, QQ) + mat_rank(ker, QQ))
-    symmetric = all(tuple(-x for x in a) in m.roots for a in m.roots)
-    tame = all(any(tuple(x - y for x, y in zip(d, a)) in m.real for a in real) for d in m.imag)
+    if ker and any(map(any, gram)):
+        both = [[x + sum(k[i] * k[j] for k in ker) for j, x in enumerate(row)]
+                for i, row in enumerate(gram)]
+        nondegenerate = mat_rank(both, QQ) == mat_rank(gram, QQ) + len(ker)
+    symmetric = all(-k in m.slot for k in m.keys)
+    real_keys = set(m.keys[:nr])
+    tame = all(any(kd - ka in real_keys for ka in m.keys[:nr]) for kd in m.keys[nr:])
     return {
         "reduced": reduced,
         "integral": integral,
@@ -186,29 +198,31 @@ def predicates(prs: PreReflectionSystem) -> dict:
 
 
 def check_form(prs: PreReflectionSystem, form) -> dict:
-    """Invariance flags of a symmetric bilinear form on the ambient space."""
-    space = RootSpace(prs.dim, tuple(tuple(Fraction(x) for x in row) for row in form))
-    basis = sorted(prs.roots)
-    pair = space.pair
+    """Invariance flags of a symmetric bilinear form on the ambient space.
+
+    The form is rescaled to an integer matrix F, and each root a gets the
+    row of F a: the integers c (b | a) over the roots b, for one c > 0.
+    Invariance asks 2 (b | a) = <b, a_check> (a | a) along the row of
+    a_check, and a lies in the radical when (a | b) = 0 for every root b.
+    """
     m = IntegerRoots(prs.roots, prs.coroots)
-    invariant = True
-    for ia in m.real:
-        a = m.orig[ia]
-        na = pair(a, a)
-        for ix, x in m.orig.items():
-            if 2 * pair(x, a) != m.pairing(ix, ia) * na:
-                invariant = False
-                break
-        if not invariant:
-            break
-    rad_cond = all(
-        all(pair(d, x) == 0 for x in basis) for d in prs.imaginary_roots()
-    )
-    strictly = invariant and rad_cond
-    in_rad = {
-        a for a in prs.roots if all(pair(a, x) == 0 for x in basis)
-    }
-    affine = invariant and in_rad == set(prs.imaginary_roots())
+    scale = math.lcm(*(Fraction(x).denominator for row in form for x in row))
+    f_int = [[int(Fraction(x) * scale) for x in row] for row in form]
+    f_left = [list(col) for col in zip(*f_int)]  # b . F^T a = (a | b)
+    symmetric = f_left == f_int
+    two_den = 2 * m.den
+    invariant, in_rad = True, set()
+    for i, a in enumerate(m.order):
+        # a is in root_scale coordinates: c = scale * root_scale^2
+        dots = m.row([sum(map(mul, row, a)) for row in f_int])
+        left = dots if symmetric else m.row([sum(map(mul, row, a)) for row in f_left])
+        if not any(left):
+            in_rad.add(a)
+        if invariant and i < m.n_real:
+            invariant = (list(map(two_den.__mul__, dots))
+                         == list(map(dots[i].__mul__, m.row(m.cor[a]))))
+    strictly = invariant and m.imag <= in_rad
+    affine = invariant and in_rad == m.imag
     return {"invariant": invariant, "strictly_invariant": strictly, "affine": affine}
 
 
@@ -250,12 +264,12 @@ def _integral_roots(S: RootSystem) -> IntegerRoots:
     if bad:
         raise ValueError(f"S is not a reflection system: {bad[0].name} fails ({bad[0].witness})")
     m = IntegerRoots(S.roots, S.coroots)
-    frac = min(((a, b) for a in m.roots for b in m.roots if type(m.pairing(b, a)) is not int),
-               default=None)
-    if frac:
-        a, b = frac
-        raise ValueError(f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
-                         f"= {fs(m.pairing(b, a))}")
+    for a in m.order[:m.n_real]:
+        frac = [b for b, d in zip(m.order, m.row(m.cor[a])) if d % m.den]
+        if frac:
+            b = min(frac)
+            raise ValueError(f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
+                             f"= {fs(m.pairing(b, a))}")
     return m
 
 
@@ -263,12 +277,16 @@ def _ed1_sums(m: IntegerRoots, lam):
     """The sums of ED1 as _first_escape takes them: ((xi, eta), Lambda_eta,
     Lambda_xi, -<eta, xi_check>, Lambda_(s_xi eta)) for real xi and every eta
     of m in sorted order, the last None when s_xi(eta) is no root of m."""
-    fam = {a: lam(x) for a, x in m.orig.items()}
-    roots = sorted(m.roots)
-    for a in sorted(m.real):
-        for b in roots:
-            yield ((m.orig[a], m.orig[b]), fam[b], fam[a], -m.pairing(b, a),
-                   fam.get(m.reflect(a, b)))
+    order = m.order
+    fam = [lam(m.orig[a]) for a in order]
+    by_root = sorted(range(len(order)), key=order.__getitem__)
+    for i, a in enumerate(order[:m.n_real]):
+        row = m.row(m.cor[a])
+        img = m.images(a, row)
+        for j in by_root:
+            k = img[j]
+            yield ((m.orig[a], m.orig[order[j]]), fam[j], fam[i], -m.exact(row[j]),
+                   None if k is None else fam[k])
 
 
 def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:

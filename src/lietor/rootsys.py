@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul, sub
+from operator import add, mul, neg, not_, or_, sub
 
 from .linalg import independent_rows, inverse, mat_mul, mat_vec, rref
 from .scalars import QQ
@@ -130,6 +130,10 @@ def reflect(rs: RootSystem, alpha, x):
     return vec_sub(tuple(x), vec_scale(c, alpha)) if c else tuple(x)
 
 
+# How far past each end of a string root_strings_exhaustive looks for a root.
+_STRING_PROBE = 3
+
+
 class IntegerRoots:
     """Roots and coroots rescaled to integer tuples, for the root-level checks.
 
@@ -138,27 +142,100 @@ class IntegerRoots:
     the product of the two, so <b, a_check> is an integer dot product
     divided by den.  Built per call from a root set and a coroot map, both
     with Fraction coordinates.
+
+    The checks read one row at a time: row(v) lists the integers b . v and
+    corow(v) the integers v . b_check for the roots b of `order` (the real
+    roots sorted, then the imaginary ones sorted), so row(cor[a]) is
+    den <b, a_check> and corow(a) is den <a, b_check>.  A vector v of the
+    box [-H, H]^dim is looked up by its key, key(v) = sum v_i B^i with
+    B = 2H + 1.  The key is linear, and injective on the box: two vectors
+    of the box differ by at most B - 1 = 2H in each coordinate, so equal
+    keys force equal coordinates, the lowest first.  With M and Mc the
+    largest root and coroot coordinates, K = max(M, Mc) and
+    |den <b, a_check>| <= dim M Mc, H is the larger of
+    (1 + _STRING_PROBE) M, which holds every b + k a that the string walk
+    looks up (|k| <= _STRING_PROBE), and den K + dim M Mc K, which holds
+    den s_a(b) = den b - den <b, a_check> a and den times the coroot
+    b_check - <a, b_check> a_check that ReS4 compares.
     """
 
     def __init__(self, roots, coroots):
+        roots = list(roots)
+        cors = [coroots[a] for a in roots]
         self.root_scale = dr = math.lcm(*(x.denominator for a in roots for x in a))
-        self.coroot_scale = dc = math.lcm(*(x.denominator for a in roots for x in coroots[a]))
-        self.den = dr * dc
+        self.coroot_scale = dc = math.lcm(*(x.denominator for c in cors for x in c))
+        self.den = den = dr * dc
         self.orig = {}  # scaled root -> root in the original coordinates
         self.cor = {}   # scaled root -> scaled coroot
-        for a in roots:
-            ia = tuple(int(x * dr) for x in a)
+        for a, c in zip(roots, cors):
+            ia = tuple(x.numerator * (dr // x.denominator) for x in a)
             self.orig[ia] = a
-            self.cor[ia] = tuple(int(x * dc) for x in coroots[a])
+            self.cor[ia] = tuple(x.numerator * (dc // x.denominator) for x in c)
         self.roots = set(self.orig)
         self.real = {a for a, c in self.cor.items() if any(c)}
         self.imag = self.roots - self.real
+        self.order = sorted(self.real) + sorted(self.imag)
+        self.n_real = len(self.real)
+        self.index = {a: i for i, a in enumerate(self.order)}
+        dim = len(self.order[0]) if self.order else 0
+        m = max((abs(x) for a in self.order for x in a), default=0)
+        mc = max((abs(x) for c in self.cor.values() for x in c), default=0)
+        k = max(m, mc)
+        h = max((1 + _STRING_PROBE) * m, den * k + dim * m * mc * k, 1)
+        self.base = 2 * h + 1
+        self._powers = [self.base ** i for i in range(dim)]
+        self.keys = [self.key(a) for a in self.order]
+        self.slot = {kb: i for i, kb in enumerate(self.keys)}  # key -> position
+        self._den_keys = [den * kb for kb in self.keys]
+        self._den_slot = {kb: i for i, kb in enumerate(self._den_keys)}
+        self._cols = list(zip(*self.order))
+        self._cocols = list(zip(*(self.cor[a] for a in self.order)))
+
+    def key(self, v):
+        """sum v_i B^i: linear, and injective on the box [-H, H]^dim."""
+        return sum(map(mul, v, self._powers))
+
+    def row(self, v):
+        """[b . v for b in order], one pass per nonzero coordinate of v."""
+        return self._combine(self._cols, v)
+
+    def corow(self, v):
+        """[v . b_check for b in order], one pass per nonzero coordinate of v."""
+        return self._combine(self._cocols, v)
+
+    def _combine(self, cols, v):
+        out = None
+        for c, col in zip(v, cols):
+            if c:
+                part = col if c == 1 else map(neg, col) if c == -1 else map(c.__mul__, col)
+                out = list(part) if out is None else list(map(add, out, part))
+        return out if out is not None else [0] * len(self.order)
+
+    def root_gram(self):
+        """R^T R for the matrix R whose rows are the roots: a dim x dim
+        integer matrix with the rank and the kernel of R."""
+        return [[sum(map(mul, ci, cj)) for cj in self._cols] for ci in self._cols]
+
+    def coroot_gram(self):
+        """C^T C for the matrix C whose rows are the coroots: a dim x dim
+        integer matrix with the rank and the kernel of C."""
+        return [[sum(map(mul, ci, cj)) for cj in self._cocols] for ci in self._cocols]
+
+    def images(self, a, row):
+        """[position of s_a(b) in order, or None for b in order], given
+        row = row(cor[a]): den s_a(b) has the key den key(b) - row_b key(a),
+        so a fractional image is no root on the same path."""
+        ka = self.key(a)
+        return list(map(self._den_slot.get, map(sub, self._den_keys, map(ka.__mul__, row))))
+
+    def exact(self, dot):
+        """dot / den: an int when exact, a Fraction otherwise."""
+        q, r = divmod(dot, self.den)
+        return Fraction(dot, self.den) if r else q
 
     def pairing(self, b, a):
         """<b, a_check>: an int when exact, a Fraction otherwise."""
-        dot = sum(map(mul, b, self.cor[a]))
-        q, r = divmod(dot, self.den)
-        return Fraction(dot, self.den) if r else q
+        return self.exact(sum(map(mul, b, self.cor[a])))
 
     def reflect(self, a, b):
         """s_a(b) = b - <b, a_check> a, or None when that has a fractional
@@ -173,17 +250,17 @@ class IntegerRoots:
         return tuple(x - dot * y // den for x, y in zip(b, a))
 
     def strings(self, a):
-        """Each a-string once, as [b, b + a, ...] from its bottom b (b - a not
-        a root) up; a broken string shows as several strings on one line."""
-        roots = self.roots
-        for b in roots:
-            if tuple(map(sub, b, a)) in roots:
-                continue
-            string = [b]
-            nxt = tuple(map(add, b, a))
-            while nxt in roots:
-                string.append(nxt)
-                nxt = tuple(map(add, nxt, a))
+        """Each a-string once, as the positions in `order` of [b, b + a, ...]
+        from its bottom b (b - a not a root) up; a broken string shows as
+        several strings on one line."""
+        ka, keys, slot = self.key(a), self.keys, self.slot
+        below = map(slot.__contains__, map(ka.__rsub__, keys))  # is b - a a root?
+        for i in itertools.compress(range(len(keys)), map(not_, below)):
+            string = [i]
+            nxt = keys[i] + ka
+            while nxt in slot:
+                string.append(slot[nxt])
+                nxt += ka
             yield string
 
     def collinear_classes(self):
@@ -351,43 +428,54 @@ def root_string(rs: RootSystem, beta, alpha):
     return list(range(lo, hi + 1)), p, q
 
 
-# How far past each end of a string root_strings_exhaustive looks for a root.
-_STRING_PROBE = 3
-
-
 def root_strings_exhaustive(rs: RootSystem):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 
-    Each alpha-string is walked once in IntegerRoots coordinates, then the
-    verdicts are read in a fixed order of the roots beta.  Returns
-    (ok, max_string_length, witness), the length being the largest read
-    before a failure.
+    Each alpha-string is walked once on IntegerRoots keys, the pairings
+    read off the row of alpha, then the verdicts are read in a fixed order
+    of the roots beta.  Returns (ok, max_string_length, witness), the
+    length being the largest read before a failure.
     """
     m = IntegerRoots(rs.roots, rs.coroots)
+    den, keys, slot = m.den, m.keys, m.slot
+    reading = [m.index[ib] for ib in m.orig]
     max_len = 0
     for ia, alpha in m.orig.items():
         if not any(ia):
             continue
-        p_aa = m.pairing(ia, ia)
+        ka = m.key(ia)
+        row = m.row(m.cor[ia])  # den <b, alpha_check>
+        d_aa = row[m.index[ia]]
+        strings = list(m.strings(ia))
         # bottom - alpha and top + alpha are not roots: the walk stopped there
-        probes = [tuple(k * x for x in ia) for k in range(2, _STRING_PROBE + 1)]
-        place = {}  # root -> (length of its string, reason it fails or None)
-        for string in m.strings(ia):
-            n = len(string)
-            broken = any(tuple(map(sub, string[0], v)) in m.roots
-                         or tuple(map(add, string[-1], v)) in m.roots for v in probes)
-            p_ba = m.pairing(string[0], ia)
+        bottoms = [keys[string[0]] for string in strings]
+        tops = [keys[string[-1]] for string in strings]
+        broken = [False] * len(strings)
+        for k in range(2, _STRING_PROBE + 1):
+            v = k * ka
+            broken = list(map(or_, broken, map(slot.__contains__, map(v.__rsub__, bottoms))))
+            broken = list(map(or_, broken, map(slot.__contains__, map(v.__add__, tops))))
+        # p - q = n - 1 - 2q against -<b + q alpha, alpha_check>, linear in q:
+        # they agree along a string iff they agree at its bottom and, when
+        # n > 1, <alpha, alpha_check> = 2.  Only a failing alpha reads each root.
+        if not any(brk or den * (len(string) - 1) != -row[string[0]]
+                   or (len(string) > 1 and d_aa != 2 * den)
+                   for string, brk in zip(strings, broken)):
+            max_len = max(max_len, *map(len, strings))
+            continue
+        length, reason = {}, {}
+        for string, brk in zip(strings, broken):
+            n, d_ba = len(string), row[string[0]]
             for q, ib in enumerate(string):
-                # p - q = (n - 1 - q) - q, and <b + q alpha, alpha_check> is linear in q
-                reason = ("broken string" if broken
-                          else "p - q mismatch" if n - 1 - 2 * q != -(p_ba + q * p_aa)
-                          else None)
-                place[ib] = (n, reason)
-        for ib, beta in m.orig.items():
-            n, reason = place[ib]
-            if reason:
-                return False, max_len, (beta, alpha, reason)
-            max_len = max(max_len, n)
+                length[ib] = n
+                if brk:
+                    reason[ib] = "broken string"
+                elif den * (n - 1 - 2 * q) != -(d_ba + q * d_aa):
+                    reason[ib] = "p - q mismatch"
+        for i in reading:
+            if i in reason:
+                return False, max_len, (m.orig[m.order[i]], alpha, reason[i])
+            max_len = max(max_len, length[i])
     return True, max_len, None
 
 
@@ -415,11 +503,12 @@ def connected_components(rs):
     """Partition of the real roots into connection components.
 
     Serves a RootSystem (real = nonzero) and a PreReflectionSystem alike:
-    a and b are connected when <b, a_check> != 0.
+    a and b are connected when <b, a_check> != 0, read off the row of a.
     """
     m = IntegerRoots(rs.roots, rs.coroots)
-    real = sorted(m.real)
-    parent = list(range(len(real)))
+    nr = m.n_real
+    real = m.order[:nr]
+    parent = list(range(nr))
 
     def find(i):
         while parent[i] != i:
@@ -428,11 +517,11 @@ def connected_components(rs):
         return i
 
     for i, a in enumerate(real):
-        for j in range(i + 1, len(real)):
-            if m.pairing(real[j], a) != 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+        row = m.row(m.cor[a])
+        for j in itertools.compress(range(i + 1, nr), row[i + 1:nr]):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
     groups = {}
     for i, a in enumerate(real):
         groups.setdefault(find(i), []).append(m.orig[a])
