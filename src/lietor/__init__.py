@@ -16,9 +16,6 @@ from .rootsys import (
     classify,
     length_partition,
     normalized,
-    reflect,
-    root_string,
-    weyl_orbit,
 )
 from .refl import (
     ExtensionDatum,

@@ -13,12 +13,13 @@ with its window; membership and arithmetic are exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .graded import CentroidalDerivation, cder_bracket, degree_derivations
 from .lattices import box
-from .linalg import LinearSolver, independent_rows, rank as mat_rank, solve
+from .linalg import LinearSolver, independent_rows, kernel, rank as mat_rank, solve
 from .matlie import (
     MatLieElement,
     MatrixLieAlgebra,
@@ -210,7 +211,6 @@ class BuiltE:
         self._roots_cache = {}
         self._sigma_degs = {tuple(-g for g in dk.gamma) for dk in data.D}
         self._c_solver = None
-        self._t_solver = None
         self._t_basis = ([self.c_basis_elem(k) for k in data.T_C]
                          + [self.from_l(h) for h in self.L.cartan_basis()]
                          + [self.d_basis_elem(k) for k in data.T_D])
@@ -489,11 +489,8 @@ class BuiltE:
         got = self._talpha_cache.get(key)
         if got is not None:
             return got
-        tbasis = self.t_basis()
-        if self._t_solver is None:
-            gram = [[self.form(a, b) for b in tbasis] for a in tbasis]
-            self._t_solver = LinearSolver.factor(gram, self.field)
-        sol = self._t_solver.solve([self.root_value(root, deg, t) for t in tbasis])
+        tbasis = self._t_basis
+        sol = self.t_solver.solve([self.root_value(root, deg, t) for t in tbasis])
         if sol is None:
             raise ValueError("form is degenerate on T (IA1 fails)")
         out = self.zero()
@@ -502,6 +499,16 @@ class BuiltE:
                 out = out + t.scale(c)
         self._talpha_cache[key] = out
         return out
+
+    @functools.cached_property
+    def t_gram(self):
+        """The Gram matrix of the form on the T basis."""
+        return [[self.form(a, b) for b in self._t_basis] for a in self._t_basis]
+
+    @functools.cached_property
+    def t_solver(self) -> LinearSolver:
+        """One factorization of t_gram: IA1 reads its rank, t_alpha solves."""
+        return LinearSolver.factor(self.t_gram, self.field)
 
     def root_norm(self, root, deg):
         t = self.t_alpha(root, deg)
@@ -674,14 +681,11 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
     # IA1 is the Gram rank: the form is nondegenerate on T exactly when the
     # Gram matrix of the T basis has full rank, and then t_alpha's solve
     # succeeds for every root, so no root is solved for here.
-    tbasis = E.t_basis()
-    gram = [[E.form(a, b) for b in tbasis] for a in tbasis]
-    nondeg = mat_rank(gram, E.field) == len(tbasis)
+    n = len(E.t_gram)
+    nondeg = E.t_solver.rank() == n
     witness = None
     if not nondeg:
-        from .linalg import kernel
-
-        rad = kernel(gram, E.field, len(tbasis))[0]
+        rad = kernel(E.t_gram, E.field, n)[0]
         witness = f"radical vector of T in coordinates {rad} over the T basis"
     rep.add("IA1", nondeg, witness)
     if not nondeg:

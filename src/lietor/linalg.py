@@ -106,6 +106,10 @@ class LinearSolver:
         red, pivots = rref([list(row) + e for row, e in zip(m, identity(len(m), field))], field)
         return cls(red, pivots, len(m[0]) if m else 0, field)
 
+    def rank(self):
+        """The rank of m: the pivots of R, each in a column of m."""
+        return sum(p < self.ncols for p in self.pivots)
+
     def solve(self, b):
         """x with m x = B b (B is I after ``factor``), or None if inconsistent."""
         f, n = self.field, self.ncols

@@ -11,7 +11,6 @@ and that verdict records the window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, not_, sub
@@ -21,6 +20,7 @@ from .linalg import inverse, kernel, rank as mat_rank
 from .report import AxiomReport, CheckResult
 from .rootsys import (
     IntegerRoots,
+    PreReflectionSystem,
     RootSpace,
     RootSystem,
     _unit,
@@ -28,6 +28,7 @@ from .rootsys import (
     complete_basis,
     connected_components,
     indivisible_part,
+    integer_form,
     length_partition,
     normalized,
     vec_scale,
@@ -35,32 +36,6 @@ from .rootsys import (
 from .scalars import QQ, frac_to_str as fs
 
 ZERO = Fraction(0)
-
-
-class PreReflectionSystem:
-    """Finite set of roots with an explicit coroot assignment.
-
-    Real roots are exactly those with nonzero coroot; the reflection is
-    always s_alpha(x) = x - <x, alpha_check> alpha.
-    """
-
-    def __init__(self, dim: int, roots, coroots: dict):
-        self.dim = dim
-        self.roots = frozenset(tuple(r) for r in roots)
-        self.coroots = {tuple(k): tuple(v) for k, v in coroots.items()}
-        missing = [r for r in self.roots if r not in self.coroots]
-        if missing:
-            raise ValueError(f"coroot missing for {missing[0]}")
-
-    @classmethod
-    def from_root_system(cls, rs: RootSystem) -> "PreReflectionSystem":
-        return cls(rs.dim, rs.roots, dict(rs.coroots))
-
-    def real_roots(self):
-        return [a for a in sorted(self.roots) if any(self.coroots[a])]
-
-    def imaginary_roots(self):
-        return [a for a in sorted(self.roots) if not any(self.coroots[a])]
 
 
 def _res3(m: IntegerRoots) -> CheckResult:
@@ -91,7 +66,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     ReS2 and ReS4 loop over real a: an imaginary reflection is the identity.
     A reflected image with a fractional coordinate (None) is no root.
     """
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = prs.model
     rep = AxiomReport()
     # X is the span of R; the ambient coordinates are only a carrier, so the
     # spanning half of ReS0 holds by construction and we record the rank.
@@ -159,7 +134,7 @@ def _keeps_parts(img, nr):
 def predicates(prs: PreReflectionSystem) -> dict:
     """The six basic flags evaluated by direct quantification, the pairings
     read one row per real root."""
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = prs.model
     nr, den = m.n_real, m.den
     real = m.order[:nr]
     # Collinear real roots are +-each other.
@@ -205,9 +180,8 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     Invariance asks 2 (b | a) = <b, a_check> (a | a) along the row of
     a_check, and a lies in the radical when (a | b) = 0 for every root b.
     """
-    m = IntegerRoots(prs.roots, prs.coroots)
-    scale = math.lcm(*(Fraction(x).denominator for row in form for x in row))
-    f_int = [[int(Fraction(x) * scale) for x in row] for row in form]
+    m = prs.model
+    f_int = integer_form(form)
     f_left = [list(col) for col in zip(*f_int)]  # b . F^T a = (a | b)
     symmetric = f_left == f_int
     two_den = 2 * m.den
@@ -260,10 +234,10 @@ def _integral_roots(S: RootSystem) -> IntegerRoots:
     ReS0-ReS4 and every pairing is an integer: an extension datum moves
     lattice points by these pairings.
     """
-    bad = validate_axioms(PreReflectionSystem.from_root_system(S)).failures()
+    bad = validate_axioms(S).failures()
     if bad:
         raise ValueError(f"S is not a reflection system: {bad[0].name} fails ({bad[0].witness})")
-    m = IntegerRoots(S.roots, S.coroots)
+    m = S.model
     for a in m.order[:m.n_real]:
         frac = [b for b, d in zip(m.order, m.row(m.cor[a])) if d % m.den]
         if frac:
@@ -478,7 +452,7 @@ def validate_ars_axioms(ars: AffineReflectionSystem) -> AxiomReport:
     ED1's containment to ReS2 of S.
     """
     S = ars.S
-    finite = validate_axioms(PreReflectionSystem.from_root_system(S))
+    finite = validate_axioms(S)
     rep = AxiomReport()
     witness = finite["ReS0"].witness
     if witness is None and (0,) * ars.z_rank not in ars.imaginary_lattice():
@@ -487,7 +461,7 @@ def validate_ars_axioms(ars: AffineReflectionSystem) -> AxiomReport:
     rep.append(finite["ReS1"])
     witness = finite["ReS2"].witness or _first_escape(
         "s_xi(eta + Lambda_eta) leaves R at xi={}, eta={}",
-        _ed1_sums(IntegerRoots(S.roots, S.coroots), ars.datum.lam))
+        _ed1_sums(S.model, ars.datum.lam))
     rep.add("ReS2", witness is None, witness)
     # For c(xi + lam) both real, s uses ((c xi)_check, c lam); equality of the
     # two reflections reduces to ReS3 of the quotient system S.
@@ -520,7 +494,7 @@ def quotient_by_affine_form(prs: PreReflectionSystem, form):
     for a in sorted(prs.roots):
         fibers.setdefault(project(a), []).append(a)
     S = RootSystem(RootSpace(len(comp), tuple(tuple(r) for r in img_form)), img_roots)
-    srep = validate_axioms(PreReflectionSystem.from_root_system(S))
+    srep = validate_axioms(S)
     if not srep.ok:
         raise ValueError(f"projected set is not a root system: {srep.failures()[0].name}")
     # connectedness transfers along the projection
@@ -656,7 +630,7 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     tame = lam0.is_subset_of(diff_lattice)
 
     prs = ars.to_prs(window)
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = prs.model
     max_len = max((len(string) for a in m.real for string in m.strings(a)), default=0)
     strings_ok = max_len <= 5
 

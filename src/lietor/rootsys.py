@@ -1,20 +1,24 @@
-"""Finite root systems with exact coordinates.
+"""Root sets with coroots, and finite root systems with exact coordinates.
 
-0 is always stored as a root.  Coroots are covectors computed from the
-carried symmetric bilinear form via alpha_check = 2 (alpha | .) / (alpha | alpha).
+A PreReflectionSystem is a root set with a coroot map; a RootSystem is one
+whose coroots come from its form, alpha_check = 2 (alpha | .) / (alpha | alpha),
+computed in integers.  Each root set owns one IntegerRoots, built once and
+read by every root-level check.  0 is always stored as a root.
 Classical families use their standard coordinate lists; type A_n lives in
 Q^(n+1) and spans the sum-zero hyperplane.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, not_, or_, sub
+from types import MappingProxyType
 
-from .linalg import independent_rows, inverse, mat_mul, mat_vec, rref
+from .linalg import independent_rows, inverse, mat_mul, rref
 from .scalars import QQ
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
@@ -83,32 +87,73 @@ class TypeLabel:
         )
 
 
-class RootSystem:
-    """A finite set of vectors containing 0, closed under its reflections."""
+class PreReflectionSystem:
+    """A finite root set with a coroot map, read-only once built.
+
+    Real roots are exactly those with nonzero coroot; the reflection is
+    always s_alpha(x) = x - <x, alpha_check> alpha.  The checks read the
+    root set through `model`, its IntegerRoots, built on first use and then
+    kept: the roots are a frozenset and the coroots a read-only copy.
+    """
+
+    def __init__(self, dim: int, roots, coroots):
+        self.dim = dim
+        self.roots = frozenset(tuple(r) for r in roots)
+        self.coroots = MappingProxyType({tuple(k): tuple(v) for k, v in coroots.items()})
+        missing = [r for r in self.roots if r not in self.coroots]
+        if missing:
+            raise ValueError(f"coroot missing for {missing[0]}")
+
+    @classmethod
+    def from_root_system(cls, rs: "RootSystem") -> "PreReflectionSystem":
+        """The pre-reflection system of rs, sharing its coroots and model."""
+        prs = cls.__new__(cls)
+        prs.dim, prs.roots, prs.coroots, prs.model = rs.dim, rs.roots, rs.coroots, rs.model
+        return prs
+
+    @functools.cached_property
+    def model(self) -> "IntegerRoots":
+        return IntegerRoots(self.roots, self.coroots)
+
+
+def integer_form(form):
+    """The form rescaled to an integer matrix: the rows of s * form for the
+    least s > 0 that clears every denominator."""
+    form = [[Fraction(x) for x in row] for row in form]
+    scale = math.lcm(*(x.denominator for row in form for x in row))
+    return [[int(x * scale) for x in row] for row in form]
+
+
+def _form_coroots(roots, form):
+    """alpha_check = 2 F alpha / (alpha | alpha) for each root, in integers:
+    with ia = dr alpha for the lcm dr of the root denominators and F the
+    form rescaled to integers, it is 2 dr F ia / (ia . F ia)."""
+    f_int = integer_form(form)
+    dr = math.lcm(*(x.denominator for a in roots for x in a))
+    out = {}
+    for a in roots:
+        ia = [x.numerator * (dr // x.denominator) for x in a]
+        fa = [sum(map(mul, row, ia)) for row in f_int]
+        norm = sum(map(mul, ia, fa))
+        if not norm and any(a):
+            raise ValueError(f"isotropic nonzero root {a} under the given form")
+        out[a] = tuple(Fraction(2 * dr * x, norm or 1) for x in fa)  # fa = 0 at a = 0
+    return out
+
+
+class RootSystem(PreReflectionSystem):
+    """A finite set of vectors containing 0, closed under its reflections,
+    with the coroots of its form unless they are given."""
 
     def __init__(self, space: RootSpace, roots, coroots=None, label=None):
         self.space = space
-        self.roots = frozenset(tuple(r) for r in roots)
-        zero = (Fraction(0),) * space.dim
-        if zero not in self.roots:
+        self.label = label
+        roots = frozenset(tuple(r) for r in roots)
+        if (Fraction(0),) * space.dim not in roots:
             raise ValueError("0 must be a root")
         if coroots is None:
-            coroots = {a: self._coroot_from_form(a) for a in self.roots}
-        self.coroots = coroots
-        self.label = label
-
-    def _coroot_from_form(self, a):
-        if vec_is_zero(a):
-            return (Fraction(0),) * self.space.dim
-        norm = self.space.pair(a, a)
-        if norm == 0:
-            raise ValueError(f"isotropic nonzero root {a} under the given form")
-        fa = mat_vec([list(r) for r in self.space.form], list(a), QQ)
-        return tuple(2 * x / norm for x in fa)
-
-    @property
-    def dim(self):
-        return self.space.dim
+            coroots = _form_coroots(roots, space.form)
+        super().__init__(space.dim, roots, coroots)
 
     def nonzero_roots(self):
         return [a for a in self.roots if any(a)]
@@ -121,15 +166,6 @@ class RootSystem:
         return sorted(self.roots)
 
 
-def reflect(rs: RootSystem, alpha, x):
-    """s_alpha(x) = x - <x, alpha_check> alpha; identity for alpha imaginary."""
-    alpha = tuple(alpha)
-    if alpha not in rs.roots:
-        raise ValueError(f"{alpha} is not a root")
-    c = rs.pairing(x, alpha)
-    return vec_sub(tuple(x), vec_scale(c, alpha)) if c else tuple(x)
-
-
 # How far past each end of a string root_strings_exhaustive looks for a root.
 _STRING_PROBE = 3
 
@@ -140,8 +176,8 @@ class IntegerRoots:
     Roots are multiplied by the lcm of their coordinate denominators
     (root_scale) and coroots by the lcm of theirs (coroot_scale); den is
     the product of the two, so <b, a_check> is an integer dot product
-    divided by den.  Built per call from a root set and a coroot map, both
-    with Fraction coordinates.
+    divided by den.  Built from a root set and a coroot map, both with
+    Fraction coordinates, once per root set: see PreReflectionSystem.model.
 
     The checks read one row at a time: row(v) lists the integers b . v and
     corow(v) the integers v . b_check for the roots b of `order` (the real
@@ -404,30 +440,6 @@ def direct_sum(*systems) -> RootSystem:
     return RootSystem(RootSpace(dim, tuple(tuple(r) for r in form)), roots)
 
 
-def root_string(rs: RootSystem, beta, alpha):
-    """The alpha-string through beta: (interval, p, q) with p - q = -<beta, alpha_check>."""
-    beta, alpha = tuple(beta), tuple(alpha)
-    if alpha not in rs.roots or vec_is_zero(alpha):
-        raise ValueError("alpha must be a nonzero root")
-    if beta not in rs.roots:
-        raise ValueError("beta must be a root")
-    members = []
-    bound = 9
-    for i in range(-bound, bound + 1):
-        if vec_add(beta, vec_scale(i, alpha)) in rs.roots:
-            members.append(i)
-    lo, hi = members[0], members[-1]
-    if members != list(range(lo, hi + 1)):
-        raise ArithmeticError(f"broken root string at beta={beta}, alpha={alpha}")
-    p, q = hi, -lo
-    a = -rs.pairing(beta, alpha)
-    if p - q != a:
-        raise ArithmeticError(
-            f"string bounds p={p}, q={q} violate p - q = -<beta,alpha_check> = {a}"
-        )
-    return list(range(lo, hi + 1)), p, q
-
-
 def root_strings_exhaustive(rs: RootSystem):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 
@@ -436,7 +448,7 @@ def root_strings_exhaustive(rs: RootSystem):
     of the roots beta.  Returns (ok, max_string_length, witness), the
     length being the largest read before a failure.
     """
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = rs.model
     den, keys, slot = m.den, m.keys, m.slot
     reading = [m.index[ib] for ib in m.orig]
     max_len = 0
@@ -479,33 +491,10 @@ def root_strings_exhaustive(rs: RootSystem):
     return True, max_len, None
 
 
-def weyl_orbit(rs: RootSystem, alpha):
-    """Closure of {alpha} under all reflections s_beta, beta a nonzero root."""
-    alpha = tuple(alpha)
-    if alpha not in rs.roots:
-        raise ValueError(f"{alpha} is not a root")
-    generators = rs.nonzero_roots()
-    orbit = {alpha}
-    frontier = [alpha]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for b in generators:
-                y = reflect(rs, b, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return orbit
-
-
-def connected_components(rs):
-    """Partition of the real roots into connection components.
-
-    Serves a RootSystem (real = nonzero) and a PreReflectionSystem alike:
-    a and b are connected when <b, a_check> != 0, read off the row of a.
-    """
-    m = IntegerRoots(rs.roots, rs.coroots)
+def connected_components(rs: PreReflectionSystem):
+    """Partition of the real roots into connection components: a and b are
+    connected when <b, a_check> != 0, read off the row of a."""
+    m = rs.model
     nr = m.n_real
     real = m.order[:nr]
     parent = list(range(nr))

@@ -1,11 +1,16 @@
 """Test-only reference for the root-level checks: the per-pair tuple bodies
-that the row kernel of ``lietor.rootsys.IntegerRoots`` replaced.
+that the row kernel of ``lietor.rootsys.IntegerRoots`` replaced, and the
+Fraction bodies that the integer model replaced.
 
-Every function here loops over pairs (a, b) of integer root tuples, reflects
-b by a with ``IntegerRoots.reflect``, pairs with ``IntegerRoots.pairing`` and
-walks root strings by building the tuples b + k a.  The differential tests
+Most functions here loop over pairs (a, b) of integer root tuples, reflect
+b by a with ``IntegerRoots.reflect``, pair with ``IntegerRoots.pairing`` and
+walk root strings by building the tuples b + k a.  The differential tests
 in ``test_root_rows.py`` compare them with ``lietor.refl`` and
 ``lietor.rootsys`` on the same inputs: verdicts, witnesses and values.
+
+``coroot_from_form``, ``reflect`` and ``root_string`` work on Fraction
+tuples, one root or one pair at a time: the coroot of one root from the
+form, one reflection and one alpha-string.
 """
 
 from __future__ import annotations
@@ -13,14 +18,55 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from lietor.linalg import kernel, rank as mat_rank
+from lietor.linalg import kernel, mat_vec, rank as mat_rank
 from lietor.refl import PreReflectionSystem, _res3
 from lietor.report import AxiomReport
-from lietor.rootsys import IntegerRoots, RootSpace
+from lietor.rootsys import IntegerRoots, RootSpace, RootSystem
 from lietor.scalars import QQ, frac_to_str as fs
 
 # How far past each end of a string root_strings_exhaustive looks for a root.
 STRING_PROBE = 3
+
+
+def coroot_from_form(space: RootSpace, a):
+    """2 F a / (a | a) in Fractions, 0 for a = 0."""
+    if not any(a):
+        return (Fraction(0),) * space.dim
+    norm = space.pair(a, a)
+    if norm == 0:
+        raise ValueError(f"isotropic nonzero root {a} under the given form")
+    fa = mat_vec([list(r) for r in space.form], list(a), QQ)
+    return tuple(2 * x / norm for x in fa)
+
+
+def reflect(rs: RootSystem, alpha, x):
+    """s_alpha(x) = x - <x, alpha_check> alpha; identity for alpha imaginary."""
+    alpha = tuple(alpha)
+    if alpha not in rs.roots:
+        raise ValueError(f"{alpha} is not a root")
+    c = rs.pairing(x, alpha)
+    return tuple(xi - c * ai for xi, ai in zip(x, alpha)) if c else tuple(x)
+
+
+def root_string(rs: RootSystem, beta, alpha):
+    """The alpha-string through beta: (interval, p, q) with p - q = -<beta, alpha_check>."""
+    beta, alpha = tuple(beta), tuple(alpha)
+    if alpha not in rs.roots or not any(alpha):
+        raise ValueError("alpha must be a nonzero root")
+    if beta not in rs.roots:
+        raise ValueError("beta must be a root")
+    members = [i for i in range(-9, 10)
+               if tuple(b + i * a for b, a in zip(beta, alpha)) in rs.roots]
+    lo, hi = members[0], members[-1]
+    if members != list(range(lo, hi + 1)):
+        raise ArithmeticError(f"broken root string at beta={beta}, alpha={alpha}")
+    p, q = hi, -lo
+    a = -rs.pairing(beta, alpha)
+    if p - q != a:
+        raise ArithmeticError(
+            f"string bounds p={p}, q={q} violate p - q = -<beta,alpha_check> = {a}"
+        )
+    return list(range(lo, hi + 1)), p, q
 
 
 def strings(m: IntegerRoots, a):
@@ -141,10 +187,11 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
                 break
         if not invariant:
             break
-    rad_cond = all(all(pair(d, x) == 0 for x in basis) for d in prs.imaginary_roots())
+    imaginary = {a for a in prs.roots if not any(prs.coroots[a])}
+    rad_cond = all(all(pair(d, x) == 0 for x in basis) for d in imaginary)
     strictly = invariant and rad_cond
     in_rad = {a for a in prs.roots if all(pair(a, x) == 0 for x in basis)}
-    affine = invariant and in_rad == set(prs.imaginary_roots())
+    affine = invariant and in_rad == imaginary
     return {"invariant": invariant, "strictly_invariant": strictly, "affine": affine}
 
 

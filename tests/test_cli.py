@@ -182,11 +182,12 @@ def test_negative_window_cap_exit_2(monkeypatch):
     assert main(["sl", "--n", "3", "--coord", "laurent"]) == 2
 
 
-def test_hc1_max_window_not_read(capsys):
-    for max_window in ("0", "1", "2"):
-        assert main(["hc1", "--coord", "laurent", "--max-window", max_window]) == 0
-        out = capsys.readouterr()
-        assert out.out.startswith("hc1: pass  (dim 1)") and out.err == ""
+def test_hc1_max_window_is_a_usage_error(capsys):
+    # HC_1 is decided exactly: hc1 takes no window, so the flag is unknown
+    assert main(["hc1", "--coord", "laurent", "--max-window", "8"]) == 2
+    assert "unrecognized arguments: --max-window" in capsys.readouterr().err
+    assert main(["hc1", "--coord", "laurent"]) == 0
+    assert capsys.readouterr().out.startswith("hc1: pass  (dim 1)")
 
 
 def test_uce_rank_two_small_window_stabilises(tmp_path):

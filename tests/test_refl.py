@@ -36,7 +36,6 @@ from lietor.rootsys import (
     indivisible_part,
     length_partition,
     normalized,
-    root_string,
     root_strings_exhaustive,
     vec_add,
     with_form,
@@ -44,6 +43,7 @@ from lietor.rootsys import (
 from lietor.report import AxiomReport
 from lietor.scalars import QQ
 from lietor.serialize import datum_from_json
+from roots_reference import root_string
 
 DATA = Path(__file__).parent / "data"
 
@@ -492,7 +492,7 @@ def _perturbed(prs, rng):
     """Drop a root, rescale a coroot, zero a coroot, add one coroot to
     another; one seeded pick each."""
     roots = sorted(prs.roots)
-    real = prs.real_roots()
+    real = [a for a in roots if any(prs.coroots[a])]
     drop = rng.choice(roots)
     yield "drop", PreReflectionSystem(prs.dim, set(roots) - {drop}, prs.coroots)
     a = rng.choice(real)
@@ -824,3 +824,57 @@ def test_connected_components_matches_union_find(fam, rk):
         want = _components_by_union_find(prs.roots, prs.coroots)
         assert len(connected_components(prs)) == want, name
     assert len(connected_components(rs)) == _components_by_union_find(rs.roots, rs.coroots)
+
+
+def _count_models(monkeypatch):
+    """A list that grows by one at each IntegerRoots construction."""
+    import lietor.rootsys as rootsys
+
+    built = []
+    init = rootsys.IntegerRoots.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(rootsys.IntegerRoots, "__init__", counting)
+    return built
+
+
+def test_one_model_per_root_system_in_the_criterion_2_loop(monkeypatch):
+    from test_root_traversals import CRITERION2
+
+    systems = [build_exceptional(fam) if rk is None else build_classical(fam, rk)
+               for fam, rk in CRITERION2]
+    built = _count_models(monkeypatch)
+    for rs in systems:
+        prs = PreReflectionSystem.from_root_system(rs)
+        assert validate_axioms(prs).ok
+        predicates(prs)
+        assert root_strings_exhaustive(rs)[0]
+        assert prs.model is rs.model and prs.coroots is rs.coroots
+    assert len(systems) == len(built) == 24
+
+
+def test_ars_build_builds_three_models(monkeypatch, capsys):
+    # S, the normalized S and the windowed pre-reflection system
+    from lietor.cli import main
+
+    built = _count_models(monkeypatch)
+    assert main(["ars", "build", "--type", "B", "--rank", "3", "--tier", "2",
+                 "--window", "4"]) == 0
+    assert len(built) == 3
+
+
+def test_coroots_are_read_only():
+    # a read-only copy: neither a write nor a later change to the input
+    # reaches a built model
+    rs = build_classical("A", 2)
+    a, zero = min(rs.nonzero_roots()), (F(0),) * rs.dim
+    source = dict(rs.coroots)
+    prs = PreReflectionSystem(rs.dim, rs.roots, source)
+    source[a] = zero
+    for owner in (rs, prs, PreReflectionSystem.from_root_system(rs)):
+        with pytest.raises(TypeError):
+            owner.coroots[a] = zero
+        assert owner.coroots[a] == rs.coroots[a] != zero

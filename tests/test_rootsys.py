@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lietor.rootsys import (
+    RootSpace,
     RootSystem,
     build_classical,
     build_exceptional,
@@ -12,11 +13,12 @@ from lietor.rootsys import (
     indivisible_part,
     length_partition,
     normalized,
-    reflect,
-    root_string,
     root_strings_exhaustive,
-    weyl_orbit,
+    with_form,
 )
+from roots_reference import coroot_from_form, reflect, root_string
+from test_root_rows import SYSTEMS, _base
+from test_root_traversals import CRITERION2
 
 
 def F(*args):
@@ -69,15 +71,6 @@ def test_root_strings_exhaustive_small_ranks():
         assert mx <= 5
 
 
-def test_weyl_orbits():
-    a2 = build_classical("A", 2)
-    orbit = weyl_orbit(a2, (F(1), F(-1), F(0)))
-    assert len(orbit) == 6
-    b2 = build_classical("B", 2)
-    assert len(weyl_orbit(b2, (F(1), F(0)))) == 4
-    assert weyl_orbit(b2, (F(0), F(0))) == {(F(0), F(0))}
-
-
 def test_normalized_value_sets():
     cases = [
         (build_classical("A", 4), {2}),
@@ -103,8 +96,6 @@ def test_normalized_form_w_invariant():
 
 def test_normalized_form_rescaled_input():
     # ambient bigger than the span plus a denormalized input form
-    from lietor.rootsys import with_form
-
     a2 = build_classical("A", 2)
     scaled = with_form(a2, [[6 * x for x in row] for row in a2.space.form])
     n = normalized(scaled)
@@ -198,3 +189,46 @@ def test_integer_roots_reflect_decides_the_image():
     assert m.pairing((-1, 1, 0), (-1, 0, 1)) == F(1, 2)
     assert m.reflect((-1, 0, 1), (-1, 1, 0)) is None
     assert m.reflect((-1, 0, 1), (0, 0, 0)) == (0, 0, 0)
+
+
+def _assert_coroots_match_the_oracle(rs):
+    assert dict(rs.coroots) == {a: coroot_from_form(rs.space, a) for a in rs.roots}
+
+
+@pytest.mark.parametrize("fam,rk", CRITERION2, ids=[f"{f}{r or ''}" for f, r in CRITERION2])
+def test_form_coroots_match_the_fraction_oracle(fam, rk):
+    rs = build_exceptional(fam) if rk is None else build_classical(fam, rk)
+    _assert_coroots_match_the_oracle(rs)
+    _assert_coroots_match_the_oracle(normalized(rs))
+
+
+@pytest.mark.parametrize("fam,rk", SYSTEMS, ids=[f"{f}{r or ''}" for f, r in SYSTEMS])
+def test_form_coroots_match_the_fraction_oracle_on_perturbed_systems(fam, rk):
+    # test_root_rows' diag(1, 2, 3, ...) form and roots divided by 3
+    for variant in ("diag", "thirds"):
+        _assert_coroots_match_the_oracle(_base(fam, rk, variant))
+
+
+def test_form_coroots_match_the_fraction_oracle_off_the_identity():
+    # the system of the refl_g2_normalized golden, a form that is not
+    # symmetric, and a form with a denominator in every entry
+    a2, b3 = build_classical("A", 2), build_classical("B", 3)
+    skewed = [[x + (F(1, 2) if (i, j) == (0, 1) else 0) for j, x in enumerate(row)]
+              for i, row in enumerate(a2.space.form)]
+    fractional = [[F(i + j + 2, 3 * (i + 1) * (j + 1)) + (i == j) for j in range(3)]
+                  for i in range(3)]
+    for rs in (normalized(build_exceptional("G2")), with_form(a2, skewed),
+               with_form(b3, fractional)):
+        _assert_coroots_match_the_oracle(rs)
+
+
+def test_isotropic_root_names_the_root():
+    # e1 is the one isotropic root under diag(0, 1); the oracle names it alike
+    space = RootSpace(2, ((F(0), F(0)), (F(0), F(1))))
+    e1 = (F(1), F(0))
+    roots = {(F(0), F(0)), e1, (F(0), F(1)), (F(0), F(-1))}
+    with pytest.raises(ValueError) as got:
+        RootSystem(space, roots)
+    with pytest.raises(ValueError) as want:
+        coroot_from_form(space, e1)
+    assert str(got.value) == str(want.value) == f"isotropic nonzero root {e1} under the given form"
