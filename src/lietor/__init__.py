@@ -22,15 +22,12 @@ from .refl import (
     PreReflectionSystem,
     ars_structure,
     build_affine_rs,
-    build_extension,
     check_form,
-    extract_datum,
     predicates,
-    quotient_by_affine_form,
     validate_axioms,
     validate_extension_datum,
 )
 from .graded import GradedAssocAlgebra, centre_of_qtorus, graded_form
-from .matlie import MatrixLieAlgebra, bracket, chevalley_tensor, is_invertible, verify_root_graded
-from .uce import build_affine, build_multiloop, build_uce_sl, hc1_component
+from .matlie import MatrixLieAlgebra, bracket, is_invertible, verify_root_graded
+from .uce import build_affine, build_uce_sl, hc1_component
 from .eala import build_E, default_iara_data, verify_eala, verify_iara

@@ -1,5 +1,5 @@
 """Z^n-graded unital associative algebras: group algebras, quantum tori and
-crossed products, with their centres, centroids, graded invariant forms and
+crossed products, with their centre lattices, graded invariant forms and
 centroidal derivations.
 
 Elements are finite sums of (lattice degree, basis symbol) terms with exact
@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
 from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
-from .report import AxiomReport
 from .scalars import Cyclo, QQ, root_of_unity_order
 
 
@@ -44,18 +43,6 @@ class FiniteDimAlgebra:
                     if t:
                         out[k] = out[k] + c * t
         return out
-
-    def is_unit_vec(self, x):
-        """Invertibility of x via the left-multiplication matrix."""
-        lm = [[self.field.zero] * self.dim for _ in range(self.dim)]
-        for j in range(self.dim):
-            basis = [self.field.zero] * self.dim
-            basis[j] = self.field.one
-            col = self.mul_vec(x, basis)
-            for i in range(self.dim):
-                lm[i][j] = col[i]
-        sol = solve(lm, self.unit, self.field)
-        return sol
 
 
 class AlgElement:
@@ -357,20 +344,6 @@ class GradedAssocAlgebra:
             cache[deg] = u
         return cache[deg]
 
-    def is_commutative_window(self, window: int) -> bool:
-        degs = box(self.n, window)
-        for dl in degs:
-            if not self.in_support(dl):
-                continue
-            for dm in degs:
-                if not self.in_support(dm):
-                    continue
-                for a in self.basis_of_degree(dl):
-                    for b in self.basis_of_degree(dm):
-                        if a * b != b * a:
-                            return False
-        return True
-
     def commutator_component(self, deg, window: int):
         """Basis of [A,A]^deg, computed on the window for crossed products."""
         deg = tuple(deg)
@@ -566,85 +539,6 @@ def commutator_decomposition(A: GradedAssocAlgebra, window: int):
     return report
 
 
-def validate_crossed_product(B: FiniteDimAlgebra, tau, sigma, window: int, n: int = None,
-                             field=None) -> AxiomReport:
-    """The two crossed-product identities plus unit/automorphism sanity."""
-    rep = AxiomReport()
-    field = field or B.field
-    if n is None:
-        raise ValueError("pass the lattice rank n")
-    degs = box(n, window)
-
-    ok, witness = True, None
-    for lam in degs:
-        m = sigma(lam)
-        # unit preserved and multiplicative on basis pairs
-        if mat_vec(m, B.unit, field) != list(B.unit):
-            ok, witness = False, f"sigma({lam}) does not fix 1"
-            break
-        for i in range(B.dim):
-            for j in range(B.dim):
-                bi = [field.zero] * B.dim
-                bi[i] = field.one
-                bj = [field.zero] * B.dim
-                bj[j] = field.one
-                lhs = mat_vec(m, B.mul_vec(bi, bj), field)
-                rhs = B.mul_vec(mat_vec(m, bi, field), mat_vec(m, bj, field))
-                if lhs != rhs:
-                    ok, witness = False, f"sigma({lam}) is not multiplicative"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("sigma-automorphism", ok, witness, window=window)
-
-    ok, witness = True, None
-    for lam in degs:
-        for mu in degs:
-            if B.is_unit_vec(tau(lam, mu)) is None:
-                ok, witness = False, f"tau{(lam, mu)} not invertible"
-                break
-        if not ok:
-            break
-    rep.add("tau-invertible", ok, witness, window=window)
-
-    ok, witness = True, None
-    for nu in degs:
-        for lam in degs:
-            for mu in degs:
-                lhs = B.mul_vec(mat_vec(sigma(nu), tau(lam, mu), field),
-                                tau(nu, tuple(l + m for l, m in zip(lam, mu))))
-                rhs = B.mul_vec(tau(nu, lam), tau(tuple(n_ + l for n_, l in zip(nu, lam)), mu))
-                if lhs != rhs:
-                    ok, witness = False, f"cocycle identity fails at {(nu, lam, mu)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("tau-cocycle", ok, witness, window=window)
-
-    ok, witness = True, None
-    for nu in degs:
-        for lam in degs:
-            t = tau(nu, lam)
-            for i in range(B.dim):
-                b = [field.zero] * B.dim
-                b[i] = field.one
-                lhs = B.mul_vec(mat_vec(sigma(nu), mat_vec(sigma(lam), b, field), field), t)
-                rhs = B.mul_vec(t, mat_vec(sigma(tuple(a + b_ for a, b_ in zip(nu, lam))), b, field))
-                if lhs != rhs:
-                    ok, witness = False, f"sigma-tau compatibility fails at {(nu, lam)}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("sigma-tau-compatibility", ok, witness, window=window)
-    return rep
-
-
 class GradedForm:
     """(a | b) = phi((ab)^0) for a functional phi on A^0 killing [A,A]^0."""
 
@@ -757,36 +651,3 @@ def skew_centroidal_space(A: GradedAssocAlgebra, deg):
         sols = kernel([[A.field.from_int(x) for x in deg]], A.field, A.n)
         return [CentroidalDerivation(A, v, deg) for v in sols]
     return degree_derivations(A)
-
-
-def centroid_component(A: GradedAssocAlgebra, deg, window: int):
-    """Basis of degree-deg centroidal maps, solved on the window.
-
-    Unknowns are the images of the windowed monomial basis; equations impose
-    commutation with left/right multiplications for windowed pairs.
-    """
-    deg = tuple(deg)
-    if A.bdim != 1:
-        raise NotImplementedError("centroid solve implemented for torus-like algebras")
-    degs = [d for d in box(A.n, window) if A.in_support(d)]
-    index = {d: i for i, d in enumerate(degs)}
-    rows = []
-    for dl in degs:
-        for dm in degs:
-            ds = tuple(a + b for a, b in zip(dl, dm))
-            if ds not in index:
-                continue
-            if not A.in_support(tuple(a + b for a, b in zip(dm, deg))):
-                continue
-            # chi(xy) = x chi(y): tau(dl,dm) c_ds = tau(dl, dm+deg) c_dm
-            row = [A.field.zero] * len(degs)
-            row[index[ds]] = row[index[ds]] + A.tau(dl, dm)
-            row[index[dm]] = row[index[dm]] - A.tau(dl, tuple(a + b for a, b in zip(dm, deg)))
-            rows.append(row)
-            # chi(xy) = chi(x) y: tau(dl,dm) c_ds = tau(dl+deg, dm) c_dl
-            row = [A.field.zero] * len(degs)
-            row[index[ds]] = row[index[ds]] + A.tau(dl, dm)
-            row[index[dl]] = row[index[dl]] - A.tau(tuple(a + b for a, b in zip(dl, deg)), dm)
-            rows.append(row)
-    sols = kernel(rows, A.field, len(degs)) if rows else []
-    return [dict(zip(degs, v)) for v in sols]

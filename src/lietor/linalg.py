@@ -223,10 +223,6 @@ def lattice_reduce(v, hnf_rows):
     return tuple(v)
 
 
-def in_lattice(v, hnf_rows) -> bool:
-    return not any(lattice_reduce(v, hnf_rows))
-
-
 def integer_kernel(rows, ncols=None):
     """Basis of {v in Z^n : rows . v = 0} (integer vectors)."""
     if not rows:

@@ -14,9 +14,7 @@ from fractions import Fraction
 from .graded import AlgElement, GradedAssocAlgebra, graded_form
 from .lattices import box
 from .linalg import kernel, rank as mat_rank
-from .report import AxiomReport
 from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
-from .scalars import QQ
 
 
 class MatLieElement:
@@ -260,17 +258,6 @@ def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
     return x.matmul(y) - y.matmul(x)
 
 
-def product_formula_check(L: MatrixLieAlgebra, a: AlgElement, b: AlgElement, i, j, l) -> bool:
-    """ab E_ij = [[[a E_ij, E_jl], E_li], b E_ij] for distinct i, j, l."""
-    if len({i, j, l}) != 3:
-        raise ValueError("indices must be distinct")
-    lhs = L.E(i, j, a * b)
-    inner = bracket(L.E(i, j, a), L.E(j, l))
-    inner = bracket(inner, L.E(l, i))
-    rhs = bracket(inner, L.E(i, j, b))
-    return lhs == rhs
-
-
 def is_invertible(L: MatrixLieAlgebra, x: MatLieElement, action_window: int = None):
     """Sl2 triple for an invertible homogeneous off-diagonal element, else None.
 
@@ -308,54 +295,6 @@ def eigenvalue_law_holds(L: MatrixLieAlgebra, triple: Sl2Triple, root, window: i
     return True
 
 
-def centre(L: MatrixLieAlgebra, window: int = 3):
-    """Basis of Z(sl_n(A)) = {z E_n : z in Z(A), nz in [A,A]} on the window.
-
-    Only finite index sets are representable; over an infinite index set the
-    centre is {0} identically, which is documentation, not a computation.
-    """
-    out = []
-    n = L.n
-    for deg in box(L.z_rank, window):
-        if not L.A.in_support(deg):
-            continue
-        bdim = L.A.bdim
-        abasis = L.A.basis_of_degree(deg)
-        if not abasis:
-            continue
-        # z central in A: [z, b] = 0 for windowed basis b.
-        rows = []
-        for dl in box(L.z_rank, window):
-            for b in L.A.basis_of_degree(dl):
-                target_deg = tuple(a + c for a, c in zip(deg, dl))
-                for k in range(bdim):
-                    row = []
-                    for s in range(bdim):
-                        zs = L.A.monomial(deg, sym=s)
-                        c = (zs * b - b * zs).coefficient(target_deg, k)
-                        row.append(c)
-                    rows.append(row)
-        central = kernel(rows, L.field, bdim) if rows else []
-        if not central:
-            continue
-        # n z in [A,A]^deg.
-        comm = L.A.commutator_component(deg, window)
-        comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
-        functionals = kernel(comm_rows, L.field, bdim)
-        cond = []
-        for f in functionals:
-            cond.append([sum((L.field.from_int(n) * z[s] * f[s] for s in range(bdim)),
-                             L.field.zero) for z in central])
-        coeffs = kernel(cond, L.field, len(central))
-        for cv in coeffs:
-            zvec = [sum((cv[t] * central[t][s] for t in range(len(central))), L.field.zero)
-                    for s in range(bdim)]
-            z = AlgElement(L.A, {(deg, s): c for s, c in enumerate(zvec) if c})
-            if z:
-                out.append(MatLieElement(L, {(i, i): z for i in range(n)}))
-    return out
-
-
 class SlInvariantForm:
     """(x | y) = phi-form applied entrywise: sum_ij (x_ij | y_ji)_A."""
 
@@ -378,34 +317,6 @@ class SlInvariantForm:
 
 def invariant_form(L: MatrixLieAlgebra, phi, window: int = 3) -> SlInvariantForm:
     return SlInvariantForm(L, phi, window)
-
-
-def standard_toral(L: MatrixLieAlgebra, psi, window: int = 2):
-    """Cartan h = span{E_ii - E_jj}; returns (basis, report)."""
-    h_basis = [L.cartan(i, i + 1) for i in range(L.n - 1)]
-    form = SlInvariantForm(L, psi, window)
-    gram = [[form.pair(a, b) for b in h_basis] for a in h_basis]
-    nondeg = mat_rank(gram, L.field) == len(h_basis)
-    psi_vec = psi if isinstance(psi, (list, tuple)) else [psi]
-    report = {
-        "h_dim": len(h_basis),
-        "form_on_h_nondegenerate": nondeg,
-        "psi_at_1": psi_vec[0],
-        "roots_match": _roots_match(L, h_basis, window),
-        "window": window,
-    }
-    return h_basis, report
-
-
-def _roots_match(L: MatrixLieAlgebra, h_basis, window) -> bool:
-    for q in L.S.sorted_roots():
-        for deg in box(L.z_rank, window):
-            for b in L.homog_basis(q, deg):
-                for idx, h in enumerate(h_basis):
-                    ev = q[idx] - q[idx + 1]
-                    if bracket(h, b) != b.scale(L.field.from_int(int(ev))):
-                        return False
-    return True
 
 
 class IsotopedLie:
@@ -434,12 +345,6 @@ class IsotopedLie:
             return []
         return self.L.homog_basis(root, target)
 
-    def root_graded_report(self, window: int = 2) -> AxiomReport:
-        rep = AxiomReport()
-        witness = _rg2_witness(self)
-        rep.add("RG2-isotope", witness is None, witness, window=window)
-        return rep
-
 
 def _simple_coordinates(n, root):
     """Coordinates of eps_i - eps_j in the simple roots eps_k - eps_(k+1)."""
@@ -450,10 +355,6 @@ def _simple_coordinates(n, root):
         acc += int(root[k])
         coeffs[k] = acc
     return coeffs
-
-
-def isotope(L: MatrixLieAlgebra, iota_simple) -> IsotopedLie:
-    return IsotopedLie(L, iota_simple)
 
 
 class DirectSumSl(MatrixLieAlgebra):
@@ -475,31 +376,6 @@ class DirectSumSl(MatrixLieAlgebra):
         self.S = RootSystem(self.S.space, roots)
 
 
-def chevalley_tensor(m: int, C: GradedAssocAlgebra, window: int = 2) -> MatrixLieAlgebra:
-    """g tensor C for g = sl_m(Q) and commutative C, as sl_m(C)."""
-    if not C.is_commutative_window(window):
-        raise ValueError("coordinate algebra must be commutative")
-    return MatrixLieAlgebra(m, C)
-
-
-def tensor_element(L: MatrixLieAlgebra, x_rows, c: AlgElement) -> MatLieElement:
-    """x tensor c for a rational matrix x."""
-    entries = {}
-    for i, row in enumerate(x_rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = c * _to_field(L.field, v)
-    return MatLieElement(L, entries)
-
-
-def _to_field(field, v):
-    if isinstance(v, int):
-        return field.from_int(v)
-    if field is QQ:
-        return Fraction(v)
-    return field(v)
-
-
 def lift_derivation(L: MatrixLieAlgebra, d):
     """Entrywise lift of a derivation of A to sl_n(A)."""
 
@@ -507,15 +383,6 @@ def lift_derivation(L: MatrixLieAlgebra, d):
         return MatLieElement(L, {k: d(v) for k, v in x.entries.items()})
 
     return lifted
-
-
-def leibniz_holds(L: MatrixLieAlgebra, lifted, window: int = 1) -> bool:
-    basis = L.windowed_basis(window)
-    for x in basis:
-        for y in basis:
-            if lifted(bracket(x, y)) != bracket(lifted(x), y) + bracket(x, lifted(y)):
-                return False
-    return True
 
 
 def verify_root_graded(L, window: int = 2) -> dict:

@@ -16,16 +16,13 @@ from fractions import Fraction
 from operator import mul, not_, sub
 
 from .lattices import LatticeSubset
-from .linalg import inverse, kernel, rank as mat_rank
+from .linalg import kernel, rank as mat_rank
 from .report import AxiomReport, CheckResult
 from .rootsys import (
     IntegerRoots,
     PreReflectionSystem,
-    RootSpace,
     RootSystem,
-    _unit,
     classify,
-    complete_basis,
     connected_components,
     indivisible_part,
     integer_form,
@@ -433,16 +430,6 @@ class AffineReflectionSystem:
         return gens
 
 
-def build_extension(S: RootSystem, S_prime, ed: ExtensionDatum,
-                    validate: bool = True) -> AffineReflectionSystem:
-    if validate:
-        rep = validate_extension_datum(ed)
-        if not rep.ok:
-            bad = rep.failures()[0]
-            raise ValueError(f"invalid extension datum: {bad.name} ({bad.witness})")
-    return AffineReflectionSystem(S, S_prime, ed)
-
-
 def validate_ars_axioms(ars: AffineReflectionSystem) -> AxiomReport:
     """ReS0-ReS4 for an affine reflection system R, decided exactly.
 
@@ -469,79 +456,6 @@ def validate_ars_axioms(ars: AffineReflectionSystem) -> AxiomReport:
             note="reduces to ReS3 of the quotient root system")
     rep.append(finite["ReS4"])
     return rep
-
-
-def quotient_by_affine_form(prs: PreReflectionSystem, form):
-    """(S, projection) obtained by dividing out the radical of an affine form."""
-    flags = check_form(prs, form)
-    if not flags["affine"]:
-        raise ValueError("form is not an affine form for this system")
-    space = RootSpace(prs.dim, tuple(tuple(Fraction(x) for x in row) for row in form))
-    gram = [[space.pair(_unit(prs.dim, i), _unit(prs.dim, j)) for j in range(prs.dim)]
-            for i in range(prs.dim)]
-    rad_basis = [tuple(v) for v in kernel(gram, QQ, prs.dim)]
-    comp = complete_basis(rad_basis, prs.dim)
-    basis = [list(v) for v in rad_basis] + [list(c) for c in comp]
-    binv = inverse([list(col) for col in zip(*basis)], QQ)
-
-    def project(x):
-        coords = [sum(binv[i][j] * x[j] for j in range(prs.dim)) for i in range(prs.dim)]
-        return tuple(coords[len(rad_basis):])
-
-    img_form = [[space.pair(c1, c2) for c2 in comp] for c1 in comp]
-    img_roots = {project(a) for a in prs.roots}
-    fibers = {}
-    for a in sorted(prs.roots):
-        fibers.setdefault(project(a), []).append(a)
-    S = RootSystem(RootSpace(len(comp), tuple(tuple(r) for r in img_form)), img_roots)
-    srep = validate_axioms(S)
-    if not srep.ok:
-        raise ValueError(f"projected set is not a root system: {srep.failures()[0].name}")
-    # connectedness transfers along the projection
-    if len(connected_components(S)) != len(connected_components(prs)):
-        raise AssertionError("component count changed under the quotient map")
-    return S, project, fibers
-
-
-def extract_datum(ars: AffineReflectionSystem, phi=None) -> ExtensionDatum:
-    """Datum extracted along the partial section g(xi) = xi + phi(xi).
-
-    phi maps the roots of S linearly into Z^n; it is given on a spanning set
-    and must satisfy phi(xi') in Lambda_xi' for xi' in S'.  phi=None is the
-    canonical section g = iota.
-    """
-    if phi is None:
-        phi = {}
-    phi = {tuple(k): tuple(v) for k, v in phi.items()}
-    span_keys = sorted(phi)
-    family = {}
-    for xi in ars.S.sorted_roots():
-        shift = _linear_extend(phi, span_keys, xi, ars.z_rank)
-        if any(xi) and tuple(xi) in ars.S_prime and shift != (0,) * ars.z_rank:
-            if shift not in ars.datum.lam(xi):
-                raise ValueError(f"g is not a partial section: phi({fs(xi)}) not in Lambda")
-        family[xi] = ars.datum.lam(xi).shift(tuple(-s for s in shift))
-    return ExtensionDatum(ars.S, ars.S_prime, ars.z_rank, family)
-
-
-def _linear_extend(phi, span_keys, xi, z_rank):
-    if tuple(xi) in phi:
-        return tuple(int(x) for x in phi[tuple(xi)])
-    if not span_keys:
-        return (0,) * z_rank
-    from .linalg import solve
-
-    mat = [[Fraction(k[i]) for k in span_keys] for i in range(len(xi))]
-    sol = solve(mat, [Fraction(x) for x in xi], QQ)
-    if sol is None:
-        raise ValueError(f"{fs(xi)} outside the span of the section data")
-    out = [Fraction(0)] * z_rank
-    for c, key in zip(sol, span_keys):
-        for i in range(z_rank):
-            out[i] += c * phi[key][i]
-    if any(x.denominator != 1 for x in out):
-        raise ValueError(f"section shift at {fs(xi)} is not a lattice point")
-    return tuple(int(x) for x in out)
 
 
 AFFINE_TABLE = (

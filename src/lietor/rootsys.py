@@ -421,25 +421,6 @@ def build_exceptional(family: str) -> RootSystem:
     raise ValueError(f"unknown exceptional family {family!r}")
 
 
-def direct_sum(*systems) -> RootSystem:
-    """Direct sum on the orthogonal direct sum of the ambient spaces."""
-    dim = sum(rs.dim for rs in systems)
-    form = [[Fraction(0)] * dim for _ in range(dim)]
-    offset = 0
-    roots = {(Fraction(0),) * dim}
-    for rs in systems:
-        d = rs.dim
-        for i in range(d):
-            for j in range(d):
-                form[offset + i][offset + j] = rs.space.form[i][j]
-        for a in rs.roots:
-            vec = [Fraction(0)] * dim
-            vec[offset:offset + d] = list(a)
-            roots.add(tuple(vec))
-        offset += d
-    return RootSystem(RootSpace(dim, tuple(tuple(r) for r in form)), roots)
-
-
 def root_strings_exhaustive(rs: RootSystem):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 

@@ -403,19 +403,6 @@ def root_of_unity_order(x):
     raise TypeError(f"unsupported scalar {type(x).__name__}")
 
 
-def scalar_to_json(x) -> dict:
-    """Serialize per the scalar schema, integers as decimal strings."""
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        return {"field": "Q", "coeffs": [[str(x.numerator), str(x.denominator)]]}
-    if isinstance(x, Cyclo):
-        return {
-            "field": f"Q(zeta_{x.field.order})",
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
-        }
-    raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
 def scalar_from_json(data: dict):
     field = data["field"]
     pairs = [(int(n), int(d)) for n, d in data["coeffs"]]

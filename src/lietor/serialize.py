@@ -25,26 +25,6 @@ def frac_from_str(s: str) -> Fraction:
         raise ValueError(f"zero denominator in {s!r}") from None
 
 
-def scalar_to_str(x) -> str:
-    """Compact token for a scalar: rationals and (signed) powers of zeta."""
-    if isinstance(x, (int, Fraction)):
-        return frac_to_str(Fraction(x))
-    if isinstance(x, Cyclo):
-        n = x.field.order
-        nz = [(i, c) for i, c in enumerate(x.coeffs) if c]
-        if len(nz) == 1:
-            i, c = nz[0]
-            if c == 1:
-                return f"z{n}^{i}" if i != 1 else f"z{n}"
-            if c == -1:
-                return f"-z{n}^{i}" if i != 1 else f"-z{n}"
-        return json.dumps({
-            "field": f"Q(zeta_{n})",
-            "coeffs": [[str(c.numerator), str(c.denominator)] for c in x.coeffs],
-        })
-    raise TypeError(f"not a scalar: {type(x).__name__}")
-
-
 _ZPOW = re.compile(r"^(-?)z(\d+)(?:\^(-?\d+))?$")
 
 
@@ -109,60 +89,6 @@ def datum_from_json(data: dict) -> ExtensionDatum:
         root = tuple(frac_from_str(x) for x in key.split(","))
         fam[root] = LatticeSubset.from_json(sub)
     return ExtensionDatum(S, sp, int(data["Z_rank"]), fam)
-
-
-def alg_element_to_json(x) -> dict:
-    """{"terms": {"d1,d2|sym": scalar-json}} for a graded algebra element."""
-    from .scalars import scalar_to_json
-
-    terms = {}
-    for (deg, sym), c in sorted(x.terms.items()):
-        key = ",".join(str(int(v)) for v in deg) + "|" + str(sym)
-        terms[key] = scalar_to_json(c)
-    return {"terms": terms}
-
-
-def alg_element_from_json(A, data: dict):
-    from .graded import AlgElement
-    from .scalars import scalar_from_json
-
-    terms = {}
-    for key, cj in data["terms"].items():
-        degpart, sym = key.rsplit("|", 1)
-        deg = tuple(int(v) for v in degpart.split(",")) if degpart else ()
-        terms[(deg, int(sym))] = scalar_from_json(cj)
-    return AlgElement(A, terms)
-
-
-def mat_element_to_json(x) -> dict:
-    """{"n": n, "entries": {"i,j": graded-element-json}}."""
-    entries = {}
-    for (i, j), v in sorted(x.entries.items()):
-        entries[f"{i},{j}"] = alg_element_to_json(v)
-    return {"n": x.L.n, "entries": entries}
-
-
-def mat_element_from_json(L, data: dict):
-    from .matlie import MatLieElement
-
-    if int(data["n"]) != L.n:
-        raise ValueError(f"element size {data['n']} does not match sl_{L.n}")
-    entries = {}
-    for key, vj in data["entries"].items():
-        i, j = (int(v) for v in key.split(","))
-        entries[(i, j)] = alg_element_from_json(L.A, vj)
-    return MatLieElement(L, entries)
-
-
-def qtorus_to_json(A) -> dict:
-    field = A.field
-    name = "Q" if field is QQ else f"Q(zeta_{field.order})"
-    return {
-        "kind": "qtorus",
-        "n": A.n,
-        "q": [[scalar_to_str(A.q[i][j]) for j in range(A.n)] for i in range(A.n)],
-        "field": name,
-    }
 
 
 def coord_algebra_from_json(data) -> "GradedAssocAlgebra":

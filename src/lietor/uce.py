@@ -1,6 +1,5 @@
-"""Universal central extensions of sl_n(A), first cyclic homology, the
-untwisted affine algebra as an instance of E = C + L + D (eala), plus
-multiloop algebras.
+"""Universal central extensions of sl_n(A), first cyclic homology and the
+untwisted affine algebra as an instance of E = C + L + D (eala).
 
 <A,A> = (A wedge A)/B with B spanned by ab^c + bc^a + ca^b.  The kernel of
 <a,b> -> [a,b] is HC_1(A), whose dimension in each lattice degree is read
@@ -15,10 +14,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eala import BuiltE, build_E, default_iara_data
-from .graded import AlgElement, FiniteDimAlgebra, GradedAssocAlgebra
+from .graded import AlgElement, GradedAssocAlgebra
 from .lattices import box
-# mat_rank stays importable from here: the benchmark hooks it by this name.
-from .linalg import LinearSolver, identity, kernel, mat_mul, rank as mat_rank, rref  # noqa: F401
+# kernel and mat_rank stay importable from here: the benchmark hooks them by
+# these names.
+from .linalg import kernel, rank as mat_rank, rref  # noqa: F401
 from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket
 from .report import AxiomReport
 
@@ -197,17 +197,8 @@ class WedgeWindow:
                             v[idx] = v[idx] - c * r
             yield blk, v
 
-    def reduce(self, w: WedgeElement) -> WedgeElement:
-        return WedgeElement(self.A, {
-            blk.keys[i]: c for blk, v in self._reduced_parts(w) for i, c in enumerate(v) if c
-        })
-
     def is_zero_mod_b(self, w: WedgeElement) -> bool:
         return not any(any(v) for _, v in self._reduced_parts(w))
-
-
-def wedge_reduce(w: WedgeElement, window: int) -> WedgeElement:
-    return WedgeWindow(w.A, window).reduce(w)
 
 
 def hc1_component(A: GradedAssocAlgebra, deg) -> int:
@@ -285,9 +276,6 @@ class UceAlgebra:
         if m.trace():
             raise ValueError("matrix part must have exact trace zero")
         return UceElement(self, WedgeElement.zero(self.A), m)
-
-    def from_wedge(self, w: WedgeElement) -> UceElement:
-        return UceElement(self, w, self.sl.zero())
 
     def x(self, i, j, a) -> UceElement:
         """Steinberg generator X_ij(a), i != j."""
@@ -438,105 +426,3 @@ def build_affine(m: int, window: int = 2) -> BuiltE:
     A = GradedAssocAlgebra.laurent()
     L = MatrixLieAlgebra(m, A) if m >= 3 else _SmallMatrixLie(m, A)
     return build_E(default_iara_data(L, C="dual"), window)
-
-
-def sl_structure_algebra(m: int, field) -> tuple:
-    """sl_m as a finite-dimensional algebra by structure constants.
-
-    Returns (FiniteDimAlgebra with the commutator product, basis matrices).
-    """
-    basis = []
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                mat = [[field.zero] * m for _ in range(m)]
-                mat[i][j] = field.one
-                basis.append(mat)
-    for i in range(m - 1):
-        mat = [[field.zero] * m for _ in range(m)]
-        mat[i][i] = field.one
-        mat[i + 1][i + 1] = -field.one
-        basis.append(mat)
-    dim = len(basis)
-    flat = [[v for row in b for v in row] for b in basis]
-    solver = LinearSolver.factor([list(col) for col in zip(*flat)], field)
-
-    def coords(mat):
-        sol = solver.solve([v for row in mat for v in row])
-        if sol is None:
-            raise ValueError("matrix outside sl_m")
-        return sol
-
-    table = []
-    for a in basis:
-        row = []
-        for b in basis:
-            comm = [[x - y for x, y in zip(r1, r2)]
-                    for r1, r2 in zip(mat_mul(a, b, field), mat_mul(b, a, field))]
-            row.append(coords(comm))
-        table.append(row)
-    alg = FiniteDimAlgebra(field, dim, table, [field.zero] * dim)
-    return alg, basis, coords
-
-
-class MultiloopAlgebra:
-    """M_m(A, sigma) = sum of eigenspace components A^(pi(lam)) z^lam."""
-
-    def __init__(self, base: FiniteDimAlgebra, sigmas, orders, field):
-        self.base = base
-        self.sigmas = [list(map(list, s)) for s in sigmas]
-        self.orders = list(orders)
-        self.r = len(sigmas)
-        self.field = field
-        eye = identity(base.dim, field)
-        for idx, (s, m) in enumerate(zip(self.sigmas, self.orders)):
-            acc = eye
-            for _ in range(m):
-                acc = mat_mul(s, acc, field)
-            if acc != eye:
-                raise ValueError(f"sigma_{idx} does not have order dividing {m}")
-        for a in range(self.r):
-            for b in range(a + 1, self.r):
-                if mat_mul(self.sigmas[a], self.sigmas[b], field) != mat_mul(
-                        self.sigmas[b], self.sigmas[a], field):
-                    raise ValueError(f"sigma_{a} and sigma_{b} do not commute")
-        self._zetas = []
-        from .graded import field_root_of_unity
-
-        for m in self.orders:
-            z = field_root_of_unity(field, m)
-            if z is None:
-                raise ValueError(f"field has no primitive {m}-th root of unity")
-            self._zetas.append(z)
-        self._eig_cache = {}
-
-    def eigenspace(self, lam):
-        key = tuple(int(x) % m for x, m in zip(lam, self.orders))
-        if key in self._eig_cache:
-            return self._eig_cache[key]
-        rows = []
-        dim = self.base.dim
-        for s, z, k in zip(self.sigmas, self._zetas, key):
-            zk = self.field.one
-            for _ in range(k):
-                zk = zk * z
-            for i in range(dim):
-                rows.append([s[i][j] - (zk if i == j else self.field.zero) for j in range(dim)])
-        basis = kernel(rows, self.field, dim)
-        self._eig_cache[key] = basis
-        return basis
-
-    def dim_of_degree(self, lam) -> int:
-        return len(self.eigenspace(lam))
-
-    def eigenspace_dims_sum_ok(self) -> bool:
-        """Eigenspace dimensions over one period sum to dim(A)."""
-        total = sum(
-            len(self.eigenspace(key))
-            for key in itertools.product(*[range(m) for m in self.orders])
-        )
-        return total == self.base.dim
-
-
-def build_multiloop(base: FiniteDimAlgebra, sigmas, orders, field) -> MultiloopAlgebra:
-    return MultiloopAlgebra(base, sigmas, orders, field)

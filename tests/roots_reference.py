@@ -10,7 +10,8 @@ in ``test_root_rows.py`` compare them with ``lietor.refl`` and
 
 ``coroot_from_form``, ``reflect`` and ``root_string`` work on Fraction
 tuples, one root or one pair at a time: the coroot of one root from the
-form, one reflection and one alpha-string.
+form, one reflection and one alpha-string.  ``direct_sum`` builds the
+reducible inputs.
 """
 
 from __future__ import annotations
@@ -67,6 +68,26 @@ def root_string(rs: RootSystem, beta, alpha):
             f"string bounds p={p}, q={q} violate p - q = -<beta,alpha_check> = {a}"
         )
     return list(range(lo, hi + 1)), p, q
+
+
+def direct_sum(*systems) -> RootSystem:
+    """Direct sum on the orthogonal direct sum of the ambient spaces: a
+    reducible input for the classification and component tests."""
+    dim = sum(rs.dim for rs in systems)
+    form = [[Fraction(0)] * dim for _ in range(dim)]
+    offset = 0
+    roots = {(Fraction(0),) * dim}
+    for rs in systems:
+        d = rs.dim
+        for i in range(d):
+            for j in range(d):
+                form[offset + i][offset + j] = rs.space.form[i][j]
+        for a in rs.roots:
+            vec = [Fraction(0)] * dim
+            vec[offset:offset + d] = list(a)
+            roots.add(tuple(vec))
+        offset += d
+    return RootSystem(RootSpace(dim, tuple(tuple(r) for r in form)), roots)
 
 
 def strings(m: IntegerRoots, a):

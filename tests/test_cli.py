@@ -12,11 +12,9 @@ from lietor.serialize import (
     coord_algebra_from_json,
     datum_from_json,
     datum_to_json,
-    qtorus_to_json,
     root_system_from_json,
     root_system_to_json,
     scalar_from_str,
-    scalar_to_str,
 )
 
 GOLDEN_TABLE = """\
@@ -249,7 +247,7 @@ def test_scalar_tokens():
     assert scalar_from_str("z3") == z3
     assert scalar_from_str("z3^-1") == z3.inverse()
     assert scalar_from_str("-z3") == -z3
-    assert scalar_from_str(scalar_to_str(z3.inverse())) == z3.inverse()
+    assert scalar_from_str("z3^2") == z3.inverse()
 
 
 def test_root_system_json_round_trip():
@@ -273,28 +271,13 @@ def test_datum_json_round_trip():
         assert back.lam(root) == ars.datum.lam(root)
 
 
-def test_element_json_round_trip():
-    from fractions import Fraction
-
-    from lietor.graded import GradedAssocAlgebra
-    from lietor.matlie import MatrixLieAlgebra
-    from lietor.serialize import mat_element_from_json, mat_element_to_json
-
-    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    x = L.E(0, 1, L.A.monomial((2,), Fraction(3, 7))) + L.cartan(0, 2)
-    data = json.loads(json.dumps(mat_element_to_json(x)))
-    assert mat_element_from_json(L, data) == x
-
-
 def test_qtorus_json_round_trip():
-    from lietor.graded import GradedAssocAlgebra
     from lietor.scalars import cyclotomic_field
 
-    F3 = cyclotomic_field(3)
-    z3 = F3.zeta()
-    A = GradedAssocAlgebra.quantum_torus([[F3.one, z3], [z3.inverse(), F3.one]], F3)
-    back = coord_algebra_from_json(json.loads(json.dumps(qtorus_to_json(A))))
-    assert back.kind == "qtorus" and back.q[0][1] == z3
+    z3 = cyclotomic_field(3).zeta()
+    text = (Path(__file__).parent / "data" / "q3.json").read_text()
+    back = coord_algebra_from_json(json.loads(text))
+    assert back.kind == "qtorus" and back.q[0][1] == z3 and back.q[1][0] == z3.inverse()
 
 
 def test_eala_report_golden(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,7 @@ from lietor.eala import (
 )
 from lietor.report import sampled_check, sampled_triples
 from lietor.scalars import cyclotomic_field
+from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
 
 
@@ -528,3 +531,23 @@ def test_t_action_reads_the_lifts_on_real_root_spaces():
         b = E.root_space_basis(root, deg)[0]
         assert all(E.bracket(t, b) == b.scale(E.root_value(root, deg, t))
                    for t in tbasis) is ok
+
+
+SIGMA_COORDS = {
+    "q3": lambda: coord_algebra_from_json(
+        json.loads((Path(__file__).parent / "data" / "q3.json").read_text())),
+    "laurent": GradedAssocAlgebra.laurent,
+}
+
+
+@pytest.mark.parametrize("coord", sorted(SIGMA_COORDS))
+@pytest.mark.parametrize("C", ["min", "dual"])
+def test_sigma_d_vanishes_on_the_t_basis(coord, C):
+    # acts_by_root reads no C part of [t, b] for b in L: the L part h of t
+    # has degree 0, so (d_k h | b) = (theta_k(0) t^gamma h | b) = 0.
+    L = MatrixLieAlgebra(3, SIGMA_COORDS[coord]())
+    E = build_E(default_iara_data(L, window=1, C=C), window=1)
+    zero = [L.field.zero] * len(E.data.D)
+    for t in E.t_basis():
+        for b in L.windowed_basis(1):
+            assert sigma_d_values(E.data, t.l, b) == zero

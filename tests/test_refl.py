@@ -15,11 +15,8 @@ from lietor.refl import (
     PreReflectionSystem,
     ars_structure,
     build_affine_rs,
-    build_extension,
     check_form,
-    extract_datum,
     predicates,
-    quotient_by_affine_form,
     untwisted_datum,
     validate_ars_axioms,
     validate_axioms,
@@ -30,9 +27,7 @@ from lietor.rootsys import (
     RootSystem,
     build_classical,
     build_exceptional,
-    classify,
     connected_components,
-    direct_sum,
     indivisible_part,
     length_partition,
     normalized,
@@ -43,7 +38,7 @@ from lietor.rootsys import (
 from lietor.report import AxiomReport
 from lietor.scalars import QQ
 from lietor.serialize import datum_from_json
-from roots_reference import root_string
+from roots_reference import direct_sum, root_string
 
 DATA = Path(__file__).parent / "data"
 
@@ -176,66 +171,9 @@ def test_trivial_extension_is_s():
     a2 = build_classical("A", 2)
     fam = {a: LatticeSubset.finite(0, [()]) for a in a2.roots}
     ed = ExtensionDatum(a2, frozenset(indivisible_part(a2)), 0, fam)
-    ars = build_extension(a2, ed.S_prime, ed)
+    ars = AffineReflectionSystem(a2, ed.S_prime, ed)
     assert set(ars.windowed_roots(2)) == a2.roots
     assert ars_structure(ars, window=2)["nullity"] == 0
-
-
-def test_extract_datum_round_trip():
-    ars, _, _ = build_affine_rs(build_classical("B", 2), 2)
-    ed = extract_datum(ars)
-    for a in ars.S.roots:
-        assert ed.lam(a) == ars.datum.lam(a)
-
-
-def test_extract_datum_shifted_section():
-    ars, _, _ = build_affine_rs(build_classical("B", 2), 2)
-    phi = {(F(1), F(0)): (1,), (F(0), F(1)): (1,)}
-    ed = extract_datum(ars, phi)
-    # Lambda'_xi = Lambda_xi - phi(xi); Z and 2Z are shift-invariant here.
-    assert ed.lam((F(1), F(0))) == ars.datum.lam((F(1), F(0)))
-    assert ed.lam((F(1), F(1))) == ars.datum.lam((F(1), F(1)))
-    rep = validate_extension_datum(ed)
-    assert rep.ok
-
-
-def test_extract_rejects_non_section():
-    ars, _, _ = build_affine_rs(build_classical("B", 2), 2)
-    phi = {(F(1), F(0)): (1,), (F(0), F(1)): (0,)}  # phi(long (1,1)) = 1 odd
-    with pytest.raises(ValueError):
-        extract_datum(ars, phi)
-
-
-def _ambient_affine_form(ars):
-    dim = ars.dim
-    form = [[F(0)] * dim for _ in range(dim)]
-    for i in range(ars.y_dim):
-        for j in range(ars.y_dim):
-            form[i][j] = ars.S.space.form[i][j]
-    return form
-
-
-def test_quotient_by_affine_form():
-    ars, _, _ = build_affine_rs(build_classical("A", 2), 1)
-    S, project, fibers = quotient_by_affine_form(ars.to_prs(3), _ambient_affine_form(ars))
-    assert str(classify(S)) == "A2"
-    arsg, _, _ = build_affine_rs(build_exceptional("G2"), 3)
-    S, project, fibers = quotient_by_affine_form(arsg.to_prs(2), _ambient_affine_form(arsg))
-    assert str(classify(S)) == "G2"
-
-
-def test_quotient_of_nondegenerate_form_is_identity():
-    rs = normalized(build_classical("B", 2))
-    S, project, fibers = quotient_by_affine_form(prs_of(rs), rs.space.form)
-    assert len(S.roots) == len(rs.roots)
-    assert str(classify(S)) == "B2"
-
-
-def test_quotient_rejects_non_affine_form():
-    rs = normalized(build_classical("B", 2))
-    bad = [[F(0)] * 2 for _ in range(2)]
-    with pytest.raises(ValueError):
-        quotient_by_affine_form(prs_of(rs), bad)
 
 
 def test_affine_labels_whole_table():
@@ -286,7 +224,7 @@ def test_untamed_lambda0_detected():
     full = LatticeSubset.full(1)
     fam = {a: (full if not any(a) else two) for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed)
+    ars = AffineReflectionSystem(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["tame"] is False
     assert st["unbroken"] is True
@@ -299,7 +237,7 @@ def test_broken_strings_and_asymmetry_detected():
     full = LatticeSubset.full(1)
     fam = {a: (LatticeSubset.zero(1) if not any(a) else full) for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed)
+    ars = AffineReflectionSystem(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["unbroken"] is False
     assert st["tame"] is True
@@ -308,7 +246,7 @@ def test_broken_strings_and_asymmetry_detected():
     fam = {a: (LatticeSubset.finite(1, [(0,), (1,)]) if not any(a) else full)
            for a in a1.roots}
     ed = ExtensionDatum(a1, frozenset(indivisible_part(a1)), 1, fam)
-    ars = build_extension(a1, ed.S_prime, ed)
+    ars = AffineReflectionSystem(a1, ed.S_prime, ed)
     st = ars_structure(ars, window=2)
     assert st["symmetric"] is False
 

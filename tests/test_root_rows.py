@@ -40,7 +40,6 @@ from lietor.rootsys import (
     with_form,
 )
 from lietor.scalars import frac_to_str as fs
-from test_refl import _ambient_affine_form
 
 F = Fraction
 
@@ -111,6 +110,15 @@ def perturbed_systems(draw):
 def test_rows_match_the_per_pair_reference(case):
     prs, form = case
     _rows_and_reference_agree(prs, form)
+
+
+def _ambient_affine_form(ars):
+    """The form of S on the Y coordinates, zero on the Z coordinates."""
+    form = [[F(0)] * ars.dim for _ in range(ars.dim)]
+    for i in range(ars.y_dim):
+        for j in range(ars.y_dim):
+            form[i][j] = ars.S.space.form[i][j]
+    return form
 
 
 @pytest.mark.parametrize("fam,rk,tier,window", [("A", 2, 1, 2), ("B", 2, 2, 2), ("G2", None, 3, 1),

@@ -9,14 +9,13 @@ from lietor.rootsys import (
     build_exceptional,
     classify,
     connected_components,
-    direct_sum,
     indivisible_part,
     length_partition,
     normalized,
     root_strings_exhaustive,
     with_form,
 )
-from roots_reference import coroot_from_form, reflect, root_string
+from roots_reference import coroot_from_form, direct_sum, reflect, root_string
 from test_root_rows import SYSTEMS, _base
 from test_root_traversals import CRITERION2
 

@@ -4,12 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietor.graded import (
-    AlgElement,
-    FiniteDimAlgebra,
-    GradedAssocAlgebra,
-    validate_crossed_product,
-)
+from lietor.graded import AlgElement, FiniteDimAlgebra, GradedAssocAlgebra
 from lietor.lattices import box
 from lietor.eala import build_E, default_iara_data
 from lietor.linalg import kernel, rank, rref
@@ -17,16 +12,14 @@ from lietor.matlie import MatrixLieAlgebra, bracket as mat_bracket
 from lietor.scalars import QQ, cyclotomic_field
 from lietor.uce import (
     UceAlgebra,
+    UceElement,
     WedgeElement,
     WedgeWindow,
     build_affine,
-    build_multiloop,
     build_uce_sl,
     hc1_component,
-    sl_structure_algebra,
     steinberg_check,
     wedge,
-    wedge_reduce,
 )
 
 
@@ -58,8 +51,11 @@ def _swap_crossed():
     def tau(lam, mu):
         return [one, one]
 
-    assert validate_crossed_product(B, tau, sigma, window=2, n=1, field=QQ).ok
-    return GradedAssocAlgebra("crossed", 1, QQ, B=B, tau=tau, sigma=sigma)
+    A = GradedAssocAlgebra("crossed", 1, QQ, B=B, tau=tau, sigma=sigma)
+    # sigma is an automorphism and tau a sigma-cocycle: A is associative
+    basis = [b for d in box(1, 2) for b in A.basis_of_degree(d)]
+    assert all((x * y) * z == x * (y * z) for x in basis for y in basis for z in basis)
+    return A
 
 
 # name -> (algebra, window of the quotient)
@@ -218,15 +214,15 @@ def test_wedge_antisymmetry(laurent):
 def test_wedge_reduce_examples(laurent):
     t = laurent.gen(0)
     tinv = laurent.monomial((-1,))
-    assert wedge_reduce(wedge(laurent.one(), t), 4) == type(wedge(t, t))(laurent)
-    assert not wedge_reduce(wedge(laurent.one(), t), 4)
-    assert wedge_reduce(wedge(t, tinv), 4)  # spans HC_1 in degree 0
+    quotient = WedgeWindow(laurent, 4)
+    assert quotient.is_zero_mod_b(wedge(laurent.one(), t))
+    assert not quotient.is_zero_mod_b(wedge(t, tinv))  # spans HC_1 in degree 0
 
 
 def test_wedge_window_overflow(laurent):
     t5 = laurent.monomial((5,))
     with pytest.raises(ValueError):
-        wedge_reduce(wedge(t5, laurent.monomial((-5,))), 2)
+        WedgeWindow(laurent, 2).is_zero_mod_b(wedge(t5, laurent.monomial((-5,))))
 
 
 def test_hc1_laurent(laurent):
@@ -280,7 +276,7 @@ def test_projection_kernel_is_hc1(laurent):
     t = laurent.gen(0)
     tinv = laurent.monomial((-1,))
     w = wedge(t, tinv)
-    u = U.from_wedge(w)
+    u = UceElement(U, w, U.sl.zero())
     assert not U.project(u)  # [t, t^-1] = 0: kernel element
     # and it is central: brackets with the pool vanish after projection
     pool = U.homogeneous_pool(1)
@@ -465,57 +461,6 @@ def test_affine_matches_the_formula(m):
             assert E.form(a, b) == _formula_form(ca, cb)
 
 
-def test_multiloop_twisted_sl3():
-    F2 = cyclotomic_field(2)
-    alg, basis, coords = sl_structure_algebra(3, F2)
-    sig_cols = []
-    for bmat in basis:
-        img = [[-bmat[j][i] for j in range(3)] for i in range(3)]
-        sig_cols.append(coords(img))
-    sigma = [list(col) for col in zip(*sig_cols)]
-    ML = build_multiloop(alg, [sigma], [2], F2)
-    assert ML.dim_of_degree((0,)) == 3   # fixed points: so_3
-    assert ML.dim_of_degree((1,)) == 5
-    assert ML.eigenspace_dims_sum_ok()
-
-
-def test_multiloop_untwisted():
-    F2 = cyclotomic_field(2)
-    alg, basis, coords = sl_structure_algebra(3, F2)
-    ident = [[F2.one if i == j else F2.zero for j in range(alg.dim)] for i in range(alg.dim)]
-    ML = build_multiloop(alg, [ident], [1], F2)
-    assert ML.dim_of_degree((0,)) == alg.dim
-
-
-def test_multiloop_rejects_wrong_order():
-    F2 = cyclotomic_field(2)
-    alg, basis, coords = sl_structure_algebra(3, F2)
-    two = [[F2.from_int(2) if i == j else F2.zero for j in range(alg.dim)]
-           for i in range(alg.dim)]
-    with pytest.raises(ValueError):
-        build_multiloop(alg, [two], [2], F2)
-
-
-def test_multiloop_rejects_noncommuting():
-    F4 = cyclotomic_field(4)
-    alg, basis, coords = sl_structure_algebra(3, F4)
-
-    def conj(mat):
-        cols = []
-        for bmat in basis:
-            prod = [[sum((mat[i][k] * bmat[k][l] * mat[l][j]
-                          for k in range(3) for l in range(3)), F4.zero)
-                     for j in range(3)] for i in range(3)]
-            cols.append(coords(prod))
-        return [list(col) for col in zip(*cols)]
-
-    one, zero = F4.one, F4.zero
-    d = [[one, zero, zero], [zero, -one, zero], [zero, zero, one]]
-    p = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]  # swap(0,1)
-    with pytest.raises(ValueError):
-        build_multiloop(alg, [conj(d), conj(p)], [2, 2], F4)
-
-
 def _random_wedges(name, count, seed):
     A = _algebra(name)
     keys = _dense(name).keys
@@ -556,12 +501,9 @@ def test_block_quotient_matches_dense(name):
             want = dense.reduce(w)
         except ValueError:
             with pytest.raises(ValueError):
-                blocks.reduce(w)
-            with pytest.raises(ValueError):
                 blocks.is_zero_mod_b(w)
             raised += 1
             continue
-        assert blocks.reduce(w) == want, w
         assert blocks.is_zero_mod_b(w) == (not want), w
         compared += 1
     assert compared >= 60 and any(defects), (compared, raised)
@@ -576,8 +518,6 @@ def test_block_quotient_rejects_terms_outside_window(name):
     assert w
     with pytest.raises(ValueError):
         _dense(name).reduce(w)
-    with pytest.raises(ValueError):
-        WedgeWindow(A, window).reduce(w)
     with pytest.raises(ValueError):
         WedgeWindow(A, window).is_zero_mod_b(w)
 
@@ -664,7 +604,7 @@ def test_st3_brackets_every_pair_of_the_window(monkeypatch):
 
     def bracket(self, u, v):
         if u.m.entries == {(0, 1): a} and v.m.entries == {(0, 2): b}:
-            return self.from_wedge(wedge(a, b))
+            return UceElement(self, wedge(a, b), self.sl.zero())
         return plain(self, u, v)
 
     monkeypatch.setattr(UceAlgebra, "bracket", bracket)
