@@ -45,8 +45,44 @@ class FiniteDimAlgebra:
         return out
 
 
+def add_terms(x: dict, y: dict) -> dict:
+    """x + y for dicts of nonzero values (coefficients or matrix entries):
+    a new dict, again with no zero value."""
+    out = dict(x)
+    for k, v in y.items():
+        w = out.get(k)
+        s = v if w is None else w + v
+        if s:
+            out[k] = s
+        elif w is not None:
+            del out[k]
+    return out
+
+
+def sub_terms(x: dict, y: dict) -> dict:
+    """x - y for dicts of nonzero values, in one pass: a new dict, again with
+    no zero value."""
+    out = dict(x)
+    for k, v in y.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = -v
+        else:
+            s = w - v
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
 class AlgElement:
-    """Finite sum of (degree, symbol) terms with scalar coefficients."""
+    """Finite sum of (degree, symbol) terms with scalar coefficients.
+
+    No stored coefficient is zero, so == and bool read the terms literally.
+    The public constructor drops zero coefficients; the arithmetic builds
+    zero-free dicts and wraps them with _zero_free.
+    """
 
     __slots__ = ("algebra", "terms")
 
@@ -54,32 +90,37 @@ class AlgElement:
         self.algebra = algebra
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
+    @classmethod
+    def _zero_free(cls, algebra, terms):
+        """The element with exactly these terms, none of them zero."""
+        x = cls.__new__(cls)
+        x.algebra = algebra
+        x.terms = terms
+        return x
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            s = v if w is None else w + v
-            if s:
-                out[k] = s
-            elif w is not None:
-                del out[k]
-        return AlgElement(self.algebra, out)
+        return AlgElement._zero_free(self.algebra, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return AlgElement._zero_free(self.algebra, sub_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return AlgElement(self.algebra, {k: -v for k, v in self.terms.items()})
+        return AlgElement._zero_free(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, AlgElement):
             self._check(other)
             return self.algebra.mul(self, other)
-        return AlgElement(self.algebra, {k: v * other for k, v in self.terms.items()})
+        if not other:
+            return AlgElement._zero_free(self.algebra, {})
+        return AlgElement._zero_free(self.algebra, {k: v * other for k, v in self.terms.items()})
 
     def __rmul__(self, other):
-        return AlgElement(self.algebra, {k: other * v for k, v in self.terms.items()})
+        if not other:
+            return AlgElement._zero_free(self.algebra, {})
+        return AlgElement._zero_free(self.algebra, {k: other * v for k, v in self.terms.items()})
 
     def _check(self, other):
         if other.algebra is not self.algebra:
@@ -210,7 +251,7 @@ class GradedAssocAlgebra:
         return True
 
     def zero(self):
-        return AlgElement(self, {})
+        return AlgElement._zero_free(self, {})
 
     def one(self):
         z = (0,) * self.n
@@ -255,15 +296,24 @@ class GradedAssocAlgebra:
     def mul(self, x: AlgElement, y: AlgElement) -> AlgElement:
         out = {}
         crossed = self.kind == "crossed"
+        one = self.field.one
         for (dl, sl), cl in x.terms.items():
             for (dm, sm), cm in y.terms.items():
                 deg = tuple(a + b for a, b in zip(dl, dm))
                 if not self.in_support(deg):
                     raise ArithmeticError(f"product leaves the support at degree {deg}")
                 if not crossed:
-                    c = cl * cm * self.tau(dl, dm)
+                    c = cl * cm
+                    t = self.tau(dl, dm)
+                    if t is not one:
+                        c = c * t
                     key = (deg, 0)
-                    out[key] = out.get(key, self.field.zero) + c
+                    cur = out.get(key)
+                    s = c if cur is None else cur + c
+                    if s:
+                        out[key] = s
+                    elif cur is not None:
+                        del out[key]
                 else:
                     bvec = [self.field.zero] * self.bdim
                     bvec[sm] = self.field.one
@@ -276,7 +326,7 @@ class GradedAssocAlgebra:
                         if v:
                             key = (deg, k)
                             out[key] = out.get(key, self.field.zero) + cm * v
-        return AlgElement(self, out)
+        return AlgElement(self, out) if crossed else AlgElement._zero_free(self, out)
 
     def basis_of_degree(self, deg):
         deg = tuple(deg)

@@ -11,14 +11,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graded import AlgElement, GradedAssocAlgebra, graded_form
+from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, sub_terms
 from .lattices import box
 from .linalg import kernel, rank as mat_rank
 from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
 
 
 class MatLieElement:
-    """Finitely supported n x n matrix with AlgElement entries."""
+    """Finitely supported n x n matrix with AlgElement entries.
+
+    No stored entry is zero (and, AlgElement being zero-free, no entry holds
+    a zero coefficient), so == and bool read the entries literally.  The
+    public constructor drops zero entries; the arithmetic builds zero-free
+    dicts and wraps them with _zero_free.
+    """
 
     __slots__ = ("L", "entries")
 
@@ -26,26 +32,29 @@ class MatLieElement:
         self.L = L
         self.entries = {k: v for k, v in (entries or {}).items() if v}
 
+    @classmethod
+    def _zero_free(cls, L, entries):
+        """The matrix with exactly these entries, none of them zero."""
+        x = cls.__new__(cls)
+        x.L = L
+        x.entries = entries
+        return x
+
     def __add__(self, other):
         self._check(other)
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            w = out.get(k)
-            s = v if w is None else w + v
-            if s:
-                out[k] = s
-            elif w is not None:
-                del out[k]
-        return MatLieElement(self.L, out)
+        return MatLieElement._zero_free(self.L, add_terms(self.entries, other.entries))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        return MatLieElement._zero_free(self.L, sub_terms(self.entries, other.entries))
 
     def __neg__(self):
-        return MatLieElement(self.L, {k: -v for k, v in self.entries.items()})
+        return MatLieElement._zero_free(self.L, {k: -v for k, v in self.entries.items()})
 
     def scale(self, c):
-        return MatLieElement(self.L, {k: v * c for k, v in self.entries.items()})
+        if not c:
+            return MatLieElement._zero_free(self.L, {})
+        return MatLieElement._zero_free(self.L, {k: v * c for k, v in self.entries.items()})
 
     def _check(self, other):
         if other.L is not self.L:
@@ -60,11 +69,11 @@ class MatLieElement:
         return self.L is other.L and self.entries == other.entries
 
     def trace(self) -> AlgElement:
-        t = self.L.A.zero()
+        t = None
         for (i, j), v in self.entries.items():
             if i == j:
-                t = t + v
-        return t
+                t = v if t is None else t + v
+        return self.L.A.zero() if t is None else t
 
     def matmul(self, other) -> MatLieElement:
         self._check(other)
@@ -74,11 +83,14 @@ class MatLieElement:
                 if k != k2:
                     continue
                 p = a * b
-                if p:
-                    key = (i, j)
-                    cur = out.get(key)
-                    out[key] = p if cur is None else cur + p
-        return MatLieElement(self.L, {k: v for k, v in out.items() if v})
+                key = (i, j)
+                cur = out.get(key)
+                s = p if cur is None else cur + p
+                if s:
+                    out[key] = s
+                elif cur is not None:
+                    del out[key]
+        return MatLieElement._zero_free(self.L, out)
 
     def decompose(self):
         """Map (root, lattice degree) -> component element."""
@@ -147,7 +159,7 @@ class MatrixLieAlgebra:
         return tuple(v)
 
     def zero(self):
-        return MatLieElement(self, {})
+        return MatLieElement._zero_free(self, {})
 
     def E(self, i, j, a=None) -> MatLieElement:
         if a is None:

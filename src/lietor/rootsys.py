@@ -98,11 +98,20 @@ class PreReflectionSystem:
 
     def __init__(self, dim: int, roots, coroots):
         self.dim = dim
-        self.roots = frozenset(tuple(r) for r in roots)
-        self.coroots = MappingProxyType({tuple(k): tuple(v) for k, v in coroots.items()})
-        missing = [r for r in self.roots if r not in self.coroots]
+        self.roots = _root_set(roots)
+        # A dict of tuples, as _form_coroots builds it, is copied with its
+        # stored hashes; hashing a tuple of Fractions again is the cost here.
+        if type(coroots) is dict and all(type(k) is tuple and type(v) is tuple
+                                         for k, v in coroots.items()):
+            coroots = dict(coroots)
+        else:
+            coroots = {tuple(k): tuple(v) for k, v in coroots.items()}
+        self.coroots = MappingProxyType(coroots)
+        # A frozenset minus a dict looks each root up by its stored hash.
+        missing = self.roots.difference(coroots)
         if missing:
-            raise ValueError(f"coroot missing for {missing[0]}")
+            first = next(r for r in self.roots if r in missing)
+            raise ValueError(f"coroot missing for {first}")
 
     @classmethod
     def from_root_system(cls, rs: "RootSystem") -> "PreReflectionSystem":
@@ -114,6 +123,14 @@ class PreReflectionSystem:
     @functools.cached_property
     def model(self) -> "IntegerRoots":
         return IntegerRoots(self.roots, self.coroots)
+
+
+def _root_set(roots) -> frozenset:
+    """The roots as a frozenset of tuples; a frozenset of tuples is kept as
+    it is, with the hashes it stores."""
+    if type(roots) is frozenset and all(type(r) is tuple for r in roots):
+        return roots
+    return frozenset(tuple(r) for r in roots)
 
 
 def integer_form(form):
@@ -148,7 +165,7 @@ class RootSystem(PreReflectionSystem):
     def __init__(self, space: RootSpace, roots, coroots=None, label=None):
         self.space = space
         self.label = label
-        roots = frozenset(tuple(r) for r in roots)
+        roots = _root_set(roots)
         if (Fraction(0),) * space.dim not in roots:
             raise ValueError("0 must be a root")
         if coroots is None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .eala import BuiltE, build_E, default_iara_data
-from .graded import AlgElement, GradedAssocAlgebra
+from .graded import AlgElement, GradedAssocAlgebra, add_terms, sub_terms
 from .lattices import box
 # kernel and mat_rank stay importable from here: the benchmark hooks them by
 # these names.
@@ -24,7 +24,11 @@ from .report import AxiomReport
 
 
 class WedgeElement:
-    """Element of A wedge A in the monomial-pair basis (not yet modulo B)."""
+    """Element of A wedge A in the monomial-pair basis (not yet modulo B).
+
+    No stored coefficient is zero; the arithmetic builds zero-free dicts and
+    wraps them with _zero_free, the public constructor filters.
+    """
 
     __slots__ = ("A", "terms")
 
@@ -33,28 +37,30 @@ class WedgeElement:
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
+    def _zero_free(cls, A, terms):
+        """The element with exactly these terms, none of them zero."""
+        x = cls.__new__(cls)
+        x.A = A
+        x.terms = terms
+        return x
+
+    @classmethod
     def zero(cls, A):
-        return cls(A, {})
+        return cls._zero_free(A, {})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k)
-            s = v if w is None else w + v
-            if s:
-                out[k] = s
-            elif w is not None:
-                del out[k]
-        return WedgeElement(self.A, out)
+        return WedgeElement._zero_free(self.A, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        return WedgeElement._zero_free(self.A, sub_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return WedgeElement(self.A, {k: -v for k, v in self.terms.items()})
+        return WedgeElement._zero_free(self.A, {k: -v for k, v in self.terms.items()})
 
     def scale(self, c):
-        return WedgeElement(self.A, {k: v * c for k, v in self.terms.items()})
+        if not c:
+            return WedgeElement.zero(self.A)
+        return WedgeElement._zero_free(self.A, {k: v * c for k, v in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
@@ -99,7 +105,7 @@ def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
                 out[key] = s
             elif cur is not None:
                 del out[key]
-    return WedgeElement(A, out)
+    return WedgeElement._zero_free(A, out)
 
 
 class WedgeBlock(NamedTuple):
@@ -288,19 +294,20 @@ class UceAlgebra:
     def bracket(self, u1: UceElement, u2: UceElement) -> UceElement:
         w1, m1 = u1.w, u1.m
         w2, m2 = u2.w, u2.m
-        # sigma part of [m1, m2]:
-        wout = WedgeElement.zero(self.A)
+        # sigma part of [m1, m2], built only where an (i,j) entry of m1 meets
+        # the (j,i) entry of m2:
+        wout = None
         for (i, j), a in m1.entries.items():
             b = m2.entries.get((j, i))
             if b is not None:
-                wout = wout + wedge(a, b)
-        if wout:
-            wout = wout.scale(self._ninv)
+                w = wedge(a, b)
+                wout = w if wout is None else wout + w
+        wout = WedgeElement.zero(self.A) if wout is None else wout.scale(self._ninv)
         mout = mat_bracket(m1, m2)
         tr = mout.trace()
         if tr:
-            corr = {(i, i): tr * self._ninv for i in range(self.n)}
-            mout = mout - MatLieElement(self.sl, corr)
+            corr = tr * self._ninv
+            mout = mout - MatLieElement._zero_free(self.sl, {(i, i): corr for i in range(self.n)})
         # wedge-wedge and wedge-matrix parts act through commutator images.
         if w1:
             u_w1 = w1.commutator_image()
@@ -361,7 +368,13 @@ def build_uce_sl(n: int, A: GradedAssocAlgebra) -> UceAlgebra:
 
 
 def steinberg_check(U: UceAlgebra, window: int = 2) -> AxiomReport:
-    """st1-st3 on windowed homogeneous coefficients."""
+    """st1-st3 on every monomial coefficient of the window.
+
+    st1 adds every pair of monomials; st2 and st3 bracket every coefficient
+    pair of every index triple and quad through UceAlgebra.bracket, so a
+    wrong bracket at any one pair fails them: 6 w^2 + 18 w^2 brackets for
+    n = 3 and w monomials, 15,000 at window 2 on Q[Z^2].
+    """
     rep = AxiomReport()
     A = U.A
     degs = [d for d in box(A.n, window) if A.in_support(d)]

@@ -1,0 +1,172 @@
+"""The zero-free element arithmetic of A, sl_n(A) and its uce against the
+reference bodies of arith_reference.py.
+
+Both sides get the same random elements over the Laurent polynomials,
+Q[Z^2], the zeta_3 quantum torus (Cyclo scalars) and the swap crossed
+product, together with inputs whose sums cancel: x - x, (a + b)(b - a),
+whose cross terms cancel over a commutative A, and a matrix product whose
+(0,0) entry is ab - ab.  Every result must equal the reference and store no
+zero coefficient, since == and bool read the stored terms literally.
+"""
+
+from __future__ import annotations
+
+import functools
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as hs
+
+import arith_reference as ref
+from lietor.graded import AlgElement, GradedAssocAlgebra
+from lietor.lattices import box
+from lietor.matlie import MatLieElement, bracket
+from lietor.serialize import coord_algebra_from_json
+from lietor.uce import UceAlgebra, UceElement, wedge
+from test_uce import _swap_crossed
+
+DATA = Path(__file__).parent / "data"
+
+ALGEBRAS = {
+    "laurent": GradedAssocAlgebra.laurent,
+    "Q[Z^2]": lambda: GradedAssocAlgebra.group_algebra(2),
+    "zeta3-torus": lambda: coord_algebra_from_json(json.loads((DATA / "q3.json").read_text())),
+    "swap-crossed": _swap_crossed,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _uce(name) -> UceAlgebra:
+    return UceAlgebra(3, ALGEBRAS[name]())
+
+
+def _scalars(field):
+    small = hs.fractions(min_value=-2, max_value=2, max_denominator=3)
+    degree = getattr(field, "degree", None)
+    if degree is None:
+        return small
+    return hs.lists(small, min_size=degree, max_size=degree).map(field)
+
+
+def _elements(A, max_terms=3):
+    degs = [tuple(d) for d in box(A.n, 2 if A.n == 1 else 1)]
+    keys = hs.tuples(hs.sampled_from(degs), hs.integers(0, A.bdim - 1))
+    return hs.dictionaries(keys, _scalars(A.field), max_size=max_terms).map(
+        lambda terms: AlgElement(A, terms))
+
+
+def _matrices(U, max_entries=3):
+    idx = hs.tuples(hs.integers(0, U.n - 1), hs.integers(0, U.n - 1))
+    return hs.dictionaries(idx, _elements(U.A, 2), max_size=max_entries).map(
+        lambda entries: MatLieElement(U.sl, entries))
+
+
+def _alg_zero_free(x):
+    return all(x.terms.values())
+
+
+def _mat_zero_free(x):
+    return all(v and _alg_zero_free(v) for v in x.entries.values())
+
+
+def _same_alg(got, want):
+    assert got.terms == want.terms and _alg_zero_free(got)
+    assert bool(got) == bool(want) and got == want
+
+
+def _same_mat(got, want):
+    assert got.entries.keys() == want.entries.keys() and _mat_zero_free(got)
+    for k, v in want.entries.items():
+        _same_alg(got.entries[k], v)
+    assert got == want
+
+
+def _same_wedge(got, want):
+    assert got.terms == want.terms and all(got.terms.values())
+    assert bool(got) == bool(want) and got == want
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@settings(max_examples=40, deadline=None, database=None)
+@given(data=hs.data())
+def test_algebra_arithmetic_matches_the_reference(name, data):
+    A = _uce(name).A
+    a, b = data.draw(_elements(A)), data.draw(_elements(A))
+    c = data.draw(_scalars(A.field))
+    _same_alg(a + b, ref.alg_add(a, b))
+    _same_alg(a - b, ref.alg_sub(a, b))
+    _same_alg(-a, ref.alg_neg(a))
+    _same_alg(a * b, ref.mul(a, b))
+    _same_alg(a * c, ref.alg_scale(a, c))
+    _same_alg(c * a, ref.alg_scale(a, c))
+    _same_alg(a - a, ref.alg_sub(a, a))
+    assert not a - a and (a - a).terms == {}
+    s, d = a + b, b - a
+    _same_alg(s * d, ref.mul(ref.alg_add(a, b), ref.alg_sub(b, a)))
+    _same_alg(a * b - a * b, A.zero())
+    _same_wedge(wedge(a, b), ref.wedge(a, b))
+    _same_wedge(wedge(a, a), ref.wedge(a, a))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=hs.data())
+def test_matrix_arithmetic_matches_the_reference(name, data):
+    U = _uce(name)
+    x, y = data.draw(_matrices(U)), data.draw(_matrices(U))
+    _same_mat(x + y, ref.mat_add(x, y))
+    _same_mat(x - y, ref.mat_sub(x, y))
+    _same_mat(-x, ref.mat_neg(x))
+    _same_mat(x - x, U.sl.zero())
+    _same_mat(x.matmul(y), ref.matmul(x, y))
+    _same_mat(bracket(x, y), ref.bracket(x, y))
+    _same_alg(x.trace(), ref.trace(x))
+    # (aE_01 + aE_02)(bE_10 - bE_20) has (0,0) entry ab - ab = 0.
+    a, b = data.draw(_elements(U.A)), data.draw(_elements(U.A))
+    p = U.sl.E(0, 1, a) + U.sl.E(0, 2, a)
+    q = U.sl.E(1, 0, b) - U.sl.E(2, 0, b)
+    got = p.matmul(q)
+    _same_mat(got, ref.matmul(p, q))
+    assert (0, 0) not in got.entries
+    _same_mat(bracket(p, q), ref.bracket(p, q))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=hs.data())
+def test_uce_bracket_matches_the_reference(name, data):
+    U = _uce(name)
+    A = U.A
+    a, b = data.draw(_elements(A)), data.draw(_elements(A))
+    i, j = data.draw(hs.permutations(range(U.n)))[:2]
+    # X_ij(a) against X_ji(b): the wedge part and the trace correction.
+    pairs = [(U.x(i, j, a), U.x(j, i, b))]
+    w1 = ref.wedge(data.draw(_elements(A, 2)), data.draw(_elements(A, 2)))
+    w2 = ref.wedge(data.draw(_elements(A, 2)), data.draw(_elements(A, 2)))
+    m1, m2 = data.draw(_matrices(U, 2)), data.draw(_matrices(U, 2))
+    pairs.append((UceElement(U, w1, m1), UceElement(U, w2, m2)))
+    for u, v in pairs:
+        got, want = U.bracket(u, v), ref.uce_bracket(U, u, v)
+        _same_wedge(got.w, want.w)
+        _same_mat(got.m, want.m)
+
+
+def test_unit_tau_is_still_asked_for_every_term(monkeypatch):
+    """mul skips multiplying by a tau of one, never the call to tau."""
+    A = GradedAssocAlgebra.group_algebra(2)
+    calls = []
+    plain = GradedAssocAlgebra.tau
+
+    def tau(self, lam, mu):
+        calls.append((lam, mu))
+        return plain(self, lam, mu)
+
+    monkeypatch.setattr(GradedAssocAlgebra, "tau", tau)
+    x = A.monomial((1, 0)) + A.monomial((0, 1))
+    y = A.monomial((0, 1)) - A.monomial((1, 0))
+    got = x * y
+    assert len(calls) == 4
+    # t^(1,1) - t^(2,0) + t^(0,2) - t^(1,1): the cross terms cancel.
+    assert got.terms == {((0, 2), 0): Fraction(1), ((2, 0), 0): Fraction(-1)}

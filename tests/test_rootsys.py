@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from lietor.rootsys import (
+    PreReflectionSystem,
     RootSpace,
     RootSystem,
     build_classical,
@@ -231,3 +232,24 @@ def test_isotropic_root_names_the_root():
     with pytest.raises(ValueError) as want:
         coroot_from_form(space, e1)
     assert str(got.value) == str(want.value) == f"isotropic nonzero root {e1} under the given form"
+
+
+def test_pre_reflection_system_input_paths_agree():
+    """A frozenset of tuples and a dict of tuples are kept with their hashes;
+    any other input is re-keyed.  Both give the same read-only system."""
+    rs = build_classical("B", 2)
+    coroots = dict(rs.coroots)
+    kept = PreReflectionSystem(rs.dim, rs.roots, coroots)
+    rekeyed = PreReflectionSystem(rs.dim, [list(a) for a in rs.roots],
+                                  {a: list(c) for a, c in coroots.items()})
+    assert kept.roots is rs.roots and rekeyed.roots == rs.roots
+    assert dict(kept.coroots) == dict(rekeyed.coroots) == coroots
+    coroots.clear()
+    assert dict(kept.coroots) == dict(rs.coroots)
+    with pytest.raises(TypeError):
+        kept.coroots[(F(0), F(0))] = (F(0), F(0))
+    a = max(rs.roots)
+    for roots in (rs.roots, [list(b) for b in rs.roots]):
+        with pytest.raises(ValueError) as err:
+            PreReflectionSystem(rs.dim, roots, {b: c for b, c in rs.coroots.items() if b != a})
+        assert str(err.value) == f"coroot missing for {a}"

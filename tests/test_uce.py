@@ -613,6 +613,44 @@ def test_st3_brackets_every_pair_of_the_window(monkeypatch):
     assert not rep["st3"].ok and rep["st3"].witness == "st3 fails at (0,1,0,2)"
 
 
+def test_st2_brackets_every_pair_of_the_window(monkeypatch):
+    A = _algebra("Q[Z^2]")
+    U = build_uce_sl(3, A)
+    assert steinberg_check(U, window=2)["st2"].ok
+    # Neither coefficient is among the two first or two last monomials of
+    # the window.
+    a, b = A.monomial((0, 1)), A.monomial((1, -1))
+    plain = UceAlgebra.bracket
+
+    def bracket(self, u, v):
+        if u.m.entries == {(0, 1): a} and v.m.entries == {(1, 2): b}:
+            return UceElement(self, wedge(a, b), self.sl.zero())
+        return plain(self, u, v)
+
+    monkeypatch.setattr(UceAlgebra, "bracket", bracket)
+    rep = steinberg_check(U, window=2)
+    assert rep["st1"].ok and rep["st3"].ok
+    assert not rep["st2"].ok and rep["st2"].witness == "st2 fails at (0,1,2)"
+
+
+def test_st2_and_st3_bracket_each_pair_once(monkeypatch):
+    """6 index triples for st2 and 18 quads for st3, each over the 25^2
+    coefficient pairs of window 2 on Q[Z^2]: no pair is skipped."""
+    U = build_uce_sl(3, _algebra("Q[Z^2]"))
+    calls = 0
+    plain = UceAlgebra.bracket
+
+    def bracket(self, u, v):
+        nonlocal calls
+        calls += 1
+        return plain(self, u, v)
+
+    monkeypatch.setattr(UceAlgebra, "bracket", bracket)
+    rep = steinberg_check(U, window=2)
+    assert all(rep[name].ok for name in ("st1", "st2", "st3"))
+    assert calls == 6 * 25 ** 2 + 18 * 25 ** 2 == 15000
+
+
 def test_st1_adds_every_pair_of_the_window(monkeypatch):
     A = _algebra("Q[Z^2]")
     U = build_uce_sl(3, A)
