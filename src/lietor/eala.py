@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from types import MappingProxyType
 
-from .graded import CentroidalDerivation, cder_bracket, degree_derivations
+from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
 from .lattices import box
 from .linalg import LinearSolver, independent_rows, kernel, rank as mat_rank, solve
 from .matlie import (
@@ -30,7 +31,7 @@ from .matlie import (
     lift_derivation,
     verify_root_graded,
 )
-from .report import AxiomReport, sampled_triples
+from .report import AxiomReport, sampled_check
 from .rootsys import connected_components, root_strings_exhaustive
 from .scalars import QQ
 
@@ -115,24 +116,21 @@ def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
     return IaraData(L=L, form=form, D=list(D), T_D=t_d, C=cfuncs, T_C=t_c, tau=tau or {})
 
 
-def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
+def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> MappingProxyType:
     """The nonzero values of sigma_D on the window, keyed by degree.
 
     sigma_D(l1, l2) has degree deg(l1) + deg(l2) and can only be nonzero
     when some D basis element has the opposite degree -gamma, so the pairs
     are l1 in L_(xi, d1), l2 in L_(-xi, d2) with d1 + d2 = -gamma.
 
-    The rows are a fact about (form, D, window): they are computed once and
-    kept on the form, so C_min, INV-d and EA5 share one enumeration.
+    The rows are a read-only mapping computed once per (form, D, window),
+    so C_min, INV-d and EA5 share one enumeration.
     """
-    cache = vars(form).setdefault("_sigma_rows_cache", {})
-    key = (tuple(D), window)
-    if key not in cache:
-        cache[key] = _sigma_rows(L, form, D, window)
-    return dict(cache[key])
+    return _sigma_rows(form, L, D, window)
 
 
-def _sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
+@memo
+def _sigma_rows(form, L: MatrixLieAlgebra, D, window: int) -> MappingProxyType:
     out = {}
     degs = box(L.z_rank, window)
     in_box = set(degs)
@@ -147,7 +145,7 @@ def _sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> dict:
                         vals = sigma_d_values((L, form, D), l1, l2)
                         if any(vals):
                             out.setdefault(s, []).append(vals)
-    return out
+    return MappingProxyType(out)
 
 
 def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
@@ -205,12 +203,7 @@ class BuiltE:
         self.nC = len(data.C)
         self.nD = len(data.D)
         self._lifts = [lift_derivation(self.L, dk.apply) for dk in data.D]
-        self._talpha_cache = {}
-        self._dbr_cache = {}
-        self._dc_cache = {}
-        self._roots_cache = {}
         self._sigma_degs = {tuple(-g for g in dk.gamma) for dk in data.D}
-        self._c_solver = None
         self._t_basis = ([self.c_basis_elem(k) for k in data.T_C]
                          + [self.from_l(h) for h in self.L.cartan_basis()]
                          + [self.d_basis_elem(k) for k in data.T_D])
@@ -262,13 +255,16 @@ class BuiltE:
     def _c_coords_from_values(self, vals, witness=""):
         if not any(vals):
             return [self.field.zero] * self.nC
-        if self._c_solver is None:
-            mat = [[c.values[k] for c in self.data.C] for k in range(self.nD)]
-            self._c_solver = LinearSolver.factor(mat, self.field)
         sol = self._c_solver.solve(list(vals))
         if sol is None:
             raise ValueError(f"functional outside C: {witness} (INV d violated)")
         return sol
+
+    @functools.cached_property
+    def _c_solver(self) -> LinearSolver:
+        """One factorization of the C basis as functionals on D."""
+        return LinearSolver.factor([[c.values[k] for c in self.data.C] for k in range(self.nD)],
+                                   self.field)
 
     def _d_coords(self, cd: CentroidalDerivation):
         rows = [[self.field.zero] * self.nD for _ in range(self.L.z_rank)]
@@ -282,28 +278,20 @@ class BuiltE:
             raise ValueError("derivation bracket leaves D (INV b violated)")
         return sol
 
+    @memo
     def d_bracket_coords(self, i, j):
-        got = self._dbr_cache.get((i, j))
-        if got is not None:
-            return got
         br = cder_bracket(self.data.D[i], self.data.D[j])
-        out = [self.field.zero] * self.nD if not any(br.v) else self._d_coords(br)
-        self._dbr_cache[(i, j)] = out
-        return out
+        return [self.field.zero] * self.nD if not any(br.v) else self._d_coords(br)
 
+    @memo
     def d_action_on_c(self, i, k):
         """Coordinates of d_i . c_k, where (d.c)(d') = -c([d, d'])."""
-        got = self._dc_cache.get((i, k))
-        if got is not None:
-            return got
         vals = []
         for kk in range(self.nD):
             coords = self.d_bracket_coords(i, kk)
             vals.append(-sum((a * b for a, b in zip(self.data.C[k].values, coords)),
                              self.field.zero))
-        out = self._c_coords_from_values(vals, witness="D action on C")
-        self._dc_cache[(i, k)] = out
-        return out
+        return self._c_coords_from_values(vals, witness="D action on C")
 
     def tau_coords(self, i, j):
         got = self.data.tau.get((i, j))
@@ -394,14 +382,10 @@ class BuiltE:
                 val = val + dk * theta
         return val
 
-    def windowed_roots(self, window: int):
+    @memo
+    def windowed_roots(self, window: int) -> tuple:
         """(root, degree) of each nonzero windowed root space, computed once
         per window for IA1, EA1, EA6 and the nullity."""
-        if window not in self._roots_cache:
-            self._roots_cache[window] = self._windowed_roots(window)
-        return list(self._roots_cache[window])
-
-    def _windowed_roots(self, window: int):
         out = []
         zero_root = (Fraction(0),) * self.L.n
         for deg in box(self.L.z_rank, window):
@@ -410,7 +394,7 @@ class BuiltE:
             for ro in self.L.S.sorted_roots():
                 if any(ro) and self.L.homog_basis(ro, deg):
                     out.append((tuple(ro), tuple(deg)))
-        return out
+        return tuple(out)
 
     def acts_by_root(self, root, deg) -> bool:
         """Does T act on E_(root, deg) by its root, [t, b] = (root + deg)(t) b
@@ -484,12 +468,9 @@ class BuiltE:
                 return False
         return True
 
+    @memo
     def t_alpha(self, root, deg):
         """The representative t with (t | s) = (root+deg)(s) for s in T."""
-        key = (tuple(root), tuple(deg))
-        got = self._talpha_cache.get(key)
-        if got is not None:
-            return got
         tbasis = self._t_basis
         sol = self.t_solver.solve([self.root_value(root, deg, t) for t in tbasis])
         if sol is None:
@@ -498,7 +479,6 @@ class BuiltE:
         for c, t in zip(sol, tbasis):
             if c:
                 out = out + t.scale(c)
-        self._talpha_cache[key] = out
         return out
 
     @functools.cached_property
@@ -642,7 +622,7 @@ def _c_eval(data: IaraData, c_coords, d_index):
     return out
 
 
-def _invertible_pair(L: MatrixLieAlgebra, root, deg, form=None):
+def _invertible_pair(L: MatrixLieAlgebra, root, deg, form):
     """(e, f) with [f,e]-triple for real roots; for root = 0 a commuting
     pair, preferring one the form pairs nontrivially."""
     root = tuple(root)
@@ -658,7 +638,7 @@ def _invertible_pair(L: MatrixLieAlgebra, root, deg, form=None):
     for e in basis:
         for f in neg:
             if not mat_bracket(e, f):
-                if form is None or form.pair(e, f):
+                if form.pair(e, f):
                     return e, f
                 if fallback is None:
                     fallback = (e, f)
@@ -744,9 +724,9 @@ def verify_eala(E: BuiltE, window: int = 2, iara: AxiomReport = None,
     rep = AxiomReport()
 
     pool = E.windowed_basis(max(1, window - 1))
-    ok = all(E.form(E.bracket(a, b), c) == E.form(a, E.bracket(b, c))
-             for a, b, c in sampled_triples(pool, 200, seed))
-    witness = None if ok else "invariance fails on a sampled triple"
+    sample = sampled_check("EA1", pool, 200, seed, lambda a, b, c: (
+        E.form(E.bracket(a, b), c) == E.form(a, E.bracket(b, c))))
+    ok, witness = sample.ok, sample.witness and f"invariance {sample.witness}"
     if ok:
         for ro, deg in E.windowed_roots(window):
             basis = E.root_space_basis(ro, deg)

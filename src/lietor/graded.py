@@ -9,6 +9,7 @@ on explicit windows.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -43,6 +44,24 @@ class FiniteDimAlgebra:
                     if t:
                         out[k] = out[k] + c * t
         return out
+
+
+def memo(fn):
+    """fn(owner, *args), computed once per owner and arguments: the table lives
+    in the owner's __dict__, keyed by the hashable arguments after the owner (a
+    list is taken, and passed on, as its tuple).  Every caller shares the value,
+    which no caller mutates.  A miss runs __wrapped__, where a test can hook it."""
+    slot = f"_memo:{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        key = tuple(tuple(a) if type(a) is list else a for a in args)
+        table = owner.__dict__.setdefault(slot, {})
+        if key not in table:
+            table[key] = cached.__wrapped__(owner, *key)
+        return table[key]
+
+    return cached
 
 
 def add_terms(x: dict, y: dict) -> dict:
@@ -363,6 +382,7 @@ class GradedAssocAlgebra:
         fac = self.tau(lam, neg)
         return self.monomial(neg, cinv * _inv_scalar(fac))
 
+    @memo
     def unit_of_degree(self, deg):
         """A unit of A^deg, or None when A^deg holds no unit.
 
@@ -381,33 +401,16 @@ class GradedAssocAlgebra:
         A^lam onto A^0 and x is a unit iff x u^-1 is: A^lam = A^0 u, and
         b u is a unit iff b is.
         """
-        deg = tuple(deg)
-        cache = vars(self).setdefault("_unit_cache", {})
-        if deg not in cache:
-            u = None
-            if self.in_support(deg) and self.in_support(tuple(-d for d in deg)):
-                if self.kind != "crossed":
-                    u = self.monomial(deg)
-                else:
-                    t = AlgElement(self, {(deg, k): c for k, c in enumerate(self.B.unit)})
-                    u = t if self.try_invert(t) is not None else None
-            cache[deg] = u
-        return cache[deg]
+        if not (self.in_support(deg) and self.in_support(tuple(-d for d in deg))):
+            return None
+        if self.kind != "crossed":
+            return self.monomial(deg)
+        t = AlgElement(self, {(deg, k): c for k, c in enumerate(self.B.unit)})
+        return t if self.try_invert(t) is not None else None
 
+    @memo
     def commutator_component(self, deg, window: int):
         """Basis of [A,A]^deg, computed on the window for crossed products."""
-        deg = tuple(deg)
-        got = getattr(self, "_comm_cache", None)
-        if got is None:
-            got = self._comm_cache = {}
-        hit = got.get((deg, window))
-        if hit is not None:
-            return hit
-        out = self._commutator_component_uncached(deg, window)
-        got[(deg, window)] = out
-        return out
-
-    def _commutator_component_uncached(self, deg, window: int):
         if self.kind == "group":
             return []
         if self.kind == "qtorus":
@@ -431,19 +434,16 @@ class GradedAssocAlgebra:
             out.append(AlgElement(self, {(deg, k): v for k, v in enumerate(row) if v}))
         return out
 
+    @memo
     def centre_lattice(self) -> LatticeSubset:
         """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i} for a torus."""
         if self.kind == "group":
             return LatticeSubset.full(self.n)
         if self.kind != "qtorus":
             raise ValueError("centre lattice is defined for quantum tori")
-        if getattr(self, "_gamma", None) is not None:
-            return self._gamma
         if self._tau_mode == "table":
-            rows = self._tau_amat
-            basis = lattice_from_congruences(rows, self._tau_L, self.n)
-            self._gamma = LatticeSubset(self.n, basis)
-            return self._gamma
+            return LatticeSubset(self.n, lattice_from_congruences(self._tau_amat, self._tau_L,
+                                                                  self.n))
         # Non-torsion rational parameters: multiplicative order lattice via
         # prime factorization and the sign character.
         primes = set()
@@ -474,16 +474,14 @@ class GradedAssocAlgebra:
             [1 if i == j else 0 for j in range(self.n)] for i in range(self.n)
         ]
         if not ker:
-            self._gamma = LatticeSubset(self.n, [])
-            return self._gamma
+            return LatticeSubset(self.n, [])
         # Impose the sign congruences inside the kernel lattice.
         cond = [[sum(s[j] * k[j] for j in range(self.n)) for k in ker] for s in sign_rows]
         coeff_basis = lattice_from_congruences(cond, 2, len(ker))
         rows = []
         for cv in coeff_basis:
             rows.append([sum(cv[t] * ker[t][j] for t in range(len(ker))) for j in range(self.n)])
-        self._gamma = LatticeSubset(self.n, rows)
-        return self._gamma
+        return LatticeSubset(self.n, rows)
 
 
 def _inv_scalar(c):

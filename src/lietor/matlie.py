@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, sub_terms
+from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
 from .lattices import box
 from .linalg import kernel, rank as mat_rank
 from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
@@ -147,7 +148,6 @@ class MatrixLieAlgebra:
         self.S = build_classical("A", n - 1)
         self.z_rank = A.n
         self.blocks = ((0, n),)
-        self._diag_cache = {}
 
     def _same_block(self, i, j):
         return any(lo <= i < hi and lo <= j < hi for lo, hi in self.blocks)
@@ -211,21 +211,13 @@ class MatrixLieAlgebra:
             return None
         return i, j
 
+    @memo
     def _diag_basis(self, deg):
-        deg = tuple(deg)
-        got = self._diag_cache.get(deg)
-        if got is not None:
-            return got
-        out = self._diag_basis_uncached(deg)
-        self._diag_cache[deg] = out
-        return out
-
-    def _diag_basis_uncached(self, deg):
         """Per block, the diagonals over A^deg whose trace lies in [A,A]^deg."""
         if not self.A.basis_of_degree(deg):
             return []
         bdim = self.A.bdim
-        comm = self.A.commutator_component(deg, window=3)
+        comm = self.A.commutator_component(deg, 3)
         comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
         # Functionals on A^deg vanishing on [A,A]^deg.
         functionals = kernel(comm_rows, self.field, bdim)
@@ -397,16 +389,11 @@ def lift_derivation(L: MatrixLieAlgebra, d):
     return lifted
 
 
-def verify_root_graded(L, window: int = 2) -> dict:
-    """RG1-RG3 plus the predivision / division / Lie-torus flags.
-
-    The flags are a fact about (L, window): they are computed once and kept
-    on L, so the eala verifiers can ask for them again at no cost.
-    """
-    cache = vars(L).setdefault("_root_graded_cache", {})
-    if window not in cache:
-        cache[window] = _root_graded(L, window)
-    return dict(cache[window])
+def verify_root_graded(L, window: int = 2) -> MappingProxyType:
+    """RG1-RG3 plus the predivision / division / Lie-torus flags, a read-only
+    mapping computed once per (L, window), so the eala verifiers can ask for
+    them again at no cost."""
+    return _root_graded(L, window)
 
 
 def invertible_triple(L: MatrixLieAlgebra, root, deg):
@@ -421,7 +408,8 @@ def invertible_triple(L: MatrixLieAlgebra, root, deg):
                      f=L.E(j, i, L.A.try_invert(u)).scale(L.field.from_int(-1)))
 
 
-def _root_graded(L, window: int) -> dict:
+@memo
+def _root_graded(L, window: int) -> MappingProxyType:
     """RG1-RG3 and the flags on the window, decided over the coordinates A.
 
     For a = eps_i - eps_j, L_a^d = A^d E_ij, and xE_ij is invertible (it
@@ -477,7 +465,7 @@ def _root_graded(L, window: int) -> dict:
                 break
 
     rg2_witness = _rg2_witness(L)
-    return {
+    return MappingProxyType({
         "RG1": True,  # support inside A_(n-1) by construction of the entry grading
         "RG2": rg2_witness is None,
         "RG2_witness": rg2_witness,
@@ -489,7 +477,7 @@ def _root_graded(L, window: int) -> dict:
         "division_witness": division_witness,
         "torus": A.bdim == 1 and prediv_witness is None,
         "window": window,
-    }
+    })
 
 
 def _division_beyond_dim_one(L, a, degs):

@@ -91,6 +91,9 @@ def sampled_triples(pool, count: int, seed: int):
 
 
 def sampled_check(name: str, pool, count: int, seed: int, holds) -> CheckResult:
-    """Does holds(x, y, z) hold on count sampled triples of pool?"""
-    ok = all(holds(*t) for t in sampled_triples(pool, count, seed))
-    return CheckResult(name, ok, detail=f"{count} triples, seed {seed}")
+    """Does holds(x, y, z) hold on count sampled triples of pool?  A failure's
+    witness names the first failing triple and the seed."""
+    bad = next((k for k, t in enumerate(sampled_triples(pool, count, seed), 1)
+                if not holds(*t)), None)
+    witness = None if bad is None else f"fails on triple {bad} of {count} (seed {seed})"
+    return CheckResult(name, bad is None, witness, detail=f"{count} triples, seed {seed}")

@@ -445,14 +445,16 @@ def test_sl_rg1_and_rg2_have_no_window(tmp_path):
 
 
 def test_eala_seed_reaches_ea1(monkeypatch):
-    from lietor import eala, report
+    # EA1 samples through report.sampled_check, like every sampled check
+    from lietor import report
 
     draws = []
+    sampled_triples = report.sampled_triples
 
     def spy(pool, count, seed):
         draws.append((count, seed))
-        return report.sampled_triples(pool, count, seed)
+        return sampled_triples(pool, count, seed)
 
-    monkeypatch.setattr(eala, "sampled_triples", spy)
+    monkeypatch.setattr(report, "sampled_triples", spy)
     assert main(["eala", "--coord", "laurent", "--window", "1", "--seed", "5"]) == 0
     assert draws == [(200, 5)]

@@ -312,6 +312,34 @@ def test_t_alpha_represents_each_root(affine_E):
         assert [E.form(t, s) for s in tbasis] == [E.root_value(ro, deg, s) for s in tbasis]
 
 
+def test_t_alpha_takes_a_list_root_and_degree(affine_E):
+    E = affine_E
+    ro, deg = next((ro, deg) for ro, deg in E.windowed_roots(2) if any(ro) and any(deg))
+    t = E.t_alpha(list(ro), list(deg))
+    assert E.t_alpha(ro, deg) is t
+    assert [E.form(t, s) for s in E.t_basis()] == [E.root_value(ro, deg, s) for s in E.t_basis()]
+
+
+def test_ea1_names_the_failing_draw():
+    # a form that errs on the left side of the 17th sampled triple (the 33rd
+    # form call of the sample) fails EA1 there, and the witness says so
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    E = build_E(default_iara_data(L, window=2), window=2)
+    ia = verify_iara(E, 2)
+    assert verify_eala(E, 2, iara=ia, seed=0)["EA1"].ok
+    form, calls = E.form, []
+
+    def wrong_once(a, b):
+        calls.append(1)
+        return form(a, b) + (1 if len(calls) == 33 else 0)
+
+    E.form = wrong_once
+    ea1 = verify_eala(E, 2, iara=ia, seed=0)["EA1"]
+    assert not ea1.ok
+    assert ea1.witness == "invariance fails on triple 17 of 200 (seed 0)"
+    assert len(calls) == 34
+
+
 # IA3 reference: (ad x)^6 y = 0 for every real root vector x and every y in
 # the windowed span, by taking the brackets.  verify_iara derives IA3 from
 # the T-weights and the string bound of S instead.
@@ -406,12 +434,13 @@ def test_windowed_facts_enumerated_once_per_run(monkeypatch):
     # and the nullity the same windowed roots; one enumeration serves each.
     import lietor.eala as eala
 
+    # the hooks count the runs of the memoised bodies, not the lookups
     sigma_calls, root_calls = [], []
-    sigma_rows = eala._sigma_rows
-    windowed_roots = eala.BuiltE._windowed_roots
-    monkeypatch.setattr(eala, "_sigma_rows",
+    sigma_rows = eala._sigma_rows.__wrapped__
+    windowed_roots = eala.BuiltE.windowed_roots.__wrapped__
+    monkeypatch.setattr(eala._sigma_rows, "__wrapped__",
                         lambda *a: sigma_calls.append(a) or sigma_rows(*a))
-    monkeypatch.setattr(eala.BuiltE, "_windowed_roots",
+    monkeypatch.setattr(eala.BuiltE.windowed_roots, "__wrapped__",
                         lambda *a: root_calls.append(a) or windowed_roots(*a))
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
     E = build_E(default_iara_data(L, window=2), window=2)

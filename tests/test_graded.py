@@ -13,6 +13,7 @@ from lietor.graded import (
     centre_scan_oracle,
     commutator_decomposition,
     graded_form,
+    memo,
     skew_centroidal_space,
     validate_quantum_matrix,
 )
@@ -110,6 +111,49 @@ def test_centre_rank_three_mixed_orders():
 def test_commutative_case_full_centre():
     A = GradedAssocAlgebra.quantum_torus([[F(1), F(1)], [F(1), F(1)]], QQ)
     assert centre_of_qtorus(A) == LatticeSubset.full(2)
+
+
+# The memo contract: one run of the body per owner and arguments, one shared
+# value, and a list argument taken as its tuple.
+
+def test_memo_runs_the_body_once_per_owner_and_arguments():
+    class Owner:
+        def __init__(self):
+            self.runs = []
+
+        @memo
+        def table(self, deg, window):
+            self.runs.append((deg, window))
+            return [deg, window]
+
+    a, b = Owner(), Owner()
+    first = a.table((1, 2), 3)
+    assert a.table((1, 2), 3) is first and a.table([1, 2], 3) is first
+    assert a.runs == [((1, 2), 3)]
+    assert a.table((1, 2), 4) == [(1, 2), 4] and len(a.runs) == 2
+    assert b.table((1, 2), 3) is not first and b.runs == [((1, 2), 3)]
+
+
+def test_centre_lattice_is_kept_per_torus(zeta3_torus):
+    gamma = zeta3_torus.centre_lattice()
+    assert zeta3_torus.centre_lattice() is gamma
+    # another q, another lattice: the table belongs to its torus
+    F6 = cyclotomic_field(6)
+    z6 = F6.zeta()
+    other = GradedAssocAlgebra.quantum_torus([[F6.one, z6], [z6.inverse(), F6.one]], F6)
+    assert other.centre_lattice().basis == [[6, 0], [0, 6]]
+    assert zeta3_torus.centre_lattice() is gamma and gamma.basis == [[3, 0], [0, 3]]
+
+
+def test_memoised_tables_take_a_list_degree(zeta3_torus):
+    A = zeta3_torus
+    assert A.unit_of_degree([1, 2]) is A.unit_of_degree((1, 2))
+    assert A.unit_of_degree([1, 2]) == A.monomial((1, 2))
+    got = A.commutator_component([1, 0], 2)
+    assert got is A.commutator_component((1, 0), 2) and got == [A.monomial((1, 0))]
+    assert A.commutator_component([3, 0], 2) == []
+    P = GradedAssocAlgebra.polynomial()
+    assert P.unit_of_degree([1]) is None and P.unit_of_degree([0]) == P.one()
 
 
 def test_tau_antisymmetry_consequence(zeta3_torus):

@@ -21,9 +21,25 @@ def test_sampled_check_stops_at_the_first_failure():
 
     c = sampled_check("s", list(range(9)), 100, 1, holds)
     assert not c.ok and len(seen) == 4
-    assert c.to_json() == {"name": "s", "status": "fail", "detail": "100 triples, seed 1"}
-    assert c.line() == "s: fail  (100 triples, seed 1)"
+    assert c.to_json() == {"name": "s", "status": "fail", "detail": "100 triples, seed 1",
+                           "witness": "fails on triple 4 of 100 (seed 1)"}
+    assert c.line() == "s: fail  (100 triples, seed 1)  witness: fails on triple 4 of 100 (seed 1)"
     assert sampled_check("s", [0], 0, 1, holds).ok and len(seen) == 4
+
+
+def test_sampled_check_names_the_failing_draw():
+    # holds fails on one known triple, the 17th draw of seed 0; a passing
+    # check carries no witness
+    pool = list(range(50))
+    bad = list(sampled_triples(pool, 200, 0))[16]
+    assert bad not in list(sampled_triples(pool, 200, 0))[:16]
+    c = sampled_check("jacobi-sample", pool, 200, 0, lambda *t: t != bad)
+    assert c.witness == "fails on triple 17 of 200 (seed 0)"
+    assert c.line() == ("jacobi-sample: fail  (200 triples, seed 0)  "
+                        "witness: fails on triple 17 of 200 (seed 0)")
+    ok = sampled_check("jacobi-sample", pool, 200, 0, lambda *t: True)
+    assert ok.to_json() == {"name": "jacobi-sample", "status": "pass",
+                            "detail": "200 triples, seed 0"}
 
 
 def test_line_and_json_carry_the_window_and_detail():
