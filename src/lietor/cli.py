@@ -141,8 +141,6 @@ def render_affine_table() -> str:
 
 
 def cmd_table(args, run: Runner) -> None:
-    if args.what != "affine":
-        raise InputError("only the affine table is available")
     sys.stdout.write(render_affine_table())
 
 
@@ -156,12 +154,10 @@ def cmd_roots(args, run: Runner) -> None:
             with open(args.out_roots, "w") as fh:
                 json.dump(root_system_to_json(rs), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    elif args.action == "classify":
+    else:
         rs = root_system_from_json(load_json(args.infile, run))
         label = classify(rs)
         run.add("classify", True, detail=str(label))
-    else:
-        raise InputError(f"unknown roots action {args.action!r}")
 
 
 def cmd_refl(args, run: Runner) -> None:
@@ -200,11 +196,9 @@ def cmd_ars(args, run: Runner) -> None:
             with open(args.out_ars, "w") as fh:
                 json.dump(datum_to_json(ars.datum), fh, indent=2, sort_keys=True)
                 fh.write("\n")
-    elif args.action == "check":
+    else:
         ed = datum_from_json(load_json(args.infile, run))
         run.merge(validate_extension_datum(ed))
-    else:
-        raise InputError(f"unknown ars action {args.action!r}")
 
 
 def _parse_degree(text, n: int):
@@ -241,14 +235,12 @@ def cmd_qtorus(args, run: Runner) -> None:
         deg = _parse_degree(args.degree, A.n)
         basis = skew_centroidal_space(A, deg)
         run.add("scder-dim", True, detail=f"degree {deg}: dim {len(basis)}")
-    elif args.action == "decompose":
+    else:
         window = clamp_window(args.window)
         rep = commutator_decomposition(A, window)
         central = sum(1 for r in rep if r["central"])
         run.add("decomposition", True, window=window,
                 detail=f"{central} central degrees of {len(rep)} in the box")
-    else:
-        raise InputError(f"unknown qtorus action {args.action!r}")
 
 
 def cmd_alg(args, run: Runner) -> None:
@@ -281,8 +273,8 @@ def cmd_sl(args, run: Runner) -> None:
     A = load_coord(args, run)
     L = MatrixLieAlgebra(args.n, A)
     rep = verify_root_graded(L, window)
-    # RG1 holds by construction and RG2 is one unit lookup at degree 0 per
-    # root; RG3 and the flags are read on the window.
+    # RG1 holds by construction and RG2 is one unit lookup in A^0; RG3 and
+    # the flags are read on the window.
     for k, w in (("RG1", None), ("RG2", None), ("RG3", window)):
         run.add(k, rep[k], detail=rep.get(f"{k}_witness"), window=w)
     for k in ("predivision", "division", "torus"):
@@ -359,8 +351,6 @@ def cmd_eala(args, run: Runner) -> None:
     L = MatrixLieAlgebra(args.n, A)
     data = default_iara_data(L, window=window,
                              C="dual" if args.C == "dual" else "min")
-    if args.tau != "zero":
-        raise InputError("only tau = zero is constructible; supply data programmatically")
     E = build_E(data, window=window)
     ia = verify_iara(E, window)
     run.merge(ia)
@@ -418,7 +408,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--window", type=int, default=2)
 
     q = sub.add_parser("sl", help="root-graded verification of sl_n(A)")
-    q.add_argument("action", nargs="?", choices=["verify"], default="verify")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=int, default=2)
@@ -426,7 +415,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--jacobi", type=int, default=200)
 
     q = sub.add_parser("uce", help="universal central extension checks")
-    q.add_argument("action", nargs="?", choices=["check"], default="check")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=int, default=3)
@@ -434,7 +422,6 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--jacobi", type=int, default=200)
 
     q = sub.add_parser("affine", help="the untwisted affine construction")
-    q.add_argument("action", nargs="?", choices=["build"], default="build")
     q.add_argument("--g", default="sl3")
     q.add_argument("--window", type=int, default=5)
     q.add_argument("--emit", choices=["roots", "none"], default="none")
@@ -444,12 +431,9 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--degree")
 
     q = sub.add_parser("eala", help="build and verify E = C + L + D")
-    q.add_argument("action", nargs="?", choices=["build"], default="build")
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
-    q.add_argument("--D", default="degree", choices=["degree"])
     q.add_argument("--C", default="min", choices=["min", "dual"])
-    q.add_argument("--tau", default="zero")
     q.add_argument("--check", default="all", choices=["all", "iara", "eala"])
     q.add_argument("--window", type=int, default=3)
     q.add_argument("--seed", type=int, default=0)

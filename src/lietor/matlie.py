@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
 from .lattices import box
-from .linalg import kernel, rank as mat_rank
+from .linalg import kernel
 from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
 
 
@@ -323,44 +323,6 @@ def invariant_form(L: MatrixLieAlgebra, phi, window: int = 3) -> SlInvariantForm
     return SlInvariantForm(L, phi, window)
 
 
-class IsotopedLie:
-    """Same bracket, lattice grading shifted by a homomorphism Q(S) -> Z^m."""
-
-    def __init__(self, L: MatrixLieAlgebra, iota_simple):
-        self.L = L
-        self.iota_simple = [tuple(int(x) for x in v) for v in iota_simple]
-        if len(self.iota_simple) != L.n - 1:
-            raise ValueError("iota must be given on the n-1 simple roots")
-
-    def iota(self, root):
-        """Value on eps_i - eps_j, extended additively from the simple roots."""
-        coeffs = _simple_coordinates(self.L.n, root)
-        out = [0] * self.L.z_rank
-        for c, v in zip(coeffs, self.iota_simple):
-            for t in range(self.L.z_rank):
-                out[t] += c * v[t]
-        return tuple(out)
-
-    def homog_basis(self, root, deg):
-        root = tuple(root)
-        shift = self.iota(root) if any(root) else (0,) * self.L.z_rank
-        target = tuple(d + s for d, s in zip(deg, shift))
-        if not self.L.A.in_support(target):
-            return []
-        return self.L.homog_basis(root, target)
-
-
-def _simple_coordinates(n, root):
-    """Coordinates of eps_i - eps_j in the simple roots eps_k - eps_(k+1)."""
-    coeffs = [0] * (n - 1)
-    acc = 0
-    # root = eps_i - eps_j has partial sums telescoping between i and j.
-    for k in range(n - 1):
-        acc += int(root[k])
-        coeffs[k] = acc
-    return coeffs
-
-
 class DirectSumSl(MatrixLieAlgebra):
     """sl_n1(A) + sl_n2(A) as block-diagonal matrices inside gl_(n1+n2)(A).
 
@@ -431,40 +393,35 @@ def _root_graded(L, window: int) -> MappingProxyType:
     So the brackets of windowed degrees span, per block,
     (n_b - 1) dim A^d + dim [A,A]^d, with [A,A]^d spanned by the commutators
     of windowed degrees (A.commutator_component), and RG3 holds at d iff
-    that sum is dim L_0^d.  An isotope pairs A^(mu + iota(a)) with
-    A^(d - mu - iota(a)) on the window, so its RG3 is decided on brackets.
+    that sum is dim L_0^d.
     """
-    iso = isinstance(L, IsotopedLie)
-    base = L.L if iso else L
-    A = base.A
-    degs = box(base.z_rank, window)
-    nz = [a for a in base.S.sorted_roots() if any(a)]
+    A = L.A
+    degs = box(L.z_rank, window)
+    # Every nonzero root space L_a^d is A^d E_ij, so one scan of the degrees
+    # serves every root; the witnesses name the first nonzero root.
+    a = next(a for a in L.S.sorted_roots() if any(a))
 
-    prediv_witness = None
-    for a in nz:
-        bad = next((deg for deg in degs if A.in_support(_shifted(L, a, deg))
-                    and A.unit_of_degree(_shifted(L, a, deg)) is None), None)
-        if bad is not None:
-            prediv_witness = f"no invertible element in {_space_name(L, a, bad)}"
-            break
+    bad = next((d for d in degs if A.in_support(d) and A.unit_of_degree(d) is None), None)
+    prediv_witness = None if bad is None else f"no invertible element in {_space_name(L, a, bad)}"
 
     division, division_witness = prediv_witness is None, prediv_witness
     if division and A.bdim > 1:
-        division, division_witness = _division_beyond_dim_one(L, nz[0], degs)
+        division, division_witness = _division_beyond_dim_one(L, a, degs)
 
-    if iso:
-        rg3_witness = _rg3_witness_by_brackets(L, window)
-    else:
-        rg3_witness = None
-        for deg in degs:
-            need = len(base._diag_basis(deg))
-            have = (sum(hi - lo - 1 for lo, hi in base.blocks) * A.dim_of_degree(deg)
-                    + len(base.blocks) * len(A.commutator_component(deg, window)))
-            if have < need:
-                rg3_witness = f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
-                break
+    rg3_witness = None
+    for deg in degs:
+        need = len(L._diag_basis(deg))
+        have = (sum(hi - lo - 1 for lo, hi in L.blocks) * A.dim_of_degree(deg)
+                + len(L.blocks) * len(A.commutator_component(deg, window)))
+        if have < need:
+            rg3_witness = f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
+            break
 
-    rg2_witness = _rg2_witness(L)
+    zero = (0,) * L.z_rank
+    rg2_witness = None
+    if A.unit_of_degree(zero) is None:
+        b = next(b for b in sorted(indivisible_part(L.S)) if any(b))
+        rg2_witness = f"no invertible element in {_space_name(L, b, zero)}"
     return MappingProxyType({
         "RG1": True,  # support inside A_(n-1) by construction of the entry grading
         "RG2": rg2_witness is None,
@@ -484,34 +441,15 @@ def _division_beyond_dim_one(L, a, degs):
     """(False, witness) when a basis vector b of B is not a unit, else
     (None, None): with a unit u of A^d, bu is a nonzero element of A^d that
     is not a unit; the degree-0 space of root a is preferred."""
-    base = L.L if isinstance(L, IsotopedLie) else L
-    A = base.A
-    zero = (0,) * base.z_rank
+    A = L.A
+    zero = (0,) * L.z_rank
     b = next((b for b in A.basis_of_degree(zero) if A.try_invert(b) is None), None)
-    deg = next((d for d in [zero] + degs if A.unit_of_degree(_shifted(L, a, d))), None)
+    deg = next((d for d in [zero] + degs if A.unit_of_degree(d)), None)
     if b is None or deg is None:
         return None, None
-    i, j = base._root_indices(a)
-    x = base.E(i, j, b * A.unit_of_degree(_shifted(L, a, deg)))
+    i, j = L._root_indices(a)
+    x = L.E(i, j, b * A.unit_of_degree(deg))
     return False, f"{x!r} in {_space_name(L, a, deg)} is nonzero and not invertible"
-
-
-def _rg2_witness(L):
-    """None if each L_a^0 (a indivisible, nonzero) holds an invertible
-    element, else a witness: one unit lookup at degree iota(a) of A."""
-    base = L.L if isinstance(L, IsotopedLie) else L
-    zero = (0,) * base.z_rank
-    for a in sorted(indivisible_part(base.S)):
-        if any(a) and base.A.unit_of_degree(_shifted(L, a, zero)) is None:
-            return f"no invertible element in {_space_name(L, a, zero)}"
-    return None
-
-
-def _shifted(L, root, deg):
-    """The degree of A behind L_root^deg: deg + iota(root) on an isotope."""
-    if not isinstance(L, IsotopedLie):
-        return tuple(deg)
-    return tuple(d + s for d, s in zip(deg, L.iota(root)))
 
 
 def _deg_name(deg):
@@ -519,44 +457,6 @@ def _deg_name(deg):
 
 
 def _space_name(L, root, deg):
-    """L_(eps_i - eps_j)^(d), or (L^iota)_... on an isotope."""
-    base = L.L if isinstance(L, IsotopedLie) else L
-    i, j = base._root_indices(tuple(root))
-    return f"{'(L^iota)' if base is not L else 'L'}_(eps_{i} - eps_{j})^{_deg_name(deg)}"
-
-
-def _rg3_witness_by_brackets(L: IsotopedLie, window: int):
-    """RG3 of an isotope: the rank of the opposite-root brackets of windowed
-    degrees against dim L_0^d."""
-    base = L.L
-    nz = [a for a in base.S.sorted_roots() if any(a)]
-    zero_root = (Fraction(0),) * base.n
-    for deg in box(base.z_rank, window):
-        need = len(L.homog_basis(zero_root, deg))
-        if not need:
-            continue
-        spans = []
-        for a in nz:
-            for mu in box(base.z_rank, window):
-                rest = tuple(d - m for d, m in zip(deg, mu))
-                if base.z_rank and max(abs(x) for x in rest) > window:
-                    continue
-                for xa in L.homog_basis(a, mu):
-                    for xb in L.homog_basis(tuple(-t for t in a), rest):
-                        br = bracket(xa, xb)
-                        if br:
-                            spans.append(_diag_coord_vec(base, br, deg))
-        if (mat_rank(spans, base.field) if spans else 0) < need:
-            return f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
-    return None
-
-
-def _diag_coord_vec(L: MatrixLieAlgebra, x: MatLieElement, deg):
-    deg = tuple(deg)
-    bdim = L.A.bdim
-    out = []
-    for i in range(L.n):
-        e = x.entries.get((i, i))
-        for k in range(bdim):
-            out.append(e.coefficient(deg, k) if e is not None else L.field.zero)
-    return out
+    """L_(eps_i - eps_j)^(d)."""
+    i, j = L._root_indices(tuple(root))
+    return f"L_(eps_{i} - eps_{j})^{_deg_name(deg)}"

@@ -188,6 +188,14 @@ def test_hc1_max_window_is_a_usage_error(capsys):
     assert capsys.readouterr().out.startswith("hc1: pass  (dim 1)")
 
 
+def test_options_nothing_reads_are_usage_errors(capsys):
+    # eala builds D from the degree derivations alone, and sl has one action
+    assert main(["eala", "--coord", "laurent", "--window", "1", "--D", "degree"]) == 2
+    assert "unrecognized arguments: --D" in capsys.readouterr().err
+    assert main(["sl", "verify", "--n", "3", "--coord", "laurent", "--window", "1"]) == 2
+    assert "unrecognized arguments: verify" in capsys.readouterr().err
+
+
 def test_uce_rank_two_small_window_stabilises(tmp_path):
     coord = tmp_path / "lau2.json"
     coord.write_text('{"kind": "group", "n": 2}')
@@ -289,6 +297,24 @@ def test_eala_report_golden(tmp_path, monkeypatch):
     assert main(["eala", "--coord", "tests/data/q3.json", "--n", "3", "--window", "3",
                  "--out", str(out)]) == 0
     assert _without_command(out) == (data / "eala_q3_w3.json").read_text()
+
+
+# lietor sl at jacobi 20, seed 3, run from the repo root: the --out report
+# without its command. Over k[t] at window 2, predivision is False.
+SL_GOLDEN = [
+    ("sl_q3_w1.json", ["--coord", "tests/data/q3.json", "--window", "1"]),
+    ("sl_poly_w2.json", ["--coord", "poly", "--window", "2"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", SL_GOLDEN, ids=[g[0] for g in SL_GOLDEN])
+def test_sl_report_golden(tmp_path, monkeypatch, name, argv):
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data.parent.parent)
+    out = tmp_path / "report.json"
+    assert main(["sl", "--n", "3", *argv, "--jacobi", "20", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert _without_command(out) == (data / name).read_text()
 
 
 def _without_command(report):

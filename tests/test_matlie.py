@@ -9,7 +9,6 @@ from lietor.lattices import box
 from lietor.linalg import rank
 from lietor.matlie import (
     DirectSumSl,
-    IsotopedLie,
     MatrixLieAlgebra,
     bracket,
     eigenvalue_law_holds,
@@ -168,29 +167,6 @@ def test_polynomial_coefficients_not_predivision():
     assert rep["division"] is False
 
 
-def test_isotope(laurent_sl3):
-    L = laurent_sl3
-    iso = IsotopedLie(L, [(1,), (0,)])
-    rep = verify_root_graded(iso, window=1)
-    assert rep["RG2"] and rep["RG3"]
-    # the (alpha, 0) slot of the isotope is the old (alpha, iota(alpha)) slot
-    a = L.root_of(0, 1)
-    assert iso.homog_basis(a, (0,))[0] == L.homog_basis(a, (1,))[0]
-
-
-def test_isotope_without_units_flagged():
-    L = MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial())
-    iso = IsotopedLie(L, [(1,), (0,)])
-    # L_alpha^{iota(alpha)} misses an invertible element
-    assert not verify_root_graded(iso, window=1)["RG2"]
-
-
-def test_identity_isotope(laurent_sl3):
-    iso = IsotopedLie(laurent_sl3, [(0,), (0,)])
-    a = laurent_sl3.root_of(0, 1)
-    assert iso.homog_basis(a, (2,)) == laurent_sl3.homog_basis(a, (2,))
-
-
 def test_chevalley_centroid_matches_coordinates():
     # multiplication by a coordinate is centroidal: chi_z[x, y] = [chi_z x, y]
     C = GradedAssocAlgebra.laurent()
@@ -246,27 +222,25 @@ def test_direct_sum_block_structure():
 # basis of each root space.
 
 def _root_graded_oracle(L, window):
-    iso = isinstance(L, IsotopedLie)
-    base = L.L if iso else L
-    zero_deg = (0,) * base.z_rank
-    degs = box(base.z_rank, window)
-    nz = [a for a in base.S.sorted_roots() if any(a)]
+    zero_deg = (0,) * L.z_rank
+    degs = box(L.z_rank, window)
+    nz = [a for a in L.S.sorted_roots() if any(a)]
 
     def elements(root, deg):
         basis = L.homog_basis(root, deg)
         for coeffs in itertools.product((-1, 0, 1), repeat=len(basis)):
-            x = base.zero()
+            x = L.zero()
             for c, b in zip(coeffs, basis):
                 if c:
-                    x = x + b.scale(base.field.from_int(c))
+                    x = x + b.scale(L.field.from_int(c))
             if x:
                 yield x
 
     def invertible(x):
-        return is_invertible(base, x, action_window=window) is not None
+        return is_invertible(L, x, action_window=window) is not None
 
     rg2 = all(any(invertible(x) for x in elements(a, zero_deg))
-              for a in sorted(indivisible_part(base.S)) if any(a))
+              for a in sorted(indivisible_part(L.S)) if any(a))
     prediv = division = True
     for a in nz:
         for deg in degs:
@@ -278,21 +252,21 @@ def _root_graded_oracle(L, window):
 
     rg3 = True
     for deg in degs:
-        need = len(L.homog_basis((F(0),) * base.n, deg))
+        need = len(L.homog_basis((F(0),) * L.n, deg))
         spans = []
         for a in nz:
             for mu in degs:
                 rest = tuple(d - m for d, m in zip(deg, mu))
-                if base.z_rank and max(abs(x) for x in rest) > window:
+                if L.z_rank and max(abs(x) for x in rest) > window:
                     continue
                 for xa in L.homog_basis(a, mu):
                     for xb in L.homog_basis(tuple(-t for t in a), rest):
                         br = bracket(xa, xb)
                         if br:
                             spans.append([br.entries[(i, i)].coefficient(deg, k)
-                                          if (i, i) in br.entries else base.field.zero
-                                          for i in range(base.n) for k in range(base.A.bdim)])
-        if (rank(spans, base.field) if spans else 0) < need:
+                                          if (i, i) in br.entries else L.field.zero
+                                          for i in range(L.n) for k in range(L.A.bdim)])
+        if (rank(spans, L.field) if spans else 0) < need:
             rg3 = False
     return {"RG2": rg2, "RG3": rg3, "predivision": prediv, "division": division}
 
@@ -316,14 +290,6 @@ ROOT_GRADED_INPUTS = {
     "Q[Z^2]-1": (lambda: MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2)), 1),
     "zeta3-torus-1": (lambda: MatrixLieAlgebra(3, _zeta3_torus()), 1),
     "direct-sum-1": (lambda: DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), 1),
-    "isotope-laurent-1": (lambda: IsotopedLie(
-        MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), [(1,), (0,)]), 1),
-    "isotope-polynomial-1": (lambda: IsotopedLie(
-        MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()), [(1,), (0,)]), 1),
-    # iota(alpha_1) = 3 leaves no pair of windowed degrees for alpha_1 in
-    # the polynomial isotope: RG3 fails at window 1
-    "isotope-polynomial-shift3-1": (lambda: IsotopedLie(
-        MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()), [(3,), (0,)]), 1),
     # at window 0 the commutators [x t, y t^-1] that span [A,A]^0 are out of
     # reach: RG3 fails
     "swap-crossed-0": (lambda: MatrixLieAlgebra(3, _swap_crossed()), 0),
@@ -344,7 +310,7 @@ def test_root_graded_flags_match_oracle(name):
         assert (rep[f"{k}_witness"] is None) == rep[k], k
     # division is undecided (None) only for bdim > 1 with predivision
     if rep["division"] is None:
-        assert (L.L if isinstance(L, IsotopedLie) else L).A.bdim > 1 and rep["predivision"]
+        assert L.A.bdim > 1 and rep["predivision"]
     else:
         assert rep["division"] == want["division"]
     assert (rep["division_witness"] is None) == (rep["division"] is not False)
@@ -371,9 +337,6 @@ def test_swap_crossed_product_is_predivision_not_division():
 def test_witnesses_name_root_and_degree():
     rep = verify_root_graded(MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()), 1)
     assert rep["predivision_witness"] == "no invertible element in L_(eps_2 - eps_0)^(1)"
-    iso = IsotopedLie(MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()), [(1,), (0,)])
-    assert verify_root_graded(iso, 1)["RG2_witness"] == (
-        "no invertible element in (L^iota)_(eps_2 - eps_0)^(0)")
 
 
 @pytest.mark.parametrize("make_A", [

@@ -1,11 +1,14 @@
 """Every definition in src/lietor is reached by the program or named here.
 
-A module-level function or class, or a method not named __*__, counts as
-reached when its name is used outside its own body: as a name, an attribute
-or an imported name anywhere else in src/lietor (the package exports of
-__init__.py do not count), or in the acceptance tests.  The check is by
-name, so it errs towards "reached": a method shares its name with every
-other attribute of that name.
+A module-level function, or a method not named __*__, counts as reached
+when its name is used outside its own body: as a name, an attribute or an
+imported name anywhere else in src/lietor (the package exports of
+__init__.py do not count), or in the acceptance tests.  A class counts as
+reached only when code there outside its body calls it, subclasses it or
+reads an attribute of it; an import, an annotation or the second argument
+of isinstance or issubclass builds no instance, so it does not count.  The
+check is by name, so it errs towards "reached": a method shares its name
+with every other attribute of that name.
 
 A definition that only tests use belongs in FIXTURES with the reason it
 stays in src/.  The list cannot go stale: an entry that is reached, or no
@@ -47,6 +50,24 @@ def _used_names(tree):
             yield from (alias.name for alias in node.names)
 
 
+def _class_uses(tree):
+    """Each name that the tree calls, subclasses or reads an attribute of."""
+    def named(node):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            yield from named(node.func)
+        elif isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                yield from named(base)
+        elif isinstance(node, ast.Attribute):
+            yield from named(node.value)
+
+
 def _definitions(module, tree):
     """(qualified name, name, node) of each function and class of the
     module, and of each method not named __*__."""
@@ -62,17 +83,20 @@ def _definitions(module, tree):
 
 
 def _unreached():
-    uses = Counter(_used_names(ast.parse(ACCEPTANCE.read_text())))
+    trees = [ast.parse(ACCEPTANCE.read_text())]
     defs = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         if path.name != "__init__.py":
-            uses.update(_used_names(tree))
+            trees.append(tree)
         defs.extend(_definitions(path.stem, tree))
+    names = Counter(name for tree in trees for name in _used_names(tree))
+    classes = Counter(name for tree in trees for name in _class_uses(tree))
     unreached = set()
     for qualified, name, node in defs:
-        own = Counter(_used_names(node))
-        if uses[name] - own[name] <= 0:
+        uses, count = ((classes, _class_uses) if isinstance(node, ast.ClassDef)
+                       else (names, _used_names))
+        if uses[name] - Counter(count(node))[name] <= 0:
             unreached.add(qualified)
     return unreached, {qualified for qualified, _, _ in defs}
 
