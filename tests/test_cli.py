@@ -323,20 +323,25 @@ def _without_command(report):
 
 
 # The --out reports of the root layer, without their command, as committed
-# under tests/data.
+# under tests/data, with the exit code of each run from the repo root.  E8
+# passes every check; A2 without (1, 0, -1) fails ReS2 at its first witness.
 ROOT_LAYER_GOLDEN = [
     ("ars_b3_t2_w4.json", ["ars", "build", "--type", "B", "--rank", "3", "--tier", "2",
-                           "--window", "4"]),
-    ("refl_bc2.json", ["refl", "--family", "BC", "--rank", "2"]),
-    ("refl_g2_normalized.json", ["refl", "--family", "G2", "--normalized"]),
+                           "--window", "4"], 0),
+    ("refl_bc2.json", ["refl", "--family", "BC", "--rank", "2"], 0),
+    ("refl_g2_normalized.json", ["refl", "--family", "G2", "--normalized"], 0),
+    ("refl_e8.json", ["refl", "--family", "E8"], 0),
+    ("refl_a2_missing_root.json", ["refl", "--in", "tests/data/a2_missing_root.json"], 1),
 ]
 
 
-@pytest.mark.parametrize("name,argv", ROOT_LAYER_GOLDEN, ids=[g[0] for g in ROOT_LAYER_GOLDEN])
-def test_root_layer_report_golden(tmp_path, name, argv):
+@pytest.mark.parametrize("name,argv,code", ROOT_LAYER_GOLDEN, ids=[g[0] for g in ROOT_LAYER_GOLDEN])
+def test_root_layer_report_golden(tmp_path, monkeypatch, name, argv, code):
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data.parent.parent)
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 0
-    assert _without_command(out) == (Path(__file__).parent / "data" / name).read_text()
+    assert main(argv + ["--out", str(out)]) == code
+    assert _without_command(out) == (data / name).read_text()
 
 
 @pytest.mark.parametrize("g", ["sl2", "sl3"])
