@@ -367,6 +367,17 @@ def cmd_eala(args, run: Runner) -> None:
                                  E.jacobi_holds))
 
 
+def _count(least: int):
+    """An argparse type: an int of at least least, so that a sample of no
+    triples, which would print a vacuous pass, is a usage error."""
+    def count(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return count
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lietor", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -412,14 +423,14 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=int, default=2)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jacobi", type=int, default=200)
+    q.add_argument("--jacobi", type=_count(1), default=200)
 
     q = sub.add_parser("uce", help="universal central extension checks")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=int, default=3)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jacobi", type=int, default=200)
+    q.add_argument("--jacobi", type=_count(1), default=200)
 
     q = sub.add_parser("affine", help="the untwisted affine construction")
     q.add_argument("--g", default="sl3")
@@ -437,7 +448,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--check", default="all", choices=["all", "iara", "eala"])
     q.add_argument("--window", type=int, default=3)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jacobi", type=int, default=0)
+    q.add_argument("--jacobi", type=_count(0), default=0, help="0: no sample")
 
     for name, sp in sub.choices.items():
         sp.add_argument("--out", dest="out")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul, not_, sub
+from operator import mul, not_
 
 from .lattices import LatticeSubset
 from .linalg import kernel, rank as mat_rank
@@ -60,8 +60,11 @@ def _lead(a):
 def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     """ReS0 through ReS4, each reported separately with a witness on failure.
 
-    ReS2 and ReS4 loop over real a: an imaginary reflection is the identity.
-    A reflected image with a fractional coordinate (None) is no root.
+    ReS2 and ReS4 concern real a only: an imaginary reflection is the
+    identity.  They pass when the model has a cover (IntegerRoots.cover),
+    whose generators pass them and whose orbits reach every real root;
+    otherwise they loop over every real a.  A reflected image with a
+    fractional coordinate (None) is no root.
     """
     m = prs.model
     rep = AxiomReport()
@@ -89,51 +92,35 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             break
     rep.add("ReS1", ok1, witness1)
 
-    # ReS2 and ReS4 read one row per real a, with the positions of the images
-    # s_a(b).  ReS4 asks that the coroot of s_a(b) be b_check - <a, b_check>
-    # a_check; both, times den, are compared by their keys.  The first
-    # failing b is sought only on a failure.
-    nr, order = m.n_real, m.order
-    cokeys = [m.key(m.cor[b]) for b in order]
-    den_cokeys = [m.den * k for k in cokeys]
+    # ReS2 and ReS4 hold on a cover (IntegerRoots.cover).  Without one,
+    # every real row is read, and the first failing a gives each witness.
     ok2 = ok4 = True
     witness2 = witness4 = None
-    for i, a in enumerate(order[:nr]):
-        img = m.images(a, m.row(m.cor[a]))
-        if ok2 and not _keeps_parts(img, nr):
-            j = next(j for j, k in enumerate(img) if k is None or (k < nr) != (j < nr))
-            part = "real" if j < nr else "imaginary"
-            ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[order[j]])}) leaves the {part} part"
-        if ok4:
-            expect = list(map(sub, den_cokeys, map(cokeys[i].__mul__, m.corow(a))))
-            if None in img or list(map(den_cokeys.__getitem__, img)) != expect:
-                bad = [b for b, k, e in zip(order, img, expect)
-                       if k is not None and den_cokeys[k] != e]
-                if bad:
-                    ok4 = False
-                    witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.orig[a])}, b={fs(m.orig[min(bad)])}"
-        if not (ok2 or ok4):
-            break
+    if m.cover is None:
+        order, den_cokeys = m.order, m.coroot_keys()
+        for i in range(m.n_real):
+            _, j, b = m.reflection_faults(i, den_cokeys)
+            a = m.orig[order[i]]
+            if ok2 and j is not None:
+                part = "real" if j < m.n_real else "imaginary"
+                ok2, witness2 = False, f"s_{fs(a)}({fs(m.orig[order[j]])}) leaves the {part} part"
+            if ok4 and b is not None:
+                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={fs(a)}, b={fs(m.orig[b])}"
+            if not (ok2 or ok4):
+                break
     rep.add("ReS2", ok2, witness2)
     rep.append(_res3(m))
     rep.add("ReS4", ok4, witness4)
     return rep
 
 
-def _keeps_parts(img, nr):
-    """Does each image position lie in the part of its root: the real part
-    (positions below nr) for the first nr roots, the imaginary part for the
-    rest?  None, no root, lies in neither."""
-    return (None not in img and max(img[:nr], default=-1) < nr
-            and min(img[nr:], default=nr) >= nr)
-
-
 def predicates(prs: PreReflectionSystem) -> dict:
-    """The six basic flags evaluated by direct quantification, the pairings
-    read one row per real root."""
+    """The six basic flags evaluated by direct quantification.  integral
+    and coherent read the row of each real representative of a cover
+    (IntegerRoots.cover), or of every real root when there is none."""
     m = prs.model
     nr, den = m.n_real, m.den
-    real = m.order[:nr]
+    real = m.order[:nr] if m.cover is None else [m.order[i] for i in m.cover if i < nr]
     # Collinear real roots are +-each other.
     reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
                   for group in m.collinear_classes())

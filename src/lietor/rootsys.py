@@ -187,6 +187,14 @@ class RootSystem(PreReflectionSystem):
 _STRING_PROBE = 3
 
 
+def _keeps_parts(img, nr):
+    """Does each image position lie in the part of its root: the real part
+    (positions below nr) for the first nr roots, the imaginary part for the
+    rest?  None, no root, lies in neither."""
+    return (None not in img and max(img[:nr], default=-1) < nr
+            and min(img[nr:], default=nr) >= nr)
+
+
 class IntegerRoots:
     """Roots and coroots rescaled to integer tuples, for the root-level checks.
 
@@ -210,6 +218,14 @@ class IntegerRoots:
     looks up (|k| <= _STRING_PROBE), and den K + dim M Mc K, which holds
     den s_a(b) = den b - den <b, a_check> a and den times the coroot
     b_check - <a, b_check> a_check that ReS4 compares.
+
+    A pass of the pair checks (ReS2, ReS4, integral, coherent and the root
+    strings) is reached on `cover`: a few generators pass ReS2 and ReS4 on
+    their rows, their reflections carry a representative to every root,
+    and the checks read only the rows of the representatives.  A failure
+    is found by the full scan over every root, which names the first
+    witness; it runs when there is no cover, or when a representative
+    fails a string.
     """
 
     def __init__(self, roots, coroots):
@@ -280,6 +296,96 @@ class IntegerRoots:
         so a fractional image is no root on the same path."""
         ka = self.key(a)
         return list(map(self._den_slot.get, map(sub, self._den_keys, map(ka.__mul__, row))))
+
+    def coroot_keys(self):
+        """[den key(b_check) for b in order], the keys ReS4 compares."""
+        return [self.den * self.key(self.cor[b]) for b in self.order]
+
+    def reflection_faults(self, i, den_cokeys):
+        """ReS2 and ReS4 on the row of the real root a = order[i], given
+        den_cokeys = coroot_keys().
+
+        Returns (images(a), j, b): j is the first position whose image is
+        no root or lies outside the part (real or imaginary) of its root,
+        and b the least root of order at which ReS4 fails; each is None
+        when there is none.  ReS4 asks that the coroot of s_a(b) be
+        b_check - <a, b_check> a_check; both, times den, are compared by
+        their keys.  A b whose image is no root is left to ReS2.
+        """
+        a, nr = self.order[i], self.n_real
+        img = self.images(a, self.row(self.cor[a]))
+        j = None
+        if not _keeps_parts(img, nr):
+            j = next(p for p, k in enumerate(img) if k is None or (k < nr) != (p < nr))
+        ka_check = den_cokeys[i] // self.den
+        expect = list(map(sub, den_cokeys, map(ka_check.__mul__, self.corow(a))))
+        b = None
+        if None in img or list(map(den_cokeys.__getitem__, img)) != expect:
+            b = min((c for c, k, e in zip(self.order, img, expect)
+                     if k is not None and den_cokeys[k] != e), default=None)
+        return img, j, b
+
+    @functools.cached_property
+    def cover(self):
+        """Positions in order of representatives of every root under the
+        group G generated by the reflections of some real roots, the
+        generators; None when a generator fails a premise below.
+
+        The real roots are walked in order, and each one that no orbit has
+        reached becomes a generator d once it passes ReS2 and ReS4 on its
+        row (reflection_faults).  Its images permute order, and the
+        reached set is closed under them, each (position, generator) image
+        looked up once.  A nonzero imaginary root that no orbit reaches is
+        a representative but no generator.
+
+        Why a representative decides its orbit.  Let k = <d, d_check>.
+        ReS2 at d puts every s_d^i(d) = (1 - k)^i d in the finite R, and
+        k = 1 would make s_d(d) = 0 a real root with coroot 0 by ReS4.  So
+        k = 2, or k = 0 and then s_d fixes every root and, by ReS4, every
+        coroot.  By ReS4 the coroot of s_d(b) is s_d^T(b_check) =
+        b_check - <d, b_check> d_check, and in both cases
+        <s_d x, s_d^T y> = <x, y> for a root x and a coroot y.  So for
+        b = w a with w in G, b_check = w^-T a_check, <c, b_check> =
+        <w^-1 c, a_check>, and s_b = w s_a w^-1, which maps the real and
+        the imaginary part each to itself.  Hence:
+        - ReS2 and ReS4 at every real root follow from those at the
+          generators;
+        - the row of b is the row of a permuted by w^-1, and
+          <b, c_check> = <a, (w^-1 c)_check>, so integral and coherent at b
+          are integral and coherent at a;
+        - the b-string through c is w applied to the a-string through
+          w^-1 c, with the same length, breaks and p - q.
+        See Humphreys, Introduction to Lie Algebras and Representation
+        Theory, 10.3, and Loos and Neher, Forum Math. 23 (2011).
+        """
+        nr, n = self.n_real, len(self.order)
+        den_cokeys = self.coroot_keys()
+        gens, reps, seen, pending = [], [], [], []
+        reached = [False] * n
+        done = [0] * n  # how many generators each reached position has met
+        for i in range(n):
+            if reached[i] or (i >= nr and not any(self.order[i])):
+                continue
+            if i < nr:
+                img, j, b = self.reflection_faults(i, den_cokeys)
+                if j is not None or b is not None:
+                    return None
+                gens.append(img)
+                pending.extend(seen)  # every reached position meets the new generator
+            reps.append(i)
+            reached[i] = True
+            seen.append(i)
+            pending.append(i)
+            while pending:
+                p = pending.pop()
+                for img in gens[done[p]:]:
+                    q = img[p]
+                    if not reached[q]:
+                        reached[q] = True
+                        seen.append(q)
+                        pending.append(q)
+                done[p] = len(gens)
+        return tuple(reps)
 
     def exact(self, dot):
         """dot / den: an int when exact, a Fraction otherwise."""
@@ -441,18 +547,31 @@ def build_exceptional(family: str) -> RootSystem:
 def root_strings_exhaustive(rs: RootSystem):
     """Check every alpha-string: unbroken and p - q = -<beta, alpha_check>.
 
-    Each alpha-string is walked once on IntegerRoots keys, the pairings
-    read off the row of alpha, then the verdicts are read in a fixed order
-    of the roots beta.  Returns (ok, max_string_length, witness), the
-    length being the largest read before a failure.
+    Returns (ok, max_string_length, witness), the length being the largest
+    read before a failure.  On a cover (IntegerRoots.cover) the strings of
+    its representatives alpha decide every alpha: each string of w alpha
+    is w applied to a string of alpha, and so is its verdict and length.
+    If a representative fails, or there is no cover, every nonzero alpha is
+    read in the order of the root set, so the first witness is found.
     """
     m = rs.model
+    if m.cover is not None:
+        ok, max_len, _ = _strings(m, [m.order[i] for i in m.cover])
+        if ok:
+            return ok, max_len, None
+    return _strings(m, [ia for ia in m.orig if any(ia)])
+
+
+def _strings(m: IntegerRoots, alphas):
+    """The string check over the nonzero roots alphas of m.  Each
+    alpha-string is walked once on IntegerRoots keys, the pairings read off
+    the row of alpha, then the verdicts are read in a fixed order of the
+    roots beta."""
     den, keys, slot = m.den, m.keys, m.slot
     reading = [m.index[ib] for ib in m.orig]
     max_len = 0
-    for ia, alpha in m.orig.items():
-        if not any(ia):
-            continue
+    for ia in alphas:
+        alpha = m.orig[ia]
         ka = m.key(ia)
         row = m.row(m.cor[ia])  # den <b, alpha_check>
         d_aa = row[m.index[ia]]

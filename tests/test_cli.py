@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lietor import cli
-from lietor.cli import main, render_affine_table
+from lietor.cli import main, make_parser, render_affine_table
 from lietor.serialize import (
     coord_algebra_from_json,
     datum_from_json,
@@ -463,6 +463,25 @@ def test_alg_associativity_failure_has_a_witness(tmp_path, monkeypatch):
     assoc = checks["associativity"]
     assert assoc["status"] == "fail" and assoc["witness"].startswith("associativity fails at")
     assert "detail" not in assoc
+
+
+@pytest.mark.parametrize("argv", [
+    ["sl", "--jacobi", "0"],
+    ["sl", "--jacobi", "-5"],
+    ["uce", "--jacobi", "0"],
+    ["uce", "--jacobi", "-5"],
+    ["eala", "--coord", "laurent", "--jacobi", "-5"],
+], ids=["sl-0", "sl-neg", "uce-0", "uce-neg", "eala-neg"])
+def test_jacobi_count_without_a_triple_is_a_usage_error(capsys, argv):
+    # a sample of no triples would print jacobi-sample: pass
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --jacobi: must be at least" in err
+
+
+def test_eala_jacobi_zero_means_no_sample():
+    args = make_parser().parse_args(["eala", "--coord", "laurent", "--jacobi", "0"])
+    assert args.jacobi == 0
 
 
 def test_sl_rg1_and_rg2_have_no_window(tmp_path):

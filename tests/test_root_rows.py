@@ -1,13 +1,15 @@
 """The row kernel of IntegerRoots against the per-pair references of
 roots_reference.py.
 
-validate_axioms, predicates, check_form, root_strings_exhaustive,
+validate_axioms, predicates and root_strings_exhaustive read the rows of
+the representatives of a cover (IntegerRoots.cover) when the model has
+one, and one row of pairings per real root when it has none.  check_form,
 connected_components, the integrality check and the ED1 sums read one row
-of pairings per real root and look roots up by packed integer keys; the
-references build a tuple for every pair.  Both must give the same verdicts,
-witnesses and values on perturbed systems, including systems whose
-pairings are fractional and whose reflected images leave the box of the
-root coordinates.
+per real root.  All look roots up by packed integer keys; the references
+build a tuple for every pair.  Both must give the same verdicts, witnesses
+and values on perturbed systems, on the cover path and on the full scan,
+including systems whose pairings are fractional and whose reflected images
+leave the box of the root coordinates.
 """
 
 from fractions import Fraction
@@ -110,6 +112,94 @@ def perturbed_systems(draw):
 def test_rows_match_the_per_pair_reference(case):
     prs, form = case
     _rows_and_reference_agree(prs, form)
+
+
+def test_bases_take_both_paths():
+    # The bases that perturbed_systems starts from: the plain and thirds
+    # systems have a cover, and the diag form, whose reflections move roots
+    # off the root set, has none except on A1 and BC1.  So the differential
+    # test above reads both the cover and the full scan.
+    covered = {(fam, rk, v): _base(fam, rk, v).model.cover is not None
+               for fam, rk in SYSTEMS for v in ("plain", "diag", "thirds")}
+    assert all(covered[fam, rk, v] for fam, rk in SYSTEMS for v in ("plain", "thirds"))
+    assert sorted(k for k, ok in covered.items() if k[2] == "diag" and ok) == [
+        ("A", 1, "diag"), ("BC", 1, "diag")]
+
+
+def _generators(m):
+    return [m.order[i] for i in m.cover if i < m.n_real]
+
+
+def _closure(m):
+    """The orbits of the representatives of m.cover under the reflections
+    of its generators, reflected one root at a time."""
+    reached = {m.order[i] for i in m.cover}
+    frontier = list(reached)
+    while frontier:
+        b = frontier.pop()
+        for d in _generators(m):
+            c = m.reflect(d, b)
+            if c not in reached:
+                reached.add(c)
+                frontier.append(c)
+    return reached
+
+
+# The number of generators the walk picks: the rank on A-D, one more on
+# BC_n and G2, 5 on F4, 6 on E6.  On BC_n the reflections of the first n
+# generators do not reach the roots 2e_i, which take one more.
+GENERATORS = {"A": 0, "B": 0, "C": 0, "D": 0, "BC": 1, "G2": 3, "F4": 5, "E6": 6}
+
+
+@pytest.mark.parametrize("fam,rk", SYSTEMS, ids=[fam + str(rk or "") for fam, rk in SYSTEMS])
+def test_cover_is_small_and_reaches_every_root(fam, rk):
+    m = _base(fam, rk, "plain").model
+    assert len(_generators(m)) == GENERATORS[fam] + (rk or 0)
+    assert _closure(m) == m.real
+
+
+def test_cover_reaches_both_summands_of_a_direct_sum():
+    # A2 + G2 on Q^3 + Q^3: two generators in the first summand, three in
+    # the second
+    m = ref.direct_sum(_base("A", 2, "plain"), _base("G2", None, "plain")).model
+    assert sorted(any(a[:3]) for a in _generators(m)) == [False] * 3 + [True] * 2
+    assert _closure(m) == m.real
+
+
+def test_cover_keeps_imaginary_roots_as_representatives():
+    # A truncated window of an affine reflection system is not closed
+    # under its reflections: an image of a root at the edge leaves it, so
+    # it has no cover.  Its real roots of level 0 and its imaginary roots
+    # k delta, |k| <= 2, are closed: every reflection fixes k delta.  Each
+    # nonzero k delta is then its own representative, and the reflections
+    # of the generators reach every real root.
+    ars = build_affine_rs(_base("B", 2, "plain"), 2)[0]
+    window = ars.to_prs(2)
+    assert window.model.cover is None
+    roots = {a for a in window.roots if not any(a[ars.y_dim:]) or not any(a[:ars.y_dim])}
+    prs = PreReflectionSystem(window.dim, roots, {a: window.coroots[a] for a in roots})
+    m = prs.model
+    imag = [m.order[i] for i in m.cover if i >= m.n_real]
+    assert sorted(imag) == sorted(a for a in m.imag if any(a)) and len(imag) == 4
+    assert _closure(m) == m.roots - {(0,) * prs.dim}
+    _rows_and_reference_agree(prs, _ambient_affine_form(ars))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_res4_fails_off_the_span_of_the_roots(n):
+    # A_n spans the sum-zero hyperplane of Q^(n+1).  Adding (1, ..., 1) to
+    # one coroot changes no reflection on the roots, so ReS2 holds at every
+    # root and <a, a_check> = 2 still, but ReS4 fails at every reflection
+    # that moves that root: a generator that skipped ReS4 would pass it.
+    rs = _base("A", n, "plain")
+    coroots = dict(rs.coroots)
+    a = max(rs.roots)
+    coroots[a] = tuple(x + 1 for x in coroots[a])
+    prs = PreReflectionSystem(rs.dim, rs.roots, coroots)
+    assert prs.model.cover is None
+    got = validate_axioms(prs)
+    assert got["ReS2"].ok and not got["ReS4"].ok
+    _rows_and_reference_agree(prs, rs.space.form)
 
 
 def _ambient_affine_form(ars):
