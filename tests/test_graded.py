@@ -17,7 +17,7 @@ from lietor.graded import (
     skew_centroidal_space,
     validate_quantum_matrix,
 )
-from lietor.lattices import LatticeSubset
+from lietor.lattices import LatticeSubset, box
 from lietor.scalars import QQ, cyclotomic_field
 from test_uce import _swap_crossed
 
@@ -308,3 +308,102 @@ def test_crossed_try_invert_with_nontrivial_sigma():
     assert y == AlgElement(A, {((-1,), 0): F(1, 2), ((-1,), 1): F(1)})
     assert x * y == A.one() == y * x
     assert A.try_invert(AlgElement(A, {((1,), 0): F(1)})) is None
+
+
+def _torus(field, upper):
+    """The quantum torus with q_ij = upper[i][j - i - 1] for i < j."""
+    n = len(upper) + 1
+    q = [[field.one] * n for _ in range(n)]
+    for i, row in enumerate(upper):
+        for j, v in enumerate(row, start=i + 1):
+            q[i][j], q[j][i] = v, field.one / v
+    return GradedAssocAlgebra.quantum_torus(q, field)
+
+
+def _tori():
+    """Q(zeta_N) for N = 1 .. 12 with q_01 = zeta_N, q_01 = -zeta_N (of order
+    2N for odd N) and a rank-3 q of mixed orders; q = -1 over Q."""
+    out = {}
+    for N in range(1, 13):
+        field = cyclotomic_field(N)
+        z = field.zeta()
+        out[f"Q(zeta_{N}) z"] = (field, [[z]])
+        out[f"Q(zeta_{N}) -z"] = (field, [[-z]])
+        out[f"Q(zeta_{N}) rank 3"] = (field, [[z, field(-1)], [z ** 2]])
+    out["Q -1"] = (QQ, [[F(-1)]])
+    out["Q rank 3"] = (QQ, [[F(-1), F(1)], [F(-1)]])
+    return out
+
+
+TORI = _tori()
+
+# The HNF basis of each centre lattice.
+CENTRE_BASES = {
+    'Q(zeta_1) z': [[1, 0], [0, 1]],
+    'Q(zeta_1) -z': [[2, 0], [0, 2]],
+    'Q(zeta_1) rank 3': [[2, 0, 0], [0, 1, 0], [0, 0, 2]],
+    'Q(zeta_2) z': [[2, 0], [0, 2]],
+    'Q(zeta_2) -z': [[1, 0], [0, 1]],
+    'Q(zeta_2) rank 3': [[2, 0, 0], [0, 1, 1], [0, 0, 2]],
+    'Q(zeta_3) z': [[3, 0], [0, 3]],
+    'Q(zeta_3) -z': [[6, 0], [0, 6]],
+    'Q(zeta_3) rank 3': [[2, 3, 10], [0, 6, 0], [0, 0, 12]],
+    'Q(zeta_4) z': [[4, 0], [0, 4]],
+    'Q(zeta_4) -z': [[4, 0], [0, 4]],
+    'Q(zeta_4) rank 3': [[2, 6, 1], [0, 8, 0], [0, 0, 4]],
+    'Q(zeta_5) z': [[5, 0], [0, 5]],
+    'Q(zeta_5) -z': [[10, 0], [0, 10]],
+    'Q(zeta_5) rank 3': [[2, 10, 66], [0, 35, 0], [0, 0, 70]],
+    'Q(zeta_6) z': [[6, 0], [0, 6]],
+    'Q(zeta_6) -z': [[3, 0], [0, 3]],
+    'Q(zeta_6) rank 3': [[2, 15, 61], [0, 33, 33], [0, 0, 66]],
+    'Q(zeta_7) z': [[7, 0], [0, 7]],
+    'Q(zeta_7) -z': [[14, 0], [0, 14]],
+    'Q(zeta_7) rank 3': [[2, 21, 218], [0, 112, 0], [0, 0, 224]],
+    'Q(zeta_8) z': [[8, 0], [0, 8]],
+    'Q(zeta_8) -z': [[8, 0], [0, 8]],
+    'Q(zeta_8) rank 3': [[2, 28, 37], [0, 88, 0], [0, 0, 44]],
+    'Q(zeta_9) z': [[9, 0], [0, 9]],
+    'Q(zeta_9) -z': [[18, 0], [0, 18]],
+    'Q(zeta_9) rank 3': [[2, 36, 514], [0, 261, 0], [0, 0, 522]],
+    'Q(zeta_10) z': [[10, 0], [0, 10]],
+    'Q(zeta_10) -z': [[5, 0], [0, 5]],
+    'Q(zeta_10) rank 3': [[2, 45, 361], [0, 185, 185], [0, 0, 370]],
+    'Q(zeta_11) z': [[11, 0], [0, 11]],
+    'Q(zeta_11) -z': [[22, 0], [0, 22]],
+    'Q(zeta_11) rank 3': [[2, 55, 1002], [0, 506, 0], [0, 0, 1012]],
+    'Q(zeta_12) z': [[12, 0], [0, 12]],
+    'Q(zeta_12) -z': [[12, 0], [0, 12]],
+    'Q(zeta_12) rank 3': [[2, 66, 157], [0, 336, 0], [0, 0, 168]],
+    'Q -1': [[2, 0], [0, 2]],
+    'Q rank 3': [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
+}
+
+
+def _assert_tau_is_the_direct_product(A, window=2):
+    """tau(lam, mu) = prod_(i > j) q_ij^(lam_i mu_j) over the box."""
+    n = A.n
+    power = {(i, j, e): A.q[i][j] ** e for i in range(n) for j in range(i)
+             for e in range(-window * window, window * window + 1)}
+    for lam in box(n, window):
+        for mu in box(n, window):
+            want = A.field.one
+            for i in range(n):
+                for j in range(i):
+                    want = want * power[i, j, lam[i] * mu[j]]
+            assert A.tau(lam, mu) == want, (lam, mu)
+
+
+@pytest.mark.parametrize("name", list(TORI))
+def test_root_of_unity_tori_read_tau_from_a_table(name):
+    A = _torus(*TORI[name])
+    assert A._tau_mode == "table"
+    _assert_tau_is_the_direct_product(A)
+    assert A.centre_lattice().basis == CENTRE_BASES[name]
+
+
+def test_non_root_of_unity_torus_stays_direct():
+    A = _torus(QQ, [[F(2)]])
+    assert A._tau_mode == "direct"
+    _assert_tau_is_the_direct_product(A)
+    assert A.centre_lattice().basis == []

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from lietor.rootsys import (
     root_strings_exhaustive,
     with_form,
 )
+from lietor.scalars import frac_to_str
 from roots_reference import coroot_from_form, direct_sum, reflect, root_string
 from test_root_rows import SYSTEMS, _base
 from test_root_traversals import CRITERION2
@@ -253,3 +255,72 @@ def test_pre_reflection_system_input_paths_agree():
         with pytest.raises(ValueError) as err:
             PreReflectionSystem(rs.dim, roots, {b: c for b, c in rs.coroots.items() if b != a})
         assert str(err.value) == f"coroot missing for {a}"
+
+
+# sha256 of the sorted roots of every system the builders accept up to rank
+# 8, one root a line as frac_to_str prints it.
+ROOT_SET_SHA256 = {
+    ("A", 1): "0727429d68ede9507f4cc3a143b9020b5cd191014d3e46baa02602bfc49188c9",
+    ("A", 2): "ae76f9ae7bbd40b3d29e8aceb0b7112809a58f6413ba2f00d4b9c348d837b944",
+    ("A", 3): "4177a3b1f3896d00b41100a358c676d4d50d26629676a8aeb6b3a025890dc37e",
+    ("A", 4): "77f37b62f150632d972008dc730c7d7b4a13a16995710ec4718b3bc711d61b2d",
+    ("A", 5): "f4e5053921c648169dc69c2fd4a2c27a143643c3f81567b6ff96cbf9dc70c14d",
+    ("A", 6): "5d3b0146579284ac4a697c98e8c1a80882762008c826e4b2cfbeb064c8d23d62",
+    ("A", 7): "500a82d5b3f53ca98f4742b51a1a4c24dc8353ae11b8d99d0f65f71a5ac5fe0f",
+    ("A", 8): "88140dd07dd48b871b6686d57e0c2cc8e1e426baec2fb7f822e2ec49df1e9bfc",
+    ("B", 1): "c75a4c50f9dba289c76aca1ca8e5b55d5fe9f06282f3d38f2a779ba263181ff2",
+    ("B", 2): "1b189fbb1f0720925fcc29fa6b45e7f356d192ea56877762b3c8aa444ac6b4e9",
+    ("B", 3): "fb4e56c64b8ef5fbca88aef48f52c3d81993aac77bb5131aa1c90adcd33d18b1",
+    ("B", 4): "d39d1d8a82f9b2d46617dd100ddc2d60ea22144c18775d7d01f54f2f03f9855d",
+    ("B", 5): "b4161fa1ac9e9d425bd29ee1863513cfc5ed97a149e026c67c9f38cfc6e0efe7",
+    ("B", 6): "9401aac410f1f510424297478e5a9bd7fc43b1b7701050a69239f2a02cdc7f3a",
+    ("B", 7): "f363ad7687871c336c7de9b3f9751d69be3e5e2ae5e1f652f86cb11fd0f49594",
+    ("B", 8): "187f913f602253e6331fddc2ab01cd8699b2d9b3adfe19c5861e15de9228816a",
+    ("C", 1): "b9e1cee177148837232bf573edcf90c4811c4128fdeff994310f1226487d336c",
+    ("C", 2): "71981d2c6e3ad4cc59080743b4b23256c9e9209706e4b6c08d397736ee2d77e8",
+    ("C", 3): "213b021b922bb0da652f8f12921f46601c95105770b7131858f4bf4d9e027b50",
+    ("C", 4): "2feca8a6b1ebb0da6a067c7841553ab6abcb0b49a104d374196d2cedcf8c7b4b",
+    ("C", 5): "3900b9d20c9d2b64c99a633d7010186e6346a5a3e89b301f53d27495ace5dec6",
+    ("C", 6): "2631f34889c853343f8dcb16efe3362b1b6b033dbb4f9c68a5d33d147aa356c8",
+    ("C", 7): "1d7e2a544150bcc902763ba809bd51d996d17bd9649c917f3e562d8a764959fc",
+    ("C", 8): "f18f5070504d13d48934eacadce5e8585bc2ad2c40f1c808cd916b38c39287ad",
+    ("D", 2): "03ee8fe2a02869ab45af83bae865f9be497d7130df3e007f7349f48e375df808",
+    ("D", 3): "7c8aac6e25e325847b785b5e06ba1c7a3e72f25bcb3a66beb4c5bfd6a7c3edc6",
+    ("D", 4): "5ba7d6697fe06a642360984ecf13b4dea1877d51ba459a7d13a936f3969b0967",
+    ("D", 5): "ac1366691af4dba269dce5d7b80bd08e0cd5a5f451737ee6597755bdf25fe12d",
+    ("D", 6): "bb1dffc2bc0b2499d16f06061e07b95d7040cb7f2945a02099ed06bd775e4efb",
+    ("D", 7): "df704415552942cdf92f8f03efafd076637d6849fc74c18331784794c599fa57",
+    ("D", 8): "01c0336e6f2c5e2a059974f6cb5139b1ad941595b25b9e3425dc905ea800c8d0",
+    ("BC", 1): "35979da7a439e6345ecdefa700512b438d0c2d3e21556de633547d3b8c9f459c",
+    ("BC", 2): "b055cb3e981cc1ccd3fc548eee16d88eaf14e4fc4a9c043497206ea05f4eb441",
+    ("BC", 3): "8eb2adebe7f2c8faf11bb1747f3838fb8b143c660badf397cb47ff3e68794440",
+    ("BC", 4): "96ee3b7e5ed3da9055dbd7bbf6711866fa75bcd18b42970d4b529c0b484f9a06",
+    ("BC", 5): "ac9f13f2ca9b12628baa6854d0ec24b57530b6d3531f686dfc6d67ff5b1557a8",
+    ("BC", 6): "e6dfce73a9ec84522937da951be45965c0d66d7673388eaa339df00a58d8e8a6",
+    ("BC", 7): "7d57199993c7a2d77160e9074d89c7c669ce5eb665896c8987d55ad052d94d19",
+    ("BC", 8): "c5e44a0d524b279212ed3583e2556817c984db98862f858de102ad658971ef58",
+    ("E6", None): "058eec61ef32b74de80fdffce82bb518c930e0c0f08c33ec58365f501d4dc866",
+    ("E7", None): "3c7351e06a220bfa59a122dfc809520d777b9d9c4d966dc385dc5cb0c115ca3c",
+    ("E8", None): "c6ba941e1b25db6cdb971419bebc7c759b61fb7617225a4d2e9b9d659ca61c23",
+    ("F4", None): "9454adb7ad973b3de02205b78e1bae5aa78932915657547247c9efad0e14bb51",
+    ("G2", None): "30f417e36ce1f841cb9476170382ab8ca655971ad9daec59d5f489e540245401",
+}
+
+
+@pytest.mark.parametrize("fam,rk", list(ROOT_SET_SHA256))
+def test_root_sets_are_pinned(fam, rk):
+    rs = build_exceptional(fam) if rk is None else build_classical(fam, rk)
+    text = "\n".join(map(frac_to_str, sorted(rs.roots)))
+    assert hashlib.sha256(text.encode()).hexdigest() == ROOT_SET_SHA256[(fam, rk)]
+
+
+@pytest.mark.parametrize("fam,rk,message", [
+    *((fam, rk, "rank must be at least 1") for fam in ("A", "B", "C", "D", "BC") for rk in (0, -1)),
+    ("D", 1, "type D needs rank >= 2 (D_1 cannot span its space)"),
+    ("E", 3, "unknown classical family 'E'"),
+    ("E9", None, "unknown exceptional family 'E9'"),
+])
+def test_rejected_ranks_and_families_name_the_reason(fam, rk, message):
+    with pytest.raises(ValueError) as err:
+        build_exceptional(fam) if rk is None else build_classical(fam, rk)
+    assert str(err.value) == message
