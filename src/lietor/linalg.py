@@ -7,9 +7,6 @@ and solutions are exact.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .scalars import QQ
 
 
@@ -224,15 +221,30 @@ def lattice_reduce(v, hnf_rows):
 
 
 def integer_kernel(rows, ncols=None):
-    """Basis of {v in Z^n : rows . v = 0} (integer vectors)."""
+    """HNF basis of {v in Z^n : rows . v = 0}.
+
+    Column j of rows, with e_j appended, is reduced by unimodular column
+    operations, one row at a time: Euclid leaves one column with a nonzero
+    entry in the row, and it is set aside.  The columns left have image 0,
+    and their e-parts span the kernel over Z.  (A rational kernel basis
+    cleared of denominators spans a sublattice of it in general.)"""
     if not rows:
         return [] if ncols is None else [
             [1 if i == j else 0 for j in range(ncols)] for i in range(ncols)
         ]
     ncols = len(rows[0]) if ncols is None else ncols
-    basis = kernel([[Fraction(x) for x in row] for row in rows], QQ, ncols)
-    out = []
-    for v in basis:
-        den = math.lcm(*(x.denominator for x in v))
-        out.append([int(x * den) for x in v])
-    return hnf(out)
+    r = len(rows)
+    cols = [[row[j] for row in rows] + [1 if i == j else 0 for i in range(ncols)]
+            for j in range(ncols)]
+    for i in range(r):
+        live = [c for c in cols if c[i]]
+        while len(live) > 1:
+            p = min(live, key=lambda c: abs(c[i]))
+            for c in live:
+                if c is not p:
+                    q = c[i] // p[i]
+                    c[:] = [a - q * b for a, b in zip(c, p)]
+            live = [c for c in live if c[i]]
+        if live:
+            cols = [c for c in cols if c is not live[0]]
+    return hnf([c[r:] for c in cols])

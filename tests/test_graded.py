@@ -337,7 +337,8 @@ def _tori():
 
 TORI = _tori()
 
-# The HNF basis of each centre lattice.
+# The HNF basis of each centre lattice; its index is the number of central
+# points counted in (Z/2N)^n.
 CENTRE_BASES = {
     'Q(zeta_1) z': [[1, 0], [0, 1]],
     'Q(zeta_1) -z': [[2, 0], [0, 2]],
@@ -347,34 +348,34 @@ CENTRE_BASES = {
     'Q(zeta_2) rank 3': [[2, 0, 0], [0, 1, 1], [0, 0, 2]],
     'Q(zeta_3) z': [[3, 0], [0, 3]],
     'Q(zeta_3) -z': [[6, 0], [0, 6]],
-    'Q(zeta_3) rank 3': [[2, 3, 10], [0, 6, 0], [0, 0, 12]],
+    'Q(zeta_3) rank 3': [[2, 0, 4], [0, 3, 0], [0, 0, 6]],
     'Q(zeta_4) z': [[4, 0], [0, 4]],
     'Q(zeta_4) -z': [[4, 0], [0, 4]],
-    'Q(zeta_4) rank 3': [[2, 6, 1], [0, 8, 0], [0, 0, 4]],
+    'Q(zeta_4) rank 3': [[2, 2, 1], [0, 4, 0], [0, 0, 2]],
     'Q(zeta_5) z': [[5, 0], [0, 5]],
     'Q(zeta_5) -z': [[10, 0], [0, 10]],
-    'Q(zeta_5) rank 3': [[2, 10, 66], [0, 35, 0], [0, 0, 70]],
+    'Q(zeta_5) rank 3': [[2, 0, 6], [0, 5, 0], [0, 0, 10]],
     'Q(zeta_6) z': [[6, 0], [0, 6]],
     'Q(zeta_6) -z': [[3, 0], [0, 3]],
-    'Q(zeta_6) rank 3': [[2, 15, 61], [0, 33, 33], [0, 0, 66]],
+    'Q(zeta_6) rank 3': [[2, 0, 4], [0, 3, 3], [0, 0, 6]],
     'Q(zeta_7) z': [[7, 0], [0, 7]],
     'Q(zeta_7) -z': [[14, 0], [0, 14]],
-    'Q(zeta_7) rank 3': [[2, 21, 218], [0, 112, 0], [0, 0, 224]],
+    'Q(zeta_7) rank 3': [[2, 0, 8], [0, 7, 0], [0, 0, 14]],
     'Q(zeta_8) z': [[8, 0], [0, 8]],
     'Q(zeta_8) -z': [[8, 0], [0, 8]],
-    'Q(zeta_8) rank 3': [[2, 28, 37], [0, 88, 0], [0, 0, 44]],
+    'Q(zeta_8) rank 3': [[2, 4, 1], [0, 8, 0], [0, 0, 4]],
     'Q(zeta_9) z': [[9, 0], [0, 9]],
     'Q(zeta_9) -z': [[18, 0], [0, 18]],
-    'Q(zeta_9) rank 3': [[2, 36, 514], [0, 261, 0], [0, 0, 522]],
+    'Q(zeta_9) rank 3': [[2, 0, 10], [0, 9, 0], [0, 0, 18]],
     'Q(zeta_10) z': [[10, 0], [0, 10]],
     'Q(zeta_10) -z': [[5, 0], [0, 5]],
-    'Q(zeta_10) rank 3': [[2, 45, 361], [0, 185, 185], [0, 0, 370]],
+    'Q(zeta_10) rank 3': [[2, 0, 6], [0, 5, 5], [0, 0, 10]],
     'Q(zeta_11) z': [[11, 0], [0, 11]],
     'Q(zeta_11) -z': [[22, 0], [0, 22]],
-    'Q(zeta_11) rank 3': [[2, 55, 1002], [0, 506, 0], [0, 0, 1012]],
+    'Q(zeta_11) rank 3': [[2, 0, 12], [0, 11, 0], [0, 0, 22]],
     'Q(zeta_12) z': [[12, 0], [0, 12]],
     'Q(zeta_12) -z': [[12, 0], [0, 12]],
-    'Q(zeta_12) rank 3': [[2, 66, 157], [0, 336, 0], [0, 0, 168]],
+    'Q(zeta_12) rank 3': [[2, 6, 1], [0, 12, 0], [0, 0, 6]],
     'Q -1': [[2, 0], [0, 2]],
     'Q rank 3': [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
 }
@@ -399,7 +400,9 @@ def test_root_of_unity_tori_read_tau_from_a_table(name):
     A = _torus(*TORI[name])
     assert A._tau_mode == "table"
     _assert_tau_is_the_direct_product(A)
-    assert A.centre_lattice().basis == CENTRE_BASES[name]
+    gamma = A.centre_lattice()
+    assert gamma.basis == CENTRE_BASES[name]
+    assert set(gamma.window_elements(4)) == set(centre_scan_oracle(A, 4))
 
 
 def test_non_root_of_unity_torus_stays_direct():

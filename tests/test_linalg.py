@@ -233,6 +233,10 @@ def test_congruence_lattice():
     got = lattice_from_congruences([[1, 1]], 2, 2)
     sub = LatticeSubset(2, got)
     assert (1, 1) in sub and (2, 0) in sub and (1, 0) not in sub
+    # index 36: a cleared rational kernel of [A | 6 I] spans a sublattice of
+    # index 576, which misses the solution (2, 3, 10)
+    got = lattice_from_congruences([[0, 4, 3], [2, 0, 2], [3, 4, 0]], 6, 3)
+    assert got == [[2, 0, 4], [0, 3, 0], [0, 0, 6]]
 
 
 def _independent_rows_by_rank(vecs, field):
