@@ -8,7 +8,7 @@ checked on explicit windows and every windowed verdict carries its window.
 
 __version__ = "0.1.0"
 
-from .scalars import QQ, Cyclo, cyclotomic_field, embed, root_of_unity_order
+from .scalars import QQ, Cyclo, cyclotomic_field, embed
 from .rootsys import (
     RootSystem,
     build_classical,

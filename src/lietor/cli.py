@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .graded import (
@@ -46,18 +45,6 @@ from .serialize import (
 
 class InputError(Exception):
     pass
-
-
-def clamp_window(w: int) -> int:
-    """w, capped by LIETOR_MAX_WINDOW; a negative window or cap is malformed."""
-    cap = os.environ.get("LIETOR_MAX_WINDOW")
-    if cap is not None:
-        if int(cap) < 0:
-            raise InputError(f"LIETOR_MAX_WINDOW={cap} is negative")
-        w = min(w, int(cap))
-    if w < 0:
-        raise InputError(f"window {w} is negative")
-    return w
 
 
 def build_system(family: str, rank: int):
@@ -178,7 +165,7 @@ def cmd_refl(args, run: Runner) -> None:
 
 def cmd_ars(args, run: Runner) -> None:
     if args.action == "build":
-        window = clamp_window(args.window)
+        window = args.window
         S = build_system(args.type, args.rank)
         ars, mp, kac = build_affine_rs(S, args.tier)
         run.add("labels", True, detail=f"{mp} {kac}")
@@ -224,7 +211,7 @@ def cmd_qtorus(args, run: Runner) -> None:
     if args.action == "centre":
         gamma = centre_of_qtorus(A)
         run.echo(f"Gamma basis: {gamma.basis}")
-        window = clamp_window(args.window)
+        window = args.window
         oracle = centre_scan_oracle(A, window)
         agree = all(v in gamma for v in oracle) and all(
             tuple(v) in set(oracle) for v in gamma.window_elements(window)
@@ -236,7 +223,7 @@ def cmd_qtorus(args, run: Runner) -> None:
         basis = skew_centroidal_space(A, deg)
         run.add("scder-dim", True, detail=f"degree {deg}: dim {len(basis)}")
     else:
-        window = clamp_window(args.window)
+        window = args.window
         rep = commutator_decomposition(A, window)
         central = sum(1 for r in rep if r["central"])
         run.add("decomposition", True, window=window,
@@ -244,7 +231,7 @@ def cmd_qtorus(args, run: Runner) -> None:
 
 
 def cmd_alg(args, run: Runner) -> None:
-    window = clamp_window(args.window)
+    window = args.window
     A = load_coord(args, run)
     degs = [d for d in box(A.n, window) if A.in_support(d)]
     ok = True
@@ -269,7 +256,7 @@ def cmd_alg(args, run: Runner) -> None:
 
 
 def cmd_sl(args, run: Runner) -> None:
-    window = clamp_window(args.window)
+    window = args.window
     A = load_coord(args, run)
     L = MatrixLieAlgebra(args.n, A)
     rep = verify_root_graded(L, window)
@@ -286,7 +273,7 @@ def cmd_sl(args, run: Runner) -> None:
 def cmd_uce(args, run: Runner) -> None:
     from .uce import build_uce_sl, steinberg_check
 
-    window = clamp_window(args.window)
+    window = args.window
     A = load_coord(args, run)
     U = build_uce_sl(args.n, A)
     run.merge(steinberg_check(U, min(window, 2)))
@@ -307,7 +294,7 @@ def cmd_affine(args, run: Runner) -> None:
     if not args.g.startswith("sl"):
         raise InputError("only g = sl<m> is supported")
     m = int(args.g[2:])
-    window = clamp_window(args.window)
+    window = args.window
     E = build_affine(m, window)
     run.add("root-spaces", all(E.acts_by_root(ro, deg) for ro, deg in E.windowed_roots(window)),
             window=window)
@@ -346,7 +333,7 @@ def cmd_eala(args, run: Runner) -> None:
         verify_iara,
     )
 
-    window = clamp_window(args.window)
+    window = args.window
     A = load_coord(args, run)
     L = MatrixLieAlgebra(args.n, A)
     data = default_iara_data(L, window=window,
@@ -354,22 +341,22 @@ def cmd_eala(args, run: Runner) -> None:
     E = build_E(data, window=window)
     ia = verify_iara(E, window)
     run.merge(ia)
-    if args.check in ("all", "eala"):
-        ea = verify_eala(E, window, iara=ia, seed=args.seed)
-        run.merge(ea)
-        run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=window)
-        run.add("nullity", True, detail=str(nullity_of(E, window)))
-        cv = classify_variant(E, window, iara=ia, eala=ea)
-        for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):
-            run.add(f"variant:{k}", True, detail=str(cv[k]), window=window)
+    ea = verify_eala(E, window, iara=ia, seed=args.seed)
+    run.merge(ea)
+    run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=window)
+    run.add("nullity", True, detail=str(nullity_of(E, window)))
+    cv = classify_variant(E, window, iara=ia, eala=ea)
+    for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):
+        run.add(f"variant:{k}", True, detail=str(cv[k]), window=window)
     if args.jacobi:
         run.append(sampled_check("jacobi-sample", E.windowed_basis(1), args.jacobi, args.seed,
                                  E.jacobi_holds))
 
 
 def _count(least: int):
-    """An argparse type: an int of at least least, so that a sample of no
-    triples, which would print a vacuous pass, is a usage error."""
+    """An argparse type: an int of at least least.  A negative window, or a
+    sample of no triples, which would print a vacuous pass, is then a usage
+    error."""
     def count(text):
         n = int(text)
         if n < least:
@@ -403,7 +390,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--type", default="A")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("--tier", type=int, default=1)
-    q.add_argument("--window", type=int, default=3,
+    q.add_argument("--window", type=_count(0), default=3,
                    help="build only: scopes structure:max_string_len alone")
     q.add_argument("--in", dest="infile")
     q.add_argument("--out-ars", dest="out_ars")
@@ -412,29 +399,29 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("action", choices=["centre", "scder", "decompose"])
     q.add_argument("--q", required=True)
     q.add_argument("--degree")
-    q.add_argument("--window", type=int, default=4)
+    q.add_argument("--window", type=_count(0), default=4)
 
     q = sub.add_parser("alg", help="graded algebra sanity on a window")
     q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=int, default=2)
+    q.add_argument("--window", type=_count(0), default=2)
 
     q = sub.add_parser("sl", help="root-graded verification of sl_n(A)")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=int, default=2)
+    q.add_argument("--window", type=_count(0), default=2)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(1), default=200)
 
     q = sub.add_parser("uce", help="universal central extension checks")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=int, default=3)
+    q.add_argument("--window", type=_count(0), default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(1), default=200)
 
     q = sub.add_parser("affine", help="the untwisted affine construction")
     q.add_argument("--g", default="sl3")
-    q.add_argument("--window", type=int, default=5)
+    q.add_argument("--window", type=_count(0), default=5)
     q.add_argument("--emit", choices=["roots", "none"], default="none")
 
     q = sub.add_parser("hc1", help="first cyclic homology in one degree")
@@ -445,8 +432,7 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
-    q.add_argument("--check", default="all", choices=["all", "iara", "eala"])
-    q.add_argument("--window", type=int, default=3)
+    q.add_argument("--window", type=_count(0), default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(0), default=0, help="0: no sample")
 

@@ -717,9 +717,9 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
     return rep
 
 
-def verify_eala(E: BuiltE, window: int = 2, iara: AxiomReport = None,
+def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport,
                 seed: int = 0) -> AxiomReport:
-    """EA1 - EA6; pass a precomputed verify_iara report to avoid rework.
+    """EA1 - EA6, given the verify_iara report of E at the window.
     EA1's invariance is checked on 200 triples sampled with seed."""
     rep = AxiomReport()
 
@@ -748,8 +748,7 @@ def verify_eala(E: BuiltE, window: int = 2, iara: AxiomReport = None,
             None if len(e0) == dim_t else f"E_0 has dim {len(e0)} != dim T = {dim_t}",
             note="H = T is self-centralizing iff E_0 = T")
 
-    ia = iara if iara is not None else verify_iara(E, window)
-    rep.add("EA3", ia["IA3"].ok, ia["IA3"].witness, window=window)
+    rep.add("EA3", iara["IA3"].ok, iara["IA3"].witness, window=window)
 
     comps = connected_components(E.L.S)
     rep.add("EA4", len(comps) == 1,
@@ -799,24 +798,22 @@ def core_and_tameness(E: BuiltE, window: int = 2) -> dict:
     }
 
 
-def classify_variant(E: BuiltE, window: int = 2, iara: AxiomReport = None,
-                     eala: AxiomReport = None) -> dict:
+def classify_variant(E: BuiltE, window: int = 2, *, iara: AxiomReport,
+                     eala: AxiomReport) -> dict:
     """IARA / EALA / LEALA / GRLA-style / toral-type flags.
 
     GRLA-style and toral-type also ask for a finite-dimensional T, which
     holds by construction: T is spanned by T_C, the Cartan basis of L and
     T_D."""
-    ia = iara if iara is not None else verify_iara(E, window)
-    ea = eala if eala is not None else verify_eala(E, window, iara=ia)
-    splitting = ea["EA2"].ok
-    connected = ea["EA4"].ok
-    tame = ea["EA5"].ok
+    splitting = eala["EA2"].ok
+    connected = eala["EA4"].ok
+    tame = eala["EA5"].ok
     return {
-        "IARA": ia.ok,
-        "EALA": ea.ok,
-        "LEALA": ia.ok and splitting and connected,
-        "GRLA": ia.ok and splitting,
-        "toral-type": ia.ok and tame and connected,
+        "IARA": iara.ok,
+        "EALA": eala.ok,
+        "LEALA": iara.ok and splitting and connected,
+        "GRLA": iara.ok and splitting,
+        "toral-type": iara.ok and tame and connected,
         "window": window,
         "note": "discreteness replaced by the Z^n lattice model",
     }

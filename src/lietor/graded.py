@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
 from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
-from .scalars import Cyclo, QQ, root_of_unity_order
+from .scalars import Cyclo, CycloField, QQ
 
 
 class FiniteDimAlgebra:
@@ -228,39 +228,28 @@ class GradedAssocAlgebra:
         return cls("qtorus", len(q), field, q=q)
 
     def _setup_tau(self):
-        orders = {}
-        all_roots = True
-        for i in range(self.n):
-            for j in range(self.n):
-                m = root_of_unity_order(self.q[i][j])
-                if m is None:
-                    all_roots = False
-                else:
-                    orders[(i, j)] = m
+        """Table mode when every q_ij is a root of unity.  Those of Q are +-1,
+        and those of Q(zeta_N) are the powers of z = zeta_N (N even) or
+        -zeta_N (N odd), of order m = lcm(2, N).  With q_ij = z^a_ij, tau is
+        z^e for e = sum a_ij lam_i mu_j, read from the m powers of z; any
+        other q keeps the direct product."""
+        field = self.field
+        if isinstance(field, CycloField):
+            z = field.zeta() if field.order % 2 == 0 else -field.zeta()
+            m = math.lcm(2, field.order)
+        else:
+            z, m = -field.one, 2
+        powers = [field.one]
+        for _ in range(m - 1):
+            powers.append(powers[-1] * z)
+        log = {p: a for a, p in enumerate(powers)}
+        amat = [[log.get(x) for x in row] for row in self.q]
         self._tau_mode = "direct"
-        if all_roots:
-            L = math.lcm(*orders.values())
-            zl = field_root_of_unity(self.field, L)
-            if zl is not None:
-                powers = [self.field.one]
-                for _ in range(L - 1):
-                    powers.append(powers[-1] * zl)
-                amat = [[0] * self.n for _ in range(self.n)]
-                ok = True
-                for i in range(self.n):
-                    for j in range(self.n):
-                        a = _discrete_log(self.q[i][j], powers)
-                        if a is None:
-                            ok = False
-                            break
-                        amat[i][j] = a
-                    if not ok:
-                        break
-                if ok:
-                    self._tau_mode = "table"
-                    self._tau_L = L
-                    self._tau_powers = powers
-                    self._tau_amat = amat
+        if all(a is not None for row in amat for a in row):
+            self._tau_mode = "table"
+            self._tau_m = m
+            self._tau_powers = powers
+            self._tau_amat = amat
 
     def in_support(self, deg) -> bool:
         if self.support == "nonneg":
@@ -303,7 +292,7 @@ class GradedAssocAlgebra:
                     for j in range(i):
                         if mu[j]:
                             e += row[j] * li * mu[j]
-            return self._tau_powers[e % self._tau_L]
+            return self._tau_powers[e % self._tau_m]
         out = self.field.one
         for i in range(self.n):
             for j in range(i):
@@ -442,7 +431,7 @@ class GradedAssocAlgebra:
         if self.kind != "qtorus":
             raise ValueError("centre lattice is defined for quantum tori")
         if self._tau_mode == "table":
-            return LatticeSubset(self.n, lattice_from_congruences(self._tau_amat, self._tau_L,
+            return LatticeSubset(self.n, lattice_from_congruences(self._tau_amat, self._tau_m,
                                                                   self.n))
         # Non-torsion rational parameters: multiplicative order lattice via
         # prime factorization and the sign character.
@@ -516,32 +505,6 @@ def validate_quantum_matrix(q, field):
         for j in range(n):
             if q[i][j] * q[j][i] != field.one:
                 raise ValueError(f"q_{i}{j} q_{j}{i} must be 1")
-
-
-def field_root_of_unity(field, L: int):
-    """A primitive L-th root of unity in the field, or None."""
-    if field is QQ or isinstance(field, type(QQ)):
-        if L == 1:
-            return Fraction(1)
-        if L == 2:
-            return Fraction(-1)
-        return None
-    N = field.order
-    if L == 1:
-        return field.one
-    if N % L == 0:
-        return field.zeta(N // L)
-    if N % 2 == 1 and (2 * N) % L == 0:
-        z2n = -field.zeta((N + 1) // 2)  # primitive 2N-th root in Q(zeta_N)
-        return z2n ** ((2 * N) // L)
-    return None
-
-
-def _discrete_log(value, powers):
-    for k, p in enumerate(powers):
-        if p == value:
-            return k
-    return None
 
 
 def centre_of_qtorus(A: GradedAssocAlgebra) -> LatticeSubset:

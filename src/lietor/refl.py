@@ -43,7 +43,7 @@ def _res3(m: IntegerRoots) -> CheckResult:
     def key(a):
         return tuple(_lead(a) * x for x in m.cor[a])
 
-    bad = min(((a, b) for group in m.collinear_classes()
+    bad = min(((a, b) for group in m.collinear_classes
                for i, a in enumerate(group) for b in group[i + 1:]
                if key(a) != key(b)), default=None)
     witness = None
@@ -123,7 +123,7 @@ def predicates(prs: PreReflectionSystem) -> dict:
     real = m.order[:nr] if m.cover is None else [m.order[i] for i in m.cover if i < nr]
     # Collinear real roots are +-each other.
     reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
-                  for group in m.collinear_classes())
+                  for group in m.collinear_classes)
     integral = coherent = True
     for a in real:
         row = m.row(m.cor[a])  # den <b, a_check>

@@ -28,10 +28,6 @@ def _unit(n, i):
     return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -162,9 +158,8 @@ class RootSystem(PreReflectionSystem):
     """A finite set of vectors containing 0, closed under its reflections,
     with the coroots of its form unless they are given."""
 
-    def __init__(self, space: RootSpace, roots, coroots=None, label=None):
+    def __init__(self, space: RootSpace, roots, coroots=None):
         self.space = space
-        self.label = label
         roots = _root_set(roots)
         if (Fraction(0),) * space.dim not in roots:
             raise ValueError("0 must be a root")
@@ -422,16 +417,56 @@ class IntegerRoots:
                 nxt += ka
             yield string
 
+    @functools.cached_property
     def collinear_classes(self):
         """The nonzero real roots grouped by line, each group sorted, groups
         of one left out.  The line of a is a divided by the gcd of its
-        coordinates, signed to make the first nonzero coordinate positive."""
+        coordinates, signed to make the first nonzero coordinate positive.
+        Kept on the model, like cover: ReS3 and reduced both read it."""
         lines = {}
         for a in sorted(self.real):
             if any(a):
                 g = math.gcd(*a) if next(x for x in a if x) > 0 else -math.gcd(*a)
                 lines.setdefault(tuple(x // g for x in a), []).append(a)
-        return [group for group in lines.values() if len(group) > 1]
+        return tuple(tuple(group) for group in lines.values() if len(group) > 1)
+
+
+def _vec(dim, entries):
+    """The vector of Q^dim with the {coordinate: value} entries, 0 elsewhere."""
+    return tuple(Fraction(entries.get(k, 0)) for k in range(dim))
+
+
+def _differences(dim):
+    """e_i - e_j for i != j."""
+    return {_vec(dim, {i: 1, j: -1}) for i in range(dim) for j in range(dim) if i != j}
+
+
+def _signed_pairs(dim):
+    """+-e_i +- e_j for i < j."""
+    return {_vec(dim, {i: s, j: t}) for i in range(dim) for j in range(i + 1, dim)
+            for s in (1, -1) for t in (1, -1)}
+
+
+def _axes(dim, c):
+    """+-c e_i."""
+    return {_vec(dim, {i: s * c}) for i in range(dim) for s in (1, -1)}
+
+
+def _half_signs(dim, even=False):
+    """(+-1/2, ..., +-1/2), only those with an even number of minus signs
+    when even."""
+    return {tuple(Fraction(s, 2) for s in signs)
+            for signs in itertools.product((1, -1), repeat=dim)
+            if not (even and signs.count(-1) % 2)}
+
+
+def _system(dim, roots):
+    """The roots, and 0, in Q^dim with the identity form."""
+    return RootSystem(RootSpace(dim, _identity_form(dim)), roots | {(Fraction(0),) * dim})
+
+
+# The lengths c of the roots +-c e_i that join the +-e_i +- e_j of D_n.
+_AXES = {"B": (1,), "C": (2,), "D": (), "BC": (1, 2)}
 
 
 def build_classical(family: str, n: int) -> RootSystem:
@@ -440,107 +475,32 @@ def build_classical(family: str, n: int) -> RootSystem:
     if n < 1:
         raise ValueError("rank must be at least 1")
     if family == "A":
-        dim = n + 1
-        roots = {(Fraction(0),) * dim}
-        for i in range(dim):
-            for j in range(dim):
-                if i != j:
-                    roots.add(vec_sub(_unit(dim, i), _unit(dim, j)))
-        return RootSystem(RootSpace(dim, _identity_form(dim)), roots)
-    dim = n
-    zero = (Fraction(0),) * dim
-    short = {vec_scale(s, _unit(dim, i)) for i in range(dim) for s in (1, -1)}
-    double = {vec_scale(s, _unit(dim, i)) for i in range(dim) for s in (2, -2)}
-    dpart = {zero}
-    for i in range(dim):
-        for j in range(dim):
-            if i < j:
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        dpart.add(vec_add(vec_scale(si, _unit(dim, i)), vec_scale(sj, _unit(dim, j))))
-    if family == "B":
-        roots = dpart | short
-    elif family == "C":
-        roots = dpart | double
-    elif family == "D":
-        if n < 2:
-            raise ValueError("type D needs rank >= 2 (D_1 cannot span its space)")
-        roots = dpart
-    elif family == "BC":
-        roots = dpart | short | double
-    else:
+        return _system(n + 1, _differences(n + 1))
+    if family not in _AXES:
         raise ValueError(f"unknown classical family {family!r}")
-    return RootSystem(RootSpace(dim, _identity_form(dim)), roots)
+    if family == "D" and n < 2:
+        raise ValueError("type D needs rank >= 2 (D_1 cannot span its space)")
+    return _system(n, _signed_pairs(n).union(*(_axes(n, c) for c in _AXES[family])))
+
+
+# E7 and E6 are the roots a of E8 orthogonal to e_7 + e_8, and E6 also to
+# e_6 + e_8 (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, Plates V-VII):
+# those with a[i] + a[7] = 0 for the listed 0-based coordinates i.
+_E8_SECTIONS = {"E8": (), "E7": (6,), "E6": (5, 6)}
 
 
 def build_exceptional(family: str) -> RootSystem:
     family = family.upper()
     if family == "G2":
-        dim = 3
-        roots = {(Fraction(0),) * dim}
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    roots.add(vec_sub(_unit(dim, i), _unit(dim, j)))
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-            long = vec_sub(vec_scale(2, _unit(dim, i)), vec_add(_unit(dim, j), _unit(dim, k)))
-            roots.add(long)
-            roots.add(vec_scale(-1, long))
-        return RootSystem(RootSpace(dim, _identity_form(dim)), roots)
+        # the long roots are +-3 e_i projected to the sum-zero plane
+        long = {tuple(x - sum(a) / 3 for x in a) for a in _axes(3, 3)}
+        return _system(3, _differences(3) | long)
     if family == "F4":
-        dim = 4
-        roots = {(Fraction(0),) * dim}
-        for i in range(4):
-            for s in (1, -1):
-                roots.add(vec_scale(s, _unit(dim, i)))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        roots.add(vec_add(vec_scale(si, _unit(dim, i)), vec_scale(sj, _unit(dim, j))))
-        half = Fraction(1, 2)
-        for signs in itertools.product((1, -1), repeat=4):
-            roots.add(tuple(half * s for s in signs))
-        return RootSystem(RootSpace(dim, _identity_form(dim)), roots)
-    if family in ("E6", "E7", "E8"):
-        dim = 8
-        half = Fraction(1, 2)
-        roots = {(Fraction(0),) * dim}
-        if family == "E8":
-            for i in range(8):
-                for j in range(i + 1, 8):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.add(vec_add(vec_scale(si, _unit(dim, i)), vec_scale(sj, _unit(dim, j))))
-            for signs in itertools.product((1, -1), repeat=8):
-                if signs.count(-1) % 2 == 0:
-                    roots.add(tuple(half * s for s in signs))
-        elif family == "E7":
-            for i in range(6):
-                for j in range(i + 1, 6):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.add(vec_add(vec_scale(si, _unit(dim, i)), vec_scale(sj, _unit(dim, j))))
-            e78 = vec_sub(_unit(dim, 6), _unit(dim, 7))
-            roots.add(e78)
-            roots.add(vec_scale(-1, e78))
-            for signs in itertools.product((1, -1), repeat=6):
-                if signs.count(-1) % 2 == 1:
-                    vec = [half * s for s in signs] + [-half, half]
-                    roots.add(tuple(vec))
-                    roots.add(tuple(-x for x in vec))
-        else:  # E6
-            for i in range(5):
-                for j in range(i + 1, 5):
-                    for si in (1, -1):
-                        for sj in (1, -1):
-                            roots.add(vec_add(vec_scale(si, _unit(dim, i)), vec_scale(sj, _unit(dim, j))))
-            for signs in itertools.product((1, -1), repeat=5):
-                if signs.count(-1) % 2 == 0:
-                    vec = [half * s for s in signs] + [-half, -half, half]
-                    roots.add(tuple(vec))
-                    roots.add(tuple(-x for x in vec))
-        return RootSystem(RootSpace(dim, _identity_form(dim)), roots)
+        return _system(4, _axes(4, 1) | _signed_pairs(4) | _half_signs(4))
+    if family in _E8_SECTIONS:
+        cut = _E8_SECTIONS[family]
+        e8 = _signed_pairs(8) | _half_signs(8, even=True)
+        return _system(8, {a for a in e8 if all(a[i] + a[7] == 0 for i in cut)})
     raise ValueError(f"unknown exceptional family {family!r}")
 
 
@@ -690,7 +650,7 @@ def normalized_form(rs: RootSystem):
 
 def with_form(rs: RootSystem, form) -> RootSystem:
     """Same roots, different form (coroots recomputed)."""
-    return RootSystem(RootSpace(rs.dim, tuple(tuple(r) for r in form)), rs.roots, label=rs.label)
+    return RootSystem(RootSpace(rs.dim, tuple(tuple(r) for r in form)), rs.roots)
 
 
 def normalized(rs: RootSystem) -> RootSystem:

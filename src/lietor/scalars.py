@@ -379,30 +379,6 @@ def embed(x, target):
     raise TypeError(f"cannot embed {type(x).__name__}")
 
 
-def root_of_unity_order(x):
-    """Least m with x^m = 1, or None if x is not a root of unity."""
-    if isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-        if x == 1:
-            return 1
-        if x == -1:
-            return 2
-        return None
-    if isinstance(x, Cyclo):
-        if not x:
-            raise ValueError("zero is not a root of unity")
-        bound = x.field.order
-        if bound % 2:
-            bound *= 2
-        acc = x
-        for m in range(1, bound + 1):
-            if acc == 1:
-                return m
-            acc = acc * x
-        return None
-    raise TypeError(f"unsupported scalar {type(x).__name__}")
-
-
 def scalar_from_json(data: dict):
     field = data["field"]
     pairs = [(int(n), int(d)) for n, d in data["coeffs"]]

@@ -11,7 +11,7 @@ in ``test_root_rows.py`` compare them with ``lietor.refl`` and
 ``coroot_from_form``, ``reflect`` and ``root_string`` work on Fraction
 tuples, one root or one pair at a time: the coroot of one root from the
 form, one reflection and one alpha-string.  ``direct_sum`` builds the
-reducible inputs.
+reducible inputs, and ``vec_add`` the sheared coroots of the perturbed ones.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from lietor.scalars import QQ, frac_to_str as fs
 
 # How far past each end of a string root_strings_exhaustive looks for a root.
 STRING_PROBE = 3
+
+
+def vec_add(a, b):
+    """a + b, coordinate by coordinate."""
+    return tuple(map(add, a, b))
 
 
 def coroot_from_form(space: RootSpace, a):
@@ -168,7 +173,7 @@ def predicates(prs: PreReflectionSystem) -> dict:
     m = IntegerRoots(prs.roots, prs.coroots)
     real = sorted(m.real)
     reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
-                  for group in m.collinear_classes())
+                  for group in m.collinear_classes)
     roots = real + sorted(m.imag)
     pair = [[m.pairing(b, a) for b in roots] for a in real]  # <roots[j], real[i]_check>
     integral = all(type(k) is int for row in pair for k in row)

@@ -171,13 +171,18 @@ def test_sl_and_hc1_commands():
     assert main(["alg", "--coord", "laurent", "--window", "2"]) == 0
 
 
-def test_negative_window_exit_2():
-    assert main(["alg", "--coord", "laurent", "--window", "-1"]) == 2
-
-
-def test_negative_window_cap_exit_2(monkeypatch):
-    monkeypatch.setenv("LIETOR_MAX_WINDOW", "-1")
-    assert main(["sl", "--n", "3", "--coord", "laurent"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["ars", "build"],
+    ["qtorus", "centre", "--q", str(Path(__file__).parent / "data" / "q3.json")],
+    ["alg", "--coord", "laurent"],
+    ["sl", "--coord", "laurent"],
+    ["uce", "--coord", "laurent"],
+    ["affine"],
+    ["eala", "--coord", "laurent"],
+], ids=lambda argv: argv[0])
+def test_negative_window_exit_2(argv, capsys):
+    assert main(argv + ["--window", "-1"]) == 2
+    assert "argument --window: must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_hc1_max_window_is_a_usage_error(capsys):

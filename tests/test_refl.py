@@ -32,13 +32,12 @@ from lietor.rootsys import (
     length_partition,
     normalized,
     root_strings_exhaustive,
-    vec_add,
     with_form,
 )
 from lietor.report import AxiomReport
 from lietor.scalars import QQ
 from lietor.serialize import datum_from_json
-from roots_reference import direct_sum, root_string
+from roots_reference import direct_sum, root_string, vec_add
 
 DATA = Path(__file__).parent / "data"
 

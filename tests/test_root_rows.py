@@ -38,7 +38,6 @@ from lietor.rootsys import (
     build_exceptional,
     connected_components,
     root_strings_exhaustive,
-    vec_add,
     with_form,
 )
 from lietor.scalars import frac_to_str as fs
@@ -97,7 +96,7 @@ def perturbed_systems(draw):
             coroots[a] = tuple(c * x for x in coroots[a])
         elif kind == "shear" and len(real) >= 2:
             a, b = draw(hs.permutations(real))[:2]
-            coroots[a] = vec_add(coroots[a], coroots[b])
+            coroots[a] = ref.vec_add(coroots[a], coroots[b])
         elif kind == "imaginary" and real:
             a, b = draw(hs.sampled_from(real)), draw(hs.sampled_from(sorted(roots)))
             d = tuple(x + draw(hs.sampled_from((1, 2, 3))) * y for x, y in zip(b, a))

@@ -13,7 +13,6 @@ from lietor.scalars import (
     cyclotomic_field,
     cyclotomic_polynomial,
     embed,
-    root_of_unity_order,
     scalar_from_json,
 )
 
@@ -71,16 +70,6 @@ def test_division_by_zero_is_an_error():
     F3 = cyclotomic_field(3)
     with pytest.raises(ZeroDivisionError):
         F3.zero.inverse()
-
-
-def test_root_of_unity_orders():
-    assert root_of_unity_order(Fraction(-1)) == 2
-    assert root_of_unity_order(Fraction(1)) == 1
-    assert root_of_unity_order(Fraction(2)) is None
-    assert root_of_unity_order(cyclotomic_field(6).zeta()) == 6
-    assert root_of_unity_order(cyclotomic_field(12).zeta(4)) == 3
-    z8 = cyclotomic_field(8).zeta()
-    assert root_of_unity_order(z8 * z8) == 4
 
 
 def test_mixed_cyclotomic_orders_rejected():
