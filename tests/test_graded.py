@@ -340,44 +340,44 @@ TORI = _tori()
 # The HNF basis of each centre lattice; its index is the number of central
 # points counted in (Z/2N)^n.
 CENTRE_BASES = {
-    'Q(zeta_1) z': [[1, 0], [0, 1]],
-    'Q(zeta_1) -z': [[2, 0], [0, 2]],
-    'Q(zeta_1) rank 3': [[2, 0, 0], [0, 1, 0], [0, 0, 2]],
-    'Q(zeta_2) z': [[2, 0], [0, 2]],
-    'Q(zeta_2) -z': [[1, 0], [0, 1]],
-    'Q(zeta_2) rank 3': [[2, 0, 0], [0, 1, 1], [0, 0, 2]],
-    'Q(zeta_3) z': [[3, 0], [0, 3]],
-    'Q(zeta_3) -z': [[6, 0], [0, 6]],
-    'Q(zeta_3) rank 3': [[2, 0, 4], [0, 3, 0], [0, 0, 6]],
-    'Q(zeta_4) z': [[4, 0], [0, 4]],
-    'Q(zeta_4) -z': [[4, 0], [0, 4]],
-    'Q(zeta_4) rank 3': [[2, 2, 1], [0, 4, 0], [0, 0, 2]],
-    'Q(zeta_5) z': [[5, 0], [0, 5]],
-    'Q(zeta_5) -z': [[10, 0], [0, 10]],
-    'Q(zeta_5) rank 3': [[2, 0, 6], [0, 5, 0], [0, 0, 10]],
-    'Q(zeta_6) z': [[6, 0], [0, 6]],
-    'Q(zeta_6) -z': [[3, 0], [0, 3]],
-    'Q(zeta_6) rank 3': [[2, 0, 4], [0, 3, 3], [0, 0, 6]],
-    'Q(zeta_7) z': [[7, 0], [0, 7]],
-    'Q(zeta_7) -z': [[14, 0], [0, 14]],
-    'Q(zeta_7) rank 3': [[2, 0, 8], [0, 7, 0], [0, 0, 14]],
-    'Q(zeta_8) z': [[8, 0], [0, 8]],
-    'Q(zeta_8) -z': [[8, 0], [0, 8]],
-    'Q(zeta_8) rank 3': [[2, 4, 1], [0, 8, 0], [0, 0, 4]],
-    'Q(zeta_9) z': [[9, 0], [0, 9]],
-    'Q(zeta_9) -z': [[18, 0], [0, 18]],
-    'Q(zeta_9) rank 3': [[2, 0, 10], [0, 9, 0], [0, 0, 18]],
-    'Q(zeta_10) z': [[10, 0], [0, 10]],
-    'Q(zeta_10) -z': [[5, 0], [0, 5]],
-    'Q(zeta_10) rank 3': [[2, 0, 6], [0, 5, 5], [0, 0, 10]],
-    'Q(zeta_11) z': [[11, 0], [0, 11]],
-    'Q(zeta_11) -z': [[22, 0], [0, 22]],
-    'Q(zeta_11) rank 3': [[2, 0, 12], [0, 11, 0], [0, 0, 22]],
-    'Q(zeta_12) z': [[12, 0], [0, 12]],
-    'Q(zeta_12) -z': [[12, 0], [0, 12]],
-    'Q(zeta_12) rank 3': [[2, 6, 1], [0, 12, 0], [0, 0, 6]],
-    'Q -1': [[2, 0], [0, 2]],
-    'Q rank 3': [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
+    "Q(zeta_1) z": [[1, 0], [0, 1]],
+    "Q(zeta_1) -z": [[2, 0], [0, 2]],
+    "Q(zeta_1) rank 3": [[2, 0, 0], [0, 1, 0], [0, 0, 2]],
+    "Q(zeta_2) z": [[2, 0], [0, 2]],
+    "Q(zeta_2) -z": [[1, 0], [0, 1]],
+    "Q(zeta_2) rank 3": [[2, 0, 0], [0, 1, 1], [0, 0, 2]],
+    "Q(zeta_3) z": [[3, 0], [0, 3]],
+    "Q(zeta_3) -z": [[6, 0], [0, 6]],
+    "Q(zeta_3) rank 3": [[2, 0, 4], [0, 3, 0], [0, 0, 6]],
+    "Q(zeta_4) z": [[4, 0], [0, 4]],
+    "Q(zeta_4) -z": [[4, 0], [0, 4]],
+    "Q(zeta_4) rank 3": [[2, 2, 1], [0, 4, 0], [0, 0, 2]],
+    "Q(zeta_5) z": [[5, 0], [0, 5]],
+    "Q(zeta_5) -z": [[10, 0], [0, 10]],
+    "Q(zeta_5) rank 3": [[2, 0, 6], [0, 5, 0], [0, 0, 10]],
+    "Q(zeta_6) z": [[6, 0], [0, 6]],
+    "Q(zeta_6) -z": [[3, 0], [0, 3]],
+    "Q(zeta_6) rank 3": [[2, 0, 4], [0, 3, 3], [0, 0, 6]],
+    "Q(zeta_7) z": [[7, 0], [0, 7]],
+    "Q(zeta_7) -z": [[14, 0], [0, 14]],
+    "Q(zeta_7) rank 3": [[2, 0, 8], [0, 7, 0], [0, 0, 14]],
+    "Q(zeta_8) z": [[8, 0], [0, 8]],
+    "Q(zeta_8) -z": [[8, 0], [0, 8]],
+    "Q(zeta_8) rank 3": [[2, 4, 1], [0, 8, 0], [0, 0, 4]],
+    "Q(zeta_9) z": [[9, 0], [0, 9]],
+    "Q(zeta_9) -z": [[18, 0], [0, 18]],
+    "Q(zeta_9) rank 3": [[2, 0, 10], [0, 9, 0], [0, 0, 18]],
+    "Q(zeta_10) z": [[10, 0], [0, 10]],
+    "Q(zeta_10) -z": [[5, 0], [0, 5]],
+    "Q(zeta_10) rank 3": [[2, 0, 6], [0, 5, 5], [0, 0, 10]],
+    "Q(zeta_11) z": [[11, 0], [0, 11]],
+    "Q(zeta_11) -z": [[22, 0], [0, 22]],
+    "Q(zeta_11) rank 3": [[2, 0, 12], [0, 11, 0], [0, 0, 22]],
+    "Q(zeta_12) z": [[12, 0], [0, 12]],
+    "Q(zeta_12) -z": [[12, 0], [0, 12]],
+    "Q(zeta_12) rank 3": [[2, 6, 1], [0, 12, 0], [0, 0, 6]],
+    "Q -1": [[2, 0], [0, 2]],
+    "Q rank 3": [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
 }
 
 
