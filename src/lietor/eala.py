@@ -33,7 +33,7 @@ from .matlie import (
 )
 from .report import AxiomReport, sampled_check
 from .rootsys import connected_components, root_strings_exhaustive
-from .scalars import QQ
+from .scalars import QQ, frac_to_str
 
 
 @dataclass
@@ -667,7 +667,7 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
     witness = None
     if not nondeg:
         rad = kernel(E.t_gram, E.field, n)[0]
-        witness = f"radical vector of T in coordinates {rad} over the T basis"
+        witness = f"radical vector of T in coordinates {frac_to_str(rad)} over the T basis"
     rep.add("IA1", nondeg, witness)
     if not nondeg:
         return rep

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
 from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
-from .scalars import Cyclo, CycloField, QQ
+from .scalars import Cyclo, CycloField, QQ, frac_to_str
 
 
 class FiniteDimAlgebra:
@@ -298,7 +297,7 @@ class GradedAssocAlgebra:
             for j in range(i):
                 e = lam[i] * mu[j]
                 if e:
-                    out = out * (self.q[i][j] ** e)
+                    out = out * _power(self.field, self.q[i][j], e)
         return out
 
     def mul(self, x: AlgElement, y: AlgElement) -> AlgElement:
@@ -367,9 +366,8 @@ class GradedAssocAlgebra:
             y = AlgElement(self, {(neg, k): v for k, v in enumerate(sol) if v})
             return y if self.mul(y, x) == self.one() else None
         ((_, _), c), = x.terms.items()
-        cinv = _inv_scalar(c)
-        fac = self.tau(lam, neg)
-        return self.monomial(neg, cinv * _inv_scalar(fac))
+        inv = self.field.inverse
+        return self.monomial(neg, inv(c) * inv(self.tau(lam, neg)))
 
     @memo
     def unit_of_degree(self, deg):
@@ -441,8 +439,10 @@ class GradedAssocAlgebra:
             for j in range(self.n):
                 v = self.q[i][j]
                 if isinstance(v, Cyclo):
-                    v = v.rational_part()
-                v = Fraction(v)
+                    raise ValueError(
+                        f"q_{i}{j} = {v!r} is neither rational nor a root of unity in "
+                        f"{self.field.name}; the centre lattice is decided for rational "
+                        f"and root-of-unity q_ij")
                 f = _factor_rational(v)
                 facts[(i, j)] = f
                 primes.update(f[1])
@@ -473,13 +473,12 @@ class GradedAssocAlgebra:
         return LatticeSubset(self.n, rows)
 
 
-def _inv_scalar(c):
-    if isinstance(c, Cyclo):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
+def _power(field, x, e: int):
+    """x ** e, exact also for e < 0 (an int x ** -k would be a float)."""
+    return x ** e if e >= 0 else field.inverse(x) ** -e
 
 
-def _factor_rational(v: Fraction):
+def _factor_rational(v):
     if v == 0:
         raise ValueError("quantum parameters must be nonzero")
     sign = -1 if v < 0 else 1
@@ -520,7 +519,7 @@ def centre_scan_oracle(A: GradedAssocAlgebra, window: int) -> list:
             acc = A.field.one
             for j in range(A.n):
                 if gamma[j]:
-                    acc = acc * (A.q[i][j] ** gamma[j])
+                    acc = acc * _power(A.field, A.q[i][j], gamma[j])
             if acc != A.field.one:
                 ok = False
                 break
@@ -629,7 +628,7 @@ class CentroidalDerivation:
         return out
 
     def __repr__(self):
-        return f"d(theta={self.v}, deg={self.gamma})"
+        return f"d(theta={frac_to_str(self.v)}, deg={self.gamma})"
 
 
 def cder_bracket(d1: CentroidalDerivation, d2: CentroidalDerivation) -> CentroidalDerivation:

@@ -1,13 +1,12 @@
 """Dense exact linear algebra over Q or a cyclotomic field.
 
 Matrices are lists of row lists whose entries all belong to one field
-instance.  Gaussian elimination never leaves the field, so ranks, kernels
-and solutions are exact.
+instance: ints and Fractions for rationals, in every field, and Cyclo for
+irrationals.  Gaussian elimination never leaves the field, and it divides
+only through ``field.inverse``, so ranks, kernels and solutions are exact.
 """
 
 from __future__ import annotations
-
-from .scalars import QQ
 
 
 def mat_copy(m):
@@ -34,7 +33,7 @@ def rref(m, field):
         piv = rows[r][c]
         if piv != field.one:
             # one inverse per pivot; zero entries stay as they are
-            inv = field.one / piv
+            inv = field.inverse(piv)
             rows[r] = [x * inv if x else x for x in rows[r]]
         prow = rows[r]
         for i in range(len(rows)):

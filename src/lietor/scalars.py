@@ -1,9 +1,17 @@
 """Exact field arithmetic over Q and the cyclotomic fields Q(zeta_N).
 
-Rational numbers are stdlib ``fractions.Fraction`` (already canonical:
-reduced, positive denominator).  Cyclotomic numbers live in the power basis
-of Q[x]/Phi_N(x) as integer numerators over one common denominator, eagerly
-reduced and in lowest terms, so equality is literal comparison.  Elements of
+A rational value is a Python ``int``, or a ``fractions.Fraction`` when it is
+not integral, in every field: ``QQ.one`` and ``cyclotomic_field(3).one`` are
+both the int 1.  Python's own arithmetic takes rational sums and products.
+A ``Cyclo`` holds an irrational element of Q(zeta_N) only, in the power
+basis of Q[x]/Phi_N(x) as integer numerators over one common denominator,
+eagerly reduced and in lowest terms, so equality is literal comparison.
+Every operation that can land on a rational returns the rational, and
+``==`` and ``hash`` agree across int, Fraction and Cyclo, so no code needs
+to ask which type a rational has.
+
+Division goes through ``field.inverse``: ``int / int`` and ``int ** -k``
+are floats in Python, and no float may enter the verifier.  Elements of
 different cyclotomic orders never mix implicitly; use :func:`embed` to move
 along Q -> Q(zeta_N) -> Q(zeta_M) for N | M.
 """
@@ -60,19 +68,33 @@ def euler_phi(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
+def _rational(x: Fraction):
+    """x as an int when it is integral, else the Fraction itself."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class RationalField:
-    """The field Q; elements are ``fractions.Fraction``."""
+    """The field Q; an element is an int, or a Fraction when not integral."""
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def __call__(self, num, den=1):
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
-    def from_int(self, k: int) -> Fraction:
-        return Fraction(k)
+    def from_int(self, k: int) -> int:
+        return k
+
+    def inverse(self, x):
+        """1/x, exact; an int when x is 1/k for an integer k."""
+        p, q = x.numerator, x.denominator
+        if p == 1 or p == -1:
+            return p * q
+        if not p:
+            raise ZeroDivisionError("inverse of zero in " + self.name)
+        return Fraction(q, p)
 
     def __repr__(self):
         return "QQ"
@@ -88,9 +110,15 @@ QQ = RationalField()
 
 
 def frac_to_str(x) -> str:
-    """A rational as "3" or "-1/2"; a tuple of them as "(-1, 0, 1/2)"."""
+    """A field value as text: a rational as "3" or "-1/2", a Cyclo in its
+    own form ("1/2 + z3"); a tuple of them as "(-1, 0, 1/2)" and a list as
+    "[-1, 0, 1/2]".  The text does not depend on the type of a rational."""
     if isinstance(x, tuple):
         return "(" + ", ".join(map(frac_to_str, x)) + ")"
+    if isinstance(x, list):
+        return "[" + ", ".join(map(frac_to_str, x)) + "]"
+    if isinstance(x, Cyclo):
+        return repr(x)
     x = Fraction(x)
     if x.denominator == 1:
         return str(x.numerator)
@@ -99,6 +127,9 @@ def frac_to_str(x) -> str:
 
 class CycloField:
     """The cyclotomic field Q(zeta_N) in the power basis of Q[x]/Phi_N."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, order: int):
         if order < 1:
@@ -110,27 +141,35 @@ class CycloField:
         # Phi_N is monic, so the rows are integral.
         self._red = [tuple(-c for c in cyclotomic_polynomial(order)[:d])]
         self._pad = (0,) * (d - 1)
-        self.zero = Cyclo(self, (0,) * d)
-        self.one = Cyclo(self, (1,) + self._pad)
 
-    def __call__(self, coeffs) -> "Cyclo":
+    def __call__(self, coeffs):
+        """The element with these power-basis coefficients; a rational is
+        returned as itself."""
         if isinstance(coeffs, (int, Fraction)):
-            return Cyclo(self, (coeffs.numerator,) + self._pad, coeffs.denominator)
+            return _rational(Fraction(coeffs))
         coeffs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         if len(coeffs) != self.degree:
             raise ValueError(f"need {self.degree} coefficients for {self.name}")
         # Over the lcm of the reduced denominators the numerators are coprime
         # to it, so the result is in lowest terms.
         den = lcm(*(c.denominator for c in coeffs))
-        return Cyclo(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
+        return _canonical(self, tuple(c.numerator * (den // c.denominator) for c in coeffs), den)
 
-    def from_int(self, k: int) -> "Cyclo":
-        return self(k)
+    def from_int(self, k: int) -> int:
+        return k
 
-    def zeta(self, power: int = 1) -> "Cyclo":
-        """zeta_N^power as a field element."""
+    def inverse(self, x):
+        """1/x, exact, for a rational or a Cyclo x."""
+        if isinstance(x, Cyclo):
+            return x.inverse()
+        if not x:
+            raise ZeroDivisionError("inverse of zero in " + self.name)
+        return QQ.inverse(x)
+
+    def zeta(self, power: int = 1):
+        """zeta_N^power as a field element (a rational for zeta^k = +-1)."""
         power %= self.order
-        return Cyclo(self, self._reduce([0] * power + [1]))
+        return _canonical(self, self._reduce([0] * power + [1]), 1)
 
     def _reduce(self, conv: list) -> tuple:
         """Integer coefficients of conv(zeta) in the power basis."""
@@ -182,8 +221,14 @@ def cyclotomic_field(order: int) -> CycloField:
     return CycloField(order)
 
 
-def _canonical(field: CycloField, num: tuple, den: int) -> "Cyclo":
-    """num / den (den > 0) in lowest terms."""
+def _canonical(field: CycloField, num: tuple, den: int):
+    """num / den (den > 0) in lowest terms: the rational num[0] / den when
+    every later coefficient is 0, else a Cyclo."""
+    if not any(num[1:]):
+        p = num[0]
+        if den == 1:
+            return p
+        return Fraction(p, den) if p % den else p // den
     if den != 1:
         g = gcd(den, *num)
         if g != 1:
@@ -199,9 +244,12 @@ def _check_orders(a: CycloField, b: CycloField):
 
 
 class Cyclo:
-    """Element of Q(zeta_N): integer numerators ``num`` in the power basis over
-    one denominator ``den`` > 0.  It is eagerly reduced modulo Phi_N and kept
-    in lowest terms, gcd(den, *num) == 1, so equality is literal comparison.
+    """Irrational element of Q(zeta_N): integer numerators ``num`` in the
+    power basis over one denominator ``den`` > 0, with some coefficient after
+    the first nonzero.  It is eagerly reduced modulo Phi_N and kept in lowest
+    terms, gcd(den, *num) == 1, so equality is literal comparison.  A Cyclo
+    is never rational, so never zero and never equal to an int or Fraction;
+    a result that is rational comes back as one.
     """
 
     __slots__ = ("field", "num", "den")
@@ -219,15 +267,6 @@ class Cyclo:
         if den == 1:
             return self.num
         return tuple(Fraction(c, den) for c in self.num)
-
-    def _lift(self, other):
-        if isinstance(other, Cyclo):
-            if other.field is not self.field:
-                _check_orders(self.field, other.field)
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.field(other)
-        return None
 
     def _sum(self, other, sign: int):
         """self + sign * other."""
@@ -277,13 +316,11 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        if not self:
-            raise ZeroDivisionError("inverse of zero in " + self.field.name)
         # For the integral part a = num: a^-1 = (product of the other Galois
         # conjugates of a) / N(a), with N(a) a nonzero integer.
         field, a = self.field, self.num
         n = field.order
-        cof = field.one.num
+        cof = (1,) + field._pad
         for k in range(2, n):
             if gcd(k, n) == 1:
                 cof = field._mul(cof, field._conjugate(a, k))
@@ -293,21 +330,19 @@ class Cyclo:
         return _canonical(field, tuple(c * self.den for c in cof), norm)
 
     def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        if isinstance(other, (Cyclo, int, Fraction)):
+            return self * self.field.inverse(other)
+        return NotImplemented
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return other * self.inverse()
+        return NotImplemented
 
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        out = self.field.one
+        out = 1
         base = self
         while k:
             if k & 1:
@@ -316,27 +351,14 @@ class Cyclo:
             k >>= 1
         return out
 
-    def __bool__(self):
-        return any(self.num)
-
     def __eq__(self, other):
         if isinstance(other, Cyclo):
             return (self.num == other.num and self.den == other.den
                     and self.field.order == other.field.order)
-        if isinstance(other, (int, Fraction)):
-            return (self.den == other.denominator and self.num[0] == other.numerator
-                    and not any(self.num[1:]))
         return NotImplemented
 
     def __hash__(self):
-        if not any(self.num[1:]):
-            return hash(Fraction(self.num[0], self.den))
         return hash(("lietor.Cyclo", self.field.order, self.coeffs))
-
-    def rational_part(self) -> Fraction:
-        if any(self.num[1:]):
-            raise ValueError("element is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         z = f"z{self.field.order}"
@@ -350,32 +372,27 @@ class Cyclo:
                 parts.append(f"{c}*{z}" if c != 1 else z)
             else:
                 parts.append(f"{c}*{z}^{i}" if c != 1 else f"{z}^{i}")
-        return " + ".join(parts) if parts else "0"
+        return " + ".join(parts)
 
 
 def embed(x, target):
-    """Explicitly embed x into ``target`` (Q -> Q(zeta_N), or N | M)."""
-    if isinstance(target, RationalField):
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, Cyclo):
-            return x.rational_part()
-        raise TypeError("cannot embed into Q")
-    if isinstance(x, (int, Fraction)):
-        return target(x)
+    """Explicitly embed x into ``target`` (Q -> Q(zeta_N), or N | M).  A
+    rational is the same value in every field; a Cyclo has no image in Q."""
     if isinstance(x, Cyclo):
+        if isinstance(target, RationalField):
+            raise ValueError(f"{x!r} in {x.field.name} is not rational, so not in Q")
         n, m = x.field.order, target.order
         if m % n != 0:
             raise ValueError(f"no canonical embedding Q(zeta_{n}) -> Q(zeta_{m})")
-        step = m // n
-        out = target.zero
-        zpow = target.one
-        z = target.zeta(step)
+        z = target.zeta(m // n)
+        out, zpow = 0, 1
         for c in x.coeffs:
             if c:
-                out = out + target(c) * zpow
+                out = out + c * zpow
             zpow = zpow * z
         return out
+    if isinstance(x, (int, Fraction)):
+        return target(x)
     raise TypeError(f"cannot embed {type(x).__name__}")
 
 
@@ -388,7 +405,7 @@ def scalar_from_json(data: dict):
     if field == "Q":
         if len(coeffs) != 1:
             raise ValueError("rational scalar needs exactly one coefficient pair")
-        return coeffs[0]
+        return QQ(coeffs[0])
     if field.startswith("Q(zeta_") and field.endswith(")"):
         order = int(field[len("Q(zeta_"):-1])
         return cyclotomic_field(order)(coeffs)

@@ -40,10 +40,7 @@ def scalar_from_str(s: str, field=None):
         from .scalars import scalar_from_json
 
         return scalar_from_json(json.loads(s))
-    val = frac_from_str(s)
-    if field is not None and field is not QQ:
-        return field(val)
-    return val
+    return (QQ if field is None else field)(frac_from_str(s))
 
 
 def root_system_to_json(rs: RootSystem) -> dict:
@@ -122,8 +119,6 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             out_row = []
             for tok in row:
                 v = scalar_from_str(tok, field)
-                if field is not QQ and isinstance(v, Fraction):
-                    v = field(v)
                 if isinstance(v, Cyclo) and field is not QQ and v.field.order != field.order:
                     from .scalars import embed
 

@@ -10,7 +10,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from lietor.scalars import cyclotomic_polynomial, euler_phi
+from lietor.scalars import Cyclo, cyclotomic_polynomial, euler_phi
+
+
+def power_basis(x, degree: int) -> tuple:
+    """The power-basis coefficients of any value of a field of this degree:
+    a Cyclo's own, or (x, 0, ..., 0) for a rational (an int or Fraction)."""
+    if isinstance(x, Cyclo):
+        return x.coeffs
+    return (x,) + (0,) * (degree - 1)
 
 
 class RefCycloField:

@@ -204,6 +204,29 @@ def test_degenerate_t_detected():
     assert "radical" in rep["IA1"].witness
 
 
+def test_ia1_radical_witness_prints_rationals_as_p_over_q():
+    # the witness text does not depend on the type of a rational scalar
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    data = default_iara_data(L, phi=F(0), window=2)
+    E = build_E(data, window=1, validate=False)
+    assert verify_iara(E, window=1)["IA1"].witness == (
+        "radical vector of T in coordinates [1, 0, 0] over the T basis")
+
+
+@pytest.mark.parametrize("coord", ["Q[Z^2]", "zeta3-torus"])
+def test_inv_b_witness_prints_rationals_as_p_over_q(coord):
+    # A derivation with theta(deg) = 3 is not skew.  Its theta vector prints
+    # the same over Q and over Q(zeta_3), where 1/2 is a Fraction in both.
+    F3 = cyclotomic_field(3)
+    z = F3.zeta()
+    A = (GradedAssocAlgebra.group_algebra(2) if coord == "Q[Z^2]" else
+         GradedAssocAlgebra.quantum_torus([[F3.one, z], [z.inverse(), F3.one]], F3))
+    L = MatrixLieAlgebra(3, A)
+    D = degree_derivation_basis(L) + [CentroidalDerivation(A, [1, F(1, 2)], (3, 0))]
+    rep = validate_inv_data(default_iara_data(L, window=1, D=D), window=1)
+    assert rep["INV-b"].witness == "theta(deg) != 0 for d(theta=[1, 1/2], deg=(3, 0)) (not skew)"
+
+
 def test_inv_c_requires_injectivity():
     # dropping one degree derivation on a rank-2 lattice breaks INV(c)
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))

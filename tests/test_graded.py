@@ -316,7 +316,7 @@ def _torus(field, upper):
     q = [[field.one] * n for _ in range(n)]
     for i, row in enumerate(upper):
         for j, v in enumerate(row, start=i + 1):
-            q[i][j], q[j][i] = v, field.one / v
+            q[i][j], q[j][i] = v, field.inverse(v)
     return GradedAssocAlgebra.quantum_torus(q, field)
 
 
@@ -384,7 +384,8 @@ CENTRE_BASES = {
 def _assert_tau_is_the_direct_product(A, window=2):
     """tau(lam, mu) = prod_(i > j) q_ij^(lam_i mu_j) over the box."""
     n = A.n
-    power = {(i, j, e): A.q[i][j] ** e for i in range(n) for j in range(i)
+    power = {(i, j, e): (A.q[i][j] if e >= 0 else A.field.inverse(A.q[i][j])) ** abs(e)
+             for i in range(n) for j in range(i)
              for e in range(-window * window, window * window + 1)}
     for lam in box(n, window):
         for mu in box(n, window):
@@ -410,3 +411,16 @@ def test_non_root_of_unity_torus_stays_direct():
     assert A._tau_mode == "direct"
     _assert_tau_is_the_direct_product(A)
     assert A.centre_lattice().basis == []
+
+
+def test_centre_lattice_names_a_q_it_cannot_decide():
+    # q_01 = 2 zeta_3 is neither rational nor a root of unity: its centre
+    # is {0}, but the lattice is decided for rational and root-of-unity q_ij.
+    F3 = cyclotomic_field(3)
+    q = 2 * F3.zeta()
+    A = GradedAssocAlgebra.quantum_torus([[F3.one, q], [F3.inverse(q), F3.one]], F3)
+    assert A._tau_mode == "direct"
+    with pytest.raises(ValueError, match=r"^q_01 = 2\*z3 is neither rational nor a root of "
+                                         r"unity in Q\(zeta_3\); .* rational and "
+                                         r"root-of-unity q_ij$"):
+        A.centre_lattice()

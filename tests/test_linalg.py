@@ -18,7 +18,7 @@ from lietor.linalg import (
     rref,
     solve,
 )
-from lietor.scalars import QQ, cyclotomic_field
+from lietor.scalars import QQ, Cyclo, cyclotomic_field
 
 
 def F(*args):
@@ -70,7 +70,7 @@ def test_solve():
     assert solve([[F(1), F(1)], [F(1), F(1)]], [F(0), F(1)], QQ) is None
 
 
-def _solve_one_shot(m, b, field):
+def _solve_one_shot(m, b, field, rref=rref):
     """Reference: one rref of [m | b], read off directly."""
     if not m:
         return None if any(b) else []
@@ -134,6 +134,13 @@ def test_linear_solver_matches_one_shot_rref(order):
     assert inconsistent >= 5
 
 
+def _divide(x, y):
+    """x / y; two rationals divide as Fractions, since int / int is a float."""
+    if isinstance(x, Cyclo) or isinstance(y, Cyclo):
+        return x / y
+    return Fraction(x) / Fraction(y)
+
+
 def _rref_dividing(m, field):
     """Reference rref: divides every entry of a pivot row by the pivot."""
     rows = [list(row) for row in m]
@@ -148,7 +155,7 @@ def _rref_dividing(m, field):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = rows[r][c]
         if inv != field.one:
-            rows[r] = [x / inv for x in rows[r]]
+            rows[r] = [_divide(x, inv) for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
@@ -160,14 +167,37 @@ def _rref_dividing(m, field):
     return rows, pivots
 
 
+def _kernel_dividing(m, field):
+    """Reference kernel basis, read off the reference rref."""
+    ncols = len(m[0])
+    rows, pivots = _rref_dividing(m, field)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def _floats(x):
+    """The floats anywhere in a nested list or tuple of scalars."""
+    if isinstance(x, (list, tuple)):
+        return [f for y in x for f in _floats(y)]
+    return [x] if isinstance(x, float) else []
+
+
 @hs.composite
 def _matrices(draw):
-    """(field, m): QQ or Q(zeta_3), up to 5 x 6, sparse entries, and now and
-    then a last row that repeats a multiple of the first."""
+    """(field, m, b): QQ or Q(zeta_3), m up to 5 x 6 with sparse entries and
+    now and then a last row that repeats a multiple of the first, and b a
+    right-hand side.  Rational entries are ints or Fractions in both fields
+    (the Q(zeta_3) ones come out of the field as ints and Fractions too)."""
     field = draw(hs.sampled_from([QQ, cyclotomic_field(3)]))
     small = hs.integers(-3, 3)
     if field is QQ:
-        entry = hs.builds(F, small, hs.integers(1, 4))
+        entry = hs.one_of(small, hs.builds(F, small, hs.integers(1, 4)))
     else:
         entry = hs.builds(lambda a, b, d: field([F(a, d), F(b, d)]), small, small,
                           hs.integers(1, 3))
@@ -177,7 +207,7 @@ def _matrices(draw):
     if nr > 1 and draw(hs.booleans()):
         k = draw(entry)
         m[-1] = [k * x for x in m[0]]
-    return field, m
+    return field, m, draw(hs.lists(entry, min_size=nr, max_size=nr))
 
 
 @seed(5)
@@ -185,9 +215,17 @@ def _matrices(draw):
 @given(_matrices())
 def test_rref_matches_the_dividing_reference(data):
     # rref inverts each pivot once and multiplies; the reference divides
-    # entry by entry.  Exact arithmetic makes both the same matrix.
-    field, m = data
-    assert rref(m, field) == _rref_dividing(m, field)
+    # entry by entry.  Exact arithmetic makes both the same matrix, and
+    # neither rref, kernel, solve nor the solver holds a float when the
+    # entries are ints.
+    field, m, b = data
+    got = rref(m, field)
+    assert _floats(got) == [] and got == _rref_dividing(m, field)
+    basis = kernel(m, field)
+    assert _floats(basis) == [] and basis == _kernel_dividing(m, field)
+    want = _solve_one_shot(m, b, field, rref=_rref_dividing)
+    for x in (solve(m, b, field), LinearSolver.factor(m, field).solve(b)):
+        assert _floats(x or []) == [] and x == want
 
 
 def test_hnf_and_membership():

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
-from cyclo_reference import RefCycloField
+from cyclo_reference import RefCycloField, power_basis
 from lietor.scalars import (
     QQ,
     Cyclo,
@@ -53,7 +53,7 @@ def _random_scalar(field, rng):
                                    cyclotomic_field(5), cyclotomic_field(12)])
 def test_field_axioms_randomized(field):
     rng = random.Random(12345)
-    one = field.one if field is not QQ else Fraction(1)
+    one = field.one
     for _ in range(1000):
         a = _random_scalar(field, rng)
         b = _random_scalar(field, rng)
@@ -62,14 +62,16 @@ def test_field_axioms_randomized(field):
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         if a:
-            inv = a.inverse() if isinstance(a, Cyclo) else 1 / a
-            assert a * inv == one
+            assert a * field.inverse(a) == one
 
 
 def test_division_by_zero_is_an_error():
     F3 = cyclotomic_field(3)
+    for field in (F3, QQ):
+        with pytest.raises(ZeroDivisionError):
+            field.inverse(field.zero)
     with pytest.raises(ZeroDivisionError):
-        F3.zero.inverse()
+        F3.zeta() / F3.zero
 
 
 def test_mixed_cyclotomic_orders_rejected():
@@ -157,16 +159,38 @@ def _elements(count):
 
 
 def _assert_canonical(x):
+    """A rational is an int or Fraction; a Cyclo is irrational, reduced and
+    in lowest terms."""
+    if not isinstance(x, Cyclo):
+        assert type(x) in (int, Fraction)
+        return
     assert type(x.num) is tuple and len(x.num) == x.field.degree
     assert all(type(c) is int for c in x.num)
     assert type(x.den) is int and x.den > 0
     assert gcd(x.den, *x.num) == 1
+    assert any(x.num[1:])
 
 
 def _agree(x, ref):
     _assert_canonical(x)
-    assert x.coeffs == ref.coeffs
+    assert power_basis(x, ref.field.degree) == ref.coeffs
     assert hash(x) == hash(ref)
+
+
+def _quotient(x, y, field):
+    """x / y: the operator when a Cyclo takes part, field.inverse for two
+    rationals (int / int is a float)."""
+    if isinstance(x, Cyclo) or isinstance(y, Cyclo):
+        return x / y
+    return x * field.inverse(y)
+
+
+def _power(x, k, field):
+    """x ** k: the operator for a Cyclo, field.inverse for a rational and
+    k < 0 (int ** -k is a float)."""
+    if isinstance(x, Cyclo) or k >= 0:
+        return x ** k
+    return field.inverse(x) ** -k
 
 
 @seed(13)
@@ -185,12 +209,12 @@ def test_cyclo_agrees_with_the_fraction_reference(data, r):
     assert (a == b) == (ra.coeffs == rb.coeffs)
     assert (a == r) == (ra == r) and (a != r) == (ra != r)
     if a:
-        _agree(a.inverse(), ra.inverse())
-        _agree(b / a, rb / ra)
+        _agree(F.inverse(a), ra.inverse())
+        _agree(_quotient(b, a, F), rb / ra)
         if r:
-            _agree(r / a, r / ra)
-            _agree(a / r, ra / r)
-        _agree(a ** -2, ra ** -2)
+            _agree(_quotient(r, a, F), r / ra)
+            _agree(_quotient(a, r, F), ra / r)
+        _agree(_power(a, -2, F), ra ** -2)
 
 
 @seed(14)
@@ -202,10 +226,11 @@ def test_rational_elements_hash_like_fractions(data):
     x = F([ca[0]] + [0] * (F.degree - 1))
     _assert_canonical(x)
     assert x == ca[0] and ca[0] == x
-    assert hash(x) == hash(ca[0]) and x.rational_part() == ca[0]
+    assert hash(x) == hash(ca[0])
+    assert power_basis(x, F.degree) == (ca[0],) + (0,) * (F.degree - 1)
     assert {x: 1}.get(ca[0]) == 1
     if ca[0].denominator == 1:
-        assert x.coeffs is x.num and hash(x) == hash(ca[0].numerator)
+        assert type(x) is int and hash(x) == hash(ca[0].numerator)
 
 
 @seed(15)
@@ -227,6 +252,43 @@ def test_products_and_inverses_agree_with_sympy(data):
 
     F = cyclotomic_field(n)
     a, b = F(ca), F(cb)
-    assert (a * b).coeffs == coeffs((poly(ca) * poly(cb)).rem(phi))
+    assert power_basis(a * b, F.degree) == coeffs((poly(ca) * poly(cb)).rem(phi))
     if a:
-        assert a.inverse().coeffs == coeffs(poly(ca).invert(phi))
+        assert power_basis(F.inverse(a), F.degree) == coeffs(poly(ca).invert(phi))
+
+
+@seed(16)
+@settings(max_examples=300, deadline=None, database=None)
+@given(_elements(2), _rationals, hs.integers(-7, 7))
+def test_rational_results_are_ints_or_fractions(data, r, k):
+    # Every result of a Q(zeta_N) operation that is rational is an int or a
+    # Fraction; a Cyclo is never rational, so never zero; and equal values
+    # hash equal across int, Fraction and Cyclo.
+    n, (ca, cb) = data
+    F = cyclotomic_field(n)
+    a, b = F(ca), F(cb)
+    results = [a, b, a + b, a - b, a * b, -a, a + r, r - a, a * r, F(r), F.zeta(k),
+               _power(F.zeta(), k, F), embed(a, cyclotomic_field(2 * n)), F.from_int(k)]
+    if a:
+        results += [F.inverse(a), _quotient(b, a, F), _quotient(r, a, F)]
+    for x in results:
+        _assert_canonical(x)
+        if isinstance(x, Cyclo):
+            assert x and x != 0 and x != power_basis(x, F.degree)[0]
+        else:
+            assert x == Fraction(x) and hash(x) == hash(Fraction(x))
+            if Fraction(x).denominator == 1:
+                assert x == int(x) and hash(x) == hash(int(x))
+    for x in results:
+        for y in results:
+            assert (x == y) == (y == x)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+def test_embed_of_an_irrational_into_q_names_it():
+    z = cyclotomic_field(3).zeta()
+    with pytest.raises(ValueError, match=r"z3 in Q\(zeta_3\) is not rational"):
+        embed(z, QQ)
+    assert embed(cyclotomic_field(3)(Fraction(-5, 2)), QQ) == Fraction(-5, 2)
+    assert embed(z ** 3, QQ) == 1
