@@ -322,6 +322,25 @@ def test_sl_report_golden(tmp_path, monkeypatch, name, argv):
     assert _without_command(out) == (data / name).read_text()
 
 
+# lietor uce run from the repo root: the --out report without its command.
+# The first is the uce-toroidal benchmark command over Q[Z^2] at window 3.
+UCE_GOLDEN = [
+    ("uce_lau2_w3.json", ["--n", "3", "--coord", "perfbench/inputs/lau2.json", "--window", "3",
+                          "--jacobi", "200", "--seed", "0"]),
+    ("uce_laurent_n4_w1.json", ["--n", "4", "--coord", "laurent", "--window", "1",
+                                "--jacobi", "20", "--seed", "3"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", UCE_GOLDEN, ids=[g[0] for g in UCE_GOLDEN])
+def test_uce_report_golden(tmp_path, monkeypatch, name, argv):
+    data = Path(__file__).parent / "data"
+    monkeypatch.chdir(data.parent.parent)
+    out = tmp_path / "report.json"
+    assert main(["uce", *argv, "--out", str(out)]) == 0
+    assert _without_command(out) == (data / name).read_text()
+
+
 def _without_command(report):
     return "".join(line for line in report.read_text().splitlines(keepends=True)
                    if not line.startswith('  "command": '))
