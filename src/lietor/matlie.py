@@ -76,22 +76,30 @@ class MatLieElement:
                 t = v if t is None else t + v
         return self.L.A.zero() if t is None else t
 
-    def matmul(self, other) -> MatLieElement:
+    def matmul(self, other, into=None, negate=False):
+        """self * other as a new matrix; or, given a zero-free entries dict
+        into, add (or with negate subtract) the product into it in place,
+        keeping it zero-free, and return None."""
         self._check(other)
-        out = {}
+        out = {} if into is None else into
         for (i, k), a in self.entries.items():
             for (k2, j), b in other.entries.items():
                 if k != k2:
                     continue
                 p = a * b
+                if not p:  # a zero-divisor pair
+                    continue
                 key = (i, j)
                 cur = out.get(key)
-                s = p if cur is None else cur + p
-                if s:
-                    out[key] = s
-                elif cur is not None:
-                    del out[key]
-        return MatLieElement._zero_free(self.L, out)
+                if cur is None:
+                    out[key] = -p if negate else p
+                else:
+                    s = cur - p if negate else cur + p
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return MatLieElement._zero_free(self.L, out) if into is None else None
 
     def decompose(self):
         """Map (root, lattice degree) -> component element."""
@@ -259,7 +267,11 @@ class MatrixLieAlgebra:
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
-    return x.matmul(y) - y.matmul(x)
+    """xy - yx, both products added into one zero-free dict."""
+    out = {}
+    x.matmul(y, out)
+    y.matmul(x, out, negate=True)
+    return MatLieElement._zero_free(x.L, out)
 
 
 def is_invertible(L: MatrixLieAlgebra, x: MatLieElement, action_window: int = None):

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .lattices import LatticeSubset
 from .refl import ExtensionDatum
 from .rootsys import RootSpace, RootSystem, classify
-from .scalars import Cyclo, QQ, cyclotomic_field, frac_to_str
+from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str
 
 
 def frac_from_str(s: str) -> Fraction:
@@ -119,9 +119,7 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             out_row = []
             for tok in row:
                 v = scalar_from_str(tok, field)
-                if isinstance(v, Cyclo) and field is not QQ and v.field.order != field.order:
-                    from .scalars import embed
-
+                if isinstance(v, Cyclo) and v.field != field:
                     v = embed(v, field)
                 out_row.append(v)
             q.append(out_row)

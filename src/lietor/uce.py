@@ -87,10 +87,11 @@ class WedgeElement:
         return " + ".join(f"({c})<{k1}, {k2}>" for (k1, k2), c in sorted(self.terms.items()))
 
 
-def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
-    """a wedge b, expanded bilinearly over the monomial basis."""
-    A = a.algebra
-    out = {}
+def wedge(a: AlgElement, b: AlgElement, into=None):
+    """a wedge b, expanded bilinearly over the monomial basis; or, given a
+    zero-free terms dict into, added into it in place (kept zero-free), and
+    None returned."""
+    out = {} if into is None else into
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
             if k1 == k2:
@@ -105,7 +106,7 @@ def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
                 out[key] = s
             elif cur is not None:
                 del out[key]
-    return WedgeElement._zero_free(A, out)
+    return WedgeElement._zero_free(a.algebra, out) if into is None else None
 
 
 class WedgeBlock(NamedTuple):
@@ -138,11 +139,11 @@ class WedgeWindow:
         relations (a, b, c) of that total degree whose pairwise degree sums
         stay on the window."""
         A, degset = self.A, self._degset
+        # The degrees d of the window whose complement deg - d is on it too.
+        partners = [d for d in self.degs if tuple(x - y for x, y in zip(deg, d)) in degset]
         keys = []
-        for d1 in self.degs:
+        for d1 in partners:
             d2 = tuple(x - y for x, y in zip(deg, d1))
-            if d2 not in degset:
-                continue
             for s1 in range(A.bdim):
                 for s2 in range(A.bdim):
                     k1, k2 = (d1, s1), (d2, s2)
@@ -152,25 +153,29 @@ class WedgeWindow:
         index = {k: i for i, k in enumerate(keys)}
         # A cyclic shift of (a, b, c) gives the same relation, so only the
         # least shift is formed; over a commutative A any permutation does,
-        # and a set of rows keeps one.
+        # and a set of rows keeps one.  With c = deg - a - b, the sums b + c
+        # and c + a are deg - a and deg - b, so a and b range over partners
+        # and only a + b and c are left to test.
         rel_rows = {}
-        for da in self.degs:
-            for db in self.degs:
+        for da in partners:
+            for db in partners:
+                if tuple(x + y for x, y in zip(da, db)) not in degset:
+                    continue
                 dc = tuple(x - y - z for x, y, z in zip(deg, da, db))
-                if (dc not in degset
-                        or tuple(x + y for x, y in zip(da, db)) not in degset
-                        or tuple(x + y for x, y in zip(db, dc)) not in degset
-                        or tuple(x + y for x, y in zip(dc, da)) not in degset):
+                if dc not in degset:
                     continue
                 for ka, kb, kc in itertools.product(*(
                         [(d, s) for s in range(A.bdim)] for d in (da, db, dc))):
                     if (kb, kc, ka) < (ka, kb, kc) or (kc, ka, kb) < (ka, kb, kc):
                         continue
                     a, b, c = (AlgElement(A, {k: A.field.one}) for k in (ka, kb, kc))
-                    rel = wedge(a * b, c) + wedge(b * c, a) + wedge(c * a, b)
+                    rel = {}
+                    wedge(a * b, c, rel)
+                    wedge(b * c, a, rel)
+                    wedge(c * a, b, rel)
                     if rel:
                         row = [A.field.zero] * len(keys)
-                        for k, v in rel.terms.items():
+                        for k, v in rel.items():
                             row[index[k]] = v
                         rel_rows[tuple(row)] = None
         rel_rows = [list(row) for row in rel_rows]
@@ -262,6 +267,8 @@ class UceAlgebra:
         self.field = A.field
         self.sl = MatrixLieAlgebra(n, A)
         self._ninv = self.field(Fraction(1, n))
+        # The wedge part of every element without one; no caller mutates it.
+        self._wzero = WedgeElement.zero(A)
 
     @memo
     def wedge_window(self, window: int) -> "WedgeWindow":
@@ -269,12 +276,12 @@ class UceAlgebra:
         return WedgeWindow(self.A, window)
 
     def zero(self):
-        return UceElement(self, WedgeElement.zero(self.A), self.sl.zero())
+        return UceElement(self, self._wzero, self.sl.zero())
 
     def from_matrix(self, m: MatLieElement) -> UceElement:
         if m.trace():
             raise ValueError("matrix part must have exact trace zero")
-        return UceElement(self, WedgeElement.zero(self.A), m)
+        return UceElement(self, self._wzero, m)
 
     def x(self, i, j, a) -> UceElement:
         """Steinberg generator X_ij(a), i != j."""
@@ -287,17 +294,21 @@ class UceAlgebra:
     def bracket(self, u1: UceElement, u2: UceElement) -> UceElement:
         w1, m1 = u1.w, u1.m
         w2, m2 = u2.w, u2.m
-        # sigma part of [m1, m2], built only where an (i,j) entry of m1 meets
-        # the (j,i) entry of m2:
-        wout = None
+        # sigma part of [m1, m2], summed in one dict over the pairs where an
+        # (i,j) entry of m1 meets the (j,i) entry of m2:
+        wterms = {}
         for (i, j), a in m1.entries.items():
             b = m2.entries.get((j, i))
             if b is not None:
-                w = wedge(a, b)
-                wout = w if wout is None else wout + w
-        wout = WedgeElement.zero(self.A) if wout is None else wout.scale(self._ninv)
+                wedge(a, b, wterms)
+        wout = WedgeElement._zero_free(self.A, wterms).scale(self._ninv) if wterms else self._wzero
         mout = mat_bracket(m1, m2)
-        tr = mout.trace()
+        # tr(mout) from its diagonal entries; None when it has none, as for
+        # every st2 and st3 bracket.
+        tr = None
+        for (i, j), v in mout.entries.items():
+            if i == j:
+                tr = v if tr is None else tr + v
         if tr:
             corr = tr * self._ninv
             mout = mout - MatLieElement._zero_free(self.sl, {(i, i): corr for i in range(self.n)})

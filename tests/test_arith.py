@@ -153,6 +153,50 @@ def test_uce_bracket_matches_the_reference(name, data):
         _same_mat(got.m, want.m)
 
 
+def _mat_snapshot(x):
+    return {k: dict(v.terms) for k, v in x.entries.items()}
+
+
+def _uce_snapshot(u):
+    return dict(u.w.terms), _mat_snapshot(u.m)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=hs.data())
+def test_brackets_leave_their_operands_alone(name, data):
+    """Both brackets add their products into dicts of their own: the results
+    equal the reference and are zero-free, and no operand, the shared zero
+    wedge part or a memoised diagonal basis is changed in place."""
+    U = _uce(name)
+    A = U.A
+    x, y = data.draw(_matrices(U)), data.draw(_matrices(U))
+    before = _mat_snapshot(x), _mat_snapshot(y)
+    _same_mat(bracket(x, y), ref.bracket(x, y))
+    _same_mat(bracket(x, x), U.sl.zero())
+    assert (_mat_snapshot(x), _mat_snapshot(y)) == before
+
+    a, b = data.draw(_elements(A)), data.draw(_elements(A))
+    w1 = ref.wedge(data.draw(_elements(A, 2)), data.draw(_elements(A, 2)))
+    u, v = U.x(0, 1, a), U.x(1, 0, b)
+    pairs = [(u, v), (v, u), (u, UceElement(U, w1, y)), (UceElement(U, w1, x), u)]
+    for u1, u2 in pairs:
+        before = _uce_snapshot(u1), _uce_snapshot(u2)
+        got = U.bracket(u1, u2)
+        want = ref.uce_bracket(U, u1, u2)
+        _same_wedge(got.w, want.w)
+        _same_mat(got.m, want.m)
+        assert (_uce_snapshot(u1), _uce_snapshot(u2)) == before
+    assert U.zero().w.terms == {}
+
+    diag = U.sl._diag_basis((0,) * A.n)
+    before = [_mat_snapshot(d) for d in diag]
+    for d in diag:
+        _same_mat(bracket(d, x), ref.bracket(d, x))
+        _same_mat(bracket(x, d), ref.bracket(x, d))
+    assert [_mat_snapshot(d) for d in U.sl._diag_basis((0,) * A.n)] == before
+
+
 def test_unit_tau_is_still_asked_for_every_term(monkeypatch):
     """mul skips multiplying by a tau of one, never the call to tau."""
     A = GradedAssocAlgebra.group_algebra(2)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,16 @@ def test_qtorus_json_round_trip():
     text = (Path(__file__).parent / "data" / "q3.json").read_text()
     back = coord_algebra_from_json(json.loads(text))
     assert back.kind == "qtorus" and back.q[0][1] == z3 and back.q[1][0] == z3.inverse()
+
+
+def test_q_token_of_another_field_is_refused_when_read(capsys):
+    # z3 is no element of Q: the file is refused when it is read, not when
+    # the centre lattice first meets the entry.
+    path = Path(__file__).parent / "data" / "q_wrong_field.json"
+    with pytest.raises(ValueError, match=re.escape("z3 in Q(zeta_3) is not rational, so not in Q")):
+        coord_algebra_from_json(json.loads(path.read_text()))
+    assert main(["qtorus", "centre", "--q", str(path)]) == 2
+    assert "error: z3 in Q(zeta_3) is not rational, so not in Q" in capsys.readouterr().err
 
 
 def test_eala_report_golden(tmp_path, monkeypatch):

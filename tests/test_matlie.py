@@ -9,6 +9,7 @@ from lietor.lattices import box
 from lietor.linalg import rank
 from lietor.matlie import (
     DirectSumSl,
+    MatLieElement,
     MatrixLieAlgebra,
     bracket,
     eigenvalue_law_holds,
@@ -46,6 +47,27 @@ def test_bracket_examples(laurent_sl3):
     assert bracket(L.E(0, 1, t), L.E(1, 2, t)) == L.E(0, 2, t * t)
     assert bracket(L.cartan(0, 1), L.E(0, 1, t)) == L.E(0, 1, t).scale(F(2))
     assert not bracket(L.E(0, 1), L.E(2, 1))  # no shared index pattern: [E12, E32]
+
+
+def test_bracket_calls_matmul_twice(laurent_sl3, monkeypatch):
+    """bracket forms xy and yx with one MatLieElement.matmul call each.
+
+    The benchmark's eala-qtorus trace counts matmul calls (every one of them
+    comes from a bracket), so a bracket that built its products another way
+    would leave that hook with no calls."""
+    L = laurent_sl3
+    calls = []
+    plain = MatLieElement.matmul
+
+    def matmul(self, other, *args, **kwargs):
+        calls.append((self, other))
+        return plain(self, other, *args, **kwargs)
+
+    monkeypatch.setattr(MatLieElement, "matmul", matmul)
+    x, y = L.E(0, 1, L.A.gen(0)), L.E(1, 0) + L.E(1, 2)
+    got = bracket(x, y)
+    assert len(calls) == 2 and calls[0][0] is x and calls[1][0] is y
+    assert got == plain(x, y) - plain(y, x)
 
 
 def test_disjoint_indices_commute():
