@@ -131,20 +131,19 @@ def cmd_table(args, run: Runner) -> None:
     sys.stdout.write(render_affine_table())
 
 
-def cmd_roots(args, run: Runner) -> None:
-    if args.action == "build":
-        rs = build_system(args.family, args.rank)
-        run.echo(f"family {args.family} rank {args.rank}: {len(rs.roots)} roots (0 included)")
-        label = classify(rs)
-        run.add("classify", True, detail=str(label))
-        if args.out_roots:
-            with open(args.out_roots, "w") as fh:
-                json.dump(root_system_to_json(rs), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    else:
-        rs = root_system_from_json(load_json(args.infile, run))
-        label = classify(rs)
-        run.add("classify", True, detail=str(label))
+def cmd_roots_build(args, run: Runner) -> None:
+    rs = build_system(args.family, args.rank)
+    run.echo(f"family {args.family} rank {args.rank}: {len(rs.roots)} roots (0 included)")
+    run.add("classify", True, detail=str(classify(rs)))
+    if args.out_roots:
+        with open(args.out_roots, "w") as fh:
+            json.dump(root_system_to_json(rs), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def cmd_roots_classify(args, run: Runner) -> None:
+    rs = root_system_from_json(load_json(args.infile, run))
+    run.add("classify", True, detail=str(classify(rs)))
 
 
 def cmd_refl(args, run: Runner) -> None:
@@ -163,29 +162,30 @@ def cmd_refl(args, run: Runner) -> None:
         run.add(f"form:{k}", True, detail=str(ff[k]))
 
 
-def cmd_ars(args, run: Runner) -> None:
-    if args.action == "build":
-        window = args.window
-        S = build_system(args.type, args.rank)
-        ars, mp, kac = build_affine_rs(S, args.tier)
-        run.add("labels", True, detail=f"{mp} {kac}")
-        run.merge(validate_ars_axioms(ars))
-        # Only the string lengths are read on the window; the rest is
-        # decided exactly from the cosets of the datum.
-        st = ars_structure(ars, window)
-        for k in ("nullity", "symmetric", "unbroken", "tame"):
-            run.add(f"structure:{k}", True, detail=str(st[k]))
-        run.add("structure:max_string_len", True, detail=str(st["max_string_len"]),
-                window=window)
-        for k, v in sorted(st["class_flags"].items()):
-            run.add(f"class:{k}", True, detail=str(v))
-        if args.out_ars:
-            with open(args.out_ars, "w") as fh:
-                json.dump(datum_to_json(ars.datum), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-    else:
-        ed = datum_from_json(load_json(args.infile, run))
-        run.merge(validate_extension_datum(ed))
+def cmd_ars_build(args, run: Runner) -> None:
+    window = args.window
+    S = build_system(args.type, args.rank)
+    ars, mp, kac = build_affine_rs(S, args.tier)
+    run.add("labels", True, detail=f"{mp} {kac}")
+    run.merge(validate_ars_axioms(ars))
+    # Only the string lengths are read on the window; the rest is
+    # decided exactly from the cosets of the datum.
+    st = ars_structure(ars, window)
+    for k in ("nullity", "symmetric", "unbroken", "tame"):
+        run.add(f"structure:{k}", True, detail=str(st[k]))
+    run.add("structure:max_string_len", True, detail=str(st["max_string_len"]),
+            window=window)
+    for k, v in sorted(st["class_flags"].items()):
+        run.add(f"class:{k}", True, detail=str(v))
+    if args.out_ars:
+        with open(args.out_ars, "w") as fh:
+            json.dump(datum_to_json(ars.datum), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def cmd_ars_check(args, run: Runner) -> None:
+    ed = datum_from_json(load_json(args.infile, run))
+    run.merge(validate_extension_datum(ed))
 
 
 def _parse_degree(text, n: int):
@@ -206,28 +206,32 @@ def _load_qtorus(args, run=None) -> GradedAssocAlgebra:
     return A
 
 
-def cmd_qtorus(args, run: Runner) -> None:
+def cmd_qtorus_centre(args, run: Runner) -> None:
     A = _load_qtorus(args, run)
-    if args.action == "centre":
-        gamma = centre_of_qtorus(A)
-        run.echo(f"Gamma basis: {gamma.basis}")
-        window = args.window
-        oracle = centre_scan_oracle(A, window)
-        agree = all(v in gamma for v in oracle) and all(
-            tuple(v) in set(oracle) for v in gamma.window_elements(window)
-        )
-        run.add("centre-matches-scan", agree, window=window,
-                detail=f"basis {gamma.basis}")
-    elif args.action == "scder":
-        deg = _parse_degree(args.degree, A.n)
-        basis = skew_centroidal_space(A, deg)
-        run.add("scder-dim", True, detail=f"degree {deg}: dim {len(basis)}")
-    else:
-        window = args.window
-        rep = commutator_decomposition(A, window)
-        central = sum(1 for r in rep if r["central"])
-        run.add("decomposition", True, window=window,
-                detail=f"{central} central degrees of {len(rep)} in the box")
+    gamma = centre_of_qtorus(A)
+    run.echo(f"Gamma basis: {gamma.basis}")
+    window = args.window
+    oracle = centre_scan_oracle(A, window)
+    agree = all(v in gamma for v in oracle) and all(
+        tuple(v) in set(oracle) for v in gamma.window_elements(window)
+    )
+    run.add("centre-matches-scan", agree, window=window, detail=f"basis {gamma.basis}")
+
+
+def cmd_qtorus_scder(args, run: Runner) -> None:
+    A = _load_qtorus(args, run)
+    deg = _parse_degree(args.degree, A.n)
+    basis = skew_centroidal_space(A, deg)
+    run.add("scder-dim", True, detail=f"degree {deg}: dim {len(basis)}")
+
+
+def cmd_qtorus_decompose(args, run: Runner) -> None:
+    A = _load_qtorus(args, run)
+    window = args.window
+    rep = commutator_decomposition(A, window)
+    central = sum(1 for r in rep if r["central"])
+    run.add("decomposition", True, window=window,
+            detail=f"{central} central degrees of {len(rep)} in the box")
 
 
 def cmd_alg(args, run: Runner) -> None:
@@ -366,116 +370,112 @@ def _count(least: int):
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The argparse tree.  Each leaf takes only the options its handler
+    reads, plus --out, and names that handler as ``args.handler``."""
     p = argparse.ArgumentParser(prog="lietor", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    q = sub.add_parser("table", help="render the affine label table")
+    def leaf(parent, name, handler, help=None):
+        q = parent.add_parser(name, help=help)
+        q.set_defaults(handler=handler)
+        q.add_argument("--out", dest="out")
+        return q
+
+    def actions(name, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
+
+    q = leaf(sub, "table", cmd_table, "render the affine label table")
     q.add_argument("what", choices=["affine"])
 
-    q = sub.add_parser("roots", help="build or classify finite root systems")
-    q.add_argument("action", choices=["build", "classify"])
+    roots = actions("roots", "build or classify finite root systems")
+    q = leaf(roots, "build", cmd_roots_build)
     q.add_argument("--family", default="A")
     q.add_argument("--rank", type=int, default=2)
-    q.add_argument("--in", dest="infile")
     q.add_argument("--out-roots", dest="out_roots")
+    q = leaf(roots, "classify", cmd_roots_classify)
+    q.add_argument("--in", dest="infile", required=True)
 
-    q = sub.add_parser("refl", help="reflection-system axioms and predicates")
+    q = leaf(sub, "refl", cmd_refl, "reflection-system axioms and predicates")
     q.add_argument("--family", default="A")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("--in", dest="infile")
     q.add_argument("--normalized", action="store_true")
 
-    q = sub.add_parser("ars", help="affine reflection systems")
-    q.add_argument("action", choices=["build", "check"])
+    ars = actions("ars", "affine reflection systems")
+    q = leaf(ars, "build", cmd_ars_build)
     q.add_argument("--type", default="A")
     q.add_argument("--rank", type=int, default=2)
     q.add_argument("--tier", type=int, default=1)
     q.add_argument("--window", type=_count(0), default=3,
-                   help="build only: scopes structure:max_string_len alone")
-    q.add_argument("--in", dest="infile")
+                   help="scopes structure:max_string_len alone")
     q.add_argument("--out-ars", dest="out_ars")
+    q = leaf(ars, "check", cmd_ars_check)
+    q.add_argument("--in", dest="infile", required=True)
 
-    q = sub.add_parser("qtorus", help="quantum torus invariants")
-    q.add_argument("action", choices=["centre", "scder", "decompose"])
+    qtorus = actions("qtorus", "quantum torus invariants")
+    q = leaf(qtorus, "centre", cmd_qtorus_centre)
+    q.add_argument("--q", required=True)
+    q.add_argument("--window", type=_count(0), default=4)
+    q = leaf(qtorus, "scder", cmd_qtorus_scder)
     q.add_argument("--q", required=True)
     q.add_argument("--degree")
+    q = leaf(qtorus, "decompose", cmd_qtorus_decompose)
+    q.add_argument("--q", required=True)
     q.add_argument("--window", type=_count(0), default=4)
 
-    q = sub.add_parser("alg", help="graded algebra sanity on a window")
+    q = leaf(sub, "alg", cmd_alg, "graded algebra sanity on a window")
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=_count(0), default=2)
 
-    q = sub.add_parser("sl", help="root-graded verification of sl_n(A)")
+    q = leaf(sub, "sl", cmd_sl, "root-graded verification of sl_n(A)")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=_count(0), default=2)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(1), default=200)
 
-    q = sub.add_parser("uce", help="universal central extension checks")
+    q = leaf(sub, "uce", cmd_uce, "universal central extension checks")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
     q.add_argument("--window", type=_count(0), default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(1), default=200)
 
-    q = sub.add_parser("affine", help="the untwisted affine construction")
+    q = leaf(sub, "affine", cmd_affine, "the untwisted affine construction")
     q.add_argument("--g", default="sl3")
     q.add_argument("--window", type=_count(0), default=5)
     q.add_argument("--emit", choices=["roots", "none"], default="none")
 
-    q = sub.add_parser("hc1", help="first cyclic homology in one degree")
+    q = leaf(sub, "hc1", cmd_hc1, "first cyclic homology in one degree")
     q.add_argument("--coord", default="laurent")
     q.add_argument("--degree")
 
-    q = sub.add_parser("eala", help="build and verify E = C + L + D")
+    q = leaf(sub, "eala", cmd_eala, "build and verify E = C + L + D")
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
     q.add_argument("--window", type=_count(0), default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(0), default=0, help="0: no sample")
-
-    for name, sp in sub.choices.items():
-        sp.add_argument("--out", dest="out")
     return p
-
-
-_HANDLERS = {
-    "table": cmd_table,
-    "roots": cmd_roots,
-    "refl": cmd_refl,
-    "ars": cmd_ars,
-    "qtorus": cmd_qtorus,
-    "alg": cmd_alg,
-    "sl": cmd_sl,
-    "uce": cmd_uce,
-    "affine": cmd_affine,
-    "hc1": cmd_hc1,
-    "eala": cmd_eala,
-}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = make_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     run = Runner(["lietor"] + argv)
     try:
-        _HANDLERS[args.cmd](args, run)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+        args.handler(args, run)
+    except (InputError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return run.finish(getattr(args, "out", None))
+    return run.finish(args.out)
 
 
 if __name__ == "__main__":

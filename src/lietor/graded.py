@@ -181,10 +181,14 @@ class GradedAssocAlgebra:
     """Z^n-graded unital associative algebra.
 
     kind is one of "group", "qtorus", "crossed".  The optional support
-    restriction "nonneg" gives polynomial (rather than Laurent) variants.
+    restriction "nonneg" gives polynomial (rather than Laurent) variants,
+    and "zero" the degree-0 part alone; None is all of Z^n.
     """
 
     def __init__(self, kind, n, field, q=None, B=None, tau=None, sigma=None, support=None):
+        if support not in (None, "nonneg", "zero"):
+            raise ValueError(f"unknown support {support!r}: expected 'nonneg' or 'zero', "
+                             "or none for all of Z^n")
         self.kind = kind
         self.n = n
         self.field = field

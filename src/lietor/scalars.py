@@ -376,15 +376,23 @@ class Cyclo:
 
 
 def embed(x, target):
-    """Explicitly embed x into ``target`` (Q -> Q(zeta_N), or N | M).  A
-    rational is the same value in every field; a Cyclo has no image in Q."""
+    """Explicitly embed x into ``target`` (Q -> Q(zeta_N), or Q(zeta_N) ->
+    Q(zeta_M) for N | M, or for N | 2M with M odd).  A rational is the same
+    value in every field; a Cyclo has no image in Q."""
     if isinstance(x, Cyclo):
         if isinstance(target, RationalField):
             raise ValueError(f"{x!r} in {x.field.name} is not rational, so not in Q")
         n, m = x.field.order, target.order
-        if m % n != 0:
+        if m % n == 0:
+            z = target.zeta(m // n)
+        elif m % 2 and 2 * m % n == 0:
+            # Q(zeta_2M) = Q(zeta_M) for odd M, with zeta_2M = -zeta_M^((M+1)/2);
+            # zeta_N is zeta_2M to the power e = 2M/N.
+            e = 2 * m // n
+            z = target.zeta((m + 1) // 2 * e)
+            z = -z if e % 2 else z
+        else:
             raise ValueError(f"no canonical embedding Q(zeta_{n}) -> Q(zeta_{m})")
-        z = target.zeta(m // n)
         out, zpow = 0, 1
         for c in x.coeffs:
             if c:

@@ -7,6 +7,7 @@ budgets are asserted where the criterion states one.
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from lietor.cli import render_affine_table
 from lietor.graded import (
@@ -47,17 +48,7 @@ from lietor.eala import (
     verify_iara,
 )
 
-GOLDEN_TABLE = """\
-S              t(S)  label     Kac label
--------------------------------------------
-reduced        1     S^(1)     S^(1)
-B_l (l >= 2)   2     B_l^(2)   D_{l+1}^(2)
-C_l (l >= 3)   2     C_l^(2)   A_{2l-1}^(2)
-F_4            2     F_4^(2)   E_6^(2)
-G_2            3     G_2^(3)   D_4^(3)
-BC_1           -     BC_1^(2)  A_2^(2)
-BC_l (l >= 2)  1     BC_l^(2)  A_{2l}^(2)
-"""
+GOLDEN_TABLE = (Path(__file__).parent / "data" / "table_affine.txt").read_text()
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import regen_goldens as goldens
 from lietor import cli
-from lietor.cli import main, make_parser, render_affine_table
+from lietor.cli import main, make_parser
 from lietor.serialize import (
     coord_algebra_from_json,
     datum_from_json,
@@ -17,19 +19,6 @@ from lietor.serialize import (
     root_system_to_json,
     scalar_from_str,
 )
-
-GOLDEN_TABLE = """\
-S              t(S)  label     Kac label
--------------------------------------------
-reduced        1     S^(1)     S^(1)
-B_l (l >= 2)   2     B_l^(2)   D_{l+1}^(2)
-C_l (l >= 3)   2     C_l^(2)   A_{2l-1}^(2)
-F_4            2     F_4^(2)   E_6^(2)
-G_2            3     G_2^(3)   D_4^(3)
-BC_1           -     BC_1^(2)  A_2^(2)
-BC_l (l >= 2)  1     BC_l^(2)  A_{2l}^(2)
-"""
-
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -44,13 +33,6 @@ def run_cli(args):
         capture_output=True, text=True, env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
-
-
-def test_table_affine_golden():
-    assert render_affine_table() == GOLDEN_TABLE
-    code, out, err = run_cli(["table", "affine"])
-    assert code == 0
-    assert out == GOLDEN_TABLE
 
 
 def test_table_byte_stable():
@@ -74,8 +56,7 @@ def test_ars_build_check_pipeline(tmp_path):
     report = tmp_path / "report.json"
     assert main(["ars", "build", "--type", "BC", "--rank", "1", "--tier", "1",
                  "--window", "2", "--out-ars", str(datum)]) == 0
-    assert main(["ars", "check", "--in", str(datum), "--window", "2",
-                 "--out", str(report)]) == 0
+    assert main(["ars", "check", "--in", str(datum), "--out", str(report)]) == 0
     data = json.loads(report.read_text())
     assert data["ok"] is True
     assert data["inputs"][0]["input"] == str(datum)
@@ -142,7 +123,7 @@ def test_check_failure_exit_1(tmp_path):
     ed = ExtensionDatum(rs, frozenset(indivisible_part(rs)), 1, fam)
     path = tmp_path / "datum.json"
     path.write_text(json.dumps(datum_to_json(ed)))
-    code = main(["ars", "check", "--in", str(path), "--window", "2"])
+    code = main(["ars", "check", "--in", str(path)])
     assert code == 1
 
 
@@ -219,7 +200,7 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     def broken(args, run):
         raise RuntimeError("broken handler")
 
-    monkeypatch.setitem(cli._HANDLERS, "table", broken)
+    monkeypatch.setattr(cli, "cmd_table", broken)
     assert main(["table", "affine"]) == 3
     assert "internal error: RuntimeError: broken handler" in capsys.readouterr().err
 
@@ -304,91 +285,88 @@ def test_q_token_of_another_field_is_refused_when_read(capsys):
     assert "error: z3 in Q(zeta_3) is not rational, so not in Q" in capsys.readouterr().err
 
 
-def test_eala_report_golden(tmp_path, monkeypatch):
-    # lietor eala over the zeta_3 torus at window 3; the expected report
-    # (tests/data/eala_q3_w3.json) is the --out report without its command.
-    data = Path(__file__).parent / "data"
-    monkeypatch.chdir(data.parent.parent)
-    out = tmp_path / "report.json"
-    assert main(["eala", "--coord", "tests/data/q3.json", "--n", "3", "--window", "3",
-                 "--out", str(out)]) == 0
-    assert _without_command(out) == (data / "eala_q3_w3.json").read_text()
+def test_unknown_support_of_a_group_algebra_is_refused(capsys):
+    # in_support and hc1_component must read the same support: an unknown
+    # one would be all of Z^n to the first and polynomial to the second
+    path = goldens.DATA / "group_support_positive.json"
+    with pytest.raises(ValueError, match="unknown support 'positive'"):
+        coord_algebra_from_json(json.loads(path.read_text()))
+    assert main(["hc1", "--coord", str(path), "--degree", "0"]) == 2
+    assert "error: unknown support 'positive'" in capsys.readouterr().err
 
 
-# lietor sl at jacobi 20, seed 3, run from the repo root: the --out report
-# without its command. Over k[t] at window 2, predivision is False.
-SL_GOLDEN = [
-    ("sl_q3_w1.json", ["--coord", "tests/data/q3.json", "--window", "1"]),
-    ("sl_poly_w2.json", ["--coord", "poly", "--window", "2"]),
+def test_z6_over_zeta3_is_minus_z3_squared():
+    # Q(zeta_6) = Q(zeta_3), with zeta_6 = -zeta_3^2
+    from lietor.graded import centre_of_qtorus
+
+    A = coord_algebra_from_json(json.loads((goldens.DATA / "q6_in_zeta3.json").read_text()))
+    B = coord_algebra_from_json({"kind": "qtorus", "n": 2, "field": "Q(zeta_3)",
+                                 "q": [["1", "-z3^2"], ["-z3", "1"]]})
+    assert A.field == B.field and A.q == B.q
+    assert centre_of_qtorus(A).basis == [[6, 0], [0, 6]]
+
+
+@pytest.mark.parametrize("entry", goldens.entries(), ids=lambda e: e["report"])
+def test_golden_run(entry):
+    # each run of tests/data/goldens.json: its exit code, its --out report
+    # without the command, and its stdout and written files where named
+    code, texts = goldens.run(entry)
+    assert code == entry["exit"]
+    for name, text in texts.items():
+        assert text == (goldens.DATA / name).read_text(), name
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path
+    for a in subs:
+        for name, sp in a.choices.items():
+            yield from _leaves(sp, path + (name,))
+
+
+def test_every_leaf_of_the_cli_has_a_golden_run():
+    leaves = list(_leaves(make_parser()))
+    assert len(leaves) == 15 and ("qtorus", "scder") in leaves
+    runs = [tuple(e["argv"]) for e in goldens.entries()]
+    assert [leaf for leaf in leaves if not any(r[:len(leaf)] == leaf for r in runs)] == []
+
+
+ROOTS_B3 = str(goldens.DATA / "roots_b3.json")
+ED = str(goldens.DATA / "ed_outside_window.json")
+Q3 = str(goldens.DATA / "q3.json")
+# The options that a leaf does not read, each on that leaf
+UNREAD = [
+    ["roots", "build", "--in", ROOTS_B3],
+    ["roots", "classify", "--in", ROOTS_B3, "--family", "B"],
+    ["roots", "classify", "--in", ROOTS_B3, "--rank", "3"],
+    ["roots", "classify", "--in", ROOTS_B3, "--out-roots", "roots.json"],
+    ["ars", "build", "--in", ED],
+    ["ars", "check", "--in", ED, "--type", "B"],
+    ["ars", "check", "--in", ED, "--rank", "2"],
+    ["ars", "check", "--in", ED, "--tier", "2"],
+    ["ars", "check", "--in", ED, "--window", "2"],
+    ["ars", "check", "--in", ED, "--out-ars", "datum.json"],
+    ["qtorus", "centre", "--q", Q3, "--degree", "1,0"],
+    ["qtorus", "scder", "--q", Q3, "--window", "2"],
+    ["qtorus", "decompose", "--q", Q3, "--degree", "1,0"],
 ]
 
 
-@pytest.mark.parametrize("name,argv", SL_GOLDEN, ids=[g[0] for g in SL_GOLDEN])
-def test_sl_report_golden(tmp_path, monkeypatch, name, argv):
-    data = Path(__file__).parent / "data"
-    monkeypatch.chdir(data.parent.parent)
-    out = tmp_path / "report.json"
-    assert main(["sl", "--n", "3", *argv, "--jacobi", "20", "--seed", "3",
-                 "--out", str(out)]) == 0
-    assert _without_command(out) == (data / name).read_text()
+@pytest.mark.parametrize("argv", UNREAD, ids=lambda a: " ".join(a[:2] + a[-2:-1]))
+def test_an_option_a_leaf_does_not_read_is_a_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {argv[-2]}" in err
+    assert not list(tmp_path.iterdir())
 
 
-# lietor uce run from the repo root: the --out report without its command.
-# The first is the uce-toroidal benchmark command over Q[Z^2] at window 3.
-UCE_GOLDEN = [
-    ("uce_lau2_w3.json", ["--n", "3", "--coord", "perfbench/inputs/lau2.json", "--window", "3",
-                          "--jacobi", "200", "--seed", "0"]),
-    ("uce_laurent_n4_w1.json", ["--n", "4", "--coord", "laurent", "--window", "1",
-                                "--jacobi", "20", "--seed", "3"]),
-]
-
-
-@pytest.mark.parametrize("name,argv", UCE_GOLDEN, ids=[g[0] for g in UCE_GOLDEN])
-def test_uce_report_golden(tmp_path, monkeypatch, name, argv):
-    data = Path(__file__).parent / "data"
-    monkeypatch.chdir(data.parent.parent)
-    out = tmp_path / "report.json"
-    assert main(["uce", *argv, "--out", str(out)]) == 0
-    assert _without_command(out) == (data / name).read_text()
-
-
-def _without_command(report):
-    return "".join(line for line in report.read_text().splitlines(keepends=True)
-                   if not line.startswith('  "command": '))
-
-
-# The --out reports of the root layer, without their command, as committed
-# under tests/data, with the exit code of each run from the repo root.  E8
-# passes every check; A2 without (1, 0, -1) fails ReS2 at its first witness.
-ROOT_LAYER_GOLDEN = [
-    ("ars_b3_t2_w4.json", ["ars", "build", "--type", "B", "--rank", "3", "--tier", "2",
-                           "--window", "4"], 0),
-    ("refl_bc2.json", ["refl", "--family", "BC", "--rank", "2"], 0),
-    ("refl_g2_normalized.json", ["refl", "--family", "G2", "--normalized"], 0),
-    ("refl_e8.json", ["refl", "--family", "E8"], 0),
-    ("refl_a2_missing_root.json", ["refl", "--in", "tests/data/a2_missing_root.json"], 1),
-]
-
-
-@pytest.mark.parametrize("name,argv,code", ROOT_LAYER_GOLDEN, ids=[g[0] for g in ROOT_LAYER_GOLDEN])
-def test_root_layer_report_golden(tmp_path, monkeypatch, name, argv, code):
-    data = Path(__file__).parent / "data"
-    monkeypatch.chdir(data.parent.parent)
-    out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == code
-    assert _without_command(out) == (data / name).read_text()
-
-
-@pytest.mark.parametrize("g", ["sl2", "sl3"])
-def test_affine_report_golden(tmp_path, capsys, g):
-    # lietor affine at window 3: stdout and the --out report without its
-    # command, as committed under tests/data
-    data = Path(__file__).parent / "data"
-    out = tmp_path / "report.json"
-    assert main(["affine", "--g", g, "--window", "3", "--emit", "roots",
-                 "--out", str(out)]) == 0
-    assert capsys.readouterr().out == (data / f"affine_{g}_w3.txt").read_text()
-    assert _without_command(out) == (data / f"affine_{g}_w3.json").read_text()
+@pytest.mark.parametrize("leaf", [["roots", "classify"], ["ars", "check"]], ids=" ".join)
+def test_classify_and_check_without_an_input_are_usage_errors(capsys, leaf):
+    assert main(leaf) == 2
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --in" in err and "internal error" not in err
 
 
 def test_affine_rejects_sl1_and_gl3():

@@ -292,3 +292,17 @@ def test_embed_of_an_irrational_into_q_names_it():
         embed(z, QQ)
     assert embed(cyclotomic_field(3)(Fraction(-5, 2)), QQ) == Fraction(-5, 2)
     assert embed(z ** 3, QQ) == 1
+
+
+def test_zeta_n_embeds_into_q_zeta_m_for_n_dividing_2m_with_m_odd():
+    # Q(zeta_2M) = Q(zeta_M) for odd M: the image of zeta_N has order N
+    for m in range(1, 16, 2):
+        F = cyclotomic_field(m)
+        for n in (k for k in range(1, 2 * m + 1) if 2 * m % k == 0):
+            w = embed(cyclotomic_field(n).zeta(), F)
+            powers = [w]
+            while len(powers) < n:
+                powers.append(powers[-1] * w)
+            assert powers[-1] == 1 and 1 not in powers[:-1], (n, m)
+    with pytest.raises(ValueError, match=r"no canonical embedding Q\(zeta_4\) -> Q\(zeta_3\)"):
+        embed(cyclotomic_field(4).zeta(), cyclotomic_field(3))
