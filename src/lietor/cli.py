@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .graded import (
@@ -105,13 +106,17 @@ class Runner(AxiomReport):
             self.append(c)
 
     def finish(self, out_path=None) -> int:
-        for line in self.text:
-            print(line)
+        """Write the --out report, then print the report text.  The report
+        is written first, so that it is there even when stdout is closed."""
         if out_path:
             report = {"command": self.command, "inputs": self.inputs, **self.to_json()}
             with open(out_path, "w") as fh:
                 json.dump(report, fh, indent=2, sort_keys=True)
                 fh.write("\n")
+        if sys.stdout is not None:
+            for line in self.text:
+                print(line)
+            sys.stdout.flush()
         return 0 if self.ok else 1
 
 
@@ -128,7 +133,7 @@ def render_affine_table() -> str:
 
 
 def cmd_table(args, run: Runner) -> None:
-    sys.stdout.write(render_affine_table())
+    run.echo(render_affine_table().rstrip("\n"))
 
 
 def cmd_roots_build(args, run: Runner) -> None:
@@ -148,9 +153,12 @@ def cmd_roots_classify(args, run: Runner) -> None:
 
 def cmd_refl(args, run: Runner) -> None:
     if args.infile:
+        if args.family is not None or args.rank is not None:
+            raise InputError("--in names the root system: --family and --rank "
+                             "cannot be given with it")
         rs = root_system_from_json(load_json(args.infile, run))
     else:
-        rs = build_system(args.family, args.rank)
+        rs = build_system(args.family or "A", 2 if args.rank is None else args.rank)
     if args.normalized:
         rs = normalized(rs)
     run.merge(validate_axioms(rs))
@@ -300,7 +308,7 @@ def cmd_affine(args, run: Runner) -> None:
     m = int(args.g[2:])
     window = args.window
     E = build_affine(m, window)
-    run.add("root-spaces", all(E.acts_by_root(ro, deg) for ro, deg in E.windowed_roots(window)),
+    run.add("root-spaces", E.first_failure(E.windowed_roots(window), E.acts_by_root) is None,
             window=window)
     # dim E_(k delta): the root space of the zero root in t-degree k
     dims = {k: len(E.root_space_basis((0,) * m, (k,))) for k in range(-window, window + 1)}
@@ -396,8 +404,8 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--in", dest="infile", required=True)
 
     q = leaf(sub, "refl", cmd_refl, "reflection-system axioms and predicates")
-    q.add_argument("--family", default="A")
-    q.add_argument("--rank", type=int, default=2)
+    q.add_argument("--family", help="default A; not with --in")
+    q.add_argument("--rank", type=int, help="default 2; not with --in")
     q.add_argument("--in", dest="infile")
     q.add_argument("--normalized", action="store_true")
 
@@ -454,7 +462,8 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
-    q.add_argument("--window", type=_count(0), default=3)
+    # C_min is read on the window, and sigma_D vanishes in degree 0
+    q.add_argument("--window", type=_count(1), default=3)
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(0), default=0, help="0: no sample")
     return p
@@ -469,13 +478,27 @@ def main(argv=None) -> int:
     run = Runner(["lietor"] + argv)
     try:
         args.handler(args, run)
+        return run.finish(args.out)
     except (InputError, ValueError, KeyError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            _drop_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return run.finish(args.out)
+
+
+def _drop_stdout() -> None:
+    """Point stdout at the null device once its reader has gone, so that
+    the flush at exit does not fail again and turn the exit code into 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

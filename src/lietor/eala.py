@@ -8,7 +8,10 @@ coordinate algebra, C sits inside the graded dual of D, and the bracket is
                          + ([l1,l2] + d1.l2 - d2.l1) + [d1,d2]
 
 with sigma_D(l1,l2)(d) = (d(l1) | l2).  Everything windowed is reported
-with its window; membership and arithmetic are exact.
+with its window; membership and arithmetic are exact.  Over a quantum torus
+or a Laurent polynomial ring the root-space checks IA2, IA3's T-action and
+EA1's pairing are decided once per class of degrees modulo the centre
+lattice (BuiltE.first_failure).
 """
 
 from __future__ import annotations
@@ -20,7 +23,14 @@ from types import MappingProxyType
 
 from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
 from .lattices import box
-from .linalg import LinearSolver, independent_rows, kernel, rank as mat_rank, solve
+from .linalg import (
+    LinearSolver,
+    independent_rows,
+    kernel,
+    lattice_reduce,
+    rank as mat_rank,
+    solve,
+)
 from .matlie import (
     MatLieElement,
     MatrixLieAlgebra,
@@ -445,6 +455,101 @@ class BuiltE:
         out.extend(self.d_basis_elem(k) for k, d in enumerate(self.data.D) if d.gamma == deg)
         return out
 
+    def has_sl2_pair(self, root, deg) -> bool:
+        """IA2 at (root, deg): is [e, f] nonzero and in T for some e in the
+        basis of E_(root, deg) and f in that of E_(-root, -deg)?"""
+        neg = self.root_space_basis(tuple(-x for x in root), tuple(-x for x in deg))
+        for e in self.root_space_basis(root, deg):
+            for f in neg:
+                br = self.bracket(e, f)
+                if not br.is_zero() and self.in_t(br):
+                    return True
+        return False
+
+    def pairs_nondegenerately(self, root, deg) -> bool:
+        """EA1's graded pairing at (root, deg): does the form pair E_(root, deg)
+        nondegenerately with E_(-root, -deg)?"""
+        basis = self.root_space_basis(root, deg)
+        if not basis:
+            return True
+        dual = self.root_space_basis(tuple(-x for x in root), tuple(-x for x in deg))
+        return bool(dual) and mat_rank([[self.form(a, b) for b in dual] for a in basis],
+                                       self.field) == len(basis)
+
+    # Periodicity modulo the centre lattice
+
+    @functools.cached_property
+    def _centre_rows(self):
+        """The HNF basis of the centre lattice Rad of A when the root-space
+        checks are periodic modulo it (see first_failure), else None.
+
+        The premises, each read from the input: A^0 = K (bdim 1); A is a
+        quantum torus, or a group algebra on all of Z^n (then Rad = Z^n);
+        every D element and every C functional has degree 0; and the thetas
+        of T_D have rank n (INV-c)."""
+        A, data, n = self.L.A, self.data, self.L.z_rank
+        thetas = [list(data.D[k].v) for k in data.T_D]
+        periodic = (A.bdim == 1
+                    and (A.kind == "qtorus" or (A.kind == "group" and A.support is None))
+                    and not any(any(dk.gamma) for dk in data.D)
+                    and not any(any(c.degree) for c in data.C)
+                    and (mat_rank(thetas, self.field) if thetas else 0) == n)
+        return A.centre_lattice().basis if periodic else None
+
+    def degree_class(self, deg):
+        """The class of the degree deg on which first_failure decides a
+        check: (deg modulo Rad, deg != 0) under the premises of _centre_rows,
+        and deg itself otherwise."""
+        rows = self._centre_rows
+        if rows is None:
+            return tuple(deg)
+        return lattice_reduce(deg, rows), any(deg)
+
+    def first_failure(self, items, holds):
+        """The first (root, deg) of items, in their order, at which
+        holds(root, deg) is false, or None when it holds on all of them.
+
+        holds is called once per root and degree_class, at the first degree
+        of the class among items, and its verdict stands for the other
+        degrees of the class.  As the first failing item is the first of its
+        class, the witness is the one a call per item gives.  holds is IA2's
+        has_sl2_pair, IA3's acts_by_root or EA1's pairs_nondegenerately.
+
+        Why each is constant on a class.  Let rho be in Rad and let d and
+        d + rho be nonzero.  t^rho is a central unit of A, so chi_rho(x) =
+        x t^rho maps L_(alpha, d) onto L_(alpha, d + rho), and homog_basis
+        at d + rho is chi_rho of homog_basis at d up to a nonzero scalar per
+        element (a diagonal basis depends on d only through d in Rad, which
+        the class keeps).  C and D sit in degree 0, so E_(alpha, d) =
+        L_(alpha, d).  Then
+          - chi_rho commutes with ad L;
+          - (chi_rho x | chi_-rho y) = tau(rho, -rho) (x | y), and
+            tau(rho, -rho) != 0;
+          - d_theta chi_rho = chi_rho (d_theta + theta(rho)).
+        It follows that
+          - IA2: a pair (e, f) maps to (chi_rho e, chi_-rho f), whose L part
+            is tau(rho, -rho) [e, f] and whose C part is
+            tau(rho, -rho) theta(d + rho) (e | f).  The L part lies in T
+            with [e, f]; all of C is in T; and as the thetas of T_D have
+            rank n, theta(d) and theta(d + rho) are both nonzero, so the
+            bracket is nonzero at d + rho exactly when it is at d;
+          - IA3: T acts on chi_rho b by alpha + d + rho exactly when it acts
+            on b by alpha + d;
+          - EA1: the Gram matrix at d + rho is the one at d with its rows
+            and columns scaled by nonzero scalars, so it has the same rank.
+        Degree 0 is a class of its own.  IA3's root_norm, which is
+        quadratic in d, INV-e, linear in theta, sigma_rows and C_min are
+        not periodic and stay per degree."""
+        verdicts = {}
+        for root, deg in items:
+            key = (root, self.degree_class(deg))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = holds(root, deg)
+            if not ok:
+                return root, deg
+        return None
+
     def jacobi_holds(self, a: EElement, b: EElement, c: EElement) -> bool:
         return (self.bracket(self.bracket(a, b), c) + self.bracket(self.bracket(b, c), a)
                 + self.bracket(self.bracket(c, a), b)).is_zero()
@@ -673,24 +778,10 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
         return rep
 
     roots = E.windowed_roots(window)
-    ok, witness = True, None
-    for ro, deg in roots:
-        if not any(ro) and not any(deg):
-            continue
-        basis = E.root_space_basis(ro, deg)
-        neg = E.root_space_basis(tuple(-x for x in ro), tuple(-x for x in deg))
-        found = False
-        for e in basis:
-            for f in neg:
-                br = E.bracket(e, f)
-                if not br.is_zero() and E.in_t(br):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            ok, witness = False, f"no sl2-like pair for root ({ro}, {deg})"
-            break
+    bad = E.first_failure([(ro, deg) for ro, deg in roots if any(ro) or any(deg)],
+                          E.has_sl2_pair)
+    ok = bad is None
+    witness = None if ok else f"no sl2-like pair for root ({bad[0]}, {bad[1]})"
     rep.add("IA2", ok, witness, window=window)
 
     # For x in E_a, a real, (ad x)^k y lies in E_(b + k a); its S-part
@@ -703,13 +794,17 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
         witness = f"root strings of S: {string_witness}"
     elif longest > 5:
         witness = f"an S-string has length {longest} > 5"
-    for ro, deg in roots:
-        if witness is not None:
-            break
-        if not any(ro) and E.root_norm(ro, deg):
+    if witness is None:
+        # root_norm is quadratic in the degree, so it is read per degree; the
+        # T-action is decided per class up to the first anisotropic zero root
+        norm_bad = next((i for i, (ro, deg) in enumerate(roots)
+                         if not any(ro) and E.root_norm(ro, deg)), len(roots))
+        bad = E.first_failure(roots[:norm_bad], E.acts_by_root)
+        if bad is not None:
+            witness = f"T does not act on E_({bad[0]}, {bad[1]}) by its root"
+        elif norm_bad < len(roots):
+            ro, deg = roots[norm_bad]
             witness = f"real root ({ro}, {deg}) has S-part 0"
-        elif not E.acts_by_root(ro, deg):
-            witness = f"T does not act on E_({ro}, {deg}) by its root"
     rep.add("IA3", witness is None, witness, window=window,
             note=f"structural: T acts on each windowed root space by its root and "
                  f"the S-strings have length <= {longest}, so (ad x)^{longest} = 0 "
@@ -727,17 +822,14 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport,
     sample = sampled_check("EA1", pool, 200, seed, lambda a, b, c: (
         E.form(E.bracket(a, b), c) == E.form(a, E.bracket(b, c))))
     ok, witness = sample.ok, sample.witness and f"invariance {sample.witness}"
-    if ok:
-        for ro, deg in E.windowed_roots(window):
-            basis = E.root_space_basis(ro, deg)
-            dual = E.root_space_basis(tuple(-x for x in ro), tuple(-x for x in deg))
-            if not dual and basis:
-                ok, witness = False, f"no pairing partner for ({ro}, {deg})"
-                break
-            g = [[E.form(a, b) for b in dual] for a in basis]
-            if g and mat_rank(g, E.field) < len(basis):
-                ok, witness = False, f"degenerate graded pairing at ({ro}, {deg})"
-                break
+    bad = E.first_failure(E.windowed_roots(window), E.pairs_nondegenerately) if ok else None
+    if bad is not None:
+        ro, deg = bad
+        ok = False
+        if E.root_space_basis(tuple(-x for x in ro), tuple(-x for x in deg)):
+            witness = f"degenerate graded pairing at ({ro}, {deg})"
+        else:
+            witness = f"no pairing partner for ({ro}, {deg})"
     rep.add("EA1", ok, witness, window=window)
 
     zero_root = (Fraction(0),) * E.L.n

@@ -163,8 +163,20 @@ def test_sl_and_hc1_commands():
     ["eala", "--coord", "laurent"],
 ], ids=lambda argv: argv[0])
 def test_negative_window_exit_2(argv, capsys):
+    least = 1 if argv[0] == "eala" else 0
     assert main(argv + ["--window", "-1"]) == 2
-    assert "argument --window: must be at least 0, got -1" in capsys.readouterr().err
+    assert f"argument --window: must be at least {least}, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coord", [str(goldens.DATA / "q3.json"), "laurent"],
+                         ids=["q3", "laurent"])
+def test_eala_window_0_is_a_usage_error(coord, capsys):
+    # C_min is read on the window, and sigma_D vanishes in degree 0, so at
+    # window 0 C would be empty
+    assert main(["eala", "--coord", coord, "--window", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --window: must be at least 1, got 0" in err
+    assert "functional outside C" not in err
 
 
 def test_hc1_max_window_is_a_usage_error(capsys):
@@ -521,3 +533,52 @@ def test_eala_seed_reaches_ea1(monkeypatch):
     monkeypatch.setattr(report, "sampled_triples", spy)
     assert main(["eala", "--coord", "laurent", "--window", "1", "--seed", "5"]) == 0
     assert draws == [(200, 5)]
+
+
+@pytest.mark.parametrize("extra", [["--family", "A"], ["--rank", "2"], ["--family", "E8", "--rank", "5"]],
+                         ids=["family-default", "rank-default", "family-and-rank"])
+def test_refl_in_refuses_family_and_rank(tmp_path, capsys, extra):
+    # --in names the system; an explicit --family A, the default, is refused too
+    out = tmp_path / "r.json"
+    assert main(["refl", "--in", ROOTS_B3] + extra + ["--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert "error: --in names the root system: --family and --rank cannot be given with it" in err
+
+
+def _child(args, **kwargs):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "lietor.cli"] + args, env=env,
+                          stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def test_out_into_a_missing_directory_exits_2(tmp_path):
+    proc = _child(["refl", "--family", "A", "--rank", "2",
+                   "--out", str(tmp_path / "missing" / "r.json")], stdout=subprocess.PIPE)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: [Errno 2] No such file or directory")
+    assert "Traceback" not in proc.stderr
+
+
+def test_a_reader_that_has_gone_exits_2_after_writing_out(tmp_path):
+    # stdout is a pipe whose read end is closed before the run starts
+    out = tmp_path / "sl.json"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = _child(["sl", "--n", "3", "--coord", "laurent", "--window", "1",
+                       "--jacobi", "5", "--out", str(out)], stdout=w)
+    finally:
+        os.close(w)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 32] Broken pipe\n"
+    assert json.loads(out.read_text())["ok"] is True
+
+
+def test_a_closed_stdout_still_gets_out_written(tmp_path):
+    out = tmp_path / "refl.json"
+    proc = _child(["refl", "--family", "A", "--rank", "2", "--out", str(out)],
+                  preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(out.read_text())["ok"] is True

@@ -6,8 +6,11 @@ from pathlib import Path
 import pytest
 
 from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
+from lietor.lattices import box
+from lietor.linalg import lattice_reduce
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
 from lietor.eala import (
+    CFunc,
     IaraData,
     build_E,
     classify_variant,
@@ -603,3 +606,233 @@ def test_sigma_d_vanishes_on_the_t_basis(coord, C):
     for t in E.t_basis():
         for b in L.windowed_basis(1):
             assert sigma_d_values(E.data, t.l, b) == zero
+
+
+# Root-space checks decided per class of degrees modulo the centre lattice
+# (BuiltE.first_failure), against the per-degree reference: the same code
+# with degree_class the identity, so that every (root, degree) is its own
+# class.
+
+DATA = Path(__file__).parent / "data"
+
+
+def _coord(name):
+    if name == "laurent":
+        return GradedAssocAlgebra.laurent()
+    return coord_algebra_from_json(json.loads((DATA / f"{name}.json").read_text()))
+
+
+def _custom_d_E():
+    # a derivation of degree (1, 0): C_min reaches degree (-1, 0)
+    A = GradedAssocAlgebra.group_algebra(2)
+    L = MatrixLieAlgebra(3, A)
+    D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
+    return build_E(default_iara_data(L, window=1, D=D), window=1)
+
+
+def _periodic_E(coord, window):
+    L = MatrixLieAlgebra(3, _coord(coord))
+    return build_E(default_iara_data(L, window=window), window=window)
+
+
+PERIODIC_INPUTS = {
+    **{f"{coord}-{w}": (lambda coord=coord, w=w: _periodic_E(coord, w), w)
+       for coord in ("q2", "q3", "q4", "q6_in_zeta3", "laurent") for w in (1, 2, 3)},
+    "direct-sum-2": (lambda: build_E(default_iara_data(
+        DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), window=2), window=2), 2),
+    "affine-sl2-3": (lambda: build_affine(2, 3), 3),
+    "custom-d-1": (_custom_d_E, 1),
+}
+
+
+def _root_space_verdicts(E, window):
+    """(status, witness) of IA2, IA3 and EA1, and the first root space on
+    which T does not act by its root (lietor affine's root-spaces)."""
+    ia = verify_iara(E, window)
+    ea = verify_eala(E, window, iara=ia)
+    out = {name: (rep[name].status, rep[name].witness)
+           for rep, name in ((ia, "IA2"), (ia, "IA3"), (ea, "EA1"))}
+    out["root-spaces"] = E.first_failure(E.windowed_roots(window), E.acts_by_root)
+    return out
+
+
+def _per_degree_verdicts(monkeypatch, E, window):
+    import lietor.eala as eala
+
+    with monkeypatch.context() as m:
+        m.setattr(eala.BuiltE, "degree_class", lambda self, deg: tuple(deg))
+        return _root_space_verdicts(E, window)
+
+
+@pytest.mark.parametrize("name", sorted(PERIODIC_INPUTS))
+def test_class_verdicts_match_the_per_degree_reference(name, monkeypatch):
+    make_E, window = PERIODIC_INPUTS[name]
+    E = make_E()
+    calls = []
+    acts_by_root = E.acts_by_root
+    E.acts_by_root = lambda ro, deg: calls.append(deg) or acts_by_root(ro, deg)
+    shared = _root_space_verdicts(E, window)
+    shared_calls, calls[:] = len(calls), []
+    assert shared == _per_degree_verdicts(monkeypatch, E, window)
+    assert all(status == "windowed-pass" for status, _ in list(shared.values())[:3])
+    assert shared["root-spaces"] is None
+    # IA3 and root-spaces each call acts_by_root once per class
+    roots = E.windowed_roots(window)
+    classes = {(ro, E.degree_class(deg)) for ro, deg in roots}
+    assert (shared_calls, len(calls)) == (2 * len(classes), 2 * len(roots))
+    if name == "custom-d-1":
+        # a D element of nonzero degree: nothing is shared
+        assert E._centre_rows is None and len(classes) == len(roots)
+    elif name in ("q3-3", "q4-3", "q6_in_zeta3-3", "laurent-2", "direct-sum-2", "affine-sl2-3"):
+        assert len(classes) < len(roots)
+
+
+def test_q3_window_3_has_ten_degree_classes():
+    E = _periodic_E("q3", 3)
+    assert E._centre_rows == [[3, 0], [0, 3]]
+    assert len({E.degree_class(d) for d in box(2, 3)}) == 10
+    assert E.degree_class((0, 0)) != E.degree_class((3, -3)) == E.degree_class((-3, 0))
+    assert E.degree_class((-2, -1)) == E.degree_class((1, 2)) == ((1, 2), True)
+
+
+def _group_E(D=None, extra_c=()):
+    """E over Q[Z^2] at window 1, unvalidated, with D and C as given."""
+    A = GradedAssocAlgebra.group_algebra(2)
+    L = MatrixLieAlgebra(3, A)
+    data = default_iara_data(L, window=1, D=D and D(L))
+    C = [c for c in data.C if not any(c.degree)] + list(extra_c)
+    return build_E(IaraData(L=L, form=data.form, D=data.D, T_D=data.T_D, C=C,
+                            T_C=[k for k, c in enumerate(C) if not any(c.degree)]),
+                   window=1, validate=False)
+
+
+UNSHARED_INPUTS = {
+    # E_(0, (1, 0)) holds the derivation of degree (1, 0), which nothing in
+    # E_(0, (-1, 0)) pairs with
+    "d-degree": (lambda: _group_E(D=lambda L: degree_derivation_basis(L) + [
+        CentroidalDerivation(L.A, [0, 1], (1, 0))]), "pairs_nondegenerately", (1, 0)),
+    # likewise a functional of degree (1, 0)
+    "c-degree": (lambda: _group_E(extra_c=[CFunc((F(1), F(0)), (1, 0))]),
+                 "pairs_nondegenerately", (1, 0)),
+    # theta_0 alone vanishes on (0, -1): sigma_D(e, f) = 0 there, and
+    # [e, f] = 0 in L_0 over a commutative A
+    "theta-rank": (lambda: _group_E(D=lambda L: degree_derivation_basis(L)[:1]),
+                   "has_sl2_pair", (0, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHARED_INPUTS))
+def test_without_a_premise_every_degree_is_its_own_class(name):
+    # Rad = Z^2, so with the premises all nonzero degrees would be one class
+    # and the zero root space would pass at its first degree (-1, -1)
+    make_E, check, deg = UNSHARED_INPUTS[name]
+    E = make_E()
+    assert E._centre_rows is None
+    items = [(ro, d) for ro, d in E.windowed_roots(1) if any(ro) or any(d)]
+    assert E.first_failure(items, getattr(E, check)) == ((F(0),) * 3, deg)
+
+def _in_class(E, deg, target):
+    """Is deg nonzero and congruent to target modulo the centre lattice?"""
+    rad = E.L.A.centre_lattice().basis
+    return any(deg) and lattice_reduce(deg, rad) == target
+
+
+def _zero_basis_at(E, root, target):
+    """E's root_space_basis, with the basis of E_(root, d) made of zero
+    vectors for every d in the class of target: IA2 and EA1 fail there."""
+    basis = E.root_space_basis
+
+    def patched(ro, deg):
+        out = basis(ro, deg)
+        if tuple(ro) == root and _in_class(E, deg, target):
+            return [b.scale(0) for b in out]
+        return out
+    return patched
+
+
+def _shifted_value_at(E, root, target):
+    """E's root_value, shifted by 1 on the root spaces of root in the class
+    of target: T no longer acts there by the root (IA3)."""
+    value = E.root_value
+
+    def patched(ro, deg, t):
+        shift = 1 if tuple(ro) == root and _in_class(E, deg, target) else 0
+        return value(ro, deg, t) + shift
+    return patched
+
+
+@pytest.mark.parametrize("check,patch", [
+    ("IA2", ("root_space_basis", _zero_basis_at)),
+    ("EA1", ("root_space_basis", _zero_basis_at)),
+    ("IA3", ("root_value", _shifted_value_at)),
+], ids=["IA2", "EA1", "IA3"])
+def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch, monkeypatch):
+    # the failure is periodic modulo Rad = 3Z^2; its first degree (-2, -1)
+    # in window order is not the first degree of the box
+    E = _periodic_E("q3", 3)
+    attr, make = patch
+    root = E.L.root_of(0, 1)
+    setattr(E, attr, make(E, root, (1, 2)))
+    shared = _root_space_verdicts(E, 3)
+    assert shared == _per_degree_verdicts(monkeypatch, E, 3)
+    status, witness = shared[check]
+    assert status == "fail" and f"({root}, (-2, -1))" in witness
+
+
+# EA1's invariance, exhaustively: (x | [y, z]) = ([x, y] | z) on every triple
+# of windowed_basis(1) whose total (root, degree) is zero.  The form is
+# graded, so on every other triple both sides are 0.
+
+def _weighted_basis(E, window):
+    """windowed_basis(window), each element with its (root, degree)."""
+    zero_root = (Fraction(0),) * E.L.n
+    out = [(E.c_basis_elem(k), zero_root, c.degree) for k, c in enumerate(E.data.C)]
+    for deg in box(E.L.z_rank, window):
+        for ro in E.L.S.sorted_roots():
+            out.extend((E.from_l(b), tuple(ro), deg) for b in E.L.homog_basis(ro, deg))
+    out.extend((E.d_basis_elem(k), zero_root, dk.gamma) for k, dk in enumerate(E.data.D))
+    assert [x for x, _, _ in out] == E.windowed_basis(window)
+    return out
+
+
+def _invariance_failures(E, window):
+    """(triples of total weight zero, those with a nonzero side, failures)."""
+    basis = _weighted_basis(E, window)
+    by_weight = {}
+    for k, (_, ro, deg) in enumerate(basis):
+        by_weight.setdefault((ro, tuple(deg)), []).append(k)
+    brackets = {}
+
+    def br(i, j):
+        if (i, j) not in brackets:
+            brackets[(i, j)] = E.bracket(basis[i][0], basis[j][0])
+        return brackets[(i, j)]
+
+    triples = nonzero = failures = 0
+    for i, (x, rx, dx) in enumerate(basis):
+        for j, (_, ry, dy) in enumerate(basis):
+            weight = (tuple(-a - b for a, b in zip(rx, ry)), tuple(-a - b for a, b in zip(dx, dy)))
+            for k in by_weight.get(weight, ()):
+                lhs, rhs = E.form(x, br(j, k)), E.form(br(i, j), basis[k][0])
+                triples += 1
+                nonzero += bool(lhs or rhs)
+                failures += lhs != rhs
+    return triples, nonzero, failures
+
+
+@pytest.mark.parametrize("coord", ["q3", "laurent"])
+def test_ea1_invariance_on_every_triple_of_total_degree_zero(coord):
+    E = _periodic_E(coord, 1)
+    triples, nonzero, failures = _invariance_failures(E, 1)
+    assert failures == 0
+    assert nonzero > triples // 3
+
+
+def test_ea1_invariance_oracle_kills_a_sigma_d_with_the_wrong_sign(monkeypatch):
+    # EA1's sample at seed 0 draws no triple on which this mutant fails
+    import lietor.eala as eala
+
+    E = _periodic_E("q3", 1)
+    sigma = eala.sigma_d_values
+    monkeypatch.setattr(eala, "sigma_d_values", lambda *a: [-v for v in sigma(*a)])
+    assert _invariance_failures(E, 1)[2] > 0
