@@ -15,7 +15,7 @@ from types import MappingProxyType
 from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
 from .lattices import box
 from .linalg import kernel
-from .rootsys import RootSystem, build_classical, indivisible_part, vec_is_zero
+from .rootsys import RootSystem, build_classical, vec_is_zero
 
 
 class MatLieElement:
@@ -246,10 +246,6 @@ class MatrixLieAlgebra:
                 out.append(MatLieElement(self, entries))
         return out
 
-    def jacobi_holds(self, x: MatLieElement, y: MatLieElement, z: MatLieElement) -> bool:
-        return not (bracket(bracket(x, y), z) + bracket(bracket(y, z), x)
-                    + bracket(bracket(z, x), y))
-
     def windowed_basis(self, window: int):
         """Homogeneous basis across all roots and windowed lattice degrees."""
         out = []
@@ -392,8 +388,9 @@ def _root_graded(L, window: int) -> MappingProxyType:
     of A.  If it is, f = -x^-1 E_ji gives h = E_ii - E_jj.  Conversely
     f = yE_ji for some y in A^-d, h = xyE_ii - yxE_jj, and h acting by 1 on
     E_ik and on E_kj (k a third index, n >= 3) gives xy = 1 = yx.  So RG2
-    asks for a unit in A^0 and predivision for a unit in each windowed
-    A^d != 0: one A.unit_of_degree lookup per degree.  Division also needs
+    asks for a unit in A^0, which A, being unital, has in 1; and
+    predivision asks for a unit in each windowed A^d != 0: one
+    A.unit_of_degree lookup per degree.  Division also needs
     every nonzero element of A^d to be a unit.  As A^d = A^0 u for a unit
     u, it equals predivision when bdim = 1; when bdim > 1 a basis vector b
     of B that is not a unit refutes it (bu is nonzero and not a unit), and
@@ -429,15 +426,11 @@ def _root_graded(L, window: int) -> MappingProxyType:
             rg3_witness = f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
             break
 
-    zero = (0,) * L.z_rank
-    rg2_witness = None
-    if A.unit_of_degree(zero) is None:
-        b = next(b for b in sorted(indivisible_part(L.S)) if any(b))
-        rg2_witness = f"no invertible element in {_space_name(L, b, zero)}"
     return MappingProxyType({
-        "RG1": True,  # support inside A_(n-1) by construction of the entry grading
-        "RG2": rg2_witness is None,
-        "RG2_witness": rg2_witness,
+        # by construction: the entry grading puts the support inside A_(n-1),
+        # and A is unital, so 1 is a unit of A^0
+        "RG1": True,
+        "RG2": True,
         "RG3": rg3_witness is None,
         "RG3_witness": rg3_witness,
         "predivision": prediv_witness is None,

@@ -146,8 +146,7 @@ def test_unknown_subcommand_exit_2():
 
 
 def test_sl_and_hc1_commands():
-    assert main(["sl", "--n", "3", "--coord", "laurent", "--window", "1",
-                 "--jacobi", "20"]) == 0
+    assert main(["sl", "--n", "3", "--coord", "laurent", "--window", "1"]) == 0
     assert main(["hc1", "--coord", "laurent", "--degree", "0"]) == 0
     assert main(["affine", "--g", "sl3", "--window", "2"]) == 0
     assert main(["alg", "--coord", "laurent", "--window", "2"]) == 0
@@ -193,6 +192,12 @@ def test_options_nothing_reads_are_usage_errors(capsys):
     assert "unrecognized arguments: --D" in capsys.readouterr().err
     assert main(["sl", "verify", "--n", "3", "--coord", "laurent", "--window", "1"]) == 2
     assert "unrecognized arguments: verify" in capsys.readouterr().err
+    # Jacobi on sl_n(A) and EA1's invariance hold by construction: neither
+    # command samples
+    for cmd in (["sl"], ["eala", "--coord", "laurent"]):
+        for opt in (["--seed", "1"], ["--jacobi", "5"]):
+            assert main(cmd + opt) == 2
+            assert f"unrecognized arguments: {' '.join(opt)}" in capsys.readouterr().err
 
 
 def test_uce_rank_two_small_window_stabilises(tmp_path):
@@ -424,7 +429,7 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
 
 # Small runs of the subcommands that print windowed checks.
 WINDOWED_RUNS = [
-    ["sl", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"],
+    ["sl", "--n", "3", "--coord", "laurent", "--window", "1"],
     ["uce", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"],
     ["affine", "--g", "sl2", "--window", "1"],
     ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
@@ -490,49 +495,47 @@ def test_alg_associativity_failure_has_a_witness(tmp_path, monkeypatch):
     assert "detail" not in assoc
 
 
-@pytest.mark.parametrize("argv", [
-    ["sl", "--jacobi", "0"],
-    ["sl", "--jacobi", "-5"],
-    ["uce", "--jacobi", "0"],
-    ["uce", "--jacobi", "-5"],
-    ["eala", "--coord", "laurent", "--jacobi", "-5"],
+@pytest.mark.parametrize("argv, error", [
+    (["sl", "--jacobi", "0"], "unrecognized arguments: --jacobi 0"),
+    (["sl", "--jacobi", "-5"], "unrecognized arguments: --jacobi -5"),
+    (["uce", "--jacobi", "0"], "argument --jacobi: must be at least 1, got 0"),
+    (["uce", "--jacobi", "-5"], "argument --jacobi: must be at least 1, got -5"),
+    (["eala", "--coord", "laurent", "--jacobi", "-5"], "unrecognized arguments: --jacobi -5"),
 ], ids=["sl-0", "sl-neg", "uce-0", "uce-neg", "eala-neg"])
-def test_jacobi_count_without_a_triple_is_a_usage_error(capsys, argv):
-    # a sample of no triples would print jacobi-sample: pass
+def test_jacobi_count_without_a_triple_is_a_usage_error(capsys, argv, error):
+    # a sample of no triples would print jacobi-sample: pass; only uce
+    # samples, sl and eala take no --jacobi
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and "argument --jacobi: must be at least" in err
-
-
-def test_eala_jacobi_zero_means_no_sample():
-    args = make_parser().parse_args(["eala", "--coord", "laurent", "--jacobi", "0"])
-    assert args.jacobi == 0
+    assert out == "" and error in err
 
 
 def test_sl_rg1_and_rg2_have_no_window(tmp_path):
-    # RG1 holds by construction, RG2 is a unit lookup at degree 0
-    checks = _checks(tmp_path, ["sl", "--n", "3", "--coord", "laurent", "--window", "1",
-                                "--jacobi", "5"])
-    for name in ("RG1", "RG2"):
+    # RG1, RG2 and the Jacobi identity hold by construction
+    checks = _checks(tmp_path, ["sl", "--n", "3", "--coord", "laurent", "--window", "1"])
+    for name in ("RG1", "RG2", "jacobi"):
         assert checks[name]["status"] == "pass" and "window" not in checks[name]
+    for name in ("RG2", "jacobi"):
+        assert checks[name]["note"].startswith("by construction: ")
     for name in ("RG3", "flag:predivision", "flag:division", "flag:torus"):
         assert checks[name]["status"] == "windowed-pass" and checks[name]["window"] == 1
 
 
-def test_eala_seed_reaches_ea1(monkeypatch):
-    # EA1 samples through report.sampled_check, like every sampled check
-    from lietor import report
+def test_eala_invalid_data_exits_2_before_any_check(monkeypatch, capsys):
+    # tau(d, d) != 0 fails INV-f
+    from lietor import eala
 
-    draws = []
-    sampled_triples = report.sampled_triples
+    default = eala.default_iara_data
 
-    def spy(pool, count, seed):
-        draws.append((count, seed))
-        return sampled_triples(pool, count, seed)
+    def with_tau(L, **kw):
+        data = default(L, **kw)
+        data.tau = {(0, 0): [L.field.one] * len(data.C)}
+        return data
 
-    monkeypatch.setattr(report, "sampled_triples", spy)
-    assert main(["eala", "--coord", "laurent", "--window", "1", "--seed", "5"]) == 0
-    assert draws == [(200, 5)]
+    monkeypatch.setattr(eala, "default_iara_data", with_tau)
+    assert main(["eala", "--coord", "laurent", "--window", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: invalid construction data: INV-f (")
 
 
 @pytest.mark.parametrize("extra", [["--family", "A"], ["--rank", "2"], ["--family", "E8", "--rank", "5"]],
@@ -568,7 +571,7 @@ def test_a_reader_that_has_gone_exits_2_after_writing_out(tmp_path):
     os.close(r)
     try:
         proc = _child(["sl", "--n", "3", "--coord", "laurent", "--window", "1",
-                       "--jacobi", "5", "--out", str(out)], stdout=w)
+                       "--out", str(out)], stdout=w)
     finally:
         os.close(w)
     assert proc.returncode == 2

@@ -24,7 +24,7 @@ from lietor.eala import (
     verify_eala,
     verify_iara,
 )
-from lietor.report import sampled_check, sampled_triples
+from lietor.report import sampled_triples
 from lietor.scalars import cyclotomic_field
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
@@ -32,6 +32,12 @@ from lietor.uce import build_affine
 
 def F(*args):
     return Fraction(*args)
+
+
+def jacobi_holds(bracket, x, y, z) -> bool:
+    """The Jacobi identity at (x, y, z) for bracket, on sl_n(A) or on E."""
+    total = bracket(bracket(x, y), z) + bracket(bracket(y, z), x) + bracket(bracket(z, x), y)
+    return total == x - x  # the zero of x's algebra
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +154,8 @@ def test_affine_root_data_matches_ars(affine_E):
 
 def test_jacobi_and_invariance(affine_E):
     E = affine_E
-    pool = E.windowed_basis(1)
-    assert sampled_check("jacobi-sample", pool, 150, 0, E.jacobi_holds).ok
+    pool = windowed_basis(E, 1)
+    assert all(jacobi_holds(E.bracket, *t) for t in sampled_triples(pool, 150, 0))
     for a, b, c in sampled_triples(pool, 100, 1):
         assert E.form(E.bracket(a, b), c) == E.form(a, E.bracket(b, c))
 
@@ -228,6 +234,20 @@ def test_inv_b_witness_prints_rationals_as_p_over_q(coord):
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [1, F(1, 2)], (3, 0))]
     rep = validate_inv_data(default_iara_data(L, window=1, D=D), window=1)
     assert rep["INV-b"].witness == "theta(deg) != 0 for d(theta=[1, 1/2], deg=(3, 0)) (not skew)"
+
+
+def test_inv_f_refuses_a_tau_that_is_not_cyclic():
+    # tau is alternating and vanishes on T_D, but the cyclic identity asks
+    # for tau(d_2, d_3)(d_2) = tau(d_3, d_2)(d_2), and these are 1 and -1
+    A = GradedAssocAlgebra.group_algebra(2)
+    L = MatrixLieAlgebra(3, A)
+    D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], g)
+                                      for g in ((1, 0), (-1, 0))]
+    data = default_iara_data(L, window=1, D=D, C="dual")
+    data.tau = {(2, 3): [F(int(k == 2)) for k in range(4)]}
+    rep = validate_inv_data(data, window=1)
+    assert [c.name for c in rep.failures()] == ["INV-f"]
+    assert rep["INV-f"].witness == "tau cyclic identity fails at (2,2,3)"
 
 
 def test_inv_c_requires_injectivity():
@@ -312,7 +332,7 @@ def test_reductive_not_tame():
     assert ct["tame"] is False
     assert nullity_of(E, 1) == 0
     d = E.d_basis_elem(0)
-    for b in E.windowed_basis(1):
+    for b in windowed_basis(E, 1):
         assert E.bracket(d, b).is_zero()  # D is central junk here
 
 
@@ -320,7 +340,7 @@ def test_ad_nilpotence_bound(affine_E):
     # explicit (ad e)^6 = 0 witness for an anisotropic root
     E = affine_E
     e = E.from_l(E.L.E(0, 1, E.L.A.monomial((1,))))
-    for b in E.windowed_basis(1):
+    for b in windowed_basis(E, 1):
         y = b
         for _ in range(6):
             y = E.bracket(e, y)
@@ -346,32 +366,12 @@ def test_t_alpha_takes_a_list_root_and_degree(affine_E):
     assert [E.form(t, s) for s in E.t_basis()] == [E.root_value(ro, deg, s) for s in E.t_basis()]
 
 
-def test_ea1_names_the_failing_draw():
-    # a form that errs on the left side of the 17th sampled triple (the 33rd
-    # form call of the sample) fails EA1 there, and the witness says so
-    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    E = build_E(default_iara_data(L, window=2), window=2)
-    ia = verify_iara(E, 2)
-    assert verify_eala(E, 2, iara=ia, seed=0)["EA1"].ok
-    form, calls = E.form, []
-
-    def wrong_once(a, b):
-        calls.append(1)
-        return form(a, b) + (1 if len(calls) == 33 else 0)
-
-    E.form = wrong_once
-    ea1 = verify_eala(E, 2, iara=ia, seed=0)["EA1"]
-    assert not ea1.ok
-    assert ea1.witness == "invariance fails on triple 17 of 200 (seed 0)"
-    assert len(calls) == 34
-
-
 # IA3 reference: (ad x)^6 y = 0 for every real root vector x and every y in
 # the windowed span, by taking the brackets.  verify_iara derives IA3 from
 # the T-weights and the string bound of S instead.
 
 def _brute_ia3(E, window):
-    span = E.windowed_basis(window)
+    span = windowed_basis(E, window)
     for ro, deg in E.windowed_roots(window):
         if not E.root_norm(ro, deg):
             continue
@@ -781,18 +781,24 @@ def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch, mon
 
 # EA1's invariance, exhaustively: (x | [y, z]) = ([x, y] | z) on every triple
 # of windowed_basis(1) whose total (root, degree) is zero.  The form is
-# graded, so on every other triple both sides are 0.
+# graded, so on every other triple both sides are 0.  verify_eala decides
+# invariance by construction; this is the oracle of that argument.
 
 def _weighted_basis(E, window):
-    """windowed_basis(window), each element with its (root, degree)."""
+    """The basis of C, of L on the window and of D, each element with its
+    (root, degree)."""
     zero_root = (Fraction(0),) * E.L.n
     out = [(E.c_basis_elem(k), zero_root, c.degree) for k, c in enumerate(E.data.C)]
     for deg in box(E.L.z_rank, window):
         for ro in E.L.S.sorted_roots():
             out.extend((E.from_l(b), tuple(ro), deg) for b in E.L.homog_basis(ro, deg))
     out.extend((E.d_basis_elem(k), zero_root, dk.gamma) for k, dk in enumerate(E.data.D))
-    assert [x for x, _, _ in out] == E.windowed_basis(window)
     return out
+
+
+def windowed_basis(E, window):
+    """The basis of C, of L on the window and of D."""
+    return [x for x, _, _ in _weighted_basis(E, window)]
 
 
 def _invariance_failures(E, window):
@@ -829,7 +835,7 @@ def test_ea1_invariance_on_every_triple_of_total_degree_zero(coord):
 
 
 def test_ea1_invariance_oracle_kills_a_sigma_d_with_the_wrong_sign(monkeypatch):
-    # EA1's sample at seed 0 draws no triple on which this mutant fails
+    # every premise INV-a - INV-f still holds on this mutant
     import lietor.eala as eala
 
     E = _periodic_E("q3", 1)

@@ -21,6 +21,7 @@ from lietor.uce import (
     steinberg_check,
     wedge,
 )
+from test_eala import windowed_basis
 
 
 def F(*args):
@@ -451,7 +452,7 @@ def _formula_form(e1, e2):
 @pytest.mark.parametrize("m", [2, 3])
 def test_affine_matches_the_formula(m):
     E = build_affine(m, 2)
-    basis = E.windowed_basis(2)
+    basis = windowed_basis(E, 2)
     assert len(basis) == 2 + 5 * (m * m - 1)
     for a in basis:
         ca = _affine_coords(a)
