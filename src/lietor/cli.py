@@ -354,11 +354,12 @@ def cmd_eala(args, run: Runner) -> None:
     L = MatrixLieAlgebra(args.n, A)
     data = default_iara_data(L, window=window,
                              C="dual" if args.C == "dual" else "min")
-    # INV-a - INV-f, the premises of the construction, are printed
-    inv = validate_inv_data(data, window)
+    # INV-a - INV-f, the premises of the construction, are printed; they are
+    # read through the E that the verifiers then use.
+    E = build_E(data, window=window, validate=False)
+    inv = validate_inv_data(E, window)
     refuse_invalid(inv)
     run.merge(inv)
-    E = build_E(data, window=window, validate=False)
     ia = verify_iara(E, window)
     run.merge(ia)
     ea = verify_eala(E, window, iara=ia)

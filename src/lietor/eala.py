@@ -589,10 +589,11 @@ class BuiltE:
         return self.form(t, t)
 
 
-def validate_inv_data(data: IaraData, window: int = 2) -> AxiomReport:
-    """The conditions INV(a) - INV(f) on the construction data."""
+def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
+    """The conditions INV(a) - INV(f) on the construction data E.data, read
+    through E, whose memoised tables the verifiers of E then share."""
     rep = AxiomReport()
-    E = BuiltE(data)
+    data = E.data
     L = data.L
 
     rg = verify_root_graded(L, window)
@@ -724,12 +725,13 @@ def refuse_invalid(inv: AxiomReport) -> None:
 
 def build_E(data: IaraData, window: int = 2, validate: bool = True) -> BuiltE:
     """E for data; with validate, data failing INV-a - INV-f is refused.
-    A caller that has already validated data passes validate=False."""
+    A caller that validates E itself passes validate=False."""
     if data.L.A.bdim != 1:
         raise ValueError("the construction is implemented for torus-like coordinates")
+    E = BuiltE(data)
     if validate:
-        refuse_invalid(validate_inv_data(data, window))
-    return BuiltE(data)
+        refuse_invalid(validate_inv_data(E, window))
+    return E
 
 
 def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:

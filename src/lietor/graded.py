@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from operator import add
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
 from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
@@ -308,10 +309,12 @@ class GradedAssocAlgebra:
         out = {}
         crossed = self.kind == "crossed"
         one = self.field.one
+        # Z^n is closed under +, so only a bounded support is tested.
+        bounded = self.support is not None
         for (dl, sl), cl in x.terms.items():
             for (dm, sm), cm in y.terms.items():
-                deg = tuple(a + b for a, b in zip(dl, dm))
-                if not self.in_support(deg):
+                deg = tuple(map(add, dl, dm))
+                if bounded and not self.in_support(deg):
                     raise ArithmeticError(f"product leaves the support at degree {deg}")
                 if not crossed:
                     c = cl * cm

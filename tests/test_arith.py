@@ -6,7 +6,9 @@ Q[Z^2], the zeta_3 quantum torus (Cyclo scalars) and the swap crossed
 product, together with inputs whose sums cancel: x - x, (a + b)(b - a),
 whose cross terms cancel over a commutative A, and a matrix product whose
 (0,0) entry is ab - ab.  Every result must equal the reference and store no
-zero coefficient, since == and bool read the stored terms literally.
+zero coefficient, since == and bool read the stored terms literally.  Over
+the polynomials and a degree-0 support, products must also leave the
+support exactly where the reference does.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def _scalars(field):
 
 
 def _elements(A, max_terms=3):
-    degs = [tuple(d) for d in box(A.n, 2 if A.n == 1 else 1)]
+    degs = [tuple(d) for d in box(A.n, 2 if A.n == 1 else 1) if A.in_support(d)]
     keys = hs.tuples(hs.sampled_from(degs), hs.integers(0, A.bdim - 1))
     return hs.dictionaries(keys, _scalars(A.field), max_size=max_terms).map(
         lambda terms: AlgElement(A, terms))
@@ -195,6 +197,31 @@ def test_brackets_leave_their_operands_alone(name, data):
         _same_mat(bracket(d, x), ref.bracket(d, x))
         _same_mat(bracket(x, d), ref.bracket(x, d))
     assert [_mat_snapshot(d) for d in U.sl._diag_basis((0,) * A.n)] == before
+
+
+BOUNDED = {
+    "polynomial": GradedAssocAlgebra.polynomial,
+    "Q[Z^2] in degree 0": lambda: GradedAssocAlgebra.group_algebra(2, support="zero"),
+}
+
+
+@pytest.mark.parametrize("name", BOUNDED)
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=hs.data())
+def test_bounded_support_products_match_the_reference(name, data):
+    """mul tests the degree of a product only on a bounded support (Z^n is
+    closed under +): products on the support equal the reference, and a
+    factor with a term off the support makes both raise."""
+    A = BOUNDED[name]()
+    a, b = data.draw(_elements(A)), data.draw(_elements(A))
+    _same_alg(a * b, ref.mul(a, b))
+    off = data.draw(hs.sampled_from([d for d in box(A.n, 2) if not A.in_support(d)]))
+    x = a + AlgElement(A, {(off, 0): data.draw(_scalars(A.field).filter(bool))})
+    for p, q in ((x, A.one()), (A.one(), x)):
+        with pytest.raises(ArithmeticError, match="leaves the support"):
+            p * q
+        with pytest.raises(ArithmeticError, match="leaves the support"):
+            ref.mul(p, q)
 
 
 def test_unit_tau_is_still_asked_for_every_term(monkeypatch):

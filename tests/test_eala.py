@@ -10,6 +10,7 @@ from lietor.lattices import box
 from lietor.linalg import lattice_reduce
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
 from lietor.eala import (
+    BuiltE,
     CFunc,
     IaraData,
     build_E,
@@ -187,7 +188,7 @@ def test_invalid_tau_rejected(affine_E):
     bad[(0, 0)] = [F(1)]  # tau(d, d) != 0 is not alternating
     data = IaraData(L=data.L, form=data.form, D=data.D, T_D=data.T_D,
                     C=data.C, T_C=data.T_C, tau=bad)
-    rep = validate_inv_data(data, window=1)
+    rep = validate_inv_data(BuiltE(data), window=1)
     assert not rep["INV-f"].ok
 
 
@@ -199,7 +200,7 @@ def test_tau_on_td_rejected():
     tau = {(0, 1): [F(1) if not any(c.degree) else F(0) for c in data.C][:len(data.C)]}
     data = IaraData(L=data.L, form=data.form, D=data.D, T_D=data.T_D,
                     C=data.C, T_C=data.T_C, tau=tau)
-    rep = validate_inv_data(data, window=1)
+    rep = validate_inv_data(BuiltE(data), window=1)
     assert not rep["INV-f"].ok
 
 
@@ -232,7 +233,7 @@ def test_inv_b_witness_prints_rationals_as_p_over_q(coord):
          GradedAssocAlgebra.quantum_torus([[F3.one, z], [z.inverse(), F3.one]], F3))
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [1, F(1, 2)], (3, 0))]
-    rep = validate_inv_data(default_iara_data(L, window=1, D=D), window=1)
+    rep = validate_inv_data(BuiltE(default_iara_data(L, window=1, D=D)), window=1)
     assert rep["INV-b"].witness == "theta(deg) != 0 for d(theta=[1, 1/2], deg=(3, 0)) (not skew)"
 
 
@@ -245,7 +246,7 @@ def test_inv_f_refuses_a_tau_that_is_not_cyclic():
                                       for g in ((1, 0), (-1, 0))]
     data = default_iara_data(L, window=1, D=D, C="dual")
     data.tau = {(2, 3): [F(int(k == 2)) for k in range(4)]}
-    rep = validate_inv_data(data, window=1)
+    rep = validate_inv_data(BuiltE(data), window=1)
     assert [c.name for c in rep.failures()] == ["INV-f"]
     assert rep["INV-f"].witness == "tau cyclic identity fails at (2,2,3)"
 
@@ -255,7 +256,7 @@ def test_inv_c_requires_injectivity():
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))
     D = degree_derivation_basis(L)[:1]
     data = default_iara_data(L, window=1, D=D)
-    rep = validate_inv_data(data, window=1)
+    rep = validate_inv_data(BuiltE(data), window=1)
     assert not rep["INV-c"].ok
 
 
@@ -450,7 +451,7 @@ def test_sigma_d_pairs_of_every_d_degree():
     C = [c for c in data.C if c.degree != (-1, 0)]
     short = IaraData(L=L, form=data.form, D=data.D, T_D=data.T_D, C=C,
                      T_C=[k for k, c in enumerate(C) if not any(c.degree)])
-    rep = validate_inv_data(short, window=1)
+    rep = validate_inv_data(BuiltE(short), window=1)
     assert not rep["INV-d"].ok
     assert rep["INV-d"].witness == "sigma_D outside C in degree (-1, 0)"
 
@@ -842,3 +843,18 @@ def test_ea1_invariance_oracle_kills_a_sigma_d_with_the_wrong_sign(monkeypatch):
     sigma = eala.sigma_d_values
     monkeypatch.setattr(eala, "sigma_d_values", lambda *a: [-v for v in sigma(*a)])
     assert _invariance_failures(E, 1)[2] > 0
+
+
+def test_an_eala_run_builds_one_E(monkeypatch, tmp_path):
+    """validate_inv_data reads the premises through the E that the verifiers
+    use, so each table of E is filled once per run."""
+    from lietor.cli import main
+
+    built = []
+    init = BuiltE.__init__
+    monkeypatch.setattr(BuiltE, "__init__", lambda self, data: built.append(self)
+                        or init(self, data))
+    argv = ["eala", "--coord", "laurent", "--n", "3", "--window", "1",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert len(built) == 1

@@ -634,6 +634,31 @@ def test_st2_brackets_every_pair_of_the_window(monkeypatch):
     assert not rep["st2"].ok and rep["st2"].witness == "st2 fails at (0,1,2)"
 
 
+def test_st2_reads_each_product_in_order(monkeypatch):
+    """On the zeta_3 torus (that of tests/data/q3.json) ab != ba, so a
+    bracket that returns X_il(ba) in place of X_il(ab) at a single pair fails
+    st2: st2 compares with the product of its coefficients in the order of
+    the bracket."""
+    A = _algebra("zeta3-torus")
+    U = build_uce_sl(3, A)
+    assert steinberg_check(U, window=1).ok
+    # Neither coefficient is among the two first or two last of the nine
+    # monomials of the window.
+    a, b = A.monomial((0, 1)), A.monomial((1, -1))
+    assert a * b != b * a
+    plain = UceAlgebra.bracket
+
+    def bracket(self, u, v):
+        if u.m.entries == {(0, 1): a} and v.m.entries == {(1, 2): b}:
+            return self.x(0, 2, b * a)
+        return plain(self, u, v)
+
+    monkeypatch.setattr(UceAlgebra, "bracket", bracket)
+    rep = steinberg_check(U, window=1)
+    assert rep["st1"].ok and rep["st3"].ok
+    assert not rep["st2"].ok and rep["st2"].witness == "st2 fails at (0,1,2)"
+
+
 def test_st2_and_st3_bracket_each_pair_once(monkeypatch):
     """6 index triples for st2 and 18 quads for st3, each over the 25^2
     coefficient pairs of window 2 on Q[Z^2]: no pair is skipped."""
