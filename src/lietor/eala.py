@@ -25,7 +25,6 @@ from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
 from .lattices import box
 from .linalg import (
     LinearSolver,
-    independent_rows,
     kernel,
     lattice_reduce,
     rank as mat_rank,
@@ -127,7 +126,9 @@ def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
 
 
 def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> MappingProxyType:
-    """The nonzero values of sigma_D on the window, keyed by degree.
+    """A basis of the span of the values of sigma_D on the window, keyed by
+    degree: in each degree, the values independent of those before them in
+    the window order.
 
     sigma_D(l1, l2) has degree deg(l1) + deg(l2) and can only be nonzero
     when some D basis element has the opposite degree -gamma, so the pairs
@@ -141,28 +142,51 @@ def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> MappingProxyType:
 
 @memo
 def _sigma_rows(form, L: MatrixLieAlgebra, D, window: int) -> MappingProxyType:
+    """sigma_rows, walking each degree's pairs only until its values span
+    K^len(D).
+
+    Each value is a vector of K^len(D), so a degree holds at most len(D)
+    independent values, and the walk stops at the len(D)-th: no later value
+    can be independent of them.  The rows kept are then the ones a walk
+    through every pair would pick, so C_min, which takes them as they are,
+    and INV-d and EA5, which read only their span, do not depend on the
+    stop.  A degree whose values span less than K^len(D) (each degree does
+    when D has several degrees) is walked to its end."""
     out = {}
-    degs = box(L.z_rank, window)
-    in_box = set(degs)
     for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
-        for d1 in degs:
-            d2 = tuple(a - b for a, b in zip(s, d1))
-            if d2 not in in_box:
-                continue
-            for ro in L.S.sorted_roots():
-                for l1 in L.homog_basis(ro, d1):
-                    for l2 in L.homog_basis(tuple(-x for x in ro), d2):
-                        vals = sigma_d_values((L, form, D), l1, l2)
-                        if any(vals):
-                            out.setdefault(s, []).append(vals)
+        rows = []
+        for l1, l2 in _sigma_pairs(L, s, window):
+            vals = sigma_d_values((L, form, D), l1, l2)
+            if any(vals) and mat_rank(rows + [vals], L.field) > len(rows):
+                rows.append(vals)
+                if len(rows) == len(D):
+                    break
+        if rows:
+            out[s] = rows
     return MappingProxyType(out)
 
 
+def _sigma_pairs(L: MatrixLieAlgebra, s, window: int):
+    """The basis pairs (l1, l2) of degrees d1 + d2 = s in the window, l1 of
+    root xi and l2 of root -xi, in the order of d1, xi, l1 and l2."""
+    degs = box(L.z_rank, window)
+    in_box = set(degs)
+    for d1 in degs:
+        d2 = tuple(a - b for a, b in zip(s, d1))
+        if d2 not in in_box:
+            continue
+        for ro in L.S.sorted_roots():
+            for l1 in L.homog_basis(ro, d1):
+                for l2 in L.homog_basis(tuple(-x for x in ro), d2):
+                    yield l1, l2
+
+
 def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
-    """Homogeneous basis of C_min = span sigma_D(L, L) on the window."""
+    """Homogeneous basis of C_min = span sigma_D(L, L) on the window: the
+    rows of sigma_rows, already independent in each degree."""
     return [CFunc(tuple(v), s)
             for s, rows in sigma_rows(L, form, D, window).items()
-            for v in independent_rows(rows, L.field)]
+            for v in rows]
 
 
 class EElement:
@@ -496,10 +520,11 @@ class BuiltE:
                     and (mat_rank(thetas, self.field) if thetas else 0) == n)
         return A.centre_lattice().basis if periodic else None
 
+    @memo
     def degree_class(self, deg):
         """The class of the degree deg on which first_failure decides a
         check: (deg modulo Rad, deg != 0) under the premises of _centre_rows,
-        and deg itself otherwise."""
+        and deg itself otherwise.  Reduced once per degree."""
         rows = self._centre_rows
         if rows is None:
             return tuple(deg)
@@ -538,8 +563,10 @@ class BuiltE:
           - EA1: the Gram matrix at d + rho is the one at d with its rows
             and columns scaled by nonzero scalars, so it has the same rank.
         Degree 0 is a class of its own.  IA3's root_norm, which is
-        quadratic in d, INV-e, linear in theta, sigma_rows and C_min are
-        not periodic and stay per degree."""
+        quadratic in d, is not periodic and stays per degree.  sigma_rows,
+        C_min and INV-e are not decided here: sigma_D(x_lam, y_-lam) =
+        theta(lam) (x | y) is linear in lam, and they stop at a rank bound
+        (see _sigma_rows and validate_inv_data)."""
         verdicts = {}
         for root, deg in items:
             key = (root, self.degree_class(deg))
@@ -591,7 +618,16 @@ class BuiltE:
 
 def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
     """The conditions INV(a) - INV(f) on the construction data E.data, read
-    through E, whose memoised tables the verifiers of E then share."""
+    through E, whose memoised tables the verifiers of E then share.
+
+    INV-e asks that sigma_D(e, f) lie in T_C for each invertible pair (e, f)
+    of the window.  sigma_D(e, f) is a functional on D, a vector of
+    K^len(D), and it lies in T_C when it is a combination of the value
+    vectors of the T_C functionals.  When those have rank len(D), every
+    vector is such a combination, so INV-e holds and no pair is formed.
+    With the default data of a degree-0 D, T_C = C = C_min, so that is the
+    case exactly when sigma_D(L, L) spans D*.  Otherwise each windowed
+    (root, degree) is tried in turn."""
     rep = AxiomReport()
     data = E.data
     L = data.L
@@ -641,24 +677,8 @@ def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
     if rows and mat_rank(rows, L.field) < len(rows):
         ok, witness = False, "restriction T_C -> T_D* not injective"
     if ok:
-        tc = LinearSolver.factor([[data.C[k].values[i] for k in data.T_C]
-                                  for i in range(len(data.D))], L.field)
-        for deg in box(L.z_rank, window):
-            for ro in L.S.sorted_roots():
-                pair = _invertible_pair(L, ro, deg, form=data.form)
-                if pair is None:
-                    continue
-                e, f = pair
-                vals = sigma_d_values(data, e, f)
-                if data.T_C:
-                    if tc.solve(vals) is None:
-                        ok, witness = False, f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
-                        break
-                elif any(vals):
-                    ok, witness = False, f"sigma_D(e,f) nonzero with empty T_C at ({ro}, {deg})"
-                    break
-            if not ok:
-                break
+        witness = _sigma_outside_t_c(data, window)
+        ok = witness is None
     rep.add("INV-e", ok, witness, window=window)
 
     witness = next((f"tau(d,d) != 0 at {i}" for i in range(nD) if any(E.tau_coords(i, i))),
@@ -682,6 +702,31 @@ def _raises(fn, *args) -> bool:
     except ValueError:
         return True
     return False
+
+
+def _sigma_outside_t_c(data: IaraData, window: int):
+    """INV-e's witness: the first windowed (root, degree) whose invertible
+    pair (e, f) has sigma_D(e, f) outside T_C, or None.
+
+    T_C holds every functional on D once its values on the D basis have
+    rank len(D), and then no pair is formed."""
+    L = data.L
+    tc = LinearSolver.factor([[data.C[k].values[i] for k in data.T_C]
+                              for i in range(len(data.D))], L.field)
+    if tc.rank() == len(data.D):
+        return None
+    for deg in box(L.z_rank, window):
+        for ro in L.S.sorted_roots():
+            pair = _invertible_pair(L, ro, deg, form=data.form)
+            if pair is None:
+                continue
+            vals = sigma_d_values(data, *pair)
+            if data.T_C:
+                if tc.solve(vals) is None:
+                    return f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
+            elif any(vals):
+                return f"sigma_D(e,f) nonzero with empty T_C at ({ro}, {deg})"
+    return None
 
 
 def _c_eval(data: IaraData, c_coords, d_index):

@@ -50,11 +50,19 @@ def memo(fn):
     """fn(owner, *args), computed once per owner and arguments: the table lives
     in the owner's __dict__, keyed by the hashable arguments after the owner (a
     list is taken, and passed on, as its tuple).  Every caller shares the value,
-    which no caller mutates.  A miss runs __wrapped__, where a test can hook it."""
+    which no caller mutates.  A miss runs __wrapped__, where a test can hook it.
+
+    A hit is looked up with the argument tuple itself, two dict lookups; a
+    miss, or a list argument (which makes that tuple unhashable), builds the
+    key."""
     slot = f"_memo:{fn.__qualname__}"
 
     @functools.wraps(fn)
     def cached(owner, *args):
+        try:
+            return owner.__dict__[slot][args]
+        except (KeyError, TypeError):
+            pass
         key = tuple(tuple(a) if type(a) is list else a for a in args)
         table = owner.__dict__.setdefault(slot, {})
         if key not in table:

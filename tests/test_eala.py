@@ -7,13 +7,14 @@ import pytest
 
 from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
 from lietor.lattices import box
-from lietor.linalg import lattice_reduce
+from lietor.linalg import independent_rows, lattice_reduce, rank
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
 from lietor.eala import (
     BuiltE,
     CFunc,
     IaraData,
     build_E,
+    c_min_basis,
     classify_variant,
     core_and_tameness,
     default_iara_data,
@@ -778,6 +779,114 @@ def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch, mon
     assert shared == _per_degree_verdicts(monkeypatch, E, 3)
     status, witness = shared[check]
     assert status == "fail" and f"({root}, (-2, -1))" in witness
+
+
+# sigma_D rows against the full enumeration: sigma_rows stops a degree at
+# len(D) independent values, and INV-e forms no pair once T_C spans D*.  The
+# references walk every pair of the window and every windowed root.
+
+def _sigma_rows_reference(form, L, D, window):
+    """Every nonzero value of sigma_D on the window, keyed by degree."""
+    out = {}
+    degs = box(L.z_rank, window)
+    in_box = set(degs)
+    for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
+        for d1 in degs:
+            d2 = tuple(a - b for a, b in zip(s, d1))
+            if d2 not in in_box:
+                continue
+            for ro in L.S.sorted_roots():
+                for l1 in L.homog_basis(ro, d1):
+                    for l2 in L.homog_basis(tuple(-x for x in ro), d2):
+                        vals = sigma_d_values((L, form, D), l1, l2)
+                        if any(vals):
+                            out.setdefault(s, []).append(vals)
+    return out
+
+
+def _inv_e_reference(data, window):
+    """INV-e's witness from the invertible pair of every windowed (root,
+    degree): sigma_D(e, f) lies in T_C when it adds nothing to the rank of
+    the T_C functionals."""
+    import lietor.eala as eala
+
+    L = data.L
+    t_c = [list(data.C[k].values) for k in data.T_C]
+    t_rank = rank(t_c, L.field) if t_c else 0
+    for deg in box(L.z_rank, window):
+        for ro in L.S.sorted_roots():
+            pair = eala._invertible_pair(L, ro, deg, form=data.form)
+            if pair is not None and rank(t_c + [sigma_d_values(data, *pair)], L.field) > t_rank:
+                if data.T_C:
+                    return f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
+                return f"sigma_D(e,f) nonzero with empty T_C at ({ro}, {deg})"
+    return None
+
+
+def _sigma_verdicts(E, window):
+    """(status, witness) of INV-d and INV-e, and (tame, witness) of the core,
+    which EA5 prints."""
+    inv = validate_inv_data(E, window)
+    core = core_and_tameness(E, window)
+    return {"INV-d": (inv["INV-d"].status, inv["INV-d"].witness),
+            "INV-e": (inv["INV-e"].status, inv["INV-e"].witness),
+            "EA5": (core["tame"], core["witness"], core["sigma_rank"])}
+
+
+@pytest.mark.parametrize("C", ["min", "dual"])
+@pytest.mark.parametrize("name", sorted(PERIODIC_INPUTS))
+def test_sigma_rows_match_the_full_enumeration(name, C, monkeypatch):
+    import lietor.eala as eala
+
+    make_E, window = PERIODIC_INPUTS[name]
+    E = make_E()
+    if C == "dual":
+        E = BuiltE(default_iara_data(E.L, window=window, D=E.data.D, C="dual"))
+    data = E.data
+    full = _sigma_rows_reference(data.form, E.L, data.D, window)
+    assert c_min_basis(E.L, data.form, data.D, window) == [
+        CFunc(tuple(v), s) for s, rows in full.items() for v in independent_rows(rows, E.field)]
+    got = _sigma_verdicts(E, window)
+    with monkeypatch.context() as m:
+        m.setattr(eala, "_sigma_rows", _sigma_rows_reference)
+        want = _sigma_verdicts(E, window)
+    witness = _inv_e_reference(data, window)
+    want["INV-e"] = ("fail" if witness else "windowed-pass", witness)
+    assert got == want
+
+
+def test_inv_e_fails_when_t_c_misses_a_sigma_d_value():
+    # C = C_min is 2-dimensional, so T_C = [0] spans only part of D*: INV-e
+    # forms its pairs, and the first one outside T_C is the witness
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))
+    data = default_iara_data(L, window=1)
+    assert len(data.D) == len(data.C) == 2
+    data.T_C = [0]
+    inv_e = validate_inv_data(BuiltE(data), window=1)["INV-e"]
+    assert inv_e.status == "fail"
+    assert inv_e.witness == ("sigma_D(e,f) outside T_C at ((Fraction(-1, 1), Fraction(0, 1), "
+                             "Fraction(1, 1)), (-1, 0))")
+    assert inv_e.witness == _inv_e_reference(data, 1)
+
+
+def test_eala_qtorus_forms_no_inv_e_pair(monkeypatch, tmp_path):
+    """The benchmark's eala-qtorus command: T_C = C_min spans D*, so INV-e
+    forms no pair, and sigma_rows stops at two values of degree 0."""
+    import lietor.eala as eala
+    from lietor.cli import main
+
+    pairs, values = [], []
+    sigma = eala.sigma_d_values
+    monkeypatch.setattr(eala, "_invertible_pair", lambda *a, **k: pairs.append(a))
+    monkeypatch.setattr(eala, "sigma_d_values", lambda *a: values.append(a) or sigma(*a))
+    q3 = Path(__file__).parent.parent / "perfbench" / "inputs" / "q3.json"
+    argv = ["eala", "--coord", str(q3), "--n", "3", "--window", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert pairs == []
+    # 1,101 values without the rank bound: 690 pairs in sigma_rows, 342 in
+    # INV-e and 69 in E.bracket; 11 + 0 + 69 with it
+    assert 0 < len(values) <= 80
 
 
 # EA1's invariance, exhaustively: (x | [y, z]) = ([x, y] | z) on every triple
