@@ -10,8 +10,8 @@ coordinate algebra, C sits inside the graded dual of D, and the bracket is
 with sigma_D(l1,l2)(d) = (d(l1) | l2).  Everything windowed is reported
 with its window; membership and arithmetic are exact.  Over a quantum torus
 or a Laurent polynomial ring the root-space checks IA2, IA3's T-action and
-EA1's pairing are decided once per class of degrees modulo the centre
-lattice (BuiltE.first_failure).
+EA1's pairing are decided once per Weyl orbit of roots and class of degrees
+modulo the centre lattice (BuiltE.first_failure).
 """
 
 from __future__ import annotations
@@ -143,23 +143,26 @@ def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> MappingProxyType:
 @memo
 def _sigma_rows(form, L: MatrixLieAlgebra, D, window: int) -> MappingProxyType:
     """sigma_rows, walking each degree's pairs only until its values span
-    K^len(D).
+    all they can.
 
-    Each value is a vector of K^len(D), so a degree holds at most len(D)
-    independent values, and the walk stops at the len(D)-th: no later value
-    can be independent of them.  The rows kept are then the ones a walk
-    through every pair would pick, so C_min, which takes them as they are,
-    and INV-d and EA5, which read only their span, do not depend on the
-    stop.  A degree whose values span less than K^len(D) (each degree does
-    when D has several degrees) is walked to its end."""
+    The form is graded, so a value of degree s, (d_k(l1) | l2) with
+    deg(l1) + deg(l2) = s, is zero at each d_k of degree gamma_k != -s: it
+    lies in the span of the #{k : gamma_k = -s} coordinates of those d_k.
+    So a degree holds at most that many independent values, and the walk
+    stops at the last of them: no later value can be independent of them.
+    The rows kept are then the ones a walk through every pair would pick,
+    so C_min, which takes them as they are, and INV-d and EA5, which read
+    only their span, do not depend on the stop.  A degree whose values span
+    less is walked to its end."""
     out = {}
-    for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
-        rows = []
+    gammas = [tuple(-g for g in dk.gamma) for dk in D]
+    for s in sorted(set(gammas)):
+        rows, bound = [], gammas.count(s)
         for l1, l2 in _sigma_pairs(L, s, window):
             vals = sigma_d_values((L, form, D), l1, l2)
             if any(vals) and mat_rank(rows + [vals], L.field) > len(rows):
                 rows.append(vals)
-                if len(rows) == len(D):
+                if len(rows) == bound:
                     break
         if rows:
             out[s] = rows
@@ -419,16 +422,13 @@ class BuiltE:
     @memo
     def windowed_roots(self, window: int) -> tuple:
         """(root, degree) of each nonzero windowed root space, computed once
-        per window for IA1, EA1, EA6 and the nullity."""
-        out = []
-        zero_root = (Fraction(0),) * self.L.n
-        for deg in box(self.L.z_rank, window):
-            if self.root_space_basis(zero_root, deg):
-                out.append((zero_root, tuple(deg)))
-            for ro in self.L.S.sorted_roots():
-                if any(ro) and self.L.homog_basis(ro, deg):
-                    out.append((tuple(ro), tuple(deg)))
-        return tuple(out)
+        per window for IA1, EA1, EA6 and the nullity.  Whether a root space
+        is nonzero is read once per class of first_failure."""
+        nonzero = self._once_per_class(lambda ro, deg: bool(self.root_space_basis(ro, deg)))
+        roots = [(Fraction(0),) * self.L.n] + [tuple(ro) for ro in self.L.S.sorted_roots()
+                                               if any(ro)]
+        return tuple((ro, tuple(deg)) for deg in box(self.L.z_rank, window)
+                     for ro in roots if nonzero(ro, deg))
 
     def acts_by_root(self, root, deg) -> bool:
         """Does T act on E_(root, deg) by its root, [t, b] = (root + deg)(t) b
@@ -500,7 +500,19 @@ class BuiltE:
         return bool(dual) and mat_rank([[self.form(a, b) for b in dual] for a in basis],
                                        self.field) == len(basis)
 
-    # Periodicity modulo the centre lattice
+    # Classes of roots and degrees: the Weyl group and the centre lattice
+
+    @memo
+    def root_class(self, root):
+        """The class of the root on which first_failure decides a check: the
+        zero root itself, the block of L.blocks that holds both indices of a
+        root e_i - e_j, and any other root itself."""
+        pair = self.L._root_indices(root) if any(root) else None
+        if pair is not None:
+            for lo, hi in self.L.blocks:
+                if lo <= min(pair) and max(pair) < hi:
+                    return lo, hi
+        return root
 
     @functools.cached_property
     def _centre_rows(self):
@@ -530,23 +542,65 @@ class BuiltE:
             return tuple(deg)
         return lattice_reduce(deg, rows), any(deg)
 
+    def _once_per_class(self, holds):
+        """holds(root, deg), called once per (root_class(root),
+        degree_class(deg)): the verdict of the first call of a class stands
+        for the rest of it."""
+        verdicts = {}
+
+        def shared(root, deg):
+            key = (self.root_class(root), self.degree_class(deg))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = holds(root, deg)
+            return ok
+        return shared
+
     def first_failure(self, items, holds):
         """The first (root, deg) of items, in their order, at which
         holds(root, deg) is false, or None when it holds on all of them.
 
-        holds is called once per root and degree_class, at the first degree
-        of the class among items, and its verdict stands for the other
-        degrees of the class.  As the first failing item is the first of its
+        holds is called once per class (root_class(root), degree_class(deg)),
+        at the first item of the class, and its verdict stands for the other
+        items of the class.  As the first failing item is the first of its
         class, the witness is the one a call per item gives.  holds is IA2's
-        has_sl2_pair, IA3's acts_by_root or EA1's pairs_nondegenerately.
+        has_sl2_pair, IA3's acts_by_root (also lietor affine's root-spaces)
+        or EA1's pairs_nondegenerately; windowed_roots reads whether a root
+        space is nonzero the same way.
 
-        Why each is constant on a class.  Let rho be in Rad and let d and
-        d + rho be nonzero.  t^rho is a central unit of A, so chi_rho(x) =
-        x t^rho maps L_(alpha, d) onto L_(alpha, d + rho), and homog_basis
-        at d + rho is chi_rho of homog_basis at d up to a nonzero scalar per
-        element (a diagonal basis depends on d only through d in Rad, which
-        the class keeps).  C and D sit in degree 0, so E_(alpha, d) =
-        L_(alpha, d).  Then
+        Why each is constant on a class of roots.  The Weyl group of a block
+        of k indices is S_k, transitive on its roots e_i - e_j.  Let P be the
+        permutation matrix of w in S_k, fixing the indices of the other
+        blocks, and let w act on E by x -> P x P^-1 on L and as the identity
+        on C and D.  Then w
+          - is an automorphism of sl_n(A): P has scalar entries, which are
+            central in A, and it keeps each block;
+          - maps x E_ij to x E_w(i)w(j), so homog_basis(alpha, d) onto
+            homog_basis(w alpha, d) element by element, and maps each zero
+            root space onto itself;
+          - maps the span of T onto itself: T_C, the block's Cartan, whose
+            span w permutes, and T_D; and (w alpha + d)(w t) = (alpha + d)(t);
+          - commutes with every t^gamma d_theta, which acts on the
+            coefficients only;
+          - preserves the trace form, and so sigma_D and the C part of each
+            bracket; so w is an automorphism of E that keeps the form.
+        It follows that
+          - IA2: a pair (e, f) maps to (w e, w f) with [w e, w f] = w [e, f],
+            nonzero and in T exactly when [e, f] is;
+          - IA3: T acts on w b by w alpha + d exactly when it acts on b by
+            alpha + d;
+          - EA1: the Gram matrices at (alpha, d) and (w alpha, d) are equal;
+          - a root space is nonzero exactly when its image is.
+        None of this needs a premise on A, C or D, so each block is one class
+        of roots whatever the degree classes are.
+
+        Why each is constant on a class of degrees.  Let rho be in Rad and
+        let d and d + rho be nonzero.  t^rho is a central unit of A, so
+        chi_rho(x) = x t^rho maps L_(alpha, d) onto L_(alpha, d + rho), and
+        homog_basis at d + rho is chi_rho of homog_basis at d up to a
+        nonzero scalar per element (a diagonal basis depends on d only
+        through d in Rad, which the class keeps).  C and D sit in degree 0,
+        so E_(alpha, d) = L_(alpha, d).  Then
           - chi_rho commutes with ad L;
           - (chi_rho x | chi_-rho y) = tau(rho, -rho) (x | y), and
             tau(rho, -rho) != 0;
@@ -561,21 +615,16 @@ class BuiltE:
           - IA3: T acts on chi_rho b by alpha + d + rho exactly when it acts
             on b by alpha + d;
           - EA1: the Gram matrix at d + rho is the one at d with its rows
-            and columns scaled by nonzero scalars, so it has the same rank.
+            and columns scaled by nonzero scalars, so it has the same rank;
+          - chi_rho is onto, so L_(alpha, d + rho) is nonzero with
+            L_(alpha, d).
         Degree 0 is a class of its own.  IA3's root_norm, which is
         quadratic in d, is not periodic and stays per degree.  sigma_rows,
         C_min and INV-e are not decided here: sigma_D(x_lam, y_-lam) =
         theta(lam) (x | y) is linear in lam, and they stop at a rank bound
         (see _sigma_rows and validate_inv_data)."""
-        verdicts = {}
-        for root, deg in items:
-            key = (root, self.degree_class(deg))
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = verdicts[key] = holds(root, deg)
-            if not ok:
-                return root, deg
-        return None
+        holds = self._once_per_class(holds)
+        return next(((root, deg) for root, deg in items if not holds(root, deg)), None)
 
     def in_t(self, e: EElement) -> bool:
         for k, v in enumerate(e.c):

@@ -77,11 +77,15 @@ class MatLieElement:
         return self.L.A.zero() if t is None else t
 
     def matmul(self, other, into=None, negate=False):
-        """self * other as a new matrix; or, given a zero-free entries dict
-        into, add (or with negate subtract) the product into it in place,
-        keeping it zero-free, and return None."""
-        self._check(other)
-        out = {} if into is None else into
+        """self * other as a new matrix, of two elements of one algebra; or,
+        given a zero-free entries dict into, add (or with negate subtract)
+        the product into it in place, keeping it zero-free, and return None.
+        With into the caller has checked the algebra, as bracket does once
+        for both of its products."""
+        out = into
+        if out is None:
+            self._check(other)
+            out = {}
         for (i, k), a in self.entries.items():
             for (k2, j), b in other.entries.items():
                 if k != k2:
@@ -263,7 +267,9 @@ class MatrixLieAlgebra:
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
-    """xy - yx, both products added into one zero-free dict."""
+    """xy - yx, both products added into one zero-free dict; that x and y
+    are of one algebra is checked once, for both products."""
+    x._check(y)
     out = {}
     x.matmul(y, out)
     y.matmul(x, out, negate=True)

@@ -610,10 +610,10 @@ def test_sigma_d_vanishes_on_the_t_basis(coord, C):
             assert sigma_d_values(E.data, t.l, b) == zero
 
 
-# Root-space checks decided per class of degrees modulo the centre lattice
-# (BuiltE.first_failure), against the per-degree reference: the same code
-# with degree_class the identity, so that every (root, degree) is its own
-# class.
+# Root-space checks decided per Weyl orbit of roots and class of degrees
+# modulo the centre lattice (BuiltE.first_failure), against the per-item
+# reference: the same code with root_class and degree_class the identity, so
+# that every (root, degree) is its own class.
 
 DATA = Path(__file__).parent / "data"
 
@@ -648,22 +648,36 @@ PERIODIC_INPUTS = {
 
 
 def _root_space_verdicts(E, window):
-    """(status, witness) of IA2, IA3 and EA1, and the first root space on
-    which T does not act by its root (lietor affine's root-spaces)."""
+    """(status, witness) of IA2, IA3 and EA1, the first root space on which
+    T does not act by its root (lietor affine's root-spaces), and the
+    windowed roots."""
     ia = verify_iara(E, window)
     ea = verify_eala(E, window, iara=ia)
     out = {name: (rep[name].status, rep[name].witness)
            for rep, name in ((ia, "IA2"), (ia, "IA3"), (ea, "EA1"))}
     out["root-spaces"] = E.first_failure(E.windowed_roots(window), E.acts_by_root)
+    out["roots"] = E.windowed_roots(window)
     return out
 
 
-def _per_degree_verdicts(monkeypatch, E, window):
+def _per_item_verdicts(monkeypatch, E, window):
+    """_root_space_verdicts with every (root, degree) its own class, and the
+    windowed roots found again item by item."""
     import lietor.eala as eala
 
     with monkeypatch.context() as m:
+        m.setattr(eala.BuiltE, "root_class", lambda self, root: tuple(root))
         m.setattr(eala.BuiltE, "degree_class", lambda self, deg: tuple(deg))
+        m.delitem(E.__dict__, "_memo:BuiltE.windowed_roots", raising=False)
         return _root_space_verdicts(E, window)
+
+
+# (windowed roots, classes): each block is one class of roots, so q3 at
+# window 3 has 2 x 10 classes, and direct-sum-2 has 3 x 2 (the zero root and
+# two blocks, degree 0 and the rest); on custom-d-1 and q2 every degree is
+# its own class
+CLASS_COUNTS = {"q3-3": (343, 20), "q2-3": (343, 98), "direct-sum-2": (65, 6),
+                "affine-sl2-3": (21, 4), "custom-d-1": (63, 18)}
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC_INPUTS))
@@ -675,18 +689,49 @@ def test_class_verdicts_match_the_per_degree_reference(name, monkeypatch):
     E.acts_by_root = lambda ro, deg: calls.append(deg) or acts_by_root(ro, deg)
     shared = _root_space_verdicts(E, window)
     shared_calls, calls[:] = len(calls), []
-    assert shared == _per_degree_verdicts(monkeypatch, E, window)
+    assert shared == _per_item_verdicts(monkeypatch, E, window)
     assert all(status == "windowed-pass" for status, _ in list(shared.values())[:3])
     assert shared["root-spaces"] is None
     # IA3 and root-spaces each call acts_by_root once per class
     roots = E.windowed_roots(window)
-    classes = {(ro, E.degree_class(deg)) for ro, deg in roots}
+    classes = {(E.root_class(ro), E.degree_class(deg)) for ro, deg in roots}
     assert (shared_calls, len(calls)) == (2 * len(classes), 2 * len(roots))
+    assert len(classes) < len(roots)
+    if name in CLASS_COUNTS:
+        assert (len(roots), len(classes)) == CLASS_COUNTS[name]
     if name == "custom-d-1":
-        # a D element of nonzero degree: nothing is shared
-        assert E._centre_rows is None and len(classes) == len(roots)
-    elif name in ("q3-3", "q4-3", "q6_in_zeta3-3", "laurent-2", "direct-sum-2", "affine-sl2-3"):
-        assert len(classes) < len(roots)
+        # a D element of nonzero degree: only the roots of a degree share
+        assert E._centre_rows is None
+
+
+def test_root_classes_are_the_blocks():
+    L = DirectSumSl(3, 3, GradedAssocAlgebra.laurent())
+    E = build_E(default_iara_data(L, window=1), window=1)
+    zero = (F(0),) * 6
+    assert E.root_class(zero) == zero
+    assert E.root_class(L.root_of(0, 2)) == E.root_class(L.root_of(1, 0)) == (0, 3)
+    assert E.root_class(list(L.root_of(5, 3))) == (3, 6)
+    # e_0 - e_3 joins the blocks and is no root of L: its own class
+    assert E.root_class(L.root_of(0, 3)) == L.root_of(0, 3)
+
+
+def test_eala_qtorus_decides_each_check_once_per_class(monkeypatch, tmp_path):
+    """The benchmark's eala-qtorus command: 2 root classes times 10 degree
+    classes, less (0, 0) for IA2.  Keyed on the root itself, the counts were
+    69, 70 and 70: 7 roots times 10 degree classes."""
+    from lietor.cli import main
+
+    calls = {}
+    for check in ("has_sl2_pair", "acts_by_root", "pairs_nondegenerately"):
+        plain = getattr(BuiltE, check)
+        monkeypatch.setattr(BuiltE, check, lambda self, ro, deg, check=check, plain=plain:
+                            calls.update({check: calls.get(check, 0) + 1})
+                            or plain(self, ro, deg))
+    q3 = Path(__file__).parent.parent / "perfbench" / "inputs" / "q3.json"
+    argv = ["eala", "--coord", str(q3), "--n", "3", "--window", "3",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    assert calls == {"has_sl2_pair": 19, "acts_by_root": 20, "pairs_nondegenerately": 20}
 
 
 def test_q3_window_3_has_ten_degree_classes():
@@ -739,45 +784,64 @@ def _in_class(E, deg, target):
     return any(deg) and lattice_reduce(deg, rad) == target
 
 
-def _zero_basis_at(E, root, target):
+def _zero_basis_at(E, roots, target):
     """E's root_space_basis, with the basis of E_(root, d) made of zero
-    vectors for every d in the class of target: IA2 and EA1 fail there."""
+    vectors for every root of roots and d in the class of target: IA2 and
+    EA1 fail there."""
     basis = E.root_space_basis
 
     def patched(ro, deg):
         out = basis(ro, deg)
-        if tuple(ro) == root and _in_class(E, deg, target):
+        if tuple(ro) in roots and _in_class(E, deg, target):
             return [b.scale(0) for b in out]
         return out
     return patched
 
 
-def _shifted_value_at(E, root, target):
-    """E's root_value, shifted by 1 on the root spaces of root in the class
-    of target: T no longer acts there by the root (IA3)."""
+def _shifted_value_at(E, roots, target):
+    """E's root_value, shifted by 1 on the root spaces of the roots in the
+    class of target: T no longer acts there by the root (IA3)."""
     value = E.root_value
 
     def patched(ro, deg, t):
-        shift = 1 if tuple(ro) == root and _in_class(E, deg, target) else 0
+        shift = 1 if tuple(ro) in roots and _in_class(E, deg, target) else 0
         return value(ro, deg, t) + shift
     return patched
 
 
-@pytest.mark.parametrize("check,patch", [
+FAILING_MUTANTS = [
     ("IA2", ("root_space_basis", _zero_basis_at)),
     ("EA1", ("root_space_basis", _zero_basis_at)),
     ("IA3", ("root_value", _shifted_value_at)),
-], ids=["IA2", "EA1", "IA3"])
+]
+
+
+@pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
 def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch, monkeypatch):
-    # the failure is periodic modulo Rad = 3Z^2; its first degree (-2, -1)
-    # in window order is not the first degree of the box
+    # The failure is periodic modulo Rad = 3Z^2, and W-invariant: it is on
+    # every nonzero root of the block.  Its first degree (-2, -1) in window
+    # order is not the first degree of the box, and its first root is the
+    # first nonzero root in root order.
+    E = _periodic_E("q3", 3)
+    attr, make = patch
+    roots = [tuple(ro) for ro in E.L.S.sorted_roots() if any(ro)]
+    setattr(E, attr, make(E, set(roots), (1, 2)))
+    shared = _root_space_verdicts(E, 3)
+    assert shared == _per_item_verdicts(monkeypatch, E, 3)
+    status, witness = shared[check]
+    assert status == "fail" and f"({roots[0]}, (-2, -1))" in witness
+
+
+@pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
+def test_per_item_reference_kills_a_single_root_mutant(check, patch, monkeypatch):
+    # A failure on one root of the block only is not W-invariant, so it
+    # breaks the premise of the root classes; the per-item reference, which
+    # first_failure's argument is checked against, still finds it.
     E = _periodic_E("q3", 3)
     attr, make = patch
     root = E.L.root_of(0, 1)
-    setattr(E, attr, make(E, root, (1, 2)))
-    shared = _root_space_verdicts(E, 3)
-    assert shared == _per_degree_verdicts(monkeypatch, E, 3)
-    status, witness = shared[check]
+    setattr(E, attr, make(E, {root}, (1, 2)))
+    status, witness = _per_item_verdicts(monkeypatch, E, 3)[check]
     assert status == "fail" and f"({root}, (-2, -1))" in witness
 
 
@@ -853,6 +917,28 @@ def test_sigma_rows_match_the_full_enumeration(name, C, monkeypatch):
     witness = _inv_e_reference(data, window)
     want["INV-e"] = ("fail" if witness else "windowed-pass", witness)
     assert got == want
+
+
+def test_sigma_rows_stop_at_the_d_elements_of_each_degree(monkeypatch):
+    # The values of degree s lie in the coordinates of the D elements of
+    # degree -s: the two degree derivations for s = (0, 0), the derivation
+    # of degree (1, 0) for s = (-1, 0).  So the walk stops at 2 and 1 rows,
+    # where a bound of len(D) = 3 took all 90 and 60 pairs.
+    import lietor.eala as eala
+
+    walked = {}
+    pairs = eala._sigma_pairs
+
+    def counted(L, s, window):
+        for pair in pairs(L, s, window):
+            walked[s] = walked.get(s, 0) + 1
+            yield pair
+    monkeypatch.setattr(eala, "_sigma_pairs", counted)
+    E = _custom_d_E()
+    assert {s: len(list(pairs(E.L, s, 1))) for s in walked} == {(0, 0): 90, (-1, 0): 60}
+    assert walked == {(0, 0): 11, (-1, 0): 1}
+    assert {s: len(rows) for s, rows in eala.sigma_rows(E.L, E.data.form, E.data.D, 1).items()} \
+        == {(0, 0): 2, (-1, 0): 1}
 
 
 def test_inv_e_fails_when_t_c_misses_a_sigma_d_value():

@@ -71,6 +71,23 @@ def test_bracket_calls_matmul_twice(laurent_sl3, monkeypatch):
     assert got == plain(x, y) - plain(y, x)
 
 
+def test_bracket_and_matmul_refuse_two_algebras(laurent_sl3, monkeypatch):
+    # bracket checks the algebra once, for both of its products; a direct
+    # matmul keeps its own check
+    L, M = laurent_sl3, MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    x, y, h = L.E(0, 1), L.E(1, 0), L.cartan(0, 1)
+    checks = []
+    check = MatLieElement._check
+    monkeypatch.setattr(MatLieElement, "_check",
+                        lambda self, other: checks.append(self) or check(self, other))
+    assert bracket(x, y) == h
+    assert checks == [x]
+    with pytest.raises(ValueError, match="different matrix algebras"):
+        bracket(L.E(0, 1), M.E(1, 0))
+    with pytest.raises(ValueError, match="different matrix algebras"):
+        L.E(0, 1).matmul(M.E(1, 0))
+
+
 def test_disjoint_indices_commute():
     L = MatrixLieAlgebra(4, GradedAssocAlgebra.laurent())
     assert not bracket(L.E(0, 1), L.E(2, 3))
