@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from types import MappingProxyType
 
 from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
@@ -26,6 +25,7 @@ from .lattices import box
 from .linalg import (
     LinearSolver,
     kernel,
+    lattice_rank,
     lattice_reduce,
     rank as mat_rank,
     solve,
@@ -42,7 +42,7 @@ from .matlie import (
 )
 from .report import AxiomReport
 from .rootsys import connected_components, root_strings_exhaustive
-from .scalars import QQ, frac_to_str
+from .scalars import frac_to_str
 
 
 @dataclass
@@ -425,8 +425,7 @@ class BuiltE:
         per window for IA1, EA1, EA6 and the nullity.  Whether a root space
         is nonzero is read once per class of first_failure."""
         nonzero = self._once_per_class(lambda ro, deg: bool(self.root_space_basis(ro, deg)))
-        roots = [(Fraction(0),) * self.L.n] + [tuple(ro) for ro in self.L.S.sorted_roots()
-                                               if any(ro)]
+        roots = [(0,) * self.L.n] + [tuple(ro) for ro in self.L.S.sorted_roots() if any(ro)]
         return tuple((ro, tuple(deg)) for deg in box(self.L.z_rank, window)
                      for ro in roots if nonzero(ro, deg))
 
@@ -772,9 +771,9 @@ def _sigma_outside_t_c(data: IaraData, window: int):
             vals = sigma_d_values(data, *pair)
             if data.T_C:
                 if tc.solve(vals) is None:
-                    return f"sigma_D(e,f) outside T_C at ({ro}, {deg})"
+                    return f"sigma_D(e,f) outside T_C at ({frac_to_str(ro)}, {deg})"
             elif any(vals):
-                return f"sigma_D(e,f) nonzero with empty T_C at ({ro}, {deg})"
+                return f"sigma_D(e,f) nonzero with empty T_C at ({frac_to_str(ro)}, {deg})"
     return None
 
 
@@ -848,7 +847,7 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
     bad = E.first_failure([(ro, deg) for ro, deg in roots if any(ro) or any(deg)],
                           E.has_sl2_pair)
     ok = bad is None
-    witness = None if ok else f"no sl2-like pair for root ({bad[0]}, {bad[1]})"
+    witness = None if ok else f"no sl2-like pair for root ({frac_to_str(bad[0])}, {bad[1]})"
     rep.add("IA2", ok, witness, window=window)
 
     # For x in E_a, a real, (ad x)^k y lies in E_(b + k a); its S-part
@@ -868,10 +867,10 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
                          if not any(ro) and E.root_norm(ro, deg)), len(roots))
         bad = E.first_failure(roots[:norm_bad], E.acts_by_root)
         if bad is not None:
-            witness = f"T does not act on E_({bad[0]}, {bad[1]}) by its root"
+            witness = f"T does not act on E_({frac_to_str(bad[0])}, {bad[1]}) by its root"
         elif norm_bad < len(roots):
             ro, deg = roots[norm_bad]
-            witness = f"real root ({ro}, {deg}) has S-part 0"
+            witness = f"real root ({frac_to_str(ro)}, {deg}) has S-part 0"
     rep.add("IA3", witness is None, witness, window=window,
             note=f"structural: T acts on each windowed root space by its root and "
                  f"the S-strings have length <= {longest}, so (ad x)^{longest} = 0 "
@@ -909,15 +908,15 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport) -> AxiomReport
     if bad is not None:
         ro, deg = bad
         if E.root_space_basis(tuple(-x for x in ro), tuple(-x for x in deg)):
-            witness = f"degenerate graded pairing at ({ro}, {deg})"
+            witness = f"degenerate graded pairing at ({frac_to_str(ro)}, {deg})"
         else:
-            witness = f"no pairing partner for ({ro}, {deg})"
+            witness = f"no pairing partner for ({frac_to_str(ro)}, {deg})"
     rep.add("EA1", bad is None, witness, window=window,
             note="by construction: the form is invariant, as phi kills [A,A]^0, A is "
                  "associative, D is skew and closed (INV-b), C holds sigma_D(L, L) "
                  "and D.C (INV-d), and tau is cyclic (INV-f)")
 
-    zero_root = (Fraction(0),) * E.L.n
+    zero_root = (0,) * E.L.n
     zero_deg = (0,) * E.L.z_rank
     e0 = E.root_space_basis(zero_root, zero_deg)
     dim_t = len(E.t_basis())
@@ -942,7 +941,7 @@ def nullity_of(E: BuiltE, window: int = 2) -> int:
     lam_rows = [list(deg) for ro, deg in E.windowed_roots(window) if not any(ro)]
     if not lam_rows:
         return 0
-    return mat_rank([[Fraction(x) for x in r] for r in lam_rows], QQ)
+    return lattice_rank(lam_rows)
 
 
 def core_and_tameness(E: BuiltE, window: int = 2) -> dict:
@@ -1000,7 +999,7 @@ def root_reflection_data(E: BuiltE, window: int):
     """(real, imaginary) windowed root sets of (E, T) in Y + Z coordinates."""
     real, imag = set(), set()
     for ro, deg in E.windowed_roots(window):
-        vec = tuple(ro) + tuple(Fraction(x) for x in deg)
+        vec = tuple(ro) + tuple(deg)
         if any(ro):
             real.add(vec)
         else:

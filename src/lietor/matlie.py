@@ -9,7 +9,6 @@ indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 
 from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
@@ -108,7 +107,7 @@ class MatLieElement:
     def decompose(self):
         """Map (root, lattice degree) -> component element."""
         out = {}
-        zero_root = (Fraction(0),) * self.L.n
+        zero_root = (0,) * self.L.n
         for (i, j), v in self.entries.items():
             root = self.L.root_of(i, j) if i != j else zero_root
             for deg in v.degrees():
@@ -165,9 +164,10 @@ class MatrixLieAlgebra:
         return any(lo <= i < hi and lo <= j < hi for lo, hi in self.blocks)
 
     def root_of(self, i, j):
-        v = [Fraction(0)] * self.n
-        v[i] = Fraction(1)
-        v[j] = Fraction(-1)
+        """e_i - e_j, an int tuple."""
+        v = [0] * self.n
+        v[i] = 1
+        v[j] = -1
         return tuple(v)
 
     def zero(self):
@@ -347,7 +347,7 @@ class DirectSumSl(MatrixLieAlgebra):
     def __init__(self, n1: int, n2: int, A: GradedAssocAlgebra):
         super().__init__(n1 + n2, A)
         self.blocks = ((0, n1), (n1, n1 + n2))
-        roots = {(Fraction(0),) * self.n}
+        roots = {(0,) * self.n}
         for lo, hi in self.blocks:
             for i in range(lo, hi):
                 for j in range(lo, hi):

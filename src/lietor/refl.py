@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul, not_
 
 from .lattices import LatticeSubset
-from .linalg import kernel, rank as mat_rank
+from .linalg import integer_kernel, lattice_rank
 from .report import AxiomReport, CheckResult
 from .rootsys import (
     IntegerRoots,
@@ -25,27 +25,27 @@ from .rootsys import (
     classify,
     connected_components,
     indivisible_part,
-    integer_form,
+    integer_rows,
     length_partition,
     normalized,
     vec_scale,
 )
-from .scalars import QQ, frac_to_str as fs
-
-ZERO = Fraction(0)
+from .scalars import frac_to_str as fs
 
 
 def _res3(m: IntegerRoots) -> CheckResult:
     """ReS3 on the real roots of m, witnessed by the first failing pair of
     collinear roots in sorted order.  For b = c a, s_b == s_a iff
     b_check = a_check / c, that is iff a0 a_check = b0 b_check for the
-    first nonzero coordinates a0 and b0 = c a0."""
-    def key(a):
-        return tuple(_lead(a) * x for x in m.cor[a])
-
-    bad = min(((a, b) for group in m.collinear_classes
-               for i, a in enumerate(group) for b in group[i + 1:]
-               if key(a) != key(b)), default=None)
+    first nonzero coordinates a0 and b0 = c a0.  So a group passes iff each
+    of its roots has the key of its first root a, and otherwise its first
+    failing pair is (a, b) for the first b with another key."""
+    bad = None
+    for group in m.collinear_classes:
+        key = [tuple(_lead(a) * x for x in m.cor[a]) for a in group]
+        j = next((j for j in range(1, len(group)) if key[j] != key[0]), None)
+        if j is not None and (bad is None or (group[0], group[j]) < bad):
+            bad = group[0], group[j]
     witness = None
     if bad:
         a, b = bad
@@ -70,7 +70,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
     rep = AxiomReport()
     # X is the span of R; the ambient coordinates are only a carrier, so the
     # spanning half of ReS0 holds by construction and we record the rank.
-    note0 = f"X = span(R), rank {mat_rank(m.root_gram(), QQ)} in ambient dim {prs.dim}"
+    note0 = f"X = span(R), rank {lattice_rank(m.root_gram())} in ambient dim {prs.dim}"
     ok0, witness0 = (0,) * prs.dim in m.roots, None
     if not ok0:
         witness0 = "0 missing from R"
@@ -134,15 +134,17 @@ def predicates(prs: PreReflectionSystem) -> dict:
         if not (integral or coherent):
             break
     # Nondegenerate: no nonzero vector of span(R) killed by every coroot,
-    # that is rank [R; K] = rank R + dim K for K the kernel of the coroots.
-    # Each rank and kernel is read off a dim x dim Gram matrix X^T X.
-    ker = kernel(m.coroot_gram(), QQ, prs.dim)
+    # that is rank [R; K] = rank R + dim K for rows K spanning the kernel of
+    # the coroots.  Each rank and kernel is read off a dim x dim integer
+    # Gram matrix X^T X, in integers: rank(R^T R + K^T K) = rank [R; K] for
+    # any rows K that span the kernel, so its integer basis serves.
+    ker = integer_kernel(m.coroot_gram(), prs.dim)
     gram = m.root_gram()
     nondegenerate = True
     if ker and any(map(any, gram)):
         both = [[x + sum(k[i] * k[j] for k in ker) for j, x in enumerate(row)]
                 for i, row in enumerate(gram)]
-        nondegenerate = mat_rank(both, QQ) == mat_rank(gram, QQ) + len(ker)
+        nondegenerate = lattice_rank(both) == lattice_rank(gram) + len(ker)
     symmetric = all(-k in m.slot for k in m.keys)
     real_keys = set(m.keys[:nr])
     tame = all(any(kd - ka in real_keys for ka in m.keys[:nr]) for kd in m.keys[nr:])
@@ -165,7 +167,7 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     a_check, and a lies in the radical when (a | b) = 0 for every root b.
     """
     m = prs.model
-    f_int = integer_form(form)
+    _, f_int = integer_rows(form)
     f_left = [list(col) for col in zip(*f_int)]  # b . F^T a = (a | b)
     symmetric = f_left == f_int
     two_den = 2 * m.den
@@ -198,7 +200,7 @@ class ExtensionDatum:
         self.family = {tuple(k): v for k, v in self.family.items()}
         for r in self.S.roots:
             if tuple(r) not in self.family:
-                raise ValueError(f"Lambda missing for root {r}")
+                raise ValueError(f"Lambda missing for root {fs(r)}")
 
     def lam(self, xi) -> LatticeSubset:
         return self.family[tuple(xi)]
@@ -269,7 +271,7 @@ def validate_extension_datum(ed: ExtensionDatum) -> AxiomReport:
     gens = []
     for a in roots:
         gens.extend(ed.lam(a).group_gens())
-    ok3 = mat_rank([[Fraction(x) for x in g] for g in gens], QQ) == n if n else True
+    ok3 = lattice_rank(gens) == n if n else True
     rep.add("ED3", ok3, None if ok3 else "union of Lambda_xi does not span")
 
     # Derived properties of 3.3.
@@ -369,7 +371,7 @@ class AffineReflectionSystem:
         self.dim = self.y_dim + self.z_rank
 
     def root(self, xi, lam):
-        return tuple(xi) + tuple(Fraction(x) for x in lam)
+        return tuple(xi) + tuple(lam)
 
     def split(self, alpha):
         return tuple(alpha[: self.y_dim]), tuple(int(x) for x in alpha[self.y_dim:])
@@ -386,7 +388,7 @@ class AffineReflectionSystem:
     def coroot(self, xi):
         """Coroot covector of xi + lambda (independent of lambda)."""
         cor = self.S.coroots[tuple(xi)]
-        return tuple(cor) + (ZERO,) * self.z_rank
+        return tuple(cor) + (0,) * self.z_rank
 
     def windowed_roots(self, window: int):
         out = []
@@ -403,11 +405,11 @@ class AffineReflectionSystem:
             if any(xi):
                 coroots[alpha] = self.coroot(xi)
             else:
-                coroots[alpha] = (ZERO,) * self.dim
+                coroots[alpha] = (0,) * self.dim
         return PreReflectionSystem(self.dim, roots, coroots)
 
     def imaginary_lattice(self) -> LatticeSubset:
-        return self.datum.lam((ZERO,) * self.y_dim)
+        return self.datum.lam((0,) * self.y_dim)
 
     def lambda_diff_gens(self):
         gens = []
@@ -519,8 +521,6 @@ def build_affine_rs(S: RootSystem, tier: int):
 
 def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     """Nullity, symmetry, string bounds and the EARS-family class flags."""
-    from .linalg import lattice_rank
-
     lam0 = ars.imaginary_lattice()
     nullity = lattice_rank(lam0.group_gens())
     symmetric_im = lam0 == lam0.neg()
@@ -530,9 +530,14 @@ def ars_structure(ars: AffineReflectionSystem, window: int = 4) -> dict:
     unbroken = diff_lattice.is_subset_of(lam0)
     tame = lam0.is_subset_of(diff_lattice)
 
-    prs = ars.to_prs(window)
-    m = prs.model
-    max_len = max((len(string) for a in m.real for string in m.strings(a)), default=0)
+    # The (-a)-strings are the a-strings read backwards, so of a real a and
+    # -a only the one with the positive key is walked; an a whose -a is not
+    # in the window is walked as well.
+    m = ars.to_prs(window).model
+    nr = m.n_real
+    max_len = max((len(string) for a, k in zip(m.order[:nr], m.keys[:nr])
+                   if k > 0 or m.slot.get(-k, nr) >= nr for string in m.strings(a)),
+                  default=0)
     strings_ok = max_len <= 5
 
     connected = len(connected_components(ars.S)) == 1

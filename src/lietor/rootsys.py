@@ -6,6 +6,13 @@ computed in integers.  Each root set owns one IntegerRoots, built once and
 read by every root-level check.  0 is always stored as a root.
 Classical families use their standard coordinate lists; type A_n lives in
 Q^(n+1) and spans the sum-zero hyperplane.
+
+A coordinate is an int wherever it is integral, as a rational scalar is in
+QQ: every built root, coroot and form entry is an int but for the
+half-integers of F4 and E6-E8 and the thirds of G2's coroots, which are
+Fractions.  hash(Fraction(k)) == hash(k), so a root read from JSON with
+Fraction coordinates looks up the same entries.  integer_rows is the one
+rescaling to integers.
 """
 
 from __future__ import annotations
@@ -19,13 +26,13 @@ from operator import add, mul, neg, not_, or_, sub
 from types import MappingProxyType
 
 from .linalg import independent_rows, inverse, mat_mul, rref
-from .scalars import QQ
+from .scalars import QQ, frac_to_str
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
 def _unit(n, i):
-    return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def vec_sub(a, b):
@@ -33,7 +40,7 @@ def vec_sub(a, b):
 
 
 def vec_scale(c, a):
-    return tuple(Fraction(c) * x for x in a)
+    return tuple(c * x for x in a)
 
 
 def vec_is_zero(a):
@@ -45,8 +52,8 @@ class RootSpace:
     dim: int
     form: tuple  # rows of the symmetric bilinear form
 
-    def pair(self, x, y) -> Fraction:
-        total = Fraction(0)
+    def pair(self, x, y):
+        total = 0
         for i, xi in enumerate(x):
             if xi:
                 row = self.form[i]
@@ -57,7 +64,7 @@ class RootSpace:
 
 
 def _identity_form(n):
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 @dataclass
@@ -96,7 +103,8 @@ class PreReflectionSystem:
         self.dim = dim
         self.roots = _root_set(roots)
         # A dict of tuples, as _form_coroots builds it, is copied with its
-        # stored hashes; hashing a tuple of Fractions again is the cost here.
+        # stored hashes; hashing the tuples again, each Fraction of them by a
+        # modular inverse, is the cost here.
         if type(coroots) is dict and all(type(k) is tuple and type(v) is tuple
                                          for k, v in coroots.items()):
             coroots = dict(coroots)
@@ -107,7 +115,7 @@ class PreReflectionSystem:
         missing = self.roots.difference(coroots)
         if missing:
             first = next(r for r in self.roots if r in missing)
-            raise ValueError(f"coroot missing for {first}")
+            raise ValueError(f"coroot missing for {frac_to_str(first)}")
 
     @classmethod
     def from_root_system(cls, rs: "RootSystem") -> "PreReflectionSystem":
@@ -129,28 +137,36 @@ def _root_set(roots) -> frozenset:
     return frozenset(tuple(r) for r in roots)
 
 
-def integer_form(form):
-    """The form rescaled to an integer matrix: the rows of s * form for the
-    least s > 0 that clears every denominator."""
-    form = [[Fraction(x) for x in row] for row in form]
-    scale = math.lcm(*(x.denominator for row in form for x in row))
-    return [[int(x * scale) for x in row] for row in form]
+def integer_rows(rows):
+    """(s, the rows times s, as int tuples) for the least s > 0 that clears
+    every denominator.  Rows of ints come back as they are, with s = 1."""
+    rows = [r if type(r) is tuple else tuple(r) for r in rows]
+    if all(type(x) is int for r in rows for x in r):
+        return 1, rows
+    s = math.lcm(*(x.denominator for r in rows for x in r))
+    return s, [tuple(x.numerator * (s // x.denominator) for x in r) for r in rows]
+
+
+def _quotient(num, den):
+    """num / den for ints: an int when exact, a Fraction otherwise."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _form_coroots(roots, form):
     """alpha_check = 2 F alpha / (alpha | alpha) for each root, in integers:
-    with ia = dr alpha for the lcm dr of the root denominators and F the
-    form rescaled to integers, it is 2 dr F ia / (ia . F ia)."""
-    f_int = integer_form(form)
-    dr = math.lcm(*(x.denominator for a in roots for x in a))
+    with ia = dr alpha and F the form, both rescaled by integer_rows, it is
+    2 dr F ia / (ia . F ia), an int wherever that is exact."""
+    _, f_int = integer_rows(form)
+    roots = list(roots)
+    dr, iroots = integer_rows(roots)
     out = {}
-    for a in roots:
-        ia = [x.numerator * (dr // x.denominator) for x in a]
+    for a, ia in zip(roots, iroots):
         fa = [sum(map(mul, row, ia)) for row in f_int]
         norm = sum(map(mul, ia, fa))
         if not norm and any(a):
-            raise ValueError(f"isotropic nonzero root {a} under the given form")
-        out[a] = tuple(Fraction(2 * dr * x, norm or 1) for x in fa)  # fa = 0 at a = 0
+            raise ValueError(f"isotropic nonzero root {frac_to_str(a)} under the given form")
+        out[a] = tuple(_quotient(2 * dr * x, norm or 1) for x in fa)  # fa = 0 at a = 0
     return out
 
 
@@ -161,7 +177,7 @@ class RootSystem(PreReflectionSystem):
     def __init__(self, space: RootSpace, roots, coroots=None):
         self.space = space
         roots = _root_set(roots)
-        if (Fraction(0),) * space.dim not in roots:
+        if (0,) * space.dim not in roots:
             raise ValueError("0 must be a root")
         if coroots is None:
             coroots = _form_coroots(roots, space.form)
@@ -170,9 +186,9 @@ class RootSystem(PreReflectionSystem):
     def nonzero_roots(self):
         return [a for a in self.roots if any(a)]
 
-    def pairing(self, beta, alpha) -> Fraction:
+    def pairing(self, beta, alpha):
         """<beta, alpha_check>."""
-        return sum((b * c for b, c in zip(beta, self.coroots[alpha]) if b and c), Fraction(0))
+        return sum(b * c for b, c in zip(beta, self.coroots[alpha]) if b and c)
 
     def sorted_roots(self):
         return sorted(self.roots)
@@ -194,10 +210,12 @@ class IntegerRoots:
     """Roots and coroots rescaled to integer tuples, for the root-level checks.
 
     Roots are multiplied by the lcm of their coordinate denominators
-    (root_scale) and coroots by the lcm of theirs (coroot_scale); den is
-    the product of the two, so <b, a_check> is an integer dot product
-    divided by den.  Built from a root set and a coroot map, both with
-    Fraction coordinates, once per root set: see PreReflectionSystem.model.
+    (root_scale) and coroots by the lcm of theirs (coroot_scale), both by
+    integer_rows; den is the product of the two, so <b, a_check> is an
+    integer dot product divided by den.  Built from a root set and a
+    coroot map, with int or Fraction coordinates, once per root set: see
+    PreReflectionSystem.model.  Roots and coroots of ints are their own
+    rescaling, with scale 1.
 
     The checks read one row at a time: row(v) lists the integers b . v and
     corow(v) the integers v . b_check for the roots b of `order` (the real
@@ -225,16 +243,11 @@ class IntegerRoots:
 
     def __init__(self, roots, coroots):
         roots = list(roots)
-        cors = [coroots[a] for a in roots]
-        self.root_scale = dr = math.lcm(*(x.denominator for a in roots for x in a))
-        self.coroot_scale = dc = math.lcm(*(x.denominator for c in cors for x in c))
-        self.den = den = dr * dc
-        self.orig = {}  # scaled root -> root in the original coordinates
-        self.cor = {}   # scaled root -> scaled coroot
-        for a, c in zip(roots, cors):
-            ia = tuple(x.numerator * (dr // x.denominator) for x in a)
-            self.orig[ia] = a
-            self.cor[ia] = tuple(x.numerator * (dc // x.denominator) for x in c)
+        self.root_scale, iroots = integer_rows(roots)
+        self.coroot_scale, icors = integer_rows([coroots[a] for a in roots])
+        self.den = den = self.root_scale * self.coroot_scale
+        self.orig = dict(zip(iroots, roots))  # scaled root -> root as given
+        self.cor = dict(zip(iroots, icors))   # scaled root -> scaled coroot
         self.roots = set(self.orig)
         self.real = {a for a, c in self.cor.items() if any(c)}
         self.imag = self.roots - self.real
@@ -384,8 +397,7 @@ class IntegerRoots:
 
     def exact(self, dot):
         """dot / den: an int when exact, a Fraction otherwise."""
-        q, r = divmod(dot, self.den)
-        return Fraction(dot, self.den) if r else q
+        return _quotient(dot, self.den)
 
     def pairing(self, b, a):
         """<b, a_check>: an int when exact, a Fraction otherwise."""
@@ -432,8 +444,8 @@ class IntegerRoots:
 
 
 def _vec(dim, entries):
-    """The vector of Q^dim with the {coordinate: value} entries, 0 elsewhere."""
-    return tuple(Fraction(entries.get(k, 0)) for k in range(dim))
+    """The vector of Z^dim with the {coordinate: value} entries, 0 elsewhere."""
+    return tuple(entries.get(k, 0) for k in range(dim))
 
 
 def _differences(dim):
@@ -462,7 +474,7 @@ def _half_signs(dim, even=False):
 
 def _system(dim, roots):
     """The roots, and 0, in Q^dim with the identity form."""
-    return RootSystem(RootSpace(dim, _identity_form(dim)), roots | {(Fraction(0),) * dim})
+    return RootSystem(RootSpace(dim, _identity_form(dim)), roots | {(0,) * dim})
 
 
 # The lengths c of the roots +-c e_i that join the +-e_i +- e_j of D_n.
@@ -492,8 +504,9 @@ _E8_SECTIONS = {"E8": (), "E7": (6,), "E6": (5, 6)}
 def build_exceptional(family: str) -> RootSystem:
     family = family.upper()
     if family == "G2":
-        # the long roots are +-3 e_i projected to the sum-zero plane
-        long = {tuple(x - sum(a) / 3 for x in a) for a in _axes(3, 3)}
+        # the long roots are +-3 e_i projected to the sum-zero plane; sum(a)
+        # is +-3, so QQ gives the int +-1
+        long = {tuple(x - QQ(sum(a), 3) for x in a) for a in _axes(3, 3)}
         return _system(3, _differences(3) | long)
     if family == "F4":
         return _system(4, _axes(4, 1) | _signed_pairs(4) | _half_signs(4))
@@ -645,7 +658,7 @@ def normalized_form(rs: RootSystem):
     # Solve M F M^T = G for the coordinate matrix F.
     minv = inverse([list(b) for b in basis], QQ)
     f = mat_mul(mat_mul(minv, gram, QQ), [list(col) for col in zip(*minv)], QQ)
-    return tuple(tuple(row) for row in f)
+    return tuple(tuple(map(QQ, row)) for row in f)
 
 
 def with_form(rs: RootSystem, form) -> RootSystem:
@@ -672,20 +685,28 @@ def length_partition(rs: RootSystem):
     if min(norms.values()) != 2:
         raise ValueError("form is not normalized (minimal nonzero norm must be 2)")
     sh = {a for a, n in norms.items() if n == 2}
-    div = {a for a in rs.roots if vec_scale(Fraction(1, 2), a) in rs.roots}
+    div = _divisible(rs.roots)
     lg = {a for a in norms if a not in sh and a not in div}
     bad = [a for a in lg if norms[a] not in (4, 6)]
     if bad:
-        raise ValueError(f"unexpected long-root norm at {bad[0]}: {norms[bad[0]]}")
+        raise ValueError(f"unexpected long-root norm at {frac_to_str(bad[0])}: "
+                         f"{frac_to_str(norms[bad[0]])}")
     k = None
     if lg:
         k = 3 if any(norms[a] == 6 for a in lg) else 2
     return sh, lg, div, k
 
 
+def _divisible(roots) -> frozenset:
+    """The roots alpha whose half alpha/2 is again a root: the roots 2 beta
+    for the roots beta, 0 included."""
+    return roots & {tuple(2 * x for x in b) for b in roots}
+
+
 def indivisible_part(rs: RootSystem):
     """R_ind = {0} plus the roots alpha with alpha/2 not a root."""
-    return {a for a in rs.roots if vec_is_zero(a) or vec_scale(Fraction(1, 2), a) not in rs.roots}
+    div = _divisible(rs.roots)
+    return {a for a in rs.roots if vec_is_zero(a) or a not in div}
 
 
 _PRIMES = (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
@@ -717,7 +738,8 @@ def _simple_roots(component_ind, dim):
 
 
 def _classify_component(rs: RootSystem, comp):
-    comp_ind = sorted(a for a in comp if vec_scale(Fraction(1, 2), a) not in rs.roots)
+    div = _divisible(rs.roots)
+    comp_ind = sorted(a for a in comp if a not in div)
     has_divisible = len(comp_ind) != len(comp)
     simple = _simple_roots(comp_ind, rs.dim)
     n = len(simple)

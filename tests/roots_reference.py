@@ -35,14 +35,14 @@ def vec_add(a, b):
 
 
 def coroot_from_form(space: RootSpace, a):
-    """2 F a / (a | a) in Fractions, 0 for a = 0."""
+    """2 F a / (a | a), exact (an int where integral), 0 for a = 0."""
     if not any(a):
         return (Fraction(0),) * space.dim
     norm = space.pair(a, a)
     if norm == 0:
-        raise ValueError(f"isotropic nonzero root {a} under the given form")
+        raise ValueError(f"isotropic nonzero root {fs(a)} under the given form")
     fa = mat_vec([list(r) for r in space.form], list(a), QQ)
-    return tuple(2 * x / norm for x in fa)
+    return tuple(QQ(2 * x, norm) for x in fa)
 
 
 def reflect(rs: RootSystem, alpha, x):

@@ -22,8 +22,6 @@ ALLOWED = {
         "the branch has e < 0, so the exponent -e is positive",
     "rootsys.IntegerRoots.__init__: self.base ** i":
         "i runs over range(dim), so the power of the int base is an int",
-    "rootsys.build_exceptional: sum(a) / 3":
-        "a is a root of _axes, a tuple of Fractions (_vec), so sum(a) is a Fraction",
     "rootsys.normalized_form: Fraction(2) / mn":
         "the dividend is a Fraction",
     "rootsys._generic_functional: t ** i":

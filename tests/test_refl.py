@@ -250,10 +250,8 @@ def test_broken_strings_and_asymmetry_detected():
     assert st["symmetric"] is False
 
 
-def test_ars_reduced_beyond_any_small_window():
-    # BC_1 with Lambda_div = 7 + 23Z: 2 * 15 = 30 lies in Lambda_div, so the
-    # short root 15 and the divisible root 30 are collinear and R is not
-    # reduced, although no such pair lies in a window of radius 4.
+def bc1_odd7_ars():
+    """BC_1 with Lambda_div = 7 + 23Z and Lambda_-div = -7 + 23Z."""
     rs = normalized(build_classical("BC", 1))
     div = length_partition(rs)[2]
     full = LatticeSubset.full(1)
@@ -265,8 +263,14 @@ def test_ars_reduced_beyond_any_small_window():
         else:
             fam[a] = full
     ed = ExtensionDatum(rs, frozenset(indivisible_part(rs)), 1, fam)
-    ars = AffineReflectionSystem(rs, ed.S_prime, ed)
-    st = ars_structure(ars, window=4)
+    return AffineReflectionSystem(rs, ed.S_prime, ed)
+
+
+def test_ars_reduced_beyond_any_small_window():
+    # BC_1 with Lambda_div = 7 + 23Z: 2 * 15 = 30 lies in Lambda_div, so the
+    # short root 15 and the divisible root 30 are collinear and R is not
+    # reduced, although no such pair lies in a window of radius 4.
+    st = ars_structure(bc1_odd7_ars(), window=4)
     assert st["reduced"] is False
     assert st["class_flags"]["EARS"] is False
 
@@ -414,7 +418,7 @@ def _variants(rs):
     """The system, its normalized and 3x forms, roots scaled by 1/3, and a
     diag(1, 2, 3, ...) form, whose pairings are not integral."""
     n = rs.dim
-    thirds = RootSystem(rs.space, {tuple(x / 3 for x in a) for a in rs.roots})
+    thirds = RootSystem(rs.space, {tuple(QQ(x, 3) for x in a) for a in rs.roots})
     diag = [[F(i + 1) if i == j else F(0) for j in range(n)] for i in range(n)]
     return {
         "plain": rs,

@@ -40,7 +40,7 @@ from lietor.rootsys import (
     root_strings_exhaustive,
     with_form,
 )
-from lietor.scalars import frac_to_str as fs
+from lietor.scalars import QQ, frac_to_str as fs
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def _base(fam, rk, variant):
     if variant == "diag":
         return with_form(rs, [[F(i + 1) if i == j else F(0) for j in range(n)] for i in range(n)])
     if variant == "thirds":
-        return RootSystem(rs.space, {tuple(x / 3 for x in a) for a in rs.roots})
+        return RootSystem(rs.space, {tuple(QQ(x, 3) for x in a) for a in rs.roots})
     return rs
 
 

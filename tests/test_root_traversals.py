@@ -32,7 +32,7 @@ from lietor.rootsys import (
     build_exceptional,
     root_strings_exhaustive,
 )
-from lietor.scalars import frac_to_str as fs
+from lietor.scalars import QQ, frac_to_str as fs
 from test_refl import ARS_CASES, _small, _variants
 
 F = Fraction
@@ -102,7 +102,7 @@ def _pairwise_res3_and_reduced(prs):
                 continue
             if c not in (1, -1):
                 reduced = False
-            if witness is None and m.cor[b] != tuple(x / c for x in m.cor[a]):
+            if witness is None and m.cor[b] != tuple(QQ(x, c) for x in m.cor[a]):
                 witness = f"s_({fs(c)})*{fs(m.orig[a])} != s_{fs(m.orig[a])}"
     return (witness is None, witness), reduced
 
