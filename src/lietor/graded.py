@@ -521,49 +521,6 @@ def validate_quantum_matrix(q, field):
                 raise ValueError(f"q_{i}{j} q_{j}{i} must be 1")
 
 
-def centre_of_qtorus(A: GradedAssocAlgebra) -> LatticeSubset:
-    return A.centre_lattice()
-
-
-def centre_scan_oracle(A: GradedAssocAlgebra, window: int) -> list:
-    """Brute-force: all gamma in the box with prod_j q_ij^gamma_j = 1."""
-    out = []
-    for gamma in box(A.n, window):
-        ok = True
-        for i in range(A.n):
-            acc = A.field.one
-            for j in range(A.n):
-                if gamma[j]:
-                    acc = acc * _power(A.field, A.q[i][j], gamma[j])
-            if acc != A.field.one:
-                ok = False
-                break
-        if ok:
-            out.append(gamma)
-    return out
-
-
-def commutator_decomposition(A: GradedAssocAlgebra, window: int):
-    """Per-degree split of a quantum torus into centre and [A,A]."""
-    gamma = A.centre_lattice()
-    report = []
-    for deg in box(A.n, window):
-        if deg in gamma:
-            report.append({"degree": deg, "central": True, "witness": None})
-            continue
-        witness = None
-        for mu in box(A.n, window):
-            nu = tuple(d - m for d, m in zip(deg, mu))
-            c = A.tau(mu, nu) - A.tau(nu, mu)
-            if c:
-                witness = (mu, nu, c)
-                break
-        if witness is None:
-            raise ArithmeticError(f"no commutator witness for degree {deg} in window {window}")
-        report.append({"degree": deg, "central": False, "witness": witness})
-    return report
-
-
 class GradedForm:
     """(a | b) = phi((ab)^0) for a functional phi on A^0 killing [A,A]^0."""
 

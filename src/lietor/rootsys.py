@@ -525,23 +525,23 @@ def root_strings_exhaustive(rs: RootSystem):
     its representatives alpha decide every alpha: each string of w alpha
     is w applied to a string of alpha, and so is its verdict and length.
     If a representative fails, or there is no cover, every nonzero alpha is
-    read in the order of the root set, so the first witness is found.
+    read in the sorted order of IntegerRoots.order, so the first witness is
+    found, and it depends on the root set alone, not on how it was built.
     """
     m = rs.model
     if m.cover is not None:
         ok, max_len, _ = _strings(m, [m.order[i] for i in m.cover])
         if ok:
             return ok, max_len, None
-    return _strings(m, [ia for ia in m.orig if any(ia)])
+    return _strings(m, [ia for ia in m.order if any(ia)])
 
 
 def _strings(m: IntegerRoots, alphas):
     """The string check over the nonzero roots alphas of m.  Each
     alpha-string is walked once on IntegerRoots keys, the pairings read off
-    the row of alpha, then the verdicts are read in a fixed order of the
-    roots beta."""
+    the row of alpha, then the verdicts are read in the order of the roots
+    beta in m.order."""
     den, keys, slot = m.den, m.keys, m.slot
-    reading = [m.index[ib] for ib in m.orig]
     max_len = 0
     for ia in alphas:
         alpha = m.orig[ia]
@@ -574,7 +574,7 @@ def _strings(m: IntegerRoots, alphas):
                     reason[ib] = "broken string"
                 elif den * (n - 1 - 2 * q) != -(d_ba + q * d_aa):
                     reason[ib] = "p - q mismatch"
-        for i in reading:
+        for i in range(len(keys)):
             if i in reason:
                 return False, max_len, (m.orig[m.order[i]], alpha, reason[i])
             max_len = max(max_len, length[i])

@@ -1,0 +1,84 @@
+"""Test-only box scans of the coordinate algebras: the brute force that
+``lietor qtorus centre``, ``qtorus decompose`` and ``lietor alg`` ran before
+they printed their verdicts by a structural argument or by construction.
+
+- ``centre_scan_oracle``: every gamma of the box with
+  prod_j q_ij^gamma_j = 1 for all i, against
+  ``GradedAssocAlgebra.centre_lattice``, which solves those conditions
+  exactly;
+- ``commutator_decomposition``: each degree of the box is central, or some
+  mu of the box has [t^mu, t^(deg - mu)] != 0;
+- ``associativity_witness`` and ``unit_holds``: the triple and pair loops
+  over the monomials of the support in the box.
+"""
+
+from __future__ import annotations
+
+from lietor.lattices import box
+
+
+def _power(field, x, e: int):
+    """x ** e for any int e, a negative power through the field's inverse."""
+    return x ** e if e >= 0 else field.inverse(x) ** -e
+
+
+def centre_scan_oracle(A, window: int) -> list:
+    """All gamma in the box with prod_j q_ij^gamma_j = 1 for every i."""
+    out = []
+    for gamma in box(A.n, window):
+        ok = True
+        for i in range(A.n):
+            acc = A.field.one
+            for j in range(A.n):
+                if gamma[j]:
+                    acc = acc * _power(A.field, A.q[i][j], gamma[j])
+            if acc != A.field.one:
+                ok = False
+                break
+        if ok:
+            out.append(gamma)
+    return out
+
+
+def commutator_decomposition(A, window: int):
+    """Per-degree split of a quantum torus into centre and [A,A]: each
+    degree of the box, whether it is central, and for a degree that is not
+    a witness (mu, nu, c) with mu + nu = deg and c = tau(mu, nu) -
+    tau(nu, mu) != 0, mu taken from the box."""
+    gamma = A.centre_lattice()
+    report = []
+    for deg in box(A.n, window):
+        if deg in gamma:
+            report.append({"degree": deg, "central": True, "witness": None})
+            continue
+        witness = None
+        for mu in box(A.n, window):
+            nu = tuple(d - m for d, m in zip(deg, mu))
+            c = A.tau(mu, nu) - A.tau(nu, mu)
+            if c:
+                witness = (mu, nu, c)
+                break
+        if witness is None:
+            raise ArithmeticError(f"no commutator witness for degree {deg} in window {window}")
+        report.append({"degree": deg, "central": False, "witness": witness})
+    return report
+
+
+def associativity_witness(A, window: int):
+    """The first triple of support degrees of the box, in box order, with
+    (t^d1 t^d2) t^d3 != t^d1 (t^d2 t^d3), or None."""
+    degs = [d for d in box(A.n, window) if A.in_support(d)]
+    for d1 in degs:
+        for d2 in degs:
+            for d3 in degs:
+                x, y, z = A.monomial(d1), A.monomial(d2), A.monomial(d3)
+                if (x * y) * z != x * (y * z):
+                    return d1, d2, d3
+    return None
+
+
+def unit_holds(A, window: int) -> bool:
+    """1 t^d = t^d = t^d 1 for every support degree d of the box."""
+    one = A.one()
+    return all(one * A.monomial(d) == A.monomial(d) == A.monomial(d) * one
+               for d in box(A.n, window) if A.in_support(d))

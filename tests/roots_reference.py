@@ -224,9 +224,10 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
 def root_strings_exhaustive(rs):
     m = IntegerRoots(rs.roots, rs.coroots)
     max_len = 0
-    for ia, alpha in m.orig.items():
+    for ia in m.order:
         if not any(ia):
             continue
+        alpha = m.orig[ia]
         p_aa = m.pairing(ia, ia)
         probes = [tuple(k * x for x in ia) for k in range(2, STRING_PROBE + 1)]
         place = {}  # root -> (length of its string, reason it fails or None)
@@ -240,10 +241,10 @@ def root_strings_exhaustive(rs):
                           else "p - q mismatch" if n - 1 - 2 * q != -(p_ba + q * p_aa)
                           else None)
                 place[ib] = (n, reason)
-        for ib, beta in m.orig.items():
+        for ib in m.order:
             n, reason = place[ib]
             if reason:
-                return False, max_len, (beta, alpha, reason)
+                return False, max_len, (m.orig[ib], alpha, reason)
             max_len = max(max_len, n)
     return True, max_len, None
 

@@ -19,6 +19,7 @@ from lietor.serialize import (
     root_system_to_json,
     scalar_from_str,
 )
+from qtorus_reference import associativity_witness, unit_holds
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -98,7 +99,7 @@ def test_qtorus_centre(tmp_path):
         "kind": "qtorus", "n": 2,
         "q": [["1", "z3"], ["z3^-1", "1"]], "field": "Q(zeta_3)",
     }))
-    code = main(["qtorus", "centre", "--q", str(q), "--window", "4"])
+    code = main(["qtorus", "centre", "--q", str(q)])
     assert code == 0
 
 
@@ -149,13 +150,11 @@ def test_sl_and_hc1_commands():
     assert main(["sl", "--n", "3", "--coord", "laurent", "--window", "1"]) == 0
     assert main(["hc1", "--coord", "laurent", "--degree", "0"]) == 0
     assert main(["affine", "--g", "sl3", "--window", "2"]) == 0
-    assert main(["alg", "--coord", "laurent", "--window", "2"]) == 0
+    assert main(["alg", "--coord", "laurent"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
     ["ars", "build"],
-    ["qtorus", "centre", "--q", str(Path(__file__).parent / "data" / "q3.json")],
-    ["alg", "--coord", "laurent"],
     ["sl", "--coord", "laurent"],
     ["uce", "--coord", "laurent"],
     ["affine"],
@@ -314,13 +313,11 @@ def test_unknown_support_of_a_group_algebra_is_refused(capsys):
 
 def test_z6_over_zeta3_is_minus_z3_squared():
     # Q(zeta_6) = Q(zeta_3), with zeta_6 = -zeta_3^2
-    from lietor.graded import centre_of_qtorus
-
     A = coord_algebra_from_json(json.loads((goldens.DATA / "q6_in_zeta3.json").read_text()))
     B = coord_algebra_from_json({"kind": "qtorus", "n": 2, "field": "Q(zeta_3)",
                                  "q": [["1", "-z3^2"], ["-z3", "1"]]})
     assert A.field == B.field and A.q == B.q
-    assert centre_of_qtorus(A).basis == [[6, 0], [0, 6]]
+    assert A.centre_lattice().basis == [[6, 0], [0, 6]]
 
 
 @pytest.mark.parametrize("entry", goldens.entries(), ids=lambda e: e["report"])
@@ -344,7 +341,7 @@ def _leaves(parser, path=()):
 
 def test_every_leaf_of_the_cli_has_a_golden_run():
     leaves = list(_leaves(make_parser()))
-    assert len(leaves) == 15 and ("qtorus", "scder") in leaves
+    assert len(leaves) == 14 and ("qtorus", "scder") in leaves
     runs = [tuple(e["argv"]) for e in goldens.entries()]
     assert [leaf for leaf in leaves if not any(r[:len(leaf)] == leaf for r in runs)] == []
 
@@ -365,8 +362,9 @@ UNREAD = [
     ["ars", "check", "--in", ED, "--window", "2"],
     ["ars", "check", "--in", ED, "--out-ars", "datum.json"],
     ["qtorus", "centre", "--q", Q3, "--degree", "1,0"],
+    ["qtorus", "centre", "--q", Q3, "--window", "4"],
     ["qtorus", "scder", "--q", Q3, "--window", "2"],
-    ["qtorus", "decompose", "--q", Q3, "--degree", "1,0"],
+    ["alg", "--coord", "laurent", "--window", "1"],
 ]
 
 
@@ -478,21 +476,32 @@ def test_ars_build_exact_structure_has_no_window(tmp_path, capsys):
     assert labels == ["labels: pass  (B_2^(2) D_3^(2))"]
 
 
-def test_alg_associativity_failure_has_a_witness(tmp_path, monkeypatch):
-    # a factor 2 on t^1 t^mu for mu != 0 is no 2-cocycle:
-    # (t t) t^-1 = 4 t, t (t t^-1) = 2 t
+LOADABLE = ["laurent", "poly", {"kind": "group", "n": 2},
+            {"kind": "group", "n": 2, "support": "zero"}] + [
+    json.loads((goldens.DATA / f"{name}.json").read_text())
+    for name in ("q2", "q3", "q4", "q6_in_zeta3")]
+
+
+@pytest.mark.parametrize("data", LOADABLE, ids=["laurent", "poly", "Q[Z^2]", "Q[0]", "q2", "q3",
+                                                "q4", "q6_in_zeta3"])
+def test_every_loadable_algebra_is_associative_and_unital(data):
+    # what `lietor alg` prints by construction, scanned on the window-1 box
+    A = coord_algebra_from_json(data)
+    assert associativity_witness(A, 1) is None and unit_holds(A, 1)
+
+
+def test_alg_associativity_failure_has_a_witness(monkeypatch):
+    # a factor 2 on t^1 t^mu for mu != 0 is no 2-cocycle: the first triple
+    # of the box has (t^-1 t) t^-1 = t^-1 and t^-1 (t t^-1) = 2 t^-1
     from fractions import Fraction
 
     from lietor.graded import GradedAssocAlgebra
 
     monkeypatch.setattr(GradedAssocAlgebra, "tau",
                         lambda self, lam, mu: Fraction(2 if lam == (1,) and any(mu) else 1))
-    out = tmp_path / "report.json"
-    assert main(["alg", "--coord", "laurent", "--window", "1", "--out", str(out)]) == 1
-    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
-    assoc = checks["associativity"]
-    assert assoc["status"] == "fail" and assoc["witness"].startswith("associativity fails at")
-    assert "detail" not in assoc
+    A = coord_algebra_from_json("laurent")
+    assert associativity_witness(A, 1) == ((-1,), (1,), (-1,))
+    assert unit_holds(A, 1)
 
 
 @pytest.mark.parametrize("argv, error", [

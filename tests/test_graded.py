@@ -1,5 +1,8 @@
 import itertools
+import json
 from fractions import Fraction
+from operator import sub
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,6 @@ from lietor.graded import (
     FiniteDimAlgebra,
     GradedAssocAlgebra,
     cder_bracket,
-    centre_of_qtorus,
-    centre_scan_oracle,
-    commutator_decomposition,
     graded_form,
     memo,
     skew_centroidal_space,
@@ -19,6 +19,8 @@ from lietor.graded import (
 )
 from lietor.lattices import LatticeSubset, box
 from lietor.scalars import QQ, cyclotomic_field
+from lietor.serialize import coord_algebra_from_json
+from qtorus_reference import centre_scan_oracle, commutator_decomposition
 from test_uce import _swap_crossed
 
 
@@ -66,12 +68,12 @@ def test_associativity_on_window(zeta3_torus):
 
 
 def test_centre_zeta3(zeta3_torus):
-    gamma = centre_of_qtorus(zeta3_torus)
+    gamma = zeta3_torus.centre_lattice()
     assert gamma.basis == [[3, 0], [0, 3]]
 
 
 def test_centre_matches_scan_oracle(zeta3_torus):
-    gamma = centre_of_qtorus(zeta3_torus)
+    gamma = zeta3_torus.centre_lattice()
     oracle = centre_scan_oracle(zeta3_torus, 6)
     assert all(v in gamma for v in oracle)
     assert set(gamma.window_elements(6)) == set(oracle)
@@ -79,14 +81,14 @@ def test_centre_matches_scan_oracle(zeta3_torus):
 
 def test_centre_non_torsion_parameter():
     A = GradedAssocAlgebra.quantum_torus([[F(1), F(2)], [F(1, 2), F(1)]], QQ)
-    gamma = centre_of_qtorus(A)
+    gamma = A.centre_lattice()
     assert gamma.basis == []
     assert centre_scan_oracle(A, 4) == [(0, 0)]
 
 
 def test_centre_sign_only_parameter():
     A = GradedAssocAlgebra.quantum_torus([[F(1), F(-1)], [F(-1), F(1)]], QQ)
-    gamma = centre_of_qtorus(A)
+    gamma = A.centre_lattice()
     oracle = centre_scan_oracle(A, 4)
     assert set(gamma.window_elements(4)) == set(oracle)
 
@@ -102,7 +104,7 @@ def test_centre_rank_three_mixed_orders():
         [m1, one, one],
     ]
     A = GradedAssocAlgebra.quantum_torus(q, F6)
-    gamma = centre_of_qtorus(A)
+    gamma = A.centre_lattice()
     oracle = centre_scan_oracle(A, 4)
     assert set(gamma.window_elements(4)) == set(oracle)
     assert all(v in gamma for v in oracle)
@@ -110,7 +112,7 @@ def test_centre_rank_three_mixed_orders():
 
 def test_commutative_case_full_centre():
     A = GradedAssocAlgebra.quantum_torus([[F(1), F(1)], [F(1), F(1)]], QQ)
-    assert centre_of_qtorus(A) == LatticeSubset.full(2)
+    assert A.centre_lattice() == LatticeSubset.full(2)
 
 
 # The memo contract: one run of the body per owner and arguments, one shared
@@ -176,13 +178,29 @@ def test_tau_antisymmetry_consequence(zeta3_torus):
 
 def test_commutator_decomposition(zeta3_torus):
     rep = commutator_decomposition(zeta3_torus, 2)
-    gamma = centre_of_qtorus(zeta3_torus)
+    gamma = zeta3_torus.centre_lattice()
     for entry in rep:
         assert entry["central"] == (entry["degree"] in gamma)
         if not entry["central"]:
             mu, nu, c = entry["witness"]
             assert c
             assert tuple(a + b for a, b in zip(mu, nu)) == entry["degree"]
+
+
+@pytest.mark.parametrize("name", ["q2", "q3", "q4", "q6_in_zeta3"])
+def test_the_structural_split_of_qtorus_centre(name):
+    # The decomposition of `lietor qtorus centre`: [t^(e_i), t^(lam - e_i)]
+    # is nonzero for some i exactly when lam is off Rad(q), which is the
+    # split that the box scan of commutator_decomposition gives.
+    data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    A = coord_algebra_from_json(data)
+    gamma = A.centre_lattice()
+    split = {e["degree"]: not e["central"] for e in commutator_decomposition(A, 3)}
+    units = [tuple(int(i == j) for j in range(A.n)) for i in range(A.n)]
+    for lam in box(A.n, 3):
+        t = [(A.monomial(e), A.monomial(tuple(map(sub, lam, e)))) for e in units]
+        off = any(x * y - y * x for x, y in t)
+        assert off == (lam not in gamma) == split[lam], lam
 
 
 def test_graded_form_nondegenerate(zeta3_torus):
@@ -255,10 +273,10 @@ def test_skew_centroidal_spaces(zeta3_torus):
 
 
 def test_fgc_flag(zeta3_torus):
-    gamma = centre_of_qtorus(zeta3_torus)
+    gamma = zeta3_torus.centre_lattice()
     assert gamma.subgroup_rank() == 2  # finite index: fgc
     A = GradedAssocAlgebra.quantum_torus([[F(1), F(2)], [F(1, 2), F(1)]], QQ)
-    assert centre_of_qtorus(A).subgroup_rank() < 2
+    assert A.centre_lattice().subgroup_rank() < 2
 
 
 def test_crossed_product_identities(zeta3_torus):

@@ -107,16 +107,14 @@ def test_a_missing_lambda_names_its_root_as_p_over_q():
 
 # The 24 systems of criterion 2 with Fraction coordinates against the
 # int-built ones, also broken: without a root (ReS2 and the strings fail)
-# and with one coroot doubled (ReS0, ReS3 and ReS4 fail).  A failing root
-# string is the first in the iteration order of the root set, so both sets
-# are built from the roots in sorted order.
+# and with one coroot doubled (ReS0, ReS3 and ReS4 fail).
 
 def _frac(v):
     return tuple(map(Fraction, v))
 
 
 def _as_fractions(prs):
-    return PreReflectionSystem(prs.dim, [_frac(a) for a in sorted(prs.roots)],
+    return PreReflectionSystem(prs.dim, [_frac(a) for a in prs.roots],
                                {_frac(a): _frac(c) for a, c in prs.coroots.items()})
 
 

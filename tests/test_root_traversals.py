@@ -28,6 +28,7 @@ from lietor.refl import (
 from lietor.rootsys import (
     IntegerRoots,
     RootSystem,
+    _strings,
     build_classical,
     build_exceptional,
     root_strings_exhaustive,
@@ -43,13 +44,15 @@ CRITERION2 = ([("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
               + [(fam, None) for fam in ("G2", "F4", "E6", "E7", "E8")])
 
 
-def _strings_from_every_beta(rs, buffer=3):
+def _strings_from_every_beta(rs, buffer=3, alphas=None):
     m = IntegerRoots(rs.roots, rs.coroots)
     max_len = 0
-    for ia, alpha in m.orig.items():
+    for ia in m.order if alphas is None else alphas:
         if not any(ia):
             continue
-        for ib, beta in m.orig.items():
+        alpha = m.orig[ia]
+        for ib in m.order:
+            beta = m.orig[ib]
             lo, cur = 0, ib
             while tuple(c - a for c, a in zip(cur, ia)) in m.roots:
                 cur, lo = tuple(c - a for c, a in zip(cur, ia)), lo - 1
@@ -149,6 +152,14 @@ def test_root_layer_matches_the_pairwise_and_every_beta_references(fam, rk):
         got = root_strings_exhaustive(rs)
         assert got == _strings_from_every_beta(rs), name
         reasons.add(got[2][2] if got[2] else "ok")
+        # The scan stops at the first failure in sorted order, a p - q
+        # mismatch on B2 and G2; read alone, each alpha along which a
+        # dropped middle breaks a string names that broken string.
+        if name.endswith("drop-middle"):
+            for ia in filter(any, rs.model.order):
+                got = _strings(rs.model, [ia])
+                assert got == _strings_from_every_beta(rs, alphas=[ia]), (name, ia)
+                reasons.add(got[2][2] if got[2] else "ok")
         prs = PreReflectionSystem.from_root_system(rs)
         res3, reduced = _pairwise_res3_and_reduced(prs)
         m = IntegerRoots(prs.roots, prs.coroots)

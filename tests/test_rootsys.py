@@ -73,6 +73,19 @@ def test_root_strings_exhaustive_small_ranks():
         assert mx <= 5
 
 
+def test_root_string_witness_is_a_function_of_the_root_set():
+    # A4 without its top root, built as a set difference and as a set
+    # comprehension: the two frozensets iterate in different orders, and
+    # the witness and the length read before it are the same.
+    rs = build_classical("A", 4)
+    top = max(rs.roots)
+    built = [PreReflectionSystem(rs.dim, roots, rs.coroots)
+             for roots in (rs.roots - {top}, {a for a in rs.roots if a != top})]
+    assert built[0].roots == built[1].roots and list(built[0].roots) != list(built[1].roots)
+    got = {root_strings_exhaustive(prs) for prs in built}
+    assert got == {(False, 0, ((-1, 0, 0, 0, 1), (-1, 0, 0, 0, 1), "p - q mismatch"))}
+
+
 def test_normalized_value_sets():
     cases = [
         (build_classical("A", 4), {2}),
