@@ -132,7 +132,7 @@ def cmd_table(args, run: Runner) -> None:
 def cmd_roots_build(args, run: Runner) -> None:
     rs = build_system(args.family, args.rank)
     run.echo(f"family {args.family} rank {args.rank}: {len(rs.roots)} roots (0 included)")
-    run.add("classify", True, detail=str(classify(rs)))
+    add_classify(run, rs)
     if args.out_roots:
         with open(args.out_roots, "w") as fh:
             json.dump(root_system_to_json(rs), fh, indent=2, sort_keys=True)
@@ -141,7 +141,13 @@ def cmd_roots_build(args, run: Runner) -> None:
 
 def cmd_roots_classify(args, run: Runner) -> None:
     rs = root_system_from_json(load_json(args.infile, run))
-    run.add("classify", True, detail=str(classify(rs)))
+    add_classify(run, rs)
+
+
+def add_classify(run: Runner, rs) -> None:
+    """The classify check: the type as its detail, or the witness."""
+    label = classify(rs)
+    run.add("classify", label.ok, witness=label.witness, detail=str(label) if label.ok else None)
 
 
 def cmd_refl(args, run: Runner) -> None:

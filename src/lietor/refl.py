@@ -488,6 +488,8 @@ def build_affine_rs(S: RootSystem, tier: int):
         raise ValueError("S must be irreducible")
     rs = normalized(S)
     label = classify(rs)
+    if not label.ok:
+        raise ValueError(f"S is no root system: {label.witness}")
     family, rank_ = label.components[0]
     sh, lg, div, k = length_partition(rs)
     if family == "BC":

@@ -35,10 +35,6 @@ def _unit(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(c, a):
     return tuple(c * x for x in a)
 
@@ -69,7 +65,14 @@ def _identity_form(n):
 
 @dataclass
 class TypeLabel:
-    components: list  # list of (family, rank) pairs
+    """The type of a root system, or why a root set is none (classify)."""
+
+    components: list  # list of (family, rank) pairs; empty on a witness
+    witness: str | None = None
+
+    @property
+    def ok(self):
+        return self.witness is None
 
     @property
     def family(self):
@@ -204,6 +207,25 @@ def _keeps_parts(img, nr):
     rest?  None, no root, lies in neither."""
     return (None not in img and max(img[:nr], default=-1) < nr
             and min(img[nr:], default=nr) >= nr)
+
+
+def _close(gens, pending, reached, done):
+    """Close the reached positions under the image lists gens: each pending
+    position p meets the generators it has not met yet (done[p] counts
+    those it has), and each image that is not yet reached is marked and
+    made pending.  Returns (p, k) for the first image gens[k][p] that is
+    None, no root, and None when every image is a root."""
+    while pending:
+        p = pending.pop()
+        for k in range(done[p], len(gens)):
+            q = gens[k][p]
+            if q is None:
+                return p, k
+            if not reached[q]:
+                reached[q] = True
+                pending.append(q)
+        done[p] = len(gens)
+    return None
 
 
 class IntegerRoots:
@@ -368,31 +390,23 @@ class IntegerRoots:
         """
         nr, n = self.n_real, len(self.order)
         den_cokeys = self.coroot_keys()
-        gens, reps, seen, pending = [], [], [], []
+        gens, reps = [], []
         reached = [False] * n
-        done = [0] * n  # how many generators each reached position has met
+        done = [0] * n
         for i in range(n):
             if reached[i] or (i >= nr and not any(self.order[i])):
                 continue
+            pending = [i]
             if i < nr:
                 img, j, b = self.reflection_faults(i, den_cokeys)
                 if j is not None or b is not None:
                     return None
                 gens.append(img)
-                pending.extend(seen)  # every reached position meets the new generator
+                # every reached position meets the new generator
+                pending.extend(itertools.compress(range(n), reached))
             reps.append(i)
             reached[i] = True
-            seen.append(i)
-            pending.append(i)
-            while pending:
-                p = pending.pop()
-                for img in gens[done[p]:]:
-                    q = img[p]
-                    if not reached[q]:
-                        reached[q] = True
-                        seen.append(q)
-                        pending.append(q)
-                done[p] = len(gens)
+            _close(gens, pending, reached, done)  # no image of a generator is None
         return tuple(reps)
 
     def exact(self, dot):
@@ -709,151 +723,115 @@ def indivisible_part(rs: RootSystem):
     return {a for a in rs.roots if vec_is_zero(a) or a not in div}
 
 
-_PRIMES = (97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+# (family, roots, short roots) of the irreducible reduced types outside A-D,
+# by rank.
+_EXCEPTIONAL = {2: ("G2", 12, 6), 4: ("F4", 48, 24), 6: ("E6", 72, 72),
+                7: ("E7", 126, 126), 8: ("E8", 240, 240)}
 
 
-def _generic_functional(vectors, dim):
-    for p in _PRIMES:
-        t = Fraction(1, p)
-        weights = [t**i for i in range(dim)]
-        if all(sum(w * x for w, x in zip(weights, v)) != 0 for v in vectors):
-            return weights
-    raise ArithmeticError("no generic functional found (extend prime list)")
-
-
-def _simple_roots(component_ind, dim):
-    """Simple roots of an (indivisible) component via a generic height functional."""
-    weights = _generic_functional(component_ind, dim)
-
-    def height(v):
-        return sum(w * x for w, x in zip(weights, v))
-
-    positive = sorted(a for a in component_ind if height(a) > 0)
-    pos_set = set(positive)
-    simple = []
-    for a in positive:
-        if not any(vec_sub(a, b) in pos_set for b in positive if b != a):
-            simple.append(a)
-    return simple
-
-
-def _classify_component(rs: RootSystem, comp):
-    div = _divisible(rs.roots)
-    comp_ind = sorted(a for a in comp if a not in div)
-    has_divisible = len(comp_ind) != len(comp)
-    simple = _simple_roots(comp_ind, rs.dim)
-    n = len(simple)
-    cartan = [[rs.pairing(simple[j], simple[i]) for j in range(n)] for i in range(n)]
-    fam = _diagram_family(cartan, [rs.space.pair(a, a) for a in simple])
-    family, rank_ = fam
-    if has_divisible:
-        if family not in ("A", "B") or (family == "A" and rank_ != 1):
-            raise ValueError("divisible roots outside a BC-shaped component")
-        return ("BC", rank_)
-    return fam
-
-
-def _diagram_family(cartan, norms):
-    n = len(cartan)
-    if n == 1:
-        return ("A", 1)
-    weight = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                weight[i][j] = int(cartan[i][j] * cartan[j][i])
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if weight[i][j]]
-    if len(edges) != n - 1:
-        raise ValueError("simple-root graph is not a tree")
-    deg = [0] * n
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
-    triple = [(i, j) for i, j in edges if weight[i][j] == 3]
-    double = [(i, j) for i, j in edges if weight[i][j] == 2]
-    if triple:
-        if n == 2 and not double:
-            return ("G2", 2)
-        raise ValueError("triple edge in a diagram of rank != 2")
-    if double:
-        if len(double) > 1:
-            raise ValueError("more than one double edge")
-        if max(deg) > 2:
-            raise ValueError("double edge in a branched diagram")
-        order = _path_order(edges, deg, n)
-        i, j = double[0]
-        pi, pj = order.index(i), order.index(j)
-        if {pi, pj} == {n // 2 - 1, n // 2} and n == 4:
-            # Central double edge in a path of four nodes.
-            return ("F4", 4)
-        if not ({pi, pj} == {0, 1} or {pi, pj} == {n - 2, n - 1}):
-            raise ValueError("double edge must sit at an end of the path (or be F4)")
-        if {pi, pj} == {0, 1}:
-            order = order[::-1]
-            pi, pj = n - 1 - pi, n - 1 - pj
-        end = order[-1]
-        before = order[-2]
-        if n == 2:
-            return ("B", 2)
-        return ("B", n) if norms[end] < norms[before] else ("C", n)
-    # Simply laced tree.
-    if max(deg) <= 2:
-        return ("A", n)
-    branch = [i for i in range(n) if deg[i] == 3]
-    if len(branch) != 1 or max(deg) > 3:
-        raise ValueError("unrecognized branching")
-    arms = sorted(_arm_lengths(edges, branch[0], n))
-    if arms[:2] == [1, 1]:
-        return ("D", n)
-    if arms == [1, 2, 2]:
-        return ("E6", 6)
-    if arms == [1, 2, 3]:
-        return ("E7", 7)
-    if arms == [1, 2, 4]:
-        return ("E8", 8)
-    raise ValueError(f"unrecognized diagram with arms {arms}")
-
-
-def _path_order(edges, deg, n):
-    adj = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    start = min(i for i in range(n) if deg[i] == 1)
-    order = [start]
-    prev = None
-    cur = start
-    while len(order) < n:
-        nxt = [x for x in adj[cur] if x != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
-def _arm_lengths(edges, center, n):
-    adj = {i: [] for i in range(n)}
-    for i, j in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    arms = []
-    for start in adj[center]:
-        length = 1
-        prev, cur = center, start
-        while True:
-            nxt = [x for x in adj[cur] if x != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
-            length += 1
-        arms.append(length)
-    return arms
+def _count_type(n, roots, short):
+    """The family of an irreducible reduced root system of rank n with
+    `roots` nonzero roots, `short` of them of the least norm (all of them
+    when there is one length).  The first row that matches names it, so
+    B1, C2 and D3 read as A1, B2 and A3; no other two rows of one rank are
+    equal."""
+    rows = [("A", n * (n + 1), n * (n + 1)),
+            ("B", 2 * n * n, 2 * n),
+            ("C", 2 * n * n, 2 * n * (n - 1)),
+            ("D", 2 * n * (n - 1), 2 * n * (n - 1))]
+    if n in _EXCEPTIONAL:
+        rows.append(_EXCEPTIONAL[n])
+    return next(f for f, r, s in rows if (r, s) == (roots, short))
 
 
 def classify(rs: RootSystem) -> TypeLabel:
-    """Canonical type label; components sorted by (family, rank)."""
-    comps = connected_components(rs)
-    if not comps:
-        return TypeLabel(components=[])
-    labels = [_classify_component(rs, comp) for comp in comps]
-    labels.sort(key=lambda t: (t[0], t[1]))
-    return TypeLabel(components=labels)
+    """The type of rs, read off its root set as W(Delta u (2 Delta n R)), or
+    a witness that rs is no root system (then the label has no components).
+
+    Delta.  IntegerRoots.key is linear and nonzero on every nonzero root.
+    Delta is the roots of positive key that are no sum of two such, read in
+    increasing key: a is left out when a - d has positive key for a d of
+    Delta read before it.  In a root system a positive root that is not
+    simple is d + b for a simple d and a positive b (2d = d + d), and d has
+    the smaller key; so on a root system Delta is the base of the chamber
+    of the key (Bourbaki, Lie Groups and Lie Algebras, Ch. VI, 1.6-1.7).
+
+    Simple roots d, e with <d, e_check> != 0 are joined.  For each
+    component K of Delta the seeds K u (2K n R) are closed under the s_d,
+    d in K, and the check asks:
+    (a) <d, e_check> is an integer for d in Delta and every seed e;
+    (b) each s_d maps each root reached in its component to a root;
+    (c) every nonzero root is reached.
+    By (a) W_K keeps Z K, which the s_d of the other components fix; so
+    every s_d maps every reached root to a root, and by (c) permutes R.
+    For b = w e, w in W and e a seed, w s_e w^-1 is a reflection that keeps
+    R and maps b to -b, with coroot w^-T e_check, and
+    <c, w^-T e_check> = <w^-1 c, e_check> is an integer, as R lies in
+    Z Delta.  So R - {0} is a root system, reduced or not, with base Delta,
+    and W_K(K u 2K n R) is its irreducible component of rank |K| (ibid.,
+    1.1 and 1.5-1.7).  The witness is the first pairing of (a) that is not
+    an integer, the first image of (b) that is no root, or the first root
+    that (c) misses.
+
+    The type.  Every root is W-conjugate to a simple root of its length.
+    The form is symmetric, so each s_d is an isometry of it, and on an
+    irreducible component it is a nonzero multiple of any W-invariant form
+    (ibid., 1.2): the simple roots of K with the least |(d | d)| are its
+    short ones.  So W_K of those is the short roots and W_K K the
+    indivisible ones, and their counts name the type (_count_type).  A
+    divisible root makes it BC_n: the indivisible roots of an irreducible
+    system that is not reduced are B_n, or A_1 for n = 1 (ibid., 1.4).
+    The components are sorted by (family, rank).
+    """
+    m = rs.model
+    keys, n = m.keys, len(m.order)
+    orig = [m.orig[a] for a in m.order]
+    positive = sorted((k, i) for i, k in enumerate(keys) if k > 0)
+    pos_keys = {k for k, _ in positive}
+    simple = []
+    for k, i in positive:
+        if not any(k - keys[d] in pos_keys for d in simple):
+            simple.append(i)
+    double = {d: m.slot.get(2 * keys[d]) for d in simple}  # position of 2d, or None
+    seeds = simple + [e for e in double.values() if e is not None]
+    cartan = {(d, e): rs.pairing(orig[d], orig[e]) for d in simple for e in seeds}
+    for (d, e), c in cartan.items():
+        if c % 1:
+            return TypeLabel([], f"<{frac_to_str(orig[d])}, {frac_to_str(orig[e])}_check> "
+                                 f"= {frac_to_str(c)} is not an integer")
+    comps = []
+    for d in simple:
+        joined = [comp for comp in comps if any(cartan[d, e] for e in comp)]
+        comps = [comp for comp in comps if comp not in joined] + [[d, *sum(joined, [])]]
+    gens = {d: m.images(m.order[d], m.row(m.cor[m.order[d]])) for d in simple}
+    reached = [False] * n
+    counts = []
+    for comp in comps:
+        norm = {d: abs(rs.space.pair(orig[d], orig[d])) for d in comp}
+        least = min(norm.values())
+        stages = ([d for d in comp if norm[d] == least], [d for d in comp if norm[d] != least],
+                  [double[d] for d in comp if double[d] is not None])
+        walk, done = [gens[d] for d in comp], [0] * n
+        count = [sum(reached)]
+        for stage in stages:
+            for e in stage:
+                reached[e] = True
+            miss = _close(walk, list(stage), reached, done)
+            if miss is not None:
+                p, k = miss
+                b, d = orig[p], orig[comp[k]]
+                c = rs.pairing(b, d)
+                image = tuple(x - c * y for x, y in zip(b, d))
+                return TypeLabel([], f"s_{frac_to_str(d)}({frac_to_str(b)}) = "
+                                     f"{frac_to_str(image)} is not a root")
+            count.append(sum(reached))
+        counts.append((len(comp), count))
+    missed = next((p for p in range(n) if not reached[p] and any(orig[p])), None)
+    if missed is not None:
+        return TypeLabel([], f"{frac_to_str(orig[missed])} is not reached by the simple "
+                             f"reflections of {frac_to_str([orig[d] for d in simple])}")
+    labels = []
+    for rank, (start, short, indivisible, total) in counts:
+        family = _count_type(rank, indivisible - start, short - start)
+        labels.append(("BC", rank) if total > indivisible else (family, rank))
+    return TypeLabel(sorted(labels))

@@ -51,10 +51,9 @@ def root_system_to_json(rs: RootSystem) -> dict:
         },
         "roots": sorted([frac_to_str(x) for x in a] for a in rs.roots),
     }
-    try:
-        out["type"] = str(classify(rs))
-    except ValueError:
-        pass
+    label = classify(rs)
+    if label.ok:
+        out["type"] = str(label)
     return out
 
 

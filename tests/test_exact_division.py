@@ -24,8 +24,6 @@ ALLOWED = {
         "i runs over range(dim), so the power of the int base is an int",
     "rootsys.normalized_form: Fraction(2) / mn":
         "the dividend is a Fraction",
-    "rootsys._generic_functional: t ** i":
-        "t is a Fraction and i runs over range(dim)",
     "scalars.Cyclo.__pow__: self.inverse() ** (-k)":
         "the base is a Cyclo and -k > 0 on this branch",
 }

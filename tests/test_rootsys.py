@@ -2,11 +2,15 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, seed, settings, strategies as hs
 
+from lietor.linalg import inverse, mat_mul, mat_vec
+from lietor.refl import check_form, predicates, validate_axioms
 from lietor.rootsys import (
     PreReflectionSystem,
     RootSpace,
     RootSystem,
+    TypeLabel,
     build_classical,
     build_exceptional,
     classify,
@@ -17,7 +21,7 @@ from lietor.rootsys import (
     root_strings_exhaustive,
     with_form,
 )
-from lietor.scalars import frac_to_str
+from lietor.scalars import QQ, frac_to_str
 from roots_reference import coroot_from_form, direct_sum, reflect, root_string
 from test_root_rows import SYSTEMS, _base
 from test_root_traversals import CRITERION2
@@ -162,10 +166,111 @@ def test_classify_aliases():
     assert classify(build_classical("D", 3)).components == [("A", 3)]
 
 
+def test_classify_reads_the_lengths_of_a_negative_form():
+    # -F gives the coroots of F; its norms have the other sign
+    for fam, rk in [("B", 3), ("C", 3), ("BC", 2)]:
+        rs = build_classical(fam, rk)
+        negative = with_form(rs, [[-x for x in row] for row in rs.space.form])
+        assert classify(negative).components == [(fam, rk)]
+
+
 def test_direct_sum_classification():
     rs = direct_sum(build_classical("A", 1), build_classical("A", 1))
     assert classify(rs).components == [("A", 1), ("A", 1)]
     assert len(connected_components(rs)) == 2
+
+
+# classify is a check: a root set that is no root system fails with a
+# witness, and gets no label.
+
+def _without(rs, a):
+    """rs without the roots a and -a."""
+    return RootSystem(rs.space, rs.roots - {a, tuple(-x for x in a)})
+
+
+def _b2_and_twice_its_long_roots():
+    """B2 and the W-orbit of 2(e1 - e2), the roots +-2e1 +- 2e2: every
+    reflection keeps the set, and <e1, (2e1 + 2e2)_check> = 1/2."""
+    b2 = build_classical("B", 2)
+    return RootSystem(b2.space, b2.roots | {(2 * s, 2 * t) for s in (1, -1) for t in (1, -1)})
+
+
+def test_classify_fails_without_a_pair_of_roots():
+    # The witness is an image that is no root, or a root that the simple
+    # reflections never reach.  Each kind is the witness of some drop.
+    kinds = {}
+    for fam, rk in [("B", 2), ("G2", None), ("BC", 2), ("C", 3), ("F4", None)]:
+        rs = build_exceptional(fam) if rk is None else build_classical(fam, rk)
+        for a in sorted(rs.nonzero_roots()):
+            if a < tuple(-x for x in a):
+                continue
+            label = classify(_without(rs, a))
+            assert not label.ok and label.components == [], label
+            missing = label.witness.endswith(" is not a root")
+            assert missing or " is not reached by the simple reflections of " in label.witness
+            kinds.setdefault(fam, set()).add("missing" if missing else "unreached")
+    both = {"missing", "unreached"}
+    assert kinds == {"B": both, "G2": both, "BC": both, "C": both, "F4": {"missing"}}
+    # B2 without +-(e1 - e2): its simple roots e1 and e2 are orthogonal
+    label = classify(_without(build_classical("B", 2), (1, -1)))
+    assert label.witness == "(-1, -1) is not reached by the simple reflections of [(1, 0), (0, 1)]"
+
+
+def test_classify_fails_on_a_pairing_that_is_not_an_integer():
+    rs = _b2_and_twice_its_long_roots()
+    assert all(reflect(rs, a, b) in rs.roots for a in rs.roots for b in rs.roots)
+    assert classify(rs) == TypeLabel([], "<(1, 0), (2, 2)_check> = 1/2 is not an integer")
+
+
+# The same root set in other coordinates: x -> M x, with the form
+# M^-T F M^-1, keeps every pairing and every norm, so the classify label
+# and every refl status are the same.
+
+PRESENTED = {
+    **{f"{f}{r or ''}": (lambda f=f, r=r: build_exceptional(f) if r is None
+                         else build_classical(f, r))
+       for f, r in [("A", 2), ("B", 3), ("C", 3), ("BC", 1), ("BC", 2), ("D", 4), ("G2", None),
+                    ("F4", None)]},
+    "A1+B2": lambda: direct_sum(build_classical("A", 1), build_classical("B", 2)),
+    "B2-without-e1": lambda: _without(build_classical("B", 2), (1, 0)),
+    "B2-without-e1-e2": lambda: _without(build_classical("B", 2), (1, -1)),
+    "B2+2(e1-e2)": _b2_and_twice_its_long_roots,
+}
+
+
+@hs.composite
+def _presentations(draw):
+    """A system of PRESENTED and an invertible rational M = D L U: L and U
+    unitriangular with small integer entries, D diagonal and nonzero."""
+    name = draw(hs.sampled_from(sorted(PRESENTED)))
+    rs = PRESENTED[name]()
+    n = rs.dim
+    small = hs.integers(-2, 2)
+    lower = [[1 if i == j else draw(small) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(small) if j > i else 0 for j in range(n)] for i in range(n)]
+    diag = [QQ(draw(hs.sampled_from([1, -1, 2, -3])), draw(hs.integers(1, 3))) for _ in range(n)]
+    m = mat_mul([[d * x for x in row] for d, row in zip(diag, lower)], upper, QQ)
+    return name, rs, m
+
+
+def _refl_and_classify(rs):
+    label = classify(rs)
+    return (label.ok, label.components,
+            [(c.name, c.status) for c in validate_axioms(rs).checks],
+            predicates(rs), check_form(rs, rs.space.form))
+
+
+@seed(11)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_presentations())
+def test_a_change_of_coordinates_keeps_the_label_and_the_refl_verdicts(data):
+    name, rs, m = data
+    m_inv = inverse(m, QQ)
+    form = mat_mul(mat_mul([list(col) for col in zip(*m_inv)], [list(r) for r in rs.space.form],
+                           QQ), m_inv, QQ)
+    moved = RootSystem(RootSpace(rs.dim, tuple(map(tuple, form))),
+                       {tuple(mat_vec(m, list(a), QQ)) for a in rs.roots})
+    assert _refl_and_classify(moved) == _refl_and_classify(rs), name
 
 
 def test_indivisible_part():
