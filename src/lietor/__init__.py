@@ -28,6 +28,6 @@ from .refl import (
     validate_extension_datum,
 )
 from .graded import GradedAssocAlgebra, graded_form
-from .matlie import MatrixLieAlgebra, bracket, is_invertible, verify_root_graded
+from .matlie import MatrixLieAlgebra, bracket, verify_root_graded
 from .uce import build_affine, build_uce_sl, hc1_component
 from .eala import build_E, default_iara_data, verify_eala, verify_iara

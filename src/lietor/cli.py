@@ -259,18 +259,19 @@ def cmd_sl(args, run: Runner) -> None:
 def cmd_uce(args, run: Runner) -> None:
     from .uce import build_uce_sl, steinberg_check
 
-    window = args.window
     A = load_coord(args, run)
     U = build_uce_sl(args.n, A)
-    run.merge(steinberg_check(U, min(window, 2)))
+    run.merge(steinberg_check(U))
     # A triple bracket of pool elements produces wedge terms of coordinate
     # size up to twice the pool window, so that is all the quotient needs.
     # The quotient is reduced one total degree at a time, and the block of a
     # degree enumerates (4 pool + 1)^(2n) degree pairs, so rank >= 2 keeps a
     # unit pool.
-    pool_w = min(window, 2 if A.n <= 1 else 1)
-    run.append(sampled_check("jacobi-sample", U.homogeneous_pool(pool_w), args.jacobi, args.seed,
-                             lambda *t: U.jacobi_holds(*t, window=2 * pool_w)))
+    pool_w = min(args.window, 2 if A.n <= 1 else 1)
+    sample = sampled_check("jacobi-sample", U.homogeneous_pool(pool_w), args.jacobi, args.seed,
+                           lambda *t: U.jacobi_holds(*t, window=2 * pool_w))
+    sample.detail += f", pool window {pool_w}"
+    run.append(sample)
     _add_hc1(run, "projection-kernel-degree-0", A, (0,) * A.n)
 
 
@@ -416,7 +417,9 @@ def make_parser() -> argparse.ArgumentParser:
     q = leaf(sub, "uce", cmd_uce, "universal central extension checks")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=_count(0), default=3)
+    q.add_argument("--window", type=_count(0), default=3,
+                   help="scopes the Jacobi sample's pool alone, which reads window 2 "
+                        "at most on a rank <= 1 algebra and window 1 otherwise")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--jacobi", type=_count(1), default=200)
 

@@ -400,11 +400,6 @@ class BuiltE:
         """T_C, then the Cartan basis of L, then T_D."""
         return list(self._t_basis)
 
-    def t_labels(self):
-        return (["C"] * len(self.data.T_C)
-                + ["h"] * len(self.L.cartan_basis())
-                + ["D"] * len(self.data.T_D))
-
     def root_value(self, root, deg, t: EElement):
         """(xi + lam)(t) for t in T."""
         val = self.field.zero
@@ -994,14 +989,3 @@ def classify_variant(E: BuiltE, window: int = 2, *, iara: AxiomReport,
         "note": "discreteness replaced by the Z^n lattice model",
     }
 
-
-def root_reflection_data(E: BuiltE, window: int):
-    """(real, imaginary) windowed root sets of (E, T) in Y + Z coordinates."""
-    real, imag = set(), set()
-    for ro, deg in E.windowed_roots(window):
-        vec = tuple(ro) + tuple(deg)
-        if any(ro):
-            real.add(vec)
-        else:
-            imag.add(vec)
-    return real, imag

@@ -104,20 +104,6 @@ class MatLieElement:
                         del out[key]
         return MatLieElement._zero_free(self.L, out) if into is None else None
 
-    def decompose(self):
-        """Map (root, lattice degree) -> component element."""
-        out = {}
-        zero_root = (0,) * self.L.n
-        for (i, j), v in self.entries.items():
-            root = self.L.root_of(i, j) if i != j else zero_root
-            for deg in v.degrees():
-                comp = v.component(deg)
-                key = (root, deg)
-                cur = out.get(key)
-                add = MatLieElement(self.L, {(i, j): comp})
-                out[key] = add if cur is None else cur + add
-        return out
-
     def __repr__(self):
         if not self.entries:
             return "0"
@@ -131,14 +117,6 @@ class Sl2Triple:
     e: MatLieElement
     h: MatLieElement
     f: MatLieElement
-
-    def relations_hold(self) -> bool:
-        L = self.e.L
-        return (
-            bracket(self.e, self.f) == -self.h
-            and bracket(self.h, self.e) == self.e.scale(L.A.field.from_int(2))
-            and bracket(self.h, self.f) == self.f.scale(L.A.field.from_int(-2))
-        )
 
 
 class MatrixLieAlgebra:
@@ -250,21 +228,6 @@ class MatrixLieAlgebra:
                 out.append(MatLieElement(self, entries))
         return out
 
-    def windowed_basis(self, window: int):
-        """Homogeneous basis across all roots and windowed lattice degrees."""
-        out = []
-        for deg in box(self.z_rank, window):
-            if not self.A.in_support(deg):
-                continue
-            for lo, hi in self.blocks:
-                for i in range(lo, hi):
-                    for j in range(lo, hi):
-                        if i != j:
-                            for b in self.A.basis_of_degree(deg):
-                                out.append(self.E(i, j, b))
-            out.extend(self._diag_basis(deg))
-        return out
-
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
     """xy - yx, both products added into one zero-free dict; that x and y
@@ -274,43 +237,6 @@ def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
     x.matmul(y, out)
     y.matmul(x, out, negate=True)
     return MatLieElement._zero_free(x.L, out)
-
-
-def is_invertible(L: MatrixLieAlgebra, x: MatLieElement, action_window: int = None):
-    """Sl2 triple for an invertible homogeneous off-diagonal element, else None.
-
-    With action_window set, the eigenvalue law [h, x_q] = <q, alpha_check> x_q
-    is also verified on the windowed homogeneous elements.
-    """
-    if len(x.entries) != 1:
-        return None
-    ((i, j), a), = x.entries.items()
-    if i == j:
-        return None
-    ainv = L.A.try_invert(a)
-    if ainv is None:
-        return None
-    f = L.E(j, i, ainv).scale(L.field.from_int(-1))
-    h = bracket(f, x)
-    triple = Sl2Triple(e=x, h=h, f=f)
-    if not triple.relations_hold():
-        return None
-    if action_window is not None:
-        if not eigenvalue_law_holds(L, triple, L.root_of(i, j), action_window):
-            return None
-    return triple
-
-
-def eigenvalue_law_holds(L: MatrixLieAlgebra, triple: Sl2Triple, root, window: int = 2) -> bool:
-    """[h, x_q] = <q, alpha_check> x_q on windowed homogeneous elements."""
-    S = L.S
-    for q in S.sorted_roots():
-        c = S.pairing(q, tuple(root))
-        for deg in box(L.z_rank, window):
-            for b in L.homog_basis(q, deg):
-                if bracket(triple.h, b) != b.scale(L.field.from_int(int(c))):
-                    return False
-    return True
 
 
 class SlInvariantForm:
@@ -390,9 +316,10 @@ def _root_graded(L, window: int) -> MappingProxyType:
 
     For a = eps_i - eps_j, L_a^d = A^d E_ij, and xE_ij is invertible (it
     lies in an sl2-triple (e, h, f) whose h acts on each L_q by <q, a_check>,
-    as is_invertible(..., action_window=w) tests) exactly when x is a unit
-    of A.  If it is, f = -x^-1 E_ji gives h = E_ii - E_jj.  Conversely
-    f = yE_ji for some y in A^-d, h = xyE_ii - yxE_jj, and h acting by 1 on
+    as the reference is_invertible(..., action_window=w) of
+    tests/matlie_reference.py tests) exactly when x is a unit of A.  If it
+    is, f = -x^-1 E_ji gives h = E_ii - E_jj.  Conversely f = yE_ji for
+    some y in A^-d, h = xyE_ii - yxE_jj, and h acting by 1 on
     E_ik and on E_kj (k a third index, n >= 3) gives xy = 1 = yx.  So RG2
     asks for a unit in A^0, which A, being unital, has in 1; and
     predivision asks for a unit in each windowed A^d != 0: one

@@ -635,7 +635,13 @@ def complete_basis(vectors, dim):
 
 
 def normalized_form(rs: RootSystem):
-    """The invariant form rescaled so each component has minimal norm 2."""
+    """The invariant form rescaled so each component has minimal norm 2.
+
+    Each component is scaled by 2 over its norm of least absolute value, so
+    a component on which the form is negative definite comes out positive.
+    The complement of the roots' span, which no root sees, keeps its form,
+    negated when every component is, so that a negative definite form
+    normalizes to what its negation does."""
     comps = connected_components(rs)
     dim = rs.dim
     basis = []
@@ -652,14 +658,14 @@ def normalized_form(rs: RootSystem):
         norms = [rs.space.pair(a, a) for a in comp]
         if any(n == 0 for n in norms):
             raise ValueError("degenerate form on an irreducible component")
-        mn = min(norms)
-        scales.append(Fraction(2) / mn)
+        scales.append(Fraction(2) / min(norms, key=abs))
+    flip = -1 if scales and all(sc < 0 for sc in scales) else 1
     gram = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(dim):
             v = rs.space.pair(basis[i], basis[j])
             if owners[i] is None and owners[j] is None:
-                gram[i][j] = v
+                gram[i][j] = flip * v
             elif owners[i] == owners[j]:
                 gram[i][j] = scales[owners[i]] * v
             elif owners[i] is None or owners[j] is None:

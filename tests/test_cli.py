@@ -11,6 +11,7 @@ import pytest
 import regen_goldens as goldens
 from lietor import cli
 from lietor.cli import main, make_parser
+from lietor.rootsys import with_form
 from lietor.serialize import (
     coord_algebra_from_json,
     datum_from_json,
@@ -49,6 +50,20 @@ def test_roots_build_and_classify(tmp_path):
     assert code == 0
     code = main(["roots", "classify", "--in", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("fam, rk", [("B", 3), ("C", 3), ("G2", None), ("BC", 2)])
+def test_refl_normalized_reads_a_negated_form_as_the_form(tmp_path, fam, rk):
+    rs = cli.build_system(fam, rk)
+    negated = with_form(rs, [[-x for x in row] for row in rs.space.form])
+    checks = []
+    for name, system in (("form", rs), ("negated", negated)):
+        path, report = tmp_path / f"{name}.json", tmp_path / f"{name}_report.json"
+        path.write_text(json.dumps(root_system_to_json(system)))
+        assert main(["refl", "--in", str(path), "--normalized", "--out", str(report)]) == 0
+        checks.append(json.loads(report.read_text())["checks"])
+    assert checks[0] == checks[1]
+    assert [c["status"] for c in checks[0]].count("pass") == len(checks[0])
 
 
 def test_ars_build_check_pipeline(tmp_path):
@@ -428,7 +443,6 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
 # Small runs of the subcommands that print windowed checks.
 WINDOWED_RUNS = [
     ["sl", "--n", "3", "--coord", "laurent", "--window", "1"],
-    ["uce", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"],
     ["affine", "--g", "sl2", "--window", "1"],
     ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
     ["eala", "--coord", "laurent", "--window", "1"],
@@ -448,6 +462,19 @@ def test_check_lines_carry_the_window_of_the_report(tmp_path, capsys, argv):
             assert f"(window {c['window']})" in line
         else:
             assert "(window" not in line
+
+
+def test_uce_prints_no_window(tmp_path, capsys):
+    # st1-st3 are by construction and the Jacobi sample names its pool
+    # window in its detail: no line or report entry of uce has a window.
+    out = tmp_path / "report.json"
+    argv = ["uce", "--n", "3", "--coord", "laurent", "--window", "1", "--jacobi", "5"]
+    assert main(argv + ["--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks][:3] == ["st1", "st2", "st3"]
+    assert not any("window" in c for c in checks)
+    assert "(window" not in capsys.readouterr().out
+    assert checks[3]["detail"] == "5 triples, seed 0, pool window 1"
 
 
 def _checks(tmp_path, argv):

@@ -22,7 +22,7 @@ ALLOWED = {
         "the branch has e < 0, so the exponent -e is positive",
     "rootsys.IntegerRoots.__init__: self.base ** i":
         "i runs over range(dim), so the power of the int base is an int",
-    "rootsys.normalized_form: Fraction(2) / mn":
+    "rootsys.normalized_form: Fraction(2) / min(norms, key=abs)":
         "the dividend is a Fraction",
     "scalars.Cyclo.__pow__: self.inverse() ** (-k)":
         "the base is a Cyclo and -k > 0 on this branch",

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
-from lietor.eala import build_E, default_iara_data, root_reflection_data
+from lietor.eala import build_E, default_iara_data
 from lietor.graded import GradedAssocAlgebra
 from lietor.lattices import LatticeSubset
 from lietor.linalg import integer_kernel, lattice_rank, rank
@@ -39,6 +39,7 @@ from lietor.rootsys import (
     root_strings_exhaustive,
 )
 from lietor.scalars import QQ, frac_to_str as fs
+from eala_reference import root_reflection_data
 from test_refl import bc1_odd7_ars
 from test_root_traversals import CRITERION2
 

@@ -12,15 +12,20 @@ from lietor.matlie import (
     MatLieElement,
     MatrixLieAlgebra,
     bracket,
-    eigenvalue_law_holds,
     invariant_form,
     invertible_triple,
-    is_invertible,
     lift_derivation,
     verify_root_graded,
 )
 from lietor.rootsys import indivisible_part
 from lietor.scalars import QQ, cyclotomic_field
+from matlie_reference import (
+    decompose,
+    eigenvalue_law_holds,
+    is_invertible,
+    relations_hold,
+    windowed_basis,
+)
 from test_eala import jacobi_holds
 from test_uce import _swap_crossed, _zeta3_torus
 
@@ -118,7 +123,7 @@ def test_invertible_elements(laurent_sl3):
     assert triple is not None
     assert triple.f == L.E(1, 0).scale(F(-1))
     assert triple.h == L.cartan(0, 1)
-    assert triple.relations_hold()
+    assert relations_hold(triple)
     assert is_invertible(L, L.E(0, 1, t)) is not None
     assert is_invertible(L, L.E(0, 1, L.A.one() + t)) is None
     assert eigenvalue_law_holds(L, triple, L.root_of(0, 1), window=1)
@@ -128,7 +133,7 @@ def test_invertible_in_qtorus(qtorus_sl3):
     Q = qtorus_sl3
     x = Q.E(0, 1, Q.A.monomial((1, 1)))
     triple = is_invertible(Q, x)
-    assert triple is not None and triple.relations_hold()
+    assert triple is not None and relations_hold(triple)
     assert eigenvalue_law_holds(Q, triple, Q.root_of(0, 1), window=1)
 
 
@@ -148,7 +153,7 @@ def test_invariant_form(laurent_sl3):
     tinv = L.A.monomial((-1,))
     assert form.pair(L.E(0, 1, t), L.E(1, 0, tinv)) == 1
     assert form.pair(L.E(0, 1, t), L.E(0, 1, t)) == 0
-    basis = L.windowed_basis(1)
+    basis = windowed_basis(L, 1)
     rng = random.Random(3)
     for _ in range(150):
         x, y, z = (rng.choice(basis) for _ in range(3))
@@ -168,7 +173,7 @@ def test_torus_form_nondegenerate(qtorus_sl3):
 
 def test_jacobi_randomized(laurent_sl3, qtorus_sl3):
     for L, seed in ((laurent_sl3, 0), (qtorus_sl3, 1)):
-        basis = L.windowed_basis(1)
+        basis = windowed_basis(L, 1)
         rng = random.Random(seed)
         for _ in range(300):
             assert jacobi_holds(bracket, *(rng.choice(basis) for _ in range(3)))
@@ -177,13 +182,13 @@ def test_jacobi_randomized(laurent_sl3, qtorus_sl3):
 def test_bigrading_compatibility(qtorus_sl3):
     Q = qtorus_sl3
     rng = random.Random(5)
-    basis = Q.windowed_basis(1)
+    basis = windowed_basis(Q, 1)
     for _ in range(100):
         x, y = rng.choice(basis), rng.choice(basis)
-        (rx, dx), = x.decompose().keys()
-        (ry, dy), = y.decompose().keys()
+        (rx, dx), = decompose(x).keys()
+        (ry, dy), = decompose(y).keys()
         br = bracket(x, y)
-        for (r, d) in br.decompose():
+        for (r, d) in decompose(br):
             assert r == tuple(a + b for a, b in zip(rx, ry))
             assert d == tuple(a + b for a, b in zip(dx, dy))
 
@@ -210,7 +215,7 @@ def test_chevalley_centroid_matches_coordinates():
     L = MatrixLieAlgebra(3, C)
     z = C.monomial((2,))
     chi = lift_derivation(L, lambda a: z * a)  # entrywise central multiplication
-    basis = L.windowed_basis(1)
+    basis = windowed_basis(L, 1)
     for x in basis[:20]:
         for y in basis[:20]:
             assert chi(bracket(x, y)) == bracket(chi(x), y)
@@ -220,7 +225,7 @@ def test_lift_derivation(laurent_sl3):
     L = laurent_sl3
     d1 = degree_derivations(L.A)[0]
     lifted = lift_derivation(L, d1.apply)
-    basis = L.windowed_basis(1)
+    basis = windowed_basis(L, 1)
     for x in basis:
         for y in basis:
             assert lifted(bracket(x, y)) == bracket(lifted(x), y) + bracket(x, lifted(y))
@@ -236,7 +241,7 @@ def test_lift_ad_matches_inner(qtorus_sl3):
     a = Q.A.gen(0)
     ad_a = lift_derivation(Q, lambda x: a * x - x * a)
     aEn = type(Q.zero())(Q, {(i, i): a for i in range(3)})
-    for b in Q.windowed_basis(1)[:24]:
+    for b in windowed_basis(Q, 1)[:24]:
         assert ad_a(b) == bracket(aEn, b)
 
 

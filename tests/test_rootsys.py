@@ -174,6 +174,20 @@ def test_classify_reads_the_lengths_of_a_negative_form():
         assert classify(negative).components == [(fam, rk)]
 
 
+def _negated(rs):
+    return with_form(rs, [[-x for x in row] for row in rs.space.form])
+
+
+@pytest.mark.parametrize("fam, rk", [("B", 3), ("C", 3), ("G2", None), ("BC", 2)])
+def test_a_negated_form_normalizes_as_the_form_does(fam, rk):
+    # each component is scaled by 2 over its norm of least absolute value,
+    # and G2's complement (1, 1, 1) of the roots' span turns with it
+    rs = build_exceptional(fam) if rk is None else build_classical(fam, rk)
+    want, got = normalized(rs), normalized(_negated(rs))
+    assert got.space.form == want.space.form
+    assert length_partition(got) == length_partition(want)
+
+
 def test_direct_sum_classification():
     rs = direct_sum(build_classical("A", 1), build_classical("A", 1))
     assert classify(rs).components == [("A", 1), ("A", 1)]

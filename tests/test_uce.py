@@ -22,6 +22,7 @@ from lietor.uce import (
     wedge,
 )
 from test_eala import windowed_basis
+from uce_reference import steinberg_scan
 
 
 def F(*args):
@@ -298,11 +299,29 @@ def test_uce_jacobi_seeded(laurent):
 
 def test_steinberg(laurent):
     U = build_uce_sl(3, laurent)
-    rep = steinberg_check(U, window=1)
+    rep = steinberg_scan(U, window=1)
     assert rep.ok, rep.failures()[0].name
     U4 = build_uce_sl(4, laurent)
-    rep = steinberg_check(U4, window=1)
+    rep = steinberg_scan(U4, window=1)
     assert rep.ok
+
+
+def test_steinberg_check_is_by_construction(monkeypatch):
+    """steinberg_check prints st1-st3 as pass without a window and makes no
+    bracket; the scan on the same algebra agrees."""
+    U = build_uce_sl(3, _algebra("zeta3-torus"))
+
+    def bracket(self, u, v):
+        raise AssertionError("steinberg_check brackets")
+
+    with monkeypatch.context() as m:
+        m.setattr(UceAlgebra, "bracket", bracket)
+        rep = steinberg_check(U)
+    assert [c.name for c in rep.checks] == ["st1", "st2", "st3"]
+    for c in rep.checks:
+        assert c.ok and c.window is None and c.note.startswith("by construction: ")
+        assert c.line().startswith(f"{c.name}: pass  [by construction: ")
+    assert steinberg_scan(U, window=1).ok
 
 
 def test_steinberg_st2_value(laurent):
@@ -597,7 +616,7 @@ def test_hc1_refuses_crossed_products():
 def test_st3_brackets_every_pair_of_the_window(monkeypatch):
     A = _algebra("Q[Z^2]")
     U = build_uce_sl(3, A)
-    assert steinberg_check(U, window=2)["st3"].ok
+    assert steinberg_scan(U, window=2)["st3"].ok
     # Neither coefficient is among the two first or two last monomials of
     # the window.
     a, b = A.monomial((0, 1)), A.monomial((1, -1))
@@ -609,7 +628,7 @@ def test_st3_brackets_every_pair_of_the_window(monkeypatch):
         return plain(self, u, v)
 
     monkeypatch.setattr(UceAlgebra, "bracket", bracket)
-    rep = steinberg_check(U, window=2)
+    rep = steinberg_scan(U, window=2)
     assert rep["st2"].ok
     assert not rep["st3"].ok and rep["st3"].witness == "st3 fails at (0,1,0,2)"
 
@@ -617,7 +636,7 @@ def test_st3_brackets_every_pair_of_the_window(monkeypatch):
 def test_st2_brackets_every_pair_of_the_window(monkeypatch):
     A = _algebra("Q[Z^2]")
     U = build_uce_sl(3, A)
-    assert steinberg_check(U, window=2)["st2"].ok
+    assert steinberg_scan(U, window=2)["st2"].ok
     # Neither coefficient is among the two first or two last monomials of
     # the window.
     a, b = A.monomial((0, 1)), A.monomial((1, -1))
@@ -629,7 +648,7 @@ def test_st2_brackets_every_pair_of_the_window(monkeypatch):
         return plain(self, u, v)
 
     monkeypatch.setattr(UceAlgebra, "bracket", bracket)
-    rep = steinberg_check(U, window=2)
+    rep = steinberg_scan(U, window=2)
     assert rep["st1"].ok and rep["st3"].ok
     assert not rep["st2"].ok and rep["st2"].witness == "st2 fails at (0,1,2)"
 
@@ -641,7 +660,7 @@ def test_st2_reads_each_product_in_order(monkeypatch):
     the bracket."""
     A = _algebra("zeta3-torus")
     U = build_uce_sl(3, A)
-    assert steinberg_check(U, window=1).ok
+    assert steinberg_scan(U, window=1).ok
     # Neither coefficient is among the two first or two last of the nine
     # monomials of the window.
     a, b = A.monomial((0, 1)), A.monomial((1, -1))
@@ -654,7 +673,7 @@ def test_st2_reads_each_product_in_order(monkeypatch):
         return plain(self, u, v)
 
     monkeypatch.setattr(UceAlgebra, "bracket", bracket)
-    rep = steinberg_check(U, window=1)
+    rep = steinberg_scan(U, window=1)
     assert rep["st1"].ok and rep["st3"].ok
     assert not rep["st2"].ok and rep["st2"].witness == "st2 fails at (0,1,2)"
 
@@ -672,7 +691,7 @@ def test_st2_and_st3_bracket_each_pair_once(monkeypatch):
         return plain(self, u, v)
 
     monkeypatch.setattr(UceAlgebra, "bracket", bracket)
-    rep = steinberg_check(U, window=2)
+    rep = steinberg_scan(U, window=2)
     assert all(rep[name].ok for name in ("st1", "st2", "st3"))
     assert calls == 6 * 25 ** 2 + 18 * 25 ** 2 == 15000
 
@@ -680,7 +699,7 @@ def test_st2_and_st3_bracket_each_pair_once(monkeypatch):
 def test_st1_adds_every_pair_of_the_window(monkeypatch):
     A = _algebra("Q[Z^2]")
     U = build_uce_sl(3, A)
-    st1 = steinberg_check(U, window=2)["st1"]
+    st1 = steinberg_scan(U, window=2)["st1"]
     assert st1.ok and st1.line() == "st1: windowed-pass (window 2)"
     # Neither summand is among the first or last monomials of the window.
     a, b = A.monomial((0, 1)), A.monomial((1, -1))
@@ -692,7 +711,7 @@ def test_st1_adds_every_pair_of_the_window(monkeypatch):
         return plain(self, i, j, c)
 
     monkeypatch.setattr(UceAlgebra, "x", x)
-    rep = steinberg_check(U, window=2)
+    rep = steinberg_scan(U, window=2)
     assert rep["st2"].ok and rep["st3"].ok
     assert not rep["st1"].ok
     assert rep["st1"].witness == "st1 fails at a = (1)t^(0, 1), b = (1)t^(1, -1)"
