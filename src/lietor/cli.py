@@ -240,17 +240,21 @@ def cmd_alg(args, run: Runner) -> None:
 
 
 def cmd_sl(args, run: Runner) -> None:
-    window = args.window
     A = load_coord(args, run)
-    L = MatrixLieAlgebra(args.n, A)
-    rep = verify_root_graded(L, window)
-    # RG1 and RG2 hold by construction; RG3 and the flags are read on the
-    # window.
+    rep = verify_root_graded(MatrixLieAlgebra(args.n, A))
+    # A is a group algebra or a quantum torus, so no flag reads a window (see
+    # matlie._root_graded)
     run.add("RG1", rep["RG1"])
     run.add("RG2", rep["RG2"], note="by construction: A is unital, so 1 is a unit of A^0")
-    run.add("RG3", rep["RG3"], detail=rep["RG3_witness"], window=window)
-    for k in ("predivision", "division", "torus"):
-        run.add(f"flag:{k}", True, detail=str(rep[k]), window=window)
+    run.add("RG3", rep["RG3"], note="by construction: the [xE_ij, E_ji] span the trace-zero "
+                                    "diagonals, and modulo those [xE_ij, yE_ji] = [x, y]E_ii, "
+                                    "so the brackets span L_0^d")
+    notes = {"predivision": "A^d = K t^d, and t^d is a unit iff -d is in the support",
+             "division": "A^d = K t^d, so division is predivision",
+             "torus": "dim A^0 = 1, so a torus is a predivision algebra"}
+    for k, note in notes.items():
+        run.add(f"flag:{k}", True, rep.get(f"{k}_witness"), detail=str(rep[k]),
+                note=f"structural: {note}")
     run.add("jacobi", True, note="by construction: the bracket is xy - yx in gl_n(A), and A, "
                                  "a group algebra or a quantum torus with a bilinear "
                                  "2-cocycle tau, is associative")
@@ -412,7 +416,6 @@ def make_parser() -> argparse.ArgumentParser:
     q = leaf(sub, "sl", cmd_sl, "root-graded verification of sl_n(A)")
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=_count(0), default=2)
 
     q = leaf(sub, "uce", cmd_uce, "universal central extension checks")
     q.add_argument("--n", type=int, default=3)

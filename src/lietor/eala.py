@@ -612,8 +612,8 @@ class BuiltE:
             and columns scaled by nonzero scalars, so it has the same rank;
           - chi_rho is onto, so L_(alpha, d + rho) is nonzero with
             L_(alpha, d).
-        Degree 0 is a class of its own.  IA3's root_norm, which is
-        quadratic in d, is not periodic and stays per degree.  sigma_rows,
+        Degree 0 is a class of its own.  IA3's imaginary_norm, which is
+        quadratic in d, is not periodic and is read per degree.  sigma_rows,
         C_min and INV-e are not decided here: sigma_D(x_lam, y_-lam) =
         theta(lam) (x | y) is linear in lam, and they stop at a rank bound
         (see _sigma_rows and validate_inv_data)."""
@@ -654,9 +654,22 @@ class BuiltE:
         """One factorization of t_gram: IA1 reads its rank, t_alpha solves."""
         return LinearSolver.factor(self.t_gram, self.field)
 
-    def root_norm(self, root, deg):
-        t = self.t_alpha(root, deg)
-        return self.form(t, t)
+    @functools.cached_property
+    def _imaginary_gram(self):
+        """G_ij = (t_(0, e_i) | t_(0, e_j)), from n t_alpha solves."""
+        zero, n = (0,) * self.L.n, self.L.z_rank
+        units = [self.t_alpha(zero, tuple(int(i == j) for j in range(n))) for i in range(n)]
+        return [[self.form(a, b) for b in units] for a in units]
+
+    def imaginary_norm(self, deg):
+        """(t_(0, d) | t_(0, d)) for the zero root in degree d, as d^T G d.
+
+        The value (0 + d)(t) = sum_k t_k theta_k(d) is linear in d, so
+        t_(0, d) = sum_i d_i t_(0, e_i), and its norm is the quadratic form
+        of _imaginary_gram at d."""
+        G = self._imaginary_gram
+        return sum((G[i][j] * self.field.from_int(di * dj) for i, di in enumerate(deg)
+                    for j, dj in enumerate(deg) if di and dj), self.field.zero)
 
 
 def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
@@ -675,18 +688,21 @@ def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
     data = E.data
     L = data.L
 
-    rg = verify_root_graded(L, window)
-    # RG1 and RG2 hold by construction (see matlie._root_graded)
-    ok = rg["RG3"] and rg["predivision"]
-    witness = None if ok else rg["RG3_witness"] or rg["predivision_witness"]
-    if ok and not data.form.nondegenerate_on_window(window):
+    # RG1-RG3 hold by construction (see matlie._root_graded).  A is a group
+    # algebra or a quantum torus (build_E), so where predivision holds the
+    # form pairs A^lam = K t^lam with A^-lam, tau(lam, -lam) != 0 times phi(1).
+    rg = verify_root_graded(L)
+    ok, witness = rg["predivision"], rg["predivision_witness"]
+    if ok and not data.form.gf.pair(L.A.one(), L.A.one()):
         ok, witness = False, "graded form on the coordinates is degenerate"
     if ok:
         h = L.cartan_basis()
         gram = [[data.form.pair(a, b) for b in h] for a in h]
         if mat_rank(gram, L.field) < len(h):
             ok, witness = False, "form degenerate on the Cartan span"
-    rep.add("INV-a", ok, witness, window=window)
+    rep.add("INV-a", ok, witness,
+            note="structural: RG3 holds by construction, predivision iff the support is "
+                 "closed under negation, and (t^lam | t^-lam) = tau(lam, -lam) phi(1)")
 
     nD = len(data.D)
     witness = next((f"theta(deg) != 0 for {dk} (not skew)" for dk in data.D
@@ -814,8 +830,8 @@ def refuse_invalid(inv: AxiomReport) -> None:
 def build_E(data: IaraData, window: int = 2, validate: bool = True) -> BuiltE:
     """E for data; with validate, data failing INV-a - INV-f is refused.
     A caller that validates E itself passes validate=False."""
-    if data.L.A.bdim != 1:
-        raise ValueError("the construction is implemented for torus-like coordinates")
+    if data.L.A.bdim != 1 or data.L.A.kind == "crossed":
+        raise ValueError("the construction is implemented for group algebras and quantum tori")
     E = BuiltE(data)
     if validate:
         refuse_invalid(validate_inv_data(E, window))
@@ -856,10 +872,10 @@ def verify_iara(E: BuiltE, window: int = 2) -> AxiomReport:
     elif longest > 5:
         witness = f"an S-string has length {longest} > 5"
     if witness is None:
-        # root_norm is quadratic in the degree, so it is read per degree; the
-        # T-action is decided per class up to the first anisotropic zero root
+        # the T-action is decided per class up to the first anisotropic zero
+        # root, whose norm is read per degree off a quadratic form
         norm_bad = next((i for i, (ro, deg) in enumerate(roots)
-                         if not any(ro) and E.root_norm(ro, deg)), len(roots))
+                         if not any(ro) and E.imaginary_norm(deg)), len(roots))
         bad = E.first_failure(roots[:norm_bad], E.acts_by_root)
         if bad is not None:
             witness = f"T does not act on E_({frac_to_str(bad[0])}, {bad[1]}) by its root"
@@ -942,30 +958,23 @@ def nullity_of(E: BuiltE, window: int = 2) -> int:
 def core_and_tameness(E: BuiltE, window: int = 2) -> dict:
     """Core description and the tameness criterion E_c = C + L.
 
-    For the built algebra, tameness is equivalent to C + L being perfect,
-    i.e. sigma_D(L, L) spanning C while L is perfect.
+    For the built algebra, tameness is equivalent to C + L being perfect.
+    L is perfect by construction (RG3, see matlie._root_graded), so that is
+    sigma_D(L, L) spanning C.
     """
     L = E.L
     rows = [r for rs in sigma_rows(L, E.data.form, E.data.D, window).values() for r in rs]
     c_rows = [list(c.values) for c in E.data.C]
     sigma_rank = mat_rank(rows, E.field) if rows else 0
     c_rank = mat_rank(c_rows, E.field) if c_rows else 0
-    c_covered = sigma_rank == c_rank
-    rg = verify_root_graded(L, window)
-    perfect = rg["RG3"]
-    tame = c_covered and perfect
-    witness = None
-    if not c_covered:
-        witness = "C strictly larger than sigma_D(L, L) on the window"
-    elif not perfect:
-        witness = "L is not perfect on the window"
+    tame = sigma_rank == c_rank
     return {
         "tame": tame,
         "core": f"C_min + L with dim C_min = {sigma_rank} on window {window}",
         "sigma_rank": sigma_rank,
         "c_rank": c_rank,
         "window": window,
-        "witness": witness,
+        "witness": None if tame else "C strictly larger than sigma_D(L, L) on the window",
     }
 
 

@@ -14,7 +14,7 @@ import math
 from operator import add
 
 from .lattices import LatticeSubset, box, lattice_from_congruences
-from .linalg import independent_rows, integer_kernel, kernel, mat_vec, rank as mat_rank, solve
+from .linalg import independent_rows, integer_kernel, kernel, mat_vec, solve
 from .scalars import Cyclo, CycloField, QQ, frac_to_str
 
 
@@ -356,9 +356,6 @@ class GradedAssocAlgebra:
             return []
         return [self.monomial(deg, sym=k) for k in range(self.bdim)]
 
-    def dim_of_degree(self, deg) -> int:
-        return len(self.basis_of_degree(deg))
-
     def try_invert(self, x: AlgElement):
         """Inverse of a homogeneous x, or None; None also for x of several
         degrees.  The inverse of a unit of degree lam has degree -lam."""
@@ -544,19 +541,6 @@ class GradedForm:
 
     def pair(self, a: AlgElement, b: AlgElement):
         return self._apply_phi(a * b)
-
-    def nondegenerate_on_window(self, window: int) -> bool:
-        for deg in box(self.A.n, window):
-            basis = self.A.basis_of_degree(deg)
-            dual = self.A.basis_of_degree(tuple(-d for d in deg))
-            if not basis:
-                continue
-            if not dual:
-                return False
-            gram = [[self.pair(a, b) for b in dual] for a in basis]
-            if mat_rank(gram, self.A.field) < len(basis):
-                return False
-        return True
 
 
 def graded_form(A: GradedAssocAlgebra, phi, window: int = 3) -> GradedForm:

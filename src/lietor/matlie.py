@@ -254,10 +254,6 @@ class SlInvariantForm:
                 out = out + self.gf.pair(a, b)
         return out
 
-    def nondegenerate_on_window(self, window: int) -> bool:
-        """Nondegenerate exactly when the coordinate-algebra form is."""
-        return self.gf.nondegenerate_on_window(window)
-
 
 def invariant_form(L: MatrixLieAlgebra, phi, window: int = 3) -> SlInvariantForm:
     return SlInvariantForm(L, phi, window)
@@ -294,7 +290,8 @@ def lift_derivation(L: MatrixLieAlgebra, d):
 def verify_root_graded(L, window: int = 2) -> MappingProxyType:
     """RG1-RG3 plus the predivision / division / Lie-torus flags, a read-only
     mapping computed once per (L, window), so the eala verifiers can ask for
-    them again at no cost."""
+    them again at no cost.  The window is read only by the predivision of a
+    crossed product."""
     return _root_graded(L, window)
 
 
@@ -312,7 +309,15 @@ def invertible_triple(L: MatrixLieAlgebra, root, deg):
 
 @memo
 def _root_graded(L, window: int) -> MappingProxyType:
-    """RG1-RG3 and the flags on the window, decided over the coordinates A.
+    """RG1-RG3 and the flags, decided over the coordinates A.
+
+    RG3 holds by construction for every unital associative A.  L_0^d is the
+    set of diagonals over A^d whose trace lies in [A,A]^d, per block.  The
+    bracket gives [xE_ij, yE_ji] = xyE_ii - yxE_jj.  With y = 1 these are
+    x(E_ii - E_jj), which span the trace-zero diagonals over A^d of each
+    block.  Modulo those a bracket is [x, y]E_ii, and these span [A,A]^d
+    E_ii.  So the brackets of opposite root spaces span L_0^d in each
+    degree d.
 
     For a = eps_i - eps_j, L_a^d = A^d E_ij, and xE_ij is invertible (it
     lies in an sl2-triple (e, h, f) whose h acts on each L_q by <q, a_check>,
@@ -322,79 +327,65 @@ def _root_graded(L, window: int) -> MappingProxyType:
     some y in A^-d, h = xyE_ii - yxE_jj, and h acting by 1 on
     E_ik and on E_kj (k a third index, n >= 3) gives xy = 1 = yx.  So RG2
     asks for a unit in A^0, which A, being unital, has in 1; and
-    predivision asks for a unit in each windowed A^d != 0: one
-    A.unit_of_degree lookup per degree.  Division also needs
-    every nonzero element of A^d to be a unit.  As A^d = A^0 u for a unit
-    u, it equals predivision when bdim = 1; when bdim > 1 a basis vector b
-    of B that is not a unit refutes it (bu is nonzero and not a unit), and
-    otherwise it is left undecided (None).
+    predivision asks for a unit in each A^d != 0.
 
-    RG3: for unital A, [xE_ij, yE_ji] = xyE_ii - yxE_jj.  With y = 1 these
-    are x(E_ii - E_jj), which span the trace-zero diagonals over A^d of each
-    block, (n_b - 1) dim A^d of them; modulo those a bracket is [x, y]E_ii.
-    So the brackets of windowed degrees span, per block,
-    (n_b - 1) dim A^d + dim [A,A]^d, with [A,A]^d spanned by the commutators
-    of windowed degrees (A.commutator_component), and RG3 holds at d iff
-    that sum is dim L_0^d.
+    For a group algebra or a quantum torus A^d = K t^d, and t^d is a unit
+    exactly when -d is in the support as well.  So predivision fails only on
+    the nonneg support, and its witness is e_n, the first such degree in box
+    order.  A crossed product has an arbitrary tau, so its units are looked
+    up degree by degree on the window (A.unit_of_degree).
+
+    Division also needs every nonzero element of A^d to be a unit.  As
+    A^d = A^0 u for a unit u, it equals predivision when bdim = 1; when
+    bdim > 1 a basis vector of A^0 that is not a unit refutes it, and
+    otherwise it is left undecided (None).
     """
     A = L.A
-    degs = box(L.z_rank, window)
-    # Every nonzero root space L_a^d is A^d E_ij, so one scan of the degrees
-    # serves every root; the witnesses name the first nonzero root.
+    # Every nonzero root space L_a^d is A^d E_ij, so one degree serves every
+    # root; the witnesses name the first nonzero root.
     a = next(a for a in L.S.sorted_roots() if any(a))
 
-    bad = next((d for d in degs if A.in_support(d) and A.unit_of_degree(d) is None), None)
+    if A.kind == "crossed":
+        bad = next((d for d in box(L.z_rank, window)
+                    if A.in_support(d) and A.unit_of_degree(d) is None), None)
+    elif A.support == "nonneg" and L.z_rank:
+        bad = (0,) * (L.z_rank - 1) + (1,)
+    else:
+        bad = None
     prediv_witness = None if bad is None else f"no invertible element in {_space_name(L, a, bad)}"
 
     division, division_witness = prediv_witness is None, prediv_witness
     if division and A.bdim > 1:
-        division, division_witness = _division_beyond_dim_one(L, a, degs)
-
-    rg3_witness = None
-    for deg in degs:
-        need = len(L._diag_basis(deg))
-        have = (sum(hi - lo - 1 for lo, hi in L.blocks) * A.dim_of_degree(deg)
-                + len(L.blocks) * len(A.commutator_component(deg, window)))
-        if have < need:
-            rg3_witness = f"L_0^{_deg_name(deg)} not spanned by opposite-root brackets"
-            break
+        division, division_witness = _division_beyond_dim_one(L, a)
 
     return MappingProxyType({
         # by construction: the entry grading puts the support inside A_(n-1),
-        # and A is unital, so 1 is a unit of A^0
+        # A is unital, so 1 is a unit of A^0, and RG3 is argued above
         "RG1": True,
         "RG2": True,
-        "RG3": rg3_witness is None,
-        "RG3_witness": rg3_witness,
+        "RG3": True,
         "predivision": prediv_witness is None,
         "predivision_witness": prediv_witness,
         "division": division,
         "division_witness": division_witness,
         "torus": A.bdim == 1 and prediv_witness is None,
-        "window": window,
     })
 
 
-def _division_beyond_dim_one(L, a, degs):
-    """(False, witness) when a basis vector b of B is not a unit, else
-    (None, None): with a unit u of A^d, bu is a nonzero element of A^d that
-    is not a unit; the degree-0 space of root a is preferred."""
+def _division_beyond_dim_one(L, a):
+    """(False, witness) when a basis vector b of A^0 is not a unit, else
+    (None, None); b E_ij is then a nonzero element of L_a^0 that is not
+    invertible."""
     A = L.A
     zero = (0,) * L.z_rank
     b = next((b for b in A.basis_of_degree(zero) if A.try_invert(b) is None), None)
-    deg = next((d for d in [zero] + degs if A.unit_of_degree(d)), None)
-    if b is None or deg is None:
+    if b is None:
         return None, None
     i, j = L._root_indices(a)
-    x = L.E(i, j, b * A.unit_of_degree(deg))
-    return False, f"{x!r} in {_space_name(L, a, deg)} is nonzero and not invertible"
-
-
-def _deg_name(deg):
-    return "(" + ", ".join(str(int(d)) for d in deg) + ")"
+    return False, f"{L.E(i, j, b)!r} in {_space_name(L, a, zero)} is nonzero and not invertible"
 
 
 def _space_name(L, root, deg):
     """L_(eps_i - eps_j)^(d)."""
     i, j = L._root_indices(tuple(root))
-    return f"L_(eps_{i} - eps_{j})^{_deg_name(deg)}"
+    return f"L_(eps_{i} - eps_{j})^(" + ", ".join(str(int(d)) for d in deg) + ")"

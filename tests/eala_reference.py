@@ -3,7 +3,10 @@
 
 - ``t_labels``: the part (C, h or D) of each vector of ``BuiltE.t_basis``;
 - ``root_reflection_data``: the windowed real and imaginary roots of (E, T)
-  in Y + Z coordinates, compared with an affine reflection system.
+  in Y + Z coordinates, compared with an affine reflection system;
+- ``root_norm``: (t_alpha | t_alpha) from one solve per (root, degree), the
+  reference for ``BuiltE.imaginary_norm``, which IA3 reads off a quadratic
+  form.
 """
 
 from __future__ import annotations
@@ -26,3 +29,9 @@ def root_reflection_data(E, window: int):
         else:
             imag.add(vec)
     return real, imag
+
+
+def root_norm(E, root, deg):
+    """(t_alpha | t_alpha) for alpha = root + deg."""
+    t = E.t_alpha(root, deg)
+    return E.form(t, t)

@@ -9,12 +9,16 @@ they printed their verdicts by a structural argument or by construction.
 - ``commutator_decomposition``: each degree of the box is central, or some
   mu of the box has [t^mu, t^(deg - mu)] != 0;
 - ``associativity_witness`` and ``unit_holds``: the triple and pair loops
-  over the monomials of the support in the box.
+  over the monomials of the support in the box;
+- ``nondegenerate_on_window``: the Gram rank of a graded form between A^d
+  and A^-d at each degree d of the box, against INV-a, which reads the
+  form off phi(1) (``lietor.eala.validate_inv_data``).
 """
 
 from __future__ import annotations
 
 from lietor.lattices import box
+from lietor.linalg import rank
 
 
 def _power(field, x, e: int):
@@ -82,3 +86,19 @@ def unit_holds(A, window: int) -> bool:
     one = A.one()
     return all(one * A.monomial(d) == A.monomial(d) == A.monomial(d) * one
                for d in box(A.n, window) if A.in_support(d))
+
+
+def nondegenerate_on_window(gf, window: int) -> bool:
+    """Does the GradedForm gf pair A^d nondegenerately with A^-d at each d
+    of the box?"""
+    A = gf.A
+    for deg in box(A.n, window):
+        basis = A.basis_of_degree(deg)
+        dual = A.basis_of_degree(tuple(-d for d in deg))
+        if not basis:
+            continue
+        if not dual:
+            return False
+        if rank([[gf.pair(a, b) for b in dual] for a in basis], A.field) < len(basis):
+            return False
+    return True

@@ -162,7 +162,7 @@ def test_unknown_subcommand_exit_2():
 
 
 def test_sl_and_hc1_commands():
-    assert main(["sl", "--n", "3", "--coord", "laurent", "--window", "1"]) == 0
+    assert main(["sl", "--n", "3", "--coord", "laurent"]) == 0
     assert main(["hc1", "--coord", "laurent", "--degree", "0"]) == 0
     assert main(["affine", "--g", "sl3", "--window", "2"]) == 0
     assert main(["alg", "--coord", "laurent"]) == 0
@@ -170,7 +170,6 @@ def test_sl_and_hc1_commands():
 
 @pytest.mark.parametrize("argv", [
     ["ars", "build"],
-    ["sl", "--coord", "laurent"],
     ["uce", "--coord", "laurent"],
     ["affine"],
     ["eala", "--coord", "laurent"],
@@ -204,7 +203,7 @@ def test_options_nothing_reads_are_usage_errors(capsys):
     # eala builds D from the degree derivations alone, and sl has one action
     assert main(["eala", "--coord", "laurent", "--window", "1", "--D", "degree"]) == 2
     assert "unrecognized arguments: --D" in capsys.readouterr().err
-    assert main(["sl", "verify", "--n", "3", "--coord", "laurent", "--window", "1"]) == 2
+    assert main(["sl", "verify", "--n", "3", "--coord", "laurent"]) == 2
     assert "unrecognized arguments: verify" in capsys.readouterr().err
     # Jacobi on sl_n(A) and EA1's invariance hold by construction: neither
     # command samples
@@ -380,6 +379,7 @@ UNREAD = [
     ["qtorus", "centre", "--q", Q3, "--window", "4"],
     ["qtorus", "scder", "--q", Q3, "--window", "2"],
     ["alg", "--coord", "laurent", "--window", "1"],
+    ["sl", "--coord", "laurent", "--window", "1"],
 ]
 
 
@@ -442,7 +442,6 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
 
 # Small runs of the subcommands that print windowed checks.
 WINDOWED_RUNS = [
-    ["sl", "--n", "3", "--coord", "laurent", "--window", "1"],
     ["affine", "--g", "sl2", "--window", "1"],
     ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
     ["eala", "--coord", "laurent", "--window", "1"],
@@ -546,15 +545,23 @@ def test_jacobi_count_without_a_triple_is_a_usage_error(capsys, argv, error):
     assert out == "" and error in err
 
 
-def test_sl_rg1_and_rg2_have_no_window(tmp_path):
-    # RG1, RG2 and the Jacobi identity hold by construction
-    checks = _checks(tmp_path, ["sl", "--n", "3", "--coord", "laurent", "--window", "1"])
-    for name in ("RG1", "RG2", "jacobi"):
-        assert checks[name]["status"] == "pass" and "window" not in checks[name]
-    for name in ("RG2", "jacobi"):
-        assert checks[name]["note"].startswith("by construction: ")
-    for name in ("RG3", "flag:predivision", "flag:division", "flag:torus"):
-        assert checks[name]["status"] == "windowed-pass" and checks[name]["window"] == 1
+def test_sl_prints_no_window(tmp_path, capsys):
+    # RG1-RG3 and the Jacobi identity hold by construction and the flags are
+    # structural: no line or report entry of sl has a window.
+    for coord, flag in (("laurent", "True"), ("poly", "False")):
+        out = tmp_path / f"{coord}.json"
+        assert main(["sl", "--n", "3", "--coord", coord, "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+        assert not any("window" in c for c in checks.values())
+        assert "(window" not in capsys.readouterr().out
+        assert all(c["status"] == "pass" for c in checks.values())
+        for name in ("RG2", "RG3", "jacobi"):
+            assert checks[name]["note"].startswith("by construction: ")
+        for name in ("flag:predivision", "flag:division", "flag:torus"):
+            assert checks[name]["detail"] == flag
+            assert checks[name]["note"].startswith("structural: ")
+    witness = "no invertible element in L_(eps_2 - eps_0)^(1)"
+    assert checks["flag:predivision"]["witness"] == checks["flag:division"]["witness"] == witness
 
 
 def test_eala_invalid_data_exits_2_before_any_check(monkeypatch, capsys):
@@ -606,8 +613,7 @@ def test_a_reader_that_has_gone_exits_2_after_writing_out(tmp_path):
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = _child(["sl", "--n", "3", "--coord", "laurent", "--window", "1",
-                       "--out", str(out)], stdout=w)
+        proc = _child(["sl", "--n", "3", "--coord", "laurent", "--out", str(out)], stdout=w)
     finally:
         os.close(w)
     assert proc.returncode == 2

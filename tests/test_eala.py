@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
+from lietor.graded import CentroidalDerivation, FiniteDimAlgebra, GradedAssocAlgebra
 from lietor.lattices import box
 from lietor.linalg import independent_rows, lattice_reduce, rank
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
@@ -26,11 +26,12 @@ from lietor.eala import (
     verify_iara,
 )
 from lietor.report import sampled_triples
-from lietor.scalars import cyclotomic_field, frac_to_str
+from lietor.scalars import QQ, cyclotomic_field, frac_to_str
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
-from eala_reference import root_reflection_data, t_labels
+from eala_reference import root_norm, root_reflection_data, t_labels
 from matlie_reference import windowed_basis as sl_windowed_basis
+from qtorus_reference import nondegenerate_on_window
 
 
 def F(*args):
@@ -376,7 +377,7 @@ def test_t_alpha_takes_a_list_root_and_degree(affine_E):
 def _brute_ia3(E, window):
     span = windowed_basis(E, window)
     for ro, deg in E.windowed_roots(window):
-        if not E.root_norm(ro, deg):
+        if not root_norm(E, ro, deg):
             continue
         for e in E.root_space_basis(ro, deg):
             for b in span:
@@ -416,23 +417,85 @@ def test_structural_ia3_matches_brute_force(name):
     assert ia3.ok and ia3.note.startswith("structural")
 
 
-def test_structural_ia3_fails_on_anisotropic_imaginary_root():
-    # Shift the value of the root (0, 1) on all of T: it becomes anisotropic
-    # with S-part 0, so no string bound applies and brute force sees
-    # (ad h t)^6 != 0 as well.
-    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    E = build_E(default_iara_data(L, window=1), window=1, validate=False)
+def _shift_imaginary_values(E, coeffs):
+    """E with the value of each zero root (0, d) shifted by sum_i c_i d_i on
+    every vector of T: linear in d, as a root value is."""
     root_value = E.root_value
-    target = ((0, 0, 0), (1,))
 
     def shifted(root, deg, t):
-        return root_value(root, deg, t) + (1 if (tuple(root), tuple(deg)) == target else 0)
+        if any(root):
+            return root_value(root, deg, t)
+        return root_value(root, deg, t) + sum(c * d for c, d in zip(coeffs, deg))
 
     E.root_value = shifted
+    return E
+
+
+def _anisotropic_E():
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
+    return _shift_imaginary_values(
+        build_E(default_iara_data(L, window=1), window=1, validate=False), [1])
+
+
+def test_structural_ia3_fails_on_anisotropic_imaginary_root():
+    # Shift the value of the roots (0, d) on all of T by d: they become
+    # anisotropic with S-part 0, so no string bound applies and brute force
+    # sees (ad h t)^6 != 0 as well.  (0, -1) is the first in window order.
+    E = _anisotropic_E()
     ia3 = verify_iara(E, 1)["IA3"]
     assert not ia3.ok
-    assert "((0, 0, 0), (1,))" in ia3.witness
+    assert "((0, 0, 0), (-1,))" in ia3.witness
     assert not _brute_ia3(E, 1)
+
+
+IMAGINARY_NORM_INPUTS = {
+    "q3-3": (lambda: _periodic_E("q3", 3), 3),
+    "q3-3-shifted": (lambda: _shift_imaginary_values(_periodic_E("q3", 3), [1, 2]), 3),
+    "laurent-dual-2": (lambda: build_E(default_iara_data(
+        MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), window=2, C="dual"), window=2), 2),
+    "anisotropic-1": (_anisotropic_E, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMAGINARY_NORM_INPUTS))
+def test_imaginary_norm_is_the_root_norm_at_every_zero_root(name):
+    # IA3 reads (t_(0,d) | t_(0,d)) as d^T G d; the reference solves for
+    # t_(0,d) at each degree
+    make_E, window = IMAGINARY_NORM_INPUTS[name]
+    E = make_E()
+    zero = (0,) * E.L.n
+    degs = [deg for ro, deg in E.windowed_roots(window) if not any(ro)]
+    norms = [E.imaginary_norm(deg) for deg in degs]
+    assert norms == [root_norm(E, zero, deg) for deg in degs]
+    assert len(degs) == (2 * window + 1) ** E.L.z_rank
+    assert any(norms) is (name in ("q3-3-shifted", "anisotropic-1"))
+
+
+@pytest.mark.parametrize("phi", [1, 0])
+@pytest.mark.parametrize("coord", ["laurent", "poly", "Q[Z^2]", "Q[0]", "q3"])
+def test_inv_a_reads_the_form_as_the_box_scan_does(coord, phi):
+    # INV-a decides the form from phi(1) and predivision; the reference
+    # takes the Gram rank of A^d against A^-d over the box
+    A = {"poly": GradedAssocAlgebra.polynomial(), "Q[Z^2]": GradedAssocAlgebra.group_algebra(2),
+         "Q[0]": GradedAssocAlgebra.group_algebra(1, support="zero")}.get(coord) or _coord(coord)
+    L = MatrixLieAlgebra(3, A)
+    data = default_iara_data(L, phi=L.field.from_int(phi), window=1, C="dual")
+    inv_a = validate_inv_data(build_E(data, validate=False), 1)["INV-a"]
+    assert inv_a.ok is nondegenerate_on_window(data.form.gf, 2) is (phi == 1 and coord != "poly")
+    assert inv_a.status in ("pass", "fail") and inv_a.note.startswith("structural: ")
+    if coord == "poly":
+        assert inv_a.witness == "no invertible element in L_(eps_2 - eps_0)^(1)"
+    elif not phi:
+        assert inv_a.witness == "graded form on the coordinates is degenerate"
+
+
+def test_build_e_refuses_a_crossed_product():
+    # INV-a reads the form off phi(1), which holds for group algebras and
+    # tori; a crossed product with B = K is refused all the same
+    A = GradedAssocAlgebra("crossed", 1, QQ, B=FiniteDimAlgebra.field_algebra(QQ),
+                           tau=lambda lam, mu: [F(1)], sigma=lambda lam: [[F(1)]])
+    with pytest.raises(ValueError, match="group algebras and quantum tori"):
+        build_E(default_iara_data(MatrixLieAlgebra(3, A), window=1, C="dual"), validate=False)
 
 
 def test_sigma_d_pairs_of_every_d_degree():
