@@ -208,7 +208,7 @@ def _parse_degree(text, n: int):
 def _load_qtorus(args, run=None) -> GradedAssocAlgebra:
     data = load_json(args.q, run)
     A = coord_algebra_from_json(data)
-    if A.kind != "qtorus":
+    if A.kind != "qtorus" or A.support is not None:
         raise InputError("expected a quantum torus description")
     return A
 
@@ -242,8 +242,8 @@ def cmd_alg(args, run: Runner) -> None:
 def cmd_sl(args, run: Runner) -> None:
     A = load_coord(args, run)
     rep = verify_root_graded(MatrixLieAlgebra(args.n, A))
-    # A is a group algebra or a quantum torus, so no flag reads a window (see
-    # matlie._root_graded)
+    # A is a quantum torus (a group algebra is q = 1), so no flag reads a
+    # window (see matlie._root_graded)
     run.add("RG1", rep["RG1"])
     run.add("RG2", rep["RG2"], note="by construction: A is unital, so 1 is a unit of A^0")
     run.add("RG3", rep["RG3"], note="by construction: the [xE_ij, E_ji] span the trace-zero "

@@ -514,13 +514,13 @@ class BuiltE:
         checks are periodic modulo it (see first_failure), else None.
 
         The premises, each read from the input: A^0 = K (bdim 1); A is a
-        quantum torus, or a group algebra on all of Z^n (then Rad = Z^n);
-        every D element and every C functional has degree 0; and the thetas
-        of T_D have rank n (INV-c)."""
+        quantum torus on all of Z^n (a group algebra is q = 1, and then
+        Rad = Z^n); every D element and every C functional has degree 0; and
+        the thetas of T_D have rank n (INV-c)."""
         A, data, n = self.L.A, self.data, self.L.z_rank
         thetas = [list(data.D[k].v) for k in data.T_D]
         periodic = (A.bdim == 1
-                    and (A.kind == "qtorus" or (A.kind == "group" and A.support is None))
+                    and A.kind == "qtorus" and A.support is None
                     and not any(any(dk.gamma) for dk in data.D)
                     and not any(any(c.degree) for c in data.C)
                     and (mat_rank(thetas, self.field) if thetas else 0) == n)

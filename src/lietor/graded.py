@@ -1,6 +1,6 @@
-"""Z^n-graded unital associative algebras: group algebras, quantum tori and
-crossed products, with their centre lattices, graded invariant forms and
-centroidal derivations.
+"""Z^n-graded unital associative algebras: quantum tori (a group algebra is
+the quantum torus with q = 1) and crossed products, with their centre
+lattices, graded invariant forms and centroidal derivations.
 
 Elements are finite sums of (lattice degree, basis symbol) terms with exact
 scalar coefficients, so arithmetic is unbounded while structural checks run
@@ -189,9 +189,10 @@ class AlgElement:
 class GradedAssocAlgebra:
     """Z^n-graded unital associative algebra.
 
-    kind is one of "group", "qtorus", "crossed".  The optional support
-    restriction "nonneg" gives polynomial (rather than Laurent) variants,
-    and "zero" the degree-0 part alone; None is all of Z^n.
+    kind is "qtorus", a quantum torus with quantum matrix q (a group algebra
+    is q = 1), or "crossed".  The optional support restriction "nonneg"
+    gives polynomial (rather than Laurent) variants, and "zero" the
+    degree-0 part alone; None is all of Z^n.
     """
 
     def __init__(self, kind, n, field, q=None, B=None, tau=None, sigma=None, support=None):
@@ -203,9 +204,7 @@ class GradedAssocAlgebra:
         self.field = field
         self.support = support
         self.q = q
-        if kind == "group":
-            self.B = FiniteDimAlgebra.field_algebra(field)
-        elif kind == "qtorus":
+        if kind == "qtorus":
             if q is None:
                 raise ValueError("quantum torus needs a quantum matrix")
             validate_quantum_matrix(q, field)
@@ -225,15 +224,16 @@ class GradedAssocAlgebra:
 
     @classmethod
     def group_algebra(cls, n, field=QQ, support=None):
-        return cls("group", n, field, support=support)
+        """K[Z^n] on the support: the quantum torus whose q_ij are all 1."""
+        return cls("qtorus", n, field, q=[[field.one] * n for _ in range(n)], support=support)
 
     @classmethod
     def laurent(cls, field=QQ):
-        return cls("group", 1, field)
+        return cls.group_algebra(1, field)
 
     @classmethod
     def polynomial(cls, field=QQ):
-        return cls("group", 1, field, support="nonneg")
+        return cls.group_algebra(1, field, support="nonneg")
 
     @classmethod
     def quantum_torus(cls, q, field):
@@ -243,8 +243,10 @@ class GradedAssocAlgebra:
         """Table mode when every q_ij is a root of unity.  Those of Q are +-1,
         and those of Q(zeta_N) are the powers of z = zeta_N (N even) or
         -zeta_N (N odd), of order m = lcm(2, N).  With q_ij = z^a_ij, tau is
-        z^e for e = sum a_ij lam_i mu_j, read from the m powers of z; any
-        other q keeps the direct product."""
+        z^e for e = sum a_ij lam_i mu_j, read from the m powers of z and
+        summed over the (i, j, a_ij) with i > j and a_ij != 0 alone: for
+        q = 1 there is none, and tau is field.one itself.  Any other q keeps
+        the direct product."""
         field = self.field
         if isinstance(field, CycloField):
             z = field.zeta() if field.order % 2 == 0 else -field.zeta()
@@ -262,6 +264,8 @@ class GradedAssocAlgebra:
             self._tau_m = m
             self._tau_powers = powers
             self._tau_amat = amat
+            self._tau_terms = [(i, j, a) for i, row in enumerate(amat)
+                               for j, a in enumerate(row[:i]) if a]
 
     def in_support(self, deg) -> bool:
         if self.support == "nonneg":
@@ -293,17 +297,10 @@ class GradedAssocAlgebra:
 
     def tau(self, lam, mu):
         """2-cocycle factor for t^lam t^mu."""
-        if self.kind == "group":
-            return self.field.one
         if self._tau_mode == "table":
             e = 0
-            for i in range(self.n):
-                li = lam[i]
-                if li:
-                    row = self._tau_amat[i]
-                    for j in range(i):
-                        if mu[j]:
-                            e += row[j] * li * mu[j]
+            for i, j, a in self._tau_terms:
+                e += a * lam[i] * mu[j]
             return self._tau_powers[e % self._tau_m]
         out = self.field.one
         for i in range(self.n):
@@ -385,8 +382,8 @@ class GradedAssocAlgebra:
     def unit_of_degree(self, deg):
         """A unit of A^deg, or None when A^deg holds no unit.
 
-        A group algebra or quantum torus has A^deg = F t^deg, and t^deg is a
-        unit exactly when deg and -deg are both in the support.
+        A quantum torus (a group algebra is q = 1) has A^deg = F t^deg, and
+        t^deg is a unit exactly when deg and -deg are both in the support.
 
         A crossed product B * Z^n multiplies by
         (b t^lam)(c t^mu) = b sigma_lam(c) tau(lam, mu) t^(lam+mu).  The
@@ -410,11 +407,8 @@ class GradedAssocAlgebra:
     @memo
     def commutator_component(self, deg, window: int):
         """Basis of [A,A]^deg, computed on the window for crossed products."""
-        if self.kind == "group":
-            return []
         if self.kind == "qtorus":
-            gamma = self.centre_lattice()
-            if deg in gamma:
+            if deg in self.centre_lattice():
                 return []
             return [self.monomial(deg)] if self.in_support(deg) else []
         vecs = []
@@ -436,8 +430,6 @@ class GradedAssocAlgebra:
     @memo
     def centre_lattice(self) -> LatticeSubset:
         """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i} for a torus."""
-        if self.kind == "group":
-            return LatticeSubset.full(self.n)
         if self.kind != "qtorus":
             raise ValueError("centre lattice is defined for quantum tori")
         if self._tau_mode == "table":
@@ -610,9 +602,7 @@ def skew_centroidal_space(A: GradedAssocAlgebra, deg):
     """Basis of (SCDer A)^deg = {d_theta in (CDer A)^deg : theta(deg) = 0}."""
     deg = tuple(deg)
     if any(deg):
-        if A.kind == "qtorus" and deg not in A.centre_lattice():
-            return []
-        if A.kind == "group" and not A.in_support(deg):
+        if A.kind == "qtorus" and not (A.in_support(deg) and deg in A.centre_lattice()):
             return []
         sols = kernel([[A.field.from_int(x) for x in deg]], A.field, A.n)
         return [CentroidalDerivation(A, v, deg) for v in sols]

@@ -329,10 +329,10 @@ def _root_graded(L, window: int) -> MappingProxyType:
     asks for a unit in A^0, which A, being unital, has in 1; and
     predivision asks for a unit in each A^d != 0.
 
-    For a group algebra or a quantum torus A^d = K t^d, and t^d is a unit
-    exactly when -d is in the support as well.  So predivision fails only on
-    the nonneg support, and its witness is e_n, the first such degree in box
-    order.  A crossed product has an arbitrary tau, so its units are looked
+    For a quantum torus (a group algebra is q = 1) A^d = K t^d, and t^d is
+    a unit exactly when -d is in the support as well.  So predivision fails
+    only on the nonneg support, and its witness is e_n, the first such degree
+    in box order.  A crossed product has an arbitrary tau, so its units are looked
     up degree by degree on the window (A.unit_of_degree).
 
     Division also needs every nonzero element of A^d to be a unit.  As

@@ -227,15 +227,17 @@ def hc1_component(A: GradedAssocAlgebra, deg) -> int:
     A quantum torus K_q (a group algebra is the case q = 1) has
     dim HC_1^sigma = n - [sigma != 0] for sigma in Rad(q), its centre
     lattice, and 0 off it (Kassel, JPAA 34, 1984; Berman, Gao and Krylyuk,
-    J. Funct. Anal. 135, 1996).  A group algebra on the support N^n or {0}
-    is smooth, so HC_1 = Omega^1/dA: in a degree sigma of the support,
-    Omega^1 has the t^(sigma - e_i) dt_i with sigma_i != 0 and dA the one
-    d t^sigma when sigma != 0.  Crossed products are not covered.
+    J. Funct. Anal. 135, 1996).  A group algebra (every q_ij = 1) on the
+    support N^n or {0} is smooth, so HC_1 = Omega^1/dA: in a degree sigma of
+    the support, Omega^1 has the t^(sigma - e_i) dt_i with sigma_i != 0 and
+    dA the one d t^sigma when sigma != 0.  Crossed products, and quantum
+    tori with some q_ij != 1 on a bounded support, are not covered.
     """
     deg = tuple(deg)
-    if A.kind == "crossed" or (A.support is not None and A.kind != "group"):
-        raise ValueError(f"HC_1 is decided for quantum tori and group algebras; got a {A.kind!r} "
-                         f"algebra with support {A.support!r}")
+    if A.kind == "crossed" or (A.support is not None
+                               and any(x != A.field.one for row in A.q for x in row)):
+        raise ValueError(f"HC_1 is decided for quantum tori on all of Z^n and group algebras; got "
+                         f"a {A.kind!r} algebra with support {A.support!r}")
     if not A.in_support(deg):
         return 0
     nonzero = int(any(deg))

@@ -325,6 +325,38 @@ def test_unknown_support_of_a_group_algebra_is_refused(capsys):
     assert "error: unknown support 'positive'" in capsys.readouterr().err
 
 
+def test_qtorus_leaves_refuse_a_bounded_support(tmp_path, capsys):
+    # K[N^2] is no torus: t_1 has no inverse there
+    path = tmp_path / "nonneg.json"
+    path.write_text('{"kind": "group", "n": 2, "support": "nonneg"}')
+    assert main(["qtorus", "centre", "--q", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: expected a quantum torus description" in err
+
+
+# A group algebra is the quantum torus whose q_ij are all 1: each pair is one
+# algebra in two descriptions, and each run prints the same on both
+GROUP_AND_Q_1 = {
+    "n1": ({"kind": "group", "n": 1}, {"kind": "qtorus", "n": 1, "q": [["1"]]}),
+    "n2": ({"kind": "group", "n": 2}, {"kind": "qtorus", "n": 2, "q": [["1", "1"], ["1", "1"]]}),
+}
+GROUP_AND_Q_1_RUNS = [["eala", "--n", "3", "--window", "2"], ["sl", "--n", "3"],
+                      ["uce", "--n", "3", "--window", "1"], ["hc1", "--degree", "0"],
+                      ["qtorus", "centre"]]
+
+
+@pytest.mark.parametrize("argv", GROUP_AND_Q_1_RUNS, ids=lambda a: a[0])
+@pytest.mark.parametrize("pair", sorted(GROUP_AND_Q_1))
+def test_a_group_algebra_runs_as_the_torus_with_q_1(tmp_path, capsys, pair, argv):
+    got = []
+    for name, data in zip(("group", "torus"), GROUP_AND_Q_1[pair]):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code = main(argv + ["--q" if argv[0] == "qtorus" else "--coord", str(path)])
+        got.append((code, capsys.readouterr().out))
+    assert got[0] == got[1] and got[0][0] == 0 and got[0][1]
+
+
 def test_z6_over_zeta3_is_minus_z3_squared():
     # Q(zeta_6) = Q(zeta_3), with zeta_6 = -zeta_3^2
     A = coord_algebra_from_json(json.loads((goldens.DATA / "q6_in_zeta3.json").read_text()))

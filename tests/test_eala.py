@@ -489,6 +489,16 @@ def test_inv_a_reads_the_form_as_the_box_scan_does(coord, phi):
         assert inv_a.witness == "graded form on the coordinates is degenerate"
 
 
+@pytest.mark.parametrize("support", ["nonneg", "zero"])
+def test_a_bounded_support_is_not_periodic_modulo_rad(support):
+    # Rad of the group algebra is all of Z^2, but on a bounded support no
+    # t^rho with rho != 0 is a unit, so each degree stays its own class
+    A = GradedAssocAlgebra.group_algebra(2, support=support)
+    E = build_E(default_iara_data(MatrixLieAlgebra(3, A), window=1, C="dual"), validate=False)
+    assert A.centre_lattice().basis == [[1, 0], [0, 1]]
+    assert E._centre_rows is None
+
+
 def test_build_e_refuses_a_crossed_product():
     # INV-a reads the form off phi(1), which holds for group algebras and
     # tori; a crossed product with B = K is refused all the same

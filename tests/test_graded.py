@@ -344,7 +344,8 @@ def _torus(field, upper):
 
 def _tori():
     """Q(zeta_N) for N = 1 .. 12 with q_01 = zeta_N, q_01 = -zeta_N (of order
-    2N for odd N) and a rank-3 q of mixed orders; q = -1 over Q."""
+    2N for odd N) and a rank-3 q of mixed orders; q = -1 over Q; and q = 1,
+    the group algebra, over Q in ranks 1 to 3 and over Q(zeta_3) in rank 2."""
     out = {}
     for N in range(1, 13):
         field = cyclotomic_field(N)
@@ -354,10 +355,15 @@ def _tori():
         out[f"Q(zeta_{N}) rank 3"] = (field, [[z, field(-1)], [z ** 2]])
     out["Q -1"] = (QQ, [[F(-1)]])
     out["Q rank 3"] = (QQ, [[F(-1), F(1)], [F(-1)]])
+    for n in (1, 2, 3):
+        out[f"Q ones rank {n}"] = (QQ, [[F(1)] * (n - 1 - i) for i in range(n - 1)])
+    F3 = cyclotomic_field(3)
+    out["Q(zeta_3) ones"] = (F3, [[F3.one]])
     return out
 
 
 TORI = _tori()
+ONES = [name for name in TORI if "ones" in name]
 
 # The HNF basis of each centre lattice; its index is the number of central
 # points counted in (Z/2N)^n.
@@ -400,6 +406,10 @@ CENTRE_BASES = {
     "Q(zeta_12) rank 3": [[2, 6, 1], [0, 12, 0], [0, 0, 6]],
     "Q -1": [[2, 0], [0, 2]],
     "Q rank 3": [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
+    "Q ones rank 1": [[1]],
+    "Q ones rank 2": [[1, 0], [0, 1]],
+    "Q ones rank 3": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+    "Q(zeta_3) ones": [[1, 0], [0, 1]],
 }
 
 
@@ -426,6 +436,20 @@ def test_root_of_unity_tori_read_tau_from_a_table(name):
     gamma = A.centre_lattice()
     assert gamma.basis == CENTRE_BASES[name]
     assert set(gamma.window_elements(4)) == set(centre_scan_oracle(A, 4))
+    if name in ONES:
+        # no q_ij differs from 1, so tau sums no term and is the field's one
+        # itself, which mul skips multiplying by
+        assert all(A.tau(lam, mu) is A.field.one for lam in box(A.n, 2) for mu in box(A.n, 2))
+
+
+def test_a_group_algebra_is_the_torus_with_q_1():
+    for n in (0, 1, 2):
+        A = GradedAssocAlgebra.group_algebra(n, support="nonneg")
+        assert A.kind == "qtorus" and A.support == "nonneg"
+        assert A.q == [[QQ.one] * n for _ in range(n)]
+        assert A.centre_lattice().basis == [[int(i == j) for j in range(n)] for i in range(n)]
+    with pytest.raises(ValueError, match="unknown algebra kind 'group'"):
+        GradedAssocAlgebra("group", 1, QQ)
 
 
 def test_non_root_of_unity_torus_stays_direct():

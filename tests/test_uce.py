@@ -613,6 +613,16 @@ def test_hc1_refuses_crossed_products():
         hc1_component(_algebra("swap-crossed"), (0,))
 
 
+def test_hc1_refuses_a_quantum_plane():
+    # Omega^1/dA counts HC_1 of a group algebra on a bounded support, and
+    # Rad(q) that of a torus on all of Z^n; the quantum plane, q3 on N^2, is
+    # neither
+    A = _zeta3_torus()
+    plane = GradedAssocAlgebra("qtorus", 2, A.field, q=A.q, support="nonneg")
+    with pytest.raises(ValueError, match="support 'nonneg'"):
+        hc1_component(plane, (0, 0))
+
+
 def test_st3_brackets_every_pair_of_the_window(monkeypatch):
     A = _algebra("Q[Z^2]")
     U = build_uce_sl(3, A)
