@@ -28,6 +28,7 @@ from .refl import (
 )
 from .report import AxiomReport, CheckResult, sampled_check
 from .rootsys import build_classical, build_exceptional, classify, normalized
+from .scalars import frac_to_str
 from .serialize import (
     coord_algebra_from_json,
     datum_from_json,
@@ -167,6 +168,8 @@ def cmd_refl(args, run: Runner) -> None:
     ff = check_form(rs, rs.space.form)
     for k in ("invariant", "strictly_invariant", "affine"):
         run.add(f"form:{k}", True, detail=str(ff[k]))
+    norms = sorted({rs.space.pair(a, a) for a in rs.nonzero_roots()})  # shows a wrong --normalized
+    run.add("form:norms", True, detail=", ".join(frac_to_str(x) for x in norms))
 
 
 def cmd_ars_build(args, run: Runner) -> None:
@@ -285,18 +288,17 @@ def cmd_affine(args, run: Runner) -> None:
     if not args.g.startswith("sl"):
         raise InputError("only g = sl<m> is supported")
     m = int(args.g[2:])
-    window = args.window
-    E = build_affine(m, window)
-    run.add("root-spaces", E.first_failure(E.windowed_roots(window), E.acts_by_root) is None,
-            window=window)
+    E = build_affine(m)
+    # Rad = Z: the degree classes are 0 and every k != 0, read off (1,)
+    items, _ = E.class_list()
+    run.add("root-spaces", all(E.acts_by_root(*item) for item in items))
     # dim E_(k delta): the root space of the zero root in t-degree k
-    dims = {k: len(E.root_space_basis((0,) * m, (k,))) for k in range(-window, window + 1)}
-    run.add("dim-E0", True, detail=str(dims[0]))
-    if window >= 1:
-        run.add("dim-E-delta", True, detail=str(dims[1]))
+    dims = {deg: len(E.root_space_basis((0,) * m, deg)) for ro, deg in items if not any(ro)}
+    run.add("dim-E0", True, detail=str(dims[(0,)]))
+    run.add("dim-E-delta", True, detail=str(dims[(1,)]))
     if args.emit == "roots":
-        for k in range(-window, window + 1):
-            run.echo(f"delta-degree {k}: dim {dims[k]}")
+        for deg, dim in dims.items():
+            run.echo(f"delta-degree {'k != 0' if any(deg) else 0}: dim {dim}")
 
 
 def _add_hc1(run: Runner, name: str, A, deg) -> None:
@@ -341,11 +343,13 @@ def cmd_eala(args, run: Runner) -> None:
     run.merge(ia)
     ea = verify_eala(E, window, iara=ia)
     run.merge(ea)
-    run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=window)
-    run.add("nullity", True, detail=str(nullity_of(E, window)))
-    cv = classify_variant(E, window, iara=ia, eala=ea)
+    run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=ea["EA5"].window)
+    nullity = nullity_of(E, window)  # at most n, so exact once it is n
+    run.add("nullity", True, detail=str(nullity),
+            window=None if nullity == A.n else E.class_list(window)[1])
+    cv = classify_variant(iara=ia, eala=ea)
     for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):
-        run.add(f"variant:{k}", True, detail=str(cv[k]), window=window)
+        run.add(f"variant:{k}", True, detail=str(cv[k]), window=cv["windows"][k])
 
 
 def _count(least: int):
@@ -428,7 +432,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     q = leaf(sub, "affine", cmd_affine, "the untwisted affine construction")
     q.add_argument("--g", default="sl3")
-    q.add_argument("--window", type=_count(0), default=5)
     q.add_argument("--emit", choices=["roots", "none"], default="none")
 
     q = leaf(sub, "hc1", cmd_hc1, "first cyclic homology in one degree")
@@ -440,7 +443,9 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
     # C_min is read on the window, and sigma_D vanishes in degree 0
-    q.add_argument("--window", type=_count(1), default=3)
+    q.add_argument("--window", type=_count(1), default=3,
+                   help="read only on a torus whose centre lattice has infinite index, or "
+                        "on data that break its premises; a line that reads it prints it")
     return p
 
 

@@ -546,8 +546,10 @@ class CentroidalDerivation:
         self.A = A
         self.v = list(v)
         self.gamma = tuple(gamma) if gamma is not None else (0,) * A.n
-        if any(self.gamma):
-            if self.A.kind == "qtorus" and self.gamma not in A.centre_lattice():
+        if any(self.gamma) and self.A.kind == "qtorus":
+            if not A.in_support(self.gamma):
+                raise ValueError(f"degree {self.gamma} is off the support of A")
+            if self.gamma not in A.centre_lattice():
                 raise ValueError(f"degree {self.gamma} is not central")
 
     def theta(self, lam):
@@ -582,6 +584,8 @@ class CentroidalDerivation:
 def cder_bracket(d1: CentroidalDerivation, d2: CentroidalDerivation) -> CentroidalDerivation:
     """[d_theta, d_psi] = theta(mu) d_psi - psi(lam) d_theta in degree lam+mu."""
     A = d1.A
+    if A.kind == "crossed":
+        raise ValueError("cder_bracket needs a quantum torus, not a crossed product")
     c1 = d1.theta(d2.gamma) * A.tau(d1.gamma, d2.gamma)
     c2 = d2.theta(d1.gamma) * A.tau(d2.gamma, d1.gamma)
     v = [c1 * w - c2 * u for u, w in zip(d1.v, d2.v)]

@@ -2,7 +2,8 @@
 
 This is the exact representation behind extension data: membership,
 containment and sums are decided by coset arithmetic; enumeration happens
-on a box window.  Finite sets are the rank-0 case (sublattice {0}).
+on a box window, or over the residues of a full-rank sublattice.  Finite
+sets are the rank-0 case (sublattice {0}).
 """
 
 from __future__ import annotations
@@ -137,6 +138,14 @@ class LatticeSubset:
                 if lattice_reduce(p, other.basis) not in other_set:
                     return p
         return None
+
+    def residues(self):
+        """The points with 0 <= v_c < d_c at each pivot d_c of a full-rank
+        HNF basis: the |det| = d_1 ... d_n canonical coset representatives
+        of lattice_reduce, in lexicographic order; None below full rank."""
+        if len(self.basis) < self.n:
+            return None
+        return list(itertools.product(*(range(row[c]) for c, row in enumerate(self.basis))))
 
     def window_elements(self, w: int):
         """All members v with max |v_i| <= w, in lexicographic order."""

@@ -429,13 +429,13 @@ class _SmallMatrixLie(MatrixLieAlgebra):
     min_n = 2
 
 
-def build_affine(m: int, window: int = 2) -> BuiltE:
+def build_affine(m: int) -> BuiltE:
     """The untwisted affine algebra over sl_m as E = C + L + D with
     L = sl_m(K[t,t^-1]), D = K d (the degree derivation), C = D* (c pairs
-    with d to 1) and tau = 0; the construction data are validated on the
-    window."""
+    with d to 1) and tau = 0.  The construction data are validated exactly:
+    sigma_D reaches its rank bound at degree 1, and T_C = C spans D*."""
     if m < 2:
         raise ValueError("need m >= 2")
     A = GradedAssocAlgebra.laurent()
     L = MatrixLieAlgebra(m, A) if m >= 3 else _SmallMatrixLie(m, A)
-    return build_E(default_iara_data(L, C="dual"), window)
+    return build_E(default_iara_data(L, C="dual"))

@@ -177,7 +177,7 @@ def test_criterion_7_affine_equivalence():
     assert len(E.root_space_basis(zero_root, (0,))) == 4 and dims == (2, 1, 1)
     from lietor.uce import build_affine
 
-    E_aff = build_affine(3, window)
+    E_aff = build_affine(3)
     assert len(E_aff.root_space_basis(zero_root, (0,))) == len(E.root_space_basis(zero_root, (0,)))
     for m in range(-window, window + 1):
         if m:

@@ -64,6 +64,9 @@ def test_refl_normalized_reads_a_negated_form_as_the_form(tmp_path, fam, rk):
         checks.append(json.loads(report.read_text())["checks"])
     assert checks[0] == checks[1]
     assert [c["status"] for c in checks[0]].count("pass") == len(checks[0])
+    # the norms of the normalized form: 2 on the short roots
+    norms = {"B": "2, 4", "C": "2, 4", "G2": "2, 6", "BC": "2, 4, 8"}[fam]
+    assert {"detail": norms, "name": "form:norms", "status": "pass"} in checks[0]
 
 
 def test_ars_build_check_pipeline(tmp_path):
@@ -164,14 +167,13 @@ def test_unknown_subcommand_exit_2():
 def test_sl_and_hc1_commands():
     assert main(["sl", "--n", "3", "--coord", "laurent"]) == 0
     assert main(["hc1", "--coord", "laurent", "--degree", "0"]) == 0
-    assert main(["affine", "--g", "sl3", "--window", "2"]) == 0
+    assert main(["affine", "--g", "sl3"]) == 0
     assert main(["alg", "--coord", "laurent"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
     ["ars", "build"],
     ["uce", "--coord", "laurent"],
-    ["affine"],
     ["eala", "--coord", "laurent"],
 ], ids=lambda argv: argv[0])
 def test_negative_window_exit_2(argv, capsys):
@@ -254,12 +256,13 @@ def test_zero_denominator_in_a_datum_exit_2(tmp_path, capsys):
 
 
 def test_eala_laurent_report(tmp_path):
+    # Rad = Z: the class list and the sigma_D rank bound decide every line
     rep = tmp_path / "eala.json"
     assert main(["eala", "--coord", "laurent", "--window", "1", "--out", str(rep)]) == 0
     checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
-    assert checks["tame"]["status"] == checks["EA5"]["status"] == "windowed-pass"
+    assert checks["tame"]["status"] == checks["EA5"]["status"] == "pass"
     assert "structural" in checks["IA3"]["note"]
-    assert checks["IA3"]["window"] == 1
+    assert not any("window" in c for c in checks.values())
 
 
 def test_scalar_tokens():
@@ -395,6 +398,7 @@ def test_every_leaf_of_the_cli_has_a_golden_run():
 ROOTS_B3 = str(goldens.DATA / "roots_b3.json")
 ED = str(goldens.DATA / "ed_outside_window.json")
 Q3 = str(goldens.DATA / "q3.json")
+Q2 = str(goldens.DATA / "q2.json")
 # The options that a leaf does not read, each on that leaf
 UNREAD = [
     ["roots", "build", "--in", ROOTS_B3],
@@ -412,6 +416,7 @@ UNREAD = [
     ["qtorus", "scder", "--q", Q3, "--window", "2"],
     ["alg", "--coord", "laurent", "--window", "1"],
     ["sl", "--coord", "laurent", "--window", "1"],
+    ["affine", "--g", "sl3", "--window", "3"],
 ]
 
 
@@ -472,11 +477,11 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
     assert "error: S is not integral: <" in err and "= 1/3" in err
 
 
-# Small runs of the subcommands that print windowed checks.
+# Small runs of the subcommands that print windowed checks: on q2, Rad = 0
+# and the eala root-space checks keep the window.
 WINDOWED_RUNS = [
-    ["affine", "--g", "sl2", "--window", "1"],
     ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
-    ["eala", "--coord", "laurent", "--window", "1"],
+    ["eala", "--coord", Q2, "--window", "1"],
 ]
 
 
@@ -493,6 +498,57 @@ def test_check_lines_carry_the_window_of_the_report(tmp_path, capsys, argv):
             assert f"(window {c['window']})" in line
         else:
             assert "(window" not in line
+
+
+def test_affine_prints_no_window(tmp_path, capsys):
+    # Rad = Z: root-spaces is decided on the degree classes 0 and k != 0,
+    # and --emit prints one line for each
+    out = tmp_path / "report.json"
+    assert main(["affine", "--g", "sl2", "--emit", "roots", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 3
+    assert not any("window" in c for c in checks)
+    assert capsys.readouterr().out.splitlines()[-2:] == ["delta-degree 0: dim 3",
+                                                         "delta-degree k != 0: dim 1"]
+
+
+def _eala_checks(tmp_path, coord, window):
+    out = tmp_path / "eala.json"
+    assert main(["eala", "--coord", coord, "--n", "3", "--window", window,
+                 "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def test_eala_q3_reports_do_not_depend_on_the_window(tmp_path):
+    reports = {goldens.without_command(_eala_checks(tmp_path, Q3, w)) for w in "123"}
+    assert len(reports) == 1 and "window" not in reports.pop()
+
+
+# A change of lattice basis g in GL_2(Z): the torus q' with exponents
+# g^T a g, where q_ij = zeta_N^a_ij, is the torus q with its grading read
+# through g, so each line that carries no window keeps its status and detail.
+BASIS_CHANGES = [[[0, 1], [1, 0]], [[2, 1], [1, 1]], [[1, -2], [0, -1]], [[-1, 0], [3, 1]]]
+
+
+@pytest.mark.parametrize("name", ["q3", "q4"])
+def test_eala_lines_keep_their_verdicts_under_a_change_of_lattice_basis(tmp_path, name):
+    N = int(name[1:])
+    base = json.loads((goldens.DATA / f"{name}.json").read_text())
+    a = [[0, 1], [-1, 0]]
+
+    def checks(coord):
+        report = json.loads(_eala_checks(tmp_path, coord, "1"))["checks"]
+        return [c for c in report if "window" not in c]
+
+    want = checks(str(goldens.DATA / f"{name}.json"))
+    assert len(want) == 22
+    for k, g in enumerate(BASIS_CHANGES):
+        b = [[sum(g[r][i] * a[r][c] * g[c][j] for r in range(2) for c in range(2))
+              for j in range(2)] for i in range(2)]
+        path = tmp_path / f"g{k}.json"
+        path.write_text(json.dumps({**base, "q": [[f"z{N}^{e % N}" if e % N else "1"
+                                                   for e in row] for row in b]}))
+        assert checks(str(path)) == want, g
 
 
 def test_uce_prints_no_window(tmp_path, capsys):

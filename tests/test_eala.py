@@ -29,7 +29,13 @@ from lietor.report import sampled_triples
 from lietor.scalars import QQ, cyclotomic_field, frac_to_str
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
-from eala_reference import root_norm, root_reflection_data, t_labels
+from eala_reference import (
+    per_item_failures,
+    root_norm,
+    root_reflection_data,
+    t_labels,
+    windowed_roots,
+)
 from matlie_reference import windowed_basis as sl_windowed_basis
 from qtorus_reference import nondegenerate_on_window
 
@@ -180,7 +186,7 @@ def test_qtorus_eala(qtorus_E):
     assert ea.ok
     assert nullity_of(E, 2) == 2
     assert core_and_tameness(E, 2)["tame"] is True
-    cv = classify_variant(E, window=2, iara=ia, eala=ea)
+    cv = classify_variant(iara=ia, eala=ea)
     assert cv["EALA"] and cv["LEALA"] and cv["IARA"]
 
 
@@ -271,7 +277,7 @@ def test_direct_sum_is_iara_not_leala():
     assert ia.ok
     ea = verify_eala(E, window=1, iara=ia)
     assert not ea["EA4"].ok
-    cv = classify_variant(E, window=1, iara=ia, eala=ea)
+    cv = classify_variant(iara=ia, eala=ea)
     assert cv["IARA"] is True
     assert cv["LEALA"] is False
     assert cv["EALA"] is False
@@ -357,14 +363,14 @@ def test_t_alpha_represents_each_root(affine_E):
     # (t_alpha | s) = alpha(s) for every s in T, the defining property
     E = affine_E
     tbasis = E.t_basis()
-    for ro, deg in E.windowed_roots(2):
+    for ro, deg in windowed_roots(E, 2):
         t = E.t_alpha(ro, deg)
         assert [E.form(t, s) for s in tbasis] == [E.root_value(ro, deg, s) for s in tbasis]
 
 
 def test_t_alpha_takes_a_list_root_and_degree(affine_E):
     E = affine_E
-    ro, deg = next((ro, deg) for ro, deg in E.windowed_roots(2) if any(ro) and any(deg))
+    ro, deg = next((ro, deg) for ro, deg in windowed_roots(E, 2) if any(ro) and any(deg))
     t = E.t_alpha(list(ro), list(deg))
     assert E.t_alpha(ro, deg) is t
     assert [E.form(t, s) for s in E.t_basis()] == [E.root_value(ro, deg, s) for s in E.t_basis()]
@@ -376,7 +382,7 @@ def test_t_alpha_takes_a_list_root_and_degree(affine_E):
 
 def _brute_ia3(E, window):
     span = windowed_basis(E, window)
-    for ro, deg in E.windowed_roots(window):
+    for ro, deg in windowed_roots(E, window):
         if not root_norm(E, ro, deg):
             continue
         for e in E.root_space_basis(ro, deg):
@@ -440,11 +446,11 @@ def _anisotropic_E():
 def test_structural_ia3_fails_on_anisotropic_imaginary_root():
     # Shift the value of the roots (0, d) on all of T by d: they become
     # anisotropic with S-part 0, so no string bound applies and brute force
-    # sees (ad h t)^6 != 0 as well.  (0, -1) is the first in window order.
+    # sees (ad h t)^6 != 0 as well.  IA3 reads the norm at e_1 first.
     E = _anisotropic_E()
     ia3 = verify_iara(E, 1)["IA3"]
     assert not ia3.ok
-    assert "((0, 0, 0), (-1,))" in ia3.witness
+    assert ia3.witness == "real root ((0, 0, 0), (1,)) has S-part 0"
     assert not _brute_ia3(E, 1)
 
 
@@ -464,11 +470,25 @@ def test_imaginary_norm_is_the_root_norm_at_every_zero_root(name):
     make_E, window = IMAGINARY_NORM_INPUTS[name]
     E = make_E()
     zero = (0,) * E.L.n
-    degs = [deg for ro, deg in E.windowed_roots(window) if not any(ro)]
+    degs = [deg for ro, deg in windowed_roots(E, window) if not any(ro)]
     norms = [E.imaginary_norm(deg) for deg in degs]
     assert norms == [root_norm(E, zero, deg) for deg in degs]
     assert len(degs) == (2 * window + 1) ** E.L.z_rank
     assert any(norms) is (name in ("q3-3-shifted", "anisotropic-1"))
+
+
+@pytest.mark.parametrize("norm,want", [
+    (lambda d: d[0] * d[1], (1, 1)),  # zero at e_1 and e_2, not at e_1 + e_2
+    (lambda d: d[1] * (d[1] - d[0]), (0, 1)),
+    (lambda d: 0, None),
+], ids=["hyperbolic", "diagonal", "zero"])
+def test_anisotropic_degree_reads_the_norm_at_e_i_and_e_i_plus_e_j(norm, want):
+    # a quadratic form vanishes on Z^2 iff it vanishes at e_1, e_2 and
+    # e_1 + e_2; the reference scans the window-2 box
+    E = _periodic_E("q3", 1)
+    E.imaginary_norm = norm
+    assert E.anisotropic_degree() == want
+    assert any(norm(d) for d in box(2, 2)) is (want is not None)
 
 
 @pytest.mark.parametrize("phi", [1, 0])
@@ -532,29 +552,29 @@ def test_sigma_d_pairs_of_every_d_degree():
 
 
 def test_windowed_facts_enumerated_once_per_run(monkeypatch):
-    # C_min, INV-d and EA5 read the same sigma_D values, and IA1, EA1, EA6
-    # and the nullity the same windowed roots; one enumeration serves each.
+    # C_min, INV-d and EA5 read the same sigma_D values, and IA2, IA3, EA1,
+    # EA6 and the nullity the same class list; one enumeration serves each.
     import lietor.eala as eala
 
     # the hooks count the runs of the memoised bodies, not the lookups
-    sigma_calls, root_calls = [], []
+    sigma_calls, class_calls = [], []
     sigma_rows = eala._sigma_rows.__wrapped__
-    windowed_roots = eala.BuiltE.windowed_roots.__wrapped__
+    class_list = eala.BuiltE.class_list.__wrapped__
     monkeypatch.setattr(eala._sigma_rows, "__wrapped__",
                         lambda *a: sigma_calls.append(a) or sigma_rows(*a))
-    monkeypatch.setattr(eala.BuiltE.windowed_roots, "__wrapped__",
-                        lambda *a: root_calls.append(a) or windowed_roots(*a))
+    monkeypatch.setattr(eala.BuiltE.class_list, "__wrapped__",
+                        lambda *a: class_calls.append(a) or class_list(*a))
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
     E = build_E(default_iara_data(L, window=2), window=2)
     ia = verify_iara(E, 2)
     assert verify_eala(E, 2, iara=ia).ok
     assert nullity_of(E, 2) == 1
     assert core_and_tameness(E, 2)["tame"]
-    assert (len(sigma_calls), len(root_calls)) == (1, 1)
+    assert (len(sigma_calls), len(class_calls)) == (1, 1)
     # another window is another enumeration
     core_and_tameness(E, 1)
-    E.windowed_roots(1)
-    assert (len(sigma_calls), len(root_calls)) == (2, 2)
+    E.class_list(1)
+    assert (len(sigma_calls), len(class_calls)) == (2, 2)
 
 
 # sigma_D reference: lift each d_k entrywise and pair, one lift and one
@@ -621,8 +641,8 @@ def _q3_E(window):
 
 T_ACTION_INPUTS = {
     "q3-3": (lambda: _q3_E(3), 3),
-    "affine-sl2-3": (lambda: build_affine(2, 3), 3),
-    "affine-sl3-3": (lambda: build_affine(3, 3), 3),
+    "affine-sl2-3": (lambda: build_affine(2), 3),
+    "affine-sl3-3": (lambda: build_affine(3), 3),
 }
 
 
@@ -632,7 +652,7 @@ def test_t_action_matches_the_bracket(name):
     E = make_E()
     tbasis = E.t_basis()
     in_l = set()
-    for ro, deg in E.windowed_roots(window):
+    for ro, deg in windowed_roots(E, window):
         basis = E.root_space_basis(ro, deg)
         assert all(E.bracket(t, b) == b.scale(E.root_value(ro, deg, t))
                    for b in basis for t in tbasis)
@@ -684,10 +704,10 @@ def test_sigma_d_vanishes_on_the_t_basis(coord, C):
             assert sigma_d_values(E.data, t.l, b) == zero
 
 
-# Root-space checks decided per Weyl orbit of roots and class of degrees
-# modulo the centre lattice (BuiltE.first_failure), against the per-item
-# reference: the same code with root_class and degree_class the identity, so
-# that every (root, degree) is its own class.
+# Root-space checks decided on one item per Weyl orbit of roots and class of
+# degrees modulo the centre lattice (BuiltE.class_list), against the per-item
+# reference of eala_reference, which calls each check on every (root,
+# degree) of a window.
 
 DATA = Path(__file__).parent / "data"
 
@@ -716,46 +736,46 @@ PERIODIC_INPUTS = {
        for coord in ("q2", "q3", "q4", "q6_in_zeta3", "laurent") for w in (1, 2, 3)},
     "direct-sum-2": (lambda: build_E(default_iara_data(
         DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), window=2), window=2), 2),
-    "affine-sl2-3": (lambda: build_affine(2, 3), 3),
+    "affine-sl2-3": (lambda: build_affine(2), 3),
     "custom-d-1": (_custom_d_E, 1),
 }
 
 
 def _root_space_verdicts(E, window):
-    """(status, witness) of IA2, IA3 and EA1, the first root space on which
-    T does not act by its root (lietor affine's root-spaces), and the
-    windowed roots."""
+    """(status, witness) of IA2, IA3 and EA1, and the first item of the
+    class list on which T does not act by its root (lietor affine's
+    root-spaces)."""
     ia = verify_iara(E, window)
     ea = verify_eala(E, window, iara=ia)
     out = {name: (rep[name].status, rep[name].witness)
            for rep, name in ((ia, "IA2"), (ia, "IA3"), (ea, "EA1"))}
-    out["root-spaces"] = E.first_failure(E.windowed_roots(window), E.acts_by_root)
-    out["roots"] = E.windowed_roots(window)
+    out["root-spaces"] = next((it for it in E.class_list(window)[0]
+                               if not E.acts_by_root(*it)), None)
     return out
 
 
-def _per_item_verdicts(monkeypatch, E, window):
-    """_root_space_verdicts with every (root, degree) its own class, and the
-    windowed roots found again item by item."""
-    import lietor.eala as eala
+def _class_key(E, ro, deg):
+    """The class of (ro, deg) that class_list represents: the block of the
+    root, and the degree modulo Rad with 0 apart (each degree its own class
+    where the list is windowed)."""
+    pair = E.L._root_indices(ro)
+    block = next(((lo, hi) for lo, hi in E.L.blocks
+                  if pair and lo <= min(pair) and max(pair) < hi), tuple(ro))
+    rows = E._centre_rows
+    exact = rows is not None and len(rows) == E.L.z_rank
+    return block, (lattice_reduce(deg, rows), any(deg)) if exact else tuple(deg)
 
-    with monkeypatch.context() as m:
-        m.setattr(eala.BuiltE, "root_class", lambda self, root: tuple(root))
-        m.setattr(eala.BuiltE, "degree_class", lambda self, deg: tuple(deg))
-        m.delitem(E.__dict__, "_memo:BuiltE.windowed_roots", raising=False)
-        return _root_space_verdicts(E, window)
 
-
-# (windowed roots, classes): each block is one class of roots, so q3 at
-# window 3 has 2 x 10 classes, and direct-sum-2 has 3 x 2 (the zero root and
-# two blocks, degree 0 and the rest); on custom-d-1 and q2 every degree is
-# its own class
+# (windowed roots, classes): each block is one class of roots, so q3 has
+# 2 x 10 classes, and direct-sum-2 has 3 x 2 (the zero root and two blocks,
+# degree 0 and the rest); on custom-d-1 and q2 every degree of the window
+# is its own class
 CLASS_COUNTS = {"q3-3": (343, 20), "q2-3": (343, 98), "direct-sum-2": (65, 6),
                 "affine-sl2-3": (21, 4), "custom-d-1": (63, 18)}
 
 
 @pytest.mark.parametrize("name", sorted(PERIODIC_INPUTS))
-def test_class_verdicts_match_the_per_degree_reference(name, monkeypatch):
+def test_class_verdicts_match_the_per_degree_reference(name):
     make_E, window = PERIODIC_INPUTS[name]
     E = make_E()
     calls = []
@@ -763,30 +783,77 @@ def test_class_verdicts_match_the_per_degree_reference(name, monkeypatch):
     E.acts_by_root = lambda ro, deg: calls.append(deg) or acts_by_root(ro, deg)
     shared = _root_space_verdicts(E, window)
     shared_calls, calls[:] = len(calls), []
-    assert shared == _per_item_verdicts(monkeypatch, E, window)
-    assert all(status == "windowed-pass" for status, _ in list(shared.values())[:3])
+    items, listed = E.class_list(window)
+    periodic = name not in ("custom-d-1",) and not name.startswith("q2")
+    assert listed == (None if periodic else window)
+    status = "pass" if periodic else "windowed-pass"
+    assert all(v == (status, None) for v in list(shared.values())[:3])
     assert shared["root-spaces"] is None
-    # IA3 and root-spaces each call acts_by_root once per class
-    roots = E.windowed_roots(window)
-    classes = {(E.root_class(ro), E.degree_class(deg)) for ro, deg in roots}
-    assert (shared_calls, len(calls)) == (2 * len(classes), 2 * len(roots))
-    assert len(classes) < len(roots)
+    assert per_item_failures(E, window) == {"IA2": None, "T-action": None, "anisotropic": None,
+                                            "EA1": None, "nullity": nullity_of(E, window)}
+    # IA3 and root-spaces each call acts_by_root once per class; the items
+    # are one per class, and the window meets no other class
+    roots = windowed_roots(E, window)
+    classes = {_class_key(E, ro, deg) for ro, deg in roots}
+    assert (shared_calls, len(calls)) == (2 * len(items), len(roots))
+    assert classes <= {_class_key(E, ro, deg) for ro, deg in items}
+    assert len({_class_key(E, ro, deg) for ro, deg in items}) == len(items)
+    if not periodic:
+        assert classes == {_class_key(E, ro, deg) for ro, deg in items}
     if name in CLASS_COUNTS:
-        assert (len(roots), len(classes)) == CLASS_COUNTS[name]
+        assert (len(roots), len(items)) == CLASS_COUNTS[name]
     if name == "custom-d-1":
         # a D element of nonzero degree: only the roots of a degree share
         assert E._centre_rows is None
 
 
+@pytest.mark.parametrize("coord,count,pivot", [("laurent", 4, 1), ("q3", 20, 3), ("q4", 34, 4),
+                                               ("q6_in_zeta3", 74, 6)])
+def test_the_class_list_is_every_class_that_a_large_window_meets(coord, count, pivot):
+    # 2 root classes times 0, Rad less 0, and the nonzero residues modulo
+    # Rad = pivot Z^n; a window of twice the pivot meets each class
+    E = _periodic_E(coord, 1)
+    items, listed = E.class_list(1)
+    assert listed is None and len(items) == count
+    assert E.class_list(3) == E.class_list(1)
+    met = {_class_key(E, ro, deg) for ro, deg in windowed_roots(E, 2 * pivot)}
+    assert met == {_class_key(E, ro, deg) for ro, deg in items}
+
+
+PER_ITEM_WINDOWS = {f"{coord}-{w}": (coord, w) for coord in ("laurent", "q3", "q4", "q6_in_zeta3")
+                    for w in (1, 2, 3, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(PER_ITEM_WINDOWS))
+def test_the_per_item_reference_agrees_with_every_exact_verdict(name):
+    # The exact lines are the ones the per-item reference reads at every
+    # window: IA2, IA3 (T-action and anisotropy), EA1, EA3 and the nullity
+    coord, window = PER_ITEM_WINDOWS[name]
+    E = _periodic_E(coord, 1)
+    ia = verify_iara(E, 1)
+    ea = verify_eala(E, 1, iara=ia)
+    ref = per_item_failures(E, window)
+    for check, keys in (("IA2", ["IA2"]), ("IA3", ["T-action", "anisotropic"]),
+                        ("EA1", ["EA1"])):
+        rep = ia if check in ia else ea
+        assert rep[check].window is None
+        assert rep[check].ok is all(ref[k] is None for k in keys)
+    assert ea["EA3"].window is None and ea["EA3"].ok is ia["IA3"].ok
+    assert nullity_of(E, 1) == ref["nullity"] == E.L.z_rank
+
+
 def test_root_classes_are_the_blocks():
     L = DirectSumSl(3, 3, GradedAssocAlgebra.laurent())
     E = build_E(default_iara_data(L, window=1), window=1)
-    zero = (F(0),) * 6
-    assert E.root_class(zero) == zero
-    assert E.root_class(L.root_of(0, 2)) == E.root_class(L.root_of(1, 0)) == (0, 3)
-    assert E.root_class(list(L.root_of(5, 3))) == (3, 6)
-    # e_0 - e_3 joins the blocks and is no root of L: its own class
-    assert E.root_class(L.root_of(0, 3)) == L.root_of(0, 3)
+    items, listed = E.class_list(1)
+    zero = (0,) * 6
+    first = sorted(ro for ro in L.S.roots if any(ro))
+    block_0 = next(ro for ro in first if L._root_indices(ro)[0] < 3)
+    block_1 = next(ro for ro in first if L._root_indices(ro)[0] >= 3)
+    assert listed is None
+    assert [ro for ro, deg in items if deg == (0,)] == [zero, block_0, block_1]
+    # e_0 - e_3 joins the blocks and is no root of L
+    assert L.root_of(0, 3) not in {ro for ro, _ in items}
 
 
 def test_eala_qtorus_decides_each_check_once_per_class(monkeypatch, tmp_path):
@@ -809,11 +876,13 @@ def test_eala_qtorus_decides_each_check_once_per_class(monkeypatch, tmp_path):
 
 
 def test_q3_window_3_has_ten_degree_classes():
+    # 0, the class of Rad less 0 read at (3, 0), and the eight nonzero
+    # residues 0 <= v_i < 3
     E = _periodic_E("q3", 3)
     assert E._centre_rows == [[3, 0], [0, 3]]
-    assert len({E.degree_class(d) for d in box(2, 3)}) == 10
-    assert E.degree_class((0, 0)) != E.degree_class((3, -3)) == E.degree_class((-3, 0))
-    assert E.degree_class((-2, -1)) == E.degree_class((1, 2)) == ((1, 2), True)
+    degs = list(dict.fromkeys(deg for ro, deg in E.class_list(3)[0]))
+    assert degs == [(0, 0), (3, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0),
+                    (2, 1), (2, 2)]
 
 
 def _group_E(D=None, extra_c=()):
@@ -845,12 +914,18 @@ UNSHARED_INPUTS = {
 @pytest.mark.parametrize("name", sorted(UNSHARED_INPUTS))
 def test_without_a_premise_every_degree_is_its_own_class(name):
     # Rad = Z^2, so with the premises all nonzero degrees would be one class
-    # and the zero root space would pass at its first degree (-1, -1)
+    # and the zero root space would pass at its representative (1, 0)
     make_E, check, deg = UNSHARED_INPUTS[name]
     E = make_E()
     assert E._centre_rows is None
-    items = [(ro, d) for ro, d in E.windowed_roots(1) if any(ro) or any(d)]
-    assert E.first_failure(items, getattr(E, check)) == ((F(0),) * 3, deg)
+    items, listed = E.class_list(1)
+    assert listed == 1
+    holds = getattr(E, check)
+    assert next(it for it in items if (any(it[0]) or any(it[1])) and not holds(*it)) \
+        == ((0, 0, 0), deg)
+    with pytest.raises(ValueError, match="a window is needed"):
+        E.class_list()
+
 
 def _in_class(E, deg, target):
     """Is deg nonzero and congruent to target modulo the centre lattice?"""
@@ -890,34 +965,60 @@ FAILING_MUTANTS = [
 ]
 
 
+_REFERENCE_KEY = {"IA2": "IA2", "EA1": "EA1", "IA3": "T-action"}
+
+
 @pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
-def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch, monkeypatch):
+def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch):
     # The failure is periodic modulo Rad = 3Z^2, and W-invariant: it is on
-    # every nonzero root of the block.  Its first degree (-2, -1) in window
-    # order is not the first degree of the box, and its first root is the
-    # first nonzero root in root order.
+    # every nonzero root of the block.  The class list reads it at the
+    # residue (1, 2); the per-item reference finds it first at (-2, -1) in
+    # window order, and its first root is the first nonzero root in root
+    # order.
     E = _periodic_E("q3", 3)
     attr, make = patch
     roots = [tuple(ro) for ro in E.L.S.sorted_roots() if any(ro)]
     setattr(E, attr, make(E, set(roots), (1, 2)))
-    shared = _root_space_verdicts(E, 3)
-    assert shared == _per_item_verdicts(monkeypatch, E, 3)
-    status, witness = shared[check]
+    status, witness = _root_space_verdicts(E, 3)[check]
     assert roots[0] == (-1, 0, 1)
-    assert status == "fail" and "((-1, 0, 1), (-2, -1))" in witness
+    assert status == "fail" and "((-1, 0, 1), (1, 2))" in witness
+    assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((-1, 0, 1), (-2, -1))
 
 
 @pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
-def test_per_item_reference_kills_a_single_root_mutant(check, patch, monkeypatch):
+def test_per_item_reference_kills_a_single_root_mutant(check, patch):
     # A failure on one root of the block only is not W-invariant, so it
     # breaks the premise of the root classes; the per-item reference, which
-    # first_failure's argument is checked against, still finds it.
+    # the argument of class_list is checked against, still finds it.
     E = _periodic_E("q3", 3)
     attr, make = patch
     root = E.L.root_of(0, 1)
     setattr(E, attr, make(E, {root}, (1, 2)))
-    status, witness = _per_item_verdicts(monkeypatch, E, 3)[check]
-    assert status == "fail" and "((1, -1, 0), (-2, -1))" in witness
+    assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((1, -1, 0), (-2, -1))
+
+
+class _NonAdditive(CentroidalDerivation):
+    """d_theta whose action on t^lam is theta(lam) + lam_0 lam_1, which is
+    not additive in lam: not a derivation, while root_value still reads the
+    linear theta."""
+
+    def apply(self, x):
+        out = super().apply(x)
+        extra = {k: c * self.A.field.from_int(k[0][0] * k[0][1]) for k, c in x.terms.items()
+                 if k[0][0] * k[0][1]}
+        return out + type(x)(self.A, extra) if extra else out
+
+
+def test_a_non_additive_theta_fails_the_exact_ia3():
+    # The action differs from the root's value at every degree with
+    # lam_0 lam_1 != 0, so at the residue (1, 1) of the class list
+    L = MatrixLieAlgebra(3, _coord("q3"))
+    D = [_NonAdditive(L.A, dk.v) for dk in degree_derivation_basis(L)]
+    E = build_E(default_iara_data(L, window=1, D=D), window=1, validate=False)
+    ia3 = verify_iara(E, 1)["IA3"]
+    assert ia3.window is None and not ia3.ok
+    assert ia3.witness == "T does not act on E_((0, 0, 0), (1, 1)) by its root"
+    assert per_item_failures(E, 1)["T-action"] == ((0, 0, 0), (-1, -1))
 
 
 # sigma_D rows against the full enumeration: sigma_rows stops a degree at
@@ -963,12 +1064,12 @@ def _inv_e_reference(data, window):
 
 
 def _sigma_verdicts(E, window):
-    """(status, witness) of INV-d and INV-e, and (tame, witness) of the core,
+    """(ok, witness) of INV-d and INV-e, and (tame, witness) of the core,
     which EA5 prints."""
     inv = validate_inv_data(E, window)
     core = core_and_tameness(E, window)
-    return {"INV-d": (inv["INV-d"].status, inv["INV-d"].witness),
-            "INV-e": (inv["INV-e"].status, inv["INV-e"].witness),
+    return {"INV-d": (inv["INV-d"].ok, inv["INV-d"].witness),
+            "INV-e": (inv["INV-e"].ok, inv["INV-e"].witness),
             "EA5": (core["tame"], core["witness"], core["sigma_rank"])}
 
 
@@ -986,12 +1087,22 @@ def test_sigma_rows_match_the_full_enumeration(name, C, monkeypatch):
     assert c_min_basis(E.L, data.form, data.D, window) == [
         CFunc(tuple(v), s) for s, rows in full.items() for v in independent_rows(rows, E.field)]
     got = _sigma_verdicts(E, window)
+    inv = validate_inv_data(E, window)
     with monkeypatch.context() as m:
         m.setattr(eala, "_sigma_rows", _sigma_rows_reference)
         want = _sigma_verdicts(E, window)
     witness = _inv_e_reference(data, window)
-    want["INV-e"] = ("fail" if witness else "windowed-pass", witness)
+    want["INV-e"] = (witness is None, witness)
     assert got == want
+    # the sigma_D lines are exact where each degree s of the window spans
+    # its bound #{k : gamma_k = -s}, and INV-e where T_C spans D*
+    gammas = [tuple(-g for g in dk.gamma) for dk in data.D]
+    spans = all(full.get(s) and rank(full[s], E.field) == gammas.count(s) for s in gammas)
+    assert inv["INV-d"].window == core_and_tameness(E, window)["window"] \
+        == (None if spans else window)
+    t_c = [list(data.C[k].values) for k in data.T_C]
+    assert inv["INV-e"].window == (None if t_c and rank(t_c, E.field) == len(data.D)
+                                   else window)
 
 
 def test_sigma_rows_stop_at_the_d_elements_of_each_degree(monkeypatch):

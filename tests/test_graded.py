@@ -264,6 +264,24 @@ def test_central_degree_enforced(zeta3_torus):
         CentroidalDerivation(zeta3_torus, [zeta3_torus.field.one] * 2, (1, 0))
 
 
+def test_a_degree_off_a_bounded_support_is_refused():
+    # t^(-1) is not in K[t], so d = t^(-1) d_1 would leave A on apply;
+    # skew_centroidal_space gives no such d either
+    poly = GradedAssocAlgebra.polynomial()
+    with pytest.raises(ValueError, match=r"degree \(-1,\) is off the support"):
+        CentroidalDerivation(poly, [F(1)], (-1,))
+    assert skew_centroidal_space(poly, (-1,)) == []
+    d = CentroidalDerivation(poly, [F(1)], (1,))
+    assert d.apply(poly.monomial((2,))) == poly.monomial((3,), F(2))
+
+
+def test_cder_bracket_refuses_a_crossed_product():
+    A = _swap_crossed()
+    d = CentroidalDerivation(A, [A.field.one] * A.n)
+    with pytest.raises(ValueError, match="crossed product"):
+        cder_bracket(d, d)
+
+
 def test_skew_centroidal_spaces(zeta3_torus):
     L = GradedAssocAlgebra.laurent()
     assert len(skew_centroidal_space(L, (0,))) == 1

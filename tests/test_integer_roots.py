@@ -87,7 +87,7 @@ def test_sl_and_e_roots_are_int_tuples():
     assert _exact_types([x for a in L.S.roots for x in a]) == []
     assert all(type(x) is int for a in DirectSumSl(2, 2, L.A).S.roots for x in a)
     E = build_E(default_iara_data(L, window=1), window=1, validate=False)
-    roots = E.windowed_roots(1)
+    roots = E.class_list(1)[0]
     assert ((0, 0, 0), (0,)) in roots
     assert all(type(x) is int for ro, deg in roots for x in ro + deg)
     real, imag = root_reflection_data(E, 1)

@@ -265,6 +265,42 @@ def test_lattice_subset_algebra():
     assert LatticeSubset.finite(2, [(1, 2)]).subgroup_rank() == 1
 
 
+@hs.composite
+def _lattice_gens(draw):
+    """(n, gens): n in 1..4 and n - 1 to n + 1 generators of small entries."""
+    n = draw(hs.integers(1, 4))
+    rows = draw(hs.integers(max(n - 1, 1), n + 1))
+    row = hs.lists(hs.integers(-3, 3), min_size=n, max_size=n)
+    return n, draw(hs.lists(row, min_size=rows, max_size=rows))
+
+
+@seed(11)
+@settings(max_examples=80, deadline=None, database=None)
+@given(_lattice_gens())
+def test_residues_are_one_point_per_coset(case):
+    # |Z^n / L| is the product of the Smith invariants, computed by sympy
+    # outside this repository's own HNF; below full rank there is no list
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    n, gens = case
+    lat = LatticeSubset(n, gens)
+    res = lat.residues()
+    snf = smith_normal_form(Matrix(gens), domain=ZZ)
+    invariants = [abs(snf[i, i]) for i in range(min(snf.shape))]
+    if invariants.count(0) + n - len(invariants) > 0:
+        assert res is None and len(lat.basis) < n
+        return
+    size = 1
+    for d in invariants:
+        size *= d
+    assert len(res) == size == abs(Matrix(lat.basis).det())
+    # each point is its own canonical form, so the points are distinct cosets
+    assert all(lattice_reduce(r, lat.basis) == r for r in res)
+    assert len(set(res)) == len(res)
+    assert LatticeSubset.full(n).is_subset_of(LatticeSubset(n, gens, res))
+
+
 def test_congruence_lattice():
     got = lattice_from_congruences([[0, 1], [-1, 0]], 3, 2)
     assert got == [[3, 0], [0, 3]]

@@ -21,6 +21,7 @@ from lietor.uce import (
     steinberg_check,
     wedge,
 )
+from eala_reference import windowed_roots
 from test_eala import windowed_basis
 from uce_reference import steinberg_scan
 
@@ -380,8 +381,8 @@ def test_affine_brackets():
 
 def test_affine_root_spaces():
     for m, window, dim0, dim_delta in ((3, 3, 4, 2), (2, 2, 3, 1)):
-        E = build_affine(m, window)
-        assert all(E.acts_by_root(ro, deg) for ro, deg in E.windowed_roots(window))
+        E = build_affine(m)
+        assert all(E.acts_by_root(ro, deg) for ro, deg in windowed_roots(E, window))
         zero = (F(0),) * m
         assert len(E.root_space_basis(zero, (0,))) == dim0
         assert all(len(E.root_space_basis(zero, (k,))) == dim_delta
@@ -398,7 +399,7 @@ def test_affine_matches_affine_rs():
     from lietor.rootsys import build_classical
 
     window = 3
-    E = build_affine(3, window)
+    E = build_affine(3)
     ars, mp, kac = build_affine_rs(build_classical("A", 2), 1)
     assert mp == "A_2^(1)"
     for root in ars.S.sorted_roots():
@@ -470,7 +471,7 @@ def _formula_form(e1, e2):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_affine_matches_the_formula(m):
-    E = build_affine(m, 2)
+    E = build_affine(m)
     basis = windowed_basis(E, 2)
     assert len(basis) == 2 + 5 * (m * m - 1)
     for a in basis:
