@@ -211,7 +211,7 @@ def _parse_degree(text, n: int):
 def _load_qtorus(args, run=None) -> GradedAssocAlgebra:
     data = load_json(args.q, run)
     A = coord_algebra_from_json(data)
-    if A.kind != "qtorus" or A.support is not None:
+    if A.support is not None:
         raise InputError("expected a quantum torus description")
     return A
 

@@ -415,7 +415,7 @@ class BuiltE:
         zero_deg = (0,) * self.L.z_rank
         for i, r in enumerate(root):
             if r and diag.get(i) is not None:
-                val = val + self.field.from_int(int(r)) * diag[i].coefficient(zero_deg, 0)
+                val = val + self.field.from_int(int(r)) * diag[i].coefficient(zero_deg)
         for k, dk in enumerate(t.d):
             if dk:
                 theta = self.data.D[k].theta(deg)
@@ -449,7 +449,7 @@ class BuiltE:
         """The L part of [t, l] for t in T: the diagonal of t.l is scalar,
         so [h, x E_ij] = (h_i - h_j) x E_ij, plus t_k d_k(l) for each D part."""
         zero, zero_deg = self.field.zero, (0,) * self.L.z_rank
-        h = {i: v.coefficient(zero_deg, 0) for (i, j), v in t.l.entries.items()}
+        h = {i: v.coefficient(zero_deg) for (i, j), v in t.l.entries.items()}
         entries = {}
         for (i, j), v in l.entries.items():
             s = h.get(i, zero) - h.get(j, zero)
@@ -499,14 +499,13 @@ class BuiltE:
         """The HNF basis of the centre lattice Rad of A when the root-space
         checks are periodic modulo it (see class_list), else None.
 
-        The premises, each read from the input: A^0 = K (bdim 1); A is a
-        quantum torus on all of Z^n (a group algebra is q = 1, and then
-        Rad = Z^n); every D element and every C functional has degree 0; and
-        the thetas of T_D have rank n (INV-c)."""
+        The premises, each read from the input: A is a quantum torus on all
+        of Z^n (a group algebra is q = 1, and then Rad = Z^n); every D
+        element and every C functional has degree 0; and the thetas of T_D
+        have rank n (INV-c)."""
         A, data, n = self.L.A, self.data, self.L.z_rank
         thetas = [list(data.D[k].v) for k in data.T_D]
-        periodic = (A.bdim == 1
-                    and A.kind == "qtorus" and A.support is None
+        periodic = (A.support is None
                     and not any(any(dk.gamma) for dk in data.D)
                     and not any(any(c.degree) for c in data.C)
                     and (mat_rank(thetas, self.field) if thetas else 0) == n)
@@ -678,8 +677,8 @@ def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
     data = E.data
     L = data.L
 
-    # RG1-RG3 hold by construction (see matlie._root_graded).  A is a group
-    # algebra or a quantum torus (build_E), so where predivision holds the
+    # RG1-RG3 hold by construction (see matlie._root_graded).  A is a quantum
+    # torus (a group algebra is q = 1), so where predivision holds the
     # form pairs A^lam = K t^lam with A^-lam, tau(lam, -lam) != 0 times phi(1).
     rg = verify_root_graded(L)
     ok, witness = rg["predivision"], rg["predivision_witness"]
@@ -816,8 +815,6 @@ def refuse_invalid(inv: AxiomReport) -> None:
 def build_E(data: IaraData, window: int = 2, validate: bool = True) -> BuiltE:
     """E for data; with validate, data failing INV-a - INV-f is refused.
     A caller that validates E itself passes validate=False."""
-    if data.L.A.bdim != 1 or data.L.A.kind == "crossed":
-        raise ValueError("the construction is implemented for group algebras and quantum tori")
     E = BuiltE(data)
     if validate:
         refuse_invalid(validate_inv_data(E, window))
@@ -882,8 +879,8 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport) -> AxiomReport
     to take x, y and z each in C, L or D.  The form is
     (x | y) = phi(tr(xy)^0) on L and (c | d) = c(d) on C x D.
       - L L L: the two sides differ by phi(tr(xzy) - tr(y(xz)))^0, a value
-        on [A,A]^0 as A is associative; GradedForm refuses a phi that does
-        not kill [A,A]^0.
+        on [A,A]^0 as A is associative, and [A,A]^0 = 0 for a quantum
+        torus (see GradedForm).
       - L L d: g(x, y, d) = (d x | y) = g(d, x, y), g(y, d, x) = -(d y | x),
         and d is skew: a derivation t^gamma d_theta with theta(gamma) = 0
         (INV-b), so (d x | y) + (x | d y) = phi(d tr(xy))^0 = 0.

@@ -1,10 +1,10 @@
-"""Z^n-graded unital associative algebras: quantum tori (a group algebra is
-the quantum torus with q = 1) and crossed products, with their centre
-lattices, graded invariant forms and centroidal derivations.
+"""Z^n-graded quantum tori (a group algebra is the quantum torus with q = 1),
+with their centre lattices, graded invariant forms and centroidal
+derivations.
 
-Elements are finite sums of (lattice degree, basis symbol) terms with exact
-scalar coefficients, so arithmetic is unbounded while structural checks run
-on explicit windows.
+Elements are finite sums of (lattice degree, 0) terms with exact scalar
+coefficients: each graded piece A^lam is K t^lam, so the degree alone names
+a basis vector.  Arithmetic is unbounded, and the structural checks read q.
 """
 
 from __future__ import annotations
@@ -13,37 +13,9 @@ import functools
 import math
 from operator import add
 
-from .lattices import LatticeSubset, box, lattice_from_congruences
-from .linalg import independent_rows, integer_kernel, kernel, mat_vec, solve
+from .lattices import LatticeSubset, lattice_from_congruences
+from .linalg import integer_kernel, kernel
 from .scalars import Cyclo, CycloField, QQ, frac_to_str
-
-
-class FiniteDimAlgebra:
-    """Unital associative algebra by structure constants over an exact field."""
-
-    def __init__(self, field, dim, table, unit):
-        self.field = field
-        self.dim = dim
-        self.table = table  # table[i][j] = coordinate vector of b_i b_j
-        self.unit = list(unit)
-
-    @classmethod
-    def field_algebra(cls, field):
-        return cls(field, 1, [[[field.one]]], [field.one])
-
-    def mul_vec(self, x, y):
-        out = [self.field.zero] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, t in enumerate(self.table[i][j]):
-                    if t:
-                        out[k] = out[k] + c * t
-        return out
 
 
 def memo(fn):
@@ -104,7 +76,7 @@ def sub_terms(x: dict, y: dict) -> dict:
 
 
 class AlgElement:
-    """Finite sum of (degree, symbol) terms with scalar coefficients.
+    """Finite sum of (degree, 0) terms with scalar coefficients.
 
     No stored coefficient is zero, so == and bool read the terms literally.
     The public constructor drops zero coefficients; the arithmetic builds
@@ -171,61 +143,46 @@ class AlgElement:
         deg = tuple(deg)
         return AlgElement(self.algebra, {k: v for k, v in self.terms.items() if k[0] == deg})
 
-    def coefficient(self, deg, sym=0):
-        return self.terms.get((tuple(deg), sym), self.algebra.field.zero)
+    def coefficient(self, deg):
+        return self.terms.get((tuple(deg), 0), self.algebra.field.zero)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         bits = []
-        for (deg, sym), c in sorted(self.terms.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-            t = "t^" + str(tuple(int(x) for x in deg))
-            if self.algebra.bdim > 1:
-                t += f"*b{sym}"
-            bits.append(f"({c})" + t)
+        for (deg, _), c in sorted(self.terms.items(), key=lambda kv: kv[0]):
+            bits.append(f"({c})t^" + str(tuple(int(x) for x in deg)))
         return " + ".join(bits)
 
 
 class GradedAssocAlgebra:
-    """Z^n-graded unital associative algebra.
-
-    kind is "qtorus", a quantum torus with quantum matrix q (a group algebra
-    is q = 1), or "crossed".  The optional support restriction "nonneg"
-    gives polynomial (rather than Laurent) variants, and "zero" the
-    degree-0 part alone; None is all of Z^n.
+    """The Z^n-graded quantum torus of the quantum matrix q, an n x n matrix
+    with q_ii = 1 and q_ij q_ji = 1: t^lam t^mu = tau(lam, mu) t^(lam+mu)
+    with tau(lam, mu) = prod_(i > j) q_ij^(lam_i mu_j).  A group algebra is
+    q = 1.  The optional support restriction "nonneg" gives polynomial
+    (rather than Laurent) variants, and "zero" the degree-0 part alone; None
+    is all of Z^n.
     """
 
-    def __init__(self, kind, n, field, q=None, B=None, tau=None, sigma=None, support=None):
+    def __init__(self, n, field, q, support=None):
         if support not in (None, "nonneg", "zero"):
             raise ValueError(f"unknown support {support!r}: expected 'nonneg' or 'zero', "
                              "or none for all of Z^n")
-        self.kind = kind
+        if len(q) != n:
+            raise ValueError(f"the quantum matrix must have n = {n} rows, got {len(q)}")
+        validate_quantum_matrix(q, field)
         self.n = n
         self.field = field
         self.support = support
         self.q = q
-        if kind == "qtorus":
-            if q is None:
-                raise ValueError("quantum torus needs a quantum matrix")
-            validate_quantum_matrix(q, field)
-            self.B = FiniteDimAlgebra.field_algebra(field)
-            self._setup_tau()
-        elif kind == "crossed":
-            if B is None or tau is None or sigma is None:
-                raise ValueError("crossed product needs (B, tau, sigma)")
-            self.B = B
-            self._tau_fn = tau
-            self._sigma_fn = sigma
-        else:
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        self.bdim = self.B.dim
+        self._setup_tau()
 
     # Construction helpers
 
     @classmethod
     def group_algebra(cls, n, field=QQ, support=None):
         """K[Z^n] on the support: the quantum torus whose q_ij are all 1."""
-        return cls("qtorus", n, field, q=[[field.one] * n for _ in range(n)], support=support)
+        return cls(n, field, [[field.one] * n for _ in range(n)], support)
 
     @classmethod
     def laurent(cls, field=QQ):
@@ -237,7 +194,7 @@ class GradedAssocAlgebra:
 
     @classmethod
     def quantum_torus(cls, q, field):
-        return cls("qtorus", len(q), field, q=q)
+        return cls(len(q), field, q)
 
     def _setup_tau(self):
         """Table mode when every q_ij is a root of unity.  Those of Q are +-1,
@@ -278,18 +235,15 @@ class GradedAssocAlgebra:
         return AlgElement._zero_free(self, {})
 
     def one(self):
-        z = (0,) * self.n
-        if self.bdim == 1:
-            return AlgElement(self, {(z, 0): self.field.one})
-        return AlgElement(self, {(z, i): c for i, c in enumerate(self.B.unit) if c})
+        return AlgElement._zero_free(self, {((0,) * self.n, 0): self.field.one})
 
-    def monomial(self, deg, coeff=None, sym=0):
+    def monomial(self, deg, coeff=None):
         deg = tuple(int(x) for x in deg)
         if not self.in_support(deg):
             raise ValueError(f"degree {deg} outside the support")
         if coeff is None:
             coeff = self.field.one
-        return AlgElement(self, {(deg, sym): coeff})
+        return AlgElement(self, {(deg, 0): coeff})
 
     def gen(self, i):
         """t_i."""
@@ -312,50 +266,35 @@ class GradedAssocAlgebra:
 
     def mul(self, x: AlgElement, y: AlgElement) -> AlgElement:
         out = {}
-        crossed = self.kind == "crossed"
         one = self.field.one
         # Z^n is closed under +, so only a bounded support is tested.
         bounded = self.support is not None
-        for (dl, sl), cl in x.terms.items():
-            for (dm, sm), cm in y.terms.items():
+        for (dl, _), cl in x.terms.items():
+            for (dm, _), cm in y.terms.items():
                 deg = tuple(map(add, dl, dm))
                 if bounded and not self.in_support(deg):
                     raise ArithmeticError(f"product leaves the support at degree {deg}")
-                if not crossed:
-                    c = cl * cm
-                    t = self.tau(dl, dm)
-                    if t is not one:
-                        c = c * t
-                    key = (deg, 0)
-                    cur = out.get(key)
-                    s = c if cur is None else cur + c
-                    if s:
-                        out[key] = s
-                    elif cur is not None:
-                        del out[key]
-                else:
-                    bvec = [self.field.zero] * self.bdim
-                    bvec[sm] = self.field.one
-                    moved = mat_vec(self._sigma_fn(dl), bvec, self.field)
-                    left = [self.field.zero] * self.bdim
-                    left[sl] = cl
-                    prod = self.B.mul_vec(left, moved)
-                    prod = self.B.mul_vec(prod, self._tau_fn(dl, dm))
-                    for k, v in enumerate(prod):
-                        if v:
-                            key = (deg, k)
-                            out[key] = out.get(key, self.field.zero) + cm * v
-        return AlgElement(self, out) if crossed else AlgElement._zero_free(self, out)
+                c = cl * cm
+                t = self.tau(dl, dm)
+                if t is not one:
+                    c = c * t
+                key = (deg, 0)
+                cur = out.get(key)
+                s = c if cur is None else cur + c
+                if s:
+                    out[key] = s
+                elif cur is not None:
+                    del out[key]
+        return AlgElement._zero_free(self, out)
 
     def basis_of_degree(self, deg):
+        """[t^deg] on the support, else []: A^deg = K t^deg."""
         deg = tuple(deg)
-        if not self.in_support(deg):
-            return []
-        return [self.monomial(deg, sym=k) for k in range(self.bdim)]
+        return [self.monomial(deg)] if self.in_support(deg) else []
 
     def try_invert(self, x: AlgElement):
         """Inverse of a homogeneous x, or None; None also for x of several
-        degrees.  The inverse of a unit of degree lam has degree -lam."""
+        degrees.  The inverse of c t^lam is c^-1 tau(lam, -lam)^-1 t^-lam."""
         degs = x.degrees()
         if len(degs) != 1:
             return None
@@ -363,75 +302,32 @@ class GradedAssocAlgebra:
         neg = tuple(-d for d in lam)
         if not self.in_support(neg):
             return None
-        if self.kind == "crossed":
-            # x y = 1 is linear in y over the bdim coordinates of A^(-lam); a
-            # right inverse that is also a left inverse is the inverse.
-            zero = (0,) * self.n
-            cols = [self.mul(x, self.monomial(neg, sym=k)) for k in range(self.bdim)]
-            m = [[c.coefficient(zero, i) for c in cols] for i in range(self.bdim)]
-            sol = solve(m, self.B.unit, self.field)
-            if sol is None:
-                return None
-            y = AlgElement(self, {(neg, k): v for k, v in enumerate(sol) if v})
-            return y if self.mul(y, x) == self.one() else None
         ((_, _), c), = x.terms.items()
         inv = self.field.inverse
         return self.monomial(neg, inv(c) * inv(self.tau(lam, neg)))
 
     @memo
     def unit_of_degree(self, deg):
-        """A unit of A^deg, or None when A^deg holds no unit.
-
-        A quantum torus (a group algebra is q = 1) has A^deg = F t^deg, and
-        t^deg is a unit exactly when deg and -deg are both in the support.
-
-        A crossed product B * Z^n multiplies by
-        (b t^lam)(c t^mu) = b sigma_lam(c) tau(lam, mu) t^(lam+mu).  The
-        candidate 1_B t^lam decides the degree.  If some u = b t^lam is a
-        unit, its inverse is some c t^-lam, so b sigma_lam(c) tau(lam, -lam)
-        = 1 and c sigma_-lam(b) tau(-lam, lam) = 1: both tau values have a
-        left inverse in the finite-dimensional B, hence are units, and then
-        1_B t^lam has the right inverse sigma_lam^-1(tau(lam, -lam)^-1) t^-lam
-        and the left inverse tau(-lam, lam)^-1 t^-lam.  So A^lam has a unit
-        iff 1_B t^lam is one.  Given a unit u of A^lam, x -> x u^-1 maps
-        A^lam onto A^0 and x is a unit iff x u^-1 is: A^lam = A^0 u, and
-        b u is a unit iff b is.
-        """
+        """A unit of A^deg, or None when A^deg holds no unit: A^deg = K t^deg,
+        and t^deg is a unit exactly when deg and -deg are both in the
+        support."""
         if not (self.in_support(deg) and self.in_support(tuple(-d for d in deg))):
             return None
-        if self.kind != "crossed":
-            return self.monomial(deg)
-        t = AlgElement(self, {(deg, k): c for k, c in enumerate(self.B.unit)})
-        return t if self.try_invert(t) is not None else None
+        return self.monomial(deg)
 
-    @memo
-    def commutator_component(self, deg, window: int):
-        """Basis of [A,A]^deg, computed on the window for crossed products."""
-        if self.kind == "qtorus":
-            if deg in self.centre_lattice():
-                return []
-            return [self.monomial(deg)] if self.in_support(deg) else []
-        vecs = []
-        for dl in box(self.n, window):
-            dm = tuple(d - l for d, l in zip(deg, dl))
-            if self.n and max(abs(x) for x in dm) > window:
-                continue
-            for a in self.basis_of_degree(dl):
-                for b in self.basis_of_degree(dm):
-                    c = a * b - b * a
-                    if c:
-                        vecs.append([c.coefficient(deg, k) for k in range(self.bdim)])
-        basis_rows = independent_rows(vecs, self.field)
-        out = []
-        for row in basis_rows:
-            out.append(AlgElement(self, {(deg, k): v for k, v in enumerate(row) if v}))
-        return out
+    def commutator_component(self, deg):
+        """Basis of [A,A]^deg: t^deg off the centre lattice Rad(q), else
+        nothing.  On Rad(q) every t^mu t^nu of degree deg equals t^nu t^mu;
+        off it some q(e_i, deg) != 1, and [t^(e_i), t^(deg - e_i)] is a
+        nonzero multiple of t^deg."""
+        deg = tuple(deg)
+        if not self.in_support(deg) or deg in self.centre_lattice():
+            return []
+        return [self.monomial(deg)]
 
     @memo
     def centre_lattice(self) -> LatticeSubset:
-        """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i} for a torus."""
-        if self.kind != "qtorus":
-            raise ValueError("centre lattice is defined for quantum tori")
+        """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i}."""
         if self._tau_mode == "table":
             return LatticeSubset(self.n, lattice_from_congruences(self._tau_amat, self._tau_m,
                                                                   self.n))
@@ -501,7 +397,12 @@ def _factor_rational(v):
 
 
 def validate_quantum_matrix(q, field):
+    """Refuse a q that is not a square matrix with q_ii = 1 and
+    q_ij q_ji = 1."""
     n = len(q)
+    if any(len(row) != n for row in q):
+        raise ValueError(f"the quantum matrix must be {n} x {n}, got rows of lengths "
+                         f"{[len(row) for row in q]}")
     for i in range(n):
         if q[i][i] != field.one:
             raise ValueError(f"q_{i}{i} must be 1")
@@ -511,32 +412,20 @@ def validate_quantum_matrix(q, field):
 
 
 class GradedForm:
-    """(a | b) = phi((ab)^0) for a functional phi on A^0 killing [A,A]^0."""
+    """(a | b) = phi (ab)^0 for a scalar phi.  It is invariant, as
+    [A,A]^0 = 0: the degree 0 is in the centre lattice."""
 
-    def __init__(self, A: GradedAssocAlgebra, phi, window: int = 3):
+    def __init__(self, A: GradedAssocAlgebra, phi):
         self.A = A
-        if not isinstance(phi, (list, tuple)):
-            phi = [phi] + [A.field.zero] * (A.bdim - 1)
-        self.phi = list(phi)
-        for c in self.A.commutator_component((0,) * A.n, window):
-            if self._apply_phi(c):
-                raise ValueError("phi does not vanish on [A,A]^0")
-
-    def _apply_phi(self, x: AlgElement):
-        z = (0,) * self.A.n
-        out = self.A.field.zero
-        for k in range(self.A.bdim):
-            c = x.coefficient(z, k)
-            if c and self.phi[k]:
-                out = out + c * self.phi[k]
-        return out
+        self.phi = phi
 
     def pair(self, a: AlgElement, b: AlgElement):
-        return self._apply_phi(a * b)
+        c = (a * b).coefficient((0,) * self.A.n)
+        return c * self.phi if c and self.phi else self.A.field.zero
 
 
-def graded_form(A: GradedAssocAlgebra, phi, window: int = 3) -> GradedForm:
-    return GradedForm(A, phi, window)
+def graded_form(A: GradedAssocAlgebra, phi) -> GradedForm:
+    return GradedForm(A, phi)
 
 
 class CentroidalDerivation:
@@ -546,7 +435,7 @@ class CentroidalDerivation:
         self.A = A
         self.v = list(v)
         self.gamma = tuple(gamma) if gamma is not None else (0,) * A.n
-        if any(self.gamma) and self.A.kind == "qtorus":
+        if any(self.gamma):
             if not A.in_support(self.gamma):
                 raise ValueError(f"degree {self.gamma} is off the support of A")
             if self.gamma not in A.centre_lattice():
@@ -584,8 +473,6 @@ class CentroidalDerivation:
 def cder_bracket(d1: CentroidalDerivation, d2: CentroidalDerivation) -> CentroidalDerivation:
     """[d_theta, d_psi] = theta(mu) d_psi - psi(lam) d_theta in degree lam+mu."""
     A = d1.A
-    if A.kind == "crossed":
-        raise ValueError("cder_bracket needs a quantum torus, not a crossed product")
     c1 = d1.theta(d2.gamma) * A.tau(d1.gamma, d2.gamma)
     c2 = d2.theta(d1.gamma) * A.tau(d2.gamma, d1.gamma)
     v = [c1 * w - c2 * u for u, w in zip(d1.v, d2.v)]
@@ -606,7 +493,7 @@ def skew_centroidal_space(A: GradedAssocAlgebra, deg):
     """Basis of (SCDer A)^deg = {d_theta in (CDer A)^deg : theta(deg) = 0}."""
     deg = tuple(deg)
     if any(deg):
-        if A.kind == "qtorus" and not (A.in_support(deg) and deg in A.centre_lattice()):
+        if not (A.in_support(deg) and deg in A.centre_lattice()):
             return []
         sols = kernel([[A.field.from_int(x) for x in deg]], A.field, A.n)
         return [CentroidalDerivation(A, v, deg) for v in sols]

@@ -146,10 +146,6 @@ def mat_mul(a, b, field):
     return out
 
 
-def mat_vec(m, v, field):
-    return [sum((c * x for c, x in zip(row, v) if c and x), field.zero) for row in m]
-
-
 def identity(n, field):
     return [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
 

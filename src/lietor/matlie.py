@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
-from .lattices import box
-from .linalg import kernel
 from .rootsys import RootSystem, build_classical, vec_is_zero
 
 
@@ -203,30 +201,18 @@ class MatrixLieAlgebra:
 
     @memo
     def _diag_basis(self, deg):
-        """Per block, the diagonals over A^deg whose trace lies in [A,A]^deg."""
-        if not self.A.basis_of_degree(deg):
+        """Per block [lo, hi), the diagonals over A^deg = K t^deg whose trace
+        lies in [A,A]^deg: every t^deg E_ii when [A,A]^deg = A^deg, that is
+        off the centre lattice, and the trace-zero t^deg (E_jj - E_lo,lo),
+        lo < j < hi, when [A,A]^deg = 0."""
+        if not self.A.in_support(deg):
             return []
-        bdim = self.A.bdim
-        comm = self.A.commutator_component(deg, 3)
-        comm_rows = [[c.coefficient(deg, k) for k in range(bdim)] for c in comm]
-        # Functionals on A^deg vanishing on [A,A]^deg.
-        functionals = kernel(comm_rows, self.field, bdim)
-        out = []
-        for lo, hi in self.blocks:
-            # Unknowns: hi - lo slots of bdim coordinates; constraints: each
-            # functional kills the diagonal sum.
-            m = (hi - lo) * bdim
-            rows = [[f[t % bdim] for t in range(m)] for f in functionals]
-            sols = kernel(rows, self.field, m)
-            for v in sols:
-                entries = {}
-                for i in range(lo, hi):
-                    coeffs = v[(i - lo) * bdim:(i - lo + 1) * bdim]
-                    if any(coeffs):
-                        entries[(i, i)] = AlgElement(
-                            self.A, {(deg, k): c for k, c in enumerate(coeffs) if c})
-                out.append(MatLieElement(self, entries))
-        return out
+        t = self.A.monomial(deg)
+        if self.A.commutator_component(deg):
+            return [MatLieElement(self, {(i, i): t}) for lo, hi in self.blocks
+                    for i in range(lo, hi)]
+        return [MatLieElement(self, {(lo, lo): -t, (j, j): t}) for lo, hi in self.blocks
+                for j in range(lo + 1, hi)]
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -242,9 +228,9 @@ def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
 class SlInvariantForm:
     """(x | y) = phi-form applied entrywise: sum_ij (x_ij | y_ji)_A."""
 
-    def __init__(self, L: MatrixLieAlgebra, phi, window: int = 3):
+    def __init__(self, L: MatrixLieAlgebra, phi):
         self.L = L
-        self.gf = graded_form(L.A, phi, window)
+        self.gf = graded_form(L.A, phi)
 
     def pair(self, x: MatLieElement, y: MatLieElement):
         out = self.L.field.zero
@@ -255,8 +241,8 @@ class SlInvariantForm:
         return out
 
 
-def invariant_form(L: MatrixLieAlgebra, phi, window: int = 3) -> SlInvariantForm:
-    return SlInvariantForm(L, phi, window)
+def invariant_form(L: MatrixLieAlgebra, phi) -> SlInvariantForm:
+    return SlInvariantForm(L, phi)
 
 
 class DirectSumSl(MatrixLieAlgebra):
@@ -287,12 +273,11 @@ def lift_derivation(L: MatrixLieAlgebra, d):
     return lifted
 
 
-def verify_root_graded(L, window: int = 2) -> MappingProxyType:
+def verify_root_graded(L) -> MappingProxyType:
     """RG1-RG3 plus the predivision / division / Lie-torus flags, a read-only
-    mapping computed once per (L, window), so the eala verifiers can ask for
-    them again at no cost.  The window is read only by the predivision of a
-    crossed product."""
-    return _root_graded(L, window)
+    mapping computed once per L, so the eala verifiers can ask for them again
+    at no cost."""
+    return _root_graded(L)
 
 
 def invertible_triple(L: MatrixLieAlgebra, root, deg):
@@ -308,7 +293,7 @@ def invertible_triple(L: MatrixLieAlgebra, root, deg):
 
 
 @memo
-def _root_graded(L, window: int) -> MappingProxyType:
+def _root_graded(L) -> MappingProxyType:
     """RG1-RG3 and the flags, decided over the coordinates A.
 
     RG3 holds by construction for every unital associative A.  L_0^d is the
@@ -329,60 +314,32 @@ def _root_graded(L, window: int) -> MappingProxyType:
     asks for a unit in A^0, which A, being unital, has in 1; and
     predivision asks for a unit in each A^d != 0.
 
-    For a quantum torus (a group algebra is q = 1) A^d = K t^d, and t^d is
+    A quantum torus (a group algebra is q = 1) has A^d = K t^d, and t^d is
     a unit exactly when -d is in the support as well.  So predivision fails
     only on the nonneg support, and its witness is e_n, the first such degree
-    in box order.  A crossed product has an arbitrary tau, so its units are looked
-    up degree by degree on the window (A.unit_of_degree).
-
-    Division also needs every nonzero element of A^d to be a unit.  As
-    A^d = A^0 u for a unit u, it equals predivision when bdim = 1; when
-    bdim > 1 a basis vector of A^0 that is not a unit refutes it, and
-    otherwise it is left undecided (None).
+    in box order.  Every nonzero element of A^d is a multiple of t^d, so
+    division is predivision, and as dim A^0 = 1 so is the torus flag.
     """
-    A = L.A
     # Every nonzero root space L_a^d is A^d E_ij, so one degree serves every
     # root; the witnesses name the first nonzero root.
     a = next(a for a in L.S.sorted_roots() if any(a))
-
-    if A.kind == "crossed":
-        bad = next((d for d in box(L.z_rank, window)
-                    if A.in_support(d) and A.unit_of_degree(d) is None), None)
-    elif A.support == "nonneg" and L.z_rank:
+    prediv_witness = None
+    if L.A.support == "nonneg" and L.z_rank:
         bad = (0,) * (L.z_rank - 1) + (1,)
-    else:
-        bad = None
-    prediv_witness = None if bad is None else f"no invertible element in {_space_name(L, a, bad)}"
-
-    division, division_witness = prediv_witness is None, prediv_witness
-    if division and A.bdim > 1:
-        division, division_witness = _division_beyond_dim_one(L, a)
-
+        prediv_witness = f"no invertible element in {_space_name(L, a, bad)}"
+    prediv = prediv_witness is None
     return MappingProxyType({
         # by construction: the entry grading puts the support inside A_(n-1),
         # A is unital, so 1 is a unit of A^0, and RG3 is argued above
         "RG1": True,
         "RG2": True,
         "RG3": True,
-        "predivision": prediv_witness is None,
+        "predivision": prediv,
         "predivision_witness": prediv_witness,
-        "division": division,
-        "division_witness": division_witness,
-        "torus": A.bdim == 1 and prediv_witness is None,
+        "division": prediv,
+        "division_witness": prediv_witness,
+        "torus": prediv,
     })
-
-
-def _division_beyond_dim_one(L, a):
-    """(False, witness) when a basis vector b of A^0 is not a unit, else
-    (None, None); b E_ij is then a nonzero element of L_a^0 that is not
-    invertible."""
-    A = L.A
-    zero = (0,) * L.z_rank
-    b = next((b for b in A.basis_of_degree(zero) if A.try_invert(b) is None), None)
-    if b is None:
-        return None, None
-    i, j = L._root_indices(a)
-    return False, f"{L.E(i, j, b)!r} in {_space_name(L, a, zero)} is nonzero and not invertible"
 
 
 def _space_name(L, root, deg):

@@ -57,10 +57,29 @@ def root_system_to_json(rs: RootSystem) -> dict:
     return out
 
 
+def _object(data, what: str) -> dict:
+    """data itself when it is a JSON object, else a ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _vector(coords, dim: int, what: str) -> tuple:
+    """The rationals of coords, refused unless there are exactly dim of them:
+    a short vector must not be read as one padded with zeros."""
+    if not isinstance(coords, list) or len(coords) != dim:
+        raise ValueError(f"{what} {coords!r} must have {dim} coordinates")
+    return tuple(frac_from_str(x) for x in coords)
+
+
 def root_system_from_json(data: dict) -> RootSystem:
+    data = _object(data, "a root system")
     dim = int(data["space"]["dim"])
-    form = tuple(tuple(frac_from_str(v) for v in row) for row in data["space"]["form"])
-    roots = {tuple(frac_from_str(x) for x in a) for a in data["roots"]}
+    form = data["space"]["form"]
+    if not isinstance(form, list) or len(form) != dim:
+        raise ValueError(f"the form must have {dim} rows")
+    form = tuple(_vector(row, dim, "form row") for row in form)
+    roots = {_vector(a, dim, "root") for a in data["roots"]}
     return RootSystem(RootSpace(dim, form), roots)
 
 
@@ -78,12 +97,12 @@ def datum_to_json(ed: ExtensionDatum) -> dict:
 
 
 def datum_from_json(data: dict) -> ExtensionDatum:
+    data = _object(data, "an extension datum")
     S = root_system_from_json(data["S"])
-    sp = frozenset(tuple(frac_from_str(x) for x in a) for a in data["S_prime"])
+    sp = frozenset(_vector(a, S.dim, "S' root") for a in data["S_prime"])
     fam = {}
-    for key, sub in data["family"].items():
-        root = tuple(frac_from_str(x) for x in key.split(","))
-        fam[root] = LatticeSubset.from_json(sub)
+    for key, sub in _object(data["family"], "the family").items():
+        fam[_vector(key.split(","), S.dim, "family key")] = LatticeSubset.from_json(sub)
     return ExtensionDatum(S, sp, int(data["Z_rank"]), fam)
 
 
@@ -98,9 +117,9 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
         if name in ("poly", "polynomial", "k[t]"):
             return GradedAssocAlgebra.polynomial()
         raise ValueError(f"unknown coordinate algebra {data!r}")
-    kind = data.get("kind", "group")
+    kind = _object(data, "a coordinate algebra").get("kind", "group")
     if kind in ("group", "laurent"):
-        n = int(data.get("n", 1))
+        n = _rank(data.get("n", 1))
         return GradedAssocAlgebra.group_algebra(n, support=data.get("support"))
     if kind in ("poly", "polynomial"):
         return GradedAssocAlgebra.polynomial()
@@ -113,8 +132,13 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             field = cyclotomic_field(int(fname[len("Q(zeta_"):-1]))
         else:
             raise ValueError(f"unknown field {fname!r}")
+        rows = data["q"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ValueError(f"q must be a list of rows, got {rows!r}")
+        if len(rows) != n:
+            raise ValueError(f"q must have n = {n} rows, got {len(rows)}")
         q = []
-        for row in data["q"]:
+        for row in rows:
             out_row = []
             for tok in row:
                 v = scalar_from_str(tok, field)
@@ -124,3 +148,11 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             q.append(out_row)
         return GradedAssocAlgebra.quantum_torus(q, field)
     raise ValueError(f"unknown coordinate algebra kind {kind!r}")
+
+
+def _rank(value) -> int:
+    """The lattice rank n of a coordinate algebra, refused below 0."""
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"the lattice rank n must be at least 0, got {n}")
+    return n

@@ -9,7 +9,6 @@ the Jacobi sample.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from operator import sub
 from typing import NamedTuple
@@ -134,9 +133,8 @@ class WedgeWindow:
         self.degs = [tuple(d) for d in box(A.n, window) if A.in_support(d)]
         self._degset = set(self.degs)
         one = A.field.one
-        # The monomial of each key (degree, symbol) of the window.
-        self._mono = {k: AlgElement._zero_free(A, {k: one})
-                      for k in itertools.product(self.degs, range(A.bdim))}
+        # The monomial of each key (degree, 0) of the window.
+        self._mono = {(d, 0): AlgElement._zero_free(A, {(d, 0): one}) for d in self.degs}
 
     @memo
     def _product(self, k1, k2) -> AlgElement:
@@ -153,23 +151,19 @@ class WedgeWindow:
         # The degrees d of the window whose complement deg - d is on it too,
         # in lexicographic order.
         partners = [d for d in self.degs if tuple(map(sub, deg, d)) in degset]
-        syms = range(A.bdim)
         keys = []
         for d1 in partners:
             d2 = tuple(map(sub, deg, d1))
-            for s1 in syms:
-                for s2 in syms:
-                    k1, k2 = (d1, s1), (d2, s2)
-                    if k1 < k2:
-                        keys.append((k1, k2))
-        keys.sort()
+            if d1 < d2:
+                keys.append(((d1, 0), (d2, 0)))
         index = {k: i for i, k in enumerate(keys)}
         # A cyclic shift of (a, b, c) gives the same relation, so only the
         # least shift is formed; over a commutative A any permutation does,
         # and a set of rows keeps one.  With c = deg - a - b, the sums b + c
         # and c + a are deg - a and deg - b, and a + b = deg - c, so a, b and
         # c all range over partners.  The least shift starts with the least
-        # key, so da <= db and da <= dc.
+        # degree, so da <= db and da <= dc, and (da, db, da) with db > da is
+        # the shift (da, da, db).
         pset = set(partners)
         mono, product, zero = self._mono, self._product, A.field.zero
         rel_rows = {}
@@ -177,21 +171,18 @@ class WedgeWindow:
             rest = tuple(map(sub, deg, da))
             for db in partners[i:]:
                 dc = tuple(map(sub, rest, db))
-                if dc < da or dc not in pset:
+                if dc < da or dc == da != db or dc not in pset:
                     continue
-                for ka, kb, kc in itertools.product(*([(d, s) for s in syms]
-                                                      for d in (da, db, dc))):
-                    if (kb, kc, ka) < (ka, kb, kc) or (kc, ka, kb) < (ka, kb, kc):
-                        continue
-                    rel = {}
-                    wedge(product(ka, kb), mono[kc], rel)
-                    wedge(product(kb, kc), mono[ka], rel)
-                    wedge(product(kc, ka), mono[kb], rel)
-                    if rel:
-                        row = [zero] * len(keys)
-                        for k, v in rel.items():
-                            row[index[k]] = v
-                        rel_rows[tuple(row)] = None
+                ka, kb, kc = (da, 0), (db, 0), (dc, 0)
+                rel = {}
+                wedge(product(ka, kb), mono[kc], rel)
+                wedge(product(kb, kc), mono[ka], rel)
+                wedge(product(kc, ka), mono[kb], rel)
+                if rel:
+                    row = [zero] * len(keys)
+                    for k, v in rel.items():
+                        row[index[k]] = v
+                    rel_rows[tuple(row)] = None
         rel_rows = [list(row) for row in rel_rows]
         rows, pivots = rref(rel_rows, A.field) if rel_rows else ([], [])
         return WedgeBlock(keys, index, rows[:len(pivots)], pivots)
@@ -230,14 +221,13 @@ def hc1_component(A: GradedAssocAlgebra, deg) -> int:
     J. Funct. Anal. 135, 1996).  A group algebra (every q_ij = 1) on the
     support N^n or {0} is smooth, so HC_1 = Omega^1/dA: in a degree sigma of
     the support, Omega^1 has the t^(sigma - e_i) dt_i with sigma_i != 0 and
-    dA the one d t^sigma when sigma != 0.  Crossed products, and quantum
-    tori with some q_ij != 1 on a bounded support, are not covered.
+    dA the one d t^sigma when sigma != 0.  Quantum tori with some
+    q_ij != 1 on a bounded support are not covered.
     """
     deg = tuple(deg)
-    if A.kind == "crossed" or (A.support is not None
-                               and any(x != A.field.one for row in A.q for x in row)):
+    if A.support is not None and any(x != A.field.one for row in A.q for x in row):
         raise ValueError(f"HC_1 is decided for quantum tori on all of Z^n and group algebras; got "
-                         f"a {A.kind!r} algebra with support {A.support!r}")
+                         f"a quantum torus with q != 1 on the support {A.support!r}")
     if not A.in_support(deg):
         return 0
     nonzero = int(any(deg))

@@ -7,9 +7,6 @@ zero coefficients, subtracts by adding the negation, and reaches the
 arithmetic of matrix entries and coordinates through the functions here,
 never through the operators under test.  The differential tests in
 ``test_arith.py`` compare them with the operators on the same inputs.
-
-The crossed-product path of ``GradedAssocAlgebra.mul`` did not change, so
-``mul`` hands crossed products to it.
 """
 
 from __future__ import annotations
@@ -56,8 +53,6 @@ def mul(x: AlgElement, y: AlgElement) -> AlgElement:
     """x y: t^l t^m = tau(l, m) t^(l+m) term by term, each term added to
     field.zero."""
     A = x.algebra
-    if A.kind == "crossed":
-        return A.mul(x, y)
     out = {}
     for (dl, _), cl in x.terms.items():
         for (dm, _), cm in y.terms.items():

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from lietor.linalg import kernel, mat_vec, rank as mat_rank
+from lietor.linalg import kernel, rank as mat_rank
 from lietor.refl import PreReflectionSystem, _res3
 from lietor.report import AxiomReport
 from lietor.rootsys import IntegerRoots, RootSpace, RootSystem
@@ -41,7 +41,7 @@ def coroot_from_form(space: RootSpace, a):
     norm = space.pair(a, a)
     if norm == 0:
         raise ValueError(f"isotropic nonzero root {fs(a)} under the given form")
-    fa = mat_vec([list(r) for r in space.form], list(a), QQ)
+    fa = [sum((c * x for c, x in zip(row, a)), QQ.zero) for row in space.form]
     return tuple(QQ(2 * x, norm) for x in fa)
 
 

@@ -305,7 +305,7 @@ def test_qtorus_json_round_trip():
     z3 = cyclotomic_field(3).zeta()
     text = (Path(__file__).parent / "data" / "q3.json").read_text()
     back = coord_algebra_from_json(json.loads(text))
-    assert back.kind == "qtorus" and back.q[0][1] == z3 and back.q[1][0] == z3.inverse()
+    assert back.support is None and back.q[0][1] == z3 and back.q[1][0] == z3.inverse()
 
 
 def test_q_token_of_another_field_is_refused_when_read(capsys):
@@ -335,6 +335,54 @@ def test_qtorus_leaves_refuse_a_bounded_support(tmp_path, capsys):
     assert main(["qtorus", "centre", "--q", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "error: expected a quantum torus description" in err
+
+
+# Malformed JSON inputs, each refused where it is read: exit 2, its cause on
+# stderr, and no report.  Unchecked, a ragged q or a top-level array raises an
+# internal error, and the others are read as another input: a q of 1 row for
+# n = 3, or the string "1", as [["1"]], n = -1 as rank 0, and a short root,
+# form row or form as one padded with zeros, which IntegerRoots.key cannot
+# tell apart.
+MALFORMED = {
+    "q ragged": (["qtorus", "centre", "--q"], "malformed_q_ragged.json",
+                 "the quantum matrix must be 2 x 2, got rows of lengths [2, 1]"),
+    "q of 1 row for n = 3": (["qtorus", "centre", "--q"], "malformed_q_rank_mismatch.json",
+                             "q must have n = 3 rows, got 1"),
+    "q a string": (["qtorus", "centre", "--q"], "malformed_q_string.json",
+                   "q must be a list of rows, got '1'"),
+    "n negative": (["qtorus", "centre", "--q"], "malformed_group_negative_rank.json",
+                   "the lattice rank n must be at least 0, got -1"),
+    "qtorus centre of an array": (["qtorus", "centre", "--q"], "malformed_array.json",
+                                  "a coordinate algebra must be a JSON object, got list"),
+    "sl of an array": (["sl", "--coord"], "malformed_array.json",
+                       "a coordinate algebra must be a JSON object, got list"),
+    "classify a short root": (["roots", "classify", "--in"], "malformed_root_short.json",
+                              "root ['-1'] must have 2 coordinates"),
+    "refl a short root": (["refl", "--in"], "malformed_root_short.json",
+                          "root ['-1'] must have 2 coordinates"),
+    "refl a short form row": (["refl", "--in"], "malformed_form_short_row.json",
+                              "form row ['0'] must have 2 coordinates"),
+    "refl a form of 1 row": (["refl", "--in"], "malformed_form_one_row.json",
+                             "the form must have 2 rows"),
+    "ars a short S-prime root": (["ars", "check", "--in"], "malformed_datum_s_prime_short.json",
+                            "S' root ['-1'] must have 2 coordinates"),
+    "ars a short family key": (["ars", "check", "--in"], "malformed_datum_family_key_short.json",
+                               "family key ['1'] must have 2 coordinates"),
+    "classify an array": (["roots", "classify", "--in"], "malformed_array.json",
+                          "a root system must be a JSON object, got list"),
+    "refl an array": (["refl", "--in"], "malformed_array.json",
+                      "a root system must be a JSON object, got list"),
+    "ars check an array": (["ars", "check", "--in"], "malformed_array.json",
+                           "an extension datum must be a JSON object, got list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_json_input_exits_2_and_names_its_cause(capsys, case):
+    leaf, name, error = MALFORMED[case]
+    assert main(leaf + [str(goldens.DATA / name)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"error: {error}" in err
 
 
 # A group algebra is the quantum torus whose q_ij are all 1: each pair is one

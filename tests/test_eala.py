@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lietor.graded import CentroidalDerivation, FiniteDimAlgebra, GradedAssocAlgebra
+from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
 from lietor.lattices import box
 from lietor.linalg import independent_rows, lattice_reduce, rank
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
@@ -26,7 +26,7 @@ from lietor.eala import (
     verify_iara,
 )
 from lietor.report import sampled_triples
-from lietor.scalars import QQ, cyclotomic_field, frac_to_str
+from lietor.scalars import cyclotomic_field, frac_to_str
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
 from eala_reference import (
@@ -517,15 +517,6 @@ def test_a_bounded_support_is_not_periodic_modulo_rad(support):
     E = build_E(default_iara_data(MatrixLieAlgebra(3, A), window=1, C="dual"), validate=False)
     assert A.centre_lattice().basis == [[1, 0], [0, 1]]
     assert E._centre_rows is None
-
-
-def test_build_e_refuses_a_crossed_product():
-    # INV-a reads the form off phi(1), which holds for group algebras and
-    # tori; a crossed product with B = K is refused all the same
-    A = GradedAssocAlgebra("crossed", 1, QQ, B=FiniteDimAlgebra.field_algebra(QQ),
-                           tau=lambda lam, mu: [F(1)], sigma=lambda lam: [[F(1)]])
-    with pytest.raises(ValueError, match="group algebras and quantum tori"):
-        build_E(default_iara_data(MatrixLieAlgebra(3, A), window=1, C="dual"), validate=False)
 
 
 def test_sigma_d_pairs_of_every_d_degree():

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from operator import sub
 from pathlib import Path
@@ -7,9 +8,7 @@ from pathlib import Path
 import pytest
 
 from lietor.graded import (
-    AlgElement,
     CentroidalDerivation,
-    FiniteDimAlgebra,
     GradedAssocAlgebra,
     cder_bracket,
     graded_form,
@@ -25,7 +24,6 @@ from qtorus_reference import (
     commutator_decomposition,
     nondegenerate_on_window,
 )
-from test_uce import _swap_crossed
 
 
 def F(*args):
@@ -59,6 +57,11 @@ def test_quantum_matrix_validation():
     F4 = cyclotomic_field(4)
     with pytest.raises(ValueError):
         validate_quantum_matrix([[F4.one, F4.zeta()], [F4.zeta(), F4.one]], F4)
+    # q must be square, and n x n for the rank n
+    with pytest.raises(ValueError, match=re.escape("must be 2 x 2, got rows of lengths [2, 1]")):
+        validate_quantum_matrix([[F(1), F(-1)], [F(-1)]], QQ)
+    with pytest.raises(ValueError, match="must have n = 3 rows, got 1"):
+        GradedAssocAlgebra(3, QQ, [[F(1)]])
 
 
 def test_associativity_on_window(zeta3_torus):
@@ -155,11 +158,24 @@ def test_memoised_tables_take_a_list_degree(zeta3_torus):
     A = zeta3_torus
     assert A.unit_of_degree([1, 2]) is A.unit_of_degree((1, 2))
     assert A.unit_of_degree([1, 2]) == A.monomial((1, 2))
-    got = A.commutator_component([1, 0], 2)
-    assert got is A.commutator_component((1, 0), 2) and got == [A.monomial((1, 0))]
-    assert A.commutator_component([3, 0], 2) == []
+    assert A.commutator_component([1, 0]) == [A.monomial((1, 0))]
+    assert A.commutator_component([3, 0]) == []
     P = GradedAssocAlgebra.polynomial()
     assert P.unit_of_degree([1]) is None and P.unit_of_degree([0]) == P.one()
+
+
+def test_tau_is_an_invertible_2_cocycle(zeta3_torus):
+    # each tau is invertible and
+    # tau(nu, lam) tau(nu + lam, mu) = tau(lam, mu) tau(nu, lam + mu)
+    A = zeta3_torus
+    degs = list(itertools.product(range(-1, 2), repeat=2))
+    add = lambda x, y: tuple(a + b for a, b in zip(x, y))
+    for nu in degs:
+        for lam in degs:
+            assert A.tau(nu, lam)
+            for mu in degs:
+                assert (A.tau(nu, lam) * A.tau(add(nu, lam), mu)
+                        == A.tau(lam, mu) * A.tau(nu, add(lam, mu)))
 
 
 def test_tau_antisymmetry_consequence(zeta3_torus):
@@ -209,7 +225,7 @@ def test_the_structural_split_of_qtorus_centre(name):
 
 def test_graded_form_nondegenerate(zeta3_torus):
     A = zeta3_torus
-    gf = graded_form(A, A.field.one, window=2)
+    gf = graded_form(A, A.field.one)
     t1 = A.gen(0)
     assert gf.pair(t1, A.try_invert(t1)) == A.field.one
     assert nondegenerate_on_window(gf, 2)
@@ -224,14 +240,14 @@ def test_graded_form_nondegenerate(zeta3_torus):
 
 def test_zero_functional_gives_zero_form():
     L = GradedAssocAlgebra.laurent()
-    gf = graded_form(L, F(0), window=2)
+    gf = graded_form(L, F(0))
     assert gf.pair(L.monomial((1,)), L.monomial((-1,))) == 0
     assert not nondegenerate_on_window(gf, 1)
 
 
 def test_group_algebra_z0_form():
     L = GradedAssocAlgebra.laurent()
-    gf = graded_form(L, F(1), window=3)
+    gf = graded_form(L, F(1))
     assert gf.pair(L.monomial((2,)), L.monomial((-2,))) == 1
     assert gf.pair(L.monomial((2,)), L.monomial((1,))) == 0
 
@@ -275,13 +291,6 @@ def test_a_degree_off_a_bounded_support_is_refused():
     assert d.apply(poly.monomial((2,))) == poly.monomial((3,), F(2))
 
 
-def test_cder_bracket_refuses_a_crossed_product():
-    A = _swap_crossed()
-    d = CentroidalDerivation(A, [A.field.one] * A.n)
-    with pytest.raises(ValueError, match="crossed product"):
-        cder_bracket(d, d)
-
-
 def test_skew_centroidal_spaces(zeta3_torus):
     L = GradedAssocAlgebra.laurent()
     assert len(skew_centroidal_space(L, (0,))) == 1
@@ -301,53 +310,12 @@ def test_fgc_flag(zeta3_torus):
     assert A.centre_lattice().subgroup_rank() < 2
 
 
-def test_crossed_product_identities(zeta3_torus):
-    # the torus is the crossed product with B = K and sigma = 1: each tau is
-    # invertible and tau(nu, lam) tau(nu + lam, mu) = tau(lam, mu) tau(nu, lam + mu)
-    A = zeta3_torus
-    degs = list(itertools.product(range(-1, 2), repeat=2))
-    add = lambda x, y: tuple(a + b for a, b in zip(x, y))
-    for nu in degs:
-        for lam in degs:
-            assert A.tau(nu, lam)
-            for mu in degs:
-                assert (A.tau(nu, lam) * A.tau(add(nu, lam), mu)
-                        == A.tau(lam, mu) * A.tau(nu, add(lam, mu)))
-
-
-def test_crossed_multiplication_matches_torus(zeta3_torus):
-    A = zeta3_torus
-    F3 = A.field
-    B = FiniteDimAlgebra.field_algebra(F3)
-    X = GradedAssocAlgebra("crossed", 2, F3, B=B,
-                           tau=lambda l, m: [A.tau(l, m)], sigma=lambda l: [[F3.one]])
-    degs = list(itertools.product(range(-1, 2), repeat=2))
-    for d1 in degs:
-        for d2 in degs:
-            want = A.monomial(d1) * A.monomial(d2)
-            got = X.monomial(d1) * X.monomial(d2)
-            ((dw, _), cw), = want.terms.items()
-            ((dg, _), cg), = got.terms.items()
-            assert dw == dg and cw == cg
-
-
 def test_polynomial_support():
     P = GradedAssocAlgebra.polynomial()
     assert P.try_invert(P.gen(0)) is None
     assert P.try_invert(P.one()) == P.one()
     with pytest.raises(ValueError):
         P.monomial((-1,))
-
-
-def test_crossed_try_invert_with_nontrivial_sigma():
-    # In (Q x Q) * Z with t swapping the factors, x = (1, 2)t has the inverse
-    # (1/2, 1)t^-1, which is not a multiple of the B-inverse of (1, 2).
-    A = _swap_crossed()
-    x = AlgElement(A, {((1,), 0): F(1), ((1,), 1): F(2)})
-    y = A.try_invert(x)
-    assert y == AlgElement(A, {((-1,), 0): F(1, 2), ((-1,), 1): F(1)})
-    assert x * y == A.one() == y * x
-    assert A.try_invert(AlgElement(A, {((1,), 0): F(1)})) is None
 
 
 def _torus(field, upper):
@@ -463,11 +431,9 @@ def test_root_of_unity_tori_read_tau_from_a_table(name):
 def test_a_group_algebra_is_the_torus_with_q_1():
     for n in (0, 1, 2):
         A = GradedAssocAlgebra.group_algebra(n, support="nonneg")
-        assert A.kind == "qtorus" and A.support == "nonneg"
+        assert A.support == "nonneg"
         assert A.q == [[QQ.one] * n for _ in range(n)]
         assert A.centre_lattice().basis == [[int(i == j) for j in range(n)] for i in range(n)]
-    with pytest.raises(ValueError, match="unknown algebra kind 'group'"):
-        GradedAssocAlgebra("group", 1, QQ)
 
 
 def test_non_root_of_unity_torus_stays_direct():

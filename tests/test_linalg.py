@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -299,6 +301,87 @@ def test_residues_are_one_point_per_coset(case):
     assert all(lattice_reduce(r, lat.basis) == r for r in res)
     assert len(set(res)) == len(res)
     assert LatticeSubset.full(n).is_subset_of(LatticeSubset(n, gens, res))
+
+
+# hnf, integer_kernel and lattice_from_congruences against sympy: Rad(q), the
+# input of every torus verdict, is read off these.  Two lattices are compared
+# as containment both ways, each membership decided by sympy's exact solve.
+
+def _in_lattice(v, basis):
+    """Is v an integer combination of the independent vectors of basis?"""
+    from sympy import Matrix
+
+    if not basis:
+        return not any(v)
+    try:
+        x, _ = Matrix(basis).T.gauss_jordan_solve(Matrix(v))
+    except ValueError:  # not even in the rational span
+        return False
+    return all(c.is_integer for c in x)
+
+
+def _same_lattice(b1, b2):
+    return (all(_in_lattice(v, b2) for v in b1)
+            and all(_in_lattice(v, b1) for v in b2))
+
+
+def _sympy_hnf_basis(gens, n):
+    """The columns of sympy's hermite_normal_form of the generators as
+    columns: a basis of the lattice they span."""
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    if not any(any(g) for g in gens):
+        return []
+    w = hermite_normal_form(Matrix(gens).T)
+    return [[int(w[i, j]) for i in range(n)] for j in range(w.cols) if any(w[:, j])]
+
+
+@seed(13)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_lattice_gens())
+def test_hnf_spans_the_lattice_of_sympys_hermite_normal_form(case):
+    n, gens = case
+    assert _same_lattice(hnf(gens), _sympy_hnf_basis(gens, n))
+
+
+@seed(17)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hs.integers(1, 4).flatmap(lambda n: hs.tuples(hs.just(n), hs.lists(
+    hs.lists(hs.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=3))))
+def test_integer_kernel_is_the_saturated_lattice_of_sympys_nullspace(case):
+    # K = integer_kernel(A) is all of ker A over Z when it lies in ker A, has
+    # its rank, holds sympy's nullspace cleared of denominators, and Z^n / K
+    # has no torsion (every Smith invariant of K is 1)
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form
+
+    n, rows = case
+    kern = integer_kernel(rows, n)
+    null = Matrix(rows).nullspace()
+    assert len(kern) == len(null)
+    assert all(not any(Matrix(rows) * Matrix(v)) for v in kern)
+    for v in null:
+        scale = math.lcm(*(int(c.q) for c in v))
+        assert _in_lattice([int(c * scale) for c in v], kern)
+    if kern:
+        snf = smith_normal_form(Matrix(kern), domain=ZZ)
+        assert all(abs(snf[i, i]) == 1 for i in range(len(kern)))
+
+
+@seed(19)
+@settings(max_examples=60, deadline=None, database=None)
+@given(hs.tuples(hs.integers(2, 6), hs.integers(1, 3)).flatmap(
+    lambda mn: hs.tuples(hs.just(mn[0]), hs.just(mn[1]), hs.lists(
+        hs.lists(hs.integers(-6, 6), min_size=mn[1], max_size=mn[1]), min_size=1, max_size=2))))
+def test_congruence_lattice_is_spanned_by_its_residues_mod_m(case):
+    # {v : A v = 0 mod m} contains m Z^n, so it is spanned by m Z^n and the
+    # solutions in [0, m)^n, listed here by brute force
+    m, n, a = case
+    sols = [list(v) for v in itertools.product(range(m), repeat=n)
+            if all(sum(x * y for x, y in zip(row, v)) % m == 0 for row in a)]
+    gens = [[m * int(i == j) for j in range(n)] for i in range(n)] + sols
+    assert _same_lattice(lattice_from_congruences(a, m, n), _sympy_hnf_basis(gens, n))
 
 
 def test_congruence_lattice():

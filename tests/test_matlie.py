@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, seed, settings, strategies as hs
 
-from lietor.graded import FiniteDimAlgebra, GradedAssocAlgebra, degree_derivations
+from lietor.graded import GradedAssocAlgebra, degree_derivations, skew_centroidal_space
 from lietor.lattices import LatticeSubset, box
-from lietor.linalg import rank
+from lietor.linalg import inverse, rank
 from lietor.matlie import (
     DirectSumSl,
     MatLieElement,
@@ -20,6 +20,7 @@ from lietor.matlie import (
 )
 from lietor.rootsys import indivisible_part
 from lietor.scalars import QQ, cyclotomic_field
+from lietor.uce import hc1_component
 from matlie_reference import (
     decompose,
     eigenvalue_law_holds,
@@ -29,7 +30,7 @@ from matlie_reference import (
 )
 from qtorus_reference import nondegenerate_on_window
 from test_eala import jacobi_holds
-from test_uce import _swap_crossed, _zeta3_torus
+from test_uce import _zeta3_torus
 
 
 def F(*args):
@@ -196,16 +197,16 @@ def test_bigrading_compatibility(qtorus_sl3):
 
 
 def test_verify_root_graded(laurent_sl3, qtorus_sl3):
-    rep = verify_root_graded(laurent_sl3, window=1)
+    rep = verify_root_graded(laurent_sl3)
     assert rep["RG1"] and rep["RG2"] and rep["RG3"]
     assert rep["predivision"] and rep["division"] and rep["torus"]
-    rep = verify_root_graded(qtorus_sl3, window=1)
+    rep = verify_root_graded(qtorus_sl3)
     assert rep["RG1"] and rep["RG2"] and rep["RG3"] and rep["torus"]
 
 
 def test_polynomial_coefficients_not_predivision():
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial())
-    rep = verify_root_graded(L, window=1)
+    rep = verify_root_graded(L)
     assert rep["RG2"] is True
     assert rep["predivision"] is False
     assert rep["division"] is False
@@ -254,7 +255,7 @@ def test_direct_sum_block_structure():
     assert len(connected_components(L.S)) == 2
     assert str(classify(L.S)) == "A2 x A2"
     assert len(L.cartan_basis()) == 4
-    rep = verify_root_graded(L, window=1)
+    rep = verify_root_graded(L)
     assert rep["RG1"] and rep["RG2"] and rep["RG3"]
     cross = L.root_of(0, 3)
     assert L.homog_basis(cross, (0,)) == []
@@ -307,23 +308,12 @@ def _root_graded_oracle(L, window):
                     for xb in L.homog_basis(tuple(-t for t in a), rest):
                         br = bracket(xa, xb)
                         if br:
-                            spans.append([br.entries[(i, i)].coefficient(deg, k)
+                            spans.append([br.entries[(i, i)].coefficient(deg)
                                           if (i, i) in br.entries else L.field.zero
-                                          for i in range(L.n) for k in range(L.A.bdim)])
+                                          for i in range(L.n)])
         if (rank(spans, L.field) if spans else 0) < need:
             rg3 = False
     return {"RG2": rg2, "RG3": rg3, "predivision": prediv, "division": division}
-
-
-def _qi_crossed():
-    """Q(i) as a 2-dimensional Q-algebra, graded by Z with trivial sigma and
-    tau: every basis vector of B is a unit, so division stays undecided."""
-    one, zero = F(1), F(0)
-    B = FiniteDimAlgebra(QQ, 2, [[[one, zero], [zero, one]], [[zero, one], [-one, zero]]],
-                         [one, zero])
-    ident = [[one, zero], [zero, one]]
-    return GradedAssocAlgebra("crossed", 1, QQ, B=B, tau=lambda lam, mu: [one, zero],
-                              sigma=lambda lam: ident)
 
 
 ROOT_GRADED_INPUTS = {
@@ -334,12 +324,6 @@ ROOT_GRADED_INPUTS = {
     "Q[Z^2]-1": (lambda: MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2)), 1),
     "zeta3-torus-1": (lambda: MatrixLieAlgebra(3, _zeta3_torus()), 1),
     "direct-sum-1": (lambda: DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), 1),
-    # at window 0 the oracle cannot reach the commutators [x t, y t^-1] that
-    # span [A,A]^0, so it reads RG3 as False; RG3 holds by construction
-    "swap-crossed-0": (lambda: MatrixLieAlgebra(3, _swap_crossed()), 0),
-    "swap-crossed-1": (lambda: MatrixLieAlgebra(3, _swap_crossed()), 1),
-    "swap-crossed-2": (lambda: MatrixLieAlgebra(3, _swap_crossed()), 2),
-    "Q(i)-crossed-1": (lambda: MatrixLieAlgebra(3, _qi_crossed()), 1),
 }
 
 
@@ -347,56 +331,31 @@ ROOT_GRADED_INPUTS = {
 def test_root_graded_flags_match_oracle(name):
     make_L, window = ROOT_GRADED_INPUTS[name]
     L = make_L()
-    rep = verify_root_graded(L, window)
+    rep = verify_root_graded(L)
     want = _root_graded_oracle(L, window)
-    # RG2 and RG3 hold by construction, and the oracle agrees wherever its
-    # window reaches the commutators
+    # RG2 and RG3 hold by construction, and the oracle agrees on its window
     assert rep["RG2"] is want["RG2"] is True
-    assert rep["RG3"] is True and want["RG3"] is (name != "swap-crossed-0")
-    assert rep["predivision"] == want["predivision"]
+    assert rep["RG3"] is want["RG3"] is True
+    assert rep["predivision"] == want["predivision"] == rep["division"] == want["division"]
     assert (rep["predivision_witness"] is None) == rep["predivision"]
-    # division is undecided (None) only for bdim > 1 with predivision
-    if rep["division"] is None:
-        assert L.A.bdim > 1 and rep["predivision"]
-    else:
-        assert rep["division"] == want["division"]
-    assert (rep["division_witness"] is None) == (rep["division"] is not False)
-
-
-def test_division_undecided_only_beyond_dimension_one():
-    assert verify_root_graded(MatrixLieAlgebra(3, _qi_crossed()), 1)["division"] is None
-    assert verify_root_graded(MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), 1)["division"]
-
-
-def test_swap_crossed_product_is_predivision_not_division():
-    # (Q x Q) * Z: 1 = b0 + b1 is a unit of A^0 although neither basis vector
-    # is, and b0 t^0 E_20 is a nonzero element that is not invertible.
-    L = MatrixLieAlgebra(3, _swap_crossed())
-    rep = verify_root_graded(L, 1)
-    assert rep["RG2"] is True
-    assert rep["predivision"] is True and rep["predivision_witness"] is None
-    assert rep["division"] is False
-    assert rep["division_witness"] == (
-        "[(1)t^(0,)*b0]E(2,0) in L_(eps_2 - eps_0)^(0) is nonzero and not invertible")
-    assert rep["torus"] is False
+    assert rep["division_witness"] == rep["predivision_witness"]
 
 
 def test_witnesses_name_root_and_degree():
-    # predivision fails on the nonneg support at e_n, whatever the window: the
-    # box scan it replaces saw no such degree at window 0 and printed torus True
-    for window in (0, 1, 2):
-        rep = verify_root_graded(MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()), window)
-        assert rep["predivision_witness"] == "no invertible element in L_(eps_2 - eps_0)^(1)"
-        assert rep["predivision"] is rep["division"] is rep["torus"] is False
+    # predivision fails on the nonneg support at e_n, which a box scan at
+    # window 0 would not meet
+    rep = verify_root_graded(MatrixLieAlgebra(3, GradedAssocAlgebra.polynomial()))
+    assert rep["predivision_witness"] == "no invertible element in L_(eps_2 - eps_0)^(1)"
+    assert rep["predivision"] is rep["division"] is rep["torus"] is False
     A = GradedAssocAlgebra.group_algebra(2, support="nonneg")
-    rep = verify_root_graded(MatrixLieAlgebra(3, A), 0)
+    rep = verify_root_graded(MatrixLieAlgebra(3, A))
     assert rep["predivision_witness"] == "no invertible element in L_(eps_2 - eps_0)^(0, 1)"
 
 
 @pytest.mark.parametrize("make_A", [
     GradedAssocAlgebra.laurent, GradedAssocAlgebra.polynomial,
-    lambda: GradedAssocAlgebra.group_algebra(2), _zeta3_torus, _swap_crossed, _qi_crossed,
-], ids=["laurent", "polynomial", "Q[Z^2]", "zeta3-torus", "swap-crossed", "Q(i)-crossed"])
+    lambda: GradedAssocAlgebra.group_algebra(2), _zeta3_torus,
+], ids=["laurent", "polynomial", "Q[Z^2]", "zeta3-torus"])
 def test_unit_of_degree_matches_brute_force(make_A):
     # A^d has a unit iff some {-1, 0, 1} combination of its basis is one.
     A = make_A()
@@ -484,3 +443,10 @@ def test_a_change_of_lattice_basis_keeps_the_centre_and_the_root_graded_verdicts
         assert (v in rad_b) is (_apply(g, v) in rad_a) is central, v
     assert (dict(verify_root_graded(MatrixLieAlgebra(3, A)))
             == dict(verify_root_graded(MatrixLieAlgebra(3, B))))
+    # t'^(g^-1 d) = t^d: HC_1 and the skew centroidal derivations of degree
+    # g^-1 d over B match those of degree d over A
+    g_inv = [[int(x) for x in row] for row in inverse(g, QQ)]
+    for d in box(A.n, 2):
+        e = _apply(g_inv, d)
+        assert hc1_component(B, e) == hc1_component(A, d), d
+        assert len(skew_centroidal_space(B, e)) == len(skew_centroidal_space(A, d)), d

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lietor.graded import AlgElement, FiniteDimAlgebra, GradedAssocAlgebra
+from lietor.graded import AlgElement, GradedAssocAlgebra
 from lietor.lattices import box
 from lietor.eala import build_E, default_iara_data
 from lietor.linalg import kernel, rank, rref
@@ -41,33 +41,12 @@ def _zeta3_torus():
     return GradedAssocAlgebra.quantum_torus([[F3.one, z3], [z3.inverse(), F3.one]], F3)
 
 
-def _swap_crossed():
-    """(Q x Q) * Z with t acting by swapping the factors: B has dimension 2."""
-    one, zero = F(1), F(0)
-    B = FiniteDimAlgebra(QQ, 2, [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]],
-                         [one, one])
-    swap, ident = [[zero, one], [one, zero]], [[one, zero], [zero, one]]
-
-    def sigma(lam):
-        return swap if lam[0] % 2 else ident
-
-    def tau(lam, mu):
-        return [one, one]
-
-    A = GradedAssocAlgebra("crossed", 1, QQ, B=B, tau=tau, sigma=sigma)
-    # sigma is an automorphism and tau a sigma-cocycle: A is associative
-    basis = [b for d in box(1, 2) for b in A.basis_of_degree(d)]
-    assert all((x * y) * z == x * (y * z) for x in basis for y in basis for z in basis)
-    return A
-
-
 # name -> (algebra, window of the quotient)
 ALGEBRAS = {
     "laurent": (GradedAssocAlgebra.laurent, 3),
     "polynomial": (GradedAssocAlgebra.polynomial, 3),
     "Q[Z^2]": (lambda: GradedAssocAlgebra.group_algebra(2), 2),
     "zeta3-torus": (_zeta3_torus, 1),
-    "swap-crossed": (_swap_crossed, 1),
 }
 
 
@@ -86,17 +65,15 @@ class _DenseWedgeWindow:
         degs = [d for d in box(A.n, window) if A.in_support(d)]
         keys = []
         for d1 in degs:
-            for s1 in range(A.bdim):
-                for d2 in degs:
-                    for s2 in range(A.bdim):
-                        k1, k2 = (tuple(d1), s1), (tuple(d2), s2)
-                        if k1 < k2:
-                            keys.append((k1, k2))
+            for d2 in degs:
+                k1, k2 = (tuple(d1), 0), (tuple(d2), 0)
+                if k1 < k2:
+                    keys.append((k1, k2))
         self.keys = sorted(keys)
         self.index = {k: i for i, k in enumerate(self.keys)}
         rel_rows = []
         degset = set(degs)
-        mono = [AlgElement(A, {(tuple(d), s): A.field.one}) for d in degs for s in range(A.bdim)]
+        mono = [AlgElement(A, {(tuple(d), 0): A.field.one}) for d in degs]
         for a in mono:
             da = a.degrees()[0]
             for b in mono:
@@ -148,9 +125,8 @@ def _hc1_dim_blocks(A, deg, window):
     cols = []
     for k in blk.keys:
         img = WedgeElement(A, {k: A.field.one}).commutator_image()
-        cols.append([img.coefficient(deg, s) for s in range(A.bdim)])
-    m = [list(row) for row in zip(*cols)]
-    return len(kernel(m, A.field, len(blk.keys))) - len(blk.pivots)
+        cols.append(img.coefficient(deg))
+    return len(kernel([cols], A.field, len(blk.keys))) - len(blk.pivots)
 
 
 def _hc1_dim_reference(A, deg, window):
@@ -163,11 +139,9 @@ def _hc1_dim_reference(A, deg, window):
         d2 = tuple(a - b for a, b in zip(deg, d1))
         if d2 not in degset:
             continue
-        for s1 in range(A.bdim):
-            for s2 in range(A.bdim):
-                k1, k2 = (tuple(d1), s1), (tuple(d2), s2)
-                if k1 < k2:
-                    keys.append((k1, k2))
+        k1, k2 = (tuple(d1), 0), (tuple(d2), 0)
+        if k1 < k2:
+            keys.append((k1, k2))
     keys = sorted(set(keys))
     if not keys:
         return 0
@@ -182,9 +156,8 @@ def _hc1_dim_reference(A, deg, window):
     cols = []
     for k in keys:
         img = WedgeElement(A, {k: A.field.one}).commutator_image()
-        cols.append([img.coefficient(deg, s) for s in range(A.bdim)])
-    m = [[cols[j][i] for j in range(len(keys))] for i in range(A.bdim)]
-    ker = kernel(m, A.field, len(keys))
+        cols.append(img.coefficient(deg))
+    ker = kernel([cols], A.field, len(keys))
     rel_rows = []
     for da in degs:
         for db in degs:
@@ -195,15 +168,10 @@ def _hc1_dim_reference(A, deg, window):
                     or tuple(x + y for x, y in zip(db, dc)) not in degset
                     or tuple(x + y for x, y in zip(dc, da)) not in degset):
                 continue
-            for sa in range(A.bdim):
-                a = AlgElement(A, {(tuple(da), sa): A.field.one})
-                for sb in range(A.bdim):
-                    b = AlgElement(A, {(tuple(db), sb): A.field.one})
-                    for sc in range(A.bdim):
-                        c = AlgElement(A, {(tuple(dc), sc): A.field.one})
-                        rel = wedge(a * b, c) + wedge(b * c, a) + wedge(c * a, b)
-                        if rel:
-                            rel_rows.append(coords(rel))
+            a, b, c = (AlgElement(A, {(tuple(d), 0): A.field.one}) for d in (da, db, dc))
+            rel = wedge(a * b, c) + wedge(b * c, a) + wedge(c * a, b)
+            if rel:
+                rel_rows.append(coords(rel))
     return len(ker) - (rank(rel_rows, A.field) if rel_rows else 0)
 
 
@@ -609,17 +577,12 @@ def test_hc1_where_the_window_count_stabilised_early(name, deg, window):
     assert hc1_component(A, deg) == _hc1_dim_blocks(A, deg, window) == 1
 
 
-def test_hc1_refuses_crossed_products():
-    with pytest.raises(ValueError, match="crossed"):
-        hc1_component(_algebra("swap-crossed"), (0,))
-
-
 def test_hc1_refuses_a_quantum_plane():
     # Omega^1/dA counts HC_1 of a group algebra on a bounded support, and
     # Rad(q) that of a torus on all of Z^n; the quantum plane, q3 on N^2, is
     # neither
     A = _zeta3_torus()
-    plane = GradedAssocAlgebra("qtorus", 2, A.field, q=A.q, support="nonneg")
+    plane = GradedAssocAlgebra(2, A.field, A.q, support="nonneg")
     with pytest.raises(ValueError, match="support 'nonneg'"):
         hc1_component(plane, (0, 0))
 

@@ -31,7 +31,7 @@ def steinberg_scan(U, window: int = 2) -> AxiomReport:
     rep = AxiomReport()
     A = U.A
     degs = [d for d in box(A.n, window) if A.in_support(d)]
-    mono = [AlgElement(A, {(tuple(d), s): A.field.one}) for d in degs for s in range(A.bdim)]
+    mono = [AlgElement(A, {(tuple(d), 0): A.field.one}) for d in degs]
 
     idx = range(U.n)
     # X_ij(a) for every monomial a of the window, built once per index pair.
