@@ -96,10 +96,10 @@ def sigma_d_values(data_or_pair, l1: MatLieElement, l2: MatLieElement):
 
 def _degree_parts(l: MatLieElement):
     """(lam, l_lam) for each lattice degree lam of the entries of l."""
-    degs = {d for v in l.entries.values() for d in v.degrees()}
+    degs = {d for v in l.terms.values() for d in v.terms}
     if len(degs) == 1:
         return [(degs.pop(), l)]
-    return [(lam, MatLieElement(l.L, {k: v.component(lam) for k, v in l.entries.items()}))
+    return [(lam, MatLieElement(l.owner, {k: v.component(lam) for k, v in l.terms.items()}))
             for lam in sorted(degs)]
 
 
@@ -289,8 +289,8 @@ class BuiltE:
 
     def _sigma_possible(self, l1, l2) -> bool:
         """Degree test: sigma_D(l1, l2) can only land in existing C degrees."""
-        degs1 = {d for v in l1.entries.values() for d in v.degrees()}
-        degs2 = {d for v in l2.entries.values() for d in v.degrees()}
+        degs1 = {d for v in l1.terms.values() for d in v.terms}
+        degs2 = {d for v in l2.terms.values() for d in v.terms}
         for a in degs1:
             for b in degs2:
                 if tuple(x + y for x, y in zip(a, b)) in self._sigma_degs:
@@ -411,7 +411,7 @@ class BuiltE:
     def root_value(self, root, deg, t: EElement):
         """(xi + lam)(t) for t in T."""
         val = self.field.zero
-        diag = {i: t.l.entries.get((i, i)) for i in range(self.L.n)}
+        diag = {i: t.l.terms.get((i, i)) for i in range(self.L.n)}
         zero_deg = (0,) * self.L.z_rank
         for i, r in enumerate(root):
             if r and diag.get(i) is not None:
@@ -449,9 +449,9 @@ class BuiltE:
         """The L part of [t, l] for t in T: the diagonal of t.l is scalar,
         so [h, x E_ij] = (h_i - h_j) x E_ij, plus t_k d_k(l) for each D part."""
         zero, zero_deg = self.field.zero, (0,) * self.L.z_rank
-        h = {i: v.coefficient(zero_deg) for (i, j), v in t.l.entries.items()}
+        h = {i: v.coefficient(zero_deg) for (i, j), v in t.l.terms.items()}
         entries = {}
-        for (i, j), v in l.entries.items():
+        for (i, j), v in l.terms.items():
             s = h.get(i, zero) - h.get(j, zero)
             if s:
                 entries[(i, j)] = v * s

@@ -2,9 +2,10 @@
 with their centre lattices, graded invariant forms and centroidal
 derivations.
 
-Elements are finite sums of (lattice degree, 0) terms with exact scalar
-coefficients: each graded piece A^lam is K t^lam, so the degree alone names
-a basis vector.  Arithmetic is unbounded, and the structural checks read q.
+Elements are Sums (the zero-free finite sums that sl_n(A) and A wedge A
+share) keyed by the lattice degree, with exact scalar coefficients: each
+graded piece A^lam is K t^lam, so the degree alone names a basis vector.
+Arithmetic is unbounded, and the structural checks read q.
 """
 
 from __future__ import annotations
@@ -75,84 +76,93 @@ def sub_terms(x: dict, y: dict) -> dict:
     return out
 
 
-class AlgElement:
-    """Finite sum of (degree, 0) terms with scalar coefficients.
+class Sum:
+    """A finite sum over one owner: terms maps a key to a nonzero value.
 
-    No stored coefficient is zero, so == and bool read the terms literally.
-    The public constructor drops zero coefficients; the arithmetic builds
-    zero-free dicts and wraps them with _zero_free.
+    No stored value is zero, so == and bool read the terms literally.  The
+    public constructor drops zero values; the arithmetic builds zero-free
+    dicts and wraps them with _zero_free.  Sums of different owners do not
+    mix: + and - refuse them with _mismatch.
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("owner", "terms")
+    _mismatch = "elements belong to different algebras"
 
-    def __init__(self, algebra, terms=None):
-        self.algebra = algebra
+    def __init__(self, owner, terms=None):
+        self.owner = owner
         self.terms = {k: v for k, v in (terms or {}).items() if v}
 
     @classmethod
-    def _zero_free(cls, algebra, terms):
-        """The element with exactly these terms, none of them zero."""
+    def _zero_free(cls, owner, terms):
+        """The sum with exactly these terms, none of them zero."""
         x = cls.__new__(cls)
-        x.algebra = algebra
+        x.owner = owner
         x.terms = terms
         return x
 
+    def _check(self, other):
+        if other.owner is not self.owner:
+            raise ValueError(self._mismatch)
+
     def __add__(self, other):
         self._check(other)
-        return AlgElement._zero_free(self.algebra, add_terms(self.terms, other.terms))
+        return self._zero_free(self.owner, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         self._check(other)
-        return AlgElement._zero_free(self.algebra, sub_terms(self.terms, other.terms))
+        return self._zero_free(self.owner, sub_terms(self.terms, other.terms))
 
     def __neg__(self):
-        return AlgElement._zero_free(self.algebra, {k: -v for k, v in self.terms.items()})
+        return self._zero_free(self.owner, {k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            self._check(other)
-            return self.algebra.mul(self, other)
-        if not other:
-            return AlgElement._zero_free(self.algebra, {})
-        return AlgElement._zero_free(self.algebra, {k: v * other for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        if not other:
-            return AlgElement._zero_free(self.algebra, {})
-        return AlgElement._zero_free(self.algebra, {k: other * v for k, v in self.terms.items()})
-
-    def _check(self, other):
-        if other.algebra is not self.algebra:
-            raise ValueError("elements belong to different algebras")
+    def scale(self, c):
+        if not c:
+            return self._zero_free(self.owner, {})
+        return self._zero_free(self.owner, {k: v * c for k, v in self.terms.items()})
 
     def __bool__(self):
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgElement):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.algebra is other.algebra and self.terms == other.terms
+        return self.owner is other.owner and self.terms == other.terms
+
+
+class AlgElement(Sum):
+    """Element of a coordinate algebra A: a sum of terms c t^deg, keyed by
+    the degree alone, as A^deg = K t^deg."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if isinstance(other, AlgElement):
+            self._check(other)
+            return self.owner.mul(self, other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
 
     def __hash__(self):
-        return hash((id(self.algebra), frozenset(self.terms.items())))
+        return hash((id(self.owner), frozenset(self.terms.items())))
 
     def degrees(self):
-        return sorted({k[0] for k in self.terms})
+        return sorted(self.terms)
 
     def component(self, deg):
         deg = tuple(deg)
-        return AlgElement(self.algebra, {k: v for k, v in self.terms.items() if k[0] == deg})
+        c = self.terms.get(deg)
+        return AlgElement._zero_free(self.owner, {} if c is None else {deg: c})
 
     def coefficient(self, deg):
-        return self.terms.get((tuple(deg), 0), self.algebra.field.zero)
+        return self.terms.get(tuple(deg), self.owner.field.zero)
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for (deg, _), c in sorted(self.terms.items(), key=lambda kv: kv[0]):
-            bits.append(f"({c})t^" + str(tuple(int(x) for x in deg)))
-        return " + ".join(bits)
+        return " + ".join(f"({c})t^" + str(tuple(int(x) for x in deg))
+                          for deg, c in sorted(self.terms.items()))
 
 
 class GradedAssocAlgebra:
@@ -235,7 +245,7 @@ class GradedAssocAlgebra:
         return AlgElement._zero_free(self, {})
 
     def one(self):
-        return AlgElement._zero_free(self, {((0,) * self.n, 0): self.field.one})
+        return AlgElement._zero_free(self, {(0,) * self.n: self.field.one})
 
     def monomial(self, deg, coeff=None):
         deg = tuple(int(x) for x in deg)
@@ -243,7 +253,7 @@ class GradedAssocAlgebra:
             raise ValueError(f"degree {deg} outside the support")
         if coeff is None:
             coeff = self.field.one
-        return AlgElement(self, {(deg, 0): coeff})
+        return AlgElement(self, {deg: coeff})
 
     def gen(self, i):
         """t_i."""
@@ -269,8 +279,8 @@ class GradedAssocAlgebra:
         one = self.field.one
         # Z^n is closed under +, so only a bounded support is tested.
         bounded = self.support is not None
-        for (dl, _), cl in x.terms.items():
-            for (dm, _), cm in y.terms.items():
+        for dl, cl in x.terms.items():
+            for dm, cm in y.terms.items():
                 deg = tuple(map(add, dl, dm))
                 if bounded and not self.in_support(deg):
                     raise ArithmeticError(f"product leaves the support at degree {deg}")
@@ -278,13 +288,12 @@ class GradedAssocAlgebra:
                 t = self.tau(dl, dm)
                 if t is not one:
                     c = c * t
-                key = (deg, 0)
-                cur = out.get(key)
+                cur = out.get(deg)
                 s = c if cur is None else cur + c
                 if s:
-                    out[key] = s
+                    out[deg] = s
                 elif cur is not None:
-                    del out[key]
+                    del out[deg]
         return AlgElement._zero_free(self, out)
 
     def basis_of_degree(self, deg):
@@ -295,14 +304,12 @@ class GradedAssocAlgebra:
     def try_invert(self, x: AlgElement):
         """Inverse of a homogeneous x, or None; None also for x of several
         degrees.  The inverse of c t^lam is c^-1 tau(lam, -lam)^-1 t^-lam."""
-        degs = x.degrees()
-        if len(degs) != 1:
+        if len(x.terms) != 1:
             return None
-        lam = degs[0]
+        (lam, c), = x.terms.items()
         neg = tuple(-d for d in lam)
         if not self.in_support(neg):
             return None
-        ((_, _), c), = x.terms.items()
         inv = self.field.inverse
         return self.monomial(neg, inv(c) * inv(self.tau(lam, neg)))
 
@@ -452,18 +459,17 @@ class CentroidalDerivation:
         if not any(self.gamma):
             # degree-0 derivations just rescale each term
             terms = {}
-            for (deg, sym), c in x.terms.items():
+            for deg, c in x.terms.items():
                 w = self.theta(deg)
                 if w:
-                    terms[(deg, sym)] = c * w
+                    terms[deg] = c * w
             return AlgElement(self.A, terms)
         out = self.A.zero()
-        for (deg, sym), c in x.terms.items():
+        for deg, c in x.terms.items():
             w = self.theta(deg)
             if w:
-                out = out + self.A.mul(
-                    self.A.monomial(self.gamma, w), AlgElement(self.A, {(deg, sym): c})
-                )
+                out = out + self.A.mul(self.A.monomial(self.gamma, w),
+                                       AlgElement(self.A, {deg: c}))
         return out
 
     def __repr__(self):

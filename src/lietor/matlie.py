@@ -11,71 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .graded import AlgElement, GradedAssocAlgebra, add_terms, graded_form, memo, sub_terms
+from .graded import AlgElement, GradedAssocAlgebra, Sum, graded_form, memo
 from .rootsys import RootSystem, build_classical, vec_is_zero
 
 
-class MatLieElement:
-    """Finitely supported n x n matrix with AlgElement entries.
+class MatLieElement(Sum):
+    """Finitely supported n x n matrix over sl_n(A): terms maps (i, j) to a
+    nonzero AlgElement entry (itself zero-free)."""
 
-    No stored entry is zero (and, AlgElement being zero-free, no entry holds
-    a zero coefficient), so == and bool read the entries literally.  The
-    public constructor drops zero entries; the arithmetic builds zero-free
-    dicts and wraps them with _zero_free.
-    """
-
-    __slots__ = ("L", "entries")
-
-    def __init__(self, L, entries=None):
-        self.L = L
-        self.entries = {k: v for k, v in (entries or {}).items() if v}
-
-    @classmethod
-    def _zero_free(cls, L, entries):
-        """The matrix with exactly these entries, none of them zero."""
-        x = cls.__new__(cls)
-        x.L = L
-        x.entries = entries
-        return x
-
-    def __add__(self, other):
-        self._check(other)
-        return MatLieElement._zero_free(self.L, add_terms(self.entries, other.entries))
-
-    def __sub__(self, other):
-        self._check(other)
-        return MatLieElement._zero_free(self.L, sub_terms(self.entries, other.entries))
-
-    def __neg__(self):
-        return MatLieElement._zero_free(self.L, {k: -v for k, v in self.entries.items()})
-
-    def scale(self, c):
-        if not c:
-            return MatLieElement._zero_free(self.L, {})
-        return MatLieElement._zero_free(self.L, {k: v * c for k, v in self.entries.items()})
-
-    def _check(self, other):
-        if other.L is not self.L:
-            raise ValueError("elements of different matrix algebras")
-
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatLieElement):
-            return NotImplemented
-        return self.L is other.L and self.entries == other.entries
+    __slots__ = ()
+    _mismatch = "elements of different matrix algebras"
 
     def trace(self) -> AlgElement:
         t = None
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.terms.items():
             if i == j:
                 t = v if t is None else t + v
-        return self.L.A.zero() if t is None else t
+        return self.owner.A.zero() if t is None else t
 
     def matmul(self, other, into=None, negate=False):
         """self * other as a new matrix, of two elements of one algebra; or,
-        given a zero-free entries dict into, add (or with negate subtract)
+        given a zero-free terms dict into, add (or with negate subtract)
         the product into it in place, keeping it zero-free, and return None.
         With into the caller has checked the algebra, as bracket does once
         for both of its products."""
@@ -83,8 +39,8 @@ class MatLieElement:
         if out is None:
             self._check(other)
             out = {}
-        for (i, k), a in self.entries.items():
-            for (k2, j), b in other.entries.items():
+        for (i, k), a in self.terms.items():
+            for (k2, j), b in other.terms.items():
                 if k != k2:
                     continue
                 p = a * b
@@ -100,14 +56,12 @@ class MatLieElement:
                         out[key] = s
                     else:
                         del out[key]
-        return MatLieElement._zero_free(self.L, out) if into is None else None
+        return MatLieElement._zero_free(self.owner, out) if into is None else None
 
     def __repr__(self):
-        if not self.entries:
+        if not self.terms:
             return "0"
-        return " + ".join(
-            f"[{v}]E({i},{j})" for (i, j), v in sorted(self.entries.items(), key=lambda kv: kv[0])
-        )
+        return " + ".join(f"[{v}]E({i},{j})" for (i, j), v in sorted(self.terms.items()))
 
 
 @dataclass
@@ -167,10 +121,10 @@ class MatrixLieAlgebra:
         """Is x in the span of the Cartan basis (scalar diagonals, trace 0 on
         each block)?"""
         zero_deg = (0,) * self.z_rank
-        for (i, j), v in x.entries.items():
+        for (i, j), v in x.terms.items():
             if i != j or v.degrees() != [zero_deg]:
                 return False
-        return not any(sum((x.entries[(i, i)] for i in range(lo, hi) if (i, i) in x.entries),
+        return not any(sum((x.terms[(i, i)] for i in range(lo, hi) if (i, i) in x.terms),
                            self.A.zero())
                        for lo, hi in self.blocks)
 
@@ -222,7 +176,7 @@ def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
     out = {}
     x.matmul(y, out)
     y.matmul(x, out, negate=True)
-    return MatLieElement._zero_free(x.L, out)
+    return MatLieElement._zero_free(x.owner, out)
 
 
 class SlInvariantForm:
@@ -234,8 +188,8 @@ class SlInvariantForm:
 
     def pair(self, x: MatLieElement, y: MatLieElement):
         out = self.L.field.zero
-        for (i, j), a in x.entries.items():
-            b = y.entries.get((j, i))
+        for (i, j), a in x.terms.items():
+            b = y.terms.get((j, i))
             if b is not None:
                 out = out + self.gf.pair(a, b)
         return out
@@ -268,7 +222,7 @@ def lift_derivation(L: MatrixLieAlgebra, d):
     """Entrywise lift of a derivation of A to sl_n(A)."""
 
     def lifted(x: MatLieElement) -> MatLieElement:
-        return MatLieElement(L, {k: d(v) for k, v in x.entries.items()})
+        return MatLieElement(L, {k: d(v) for k, v in x.terms.items()})
 
     return lifted
 

@@ -29,6 +29,8 @@ _ZPOW = re.compile(r"^(-?)z(\d+)(?:\^(-?\d+))?$")
 
 
 def scalar_from_str(s: str, field=None):
+    if not isinstance(s, str):
+        raise ValueError(f"a scalar is a string such as \"1/2\" or \"-z3^2\", got {s!r}")
     s = s.strip()
     m = _ZPOW.match(s)
     if m:
@@ -124,11 +126,11 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
     if kind in ("poly", "polynomial"):
         return GradedAssocAlgebra.polynomial()
     if kind == "qtorus":
-        n = int(data["n"])
+        n = _rank(data["n"])
         fname = data.get("field", "Q")
         if fname == "Q":
             field = QQ
-        elif fname.startswith("Q(zeta_") and fname.endswith(")"):
+        elif isinstance(fname, str) and fname.startswith("Q(zeta_") and fname.endswith(")"):
             field = cyclotomic_field(int(fname[len("Q(zeta_"):-1]))
         else:
             raise ValueError(f"unknown field {fname!r}")
@@ -151,7 +153,10 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
 
 
 def _rank(value) -> int:
-    """The lattice rank n of a coordinate algebra, refused below 0."""
+    """The lattice rank n of a coordinate algebra, an integer or its string,
+    refused below 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"the lattice rank n must be an integer, got {value!r}")
     n = int(value)
     if n < 0:
         raise ValueError(f"the lattice rank n must be at least 0, got {n}")

@@ -4,17 +4,19 @@ untwisted affine algebra as an instance of E = C + L + D (eala).
 <A,A> = (A wedge A)/B with B spanned by ab^c + bc^a + ca^b.  The kernel of
 <a,b> -> [a,b] is HC_1(A), whose dimension in each lattice degree is read
 off the coordinate algebra (hc1_component); the quotient itself is kept for
-the Jacobi sample.
+the Jacobi sample.  An element of A wedge A is a graded.Sum, like those of A
+and sl_n(A): its term t^d1 wedge t^d2 is keyed by the degree pair (d1, d2),
+d1 < d2.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .eala import BuiltE, build_E, default_iara_data
-from .graded import AlgElement, GradedAssocAlgebra, add_terms, memo, sub_terms
+from .graded import AlgElement, GradedAssocAlgebra, Sum, memo
 from .lattices import box
 # kernel and mat_rank stay importable from here: the benchmark hooks them by
 # these names.
@@ -23,68 +25,33 @@ from .matlie import MatLieElement, MatrixLieAlgebra, bracket as mat_bracket
 from .report import AxiomReport
 
 
-class WedgeElement:
-    """Element of A wedge A in the monomial-pair basis (not yet modulo B).
+class WedgeElement(Sum):
+    """Element of A wedge A in the monomial-pair basis (not yet modulo B):
+    terms maps a degree pair (d1, d2), d1 < d2, to the nonzero coefficient
+    of t^d1 wedge t^d2."""
 
-    No stored coefficient is zero; the arithmetic builds zero-free dicts and
-    wraps them with _zero_free, the public constructor filters.
-    """
-
-    __slots__ = ("A", "terms")
-
-    def __init__(self, A: GradedAssocAlgebra, terms=None):
-        self.A = A
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @classmethod
-    def _zero_free(cls, A, terms):
-        """The element with exactly these terms, none of them zero."""
-        x = cls.__new__(cls)
-        x.A = A
-        x.terms = terms
-        return x
+    __slots__ = ()
 
     @classmethod
     def zero(cls, A):
         return cls._zero_free(A, {})
 
-    def __add__(self, other):
-        return WedgeElement._zero_free(self.A, add_terms(self.terms, other.terms))
-
-    def __sub__(self, other):
-        return WedgeElement._zero_free(self.A, sub_terms(self.terms, other.terms))
-
-    def __neg__(self):
-        return WedgeElement._zero_free(self.A, {k: -v for k, v in self.terms.items()})
-
-    def scale(self, c):
-        if not c:
-            return WedgeElement.zero(self.A)
-        return WedgeElement._zero_free(self.A, {k: v * c for k, v in self.terms.items()})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, WedgeElement):
-            return NotImplemented
-        return self.A is other.A and self.terms == other.terms
-
     def degrees(self):
-        return sorted({tuple(a + b for a, b in zip(k[0][0], k[1][0])) for k in self.terms})
+        return sorted({tuple(map(add, d1, d2)) for d1, d2 in self.terms})
 
     def commutator_image(self) -> AlgElement:
-        out = self.A.zero()
-        for (k1, k2), c in self.terms.items():
-            m1 = AlgElement(self.A, {k1: self.A.field.one})
-            m2 = AlgElement(self.A, {k2: self.A.field.one})
+        A = self.owner
+        out = A.zero()
+        for (d1, d2), c in self.terms.items():
+            m1 = AlgElement(A, {d1: A.field.one})
+            m2 = AlgElement(A, {d2: A.field.one})
             out = out + (m1 * m2 - m2 * m1) * c
         return out
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})<{k1}, {k2}>" for (k1, k2), c in sorted(self.terms.items()))
+        return " + ".join(f"({c})<{d1}, {d2}>" for (d1, d2), c in sorted(self.terms.items()))
 
 
 def wedge(a: AlgElement, b: AlgElement, into=None):
@@ -92,21 +59,21 @@ def wedge(a: AlgElement, b: AlgElement, into=None):
     zero-free terms dict into, added into it in place (kept zero-free), and
     None returned."""
     out = {} if into is None else into
-    for k1, c1 in a.terms.items():
-        for k2, c2 in b.terms.items():
-            if k1 == k2:
+    for d1, c1 in a.terms.items():
+        for d2, c2 in b.terms.items():
+            if d1 == d2:
                 continue
-            if k1 < k2:
-                key, c = (k1, k2), c1 * c2
+            if d1 < d2:
+                key, c = (d1, d2), c1 * c2
             else:
-                key, c = (k2, k1), -(c1 * c2)
+                key, c = (d2, d1), -(c1 * c2)
             cur = out.get(key)
             s = c if cur is None else cur + c
             if s:
                 out[key] = s
             elif cur is not None:
                 del out[key]
-    return WedgeElement._zero_free(a.algebra, out) if into is None else None
+    return WedgeElement._zero_free(a.owner, out) if into is None else None
 
 
 class WedgeBlock(NamedTuple):
@@ -133,18 +100,17 @@ class WedgeWindow:
         self.degs = [tuple(d) for d in box(A.n, window) if A.in_support(d)]
         self._degset = set(self.degs)
         one = A.field.one
-        # The monomial of each key (degree, 0) of the window.
-        self._mono = {(d, 0): AlgElement._zero_free(A, {(d, 0): one}) for d in self.degs}
+        # The monomial t^d of each degree d of the window.
+        self._mono = {d: AlgElement._zero_free(A, {d: one}) for d in self.degs}
 
     @memo
-    def _product(self, k1, k2) -> AlgElement:
-        """The product of the monomials of two keys, formed once for all
-        blocks."""
-        return self._mono[k1] * self._mono[k2]
+    def _product(self, d1, d2) -> AlgElement:
+        """t^d1 t^d2, formed once for all blocks."""
+        return self._mono[d1] * self._mono[d2]
 
     @memo
     def block(self, deg) -> WedgeBlock:
-        """Keys k1 < k2 with d1 + d2 = deg on the window, and the rref of the
+        """Keys (d1, d2), d1 < d2, with d1 + d2 = deg on the window, and the rref of the
         relations (a, b, c) of that total degree whose pairwise degree sums
         stay on the window."""
         A, degset = self.A, self._degset
@@ -155,7 +121,7 @@ class WedgeWindow:
         for d1 in partners:
             d2 = tuple(map(sub, deg, d1))
             if d1 < d2:
-                keys.append(((d1, 0), (d2, 0)))
+                keys.append((d1, d2))
         index = {k: i for i, k in enumerate(keys)}
         # A cyclic shift of (a, b, c) gives the same relation, so only the
         # least shift is formed; over a commutative A any permutation does,
@@ -173,11 +139,10 @@ class WedgeWindow:
                 dc = tuple(map(sub, rest, db))
                 if dc < da or dc == da != db or dc not in pset:
                     continue
-                ka, kb, kc = (da, 0), (db, 0), (dc, 0)
                 rel = {}
-                wedge(product(ka, kb), mono[kc], rel)
-                wedge(product(kb, kc), mono[ka], rel)
-                wedge(product(kc, ka), mono[kb], rel)
+                wedge(product(da, db), mono[dc], rel)
+                wedge(product(db, dc), mono[da], rel)
+                wedge(product(dc, da), mono[db], rel)
                 if rel:
                     row = [zero] * len(keys)
                     for k, v in rel.items():
@@ -191,10 +156,10 @@ class WedgeWindow:
         """(block, reduced coordinates) for each total degree of w."""
         parts = {}
         for k, c in w.terms.items():
-            (d1, _), (d2, _) = k
+            d1, d2 = k
             if d1 not in self._degset or d2 not in self._degset:
                 raise ValueError(f"wedge term {k} outside window {self.window}")
-            parts.setdefault(tuple(x + y for x, y in zip(d1, d2)), {})[k] = c
+            parts.setdefault(tuple(map(add, d1, d2)), {})[k] = c
         for deg, terms in parts.items():
             blk = self.block(deg)
             v = [self.A.field.zero] * len(blk.keys)
@@ -300,13 +265,13 @@ class UceAlgebra:
     def bracket(self, u1: UceElement, u2: UceElement) -> UceElement:
         w1, m1 = u1.w, u1.m
         w2, m2 = u2.w, u2.m
-        # Emptiness is read off the zero-free terms and entries dicts, with
-        # no __bool__ call.
+        # Emptiness is read off the zero-free terms dicts, with no __bool__
+        # call.
         # sigma part of [m1, m2], summed in one dict over the pairs where an
         # (i,j) entry of m1 meets the (j,i) entry of m2:
         wterms = {}
-        e2 = m2.entries
-        for (i, j), a in m1.entries.items():
+        e2 = m2.terms
+        for (i, j), a in m1.terms.items():
             b = e2.get((j, i))
             if b is not None:
                 wedge(a, b, wterms)
@@ -315,7 +280,7 @@ class UceAlgebra:
         # tr(mout) from its diagonal entries; None when it has none, as for
         # every st2 and st3 bracket.
         tr = None
-        for (i, j), v in mout.entries.items():
+        for (i, j), v in mout.terms.items():
             if i == j:
                 tr = v if tr is None else tr + v
         if tr is not None and tr.terms:
@@ -330,7 +295,7 @@ class UceAlgebra:
         if w2.terms:
             u_w2 = w2.commutator_image()
             mout = mout - MatLieElement(self.sl, {
-                k: (u_w2 * v - v * u_w2) for k, v in m1.entries.items()
+                k: (u_w2 * v - v * u_w2) for k, v in m1.terms.items()
             })
             if w1.terms:
                 wout = wout + wedge(u_w1, u_w2)

@@ -34,11 +34,11 @@ def _add_terms(x: dict, y: dict) -> dict:
 
 
 def alg_add(x: AlgElement, y: AlgElement) -> AlgElement:
-    return AlgElement(x.algebra, _add_terms(x.terms, y.terms))
+    return AlgElement(x.owner, _add_terms(x.terms, y.terms))
 
 
 def alg_neg(x: AlgElement) -> AlgElement:
-    return AlgElement(x.algebra, {k: -v for k, v in x.terms.items()})
+    return AlgElement(x.owner, {k: -v for k, v in x.terms.items()})
 
 
 def alg_sub(x: AlgElement, y: AlgElement) -> AlgElement:
@@ -46,22 +46,21 @@ def alg_sub(x: AlgElement, y: AlgElement) -> AlgElement:
 
 
 def alg_scale(x: AlgElement, c) -> AlgElement:
-    return AlgElement(x.algebra, {k: v * c for k, v in x.terms.items()})
+    return AlgElement(x.owner, {k: v * c for k, v in x.terms.items()})
 
 
 def mul(x: AlgElement, y: AlgElement) -> AlgElement:
     """x y: t^l t^m = tau(l, m) t^(l+m) term by term, each term added to
     field.zero."""
-    A = x.algebra
+    A = x.owner
     out = {}
-    for (dl, _), cl in x.terms.items():
-        for (dm, _), cm in y.terms.items():
+    for dl, cl in x.terms.items():
+        for dm, cm in y.terms.items():
             deg = tuple(a + b for a, b in zip(dl, dm))
             if not A.in_support(deg):
                 raise ArithmeticError(f"product leaves the support at degree {deg}")
             c = cl * cm * A.tau(dl, dm)
-            key = (deg, 0)
-            out[key] = out.get(key, A.field.zero) + c
+            out[deg] = out.get(deg, A.field.zero) + c
     return AlgElement(A, out)
 
 
@@ -69,19 +68,19 @@ def mul(x: AlgElement, y: AlgElement) -> AlgElement:
 
 
 def mat_add(x: MatLieElement, y: MatLieElement) -> MatLieElement:
-    out = dict(x.entries)
-    for k, v in y.entries.items():
+    out = dict(x.terms)
+    for k, v in y.terms.items():
         w = out.get(k)
         s = v if w is None else alg_add(w, v)
         if s:
             out[k] = s
         elif w is not None:
             del out[k]
-    return MatLieElement(x.L, out)
+    return MatLieElement(x.owner, out)
 
 
 def mat_neg(x: MatLieElement) -> MatLieElement:
-    return MatLieElement(x.L, {k: alg_neg(v) for k, v in x.entries.items()})
+    return MatLieElement(x.owner, {k: alg_neg(v) for k, v in x.terms.items()})
 
 
 def mat_sub(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -89,8 +88,8 @@ def mat_sub(x: MatLieElement, y: MatLieElement) -> MatLieElement:
 
 
 def trace(x: MatLieElement) -> AlgElement:
-    t = x.L.A.zero()
-    for (i, j), v in x.entries.items():
+    t = x.owner.A.zero()
+    for (i, j), v in x.terms.items():
         if i == j:
             t = alg_add(t, v)
     return t
@@ -98,8 +97,8 @@ def trace(x: MatLieElement) -> AlgElement:
 
 def matmul(x: MatLieElement, y: MatLieElement) -> MatLieElement:
     out = {}
-    for (i, k), a in x.entries.items():
-        for (k2, j), b in y.entries.items():
+    for (i, k), a in x.terms.items():
+        for (k2, j), b in y.terms.items():
             if k != k2:
                 continue
             p = mul(a, b)
@@ -107,7 +106,7 @@ def matmul(x: MatLieElement, y: MatLieElement) -> MatLieElement:
                 key = (i, j)
                 cur = out.get(key)
                 out[key] = p if cur is None else alg_add(cur, p)
-    return MatLieElement(x.L, {k: v for k, v in out.items() if v})
+    return MatLieElement(x.owner, {k: v for k, v in out.items() if v})
 
 
 def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
@@ -118,7 +117,7 @@ def bracket(x: MatLieElement, y: MatLieElement) -> MatLieElement:
 
 
 def wedge_add(x: WedgeElement, y: WedgeElement) -> WedgeElement:
-    return WedgeElement(x.A, _add_terms(x.terms, y.terms))
+    return WedgeElement(x.owner, _add_terms(x.terms, y.terms))
 
 
 def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
@@ -138,12 +137,12 @@ def wedge(a: AlgElement, b: AlgElement) -> WedgeElement:
                 out[key] = s
             elif cur is not None:
                 del out[key]
-    return WedgeElement(a.algebra, out)
+    return WedgeElement(a.owner, out)
 
 
 def commutator_image(w: WedgeElement) -> AlgElement:
     """The image of w under <a, b> -> ab - ba."""
-    A = w.A
+    A = w.owner
     out = A.zero()
     for (k1, k2), c in w.terms.items():
         m1 = AlgElement(A, {k1: A.field.one})
@@ -162,8 +161,8 @@ def uce_bracket(U, u1: UceElement, u2: UceElement) -> UceElement:
     w1, m1 = u1.w, u1.m
     w2, m2 = u2.w, u2.m
     wout = WedgeElement(A, {})
-    for (i, j), a in m1.entries.items():
-        b = m2.entries.get((j, i))
+    for (i, j), a in m1.terms.items():
+        b = m2.terms.get((j, i))
         if b is not None:
             wout = wedge_add(wout, wedge(a, b))
     if wout:
@@ -175,11 +174,11 @@ def uce_bracket(U, u1: UceElement, u2: UceElement) -> UceElement:
     if w1:
         u_w1 = commutator_image(w1)
         mout = mat_add(mout, MatLieElement(U.sl, {
-            k: alg_sub(mul(u_w1, v), mul(v, u_w1)) for k, v in m2.entries.items()}))
+            k: alg_sub(mul(u_w1, v), mul(v, u_w1)) for k, v in m2.terms.items()}))
     if w2:
         u_w2 = commutator_image(w2)
         mout = mat_sub(mout, MatLieElement(U.sl, {
-            k: alg_sub(mul(u_w2, v), mul(v, u_w2)) for k, v in m1.entries.items()}))
+            k: alg_sub(mul(u_w2, v), mul(v, u_w2)) for k, v in m1.terms.items()}))
     if w1 and w2:
         wout = wedge_add(wout, wedge(u_w1, u_w2))
     return UceElement(U, wout, mout)

@@ -34,21 +34,21 @@ def windowed_basis(L: MatrixLieAlgebra, window: int):
 def decompose(x: MatLieElement):
     """Map (root, lattice degree) -> component element."""
     out = {}
-    zero_root = (0,) * x.L.n
-    for (i, j), v in x.entries.items():
-        root = x.L.root_of(i, j) if i != j else zero_root
+    zero_root = (0,) * x.owner.n
+    for (i, j), v in x.terms.items():
+        root = x.owner.root_of(i, j) if i != j else zero_root
         for deg in v.degrees():
             comp = v.component(deg)
             key = (root, deg)
             cur = out.get(key)
-            add = MatLieElement(x.L, {(i, j): comp})
+            add = MatLieElement(x.owner, {(i, j): comp})
             out[key] = add if cur is None else cur + add
     return out
 
 
 def relations_hold(triple: Sl2Triple) -> bool:
     """[e, f] = -h, [h, e] = 2e and [h, f] = -2f."""
-    L = triple.e.L
+    L = triple.e.owner
     return (
         bracket(triple.e, triple.f) == -triple.h
         and bracket(triple.h, triple.e) == triple.e.scale(L.A.field.from_int(2))
@@ -62,9 +62,9 @@ def is_invertible(L: MatrixLieAlgebra, x: MatLieElement, action_window: int = No
     With action_window set, the eigenvalue law [h, x_q] = <q, alpha_check> x_q
     is also verified on the windowed homogeneous elements.
     """
-    if len(x.entries) != 1:
+    if len(x.terms) != 1:
         return None
-    ((i, j), a), = x.entries.items()
+    ((i, j), a), = x.terms.items()
     if i == j:
         return None
     ainv = L.A.try_invert(a)

@@ -239,14 +239,14 @@ def test_criterion_9_property_suites():
         # sl2 triples with the [e, f] = -h convention and the eigenvalue law
         for seed in SEEDS:
             rng = random.Random(seed)
-            off = [b for b in basis if len(b.entries) == 1
-                   and any(i != j for (i, j) in b.entries)]
+            off = [b for b in basis if len(b.terms) == 1
+                   and any(i != j for (i, j) in b.terms)]
             for _ in range(20):
                 e = rng.choice(off)
                 triple = is_invertible(L, e)
                 assert triple is not None
                 assert bracket(triple.e, triple.f) == -triple.h
-                ((i, j), _), = e.entries.items()
+                ((i, j), _), = e.terms.items()
                 root = L.root_of(i, j)
                 for q in L.S.sorted_roots():
                     c = L.S.pairing(q, root)

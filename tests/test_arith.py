@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,9 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import arith_reference as ref
-from lietor.graded import AlgElement, GradedAssocAlgebra
+from lietor.graded import AlgElement, GradedAssocAlgebra, Sum
 from lietor.lattices import box
-from lietor.matlie import MatLieElement, bracket
+from lietor.matlie import MatLieElement, MatrixLieAlgebra, bracket
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import UceAlgebra, UceElement, wedge
 
@@ -51,8 +52,7 @@ def _scalars(field):
 
 def _elements(A, max_terms=3):
     degs = [tuple(d) for d in box(A.n, 2 if A.n == 1 else 1) if A.in_support(d)]
-    keys = hs.tuples(hs.sampled_from(degs), hs.just(0))
-    return hs.dictionaries(keys, _scalars(A.field), max_size=max_terms).map(
+    return hs.dictionaries(hs.sampled_from(degs), _scalars(A.field), max_size=max_terms).map(
         lambda terms: AlgElement(A, terms))
 
 
@@ -67,7 +67,7 @@ def _alg_zero_free(x):
 
 
 def _mat_zero_free(x):
-    return all(v and _alg_zero_free(v) for v in x.entries.values())
+    return all(v and _alg_zero_free(v) for v in x.terms.values())
 
 
 def _same_alg(got, want):
@@ -76,15 +76,42 @@ def _same_alg(got, want):
 
 
 def _same_mat(got, want):
-    assert got.entries.keys() == want.entries.keys() and _mat_zero_free(got)
-    for k, v in want.entries.items():
-        _same_alg(got.entries[k], v)
+    assert got.terms.keys() == want.terms.keys() and _mat_zero_free(got)
+    for k, v in want.terms.items():
+        _same_alg(got.terms[k], v)
     assert got == want
 
 
 def _same_wedge(got, want):
     assert got.terms == want.terms and all(got.terms.values())
     assert bool(got) == bool(want) and got == want
+
+
+def _lie_pair():
+    A = GradedAssocAlgebra.laurent()
+    return tuple(MatrixLieAlgebra(3, A).E(0, 1) for _ in range(2))
+
+
+# Per Sum kind, equal terms over two owners: two Laurent algebras, two sl_3
+# over one algebra, and t wedge 1 over two algebras
+SUM_PAIRS = {
+    "AlgElement": lambda: tuple(GradedAssocAlgebra.laurent().gen(0) for _ in range(2)),
+    "MatLieElement": _lie_pair,
+    "WedgeElement": lambda: tuple(wedge(A.gen(0), A.one()) for A in (
+        GradedAssocAlgebra.laurent(), GradedAssocAlgebra.laurent())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUM_PAIRS))
+def test_a_sum_refuses_a_foreign_owner(kind):
+    x, y = SUM_PAIRS[kind]()
+    assert type(x).__name__ == kind and isinstance(x, Sum)
+    assert x.owner is not y.owner and x.terms == y.terms and x
+    for op in (operator.add, operator.sub):
+        with pytest.raises(ValueError, match="different"):
+            op(x, y)
+    for z in (x - x, x + -x):
+        assert not z and z.terms == {} and z.owner is x.owner
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -128,7 +155,7 @@ def test_matrix_arithmetic_matches_the_reference(name, data):
     q = U.sl.E(1, 0, b) - U.sl.E(2, 0, b)
     got = p.matmul(q)
     _same_mat(got, ref.matmul(p, q))
-    assert (0, 0) not in got.entries
+    assert (0, 0) not in got.terms
     _same_mat(bracket(p, q), ref.bracket(p, q))
 
 
@@ -153,7 +180,7 @@ def test_uce_bracket_matches_the_reference(name, data):
 
 
 def _mat_snapshot(x):
-    return {k: dict(v.terms) for k, v in x.entries.items()}
+    return {k: dict(v.terms) for k, v in x.terms.items()}
 
 
 def _uce_snapshot(u):
@@ -213,7 +240,7 @@ def test_bounded_support_products_match_the_reference(name, data):
     a, b = data.draw(_elements(A)), data.draw(_elements(A))
     _same_alg(a * b, ref.mul(a, b))
     off = data.draw(hs.sampled_from([d for d in box(A.n, 2) if not A.in_support(d)]))
-    x = a + AlgElement(A, {(off, 0): data.draw(_scalars(A.field).filter(bool))})
+    x = a + AlgElement(A, {off: data.draw(_scalars(A.field).filter(bool))})
     for p, q in ((x, A.one()), (A.one(), x)):
         with pytest.raises(ArithmeticError, match="leaves the support"):
             p * q
@@ -237,4 +264,4 @@ def test_unit_tau_is_still_asked_for_every_term(monkeypatch):
     got = x * y
     assert len(calls) == 4
     # t^(1,1) - t^(2,0) + t^(0,2) - t^(1,1): the cross terms cancel.
-    assert got.terms == {((0, 2), 0): Fraction(1), ((2, 0), 0): Fraction(-1)}
+    assert got.terms == {(0, 2): Fraction(1), (2, 0): Fraction(-1)}

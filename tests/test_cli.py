@@ -374,6 +374,16 @@ MALFORMED = {
                       "a root system must be a JSON object, got list"),
     "ars check an array": (["ars", "check", "--in"], "malformed_array.json",
                            "an extension datum must be a JSON object, got list"),
+    "q a number token": (["qtorus", "centre", "--q"], "malformed_q_number_token.json",
+                         'a scalar is a string such as "1/2" or "-z3^2", got 1'),
+    "sl of a q number token": (["sl", "--coord"], "malformed_q_number_token.json",
+                               'a scalar is a string such as "1/2" or "-z3^2", got 1'),
+    "qtorus n a list": (["qtorus", "centre", "--q"], "malformed_qtorus_rank_list.json",
+                        "the lattice rank n must be an integer, got [2]"),
+    "group n a list": (["sl", "--coord"], "malformed_group_rank_list.json",
+                       "the lattice rank n must be an integer, got [2]"),
+    "field a number": (["qtorus", "centre", "--q"], "malformed_field_number.json",
+                       "unknown field 7"),
 }
 
 
@@ -404,6 +414,24 @@ def test_a_group_algebra_runs_as_the_torus_with_q_1(tmp_path, capsys, pair, argv
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         code = main(argv + ["--q" if argv[0] == "qtorus" else "--coord", str(path)])
+        got.append((code, capsys.readouterr().out))
+    assert got[0] == got[1] and got[0][0] == 0 and got[0][1]
+
+
+# q6_as_z3.json is q6_in_zeta3.json with q written through z3 = zeta_3 as
+# -z3^2 and -z3 instead of z6 and z6^-1: one algebra, so each run prints the
+# same on both; a scalar_from_str that drops the sign of -zN^k reads q as a
+# cube root of unity, and the centre lattice 6Z^2 as 3Z^2
+Q6_RUNS = [["eala", "--n", "3", "--window", "2"], ["sl", "--n", "3"],
+           ["uce", "--n", "3", "--window", "1", "--jacobi", "20"], ["hc1", "--degree", "6,0"],
+           ["qtorus", "centre"], ["qtorus", "scder", "--degree", "0,6"]]
+
+
+@pytest.mark.parametrize("argv", Q6_RUNS, ids=lambda a: "-".join(a[:2]))
+def test_the_same_q_written_with_another_generator_runs_the_same(capsys, argv):
+    got = []
+    for name in ("q6_in_zeta3.json", "q6_as_z3.json"):
+        code = main(argv + ["--q" if argv[0] == "qtorus" else "--coord", str(goldens.DATA / name)])
         got.append((code, capsys.readouterr().out))
     assert got[0] == got[1] and got[0][0] == 0 and got[0][1]
 

@@ -596,7 +596,7 @@ def test_sigma_d_values_match_the_lifted_reference(qtorus_E):
     for l1, l2 in _mixed_pairs(E.L, 1, 40, 3):
         got = sigma_d_values(E.data, l1, l2)
         assert got == _sigma_lifted(E.data, l1, l2)
-        mixed += len({d for v in l1.entries.values() for d in v.degrees()}) > 1
+        mixed += len({d for v in l1.terms.values() for d in v.terms}) > 1
         nonzero += any(got)
     assert mixed > 40 and nonzero
 
@@ -995,8 +995,8 @@ class _NonAdditive(CentroidalDerivation):
 
     def apply(self, x):
         out = super().apply(x)
-        extra = {k: c * self.A.field.from_int(k[0][0] * k[0][1]) for k, c in x.terms.items()
-                 if k[0][0] * k[0][1]}
+        extra = {d: c * self.A.field.from_int(d[0] * d[1]) for d, c in x.terms.items()
+                 if d[0] * d[1]}
         return out + type(x)(self.A, extra) if extra else out
 
 

@@ -308,8 +308,8 @@ def _root_graded_oracle(L, window):
                     for xb in L.homog_basis(tuple(-t for t in a), rest):
                         br = bracket(xa, xb)
                         if br:
-                            spans.append([br.entries[(i, i)].coefficient(deg)
-                                          if (i, i) in br.entries else L.field.zero
+                            spans.append([br.terms[(i, i)].coefficient(deg)
+                                          if (i, i) in br.terms else L.field.zero
                                           for i in range(L.n)])
         if (rank(spans, L.field) if spans else 0) < need:
             rg3 = False

@@ -31,7 +31,7 @@ def steinberg_scan(U, window: int = 2) -> AxiomReport:
     rep = AxiomReport()
     A = U.A
     degs = [d for d in box(A.n, window) if A.in_support(d)]
-    mono = [AlgElement(A, {(tuple(d), 0): A.field.one}) for d in degs]
+    mono = [AlgElement(A, {d: A.field.one}) for d in degs]
 
     idx = range(U.n)
     # X_ij(a) for every monomial a of the window, built once per index pair.
@@ -55,7 +55,7 @@ def steinberg_scan(U, window: int = 2) -> AxiomReport:
         for row, xa in zip(prods, xs[i, j]):
             for ab, xb in zip(row, xs[j, l]):
                 got = U.bracket(xa, xb)
-                if got.w.terms or got.m.entries != ({key: ab} if ab.terms else {}):
+                if got.w.terms or got.m.terms != ({key: ab} if ab.terms else {}):
                     return False
         return True
 
@@ -63,7 +63,7 @@ def steinberg_scan(U, window: int = 2) -> AxiomReport:
         for xa in xs[i, j]:
             for xb in xs[l, m]:
                 got = U.bracket(xa, xb)
-                if got.m.entries or got.w.terms:
+                if got.m.terms or got.w.terms:
                     return False
         return True
 
