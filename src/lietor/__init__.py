@@ -3,7 +3,9 @@ algebras and extended affine Lie algebra constructions.
 
 Everything is computed over the rationals or a cyclotomic field, with no
 floating point anywhere.  Quantified statements over infinite lattices are
-checked on explicit windows and every windowed verdict carries its window.
+decided by an argument where one is known (coset arithmetic, classes modulo
+the centre lattice, linearity in the degree) and otherwise checked on
+explicit windows; every windowed verdict carries its window.
 """
 
 __version__ = "0.1.0"

@@ -331,19 +331,18 @@ def cmd_eala(args, run: Runner) -> None:
     window = args.window
     A = load_coord(args, run)
     L = MatrixLieAlgebra(args.n, A)
-    data = default_iara_data(L, window=window,
-                             C="dual" if args.C == "dual" else "min")
+    data = default_iara_data(L, C="dual" if args.C == "dual" else "min")
     # INV-a - INV-f, the premises of the construction, are printed; they are
     # read through the E that the verifiers then use.
-    E = build_E(data, window=window, validate=False)
-    inv = validate_inv_data(E, window)
+    E = build_E(data, validate=False)
+    inv = validate_inv_data(E)
     refuse_invalid(inv)
     run.merge(inv)
     ia = verify_iara(E, window)
     run.merge(ia)
     ea = verify_eala(E, window, iara=ia)
     run.merge(ea)
-    run.add("tame", ea["EA5"].ok, ea["EA5"].witness, window=ea["EA5"].window)
+    run.add("tame", ea["EA5"].ok, ea["EA5"].witness)
     nullity = nullity_of(E, window)  # at most n, so exact once it is n
     run.add("nullity", True, detail=str(nullity),
             window=None if nullity == A.n else E.class_list(window)[1])
@@ -442,7 +441,8 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
-    # C_min is read on the window, and sigma_D vanishes in degree 0
+    # a window-0 box holds degree 0 alone, so a windowed line would read no
+    # nonzero degree
     q.add_argument("--window", type=_count(1), default=3,
                    help="read only on a torus whose centre lattice has infinite index, or "
                         "on data that break its premises; a line that reads it prints it")

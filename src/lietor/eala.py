@@ -8,7 +8,9 @@ coordinate algebra, C sits inside the graded dual of D, and the bracket is
                          + ([l1,l2] + d1.l2 - d2.l1) + [d1,d2]
 
 with sigma_D(l1,l2)(d) = (d(l1) | l2).  Everything windowed is reported
-with its window; membership and arithmetic are exact.  Over a quantum torus
+with its window; membership and arithmetic are exact.  The span
+sigma_D(L, L), which C_min, INV-d, INV-e and EA5 read, is read off the unit
+degrees e_1, ..., e_n with no window (_sigma_rows).  Over a quantum torus
 whose centre lattice has finite index, or a Laurent polynomial ring, the
 root-space checks IA2, IA3's T-action and EA1's pairing are decided on one
 item per Weyl orbit of roots and class of degrees modulo the centre lattice
@@ -103,8 +105,7 @@ def _degree_parts(l: MatLieElement):
             for lam in sorted(degs)]
 
 
-def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
-                      D=None, C="min", tau=None) -> IaraData:
+def default_iara_data(L: MatrixLieAlgebra, phi=None, D=None, C="min", tau=None) -> IaraData:
     """The guaranteed-valid choice D = T_D = degree derivations,
     C = T_C = C_min, tau = 0 (C="dual" takes all of D*).  A supplied D
     keeps its degree-0 part as T_D."""
@@ -120,83 +121,74 @@ def default_iara_data(L: MatrixLieAlgebra, phi=None, window: int = 3,
             vals = tuple(L.field.one if i == k else L.field.zero for i in range(len(D)))
             cfuncs.append(CFunc(vals, tuple(-g for g in dk.gamma)))
     else:
-        cfuncs = c_min_basis(L, form, D, window)
+        cfuncs = c_min_basis(L, form, D)
     t_c = [k for k, c in enumerate(cfuncs) if not any(c.degree)]
     return IaraData(L=L, form=form, D=list(D), T_D=t_d, C=cfuncs, T_C=t_c, tau=tau or {})
 
 
-def sigma_rows(L: MatrixLieAlgebra, form, D, window: int) -> MappingProxyType:
-    """A basis of the span of the values of sigma_D on the window, keyed by
-    degree: in each degree, the values independent of those before them in
-    the window order.
+def sigma_rows(L: MatrixLieAlgebra, form, D) -> MappingProxyType:
+    """A basis of the span sigma_D(L, L), keyed by degree: in each degree,
+    the values at the pairs of _unit_pairs independent of those before them.
 
-    sigma_D(l1, l2) has degree deg(l1) + deg(l2) and can only be nonzero
-    when some D basis element has the opposite degree -gamma, so the pairs
-    are l1 in L_(xi, d1), l2 in L_(-xi, d2) with d1 + d2 = -gamma.
-
-    The rows are a read-only mapping computed once per (form, D, window),
-    so C_min, INV-d and EA5 share one enumeration.
+    The rows are a read-only mapping computed once per (form, D), so C_min,
+    INV-d and EA5 share them.
     """
-    return _sigma_rows(form, L, D, window)
+    return _sigma_rows(form, L, D)
 
 
 @memo
-def _sigma_rows(form, L: MatrixLieAlgebra, D, window: int) -> MappingProxyType:
-    """sigma_rows, walking each degree's pairs only until its values span
-    all they can.
+def _sigma_rows(form, L: MatrixLieAlgebra, D) -> MappingProxyType:
+    """sigma_rows, read off the unit degrees e_1, ..., e_n.
 
-    The form is graded, so a value of degree s, (d_k(l1) | l2) with
-    deg(l1) + deg(l2) = s, is zero at each d_k of degree gamma_k != -s: it
-    lies in the span of the #{k : gamma_k = -s} coordinates of those d_k.
-    So a degree holds at most that many independent values, and the walk
-    stops at the last of them: no later value can be independent of them.
-    The rows kept are then the ones a walk through every pair would pick,
-    so C_min, which takes them as they are, and INV-d and EA5, which read
-    only their span, do not depend on the stop.  A degree whose values span
-    less is walked to its end."""
+    Take l1 of degree lam and l2 of degree s - lam.  The form is graded, so
+    (d_k(l1) | l2) is zero unless gamma_k = -s.  When gamma_k = -s, the
+    value is theta_k(lam) c, and c = (t^gamma l1 | l2) is the same for every
+    such d_k.  At l1 = t^lam E_ij and l2 = t^(s - lam) E_ji, c is phi(1)
+    times values of tau, which never vanish: c is nonzero unless phi(1) = 0,
+    and then every value is 0.  So the values of degree s span
+    {theta(lam) : lam and s - lam in the support}, restricted to the d_k of
+    degree -s.
+      - On all of Z^n, theta is linear, so lam = e_1, ..., e_n span it.
+      - On a bounded support (nonneg or zero), lam, s - lam and gamma = -s
+        all lie in the support only when s = lam = 0.  There theta
+        vanishes, so there are no values; and no e_i is a unit there, so
+        _unit_pairs yields no pair.
+    tests/eala_reference.py::sigma_rows_reference walks every pair of a
+    window and is the oracle of this argument."""
     out = {}
-    gammas = [tuple(-g for g in dk.gamma) for dk in D]
-    for s in sorted(set(gammas)):
-        rows, bound = [], gammas.count(s)
-        for l1, l2 in _sigma_pairs(L, s, window):
+    for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
+        rows = []
+        for _, _, l1, l2 in _unit_pairs(L, s):
             vals = sigma_d_values((L, form, D), l1, l2)
             if any(vals) and mat_rank(rows + [vals], L.field) > len(rows):
                 rows.append(vals)
-                if len(rows) == bound:
-                    break
         if rows:
             out[s] = rows
     return MappingProxyType(out)
 
 
-def _sigma_pairs(L: MatrixLieAlgebra, s, window: int):
-    """The basis pairs (l1, l2) of degrees d1 + d2 = s in the window, l1 of
-    root xi and l2 of root -xi, in the order of d1, xi, l1 and l2."""
-    degs = box(L.z_rank, window)
-    in_box = set(degs)
-    for d1 in degs:
-        d2 = tuple(a - b for a, b in zip(s, d1))
-        if d2 not in in_box:
-            continue
-        for ro in L.S.sorted_roots():
-            for l1 in L.homog_basis(ro, d1):
-                for l2 in L.homog_basis(tuple(-x for x in ro), d2):
-                    yield l1, l2
+def _unit_pairs(L: MatrixLieAlgebra, s):
+    """(alpha, lam, e, f) for each lam = e_i of a unit of A^lam, alpha the
+    first root of L: e of the invertible triple at (alpha, lam), and f the
+    basis element of L_(-alpha, s - lam).  At s = 0, f is a nonzero multiple
+    of the triple's f, so (e, f) is an invertible pair up to scale."""
+    alpha = next(iter(L.S.sorted_roots()), None)
+    if alpha is None:
+        return
+    neg = tuple(-x for x in alpha)
+    for i in range(L.z_rank):
+        lam = tuple(int(k == i) for k in range(L.z_rank))
+        triple = invertible_triple(L, alpha, lam)
+        f = L.homog_basis(neg, tuple(a - b for a, b in zip(s, lam)))
+        if triple is not None and f:
+            yield alpha, lam, triple.e, f[0]
 
 
-def sigma_window(L: MatrixLieAlgebra, form, D, window: int):
-    """The window of the checks that read sigma_rows, or None once each
-    degree s holds its bound of #{k : gamma_k = -s} rows (see _sigma_rows)."""
-    rows = sigma_rows(L, form, D, window)
-    gammas = [tuple(-g for g in dk.gamma) for dk in D]
-    return None if all(len(rows.get(s, ())) == gammas.count(s) for s in gammas) else window
-
-
-def c_min_basis(L: MatrixLieAlgebra, form, D, window: int):
-    """Homogeneous basis of C_min = span sigma_D(L, L) on the window: the
-    rows of sigma_rows, already independent in each degree."""
+def c_min_basis(L: MatrixLieAlgebra, form, D):
+    """Homogeneous basis of C_min = span sigma_D(L, L): the rows of
+    sigma_rows, already independent in each degree."""
     return [CFunc(tuple(v), s)
-            for s, rows in sigma_rows(L, form, D, window).items()
+            for s, rows in sigma_rows(L, form, D).items()
             for v in rows]
 
 
@@ -577,8 +569,7 @@ class BuiltE:
         quadratic in d, is not periodic and is read off its form
         (anisotropic_degree).  sigma_rows, C_min and INV-e are not decided
         here: sigma_D(x_lam, y_-lam) = theta(lam) (x | y) is linear in lam,
-        and they stop at a rank bound (see _sigma_rows and
-        validate_inv_data)."""
+        and they are read off the unit degrees e_i (see _sigma_rows)."""
         n, rows = self.L.z_rank, self._centre_rows
         residues = None if rows is None else LatticeSubset(n, rows).residues()
         if residues is not None:
@@ -661,18 +652,13 @@ class BuiltE:
                     None)
 
 
-def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
+def validate_inv_data(E: BuiltE) -> AxiomReport:
     """The conditions INV(a) - INV(f) on the construction data E.data, read
     through E, whose memoised tables the verifiers of E then share.
 
-    INV-e asks that sigma_D(e, f) lie in T_C for each invertible pair (e, f)
-    of the window.  sigma_D(e, f) is a functional on D, a vector of
-    K^len(D), and it lies in T_C when it is a combination of the value
-    vectors of the T_C functionals.  When those have rank len(D), every
-    vector is such a combination, so INV-e holds and no pair is formed.
-    With the default data of a degree-0 D, T_C = C = C_min, so that is the
-    case exactly when sigma_D(L, L) spans D*.  Otherwise each windowed
-    (root, degree) is tried in turn."""
+    INV-d and INV-e read sigma_D(L, L) off the unit degrees (see
+    _sigma_rows and _sigma_outside_t_c), so no line of this report carries
+    a window."""
     rep = AxiomReport()
     data = E.data
     L = data.L
@@ -710,24 +696,24 @@ def validate_inv_data(E: BuiltE, window: int = 2) -> AxiomReport:
     c_rows = [list(c.values) for c in data.C]
     c_rank = mat_rank(c_rows, L.field)
     witness = next((f"sigma_D outside C in degree {s}"
-                    for s, rows in sigma_rows(L, data.form, data.D, window).items()
+                    for s, rows in sigma_rows(L, data.form, data.D).items()
                     if mat_rank(c_rows + rows, L.field) > c_rank), None)
     if witness is None:
         witness = next((f"D action leaves C at (d_{i}, c_{k})"
                         for i in range(len(data.D)) for k in range(len(data.C))
                         if _raises(E.d_action_on_c, i, k)), None)
-    rep.add("INV-d", witness is None, witness, window=sigma_window(L, data.form, data.D, window))
+    rep.add("INV-d", witness is None, witness)
 
-    ok, witness, paired = True, None, None
+    ok, witness = True, None
     rows = []
     for k in data.T_C:
         rows.append([data.C[k].values[i] for i in data.T_D])
     if rows and mat_rank(rows, L.field) < len(rows):
         ok, witness = False, "restriction T_C -> T_D* not injective"
     if ok:
-        witness, paired = _sigma_outside_t_c(data, window)
+        witness = _sigma_outside_t_c(data)
         ok = witness is None
-    rep.add("INV-e", ok, witness, window=paired)
+    rep.add("INV-e", ok, witness)
 
     witness = next((f"tau(d,d) != 0 at {i}" for i in range(nD) if any(E.tau_coords(i, i))),
                    None)
@@ -752,25 +738,24 @@ def _raises(fn, *args) -> bool:
     return False
 
 
-def _sigma_outside_t_c(data: IaraData, window: int):
-    """(witness, window) of INV-e: the first windowed (root, degree) whose
-    invertible pair (e, f) has sigma_D(e, f) outside T_C, or None.  T_C
-    holds every functional on D once its values on the D basis have rank
-    len(D); then no pair is formed, and the window is None."""
+def _sigma_outside_t_c(data: IaraData):
+    """INV-e's witness: the first pair (e, f) of _unit_pairs(L, 0) with
+    sigma_D(e, f) outside T_C, or None.
+
+    INV-e asks that sigma_D(e, f) lie in T_C for every invertible pair.
+    Those exist only in unit degrees lam and -lam, where sigma_D(e, f) is
+    (e | f) theta(lam) on the degree-0 d_k and 0 on the others.  As theta
+    is linear, these values span what the values at lam = e_1, ..., e_n
+    span (see _sigma_rows), and T_C is a subspace, so those pairs decide
+    INV-e."""
     L = data.L
     tc = LinearSolver.factor([[data.C[k].values[i] for k in data.T_C]
                               for i in range(len(data.D))], L.field)
-    if tc.rank() == len(data.D):
-        return None, None
-    for deg in box(L.z_rank, window):
-        for ro in L.S.sorted_roots():
-            pair = _invertible_pair(L, ro, deg, form=data.form)
-            if pair is None:
-                continue
-            if tc.solve(sigma_d_values(data, *pair)) is None:
-                where = "outside T_C" if data.T_C else "nonzero with empty T_C"
-                return f"sigma_D(e,f) {where} at ({frac_to_str(ro)}, {deg})", window
-    return None, window
+    for alpha, lam, e, f in _unit_pairs(L, (0,) * L.z_rank):
+        if tc.solve(sigma_d_values(data, e, f)) is None:
+            where = "outside T_C" if data.T_C else "nonzero with empty T_C"
+            return f"sigma_D(e,f) {where} at ({frac_to_str(alpha)}, {lam})"
+    return None
 
 
 def _c_eval(data: IaraData, c_coords, d_index):
@@ -781,29 +766,6 @@ def _c_eval(data: IaraData, c_coords, d_index):
     return out
 
 
-def _invertible_pair(L: MatrixLieAlgebra, root, deg, form):
-    """(e, f) with [f,e]-triple for real roots; for root = 0 a commuting
-    pair, preferring one the form pairs nontrivially."""
-    root = tuple(root)
-    deg = tuple(deg)
-    if any(root):
-        triple = invertible_triple(L, root, deg)
-        return None if triple is None else (triple.e, triple.f)
-    basis = L.homog_basis(root, deg)
-    if not basis or not any(deg):
-        return None
-    neg = L.homog_basis(root, tuple(-x for x in deg))
-    fallback = None
-    for e in basis:
-        for f in neg:
-            if not mat_bracket(e, f):
-                if form.pair(e, f):
-                    return e, f
-                if fallback is None:
-                    fallback = (e, f)
-    return fallback
-
-
 def refuse_invalid(inv: AxiomReport) -> None:
     """Raise a ValueError naming the first INV condition of the
     validate_inv_data report inv that fails, if any."""
@@ -812,12 +774,12 @@ def refuse_invalid(inv: AxiomReport) -> None:
         raise ValueError(f"invalid construction data: {bad.name} ({bad.witness})")
 
 
-def build_E(data: IaraData, window: int = 2, validate: bool = True) -> BuiltE:
+def build_E(data: IaraData, validate: bool = True) -> BuiltE:
     """E for data; with validate, data failing INV-a - INV-f is refused.
     A caller that validates E itself passes validate=False."""
     E = BuiltE(data)
     if validate:
-        refuse_invalid(validate_inv_data(E, window))
+        refuse_invalid(validate_inv_data(E))
     return E
 
 
@@ -921,8 +883,8 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport) -> AxiomReport
     rep.add("EA4", len(comps) == 1,
             None if len(comps) == 1 else "quotient root system is reducible")
 
-    tame_rep = core_and_tameness(E, window)
-    rep.add("EA5", tame_rep["tame"], tame_rep.get("witness"), window=tame_rep["window"])
+    tame_rep = core_and_tameness(E)
+    rep.add("EA5", tame_rep["tame"], tame_rep["witness"])
 
     rep.add("EA6", True, note=f"<R^0> is a sublattice of Z^n; nullity {nullity_of(E, window)}")
     return rep
@@ -938,26 +900,22 @@ def nullity_of(E: BuiltE, window: int = 2) -> int:
     return lattice_rank(rows)
 
 
-def core_and_tameness(E: BuiltE, window: int = 2) -> dict:
+def core_and_tameness(E: BuiltE) -> dict:
     """Core description and the tameness criterion E_c = C + L.
 
     For the built algebra, tameness is equivalent to C + L being perfect.
     L is perfect by construction (RG3, see matlie._root_graded), so that is
-    sigma_D(L, L) spanning C, read on the window of sigma_window.
+    sigma_D(L, L) spanning C, read off the unit degrees (see _sigma_rows).
     """
-    L = E.L
-    rows = [r for rs in sigma_rows(L, E.data.form, E.data.D, window).values() for r in rs]
+    rows = [r for rs in sigma_rows(E.L, E.data.form, E.data.D).values() for r in rs]
     c_rows = [list(c.values) for c in E.data.C]
     sigma_rank = mat_rank(rows, E.field) if rows else 0
     c_rank = mat_rank(c_rows, E.field) if c_rows else 0
     tame = sigma_rank == c_rank
-    listed = sigma_window(L, E.data.form, E.data.D, window)
-    where = "" if listed is None else f" on window {listed}"
     return {
         "tame": tame,
         "sigma_rank": sigma_rank,
-        "window": listed,
-        "witness": None if tame else f"C strictly larger than sigma_D(L, L){where}",
+        "witness": None if tame else "C strictly larger than sigma_D(L, L)",
     }
 
 

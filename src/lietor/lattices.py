@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import hnf, lattice_rank, lattice_reduce
+from .scalars import json_key
 
 
 def box(n: int, w: int):
@@ -160,7 +161,7 @@ class LatticeSubset:
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSubset":
-        n = int(data["n"])
+        n = int(json_key(data, "n", "a lattice subset"))
         gens = [[int(x) for x in row] for row in data.get("lattice", [])]
         cosets = tuple(tuple(int(x) for x in c) for c in data.get("cosets", [[0] * n]))
         return cls(n, gens, cosets)

@@ -404,9 +404,17 @@ def embed(x, target):
     raise TypeError(f"cannot embed {type(x).__name__}")
 
 
+def json_key(data: dict, key: str, what: str):
+    """data[key], or a ValueError naming what and the missing key."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{what} has no key {key!r}") from None
+
+
 def scalar_from_json(data: dict):
-    field = data["field"]
-    pairs = [(int(n), int(d)) for n, d in data["coeffs"]]
+    field = json_key(data, "field", "a scalar")
+    pairs = [(int(n), int(d)) for n, d in json_key(data, "coeffs", "a scalar")]
     if any(d == 0 for _, d in pairs):
         raise ValueError("zero denominator in a scalar coefficient")
     coeffs = [Fraction(n, d) for n, d in pairs]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .lattices import LatticeSubset
 from .refl import ExtensionDatum
 from .rootsys import RootSpace, RootSystem, classify
-from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str
+from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str, json_key
 
 
 def frac_from_str(s: str) -> Fraction:
@@ -76,12 +76,13 @@ def _vector(coords, dim: int, what: str) -> tuple:
 
 def root_system_from_json(data: dict) -> RootSystem:
     data = _object(data, "a root system")
-    dim = int(data["space"]["dim"])
-    form = data["space"]["form"]
+    space = _object(json_key(data, "space", "a root system"), "the space of a root system")
+    dim = int(json_key(space, "dim", "the space of a root system"))
+    form = json_key(space, "form", "the space of a root system")
     if not isinstance(form, list) or len(form) != dim:
         raise ValueError(f"the form must have {dim} rows")
     form = tuple(_vector(row, dim, "form row") for row in form)
-    roots = {_vector(a, dim, "root") for a in data["roots"]}
+    roots = {_vector(a, dim, "root") for a in json_key(data, "roots", "a root system")}
     return RootSystem(RootSpace(dim, form), roots)
 
 
@@ -100,12 +101,16 @@ def datum_to_json(ed: ExtensionDatum) -> dict:
 
 def datum_from_json(data: dict) -> ExtensionDatum:
     data = _object(data, "an extension datum")
-    S = root_system_from_json(data["S"])
-    sp = frozenset(_vector(a, S.dim, "S' root") for a in data["S_prime"])
+
+    def entry(key):
+        return json_key(data, key, "an extension datum")
+
+    S = root_system_from_json(entry("S"))
+    sp = frozenset(_vector(a, S.dim, "S' root") for a in entry("S_prime"))
     fam = {}
-    for key, sub in _object(data["family"], "the family").items():
+    for key, sub in _object(entry("family"), "the family").items():
         fam[_vector(key.split(","), S.dim, "family key")] = LatticeSubset.from_json(sub)
-    return ExtensionDatum(S, sp, int(data["Z_rank"]), fam)
+    return ExtensionDatum(S, sp, int(entry("Z_rank")), fam)
 
 
 def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
@@ -126,7 +131,7 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
     if kind in ("poly", "polynomial"):
         return GradedAssocAlgebra.polynomial()
     if kind == "qtorus":
-        n = _rank(data["n"])
+        n = _rank(json_key(data, "n", "a coordinate algebra"))
         fname = data.get("field", "Q")
         if fname == "Q":
             field = QQ
@@ -134,7 +139,7 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             field = cyclotomic_field(int(fname[len("Q(zeta_"):-1]))
         else:
             raise ValueError(f"unknown field {fname!r}")
-        rows = data["q"]
+        rows = json_key(data, "q", "a coordinate algebra")
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
             raise ValueError(f"q must be a list of rows, got {rows!r}")
         if len(rows) != n:

@@ -57,7 +57,8 @@ class WedgeElement(Sum):
 def wedge(a: AlgElement, b: AlgElement, into=None):
     """a wedge b, expanded bilinearly over the monomial basis; or, given a
     zero-free terms dict into, added into it in place (kept zero-free), and
-    None returned."""
+    None returned.  a and b must be of one algebra (Sum's owner check)."""
+    a._check(b)
     out = {} if into is None else into
     for d1, c1 in a.terms.items():
         for d2, c2 in b.terms.items():
@@ -388,7 +389,7 @@ def build_affine(m: int) -> BuiltE:
     """The untwisted affine algebra over sl_m as E = C + L + D with
     L = sl_m(K[t,t^-1]), D = K d (the degree derivation), C = D* (c pairs
     with d to 1) and tau = 0.  The construction data are validated exactly:
-    sigma_D reaches its rank bound at degree 1, and T_C = C spans D*."""
+    sigma_D(L, L) is read off the degree 1 (see eala._sigma_rows)."""
     if m < 2:
         raise ValueError("need m >= 2")
     A = GradedAssocAlgebra.laurent()

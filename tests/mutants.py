@@ -80,6 +80,41 @@ MUTANTS = (
         "        return out\n",
         ("tests/test_cli.py::test_the_same_q_written_with_another_generator_runs_the_same",),
         120),
+    Mutant(
+        "imaginary-norm-without-cross-terms", "src/lietor/eala.py",
+        "                    for j, dj in enumerate(deg) if di and dj), self.field.zero)",
+        "                    for j, dj in enumerate(deg) if di and dj and i == j), self.field.zero)",
+        ("tests/test_eala.py::test_imaginary_norm_is_the_root_norm_at_every_zero_root",), 120),
+    Mutant(
+        "inv-a-skips-phi-of-one", "src/lietor/eala.py",
+        "    if ok and not data.form.gf.pair(L.A.one(), L.A.one()):\n",
+        "    if False:\n",
+        ("tests/test_eala.py::test_inv_a_reads_the_form_as_the_box_scan_does",), 120),
+    Mutant(
+        "classify-table-swaps-b-and-c", "src/lietor/rootsys.py",
+        "            (\"B\", 2 * n * n, 2 * n),\n            (\"C\", 2 * n * n, 2 * n * (n - 1)),\n",
+        "            (\"C\", 2 * n * n, 2 * n),\n            (\"B\", 2 * n * n, 2 * n * (n - 1)),\n",
+        ("tests/test_rootsys.py",), 180),
+    Mutant(
+        "classify-skips-unreached-roots", "src/lietor/rootsys.py",
+        "    missed = next((p for p in range(n) if not reached[p] and any(orig[p])), None)\n",
+        "    missed = None\n",
+        ("tests/test_rootsys.py",), 180),
+    Mutant(
+        "unit-pairs-read-e1-alone", "src/lietor/eala.py",
+        "    for i in range(L.z_rank):\n        lam = tuple(int(k == i) for k in range(L.z_rank))\n",
+        "    for i in range(min(L.z_rank, 1)):\n        lam = tuple(int(k == i) for k in range(L.z_rank))\n",
+        ("tests/test_eala.py::test_sigma_rows_match_the_full_enumeration",), 180),
+    Mutant(
+        "uce-bracket-wedges-b-with-a", "src/lietor/uce.py",
+        "                wedge(a, b, wterms)\n",
+        "                wedge(b, a, wterms)\n",
+        ("tests/test_arith.py::test_brackets_leave_their_operands_alone",), 120),
+    Mutant(
+        "wedge-skips-the-owner-check", "src/lietor/uce.py",
+        "    a._check(b)\n",
+        "",
+        ("tests/test_arith.py::test_wedge_refuses_a_foreign_owner",), 60),
 )
 
 

@@ -159,9 +159,9 @@ def test_criterion_6_uce():
 
 def test_criterion_7_affine_equivalence():
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    data = default_iara_data(L, window=3)
+    data = default_iara_data(L)
     assert len(data.D) == 1 and len(data.C) == 1  # D = Q d^(0), C = D*
-    E = build_E(data, window=2)
+    E = build_E(data)
     window = 3
     ars, mp, kac = build_affine_rs(build_classical("A", 2), 1)
     real_E, imag_E = root_reflection_data(E, window)
@@ -195,14 +195,14 @@ def test_criterion_8_eala_qtorus():
     A = GradedAssocAlgebra.quantum_torus(
         [[F3.one, z3], [z3.inverse(), F3.one]], F3)
     L = MatrixLieAlgebra(3, A)
-    data = default_iara_data(L, window=3)
-    E = build_E(data, window=3)
+    data = default_iara_data(L)
+    E = build_E(data)
     ia = verify_iara(E, window=3)
     assert ia.ok, ia.failures()[0].witness
     ea = verify_eala(E, window=3, iara=ia)
     assert ea.ok, ea.failures()[0].witness
     assert nullity_of(E, 3) == 2
-    assert core_and_tameness(E, 3)["tame"] is True
+    assert core_and_tameness(E)["tame"] is True
     elapsed = time.time() - t0
     report(8, elapsed < 120.0,
            f"IA1-IA3 + EA1-EA6 at window 3, nullity 2, tame, {elapsed:.1f}s")

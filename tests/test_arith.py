@@ -114,6 +114,19 @@ def test_a_sum_refuses_a_foreign_owner(kind):
         assert not z and z.terms == {} and z.owner is x.owner
 
 
+def test_wedge_refuses_a_foreign_owner():
+    # a wedge b of two algebras is refused in either order, also into a
+    # terms dict, which it leaves as it was
+    A, B = GradedAssocAlgebra.laurent(), GradedAssocAlgebra.laurent()
+    for a, b in ((A.gen(0), B.one()), (B.one(), A.gen(0))):
+        into = {}
+        for args in ((a, b), (a, b, into)):
+            with pytest.raises(ValueError, match="different"):
+                wedge(*args)
+        assert into == {}
+    assert wedge(A.gen(0), A.one()).owner is A
+
+
 @pytest.mark.parametrize("name", ALGEBRAS)
 @settings(max_examples=40, deadline=None, database=None)
 @given(data=hs.data())

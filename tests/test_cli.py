@@ -256,7 +256,7 @@ def test_zero_denominator_in_a_datum_exit_2(tmp_path, capsys):
 
 
 def test_eala_laurent_report(tmp_path):
-    # Rad = Z: the class list and the sigma_D rank bound decide every line
+    # Rad = Z: the class list and sigma_D at the degree 1 decide every line
     rep = tmp_path / "eala.json"
     assert main(["eala", "--coord", "laurent", "--window", "1", "--out", str(rep)]) == 0
     checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
@@ -384,6 +384,19 @@ MALFORMED = {
                        "the lattice rank n must be an integer, got [2]"),
     "field a number": (["qtorus", "centre", "--q"], "malformed_field_number.json",
                        "unknown field 7"),
+    # a missing key names the object that lacks it
+    "qtorus without q": (["qtorus", "centre", "--q"], "malformed_qtorus_no_q.json",
+                         "a coordinate algebra has no key 'q'"),
+    "qtorus without n": (["sl", "--coord"], "malformed_qtorus_no_n.json",
+                         "a coordinate algebra has no key 'n'"),
+    "q token without field": (["qtorus", "centre", "--q"], "malformed_q_token_no_field.json",
+                              "a scalar has no key 'field'"),
+    "space without form": (["roots", "classify", "--in"], "malformed_space_no_form.json",
+                           "the space of a root system has no key 'form'"),
+    "datum without Z_rank": (["ars", "check", "--in"], "malformed_datum_no_z_rank.json",
+                             "an extension datum has no key 'Z_rank'"),
+    "family entry without n": (["ars", "check", "--in"], "malformed_datum_family_no_n.json",
+                               "a lattice subset has no key 'n'"),
 }
 
 

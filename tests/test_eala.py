@@ -7,7 +7,7 @@ import pytest
 
 from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
 from lietor.lattices import box
-from lietor.linalg import independent_rows, lattice_reduce, rank
+from lietor.linalg import lattice_reduce, rank
 from lietor.matlie import DirectSumSl, MatrixLieAlgebra, lift_derivation
 from lietor.eala import (
     BuiltE,
@@ -21,18 +21,21 @@ from lietor.eala import (
     degree_derivation_basis,
     nullity_of,
     sigma_d_values,
+    sigma_rows,
     validate_inv_data,
     verify_eala,
     verify_iara,
 )
 from lietor.report import sampled_triples
-from lietor.scalars import cyclotomic_field, frac_to_str
+from lietor.scalars import cyclotomic_field
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
 from eala_reference import (
+    inv_e_reference,
     per_item_failures,
     root_norm,
     root_reflection_data,
+    sigma_rows_reference,
     t_labels,
     windowed_roots,
 )
@@ -53,8 +56,8 @@ def jacobi_holds(bracket, x, y, z) -> bool:
 @pytest.fixture(scope="module")
 def affine_E():
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    data = default_iara_data(L, window=3)
-    return build_E(data, window=2)
+    data = default_iara_data(L)
+    return build_E(data)
 
 
 @pytest.fixture(scope="module")
@@ -63,8 +66,8 @@ def qtorus_E():
     z3 = F3.zeta()
     q = [[F3.one, z3], [z3.inverse(), F3.one]]
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.quantum_torus(q, F3))
-    data = default_iara_data(L, window=2)
-    return build_E(data, window=2)
+    data = default_iara_data(L)
+    return build_E(data)
 
 
 def test_sigma_d_grading(affine_E):
@@ -145,7 +148,7 @@ def test_affine_iara_eala(affine_E):
     ea = verify_eala(affine_E, window=2, iara=ia)
     assert ea.ok, ea.failures()[0].witness
     assert nullity_of(affine_E, 2) == 1
-    assert core_and_tameness(affine_E, 2)["tame"] is True
+    assert core_and_tameness(affine_E)["tame"] is True
 
 
 def test_affine_root_data_matches_ars(affine_E):
@@ -185,39 +188,39 @@ def test_qtorus_eala(qtorus_E):
     ea = verify_eala(E, window=2, iara=ia)
     assert ea.ok
     assert nullity_of(E, 2) == 2
-    assert core_and_tameness(E, 2)["tame"] is True
+    assert core_and_tameness(E)["tame"] is True
     cv = classify_variant(iara=ia, eala=ea)
     assert cv["EALA"] and cv["LEALA"] and cv["IARA"]
 
 
 def test_invalid_tau_rejected(affine_E):
     L = affine_E.L
-    data = default_iara_data(L, window=2)
+    data = default_iara_data(L)
     bad = dict(data.tau)
     bad[(0, 0)] = [F(1)]  # tau(d, d) != 0 is not alternating
     data = IaraData(L=data.L, form=data.form, D=data.D, T_D=data.T_D,
                     C=data.C, T_C=data.T_C, tau=bad)
-    rep = validate_inv_data(BuiltE(data), window=1)
+    rep = validate_inv_data(BuiltE(data))
     assert not rep["INV-f"].ok
 
 
 def test_tau_on_td_rejected():
     # Any nonzero tau on T_D x D violates INV(f) when T_D = D.
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))
-    data = default_iara_data(L, window=1)
+    data = default_iara_data(L)
     assert len(data.D) == 2
     tau = {(0, 1): [F(1) if not any(c.degree) else F(0) for c in data.C][:len(data.C)]}
     data = IaraData(L=data.L, form=data.form, D=data.D, T_D=data.T_D,
                     C=data.C, T_C=data.T_C, tau=tau)
-    rep = validate_inv_data(BuiltE(data), window=1)
+    rep = validate_inv_data(BuiltE(data))
     assert not rep["INV-f"].ok
 
 
 def test_degenerate_t_detected():
     # psi(1) = 0 makes the form on h degenerate: IA1 must fail with a witness.
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    data = default_iara_data(L, phi=F(0), window=2)
-    E = build_E(data, window=1, validate=False)
+    data = default_iara_data(L, phi=F(0))
+    E = build_E(data, validate=False)
     rep = verify_iara(E, window=1)
     assert not rep["IA1"].ok
     assert "radical" in rep["IA1"].witness
@@ -226,8 +229,8 @@ def test_degenerate_t_detected():
 def test_ia1_radical_witness_prints_rationals_as_p_over_q():
     # the witness text does not depend on the type of a rational scalar
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    data = default_iara_data(L, phi=F(0), window=2)
-    E = build_E(data, window=1, validate=False)
+    data = default_iara_data(L, phi=F(0))
+    E = build_E(data, validate=False)
     assert verify_iara(E, window=1)["IA1"].witness == (
         "radical vector of T in coordinates [1, 0, 0] over the T basis")
 
@@ -242,7 +245,7 @@ def test_inv_b_witness_prints_rationals_as_p_over_q(coord):
          GradedAssocAlgebra.quantum_torus([[F3.one, z], [z.inverse(), F3.one]], F3))
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [1, F(1, 2)], (3, 0))]
-    rep = validate_inv_data(BuiltE(default_iara_data(L, window=1, D=D)), window=1)
+    rep = validate_inv_data(BuiltE(default_iara_data(L, D=D)))
     assert rep["INV-b"].witness == "theta(deg) != 0 for d(theta=[1, 1/2], deg=(3, 0)) (not skew)"
 
 
@@ -253,9 +256,9 @@ def test_inv_f_refuses_a_tau_that_is_not_cyclic():
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], g)
                                       for g in ((1, 0), (-1, 0))]
-    data = default_iara_data(L, window=1, D=D, C="dual")
+    data = default_iara_data(L, D=D, C="dual")
     data.tau = {(2, 3): [F(int(k == 2)) for k in range(4)]}
-    rep = validate_inv_data(BuiltE(data), window=1)
+    rep = validate_inv_data(BuiltE(data))
     assert [c.name for c in rep.failures()] == ["INV-f"]
     assert rep["INV-f"].witness == "tau cyclic identity fails at (2,2,3)"
 
@@ -264,15 +267,15 @@ def test_inv_c_requires_injectivity():
     # dropping one degree derivation on a rank-2 lattice breaks INV(c)
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))
     D = degree_derivation_basis(L)[:1]
-    data = default_iara_data(L, window=1, D=D)
-    rep = validate_inv_data(BuiltE(data), window=1)
+    data = default_iara_data(L, D=D)
+    rep = validate_inv_data(BuiltE(data))
     assert not rep["INV-c"].ok
 
 
 def test_direct_sum_is_iara_not_leala():
     L = DirectSumSl(3, 3, GradedAssocAlgebra.laurent())
-    data = default_iara_data(L, window=2)
-    E = build_E(data, window=1)
+    data = default_iara_data(L)
+    E = build_E(data)
     ia = verify_iara(E, window=1)
     assert ia.ok
     ea = verify_eala(E, window=1, iara=ia)
@@ -318,15 +321,15 @@ def test_split_simple_nullity_zero():
     # no lattice directions at all: E = sl_3(Q), an EALA of nullity 0
     A0 = GradedAssocAlgebra.group_algebra(0)
     L = MatrixLieAlgebra(3, A0)
-    data = default_iara_data(L, window=1)
+    data = default_iara_data(L)
     assert not data.D and not data.C
-    E = build_E(data, window=1)
+    E = build_E(data)
     ia = verify_iara(E, window=1)
     assert ia.ok
     ea = verify_eala(E, window=1, iara=ia)
     assert ea.ok
     assert nullity_of(E, 1) == 0
-    assert core_and_tameness(E, 1)["tame"] is True
+    assert core_and_tameness(E)["tame"] is True
 
 
 def test_reductive_not_tame():
@@ -334,11 +337,11 @@ def test_reductive_not_tame():
     # D and C commute with everything, E = Z(E) + [E,E] with Z(E) != 0.
     Az = GradedAssocAlgebra.group_algebra(1, support="zero")
     L = MatrixLieAlgebra(3, Az)
-    data = default_iara_data(L, window=2, C="dual")
-    E = build_E(data, window=1)
+    data = default_iara_data(L, C="dual")
+    E = build_E(data)
     ia = verify_iara(E, window=1)
     assert ia.ok
-    ct = core_and_tameness(E, 1)
+    ct = core_and_tameness(E)
     assert ct["tame"] is False
     assert nullity_of(E, 1) == 0
     d = E.d_basis_elem(0)
@@ -417,7 +420,7 @@ IA3_INPUTS = {
 @pytest.mark.parametrize("name", sorted(IA3_INPUTS))
 def test_structural_ia3_matches_brute_force(name):
     make_L, C, window = IA3_INPUTS[name]
-    E = build_E(default_iara_data(make_L(), window=window, C=C), window=window)
+    E = build_E(default_iara_data(make_L(), C=C))
     ia3 = verify_iara(E, window)["IA3"]
     assert ia3.ok == _brute_ia3(E, window)
     assert ia3.ok and ia3.note.startswith("structural")
@@ -440,7 +443,7 @@ def _shift_imaginary_values(E, coeffs):
 def _anisotropic_E():
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
     return _shift_imaginary_values(
-        build_E(default_iara_data(L, window=1), window=1, validate=False), [1])
+        build_E(default_iara_data(L), validate=False), [1])
 
 
 def test_structural_ia3_fails_on_anisotropic_imaginary_root():
@@ -458,7 +461,7 @@ IMAGINARY_NORM_INPUTS = {
     "q3-3": (lambda: _periodic_E("q3", 3), 3),
     "q3-3-shifted": (lambda: _shift_imaginary_values(_periodic_E("q3", 3), [1, 2]), 3),
     "laurent-dual-2": (lambda: build_E(default_iara_data(
-        MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), window=2, C="dual"), window=2), 2),
+        MatrixLieAlgebra(3, GradedAssocAlgebra.laurent()), C="dual")), 2),
     "anisotropic-1": (_anisotropic_E, 1),
 }
 
@@ -499,8 +502,8 @@ def test_inv_a_reads_the_form_as_the_box_scan_does(coord, phi):
     A = {"poly": GradedAssocAlgebra.polynomial(), "Q[Z^2]": GradedAssocAlgebra.group_algebra(2),
          "Q[0]": GradedAssocAlgebra.group_algebra(1, support="zero")}.get(coord) or _coord(coord)
     L = MatrixLieAlgebra(3, A)
-    data = default_iara_data(L, phi=L.field.from_int(phi), window=1, C="dual")
-    inv_a = validate_inv_data(build_E(data, validate=False), 1)["INV-a"]
+    data = default_iara_data(L, phi=L.field.from_int(phi), C="dual")
+    inv_a = validate_inv_data(build_E(data, validate=False))["INV-a"]
     assert inv_a.ok is nondegenerate_on_window(data.form.gf, 2) is (phi == 1 and coord != "poly")
     assert inv_a.status in ("pass", "fail") and inv_a.note.startswith("structural: ")
     if coord == "poly":
@@ -514,7 +517,7 @@ def test_a_bounded_support_is_not_periodic_modulo_rad(support):
     # Rad of the group algebra is all of Z^2, but on a bounded support no
     # t^rho with rho != 0 is a unit, so each degree stays its own class
     A = GradedAssocAlgebra.group_algebra(2, support=support)
-    E = build_E(default_iara_data(MatrixLieAlgebra(3, A), window=1, C="dual"), validate=False)
+    E = build_E(default_iara_data(MatrixLieAlgebra(3, A), C="dual"), validate=False)
     assert A.centre_lattice().basis == [[1, 0], [0, 1]]
     assert E._centre_rows is None
 
@@ -525,26 +528,26 @@ def test_sigma_d_pairs_of_every_d_degree():
     A = GradedAssocAlgebra.group_algebra(2)
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
-    data = default_iara_data(L, window=1, D=D)
+    data = default_iara_data(L, D=D)
     assert data.T_D == [0, 1]
     assert len(data.C) == 3
-    E = build_E(data, window=1)
+    E = build_E(data)
     assert verify_iara(E, 1).ok
-    ct = core_and_tameness(E, 1)
+    ct = core_and_tameness(E)
     assert ct["sigma_rank"] == 3
     assert ct["tame"] is True
     # without the degree-(-1, 0) functional, sigma_D leaves C there
     C = [c for c in data.C if c.degree != (-1, 0)]
     short = IaraData(L=L, form=data.form, D=data.D, T_D=data.T_D, C=C,
                      T_C=[k for k, c in enumerate(C) if not any(c.degree)])
-    rep = validate_inv_data(BuiltE(short), window=1)
+    rep = validate_inv_data(BuiltE(short))
     assert not rep["INV-d"].ok
     assert rep["INV-d"].witness == "sigma_D outside C in degree (-1, 0)"
 
 
 def test_windowed_facts_enumerated_once_per_run(monkeypatch):
-    # C_min, INV-d and EA5 read the same sigma_D values, and IA2, IA3, EA1,
-    # EA6 and the nullity the same class list; one enumeration serves each.
+    # C_min, INV-d and EA5 read the same sigma_D rows, and IA2, IA3, EA1,
+    # EA6 and the nullity the same class list; one computation serves each.
     import lietor.eala as eala
 
     # the hooks count the runs of the memoised bodies, not the lookups
@@ -556,16 +559,15 @@ def test_windowed_facts_enumerated_once_per_run(monkeypatch):
     monkeypatch.setattr(eala.BuiltE.class_list, "__wrapped__",
                         lambda *a: class_calls.append(a) or class_list(*a))
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    E = build_E(default_iara_data(L, window=2), window=2)
+    E = build_E(default_iara_data(L))
     ia = verify_iara(E, 2)
     assert verify_eala(E, 2, iara=ia).ok
     assert nullity_of(E, 2) == 1
-    assert core_and_tameness(E, 2)["tame"]
+    assert core_and_tameness(E)["tame"]
     assert (len(sigma_calls), len(class_calls)) == (1, 1)
-    # another window is another enumeration
-    core_and_tameness(E, 1)
+    # another window is another class list; sigma_D takes no window
     E.class_list(1)
-    assert (len(sigma_calls), len(class_calls)) == (2, 2)
+    assert (len(sigma_calls), len(class_calls)) == (1, 2)
 
 
 # sigma_D reference: lift each d_k entrywise and pair, one lift and one
@@ -606,7 +608,7 @@ def test_sigma_d_values_match_the_lifted_reference_off_degree_0():
     A = GradedAssocAlgebra.group_algebra(2)
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
-    data = default_iara_data(L, window=1, D=D)
+    data = default_iara_data(L, D=D)
     basis = sl_windowed_basis(L, 1)
     nonzero = 0
     for l1 in basis:
@@ -627,7 +629,7 @@ def _q3_E(window):
     z3 = F3.zeta()
     q = [[F3.one, z3], [z3.inverse(), F3.one]]
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.quantum_torus(q, F3))
-    return build_E(default_iara_data(L, window=window), window=window)
+    return build_E(default_iara_data(L))
 
 
 T_ACTION_INPUTS = {
@@ -688,7 +690,7 @@ def test_sigma_d_vanishes_on_the_t_basis(coord, C):
     # acts_by_root reads no C part of [t, b] for b in L: the L part h of t
     # has degree 0, so (d_k h | b) = (theta_k(0) t^gamma h | b) = 0.
     L = MatrixLieAlgebra(3, SIGMA_COORDS[coord]())
-    E = build_E(default_iara_data(L, window=1, C=C), window=1)
+    E = build_E(default_iara_data(L, C=C))
     zero = [L.field.zero] * len(E.data.D)
     for t in E.t_basis():
         for b in sl_windowed_basis(L, 1):
@@ -714,19 +716,19 @@ def _custom_d_E():
     A = GradedAssocAlgebra.group_algebra(2)
     L = MatrixLieAlgebra(3, A)
     D = degree_derivation_basis(L) + [CentroidalDerivation(A, [0, 1], (1, 0))]
-    return build_E(default_iara_data(L, window=1, D=D), window=1)
+    return build_E(default_iara_data(L, D=D))
 
 
 def _periodic_E(coord, window):
     L = MatrixLieAlgebra(3, _coord(coord))
-    return build_E(default_iara_data(L, window=window), window=window)
+    return build_E(default_iara_data(L))
 
 
 PERIODIC_INPUTS = {
     **{f"{coord}-{w}": (lambda coord=coord, w=w: _periodic_E(coord, w), w)
        for coord in ("q2", "q3", "q4", "q6_in_zeta3", "laurent") for w in (1, 2, 3)},
     "direct-sum-2": (lambda: build_E(default_iara_data(
-        DirectSumSl(3, 3, GradedAssocAlgebra.laurent()), window=2), window=2), 2),
+        DirectSumSl(3, 3, GradedAssocAlgebra.laurent()))), 2),
     "affine-sl2-3": (lambda: build_affine(2), 3),
     "custom-d-1": (_custom_d_E, 1),
 }
@@ -835,7 +837,7 @@ def test_the_per_item_reference_agrees_with_every_exact_verdict(name):
 
 def test_root_classes_are_the_blocks():
     L = DirectSumSl(3, 3, GradedAssocAlgebra.laurent())
-    E = build_E(default_iara_data(L, window=1), window=1)
+    E = build_E(default_iara_data(L))
     items, listed = E.class_list(1)
     zero = (0,) * 6
     first = sorted(ro for ro in L.S.roots if any(ro))
@@ -880,11 +882,11 @@ def _group_E(D=None, extra_c=()):
     """E over Q[Z^2] at window 1, unvalidated, with D and C as given."""
     A = GradedAssocAlgebra.group_algebra(2)
     L = MatrixLieAlgebra(3, A)
-    data = default_iara_data(L, window=1, D=D and D(L))
+    data = default_iara_data(L, D=D and D(L))
     C = [c for c in data.C if not any(c.degree)] + list(extra_c)
     return build_E(IaraData(L=L, form=data.form, D=data.D, T_D=data.T_D, C=C,
                             T_C=[k for k, c in enumerate(C) if not any(c.degree)]),
-                   window=1, validate=False)
+                   validate=False)
 
 
 UNSHARED_INPUTS = {
@@ -1005,150 +1007,125 @@ def test_a_non_additive_theta_fails_the_exact_ia3():
     # lam_0 lam_1 != 0, so at the residue (1, 1) of the class list
     L = MatrixLieAlgebra(3, _coord("q3"))
     D = [_NonAdditive(L.A, dk.v) for dk in degree_derivation_basis(L)]
-    E = build_E(default_iara_data(L, window=1, D=D), window=1, validate=False)
+    E = build_E(default_iara_data(L, D=D), validate=False)
     ia3 = verify_iara(E, 1)["IA3"]
     assert ia3.window is None and not ia3.ok
     assert ia3.witness == "T does not act on E_((0, 0, 0), (1, 1)) by its root"
     assert per_item_failures(E, 1)["T-action"] == ((0, 0, 0), (-1, -1))
 
 
-# sigma_D rows against the full enumeration: sigma_rows stops a degree at
-# len(D) independent values, and INV-e forms no pair once T_C spans D*.  The
-# references walk every pair of the window and every windowed root.
+# sigma_D rows against the full enumeration: sigma_rows and INV-e read the
+# unit degrees e_i alone (see eala._sigma_rows).  The references walk every
+# pair of the window and every windowed root.
 
-def _sigma_rows_reference(form, L, D, window):
-    """Every nonzero value of sigma_D on the window, keyed by degree."""
-    out = {}
-    degs = box(L.z_rank, window)
-    in_box = set(degs)
-    for s in sorted({tuple(-g for g in dk.gamma) for dk in D}):
-        for d1 in degs:
-            d2 = tuple(a - b for a, b in zip(s, d1))
-            if d2 not in in_box:
-                continue
-            for ro in L.S.sorted_roots():
-                for l1 in L.homog_basis(ro, d1):
-                    for l2 in L.homog_basis(tuple(-x for x in ro), d2):
-                        vals = sigma_d_values((L, form, D), l1, l2)
-                        if any(vals):
-                            out.setdefault(s, []).append(vals)
-    return out
+def _bounded_E(support, n, D=None):
+    """E over the rank-n group algebra on a bounded support, unvalidated:
+    predivision, and so INV-a, fails on nonneg."""
+    L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(n, support=support))
+    return BuiltE(default_iara_data(L, D=D and D(L)))
 
 
-def _inv_e_reference(data, window):
-    """INV-e's witness from the invertible pair of every windowed (root,
-    degree): sigma_D(e, f) lies in T_C when it adds nothing to the rank of
-    the T_C functionals."""
-    import lietor.eala as eala
-
-    L = data.L
-    t_c = [list(data.C[k].values) for k in data.T_C]
-    t_rank = rank(t_c, L.field) if t_c else 0
-    for deg in box(L.z_rank, window):
-        for ro in L.S.sorted_roots():
-            pair = eala._invertible_pair(L, ro, deg, form=data.form)
-            if pair is not None and rank(t_c + [sigma_d_values(data, *pair)], L.field) > t_rank:
-                if data.T_C:
-                    return f"sigma_D(e,f) outside T_C at ({frac_to_str(ro)}, {deg})"
-                return f"sigma_D(e,f) nonzero with empty T_C at ({frac_to_str(ro)}, {deg})"
-    return None
+def _with_degree_1_0(L):
+    """The degree derivations and a derivation of degree (1, 0)."""
+    return degree_derivation_basis(L) + [CentroidalDerivation(L.A, [0, 1], (1, 0))]
 
 
-def _sigma_verdicts(E, window):
-    """(ok, witness) of INV-d and INV-e, and (tame, witness) of the core,
-    which EA5 prints."""
-    inv = validate_inv_data(E, window)
-    core = core_and_tameness(E, window)
-    return {"INV-d": (inv["INV-d"].ok, inv["INV-d"].witness),
-            "INV-e": (inv["INV-e"].ok, inv["INV-e"].witness),
+SIGMA_INPUTS = {
+    **PERIODIC_INPUTS,
+    **{f"{support}-rank{n}-3": (lambda support=support, n=n: _bounded_E(support, n), 3)
+       for support in ("nonneg", "zero") for n in (1, 2)},
+    "nonneg-custom-d-3": (lambda: _bounded_E("nonneg", 2, _with_degree_1_0), 3),
+}
+
+
+def _sigma_verdicts(E):
+    """(ok, witness, window) of INV-d, (ok, window) of INV-e, and (tame,
+    witness, sigma_rank) of the core, which EA5 prints."""
+    inv = validate_inv_data(E)
+    core = core_and_tameness(E)
+    return {"INV-d": (inv["INV-d"].ok, inv["INV-d"].witness, inv["INV-d"].window),
+            "INV-e": (inv["INV-e"].ok, inv["INV-e"].window),
             "EA5": (core["tame"], core["witness"], core["sigma_rank"])}
 
 
 @pytest.mark.parametrize("C", ["min", "dual"])
-@pytest.mark.parametrize("name", sorted(PERIODIC_INPUTS))
+@pytest.mark.parametrize("name", sorted(SIGMA_INPUTS))
 def test_sigma_rows_match_the_full_enumeration(name, C, monkeypatch):
     import lietor.eala as eala
 
-    make_E, window = PERIODIC_INPUTS[name]
+    make_E, window = SIGMA_INPUTS[name]
     E = make_E()
     if C == "dual":
-        E = BuiltE(default_iara_data(E.L, window=window, D=E.data.D, C="dual"))
+        E = BuiltE(default_iara_data(E.L, D=E.data.D, C="dual"))
     data = E.data
-    full = _sigma_rows_reference(data.form, E.L, data.D, window)
-    assert c_min_basis(E.L, data.form, data.D, window) == [
-        CFunc(tuple(v), s) for s, rows in full.items() for v in independent_rows(rows, E.field)]
-    got = _sigma_verdicts(E, window)
-    inv = validate_inv_data(E, window)
+    full = sigma_rows_reference(data.form, E.L, data.D, window)
+    rows = sigma_rows(E.L, data.form, data.D)
+    # in each degree the rows are independent and span what the walk finds
+    assert list(rows) == list(full)
+    for s, got in rows.items():
+        assert len(got) == rank(got, E.field) == rank(full[s], E.field) \
+            == rank(got + full[s], E.field)
+    assert c_min_basis(E.L, data.form, data.D) == [
+        CFunc(tuple(v), s) for s, rs in rows.items() for v in rs]
+    got = _sigma_verdicts(E)
     with monkeypatch.context() as m:
-        m.setattr(eala, "_sigma_rows", _sigma_rows_reference)
-        want = _sigma_verdicts(E, window)
-    witness = _inv_e_reference(data, window)
-    want["INV-e"] = (witness is None, witness)
-    assert got == want
-    # the sigma_D lines are exact where each degree s of the window spans
-    # its bound #{k : gamma_k = -s}, and INV-e where T_C spans D*
-    gammas = [tuple(-g for g in dk.gamma) for dk in data.D]
-    spans = all(full.get(s) and rank(full[s], E.field) == gammas.count(s) for s in gammas)
-    assert inv["INV-d"].window == core_and_tameness(E, window)["window"] \
-        == (None if spans else window)
-    t_c = [list(data.C[k].values) for k in data.T_C]
-    assert inv["INV-e"].window == (None if t_c and rank(t_c, E.field) == len(data.D)
-                                   else window)
+        m.setattr(eala, "_sigma_rows", lambda form, L, D: full)
+        want = _sigma_verdicts(E)
+    # the witnesses of INV-e name other degrees; no line carries a window
+    want["INV-e"] = (inv_e_reference(data, window) is None, None)
+    assert got == want and got["INV-d"][2] is None
+    if E.L.A.support is not None:
+        assert not full and (C == "dual") is bool(data.C)
 
 
-def test_sigma_rows_stop_at_the_d_elements_of_each_degree(monkeypatch):
+def test_sigma_rows_take_one_pair_per_unit_degree(monkeypatch):
     # The values of degree s lie in the coordinates of the D elements of
     # degree -s: the two degree derivations for s = (0, 0), the derivation
-    # of degree (1, 0) for s = (-1, 0).  So the walk stops at 2 and 1 rows,
-    # where a bound of len(D) = 3 took all 90 and 60 pairs.
+    # of degree (1, 0) for s = (-1, 0).  Each degree reads the pairs at e_1
+    # and e_2, and INV-e reads the pairs of degree 0 once more.
     import lietor.eala as eala
 
-    walked = {}
-    pairs = eala._sigma_pairs
-
-    def counted(L, s, window):
-        for pair in pairs(L, s, window):
-            walked[s] = walked.get(s, 0) + 1
-            yield pair
-    monkeypatch.setattr(eala, "_sigma_pairs", counted)
+    values = []
+    sigma = eala.sigma_d_values
+    monkeypatch.setattr(eala, "sigma_d_values", lambda *a: values.append(a) or sigma(*a))
     E = _custom_d_E()
-    assert {s: len(list(pairs(E.L, s, 1))) for s in walked} == {(0, 0): 90, (-1, 0): 60}
-    assert walked == {(0, 0): 11, (-1, 0): 1}
-    assert {s: len(rows) for s, rows in eala.sigma_rows(E.L, E.data.form, E.data.D, 1).items()} \
+    assert len(values) == 2 + 2 + 2
+    assert {s: len(rows) for s, rows in sigma_rows(E.L, E.data.form, E.data.D).items()} \
         == {(0, 0): 2, (-1, 0): 1}
 
 
 def test_inv_e_fails_when_t_c_misses_a_sigma_d_value():
-    # C = C_min is 2-dimensional, so T_C = [0] spans only part of D*: INV-e
-    # forms its pairs, and the first one outside T_C is the witness
+    # C = C_min is 2-dimensional, spanned by the values at e_1 and e_2, so
+    # T_C = [0] misses the value at e_2 and an empty T_C the one at e_1;
+    # the window walk finds a witness as well
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.group_algebra(2))
-    data = default_iara_data(L, window=1)
+    data = default_iara_data(L)
     assert len(data.D) == len(data.C) == 2
-    data.T_C = [0]
-    inv_e = validate_inv_data(BuiltE(data), window=1)["INV-e"]
-    assert inv_e.status == "fail"
-    assert inv_e.witness == "sigma_D(e,f) outside T_C at ((-1, 0, 1), (-1, 0))"
-    assert inv_e.witness == _inv_e_reference(data, 1)
+    for t_c, witness in (([0], "outside T_C at ((-1, 0, 1), (0, 1))"),
+                         ([], "nonzero with empty T_C at ((-1, 0, 1), (1, 0))")):
+        data.T_C = t_c
+        inv_e = validate_inv_data(BuiltE(data))["INV-e"]
+        assert inv_e.status == "fail"
+        assert inv_e.witness == f"sigma_D(e,f) {witness}"
+        assert inv_e_reference(data, 1) is not None
 
 
-def test_eala_qtorus_forms_no_inv_e_pair(monkeypatch, tmp_path):
-    """The benchmark's eala-qtorus command: T_C = C_min spans D*, so INV-e
-    forms no pair, and sigma_rows stops at two values of degree 0."""
+def test_eala_qtorus_reads_sigma_d_at_the_unit_degrees(monkeypatch, tmp_path):
+    """The benchmark's eala-qtorus command: C_min and INV-e each read
+    sigma_D at the pairs of e_1 and e_2, and the brackets of E read it
+    where they form a C part."""
     import lietor.eala as eala
     from lietor.cli import main
 
-    pairs, values = [], []
+    values = []
     sigma = eala.sigma_d_values
-    monkeypatch.setattr(eala, "_invertible_pair", lambda *a, **k: pairs.append(a))
     monkeypatch.setattr(eala, "sigma_d_values", lambda *a: values.append(a) or sigma(*a))
     q3 = Path(__file__).parent.parent / "perfbench" / "inputs" / "q3.json"
     argv = ["eala", "--coord", str(q3), "--n", "3", "--window", "3",
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
-    assert pairs == []
-    # 1,101 values without the rank bound: 690 pairs in sigma_rows, 342 in
-    # INV-e and 69 in E.bracket; 11 + 0 + 69 with it
-    assert 0 < len(values) <= 80
+    # 2 + 2 values off the unit degrees and 19 in E.bracket
+    assert 0 < len(values) <= 2 + 2 + 19
 
 
 # EA1's invariance, exhaustively: (x | [y, z]) = ([x, y] | z) on every triple

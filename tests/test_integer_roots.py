@@ -86,7 +86,7 @@ def test_sl_and_e_roots_are_int_tuples():
     assert L.root_of(0, 2) == (1, 0, -1)
     assert _exact_types([x for a in L.S.roots for x in a]) == []
     assert all(type(x) is int for a in DirectSumSl(2, 2, L.A).S.roots for x in a)
-    E = build_E(default_iara_data(L, window=1), window=1, validate=False)
+    E = build_E(default_iara_data(L), validate=False)
     roots = E.class_list(1)[0]
     assert ((0, 0, 0), (0,)) in roots
     assert all(type(x) is int for ro, deg in roots for x in ro + deg)

@@ -329,7 +329,7 @@ def test_loop_cocycle():
 def test_custom_kappa_scales_cocycle():
     # the invariant form 2 tr(xy)^0 (phi = 2) doubles the cocycle
     L = MatrixLieAlgebra(3, GradedAssocAlgebra.laurent())
-    E = build_E(default_iara_data(L, phi=F(2), C="dual"), window=2)
+    E = build_E(default_iara_data(L, phi=F(2), C="dual"))
     x = L.E(0, 1, L.A.monomial((1,)))
     y = L.E(1, 0, L.A.monomial((-1,)))
     assert _cocycle(E, x, y) == 2
