@@ -344,8 +344,7 @@ def cmd_eala(args, run: Runner) -> None:
     run.merge(ea)
     run.add("tame", ea["EA5"].ok, ea["EA5"].witness)
     nullity = nullity_of(E, window)  # at most n, so exact once it is n
-    run.add("nullity", True, detail=str(nullity),
-            window=None if nullity == A.n else E.class_list(window)[1])
+    run.add("nullity", True, detail=str(nullity), window=None if nullity == A.n else window)
     cv = classify_variant(iara=ia, eala=ea)
     for k in ("IARA", "EALA", "LEALA", "GRLA", "toral-type"):
         run.add(f"variant:{k}", True, detail=str(cv[k]), window=cv["windows"][k])
@@ -441,11 +440,12 @@ def make_parser() -> argparse.ArgumentParser:
     q.add_argument("--coord", required=True)
     q.add_argument("--n", type=int, default=3)
     q.add_argument("--C", default="min", choices=["min", "dual"])
+    # read only on a bounded support, where the degrees have no three classes;
     # a window-0 box holds degree 0 alone, so a windowed line would read no
     # nonzero degree
     q.add_argument("--window", type=_count(1), default=3,
-                   help="read only on a torus whose centre lattice has infinite index, or "
-                        "on data that break its premises; a line that reads it prints it")
+                   help="read only on a coordinate algebra of bounded support "
+                        "(\"support\": \"nonneg\" or \"zero\"); a line that reads it prints it")
     return p
 
 
@@ -459,7 +459,7 @@ def main(argv=None) -> int:
     try:
         args.handler(args, run)
         return run.finish(args.out)
-    except (InputError, ValueError, KeyError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         if isinstance(exc, BrokenPipeError):
             _drop_stdout()
         print(f"error: {exc}", file=sys.stderr)

@@ -11,10 +11,9 @@ with sigma_D(l1,l2)(d) = (d(l1) | l2).  Everything windowed is reported
 with its window; membership and arithmetic are exact.  The span
 sigma_D(L, L), which C_min, INV-d, INV-e and EA5 read, is read off the unit
 degrees e_1, ..., e_n with no window (_sigma_rows).  Over a quantum torus
-whose centre lattice has finite index, or a Laurent polynomial ring, the
-root-space checks IA2, IA3's T-action and EA1's pairing are decided on one
-item per Weyl orbit of roots and class of degrees modulo the centre lattice
-(BuiltE.class_list), with no window.
+on all of Z^n, IA2, IA3's T-action and EA1's pairing are decided with no
+window on one item per Weyl orbit of roots and class of degrees: 0, the
+centre lattice less 0, and the rest of Z^n (BuiltE.class_list).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 
 from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
-from .lattices import LatticeSubset, box
+from .lattices import box
 from .linalg import (
     LinearSolver,
     kernel,
@@ -42,7 +41,7 @@ from .matlie import (
     lift_derivation,
     verify_root_graded,
 )
-from .report import AxiomReport
+from .report import AxiomReport, CheckResult
 from .rootsys import connected_components, root_strings_exhaustive
 from .scalars import frac_to_str
 
@@ -488,8 +487,8 @@ class BuiltE:
 
     @functools.cached_property
     def _centre_rows(self):
-        """The HNF basis of the centre lattice Rad of A when the root-space
-        checks are periodic modulo it (see class_list), else None.
+        """The HNF basis of the centre lattice Rad of A when the premises of
+        class_list's three degree classes hold, else None.
 
         The premises, each read from the input: A is a quantum torus on all
         of Z^n (a group algebra is q = 1, and then Rad = Z^n); every D
@@ -497,11 +496,11 @@ class BuiltE:
         have rank n (INV-c)."""
         A, data, n = self.L.A, self.data, self.L.z_rank
         thetas = [list(data.D[k].v) for k in data.T_D]
-        periodic = (A.support is None
+        premises = (A.support is None
                     and not any(any(dk.gamma) for dk in data.D)
                     and not any(any(c.degree) for c in data.C)
                     and (mat_rank(thetas, self.field) if thetas else 0) == n)
-        return A.centre_lattice().basis if periodic else None
+        return A.centre_lattice().basis if premises else None
 
     @memo
     def class_list(self, window=None) -> tuple:
@@ -510,10 +509,10 @@ class BuiltE:
         root-spaces), EA1's pairs_nondegenerately and whether a root space
         is nonzero are constant.  Root classes: the zero root, and each
         block of L.blocks at its first sorted root.  Degree classes, under
-        the premises of _centre_rows with Rad of finite index: 0, Rad less 0
-        (at its first HNF row) and r + Rad for each nonzero residue r
-        (LatticeSubset.residues); else each degree of the window's box, and
-        (items, window) is returned.
+        the premises of _centre_rows: 0, Rad less 0 (at its first HNF row,
+        if Rad != 0) and Z^n less Rad (at each e_i and e_i + e_j, i < j, off
+        Rad); else each degree of the window's box, and (items, window) is
+        returned.
 
         Why each is constant on a class of roots.  The Weyl group of a block
         of k indices is S_k, transitive on its roots e_i - e_j.  Let P be the
@@ -541,39 +540,35 @@ class BuiltE:
         None of this needs a premise on A, C or D, so each block is one class
         of roots whatever the degree classes are.
 
-        Why each is constant on a class of degrees.  Let rho be in Rad and
-        let d and d + rho be nonzero.  t^rho is a central unit of A, so
-        chi_rho(x) = x t^rho maps L_(alpha, d) onto L_(alpha, d + rho), and
-        homog_basis at d + rho is chi_rho of homog_basis at d up to a
-        nonzero scalar per element (a diagonal basis depends on d only
-        through d in Rad, which the class keeps).  C and D sit in degree 0,
-        so E_(alpha, d) = L_(alpha, d).  Then
-          - chi_rho commutes with ad L;
-          - (chi_rho x | chi_-rho y) = tau(rho, -rho) (x | y), and
-            tau(rho, -rho) != 0;
-          - d_theta chi_rho = chi_rho (d_theta + theta(rho)).
+        Why each is constant on a class of degrees.  Let d != 0.  C and D sit
+        in degree 0, so E_(alpha, d) = L_(alpha, d) = t^d V, as A^d = K t^d:
+        V is K E_ij at alpha = e_i - e_j, and at alpha = 0 the diagonals of
+        each block off Rad ([A,A]^d = A^d), or those of trace 0 in Rad
+        ([A,A]^d = 0); homog_basis at d is t^d times a basis of V.  For
+        scalar x and y, t^d t^-d = t^-d t^d = tau(d, -d) t^0 != 0, so
+          - [t^d x, t^-d y] has L part tau(d, -d) [x, y], and a C part whose
+            value at the degree-0 d_k is theta_k(d) tau(d, -d) phi(1) tr(xy);
+          - (t^d x | t^-d y) = tau(d, -d) phi(1) tr(xy);
+          - T acts on t^d x by alpha through its Cartan part, and by
+            theta(d) through T_D.
+        theta is linear and the thetas of T_D have rank n, so theta(d) != 0.
         It follows that
-          - IA2: a pair (e, f) maps to (chi_rho e, chi_-rho f), whose L part
-            is tau(rho, -rho) [e, f] and whose C part is
-            tau(rho, -rho) theta(d + rho) (e | f).  The L part lies in T
-            with [e, f]; all of C is in T; and as the thetas of T_D have
-            rank n, theta(d) and theta(d + rho) are both nonzero, so the
-            bracket is nonzero at d + rho exactly when it is at d;
-          - IA3: T acts on chi_rho b by alpha + d + rho exactly when it acts
-            on b by alpha + d;
-          - EA1: the Gram matrix at d + rho is the one at d with its rows
-            and columns scaled by nonzero scalars, so it has the same rank;
-          - chi_rho is onto, so L_(alpha, d + rho) is nonzero with
-            L_(alpha, d).
-        Degree 0 is a class of its own.  IA3's imaginary_norm, which is
-        quadratic in d, is not periodic and is read off its form
-        (anisotropic_degree).  sigma_rows, C_min and INV-e are not decided
-        here: sigma_D(x_lam, y_-lam) = theta(lam) (x | y) is linear in lam,
-        and they are read off the unit degrees e_i (see _sigma_rows)."""
+          - IA2: the bracket is in T with [x, y], as C = T_C, and it is
+            nonzero exactly when [x, y] or phi(1) tr(xy) is;
+          - IA3: T acts on t^d x by alpha + d at every d;
+          - EA1: the Gram matrix at d is tau(d, -d) phi(1) times the trace
+            Gram matrix of the bases of V;
+          - L_(alpha, d) is nonzero exactly when V is.
+        Degree 0 is a class of its own.  One degree off Rad would do; the
+        list reads each e_i and e_i + e_j off Rad (_unit_sums), where a D
+        acting on t^lam by a theta that is not additive shows.  IA3's
+        imaginary_norm, which is quadratic in d, is read off its form
+        (anisotropic_degree).  sigma_D(x_lam, y_-lam) = theta(lam) (x | y),
+        linear in lam, is read off the unit degrees e_i (_sigma_rows)."""
         n, rows = self.L.z_rank, self._centre_rows
-        residues = None if rows is None else LatticeSubset(n, rows).residues()
-        if residues is not None:
-            degs = [(0,) * n] + [tuple(r) for r in rows[:1]] + [r for r in residues if any(r)]
+        if rows is not None:
+            rad = self.L.A.centre_lattice()
+            degs = [(0,) * n, *map(tuple, rows[:1]), *(d for d in _unit_sums(n) if d not in rad)]
             window = None
         elif window is None:
             raise ValueError("the degrees have no finite list of classes here: "
@@ -642,14 +637,17 @@ class BuiltE:
                     for j, dj in enumerate(deg) if di and dj), self.field.zero)
 
     def anisotropic_degree(self):
-        """The first of e_i and e_i + e_j (i < j) with E_(0, d) nonzero and
-        d^T G d != 0, or None.  d^T G d vanishes on Z^n iff it vanishes at
-        each of them, and each is a root where A is a torus on all of Z^n
-        or on its nonneg part."""
-        n, zero = self.L.z_rank, (0,) * self.L.n
-        units = [tuple(int(k in (i, j)) for k in range(n)) for i in range(n) for j in range(i, n)]
-        return next((d for d in units if self.imaginary_norm(d) and self.root_space_basis(zero, d)),
-                    None)
+        """The first d of _unit_sums with E_(0, d) nonzero and d^T G d != 0,
+        or None.  d^T G d vanishes on Z^n iff it vanishes at each of them,
+        each a root where A is a torus on all of Z^n or on its nonneg part."""
+        zero = (0,) * self.L.n
+        return next((d for d in _unit_sums(self.L.z_rank)
+                     if self.imaginary_norm(d) and self.root_space_basis(zero, d)), None)
+
+
+def _unit_sums(n):
+    """e_1, e_1 + e_2, ..., e_1 + e_n, e_2, e_2 + e_3, ..., e_n in Z^n."""
+    return [tuple(int(k in (i, j)) for k in range(n)) for i in range(n) for j in range(i, n)]
 
 
 def validate_inv_data(E: BuiltE) -> AxiomReport:
@@ -877,7 +875,8 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport) -> AxiomReport
             None if len(e0) == dim_t else f"E_0 has dim {len(e0)} != dim T = {dim_t}",
             note="H = T is self-centralizing iff E_0 = T")
 
-    rep.add("EA3", iara["IA3"].ok, iara["IA3"].witness, window=iara["IA3"].window)
+    ia3 = iara["IA3"] if "IA3" in iara else CheckResult("IA3", False, "IA1 fails")
+    rep.add("EA3", ia3.ok, ia3.witness, window=ia3.window)
 
     comps = connected_components(E.L.S)
     rep.add("EA4", len(comps) == 1,
@@ -891,13 +890,13 @@ def verify_eala(E: BuiltE, window: int = 2, *, iara: AxiomReport) -> AxiomReport
 
 
 def nullity_of(E: BuiltE, window: int = 2) -> int:
-    """The rank of the lattice spanned by the degrees of the zero root.  On
-    an exact class list each nonzero class spans its item's degree and Rad."""
+    """The rank of the lattice spanned by the degrees of the zero root: n on
+    an exact class list, where the zero root space is nonzero at every
+    degree: t^d E_ii off Rad, and t^d (E_jj - E_ii) in Rad."""
     items, listed = E.class_list(window)
-    rows = [list(deg) for ro, deg in items if not any(ro) and any(deg)]
-    if rows and listed is None:
-        rows += E._centre_rows
-    return lattice_rank(rows)
+    if listed is None:
+        return E.L.z_rank
+    return lattice_rank([list(deg) for ro, deg in items if not any(ro)])
 
 
 def core_and_tameness(E: BuiltE) -> dict:

@@ -2,8 +2,7 @@
 
 This is the exact representation behind extension data: membership,
 containment and sums are decided by coset arithmetic; enumeration happens
-on a box window, or over the residues of a full-rank sublattice.  Finite
-sets are the rank-0 case (sublattice {0}).
+on a box window.  Finite sets are the rank-0 case (sublattice {0}).
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import hnf, lattice_rank, lattice_reduce
-from .scalars import json_key
+from .scalars import json_key, json_object
 
 
 def box(n: int, w: int):
@@ -140,14 +139,6 @@ class LatticeSubset:
                     return p
         return None
 
-    def residues(self):
-        """The points with 0 <= v_c < d_c at each pivot d_c of a full-rank
-        HNF basis: the |det| = d_1 ... d_n canonical coset representatives
-        of lattice_reduce, in lexicographic order; None below full rank."""
-        if len(self.basis) < self.n:
-            return None
-        return list(itertools.product(*(range(row[c]) for c, row in enumerate(self.basis))))
-
     def window_elements(self, w: int):
         """All members v with max |v_i| <= w, in lexicographic order."""
         return [point for point in box(self.n, w) if point in self]
@@ -161,6 +152,7 @@ class LatticeSubset:
 
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSubset":
+        data = json_object(data, "a lattice subset", ("n", "lattice", "cosets"))
         n = int(json_key(data, "n", "a lattice subset"))
         gens = [[int(x) for x in row] for row in data.get("lattice", [])]
         cosets = tuple(tuple(int(x) for x in c) for c in data.get("cosets", [[0] * n]))

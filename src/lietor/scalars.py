@@ -412,6 +412,17 @@ def json_key(data: dict, key: str, what: str):
         raise ValueError(f"{what} has no key {key!r}") from None
 
 
+def json_object(data, what: str, keys=None) -> dict:
+    """data when it is a JSON object with no key outside keys (any key when
+    keys is None), else a ValueError naming what and the first such key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = next((k for k in data if keys is not None and k not in keys), None)
+    if unknown is not None:
+        raise ValueError(f"{what} has an unknown key {unknown!r}")
+    return data
+
+
 def scalar_from_json(data: dict):
     field = json_key(data, "field", "a scalar")
     pairs = [(int(n), int(d)) for n, d in json_key(data, "coeffs", "a scalar")]

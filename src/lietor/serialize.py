@@ -14,7 +14,7 @@ from fractions import Fraction
 from .lattices import LatticeSubset
 from .refl import ExtensionDatum
 from .rootsys import RootSpace, RootSystem, classify
-from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str, json_key
+from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str, json_key, json_object
 
 
 def frac_from_str(s: str) -> Fraction:
@@ -59,13 +59,6 @@ def root_system_to_json(rs: RootSystem) -> dict:
     return out
 
 
-def _object(data, what: str) -> dict:
-    """data itself when it is a JSON object, else a ValueError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
-
-
 def _vector(coords, dim: int, what: str) -> tuple:
     """The rationals of coords, refused unless there are exactly dim of them:
     a short vector must not be read as one padded with zeros."""
@@ -75,9 +68,9 @@ def _vector(coords, dim: int, what: str) -> tuple:
 
 
 def root_system_from_json(data: dict) -> RootSystem:
-    data = _object(data, "a root system")
-    space = _object(json_key(data, "space", "a root system"), "the space of a root system")
-    dim = int(json_key(space, "dim", "the space of a root system"))
+    data = json_object(data, "a root system")
+    space = json_object(json_key(data, "space", "a root system"), "the space of a root system")
+    dim = _rank(json_key(space, "dim", "the space of a root system"), "the dimension dim")
     form = json_key(space, "form", "the space of a root system")
     if not isinstance(form, list) or len(form) != dim:
         raise ValueError(f"the form must have {dim} rows")
@@ -100,7 +93,7 @@ def datum_to_json(ed: ExtensionDatum) -> dict:
 
 
 def datum_from_json(data: dict) -> ExtensionDatum:
-    data = _object(data, "an extension datum")
+    data = json_object(data, "an extension datum")
 
     def entry(key):
         return json_key(data, key, "an extension datum")
@@ -108,13 +101,20 @@ def datum_from_json(data: dict) -> ExtensionDatum:
     S = root_system_from_json(entry("S"))
     sp = frozenset(_vector(a, S.dim, "S' root") for a in entry("S_prime"))
     fam = {}
-    for key, sub in _object(entry("family"), "the family").items():
+    for key, sub in json_object(entry("family"), "the family").items():
         fam[_vector(key.split(","), S.dim, "family key")] = LatticeSubset.from_json(sub)
     return ExtensionDatum(S, sp, int(entry("Z_rank")), fam)
 
 
+# The keys of each kind of coordinate algebra besides "kind"
+_COORD_KEYS = {"group": ("n", "support"), "laurent": ("n", "support"), "poly": (),
+               "polynomial": (), "qtorus": ("n", "field", "q")}
+
+
 def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
-    """Coordinate algebra from its JSON description or a shorthand name."""
+    """Coordinate algebra from its JSON description or a shorthand name.  A
+    description names its "kind", and a key its kind does not read is
+    refused, so that a mistyped key is never read as a default."""
     from .graded import GradedAssocAlgebra
 
     if isinstance(data, str):
@@ -124,45 +124,47 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
         if name in ("poly", "polynomial", "k[t]"):
             return GradedAssocAlgebra.polynomial()
         raise ValueError(f"unknown coordinate algebra {data!r}")
-    kind = _object(data, "a coordinate algebra").get("kind", "group")
+    what = "a coordinate algebra"
+    kind = json_key(json_object(data, what), "kind", what)
+    if not isinstance(kind, str) or kind not in _COORD_KEYS:
+        raise ValueError(f"unknown coordinate algebra kind {kind!r}")
+    json_object(data, what, ("kind",) + _COORD_KEYS[kind])
     if kind in ("group", "laurent"):
         n = _rank(data.get("n", 1))
         return GradedAssocAlgebra.group_algebra(n, support=data.get("support"))
     if kind in ("poly", "polynomial"):
         return GradedAssocAlgebra.polynomial()
-    if kind == "qtorus":
-        n = _rank(json_key(data, "n", "a coordinate algebra"))
-        fname = data.get("field", "Q")
-        if fname == "Q":
-            field = QQ
-        elif isinstance(fname, str) and fname.startswith("Q(zeta_") and fname.endswith(")"):
-            field = cyclotomic_field(int(fname[len("Q(zeta_"):-1]))
-        else:
-            raise ValueError(f"unknown field {fname!r}")
-        rows = json_key(data, "q", "a coordinate algebra")
-        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-            raise ValueError(f"q must be a list of rows, got {rows!r}")
-        if len(rows) != n:
-            raise ValueError(f"q must have n = {n} rows, got {len(rows)}")
-        q = []
-        for row in rows:
-            out_row = []
-            for tok in row:
-                v = scalar_from_str(tok, field)
-                if isinstance(v, Cyclo) and v.field != field:
-                    v = embed(v, field)
-                out_row.append(v)
-            q.append(out_row)
-        return GradedAssocAlgebra.quantum_torus(q, field)
-    raise ValueError(f"unknown coordinate algebra kind {kind!r}")
+    n = _rank(json_key(data, "n", what))
+    fname = data.get("field", "Q")
+    if fname == "Q":
+        field = QQ
+    elif isinstance(fname, str) and fname.startswith("Q(zeta_") and fname.endswith(")"):
+        field = cyclotomic_field(int(fname[len("Q(zeta_"):-1]))
+    else:
+        raise ValueError(f"unknown field {fname!r}")
+    rows = json_key(data, "q", what)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"q must be a list of rows, got {rows!r}")
+    if len(rows) != n:
+        raise ValueError(f"q must have n = {n} rows, got {len(rows)}")
+    q = []
+    for row in rows:
+        out_row = []
+        for tok in row:
+            v = scalar_from_str(tok, field)
+            if isinstance(v, Cyclo) and v.field != field:
+                v = embed(v, field)
+            out_row.append(v)
+        q.append(out_row)
+    return GradedAssocAlgebra.quantum_torus(q, field)
 
 
-def _rank(value) -> int:
-    """The lattice rank n of a coordinate algebra, an integer or its string,
-    refused below 0."""
+def _rank(value, what: str = "the lattice rank n") -> int:
+    """A rank or a dimension, the lattice rank n of a coordinate algebra by
+    default: an integer or its string, refused below 0."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"the lattice rank n must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {value!r}")
     n = int(value)
     if n < 0:
-        raise ValueError(f"the lattice rank n must be at least 0, got {n}")
+        raise ValueError(f"{what} must be at least 0, got {n}")
     return n

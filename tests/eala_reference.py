@@ -6,7 +6,7 @@
   window, found item by item;
 - ``per_item_failures``: the root-space checks called on every item of
   ``windowed_roots``, the reference for ``BuiltE.class_list``, which calls
-  them once per class;
+  them on its few items per class;
 - ``root_reflection_data``: the windowed real and imaginary roots of (E, T)
   in Y + Z coordinates, compared with an affine reflection system;
 - ``root_norm``: (t_alpha | t_alpha) from one solve per (root, degree), the

@@ -115,6 +115,22 @@ MUTANTS = (
         "    a._check(b)\n",
         "",
         ("tests/test_arith.py::test_wedge_refuses_a_foreign_owner",), 60),
+    Mutant(
+        "class-list-without-the-rad-item", "src/lietor/eala.py",
+        "            degs = [(0,) * n, *map(tuple, rows[:1]), *(d for d in _unit_sums(n) if d not in rad)]\n",
+        "            degs = [(0,) * n, *(d for d in _unit_sums(n) if d not in rad)]\n",
+        ("tests/test_eala.py::test_a_failure_on_rad_alone_is_read_at_its_first_hnf_row",), 120),
+    Mutant(
+        "class-list-one-class-per-root", "src/lietor/eala.py",
+        "            roots.setdefault(next(((lo, hi) for lo, hi in self.L.blocks\n"
+        "                                   if pair and lo <= min(pair) and max(pair) < hi), ro), ro)\n",
+        "            roots.setdefault(ro, ro)\n",
+        ("tests/test_eala.py::test_root_classes_are_the_blocks",), 120),
+    Mutant(
+        "class-list-reads-e-i-alone-off-rad", "src/lietor/eala.py",
+        "*(d for d in _unit_sums(n) if d not in rad)]",
+        "*(d for d in _unit_sums(n) if d not in rad and sum(d) == 1)]",
+        ("tests/test_eala.py::test_a_non_additive_theta_fails_the_exact_ia3",), 120),
 )
 
 

@@ -12,10 +12,15 @@ they printed their verdicts by a structural argument or by construction.
   over the monomials of the support in the box;
 - ``nondegenerate_on_window``: the Gram rank of a graded form between A^d
   and A^-d at each degree d of the box, against INV-a, which reads the
-  form off phi(1) (``lietor.eala.validate_inv_data``).
+  form off phi(1) (``lietor.eala.validate_inv_data``);
+- ``residues``: one point per coset of Z^n modulo a full-rank sublattice
+  such as Rad(q), against which ``BuiltE.class_list``'s three degree
+  classes are checked.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from lietor.lattices import box
 from lietor.linalg import rank
@@ -102,3 +107,13 @@ def nondegenerate_on_window(gf, window: int) -> bool:
         if rank([[gf.pair(a, b) for b in dual] for a in basis], A.field) < len(basis):
             return False
     return True
+
+
+def residues(lattice):
+    """The points with 0 <= v_c < d_c at each pivot d_c of the full-rank
+    HNF basis of the LatticeSubset lattice: the |det| = d_1 ... d_n
+    canonical coset representatives of lattice_reduce, in lexicographic
+    order; None below full rank."""
+    if len(lattice.basis) < lattice.n:
+        return None
+    return list(itertools.product(*(range(row[c]) for c, row in enumerate(lattice.basis))))

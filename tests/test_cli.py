@@ -237,6 +237,17 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert "internal error: RuntimeError: broken handler" in capsys.readouterr().err
 
 
+def test_an_internal_key_error_exits_3(monkeypatch, capsys):
+    # a missing JSON key is a ValueError that names it, so a KeyError is a
+    # fault of the program, not of the input
+    def broken(args, run):
+        raise KeyError("IA3")
+
+    monkeypatch.setattr(cli, "cmd_table", broken)
+    assert main(["table", "affine"]) == 3
+    assert "internal error: KeyError: 'IA3'" in capsys.readouterr().err
+
+
 def test_zero_denominator_in_a_coordinate_algebra_exit_2(tmp_path, capsys):
     coord = tmp_path / "bad.json"
     coord.write_text(json.dumps({"kind": "qtorus", "n": 2, "q": [["1", "1/0"], ["1", "1"]]}))
@@ -397,6 +408,21 @@ MALFORMED = {
                              "an extension datum has no key 'Z_rank'"),
     "family entry without n": (["ars", "check", "--in"], "malformed_datum_family_no_n.json",
                                "a lattice subset has no key 'n'"),
+    # a mistyped key is refused, not read as a default: without "kind" the
+    # torus of Rad = 2Z^2 was read as the group algebra, and a family entry
+    # without "lattice" as the zero lattice
+    "kind mistyped": (["qtorus", "centre", "--q"], "malformed_kind_mistyped.json",
+                      "a coordinate algebra has no key 'kind'"),
+    "a root system as a coordinate algebra": (["qtorus", "centre", "--q"], "roots_b3.json",
+                                              "a coordinate algebra has no key 'kind'"),
+    "family entry lattice mistyped": (["ars", "check", "--in"],
+                                      "malformed_datum_family_latice.json",
+                                      "a lattice subset has an unknown key 'latice'"),
+    # a nested value of the wrong JSON type exits 2, not 3
+    "family entry a list": (["ars", "check", "--in"], "malformed_datum_family_list.json",
+                            "a lattice subset must be a JSON object, got list"),
+    "dim a list": (["roots", "classify", "--in"], "malformed_space_dim_list.json",
+                   "the dimension dim must be an integer, got [2]"),
 }
 
 
@@ -487,7 +513,6 @@ def test_every_leaf_of_the_cli_has_a_golden_run():
 ROOTS_B3 = str(goldens.DATA / "roots_b3.json")
 ED = str(goldens.DATA / "ed_outside_window.json")
 Q3 = str(goldens.DATA / "q3.json")
-Q2 = str(goldens.DATA / "q2.json")
 # The options that a leaf does not read, each on that leaf
 UNREAD = [
     ["roots", "build", "--in", ROOTS_B3],
@@ -566,18 +591,19 @@ def test_ars_check_rejects_a_non_integral_system(tmp_path, capsys):
     assert "error: S is not integral: <" in err and "= 1/3" in err
 
 
-# Small runs of the subcommands that print windowed checks: on q2, Rad = 0
-# and the eala root-space checks keep the window.
+# Small runs of the subcommands that print windowed checks, with their exit
+# codes: on the zero support no degree but 0 is a unit, so the eala
+# root-space checks keep the window, and IA1 fails.
 WINDOWED_RUNS = [
-    ["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"],
-    ["eala", "--coord", Q2, "--window", "1"],
+    (["ars", "build", "--type", "B", "--rank", "2", "--tier", "2", "--window", "2"], 0),
+    (["eala", "--coord", str(goldens.DATA / "group_support_zero.json"), "--window", "1"], 1),
 ]
 
 
-@pytest.mark.parametrize("argv", WINDOWED_RUNS, ids=[a[0] for a in WINDOWED_RUNS])
-def test_check_lines_carry_the_window_of_the_report(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv,code", WINDOWED_RUNS, ids=[a[0] for a, _ in WINDOWED_RUNS])
+def test_check_lines_carry_the_window_of_the_report(tmp_path, capsys, argv, code):
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv + ["--out", str(out)]) == code
     lines = iter(capsys.readouterr().out.splitlines())
     checks = json.loads(out.read_text())["checks"]
     assert any("window" in c for c in checks)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
 
 from lietor.graded import CentroidalDerivation, GradedAssocAlgebra
 from lietor.lattices import box
@@ -27,7 +28,7 @@ from lietor.eala import (
     verify_iara,
 )
 from lietor.report import sampled_triples
-from lietor.scalars import cyclotomic_field
+from lietor.scalars import QQ, cyclotomic_field
 from lietor.serialize import coord_algebra_from_json
 from lietor.uce import build_affine
 from eala_reference import (
@@ -39,8 +40,9 @@ from eala_reference import (
     t_labels,
     windowed_roots,
 )
+from generated_tori import tori
 from matlie_reference import windowed_basis as sl_windowed_basis
-from qtorus_reference import nondegenerate_on_window
+from qtorus_reference import nondegenerate_on_window, residues
 
 
 def F(*args):
@@ -698,9 +700,9 @@ def test_sigma_d_vanishes_on_the_t_basis(coord, C):
 
 
 # Root-space checks decided on one item per Weyl orbit of roots and class of
-# degrees modulo the centre lattice (BuiltE.class_list), against the per-item
-# reference of eala_reference, which calls each check on every (root,
-# degree) of a window.
+# degrees, 0, the centre lattice Rad less 0 and the rest of Z^n
+# (BuiltE.class_list), against the per-item reference of eala_reference,
+# which calls each check on every (root, degree) of a window.
 
 DATA = Path(__file__).parent / "data"
 
@@ -749,21 +751,22 @@ def _root_space_verdicts(E, window):
 
 def _class_key(E, ro, deg):
     """The class of (ro, deg) that class_list represents: the block of the
-    root, and the degree modulo Rad with 0 apart (each degree its own class
-    where the list is windowed)."""
+    root, and whether the degree is nonzero and whether it lies in Rad (each
+    degree its own class where the list is windowed)."""
     pair = E.L._root_indices(ro)
     block = next(((lo, hi) for lo, hi in E.L.blocks
                   if pair and lo <= min(pair) and max(pair) < hi), tuple(ro))
-    rows = E._centre_rows
-    exact = rows is not None and len(rows) == E.L.z_rank
-    return block, (lattice_reduce(deg, rows), any(deg)) if exact else tuple(deg)
+    if E._centre_rows is None:
+        return block, tuple(deg)
+    return block, (any(deg), tuple(deg) in E.L.A.centre_lattice())
 
 
-# (windowed roots, classes): each block is one class of roots, so q3 has
-# 2 x 10 classes, and direct-sum-2 has 3 x 2 (the zero root and two blocks,
-# degree 0 and the rest); on custom-d-1 and q2 every degree of the window
-# is its own class
-CLASS_COUNTS = {"q3-3": (343, 20), "q2-3": (343, 98), "direct-sum-2": (65, 6),
+# (windowed roots, items): each block is one class of roots, so q3 has
+# 2 x 5 items (degree 0, (3, 0) in Rad = 3Z^2, and e_1, e_1 + e_2 and e_2
+# off it), q2 has 2 x 4 (Rad = 0), and direct-sum-2 has 3 x 2 (the zero
+# root and two blocks, degree 0 and e_1 in Rad = Z); on custom-d-1 every
+# degree of the window is its own class
+CLASS_COUNTS = {"q3-3": (343, 10), "q2-3": (343, 8), "direct-sum-2": (65, 6),
                 "affine-sl2-3": (21, 4), "custom-d-1": (63, 18)}
 
 
@@ -777,22 +780,23 @@ def test_class_verdicts_match_the_per_degree_reference(name):
     shared = _root_space_verdicts(E, window)
     shared_calls, calls[:] = len(calls), []
     items, listed = E.class_list(window)
-    periodic = name not in ("custom-d-1",) and not name.startswith("q2")
-    assert listed == (None if periodic else window)
-    status = "pass" if periodic else "windowed-pass"
+    exact = name != "custom-d-1"
+    assert listed == (None if exact else window)
+    status = "pass" if exact else "windowed-pass"
     assert all(v == (status, None) for v in list(shared.values())[:3])
     assert shared["root-spaces"] is None
     assert per_item_failures(E, window) == {"IA2": None, "T-action": None, "anisotropic": None,
                                             "EA1": None, "nullity": nullity_of(E, window)}
-    # IA3 and root-spaces each call acts_by_root once per class; the items
-    # are one per class, and the window meets no other class
+    # IA3 and root-spaces each call acts_by_root once per item, and the
+    # window meets no class that the items miss; a windowed list holds one
+    # item per class
     roots = windowed_roots(E, window)
     classes = {_class_key(E, ro, deg) for ro, deg in roots}
+    listed_classes = {_class_key(E, ro, deg) for ro, deg in items}
     assert (shared_calls, len(calls)) == (2 * len(items), len(roots))
-    assert classes <= {_class_key(E, ro, deg) for ro, deg in items}
-    assert len({_class_key(E, ro, deg) for ro, deg in items}) == len(items)
-    if not periodic:
-        assert classes == {_class_key(E, ro, deg) for ro, deg in items}
+    assert classes <= listed_classes
+    if not exact:
+        assert classes == listed_classes and len(listed_classes) == len(items)
     if name in CLASS_COUNTS:
         assert (len(roots), len(items)) == CLASS_COUNTS[name]
     if name == "custom-d-1":
@@ -803,36 +807,68 @@ def test_class_verdicts_match_the_per_degree_reference(name):
 @pytest.mark.parametrize("coord,count,pivot", [("laurent", 4, 1), ("q3", 20, 3), ("q4", 34, 4),
                                                ("q6_in_zeta3", 74, 6)])
 def test_the_class_list_is_every_class_that_a_large_window_meets(coord, count, pivot):
-    # 2 root classes times 0, Rad less 0, and the nonzero residues modulo
-    # Rad = pivot Z^n; a window of twice the pivot meets each class
+    # Rad = pivot Z^n.  The count classes of 2 roots (the zero root and the
+    # block) times 0, Rad less 0 and each nonzero residue modulo Rad fall
+    # into the 2 x 3 classes of the list: at a point of each, every check
+    # reads as at the list's item of its class.  A window of twice the
+    # pivot meets every class.
     E = _periodic_E(coord, 1)
     items, listed = E.class_list(1)
-    assert listed is None and len(items) == count
+    assert listed is None and len(items) == (4 if pivot == 1 else 10)
     assert E.class_list(3) == E.class_list(1)
     met = {_class_key(E, ro, deg) for ro, deg in windowed_roots(E, 2 * pivot)}
     assert met == {_class_key(E, ro, deg) for ro, deg in items}
+    rad = E.L.A.centre_lattice()
+    points = [tuple(rad.basis[0])] + [r for r in residues(rad) if any(r)]
+    assert 2 * (len(points) + 1) == count
+    first = _first_items(E)
+    for ro in {ro for ro, _ in items}:
+        for deg in points:
+            assert _checks_at(E, ro, deg) == _checks_at(E, *first[_class_key(E, ro, deg)])
 
 
-PER_ITEM_WINDOWS = {f"{coord}-{w}": (coord, w) for coord in ("laurent", "q3", "q4", "q6_in_zeta3")
-                    for w in (1, 2, 3, 4)}
+def _checks_at(E, ro, deg):
+    """The dimension of E_(ro, deg) and the root-space checks there."""
+    return (len(E.root_space_basis(ro, deg)), E.has_sl2_pair(ro, deg), E.acts_by_root(ro, deg),
+            E.pairs_nondegenerately(ro, deg))
+
+
+def _first_items(E):
+    """The first item of the exact class list in each class, by class."""
+    first = {}
+    for item in E.class_list()[0]:
+        first.setdefault(_class_key(E, *item), item)
+    return first
+
+
+# Each input of PERIODIC_INPUTS at windows 1 to 4
+PER_ITEM_WINDOWS = {
+    **{f"{coord}-{w}": (lambda coord=coord: _periodic_E(coord, 1), w)
+       for coord in ("laurent", "q2", "q3", "q4", "q6_in_zeta3") for w in (1, 2, 3, 4)},
+    **{f"{name[:-2]}-{w}": (PERIODIC_INPUTS[name][0], w)
+       for name in ("direct-sum-2", "affine-sl2-3", "custom-d-1") for w in (1, 2, 3, 4)},
+}
 
 
 @pytest.mark.parametrize("name", sorted(PER_ITEM_WINDOWS))
 def test_the_per_item_reference_agrees_with_every_exact_verdict(name):
     # The exact lines are the ones the per-item reference reads at every
-    # window: IA2, IA3 (T-action and anisotropy), EA1, EA3 and the nullity
-    coord, window = PER_ITEM_WINDOWS[name]
-    E = _periodic_E(coord, 1)
-    ia = verify_iara(E, 1)
-    ea = verify_eala(E, 1, iara=ia)
+    # window: IA2, IA3 (T-action and anisotropy), EA1, EA3 and the nullity.
+    # custom-d, whose D breaks the premises, is windowed, and reads the
+    # reference's window.
+    make_E, window = PER_ITEM_WINDOWS[name]
+    E = make_E()
+    listed = None if E._centre_rows is not None else window
+    ia = verify_iara(E, window)
+    ea = verify_eala(E, window, iara=ia)
     ref = per_item_failures(E, window)
     for check, keys in (("IA2", ["IA2"]), ("IA3", ["T-action", "anisotropic"]),
                         ("EA1", ["EA1"])):
         rep = ia if check in ia else ea
-        assert rep[check].window is None
+        assert rep[check].window == listed
         assert rep[check].ok is all(ref[k] is None for k in keys)
-    assert ea["EA3"].window is None and ea["EA3"].ok is ia["IA3"].ok
-    assert nullity_of(E, 1) == ref["nullity"] == E.L.z_rank
+    assert ea["EA3"].window == listed and ea["EA3"].ok is ia["IA3"].ok
+    assert nullity_of(E, window) == ref["nullity"] == E.L.z_rank
 
 
 def test_root_classes_are_the_blocks():
@@ -850,9 +886,11 @@ def test_root_classes_are_the_blocks():
 
 
 def test_eala_qtorus_decides_each_check_once_per_class(monkeypatch, tmp_path):
-    """The benchmark's eala-qtorus command: 2 root classes times 10 degree
-    classes, less (0, 0) for IA2.  Keyed on the root itself, the counts were
-    69, 70 and 70: 7 roots times 10 degree classes."""
+    """The benchmark's eala-qtorus command: 2 root classes times the 5
+    degrees of the class list, 0, (3, 0) in Rad and e_1, e_1 + e_2 and e_2
+    off it, less (0, 0) for IA2.  Keyed on the residues modulo Rad, the
+    counts were 19, 20 and 20, and keyed on the root itself as well, 69, 70
+    and 70."""
     from lietor.cli import main
 
     calls = {}
@@ -865,17 +903,25 @@ def test_eala_qtorus_decides_each_check_once_per_class(monkeypatch, tmp_path):
     argv = ["eala", "--coord", str(q3), "--n", "3", "--window", "3",
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
-    assert calls == {"has_sl2_pair": 19, "acts_by_root": 20, "pairs_nondegenerately": 20}
+    assert calls == {"has_sl2_pair": 9, "acts_by_root": 10, "pairs_nondegenerately": 10}
 
 
-def test_q3_window_3_has_ten_degree_classes():
-    # 0, the class of Rad less 0 read at (3, 0), and the eight nonzero
-    # residues 0 <= v_i < 3
+def test_q3_window_3_reads_five_degrees():
+    # 0, the class of Rad less 0 read at (3, 0), and e_1, e_1 + e_2 and e_2,
+    # which lie off Rad = 3Z^2
     E = _periodic_E("q3", 3)
     assert E._centre_rows == [[3, 0], [0, 3]]
     degs = list(dict.fromkeys(deg for ro, deg in E.class_list(3)[0]))
-    assert degs == [(0, 0), (3, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0),
-                    (2, 1), (2, 2)]
+    assert degs == [(0, 0), (3, 0), (1, 0), (1, 1), (0, 1)]
+    # with q_01 = q_02 = -1 and q_12 = 1, e_2 + e_3 lies in Rad and is not
+    # listed; Rad less 0 is read at its first HNF row
+    one = F(1)
+    A = GradedAssocAlgebra.quantum_torus([[one, -one, -one], [-one, one, one], [-one, one, one]],
+                                         QQ)
+    E = build_E(default_iara_data(MatrixLieAlgebra(3, A)))
+    assert E._centre_rows == [[2, 0, 0], [0, 1, 1], [0, 0, 2]]
+    degs = list(dict.fromkeys(deg for ro, deg in E.class_list()[0]))
+    assert degs == [(0, 0, 0), (2, 0, 0), (1, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 0), (0, 0, 1)]
 
 
 def _group_E(D=None, extra_c=()):
@@ -920,33 +966,47 @@ def test_without_a_premise_every_degree_is_its_own_class(name):
         E.class_list()
 
 
-def _in_class(E, deg, target):
-    """Is deg nonzero and congruent to target modulo the centre lattice?"""
+def _in_class(E, target):
+    """Is a degree nonzero and congruent to target modulo the centre
+    lattice?"""
     rad = E.L.A.centre_lattice().basis
-    return any(deg) and lattice_reduce(deg, rad) == target
+    return lambda deg: any(deg) and lattice_reduce(deg, rad) == target
 
 
-def _zero_basis_at(E, roots, target):
+def _off_rad(E):
+    """Does a degree lie off the centre lattice?"""
+    rad = E.L.A.centre_lattice()
+    return lambda deg: tuple(deg) not in rad
+
+
+def _in_rad(E):
+    """Is a degree nonzero and in the centre lattice?"""
+    rad = E.L.A.centre_lattice()
+    return lambda deg: any(deg) and tuple(deg) in rad
+
+
+def _zero_basis_at(E, roots, where):
     """E's root_space_basis, with the basis of E_(root, d) made of zero
-    vectors for every root of roots and d in the class of target: IA2 and
-    EA1 fail there."""
+    vectors for every root of roots and d with where(d): IA2 and EA1 fail
+    there."""
     basis = E.root_space_basis
 
     def patched(ro, deg):
         out = basis(ro, deg)
-        if tuple(ro) in roots and _in_class(E, deg, target):
+        if tuple(ro) in roots and where(deg):
             return [b.scale(0) for b in out]
         return out
     return patched
 
 
-def _shifted_value_at(E, roots, target):
-    """E's root_value, shifted by 1 on the root spaces of the roots in the
-    class of target: T no longer acts there by the root (IA3)."""
+def _shifted_value_at(E, roots, where):
+    """E's root_value, shifted by 1 on the root spaces of the roots of roots
+    in the degrees d with where(d): T no longer acts there by the root
+    (IA3)."""
     value = E.root_value
 
     def patched(ro, deg, t):
-        shift = 1 if tuple(ro) in roots and _in_class(E, deg, target) else 0
+        shift = 1 if tuple(ro) in roots and where(deg) else 0
         return value(ro, deg, t) + shift
     return patched
 
@@ -963,19 +1023,32 @@ _REFERENCE_KEY = {"IA2": "IA2", "EA1": "EA1", "IA3": "T-action"}
 
 @pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
 def test_class_verdicts_match_the_reference_on_a_failing_input(check, patch):
-    # The failure is periodic modulo Rad = 3Z^2, and W-invariant: it is on
-    # every nonzero root of the block.  The class list reads it at the
-    # residue (1, 2); the per-item reference finds it first at (-2, -1) in
+    # The failure is on every degree off Rad = 3Z^2, one class, and
+    # W-invariant: it is on every nonzero root of the block.  The class list
+    # reads it at e_1; the per-item reference finds it first at (-3, -2) in
     # window order, and its first root is the first nonzero root in root
     # order.
     E = _periodic_E("q3", 3)
     attr, make = patch
     roots = [tuple(ro) for ro in E.L.S.sorted_roots() if any(ro)]
-    setattr(E, attr, make(E, set(roots), (1, 2)))
+    setattr(E, attr, make(E, set(roots), _off_rad(E)))
     status, witness = _root_space_verdicts(E, 3)[check]
     assert roots[0] == (-1, 0, 1)
-    assert status == "fail" and "((-1, 0, 1), (1, 2))" in witness
-    assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((-1, 0, 1), (-2, -1))
+    assert status == "fail" and "((-1, 0, 1), (1, 0))" in witness
+    assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((-1, 0, 1), (-3, -2))
+
+
+@pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
+def test_a_failure_on_rad_alone_is_read_at_its_first_hnf_row(check, patch):
+    # Rad less 0 is a class of its own, read at (3, 0); the per-item
+    # reference finds the failure first at (-3, -3)
+    E = _periodic_E("q3", 3)
+    attr, make = patch
+    roots = [tuple(ro) for ro in E.L.S.sorted_roots() if any(ro)]
+    setattr(E, attr, make(E, set(roots), _in_rad(E)))
+    status, witness = _root_space_verdicts(E, 3)[check]
+    assert status == "fail" and "((-1, 0, 1), (3, 0))" in witness
+    assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((-1, 0, 1), (-3, -3))
 
 
 @pytest.mark.parametrize("check,patch", FAILING_MUTANTS, ids=["IA2", "EA1", "IA3"])
@@ -986,7 +1059,7 @@ def test_per_item_reference_kills_a_single_root_mutant(check, patch):
     E = _periodic_E("q3", 3)
     attr, make = patch
     root = E.L.root_of(0, 1)
-    setattr(E, attr, make(E, {root}, (1, 2)))
+    setattr(E, attr, make(E, {root}, _in_class(E, (1, 2))))
     assert per_item_failures(E, 3)[_REFERENCE_KEY[check]] == ((1, -1, 0), (-2, -1))
 
 
@@ -1004,7 +1077,7 @@ class _NonAdditive(CentroidalDerivation):
 
 def test_a_non_additive_theta_fails_the_exact_ia3():
     # The action differs from the root's value at every degree with
-    # lam_0 lam_1 != 0, so at the residue (1, 1) of the class list
+    # lam_0 lam_1 != 0, so at e_1 + e_2 of the class list
     L = MatrixLieAlgebra(3, _coord("q3"))
     D = [_NonAdditive(L.A, dk.v) for dk in degree_derivation_basis(L)]
     E = build_E(default_iara_data(L, D=D), validate=False)
@@ -1206,3 +1279,28 @@ def test_an_eala_run_builds_one_E(monkeypatch, tmp_path):
             "--out", str(tmp_path / "report.json")]
     assert main(argv) == 0
     assert len(built) == 1
+
+
+# The class list against the per-item reference on generated tori, whose
+# centre lattice Rad ranges from 0 to Z^n (tests/generated_tori.py): the
+# verdicts of IA2, IA3, EA1 and the nullity agree, and each check reads at
+# every item of the window as at the list's item of its class.
+
+@seed(23)
+@settings(max_examples=50, deadline=None, database=None)
+@given(tori())
+def test_the_class_list_agrees_with_the_per_item_reference_on_generated_tori(A):
+    E = build_E(default_iara_data(MatrixLieAlgebra(3, A)))
+    window = 2 if A.n < 3 else 1
+    ia = verify_iara(E, window)
+    ea = verify_eala(E, window, iara=ia)
+    ref = per_item_failures(E, window)
+    for check, keys in (("IA2", ["IA2"]), ("IA3", ["T-action", "anisotropic"]),
+                        ("EA1", ["EA1"])):
+        rep = ia if check in ia else ea
+        assert rep[check].window is None
+        assert rep[check].ok is all(ref[k] is None for k in keys)
+    assert nullity_of(E, window) == ref["nullity"] == A.n
+    first = _first_items(E)
+    for ro, deg in windowed_roots(E, window):
+        assert _checks_at(E, ro, deg) == _checks_at(E, *first[_class_key(E, ro, deg)])
