@@ -362,97 +362,114 @@ def _count(least: int):
     return count
 
 
-def make_parser() -> argparse.ArgumentParser:
-    """The argparse tree.  Each leaf takes only the options its handler
-    reads, plus --out, and names that handler as ``args.handler``."""
-    p = argparse.ArgumentParser(prog="lietor", description=__doc__)
-    sub = p.add_subparsers(dest="cmd", required=True)
+_COORD = ("--coord", dict(default="laurent"))
+_N = ("--n", dict(type=int, default=3))
+_RANK = ("--rank", dict(type=int, default=2))
 
-    def leaf(parent, name, handler, help=None):
-        q = parent.add_parser(name, help=help)
+
+def commands() -> dict:
+    """The command tree.  A leaf is (help, handler, its options as (flag,
+    keywords of add_argument)), and a command with actions is (help,
+    {action: leaf}).  It is built on each call, so it holds the handlers
+    that the module binds at that time."""
+    return {
+        "table": ("render the affine label table", cmd_table,
+                  [("what", dict(choices=["affine"]))]),
+        "roots": ("build or classify finite root systems", {
+            "build": (None, cmd_roots_build, [
+                ("--family", dict(default="A")), _RANK, ("--out-roots", dict(dest="out_roots"))]),
+            "classify": (None, cmd_roots_classify,
+                         [("--in", dict(dest="infile", required=True))]),
+        }),
+        "refl": ("reflection-system axioms and predicates", cmd_refl, [
+            ("--family", dict(help="default A; not with --in")),
+            ("--rank", dict(type=int, help="default 2; not with --in")),
+            ("--in", dict(dest="infile")),
+            ("--normalized", dict(action="store_true"))]),
+        "ars": ("affine reflection systems", {
+            "build": (None, cmd_ars_build, [
+                ("--type", dict(default="A")), _RANK, ("--tier", dict(type=int, default=1)),
+                ("--window", dict(type=_count(0), default=3,
+                                  help="scopes structure:max_string_len alone")),
+                ("--out-ars", dict(dest="out_ars"))]),
+            "check": (None, cmd_ars_check, [("--in", dict(dest="infile", required=True))]),
+        }),
+        "qtorus": ("quantum torus invariants", {
+            "centre": (None, cmd_qtorus_centre, [("--q", dict(required=True))]),
+            "scder": (None, cmd_qtorus_scder, [("--q", dict(required=True)), ("--degree", {})]),
+        }),
+        "alg": ("associativity and unit of a coordinate algebra", cmd_alg, [_COORD]),
+        "sl": ("root-graded verification of sl_n(A)", cmd_sl, [_N, _COORD]),
+        "uce": ("universal central extension checks", cmd_uce, [
+            _N, _COORD,
+            ("--window", dict(type=_count(0), default=3,
+                              help="scopes the Jacobi sample's pool alone, which reads window 2 "
+                                   "at most on a rank <= 1 algebra and window 1 otherwise")),
+            ("--seed", dict(type=int, default=0)),
+            ("--jacobi", dict(type=_count(1), default=200))]),
+        "affine": ("the untwisted affine construction", cmd_affine, [
+            ("--g", dict(default="sl3")),
+            ("--emit", dict(choices=["roots", "none"], default="none"))]),
+        "hc1": ("first cyclic homology in one degree", cmd_hc1, [_COORD, ("--degree", {})]),
+        "eala": ("build and verify E = C + L + D", cmd_eala, [
+            ("--coord", dict(required=True)), _N,
+            ("--C", dict(default="min", choices=["min", "dual"])),
+            # read only on a bounded support, where the degrees have no three classes;
+            # a window-0 box holds degree 0 alone, so a windowed line would read no
+            # nonzero degree
+            ("--window", dict(type=_count(1), default=3,
+                              help="read only on a coordinate algebra of bounded support "
+                                   "(\"support\": \"nonneg\" or \"zero\"); a line that reads it "
+                                   "prints it"))]),
+    }
+
+
+def leaf_path(argv):
+    """The leaf of commands() that argv's first one or two tokens name, such
+    as ("eala",) or ("roots", "build"); None when they name none (no
+    command, an option such as -h first, an unknown command, or a command
+    without its action), for which the whole tree parses."""
+    node = commands().get(argv[0]) if argv else None
+    if node is None:
+        return None
+    if not isinstance(node[1], dict):
+        return (argv[0],)
+    return (argv[0], argv[1]) if len(argv) > 1 and argv[1] in node[1] else None
+
+
+def make_parser(leaf=None) -> argparse.ArgumentParser:
+    """The argparse tree of commands().  Each leaf takes only the options its
+    handler reads, plus --out, and names that handler as ``args.handler``.
+
+    Given a leaf path (see leaf_path), only the parsers on that path are
+    built.  Each subcommand list still names every command of its level, so
+    prog, usage and error text are those of the whole tree."""
+    p = argparse.ArgumentParser(prog="lietor", description=__doc__)
+    _add_commands(p, "cmd", commands(), leaf)
+    return p
+
+
+def _add_commands(parser, dest, nodes, path) -> None:
+    # a metavar of the whole list keeps the usage line of the whole tree
+    sub = parser.add_subparsers(
+        dest=dest, required=True, metavar=None if path is None else "{" + ",".join(nodes) + "}")
+    for name in nodes if path is None else path[:1]:
+        node = nodes[name]
+        q = sub.add_parser(name, help=node[0])
+        if isinstance(node[1], dict):
+            _add_commands(q, "action", node[1], None if path is None else path[1:])
+            continue
+        _, handler, options = node
         q.set_defaults(handler=handler)
         q.add_argument("--out", dest="out")
-        return q
-
-    def actions(name, help):
-        return sub.add_parser(name, help=help).add_subparsers(dest="action", required=True)
-
-    q = leaf(sub, "table", cmd_table, "render the affine label table")
-    q.add_argument("what", choices=["affine"])
-
-    roots = actions("roots", "build or classify finite root systems")
-    q = leaf(roots, "build", cmd_roots_build)
-    q.add_argument("--family", default="A")
-    q.add_argument("--rank", type=int, default=2)
-    q.add_argument("--out-roots", dest="out_roots")
-    q = leaf(roots, "classify", cmd_roots_classify)
-    q.add_argument("--in", dest="infile", required=True)
-
-    q = leaf(sub, "refl", cmd_refl, "reflection-system axioms and predicates")
-    q.add_argument("--family", help="default A; not with --in")
-    q.add_argument("--rank", type=int, help="default 2; not with --in")
-    q.add_argument("--in", dest="infile")
-    q.add_argument("--normalized", action="store_true")
-
-    ars = actions("ars", "affine reflection systems")
-    q = leaf(ars, "build", cmd_ars_build)
-    q.add_argument("--type", default="A")
-    q.add_argument("--rank", type=int, default=2)
-    q.add_argument("--tier", type=int, default=1)
-    q.add_argument("--window", type=_count(0), default=3,
-                   help="scopes structure:max_string_len alone")
-    q.add_argument("--out-ars", dest="out_ars")
-    q = leaf(ars, "check", cmd_ars_check)
-    q.add_argument("--in", dest="infile", required=True)
-
-    qtorus = actions("qtorus", "quantum torus invariants")
-    q = leaf(qtorus, "centre", cmd_qtorus_centre)
-    q.add_argument("--q", required=True)
-    q = leaf(qtorus, "scder", cmd_qtorus_scder)
-    q.add_argument("--q", required=True)
-    q.add_argument("--degree")
-
-    q = leaf(sub, "alg", cmd_alg, "associativity and unit of a coordinate algebra")
-    q.add_argument("--coord", default="laurent")
-
-    q = leaf(sub, "sl", cmd_sl, "root-graded verification of sl_n(A)")
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--coord", default="laurent")
-
-    q = leaf(sub, "uce", cmd_uce, "universal central extension checks")
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--coord", default="laurent")
-    q.add_argument("--window", type=_count(0), default=3,
-                   help="scopes the Jacobi sample's pool alone, which reads window 2 "
-                        "at most on a rank <= 1 algebra and window 1 otherwise")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--jacobi", type=_count(1), default=200)
-
-    q = leaf(sub, "affine", cmd_affine, "the untwisted affine construction")
-    q.add_argument("--g", default="sl3")
-    q.add_argument("--emit", choices=["roots", "none"], default="none")
-
-    q = leaf(sub, "hc1", cmd_hc1, "first cyclic homology in one degree")
-    q.add_argument("--coord", default="laurent")
-    q.add_argument("--degree")
-
-    q = leaf(sub, "eala", cmd_eala, "build and verify E = C + L + D")
-    q.add_argument("--coord", required=True)
-    q.add_argument("--n", type=int, default=3)
-    q.add_argument("--C", default="min", choices=["min", "dual"])
-    # read only on a bounded support, where the degrees have no three classes;
-    # a window-0 box holds degree 0 alone, so a windowed line would read no
-    # nonzero degree
-    q.add_argument("--window", type=_count(1), default=3,
-                   help="read only on a coordinate algebra of bounded support "
-                        "(\"support\": \"nonneg\" or \"zero\"); a line that reads it prints it")
-    return p
+        for flag, kw in options:
+            q.add_argument(flag, **kw)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = make_parser().parse_args(argv)
+        args = make_parser(leaf_path(argv)).parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     run = Runner(["lietor"] + argv)

@@ -19,7 +19,6 @@ centre lattice less 0, and the rest of Z^n (BuiltE.class_list).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 from types import MappingProxyType
 
 from .graded import CentroidalDerivation, cder_bracket, degree_derivations, memo
@@ -46,26 +45,32 @@ from .rootsys import connected_components, root_strings_exhaustive
 from .scalars import frac_to_str
 
 
-@dataclass
 class CFunc:
     """Homogeneous functional on D: values on the D basis, with a degree."""
 
-    values: tuple
-    degree: tuple
+    def __init__(self, values: tuple, degree: tuple):
+        self.values = values
+        self.degree = degree
+
+    def __eq__(self, other):
+        if type(other) is not CFunc:
+            return NotImplemented
+        return (self.values, self.degree) == (other.values, other.degree)
 
     def __iter__(self):
         return iter(self.values)
 
 
-@dataclass
 class IaraData:
-    L: MatrixLieAlgebra
-    form: SlInvariantForm
-    D: list  # CentroidalDerivation basis, homogeneous
-    T_D: list  # indices into D
-    C: list  # CFunc basis
-    T_C: list  # indices into C
-    tau: dict = dc_field(default_factory=dict)  # (i, j) -> coords over C
+    def __init__(self, L: MatrixLieAlgebra, form: SlInvariantForm, D: list, T_D: list,
+                 C: list, T_C: list, tau: dict | None = None):
+        self.L = L
+        self.form = form
+        self.D = D  # CentroidalDerivation basis, homogeneous
+        self.T_D = T_D  # indices into D
+        self.C = C  # CFunc basis
+        self.T_C = T_C  # indices into C
+        self.tau = {} if tau is None else tau  # (i, j) -> coords over C
 
 
 def degree_derivation_basis(L: MatrixLieAlgebra):

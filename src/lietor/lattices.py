@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 
 from .linalg import hnf, lattice_rank, lattice_reduce
-from .scalars import json_key, json_object
+from .scalars import json_key, json_object, json_rank
 
 
 def box(n: int, w: int):
@@ -153,7 +153,8 @@ class LatticeSubset:
     @classmethod
     def from_json(cls, data: dict) -> "LatticeSubset":
         data = json_object(data, "a lattice subset", ("n", "lattice", "cosets"))
-        n = int(json_key(data, "n", "a lattice subset"))
+        n = json_rank(json_key(data, "n", "a lattice subset"),
+                      "the lattice rank n of a lattice subset")
         gens = [[int(x) for x in row] for row in data.get("lattice", [])]
         cosets = tuple(tuple(int(x) for x in c) for c in data.get("cosets", [[0] * n]))
         return cls(n, gens, cosets)

@@ -8,7 +8,6 @@ indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 
 from .graded import AlgElement, GradedAssocAlgebra, Sum, graded_form, memo
@@ -64,11 +63,11 @@ class MatLieElement(Sum):
         return " + ".join(f"[{v}]E({i},{j})" for (i, j), v in sorted(self.terms.items()))
 
 
-@dataclass
 class Sl2Triple:
-    e: MatLieElement
-    h: MatLieElement
-    f: MatLieElement
+    def __init__(self, e: MatLieElement, h: MatLieElement, f: MatLieElement):
+        self.e = e
+        self.h = h
+        self.f = f
 
 
 class MatrixLieAlgebra:

@@ -11,7 +11,6 @@ and that verdict records the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, not_
 
@@ -186,19 +185,15 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     return {"invariant": invariant, "strictly_invariant": strictly, "affine": affine}
 
 
-@dataclass
 class ExtensionDatum:
     """Family of lattice subsets indexed by the roots of a finite root system."""
 
-    S: RootSystem
-    S_prime: frozenset
-    z_rank: int
-    family: dict  # root -> LatticeSubset
-
-    def __post_init__(self):
-        self.S_prime = frozenset(tuple(r) for r in self.S_prime)
-        self.family = {tuple(k): v for k, v in self.family.items()}
-        for r in self.S.roots:
+    def __init__(self, S: RootSystem, S_prime: frozenset, z_rank: int, family: dict):
+        self.S = S
+        self.S_prime = frozenset(tuple(r) for r in S_prime)
+        self.z_rank = z_rank
+        self.family = {tuple(k): v for k, v in family.items()}  # root -> LatticeSubset
+        for r in S.roots:
             if tuple(r) not in self.family:
                 raise ValueError(f"Lambda missing for root {fs(r)}")
 

@@ -7,17 +7,18 @@ text line and writes its JSON entry.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckResult:
-    name: str
-    ok: bool
-    witness: str | None = None
-    window: int | None = None
-    note: str | None = None
-    detail: str | None = None  # the value the check reports
+    def __init__(self, name: str, ok: bool, witness: str | None = None,
+                 window: int | None = None, note: str | None = None,
+                 detail: str | None = None):
+        self.name = name
+        self.ok = ok
+        self.witness = witness
+        self.window = window
+        self.note = note
+        self.detail = detail  # the value the check reports
 
     @property
     def status(self) -> str:
@@ -45,9 +46,9 @@ class CheckResult:
         return line
 
 
-@dataclass
 class AxiomReport:
-    checks: list = field(default_factory=list)
+    def __init__(self, checks: list | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name, ok, witness=None, window=None, note=None, detail=None):
         return self.append(CheckResult(name, bool(ok), witness, window, note, detail))

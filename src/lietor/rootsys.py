@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, neg, not_, or_, sub
 from types import MappingProxyType
@@ -43,10 +42,10 @@ def vec_is_zero(a):
     return not any(a)
 
 
-@dataclass(frozen=True)
 class RootSpace:
-    dim: int
-    form: tuple  # rows of the symmetric bilinear form
+    def __init__(self, dim: int, form: tuple):
+        self.dim = dim
+        self.form = form  # rows of the symmetric bilinear form
 
     def pair(self, x, y):
         total = 0
@@ -63,12 +62,17 @@ def _identity_form(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-@dataclass
 class TypeLabel:
     """The type of a root system, or why a root set is none (classify)."""
 
-    components: list  # list of (family, rank) pairs; empty on a witness
-    witness: str | None = None
+    def __init__(self, components: list, witness: str | None = None):
+        self.components = components  # list of (family, rank) pairs; empty on a witness
+        self.witness = witness
+
+    def __eq__(self, other):
+        if type(other) is not TypeLabel:
+            return NotImplemented
+        return (self.components, self.witness) == (other.components, other.witness)
 
     @property
     def ok(self):

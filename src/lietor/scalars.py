@@ -412,6 +412,17 @@ def json_key(data: dict, key: str, what: str):
         raise ValueError(f"{what} has no key {key!r}") from None
 
 
+def json_rank(value, what: str = "the lattice rank n") -> int:
+    """A rank or a dimension, the lattice rank n of a coordinate algebra by
+    default: an integer or its string, refused below 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    n = int(value)
+    if n < 0:
+        raise ValueError(f"{what} must be at least 0, got {n}")
+    return n
+
+
 def json_object(data, what: str, keys=None) -> dict:
     """data when it is a JSON object with no key outside keys (any key when
     keys is None), else a ValueError naming what and the first such key."""

@@ -14,7 +14,16 @@ from fractions import Fraction
 from .lattices import LatticeSubset
 from .refl import ExtensionDatum
 from .rootsys import RootSpace, RootSystem, classify
-from .scalars import Cyclo, QQ, cyclotomic_field, embed, frac_to_str, json_key, json_object
+from .scalars import (
+    Cyclo,
+    QQ,
+    cyclotomic_field,
+    embed,
+    frac_to_str,
+    json_key,
+    json_object,
+    json_rank,
+)
 
 
 def frac_from_str(s: str) -> Fraction:
@@ -70,7 +79,7 @@ def _vector(coords, dim: int, what: str) -> tuple:
 def root_system_from_json(data: dict) -> RootSystem:
     data = json_object(data, "a root system")
     space = json_object(json_key(data, "space", "a root system"), "the space of a root system")
-    dim = _rank(json_key(space, "dim", "the space of a root system"), "the dimension dim")
+    dim = json_rank(json_key(space, "dim", "the space of a root system"), "the dimension dim")
     form = json_key(space, "form", "the space of a root system")
     if not isinstance(form, list) or len(form) != dim:
         raise ValueError(f"the form must have {dim} rows")
@@ -103,7 +112,7 @@ def datum_from_json(data: dict) -> ExtensionDatum:
     fam = {}
     for key, sub in json_object(entry("family"), "the family").items():
         fam[_vector(key.split(","), S.dim, "family key")] = LatticeSubset.from_json(sub)
-    return ExtensionDatum(S, sp, int(entry("Z_rank")), fam)
+    return ExtensionDatum(S, sp, json_rank(entry("Z_rank"), "the lattice rank Z_rank"), fam)
 
 
 # The keys of each kind of coordinate algebra besides "kind"
@@ -130,11 +139,11 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
         raise ValueError(f"unknown coordinate algebra kind {kind!r}")
     json_object(data, what, ("kind",) + _COORD_KEYS[kind])
     if kind in ("group", "laurent"):
-        n = _rank(data.get("n", 1))
+        n = json_rank(data.get("n", 1))
         return GradedAssocAlgebra.group_algebra(n, support=data.get("support"))
     if kind in ("poly", "polynomial"):
         return GradedAssocAlgebra.polynomial()
-    n = _rank(json_key(data, "n", what))
+    n = json_rank(json_key(data, "n", what))
     fname = data.get("field", "Q")
     if fname == "Q":
         field = QQ
@@ -157,14 +166,3 @@ def coord_algebra_from_json(data) -> "GradedAssocAlgebra":
             out_row.append(v)
         q.append(out_row)
     return GradedAssocAlgebra.quantum_torus(q, field)
-
-
-def _rank(value, what: str = "the lattice rank n") -> int:
-    """A rank or a dimension, the lattice rank n of a coordinate algebra by
-    default: an integer or its string, refused below 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    n = int(value)
-    if n < 0:
-        raise ValueError(f"{what} must be at least 0, got {n}")
-    return n

@@ -131,6 +131,17 @@ MUTANTS = (
         "*(d for d in _unit_sums(n) if d not in rad)]",
         "*(d for d in _unit_sums(n) if d not in rad and sum(d) == 1)]",
         ("tests/test_eala.py::test_a_non_additive_theta_fails_the_exact_ia3",), 120),
+    Mutant(
+        "leaf-dispatch-builds-the-whole-tree", "src/lietor/cli.py",
+        "    node = commands().get(argv[0]) if argv else None\n",
+        "    return None\n",
+        ("tests/test_cli.py::test_main_builds_only_the_parsers_of_its_leaf",), 60),
+    Mutant(
+        "extension-datum-keeps-s-prime-as-given", "src/lietor/refl.py",
+        "        self.S_prime = frozenset(tuple(r) for r in S_prime)\n"
+        "        self.z_rank = z_rank\n",
+        "        self.S_prime = S_prime\n        self.z_rank = z_rank\n",
+        ("tests/test_refl.py::test_an_extension_datum_holds_its_s_prime_roots_as_tuples",), 60),
 )
 
 

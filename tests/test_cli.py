@@ -37,6 +37,16 @@ def run_cli(args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_importing_lietor_loads_neither_dataclasses_nor_inspect():
+    # the two cost most of the package's import time, and each CLI run pays it
+    code = ("import sys; before = set(sys.modules); import lietor, lietor.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_table_byte_stable():
     code1, out1, _ = run_cli(["table", "affine"])
     code2, out2, _ = run_cli(["table", "affine"])
@@ -423,6 +433,15 @@ MALFORMED = {
                             "a lattice subset must be a JSON object, got list"),
     "dim a list": (["roots", "classify", "--in"], "malformed_space_dim_list.json",
                    "the dimension dim must be an integer, got [2]"),
+    # a nested rank is read through the check of every other rank: a list
+    # raised a TypeError, and int() truncated a float
+    "Z_rank a list": (["ars", "check", "--in"], "malformed_datum_z_rank_list.json",
+                      "the lattice rank Z_rank must be an integer, got [1]"),
+    "Z_rank a float": (["ars", "check", "--in"], "malformed_datum_z_rank_float.json",
+                       "the lattice rank Z_rank must be an integer, got 1.5"),
+    "family entry n a list": (["ars", "check", "--in"], "malformed_datum_family_n_list.json",
+                              "the lattice rank n of a lattice subset must be an integer, "
+                              "got [1]"),
 }
 
 
@@ -541,6 +560,85 @@ def test_an_option_a_leaf_does_not_read_is_a_usage_error(tmp_path, monkeypatch, 
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {argv[-2]}" in err
     assert not list(tmp_path.iterdir())
+
+
+def _subparser(parser, path):
+    for name in path:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("leaf", list(_leaves(make_parser())), ids=" ".join)
+def test_a_leaf_parser_is_the_leaf_of_the_whole_tree(leaf):
+    assert cli.leaf_path(list(leaf) + ["--out", "r.json"]) == leaf
+    full, alone = _subparser(make_parser(), leaf), _subparser(make_parser(leaf), leaf)
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+def _parsed(parser, argv, capsys):
+    """The namespace argv parses to, or the exit code and output of argparse."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr()
+
+
+# goldens with the options their runs append, the unread options, and usage
+# errors and help on a leaf
+PARSED = ([e["argv"] + ["--out", "r.json"] + [x for opt in e.get("files", {}) for x in (opt, "f")]
+           for e in goldens.entries()] + UNREAD
+          + [["roots", "classify"], ["eala", "--coord", "laurent", "--window", "0"],
+             ["eala", "--coord", "laurent", "--C", "max"], ["eala", "-h"],
+             ["roots", "build", "--help"], ["uce", "--jacobi", "0"]])
+
+
+def _argv_id(argv) -> str:
+    return " ".join(os.path.relpath(x, SRC.parent) if os.path.isabs(x) else x for x in argv)
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=_argv_id)
+def test_the_leaf_parser_parses_as_the_whole_tree(capsys, argv):
+    leaf = cli.leaf_path(argv)
+    assert leaf is not None
+    assert _parsed(make_parser(leaf), argv, capsys) == _parsed(make_parser(), argv, capsys)
+
+
+def _parsers_built(monkeypatch, argv) -> int:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("prog"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    main(argv)
+    return len(built)
+
+
+def test_main_builds_only_the_parsers_of_its_leaf(tmp_path, monkeypatch, capsys):
+    # the eala-qtorus run of the benchmark, on the same q3.json; the whole
+    # tree has 18 parsers
+    argv = ["eala", "--coord", Q3, "--n", "3", "--window", "3", "--out", str(tmp_path / "r.json")]
+    assert _parsers_built(monkeypatch, argv) <= 3
+    assert json.loads((tmp_path / "r.json").read_text())["ok"]
+    assert _parsers_built(monkeypatch, ["roots", "build", "--family", "B"]) <= 3
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["roots", "-h"], ["nosuch"], ["roots", "nosuch"]],
+                         ids=lambda a: " ".join(a) or "no args")
+def test_help_and_unknown_commands_build_the_whole_tree(monkeypatch, capsys, argv):
+    assert cli.leaf_path(argv) is None
+    assert _parsers_built(monkeypatch, argv) == 18
+    out, err = capsys.readouterr()
+    if argv[1:] == ["-h"]:
+        assert "{build,classify}" in out
+    elif argv == ["-h"]:
+        assert "{table,roots,refl,ars,qtorus,alg,sl,uce,affine,hc1,eala}" in out
+    else:
+        assert "invalid choice" in err or "required" in err
 
 
 @pytest.mark.parametrize("leaf", [["roots", "classify"], ["ars", "check"]], ids=" ".join)

@@ -229,6 +229,17 @@ def test_untamed_lambda0_detected():
     assert st["unbroken"] is True
 
 
+def test_an_extension_datum_holds_its_s_prime_roots_as_tuples():
+    # S' may come as lists of coordinates; the datum holds the tuples that
+    # its checks look up
+    a1 = build_classical("A", 1)
+    full = LatticeSubset.full(1)
+    ed = ExtensionDatum(a1, [list(r) for r in indivisible_part(a1)], 1,
+                        {a: full for a in a1.roots})
+    assert ed.S_prime == frozenset(indivisible_part(a1))
+    assert validate_extension_datum(ed).ok
+
+
 def test_broken_strings_and_asymmetry_detected():
     # Lambda_0 = {0}: strings through the imaginary part break; an
     # asymmetric Lambda_0 = {0, 1} kills the symmetry flag.
