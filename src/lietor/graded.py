@@ -15,7 +15,7 @@ import math
 from operator import add
 
 from .lattices import LatticeSubset, lattice_from_congruences
-from .linalg import integer_kernel, kernel
+from .linalg import kernel
 from .scalars import Cyclo, CycloField, QQ, frac_to_str
 
 
@@ -207,13 +207,14 @@ class GradedAssocAlgebra:
         return cls(len(q), field, q)
 
     def _setup_tau(self):
-        """Table mode when every q_ij is a root of unity.  Those of Q are +-1,
-        and those of Q(zeta_N) are the powers of z = zeta_N (N even) or
-        -zeta_N (N odd), of order m = lcm(2, N).  With q_ij = z^a_ij, tau is
-        z^e for e = sum a_ij lam_i mu_j, read from the m powers of z and
-        summed over the (i, j, a_ij) with i > j and a_ij != 0 alone: for
-        q = 1 there is none, and tau is field.one itself.  Any other q keeps
-        the direct product."""
+        """Read q once as q_ij = z^a_ij c_ij, with z the field's root-of-unity
+        generator: -1 over Q, and zeta_N (N even) or -zeta_N (N odd) over
+        Q(zeta_N), of order m = lcm(2, N).  a_ij is unique mod m and c_ij is
+        a positive rational; a q_ij of no such form keeps a_ij = 0 and
+        c_ij = q_ij, which tau multiplies in and centre_lattice refuses.
+        tau reads z^e, e = sum a_ij lam_i mu_j, from the m powers of z, and
+        only the (i, j) with i > j and a_ij != 0, or c_ij != 1: for q = 1
+        there is none, and tau is field.one itself."""
         field = self.field
         if isinstance(field, CycloField):
             z = field.zeta() if field.order % 2 == 0 else -field.zeta()
@@ -224,15 +225,14 @@ class GradedAssocAlgebra:
         for _ in range(m - 1):
             powers.append(powers[-1] * z)
         log = {p: a for a, p in enumerate(powers)}
-        amat = [[log.get(x) for x in row] for row in self.q]
-        self._tau_mode = "direct"
-        if all(a is not None for row in amat for a in row):
-            self._tau_mode = "table"
-            self._tau_m = m
-            self._tau_powers = powers
-            self._tau_amat = amat
-            self._tau_terms = [(i, j, a) for i, row in enumerate(amat)
-                               for j, a in enumerate(row[:i]) if a]
+        split = [[_split(x, powers, log) for x in row] for row in self.q]
+        self._tau_m = m
+        self._tau_powers = powers
+        self._tau_split = split
+        self._tau_terms = [(i, j, a) for i, row in enumerate(split)
+                           for j, (a, _) in enumerate(row[:i]) if a]
+        self._tau_scales = [(i, j, c) for i, row in enumerate(split)
+                            for j, (_, c) in enumerate(row[:i]) if c != 1]
 
     def in_support(self, deg) -> bool:
         if self.support == "nonneg":
@@ -260,18 +260,15 @@ class GradedAssocAlgebra:
         return self.monomial(tuple(1 if j == i else 0 for j in range(self.n)))
 
     def tau(self, lam, mu):
-        """2-cocycle factor for t^lam t^mu."""
-        if self._tau_mode == "table":
-            e = 0
-            for i, j, a in self._tau_terms:
-                e += a * lam[i] * mu[j]
-            return self._tau_powers[e % self._tau_m]
-        out = self.field.one
-        for i in range(self.n):
-            for j in range(i):
-                e = lam[i] * mu[j]
-                if e:
-                    out = out * _power(self.field, self.q[i][j], e)
+        """2-cocycle factor for t^lam t^mu: z^e times the c_ij^(lam_i mu_j)."""
+        e = 0
+        for i, j, a in self._tau_terms:
+            e += a * lam[i] * mu[j]
+        out = self._tau_powers[e % self._tau_m]
+        for i, j, c in self._tau_scales:
+            k = lam[i] * mu[j]
+            if k:
+                out = out * _power(self.field, c, k)
         return out
 
     def mul(self, x: AlgElement, y: AlgElement) -> AlgElement:
@@ -334,50 +331,41 @@ class GradedAssocAlgebra:
 
     @memo
     def centre_lattice(self) -> LatticeSubset:
-        """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i}."""
-        if self._tau_mode == "table":
-            return LatticeSubset(self.n, lattice_from_congruences(self._tau_amat, self._tau_m,
-                                                                  self.n))
-        # Non-torsion rational parameters: multiplicative order lattice via
-        # prime factorization and the sign character.
-        primes = set()
-        facts = {}
-        for i in range(self.n):
-            for j in range(self.n):
-                v = self.q[i][j]
-                if isinstance(v, Cyclo):
+        """Gamma = {gamma : prod_j q_ij^gamma_j = 1 for all i}.  With
+        q_ij = z^a_ij c_ij the product is a root of unity times a positive
+        rational, so it is 1 exactly when sum_j a_ij gamma_j = 0 mod m and,
+        for each prime p of the c_ij, sum_j v_p(c_ij) gamma_j = 0."""
+        n = self.n
+        primes = {}
+        for i, row in enumerate(self._tau_split):
+            for j, (_, c) in enumerate(row):
+                if isinstance(c, Cyclo):
                     raise ValueError(
-                        f"q_{i}{j} = {v!r} is neither rational nor a root of unity in "
-                        f"{self.field.name}; the centre lattice is decided for rational "
-                        f"and root-of-unity q_ij")
-                f = _factor_rational(v)
-                facts[(i, j)] = f
-                primes.update(f[1])
-        primes = sorted(primes)
-        exp_rows = []
-        sign_rows = []
-        for i in range(self.n):
-            row = {p: [0] * self.n for p in primes}
-            srow = [0] * self.n
-            for j in range(self.n):
-                sgn, f = facts[(i, j)]
-                srow[j] = 1 if sgn < 0 else 0
-                for p, e in f.items():
-                    row[p][j] = e
-            exp_rows.extend(row[p] for p in primes)
-            sign_rows.append(srow)
-        ker = integer_kernel(exp_rows, self.n) if exp_rows else [
-            [1 if i == j else 0 for j in range(self.n)] for i in range(self.n)
-        ]
-        if not ker:
-            return LatticeSubset(self.n, [])
-        # Impose the sign congruences inside the kernel lattice.
-        cond = [[sum(s[j] * k[j] for j in range(self.n)) for k in ker] for s in sign_rows]
-        coeff_basis = lattice_from_congruences(cond, 2, len(ker))
-        rows = []
-        for cv in coeff_basis:
-            rows.append([sum(cv[t] * ker[t][j] for t in range(len(ker))) for j in range(self.n)])
-        return LatticeSubset(self.n, rows)
+                        f"q_{i}{j} = {c!r} is no root of unity times a rational in "
+                        f"{self.field.name}; the centre lattice is decided for q_ij of "
+                        f"that form")
+                for p, e in _factor_rational(c).items():
+                    primes.setdefault((i, p), [0] * n)[j] = e
+        rows = [[a for a, _ in row] for row in self._tau_split] + list(primes.values())
+        moduli = [self._tau_m] * n + [0] * len(primes)
+        return LatticeSubset(n, lattice_from_congruences(rows, moduli, n))
+
+
+def _split(x, powers, log):
+    """(a, c) with x = z^a c for z = powers[1] and c a positive rational, or
+    (0, x) when there is none: a root of unity is read off log, a rational
+    off its sign, and anything else is tried against the m powers of z."""
+    a = log.get(x)
+    if a is not None:
+        return a, 1
+    m = len(powers)
+    if not isinstance(x, Cyclo):
+        return (0, x) if x > 0 else (m // 2, -x)
+    for a in range(1, m):
+        c = x * powers[m - a]
+        if not isinstance(c, Cyclo) and c > 0:
+            return a, c
+    return 0, x
 
 
 def _power(field, x, e: int):
@@ -385,13 +373,10 @@ def _power(field, x, e: int):
     return x ** e if e >= 0 else field.inverse(x) ** -e
 
 
-def _factor_rational(v):
-    if v == 0:
-        raise ValueError("quantum parameters must be nonzero")
-    sign = -1 if v < 0 else 1
+def _factor_rational(v) -> dict:
+    """The prime exponents of a positive rational v."""
     out = {}
-    for value, s in ((abs(v.numerator), 1), (v.denominator, -1)):
-        m = value
+    for m, s in ((v.numerator, 1), (v.denominator, -1)):
         p = 2
         while p * p <= m:
             while m % p == 0:
@@ -400,7 +385,7 @@ def _factor_rational(v):
             p += 1
         if m > 1:
             out[m] = out.get(m, 0) + s
-    return sign, out
+    return out
 
 
 def validate_quantum_matrix(q, field):

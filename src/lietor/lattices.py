@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 
-from .linalg import hnf, lattice_rank, lattice_reduce
-from .scalars import json_key, json_object, json_rank
+from .linalg import hnf, integer_kernel, lattice_rank, lattice_reduce
+from .scalars import json_int, json_key, json_object, json_rank
 
 
 def box(n: int, w: int):
@@ -155,26 +155,27 @@ class LatticeSubset:
         data = json_object(data, "a lattice subset", ("n", "lattice", "cosets"))
         n = json_rank(json_key(data, "n", "a lattice subset"),
                       "the lattice rank n of a lattice subset")
-        gens = [[int(x) for x in row] for row in data.get("lattice", [])]
-        cosets = tuple(tuple(int(x) for x in c) for c in data.get("cosets", [[0] * n]))
-        return cls(n, gens, cosets)
+        return cls(n, _int_rows(data, "lattice", n), _int_rows(data, "cosets", n))
 
     def __repr__(self):
         return f"LatticeSubset(n={self.n}, basis={self.basis}, cosets={list(self.cosets)})"
 
 
-def lattice_from_congruences(A, modulus: int, n: int):
-    """Basis of {v in Z^n : A v = 0 (mod modulus)} as HNF rows."""
-    if modulus == 0:
-        from .linalg import integer_kernel
+def _int_rows(data: dict, key: str, n: int) -> list:
+    """data[key], a list of rows of length n, each entry read by json_int."""
+    rows = json_key(data, key, "a lattice subset")
+    if not (isinstance(rows, list) and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValueError(f"{key!r} of a lattice subset must be a list of rows of length {n}, "
+                         f"got {rows!r}")
+    return [[json_int(x, f"an entry of {key!r} of a lattice subset") for x in row]
+            for row in rows]
 
-        return integer_kernel([list(r) for r in A], n)
-    rows = []
+
+def lattice_from_congruences(A, moduli, n: int):
+    """HNF basis of {v in Z^n : A_i . v = 0 mod moduli[i] for each row i}, a
+    modulus 0 asking A_i . v = 0: the v-part of the integer kernel of
+    [A | diag(moduli)]."""
     m = len(A)
-    # Solve [A | modulus I] (v, k) = 0 over Z and project to v.
-    from .linalg import integer_kernel
-
-    block = [list(A[i]) + [modulus if j == i else 0 for j in range(m)] for i in range(m)]
-    for sol in integer_kernel(block, n + m):
-        rows.append(sol[:n])
-    return hnf(rows)
+    block = [list(row) + [moduli[i] if j == i else 0 for j in range(m)]
+             for i, row in enumerate(A)]
+    return hnf([sol[:n] for sol in integer_kernel(block, n + m)])

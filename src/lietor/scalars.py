@@ -412,12 +412,21 @@ def json_key(data: dict, key: str, what: str):
         raise ValueError(f"{what} has no key {key!r}") from None
 
 
+def json_int(value, what: str) -> int:
+    """An integer or its string, else a ValueError naming what: a bool, a
+    float or any other string is refused, not truncated."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def json_rank(value, what: str = "the lattice rank n") -> int:
     """A rank or a dimension, the lattice rank n of a coordinate algebra by
     default: an integer or its string, refused below 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    n = int(value)
+    n = json_int(value, what)
     if n < 0:
         raise ValueError(f"{what} must be at least 0, got {n}")
     return n

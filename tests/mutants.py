@@ -142,6 +142,26 @@ MUTANTS = (
         "        self.z_rank = z_rank\n",
         "        self.S_prime = S_prime\n        self.z_rank = z_rank\n",
         ("tests/test_refl.py::test_an_extension_datum_holds_its_s_prime_roots_as_tuples",), 60),
+    Mutant(
+        "factorisation-accepts-a-negative-c", "src/lietor/graded.py",
+        "        return (0, x) if x > 0 else (m // 2, -x)\n",
+        "        return 0, x\n",
+        ("tests/test_graded.py::test_a_root_of_unity_times_a_rational_is_decided",), 60),
+    Mutant(
+        "centre-lattice-drops-the-prime-rows", "src/lietor/graded.py",
+        " + list(primes.values())",
+        "",
+        ("tests/test_graded.py::test_non_root_of_unity_torus_stays_direct",), 60),
+    Mutant(
+        "congruences-double-the-moduli", "src/lietor/lattices.py",
+        "[moduli[i] if j == i else 0",
+        "[2 * moduli[i] if j == i else 0",
+        ("tests/test_linalg.py::test_congruence_lattice",), 60),
+    Mutant(
+        "congruences-drop-the-first-hnf-row", "src/lietor/lattices.py",
+        "    return hnf([sol[:n] for sol in integer_kernel(block, n + m)])\n",
+        "    return hnf([sol[:n] for sol in integer_kernel(block, n + m)])[1:]\n",
+        ("tests/test_linalg.py::test_congruence_lattice",), 60),
 )
 
 

@@ -442,6 +442,29 @@ MALFORMED = {
     "family entry n a list": (["ars", "check", "--in"], "malformed_datum_family_n_list.json",
                               "the lattice rank n of a lattice subset must be an integer, "
                               "got [1]"),
+    "Z_rank a word": (["ars", "check", "--in"], "malformed_datum_z_rank_word.json",
+                      "the lattice rank Z_rank must be an integer, got 'one'"),
+    # every lattice and coset entry is read through the same integer reader:
+    # int() truncated 0.5 and 1.5, and a row that is no list raised a
+    # TypeError; both keys are required, as datum_to_json writes both
+    "cosets entry a float": (["ars", "check", "--in"], "malformed_datum_cosets_float.json",
+                             "an entry of 'cosets' of a lattice subset must be an integer, "
+                             "got 0.5"),
+    "lattice entry a float": (["ars", "check", "--in"], "malformed_datum_lattice_float.json",
+                              "an entry of 'lattice' of a lattice subset must be an integer, "
+                              "got 1.5"),
+    "lattice entry a string": (["ars", "check", "--in"], "malformed_datum_lattice_string.json",
+                               "an entry of 'lattice' of a lattice subset must be an integer, "
+                               "got '1.5'"),
+    "lattice row an int": (["ars", "check", "--in"], "malformed_datum_lattice_row_int.json",
+                           "'lattice' of a lattice subset must be a list of rows of length 1, "
+                           "got [2]"),
+    "family entry without lattice": (["ars", "check", "--in"],
+                                     "malformed_datum_family_no_lattice.json",
+                                     "a lattice subset has no key 'lattice'"),
+    "family entry without cosets": (["ars", "check", "--in"],
+                                    "malformed_datum_family_no_cosets.json",
+                                    "a lattice subset has no key 'cosets'"),
 }
 
 

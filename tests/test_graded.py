@@ -6,6 +6,7 @@ from operator import sub
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
 
 from lietor.graded import (
     CentroidalDerivation,
@@ -19,6 +20,7 @@ from lietor.graded import (
 from lietor.lattices import LatticeSubset, box
 from lietor.scalars import QQ, cyclotomic_field
 from lietor.serialize import coord_algebra_from_json
+from generated_tori import tori
 from qtorus_reference import (
     centre_scan_oracle,
     commutator_decomposition,
@@ -417,7 +419,8 @@ def _assert_tau_is_the_direct_product(A, window=2):
 @pytest.mark.parametrize("name", list(TORI))
 def test_root_of_unity_tori_read_tau_from_a_table(name):
     A = _torus(*TORI[name])
-    assert A._tau_mode == "table"
+    # every q_ij is a power of z, so tau reads the table alone
+    assert A._tau_scales == []
     _assert_tau_is_the_direct_product(A)
     gamma = A.centre_lattice()
     assert gamma.basis == CENTRE_BASES[name]
@@ -438,19 +441,61 @@ def test_a_group_algebra_is_the_torus_with_q_1():
 
 def test_non_root_of_unity_torus_stays_direct():
     A = _torus(QQ, [[F(2)]])
-    assert A._tau_mode == "direct"
+    # q_10 = 1/2 = z^0 c: tau is the product of the powers of c
+    assert A._tau_terms == [] and A._tau_scales == [(1, 0, F(1, 2))]
     _assert_tau_is_the_direct_product(A)
     assert A.centre_lattice().basis == []
 
 
 def test_centre_lattice_names_a_q_it_cannot_decide():
-    # q_01 = 2 zeta_3 is neither rational nor a root of unity: its centre
-    # is {0}, but the lattice is decided for rational and root-of-unity q_ij.
+    # q_01 = 1 + 2 zeta_3 has norm 3, which is no square, so it is no root of
+    # unity times a rational: its centre is {0}, but the lattice is decided
+    # for q_ij of that form
     F3 = cyclotomic_field(3)
-    q = 2 * F3.zeta()
+    q = 1 + 2 * F3.zeta()
     A = GradedAssocAlgebra.quantum_torus([[F3.one, q], [F3.inverse(q), F3.one]], F3)
-    assert A._tau_mode == "direct"
-    with pytest.raises(ValueError, match=r"^q_01 = 2\*z3 is neither rational nor a root of "
-                                         r"unity in Q\(zeta_3\); .* rational and "
-                                         r"root-of-unity q_ij$"):
+    _assert_tau_is_the_direct_product(A)
+    with pytest.raises(ValueError, match=r"^q_01 = 1 \+ 2\*z3 is no root of unity times a "
+                                         r"rational in Q\(zeta_3\); .* q_ij of that form$"):
         A.centre_lattice()
+
+
+_F3, _F4, _F6 = cyclotomic_field(3), cyclotomic_field(4), cyclotomic_field(6)
+_Z3, _Z4, _Z6 = _F3.zeta(), _F4.zeta(), _F6.zeta()
+
+# Tori with a q_ij = z^a c, c a positive rational other than 1, some mixing
+# it with roots of unity and rationals: field, upper q and Rad(q)'s HNF basis
+MIXED = {
+    "Q -2": (QQ, [[F(-2)]], []),
+    "Q -2, 4 and 1": (QQ, [[F(-2), F(4)], [F(1)]], [[0, 2, -1]]),
+    "Q(zeta_3) 2 z3": (_F3, [[2 * _Z3]], []),
+    "Q(zeta_3) z3, 2 and 1": (_F3, [[_Z3, F(2)], [F(1)]], [[0, 3, 0]]),
+    "Q(zeta_3) -z3 and 2/3": (_F3, [[-_Z3, F(1)], [F(2, 3)]], [[6, 0, 0]]),
+    "Q(zeta_4) 2 z4 and -1/2": (_F4, [[F(1), 2 * _Z4], [F(-1, 2)]], [[4, 4, 0]]),
+    "Q(zeta_6) z6^2 / 3 and z6": (_F6, [[_Z6 ** 2 * F(1, 3), _Z6], [F(1)]], [[0, 0, 6]]),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED))
+def test_a_root_of_unity_times_a_rational_is_decided(name):
+    field, upper, basis = MIXED[name]
+    A = _torus(field, upper)
+    _assert_tau_is_the_direct_product(A)
+    gamma = A.centre_lattice()
+    assert gamma.basis == basis
+    assert set(gamma.window_elements(3)) == set(centre_scan_oracle(A, 3))
+
+
+# Rad(q), the split A = Z(A) + [A,A] and tau against the box scans and the
+# direct product on generated tori (tests/generated_tori.py), roots of unity
+# times rationals included
+
+@seed(29)
+@settings(max_examples=150, deadline=None, database=None)
+@given(tori())
+def test_centre_lattice_and_tau_agree_with_their_oracles_on_generated_tori(A):
+    window = 3 if A.n < 3 else 2
+    assert set(A.centre_lattice().window_elements(window)) == set(centre_scan_oracle(A, window))
+    # every degree off Rad(q) has a commutator witness
+    commutator_decomposition(A, window)
+    _assert_tau_is_the_direct_product(A, window=2 if A.n < 3 else 1)

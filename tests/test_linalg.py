@@ -382,19 +382,22 @@ def test_congruence_lattice_is_spanned_by_its_residues_mod_m(case):
     sols = [list(v) for v in itertools.product(range(m), repeat=n)
             if all(sum(x * y for x, y in zip(row, v)) % m == 0 for row in a)]
     gens = [[m * int(i == j) for j in range(n)] for i in range(n)] + sols
-    assert _same_lattice(lattice_from_congruences(a, m, n), _sympy_hnf_basis(gens, n))
+    assert _same_lattice(lattice_from_congruences(a, [m] * len(a), n), _sympy_hnf_basis(gens, n))
 
 
 def test_congruence_lattice():
-    got = lattice_from_congruences([[0, 1], [-1, 0]], 3, 2)
+    got = lattice_from_congruences([[0, 1], [-1, 0]], [3, 3], 2)
     assert got == [[3, 0], [0, 3]]
-    got = lattice_from_congruences([[1, 1]], 2, 2)
+    got = lattice_from_congruences([[1, 1]], [2], 2)
     sub = LatticeSubset(2, got)
     assert (1, 1) in sub and (2, 0) in sub and (1, 0) not in sub
     # index 36: a cleared rational kernel of [A | 6 I] spans a sublattice of
     # index 576, which misses the solution (2, 3, 10)
-    got = lattice_from_congruences([[0, 4, 3], [2, 0, 2], [3, 4, 0]], 6, 3)
+    got = lattice_from_congruences([[0, 4, 3], [2, 0, 2], [3, 4, 0]], [6, 6, 6], 3)
     assert got == [[2, 0, 4], [0, 3, 0], [0, 0, 6]]
+    # a modulus 0 asks for an equation: v_0 + v_1 = 0 with v_0 even
+    assert lattice_from_congruences([[1, 1], [1, 0]], [0, 2], 2) == [[2, -2]]
+    assert lattice_from_congruences([], [], 2) == [[1, 0], [0, 1]]
 
 
 def _independent_rows_by_rank(vecs, field):
