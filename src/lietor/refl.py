@@ -27,6 +27,7 @@ from .rootsys import (
     integer_rows,
     length_partition,
     normalized,
+    pre_reflection_system,
     vec_scale,
 )
 from .scalars import frac_to_str as fs
@@ -48,7 +49,7 @@ def _res3(m: IntegerRoots) -> CheckResult:
     witness = None
     if bad:
         a, b = bad
-        witness = f"s_({fs(Fraction(_lead(b), _lead(a)))})*{fs(m.orig[a])} != s_{fs(m.orig[a])}"
+        witness = f"s_({fs(Fraction(_lead(b), _lead(a)))})*{fs(m.given(a))} != s_{fs(m.given(a))}"
     return CheckResult("ReS3", bad is None, witness)
 
 
@@ -77,7 +78,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
         for a in m.real:
             if m.pairing(a, a) != 2:
                 ok0 = False
-                witness0 = f"s_alpha^2 != id at alpha={fs(m.orig[a])}"
+                witness0 = f"s_alpha^2 != id at alpha={fs(m.given(a))}"
                 break
     rep.add("ReS0", ok0, witness0, note=note0)
 
@@ -87,7 +88,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             ok1, witness1 = False, "0 assigned a nonzero coroot"
             break
         if m.reflect(a, a) != tuple(-x for x in a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.orig[a])}"
+            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.given(a))}"
             break
     rep.add("ReS1", ok1, witness1)
 
@@ -99,12 +100,14 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
         order, den_cokeys = m.order, m.coroot_keys()
         for i in range(m.n_real):
             _, j, b = m.reflection_faults(i, den_cokeys)
-            a = m.orig[order[i]]
+            a = order[i]
             if ok2 and j is not None:
                 part = "real" if j < m.n_real else "imaginary"
-                ok2, witness2 = False, f"s_{fs(a)}({fs(m.orig[order[j]])}) leaves the {part} part"
+                ok2, witness2 = False, (f"s_{fs(m.given(a))}({fs(m.given(order[j]))}) "
+                                        f"leaves the {part} part")
             if ok4 and b is not None:
-                ok4, witness4 = False, f"s_a s_b s_a != s_(s_a b) at a={fs(a)}, b={fs(m.orig[b])}"
+                ok4, witness4 = False, (f"s_a s_b s_a != s_(s_a b) at a={fs(m.given(a))}, "
+                                        f"b={fs(m.given(b))}")
             if not (ok2 or ok4):
                 break
     rep.add("ReS2", ok2, witness2)
@@ -223,7 +226,7 @@ def _integral_roots(S: RootSystem) -> IntegerRoots:
         frac = [b for b, d in zip(m.order, m.row(m.cor[a])) if d % m.den]
         if frac:
             b = min(frac)
-            raise ValueError(f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
+            raise ValueError(f"S is not integral: <{fs(m.given(b))}, {fs(m.given(a))}_check> "
                              f"= {fs(m.pairing(b, a))}")
     return m
 
@@ -233,14 +236,15 @@ def _ed1_sums(m: IntegerRoots, lam):
     Lambda_xi, -<eta, xi_check>, Lambda_(s_xi eta)) for real xi and every eta
     of m in sorted order, the last None when s_xi(eta) is no root of m."""
     order = m.order
-    fam = [lam(m.orig[a]) for a in order]
+    given = [m.given(a) for a in order]
+    fam = [lam(x) for x in given]
     by_root = sorted(range(len(order)), key=order.__getitem__)
     for i, a in enumerate(order[:m.n_real]):
         row = m.row(m.cor[a])
         img = m.images(a, row)
         for j in by_root:
             k = img[j]
-            yield ((m.orig[a], m.orig[order[j]]), fam[j], fam[i], -m.exact(row[j]),
+            yield ((given[i], given[j]), fam[j], fam[i], -m.exact(row[j]),
                    None if k is None else fam[k])
 
 
@@ -393,15 +397,17 @@ class AffineReflectionSystem:
         return out
 
     def to_prs(self, window: int) -> PreReflectionSystem:
-        roots = self.windowed_roots(window)
-        coroots = {}
-        for alpha in roots:
-            xi, _ = self.split(alpha)
-            if any(xi):
-                coroots[alpha] = self.coroot(xi)
-            else:
-                coroots[alpha] = (0,) * self.dim
-        return PreReflectionSystem(self.dim, roots, coroots)
+        """The roots xi + lambda of the window, read off the rows of S: the
+        row r of xi over S.root_scale gives the row (r, S.root_scale lambda),
+        whose coroot row is that of r padded with zeros."""
+        S, pad = self.S, (0,) * self.z_rank
+        s = S.root_scale
+        rows, corows = [], []
+        for xi, (r, cor) in zip(S.sorted_roots(), sorted(S.rows.items())):
+            for lam in self.datum.lam(xi).window_elements(window):
+                rows.append(r + tuple(s * x for x in lam))
+                corows.append(cor + pad)
+        return pre_reflection_system(self.dim, s, rows, S.coroot_scale, corows)
 
     def imaginary_lattice(self) -> LatticeSubset:
         return self.datum.lam((0,) * self.y_dim)

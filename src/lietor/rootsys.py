@@ -7,12 +7,15 @@ read by every root-level check.  0 is always stored as a root.
 Classical families use their standard coordinate lists; type A_n lives in
 Q^(n+1) and spans the sum-zero hyperplane.
 
-A coordinate is an int wherever it is integral, as a rational scalar is in
-QQ: every built root, coroot and form entry is an int but for the
-half-integers of F4 and E6-E8 and the thirds of G2's coroots, which are
-Fractions.  hash(Fraction(k)) == hash(k), so a root read from JSON with
-Fraction coordinates looks up the same entries.  integer_rows is the one
-rescaling to integers.
+Every root set is stored as int rows: its roots times root_scale and its
+coroots times coroot_scale, each scale the least that clears every
+denominator.  The builders emit the rows directly (F4 and E6-E8 over scale
+2, so that their half-integers are the sign vectors), and coroots are
+computed from the integer form, so no Fraction is made.  A root set given in
+other coordinates, ints or Fractions as JSON gives them, is rescaled once by
+integer_rows, the one rescaling to integers.  The roots and coroots in their
+given coordinates are a view of the rows, an int wherever integral and a
+Fraction otherwise, as a rational scalar is in QQ.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from operator import add, mul, neg, not_, or_, sub
-from types import MappingProxyType
 
 from .linalg import independent_rows, inverse, mat_mul, rref
 from .scalars import QQ, frac_to_str
@@ -101,47 +104,93 @@ class PreReflectionSystem:
     """A finite root set with a coroot map, read-only once built.
 
     Real roots are exactly those with nonzero coroot; the reflection is
-    always s_alpha(x) = x - <x, alpha_check> alpha.  The checks read the
-    root set through `model`, its IntegerRoots, built on first use and then
-    kept: the roots are a frozenset and the coroots a read-only copy.
+    always s_alpha(x) = x - <x, alpha_check> alpha.  The roots are stored as
+    int rows over root_scale and the coroots as int rows over coroot_scale:
+    `rows` maps the root times root_scale to its coroot times coroot_scale,
+    each scale the least that clears every denominator.  `roots` and
+    `coroots`, in the coordinates the roots were given in, are views derived
+    from the rows as they are read.  The checks read the rows through
+    `model`, their IntegerRoots, built on first use and then kept.
     """
 
     def __init__(self, dim: int, roots, coroots):
+        """The system of roots and coroots in given coordinates, ints or
+        Fractions, each rescaled once by integer_rows."""
+        roots = [tuple(r) for r in roots]
+        coroots = {tuple(k): v for k, v in coroots.items()}
+        missing = next((r for r in roots if r not in coroots), None)
+        if missing is not None:
+            raise ValueError(f"coroot missing for {frac_to_str(missing)}")
+        self._store(dim, *integer_rows(roots), *integer_rows([coroots[r] for r in roots]))
+
+    def _store(self, dim, root_scale, rows, coroot_scale, corows):
         self.dim = dim
-        self.roots = _root_set(roots)
-        # A dict of tuples, as _form_coroots builds it, is copied with its
-        # stored hashes; hashing the tuples again, each Fraction of them by a
-        # modular inverse, is the cost here.
-        if type(coroots) is dict and all(type(k) is tuple and type(v) is tuple
-                                         for k, v in coroots.items()):
-            coroots = dict(coroots)
-        else:
-            coroots = {tuple(k): tuple(v) for k, v in coroots.items()}
-        self.coroots = MappingProxyType(coroots)
-        # A frozenset minus a dict looks each root up by its stored hash.
-        missing = self.roots.difference(coroots)
-        if missing:
-            first = next(r for r in self.roots if r in missing)
-            raise ValueError(f"coroot missing for {frac_to_str(first)}")
+        self.root_scale, self.coroot_scale = root_scale, coroot_scale
+        self.rows = dict(zip(rows, corows))
 
     @classmethod
     def from_root_system(cls, rs: "RootSystem") -> "PreReflectionSystem":
-        """The pre-reflection system of rs, sharing its coroots and model."""
+        """The pre-reflection system of rs, sharing its rows and model."""
         prs = cls.__new__(cls)
-        prs.dim, prs.roots, prs.coroots, prs.model = rs.dim, rs.roots, rs.coroots, rs.model
+        prs.dim, prs.root_scale, prs.coroot_scale, prs.rows = (
+            rs.dim, rs.root_scale, rs.coroot_scale, rs.rows)
+        prs.model = rs.model
         return prs
+
+    @property
+    def coroots(self) -> "_Coroots":
+        return _Coroots(self.rows, self.root_scale, self.coroot_scale)
+
+    @property
+    def roots(self):
+        return self.coroots.keys()
 
     @functools.cached_property
     def model(self) -> "IntegerRoots":
-        return IntegerRoots(self.roots, self.coroots)
+        return IntegerRoots(self.root_scale, self.coroot_scale, self.rows)
 
 
-def _root_set(roots) -> frozenset:
-    """The roots as a frozenset of tuples; a frozenset of tuples is kept as
-    it is, with the hashes it stores."""
-    if type(roots) is frozenset and all(type(r) is tuple for r in roots):
-        return roots
-    return frozenset(tuple(r) for r in roots)
+def pre_reflection_system(dim, root_scale, rows, coroot_scale, corows) -> PreReflectionSystem:
+    """The pre-reflection system of the int rows over root_scale, with the
+    coroot rows over coroot_scale, each scale cut to the least one."""
+    prs = PreReflectionSystem.__new__(PreReflectionSystem)
+    prs._store(dim, *_least(root_scale, rows), *_least(coroot_scale, corows))
+    return prs
+
+
+def _least(scale, rows):
+    """The int rows over scale, as rows over the least scale."""
+    g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+    return (scale, rows) if g == 1 else (scale // g, [tuple(x // g for x in r) for r in rows])
+
+
+def _given(row, scale):
+    """The int row over scale: an int where integral, a Fraction otherwise."""
+    return row if scale == 1 else tuple(_quotient(x, scale) for x in row)
+
+
+class _Coroots(Mapping):
+    """root -> coroot in given coordinates, a read-only view of the int
+    rows: a root is looked up as its row, and a row read is divided by its
+    scale.  A root with a fractional coordinate times the scale is no key."""
+
+    def __init__(self, rows, root_scale, coroot_scale):
+        self._rows, self._rs, self._cs = rows, root_scale, coroot_scale
+
+    def _row(self, a):
+        return tuple(a) if self._rs == 1 else tuple(x * self._rs for x in a)
+
+    def __getitem__(self, a):
+        return _given(self._rows[self._row(a)], self._cs)
+
+    def __contains__(self, a):
+        return self._row(a) in self._rows
+
+    def __iter__(self):
+        return (_given(r, self._rs) for r in self._rows)
+
+    def __len__(self):
+        return len(self._rows)
 
 
 def integer_rows(rows):
@@ -160,21 +209,25 @@ def _quotient(num, den):
     return Fraction(num, den) if r else q
 
 
-def _form_coroots(roots, form):
-    """alpha_check = 2 F alpha / (alpha | alpha) for each root, in integers:
-    with ia = dr alpha and F the form, both rescaled by integer_rows, it is
-    2 dr F ia / (ia . F ia), an int wherever that is exact."""
+def _form_coroots(scale, rows, form):
+    """(c, the coroots times c, as int tuples) for the roots rows / scale,
+    with c the least that clears every denominator.  With F the form
+    rescaled to integers by integer_rows, the coroot of a = r / scale is
+    2 F a / (a | a) = 2 scale F r / n for n = r . F r, so its entries have
+    the denominators n / gcd(n, 2 scale F r) and c is their lcm."""
     _, f_int = integer_rows(form)
-    roots = list(roots)
-    dr, iroots = integer_rows(roots)
-    out = {}
-    for a, ia in zip(roots, iroots):
-        fa = [sum(map(mul, row, ia)) for row in f_int]
-        norm = sum(map(mul, ia, fa))
-        if not norm and any(a):
-            raise ValueError(f"isotropic nonzero root {frac_to_str(a)} under the given form")
-        out[a] = tuple(_quotient(2 * dr * x, norm or 1) for x in fa)  # fa = 0 at a = 0
-    return out
+    images = [[sum(map(mul, row, r)) for row in f_int] for r in rows]
+    norms = []
+    for r, fr in zip(rows, images):
+        norm = sum(map(mul, r, fr))
+        if not norm and any(r):
+            raise ValueError(f"isotropic nonzero root {frac_to_str(_given(r, scale))} "
+                             "under the given form")
+        norms.append(norm or 1)  # fr = 0 at r = 0
+    c = math.lcm(*(abs(n) // math.gcd(n, 2 * scale * math.gcd(*fr))
+                   for fr, n in zip(images, norms)))
+    two_sc = 2 * scale * c
+    return c, [tuple(two_sc * x // n for x in fr) for fr, n in zip(images, norms)]
 
 
 class RootSystem(PreReflectionSystem):
@@ -182,13 +235,29 @@ class RootSystem(PreReflectionSystem):
     with the coroots of its form unless they are given."""
 
     def __init__(self, space: RootSpace, roots, coroots=None):
-        self.space = space
-        roots = _root_set(roots)
-        if (0,) * space.dim not in roots:
-            raise ValueError("0 must be a root")
+        """The root system of roots in given coordinates, ints or Fractions,
+        rescaled once by integer_rows."""
         if coroots is None:
-            coroots = _form_coroots(roots, space.form)
+            self._form_rows(space, *integer_rows(roots))
+            return
+        roots = [tuple(r) for r in roots]
+        _require_zero(space.dim, roots)
+        self.space = space
         super().__init__(space.dim, roots, coroots)
+
+    @classmethod
+    def from_rows(cls, space: RootSpace, scale: int, rows) -> "RootSystem":
+        """The root system of the roots rows / scale, with the coroots of the
+        form of space: rows are int tuples, and scale the least that makes
+        them so."""
+        rs = cls.__new__(cls)
+        rs._form_rows(space, scale, rows)
+        return rs
+
+    def _form_rows(self, space, scale, rows):
+        _require_zero(space.dim, rows)
+        self.space = space
+        self._store(space.dim, scale, rows, *_form_coroots(scale, rows, space.form))
 
     def nonzero_roots(self):
         return [a for a in self.roots if any(a)]
@@ -198,7 +267,12 @@ class RootSystem(PreReflectionSystem):
         return sum(b * c for b, c in zip(beta, self.coroots[alpha]) if b and c)
 
     def sorted_roots(self):
-        return sorted(self.roots)
+        return [_given(r, self.root_scale) for r in sorted(self.rows)]
+
+
+def _require_zero(dim, roots):
+    if (0,) * dim not in roots:
+        raise ValueError("0 must be a root")
 
 
 # How far past each end of a string root_strings_exhaustive looks for a root.
@@ -233,15 +307,14 @@ def _close(gens, pending, reached, done):
 
 
 class IntegerRoots:
-    """Roots and coroots rescaled to integer tuples, for the root-level checks.
+    """The int rows of a root set, for the root-level checks.
 
-    Roots are multiplied by the lcm of their coordinate denominators
-    (root_scale) and coroots by the lcm of theirs (coroot_scale), both by
-    integer_rows; den is the product of the two, so <b, a_check> is an
-    integer dot product divided by den.  Built from a root set and a
-    coroot map, with int or Fraction coordinates, once per root set: see
-    PreReflectionSystem.model.  Roots and coroots of ints are their own
-    rescaling, with scale 1.
+    Built once per root set from its stored rows (PreReflectionSystem.model):
+    `cor` maps each root times root_scale to its coroot times coroot_scale,
+    and den is the product of the two scales, so <b, a_check> is an integer
+    dot product divided by den.  Nothing is rescaled here.  `given(a)` is
+    the root of the row a in its given coordinates, derived as it is read;
+    the checks read it only to name a witness.
 
     The checks read one row at a time: row(v) lists the integers b . v and
     corow(v) the integers v . b_check for the roots b of `order` (the real
@@ -267,22 +340,19 @@ class IntegerRoots:
     fails a string.
     """
 
-    def __init__(self, roots, coroots):
-        roots = list(roots)
-        self.root_scale, iroots = integer_rows(roots)
-        self.coroot_scale, icors = integer_rows([coroots[a] for a in roots])
-        self.den = den = self.root_scale * self.coroot_scale
-        self.orig = dict(zip(iroots, roots))  # scaled root -> root as given
-        self.cor = dict(zip(iroots, icors))   # scaled root -> scaled coroot
-        self.roots = set(self.orig)
-        self.real = {a for a, c in self.cor.items() if any(c)}
+    def __init__(self, root_scale, coroot_scale, cor):
+        self.root_scale, self.coroot_scale = root_scale, coroot_scale
+        self.den = den = root_scale * coroot_scale
+        self.cor = cor  # scaled root -> scaled coroot, shared with the root set
+        self.roots = cor.keys()
+        self.real = {a for a, c in cor.items() if any(c)}
         self.imag = self.roots - self.real
         self.order = sorted(self.real) + sorted(self.imag)
         self.n_real = len(self.real)
         self.index = {a: i for i, a in enumerate(self.order)}
         dim = len(self.order[0]) if self.order else 0
-        m = max((abs(x) for a in self.order for x in a), default=0)
-        mc = max((abs(x) for c in self.cor.values() for x in c), default=0)
+        m = max(map(abs, itertools.chain.from_iterable(cor)), default=0)
+        mc = max(map(abs, itertools.chain.from_iterable(cor.values())), default=0)
         k = max(m, mc)
         h = max((1 + _STRING_PROBE) * m, den * k + dim * m * mc * k, 1)
         self.base = 2 * h + 1
@@ -293,6 +363,10 @@ class IntegerRoots:
         self._den_slot = {kb: i for i, kb in enumerate(self._den_keys)}
         self._cols = list(zip(*self.order))
         self._cocols = list(zip(*(self.cor[a] for a in self.order)))
+
+    def given(self, a):
+        """The root of the row a in its given coordinates."""
+        return _given(a, self.root_scale)
 
     def key(self, v):
         """sum v_i B^i: linear, and injective on the box [-H, H]^dim."""
@@ -468,31 +542,24 @@ def _vec(dim, entries):
 
 def _differences(dim):
     """e_i - e_j for i != j."""
-    return {_vec(dim, {i: 1, j: -1}) for i in range(dim) for j in range(dim) if i != j}
+    return [_vec(dim, {i: 1, j: -1}) for i in range(dim) for j in range(dim) if i != j]
 
 
-def _signed_pairs(dim):
-    """+-e_i +- e_j for i < j."""
-    return {_vec(dim, {i: s, j: t}) for i in range(dim) for j in range(i + 1, dim)
-            for s in (1, -1) for t in (1, -1)}
+def _signed_pairs(dim, c=1):
+    """+-c e_i +- c e_j for i < j."""
+    return [_vec(dim, {i: s * c, j: t * c}) for i in range(dim) for j in range(i + 1, dim)
+            for s in (1, -1) for t in (1, -1)]
 
 
 def _axes(dim, c):
     """+-c e_i."""
-    return {_vec(dim, {i: s * c}) for i in range(dim) for s in (1, -1)}
+    return [_vec(dim, {i: s * c}) for i in range(dim) for s in (1, -1)]
 
 
-def _half_signs(dim, even=False):
-    """(+-1/2, ..., +-1/2), only those with an even number of minus signs
-    when even."""
-    return {tuple(Fraction(s, 2) for s in signs)
-            for signs in itertools.product((1, -1), repeat=dim)
-            if not (even and signs.count(-1) % 2)}
-
-
-def _system(dim, roots):
-    """The roots, and 0, in Q^dim with the identity form."""
-    return RootSystem(RootSpace(dim, _identity_form(dim)), roots | {(0,) * dim})
+def _system(dim, rows, scale=1):
+    """The roots rows / scale, and 0, in Q^dim with the identity form."""
+    return RootSystem.from_rows(RootSpace(dim, _identity_form(dim)), scale,
+                                [*rows, (0,) * dim])
 
 
 # The lengths c of the roots +-c e_i that join the +-e_i +- e_j of D_n.
@@ -510,7 +577,7 @@ def build_classical(family: str, n: int) -> RootSystem:
         raise ValueError(f"unknown classical family {family!r}")
     if family == "D" and n < 2:
         raise ValueError("type D needs rank >= 2 (D_1 cannot span its space)")
-    return _system(n, _signed_pairs(n).union(*(_axes(n, c) for c in _AXES[family])))
+    return _system(n, _signed_pairs(n) + [a for c in _AXES[family] for a in _axes(n, c)])
 
 
 # E7 and E6 are the roots a of E8 orthogonal to e_7 + e_8, and E6 also to
@@ -520,18 +587,24 @@ _E8_SECTIONS = {"E8": (), "E7": (6,), "E6": (5, 6)}
 
 
 def build_exceptional(family: str) -> RootSystem:
+    """G2, F4, E6, E7 or E8 in Bourbaki's coordinates.  F4 and E6-E8 have
+    the half-sign roots (+-1/2, ..., +-1/2), so they are built doubled, as
+    rows over scale 2: the sign vectors and 2 times every other root."""
     family = family.upper()
     if family == "G2":
-        # the long roots are +-3 e_i projected to the sum-zero plane; sum(a)
-        # is +-3, so QQ gives the int +-1
-        long = {tuple(x - QQ(sum(a), 3) for x in a) for a in _axes(3, 3)}
-        return _system(3, _differences(3) | long)
+        # the long roots are +-3 e_i projected to the sum-zero plane, and
+        # sum(a) is +-3
+        long = [tuple(x - sum(a) // 3 for x in a) for a in _axes(3, 3)]
+        return _system(3, _differences(3) + long)
     if family == "F4":
-        return _system(4, _axes(4, 1) | _signed_pairs(4) | _half_signs(4))
+        signs = list(itertools.product((1, -1), repeat=4))
+        return _system(4, _axes(4, 2) + _signed_pairs(4, 2) + signs, 2)
     if family in _E8_SECTIONS:
         cut = _E8_SECTIONS[family]
-        e8 = _signed_pairs(8) | _half_signs(8, even=True)
-        return _system(8, {a for a in e8 if all(a[i] + a[7] == 0 for i in cut)})
+        pairs = [a for a in _signed_pairs(8, 2) if all(a[i] + a[7] == 0 for i in cut)]
+        even = [a for a in itertools.product((1, -1), repeat=8)
+                if a.count(-1) % 2 == 0 and all(a[i] == -a[7] for i in cut)]
+        return _system(8, pairs + even, 2)
     raise ValueError(f"unknown exceptional family {family!r}")
 
 
@@ -562,7 +635,6 @@ def _strings(m: IntegerRoots, alphas):
     den, keys, slot = m.den, m.keys, m.slot
     max_len = 0
     for ia in alphas:
-        alpha = m.orig[ia]
         ka = m.key(ia)
         row = m.row(m.cor[ia])  # den <b, alpha_check>
         d_aa = row[m.index[ia]]
@@ -594,7 +666,7 @@ def _strings(m: IntegerRoots, alphas):
                     reason[ib] = "p - q mismatch"
         for i in range(len(keys)):
             if i in reason:
-                return False, max_len, (m.orig[m.order[i]], alpha, reason[i])
+                return False, max_len, (m.given(m.order[i]), m.given(ia), reason[i])
             max_len = max(max_len, length[i])
     return True, max_len, None
 
@@ -621,8 +693,8 @@ def connected_components(rs: PreReflectionSystem):
                 parent[ri] = rj
     groups = {}
     for i, a in enumerate(real):
-        groups.setdefault(find(i), []).append(m.orig[a])
-    return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
+        groups.setdefault(find(i), []).append(a)
+    return [[m.given(a) for a in sorted(g)] for g in sorted(groups.values(), key=min)]
 
 
 def _span_basis_vectors(vectors):
@@ -687,7 +759,8 @@ def normalized_form(rs: RootSystem):
 
 def with_form(rs: RootSystem, form) -> RootSystem:
     """Same roots, different form (coroots recomputed)."""
-    return RootSystem(RootSpace(rs.dim, tuple(tuple(r) for r in form)), rs.roots)
+    return RootSystem.from_rows(RootSpace(rs.dim, tuple(tuple(r) for r in form)),
+                                rs.root_scale, list(rs.rows))
 
 
 def normalized(rs: RootSystem) -> RootSystem:
@@ -795,7 +868,7 @@ def classify(rs: RootSystem) -> TypeLabel:
     """
     m = rs.model
     keys, n = m.keys, len(m.order)
-    orig = [m.orig[a] for a in m.order]
+    orig = [m.given(a) for a in m.order]
     positive = sorted((k, i) for i, k in enumerate(keys) if k > 0)
     pos_keys = {k for k, _ in positive}
     simple = []

@@ -444,8 +444,19 @@ def json_object(data, what: str, keys=None) -> dict:
 
 
 def scalar_from_json(data: dict):
+    """A scalar from {"field": ..., "coeffs": [[num, den], ...]}: the field
+    a string, "Q" or "Q(zeta_N)" with N an integer, and each numerator and
+    denominator an integer or its string, read by json_int."""
     field = json_key(data, "field", "a scalar")
-    pairs = [(int(n), int(d)) for n, d in json_key(data, "coeffs", "a scalar")]
+    if not isinstance(field, str):
+        raise ValueError(f"the field of a scalar must be a string, got {field!r}")
+    coeffs = json_key(data, "coeffs", "a scalar")
+    if not (isinstance(coeffs, list)
+            and all(isinstance(c, list) and len(c) == 2 for c in coeffs)):
+        raise ValueError(f"the coeffs of a scalar must be a list of [num, den] pairs, "
+                         f"got {coeffs!r}")
+    pairs = [(json_int(n, "a numerator of a scalar"), json_int(d, "a denominator of a scalar"))
+             for n, d in coeffs]
     if any(d == 0 for _, d in pairs):
         raise ValueError("zero denominator in a scalar coefficient")
     coeffs = [Fraction(n, d) for n, d in pairs]
@@ -454,6 +465,6 @@ def scalar_from_json(data: dict):
             raise ValueError("rational scalar needs exactly one coefficient pair")
         return QQ(coeffs[0])
     if field.startswith("Q(zeta_") and field.endswith(")"):
-        order = int(field[len("Q(zeta_"):-1])
+        order = json_int(field[len("Q(zeta_"):-1], "the N of a scalar field Q(zeta_N)")
         return cyclotomic_field(order)(coeffs)
     raise ValueError(f"unknown field tag {field!r}")

@@ -68,24 +68,47 @@ def root_system_to_json(rs: RootSystem) -> dict:
     return out
 
 
-def _vector(coords, dim: int, what: str) -> tuple:
+def _coordinate(x, what: str):
+    """A rational from an int or a string "p" or "p/q", read by
+    frac_from_str; a float, a bool or any other JSON value is refused,
+    naming what it was read as."""
+    if type(x) is int:
+        return x
+    if isinstance(x, str):
+        return frac_from_str(x)
+    raise ValueError(f"{what} must be an integer or a string \"p\" or \"p/q\", got {x!r}")
+
+
+def _vector(coords, dim: int, what: str, entry: str) -> tuple:
     """The rationals of coords, refused unless there are exactly dim of them:
     a short vector must not be read as one padded with zeros."""
     if not isinstance(coords, list) or len(coords) != dim:
         raise ValueError(f"{what} {coords!r} must have {dim} coordinates")
-    return tuple(frac_from_str(x) for x in coords)
+    return tuple(_coordinate(x, entry) for x in coords)
+
+
+def _vectors(rows, dim: int, what: str, key: str, owner: str) -> list:
+    """The vectors of the list rows, each read by _vector; a coordinate
+    that is refused names the key and the object it was read from."""
+    if not isinstance(rows, list):
+        raise ValueError(f"{key!r} of {owner} must be a list, got {rows!r}")
+    return [_vector(v, dim, what, f"a coordinate of {key!r} of {owner}") for v in rows]
 
 
 def root_system_from_json(data: dict) -> RootSystem:
-    data = json_object(data, "a root system")
-    space = json_object(json_key(data, "space", "a root system"), "the space of a root system")
-    dim = json_rank(json_key(space, "dim", "the space of a root system"), "the dimension dim")
-    form = json_key(space, "form", "the space of a root system")
+    """The root system of a JSON object with the keys "space" and "roots",
+    and "type", which root_system_to_json writes and which is not read.  The
+    space has the keys "dim" and "form"; any other key is refused."""
+    what, where = "a root system", "the space of a root system"
+    data = json_object(data, what, ("space", "roots", "type"))
+    space = json_object(json_key(data, "space", what), where, ("dim", "form"))
+    dim = json_rank(json_key(space, "dim", where), "the dimension dim")
+    form = json_key(space, "form", where)
     if not isinstance(form, list) or len(form) != dim:
         raise ValueError(f"the form must have {dim} rows")
-    form = tuple(_vector(row, dim, "form row") for row in form)
-    roots = {_vector(a, dim, "root") for a in json_key(data, "roots", "a root system")}
-    return RootSystem(RootSpace(dim, form), roots)
+    form = tuple(_vectors(form, dim, "form row", "form", where))
+    return RootSystem(RootSpace(dim, form), _vectors(json_key(data, "roots", what), dim,
+                                                     "root", "roots", what))
 
 
 def datum_to_json(ed: ExtensionDatum) -> dict:
@@ -108,10 +131,11 @@ def datum_from_json(data: dict) -> ExtensionDatum:
         return json_key(data, key, "an extension datum")
 
     S = root_system_from_json(entry("S"))
-    sp = frozenset(_vector(a, S.dim, "S' root") for a in entry("S_prime"))
+    sp = frozenset(_vectors(entry("S_prime"), S.dim, "S' root", "S_prime", "an extension datum"))
     fam = {}
     for key, sub in json_object(entry("family"), "the family").items():
-        fam[_vector(key.split(","), S.dim, "family key")] = LatticeSubset.from_json(sub)
+        fam[_vector(key.split(","), S.dim, "family key", "a coordinate of a family key")] = (
+            LatticeSubset.from_json(sub))
     return ExtensionDatum(S, sp, json_rank(entry("Z_rank"), "the lattice rank Z_rank"), fam)
 
 

@@ -162,6 +162,25 @@ MUTANTS = (
         "    return hnf([sol[:n] for sol in integer_kernel(block, n + m)])\n",
         "    return hnf([sol[:n] for sol in integer_kernel(block, n + m)])[1:]\n",
         ("tests/test_linalg.py::test_congruence_lattice",), 60),
+    Mutant(
+        "root-view-keeps-the-root-scale", "src/lietor/rootsys.py",
+        "        return (_given(r, self._rs) for r in self._rows)\n",
+        "        return iter(self._rows)\n",
+        ("tests/test_integer_roots.py::test_built_rows_are_the_integer_rows_of_the_reference[F4]",),
+        60),
+    Mutant(
+        "form-coroots-keep-scale-1", "src/lietor/rootsys.py",
+        "    c = math.lcm(*(abs(n) // math.gcd(n, 2 * scale * math.gcd(*fr))\n"
+        "                   for fr, n in zip(images, norms)))\n",
+        "    c = 1\n",
+        ("tests/test_integer_roots.py::test_built_rows_are_the_integer_rows_of_the_reference[G2]",
+         "tests/test_integer_roots.py::test_built_rows_are_the_integer_rows_of_the_reference[E8]"),
+        60),
+    Mutant(
+        "window-rows-keep-the-scale-of-s", "src/lietor/rootsys.py",
+        "    g = math.gcd(scale, *itertools.chain.from_iterable(rows))\n",
+        "    g = 1\n",
+        ("tests/test_integer_roots.py::test_a_window_without_half_roots_has_root_scale_1",), 60),
 )
 
 

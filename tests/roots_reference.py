@@ -12,17 +12,23 @@ in ``test_root_rows.py`` compare them with ``lietor.refl`` and
 tuples, one root or one pair at a time: the coroot of one root from the
 form, one reflection and one alpha-string.  ``direct_sum`` builds the
 reducible inputs, and ``vec_add`` the sheared coroots of the perturbed ones.
+
+``reference_roots`` and ``form_coroots`` are the builders' enumeration in
+given coordinates, which the int rows of ``lietor.rootsys`` replaced: the
+four root shapes, the half-sign vectors as Fractions, E7 and E6 filtered
+out of E8, and the coroots of the form over those roots.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul, sub
 
 from lietor.linalg import kernel, rank as mat_rank
 from lietor.refl import PreReflectionSystem, _res3
 from lietor.report import AxiomReport
-from lietor.rootsys import IntegerRoots, RootSpace, RootSystem
+from lietor.rootsys import IntegerRoots, RootSpace, RootSystem, _quotient, integer_rows
 from lietor.scalars import QQ, frac_to_str as fs
 
 # How far past each end of a string root_strings_exhaustive looks for a root.
@@ -95,6 +101,12 @@ def direct_sum(*systems) -> RootSystem:
     return RootSystem(RootSpace(dim, tuple(tuple(r) for r in form)), roots)
 
 
+def integer_model(prs: PreReflectionSystem) -> IntegerRoots:
+    """A fresh IntegerRoots of prs, read from its roots and coroots in
+    given coordinates through integer_rows, not the model prs keeps."""
+    return PreReflectionSystem(prs.dim, prs.roots, prs.coroots).model
+
+
 def strings(m: IntegerRoots, a):
     """Each a-string once, as [b, b + a, ...] from its bottom b up."""
     for b in m.roots:
@@ -109,7 +121,7 @@ def strings(m: IntegerRoots, a):
 
 
 def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = integer_model(prs)
     rep = AxiomReport()
     note0 = f"X = span(R), rank {mat_rank([list(r) for r in prs.roots], QQ)} in ambient dim {prs.dim}"
     ok0, witness0 = (0,) * prs.dim in m.roots, None
@@ -119,7 +131,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
         for a in m.real:
             if m.pairing(a, a) != 2:
                 ok0 = False
-                witness0 = f"s_alpha^2 != id at alpha={fs(m.orig[a])}"
+                witness0 = f"s_alpha^2 != id at alpha={fs(m.given(a))}"
                 break
     rep.add("ReS0", ok0, witness0, note=note0)
 
@@ -129,7 +141,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             ok1, witness1 = False, "0 assigned a nonzero coroot"
             break
         if m.reflect(a, a) != tuple(-x for x in a):
-            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.orig[a])}"
+            ok1, witness1 = False, f"s_alpha(alpha) != -alpha at alpha={fs(m.given(a))}"
             break
     rep.add("ReS1", ok1, witness1)
 
@@ -141,7 +153,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             img = m.reflect(a, b)
             if img not in m.roots or (img in m.real) != (b in m.real):
                 part = "real" if b in m.real else "imaginary"
-                ok2, witness2 = False, f"s_{fs(m.orig[a])}({fs(m.orig[b])}) leaves the {part} part"
+                ok2, witness2 = False, f"s_{fs(m.given(a))}({fs(m.given(b))}) leaves the {part} part"
                 break
         if not ok2:
             break
@@ -161,7 +173,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
             expect = cor_b if not pba else tuple(cb - pba * ca for cb, ca in zip(cor_b, cor_a))
             if cor_img != expect:
                 ok4 = False
-                witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.orig[a])}, b={fs(m.orig[b])}"
+                witness4 = f"s_a s_b s_a != s_(s_a b) at a={fs(m.given(a))}, b={fs(m.given(b))}"
                 break
         if not ok4:
             break
@@ -170,7 +182,7 @@ def validate_axioms(prs: PreReflectionSystem) -> AxiomReport:
 
 
 def predicates(prs: PreReflectionSystem) -> dict:
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = integer_model(prs)
     real = sorted(m.real)
     reduced = all(len({tuple(map(abs, a)) for a in group}) == 1
                   for group in m.collinear_classes)
@@ -179,7 +191,7 @@ def predicates(prs: PreReflectionSystem) -> dict:
     integral = all(type(k) is int for row in pair for k in row)
     coherent = all((pair[i][j] == 0) == (pair[j][i] == 0)
                    for i in range(len(real)) for j in range(len(real)))
-    cors = [list(prs.coroots[m.orig[a]]) for a in real]
+    cors = [list(prs.coroots[m.given(a)]) for a in real]
     span_rows = [list(r) for r in prs.roots if any(r)]
     ker = kernel(cors, QQ, prs.dim)
     nondegenerate = True
@@ -202,12 +214,13 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
     space = RootSpace(prs.dim, tuple(tuple(Fraction(x) for x in row) for row in form))
     basis = sorted(prs.roots)
     pair = space.pair
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = integer_model(prs)
     invariant = True
     for ia in m.real:
-        a = m.orig[ia]
+        a = m.given(ia)
         na = pair(a, a)
-        for ix, x in m.orig.items():
+        for ix in m.roots:
+            x = m.given(ix)
             if 2 * pair(x, a) != m.pairing(ix, ia) * na:
                 invariant = False
                 break
@@ -222,12 +235,12 @@ def check_form(prs: PreReflectionSystem, form) -> dict:
 
 
 def root_strings_exhaustive(rs):
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = integer_model(rs)
     max_len = 0
     for ia in m.order:
         if not any(ia):
             continue
-        alpha = m.orig[ia]
+        alpha = m.given(ia)
         p_aa = m.pairing(ia, ia)
         probes = [tuple(k * x for x in ia) for k in range(2, STRING_PROBE + 1)]
         place = {}  # root -> (length of its string, reason it fails or None)
@@ -244,13 +257,13 @@ def root_strings_exhaustive(rs):
         for ib in m.order:
             n, reason = place[ib]
             if reason:
-                return False, max_len, (m.orig[ib], alpha, reason)
+                return False, max_len, (m.given(ib), alpha, reason)
             max_len = max(max_len, n)
     return True, max_len, None
 
 
 def connected_components(rs):
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = integer_model(rs)
     real = sorted(m.real)
     parent = list(range(len(real)))
 
@@ -268,7 +281,7 @@ def connected_components(rs):
                     parent[ri] = rj
     groups = {}
     for i, a in enumerate(real):
-        groups.setdefault(find(i), []).append(m.orig[a])
+        groups.setdefault(find(i), []).append(m.given(a))
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
 
 
@@ -279,14 +292,86 @@ def fractional_pairing(m: IntegerRoots):
 
 
 def ed1_sums(m: IntegerRoots, lam):
-    fam = {a: lam(x) for a, x in m.orig.items()}
+    fam = {a: lam(m.given(a)) for a in m.roots}
     roots = sorted(m.roots)
     for a in sorted(m.real):
         for b in roots:
-            yield ((m.orig[a], m.orig[b]), fam[b], fam[a], -m.pairing(b, a),
+            yield ((m.given(a), m.given(b)), fam[b], fam[a], -m.pairing(b, a),
                    fam.get(m.reflect(a, b)))
 
 
 def max_string_len(m: IntegerRoots):
     """The longest a-string over the real a, as ars_structure counts it."""
     return max((len(string) for a in m.real for string in strings(m, a)), default=0)
+
+
+def _vec(dim, entries):
+    """The vector of Z^dim with the {coordinate: value} entries, 0 elsewhere."""
+    return tuple(entries.get(k, 0) for k in range(dim))
+
+
+def _differences(dim):
+    """e_i - e_j for i != j."""
+    return {_vec(dim, {i: 1, j: -1}) for i in range(dim) for j in range(dim) if i != j}
+
+
+def _signed_pairs(dim):
+    """+-e_i +- e_j for i < j."""
+    return {_vec(dim, {i: s, j: t}) for i in range(dim) for j in range(i + 1, dim)
+            for s in (1, -1) for t in (1, -1)}
+
+
+def _axes(dim, c):
+    """+-c e_i."""
+    return {_vec(dim, {i: s * c}) for i in range(dim) for s in (1, -1)}
+
+
+def _half_signs(dim, even=False):
+    """(+-1/2, ..., +-1/2), only those with an even number of minus signs
+    when even."""
+    return {tuple(Fraction(s, 2) for s in signs)
+            for signs in itertools.product((1, -1), repeat=dim)
+            if not (even and signs.count(-1) % 2)}
+
+
+# The lengths c of the roots +-c e_i that join the +-e_i +- e_j of D_n.
+_AXES = {"B": (1,), "C": (2,), "D": (), "BC": (1, 2)}
+
+# E7 and E6 are the roots a of E8 with a[i] + a[7] = 0 for these i.
+_E8_SECTIONS = {"E8": (), "E7": (6,), "E6": (5, 6)}
+
+
+def reference_roots(family, rank=None) -> set:
+    """The roots, 0 included, of the builder's system of family and rank
+    (rank None for G2, F4 and E6-E8), in given coordinates."""
+    if family == "A":
+        roots = _differences(rank + 1)
+    elif family in _AXES:
+        roots = _signed_pairs(rank).union(*(_axes(rank, c) for c in _AXES[family]))
+    elif family == "G2":
+        roots = _differences(3) | {tuple(x - QQ(sum(a), 3) for x in a) for a in _axes(3, 3)}
+    elif family == "F4":
+        roots = _axes(4, 1) | _signed_pairs(4) | _half_signs(4)
+    else:
+        cut = _E8_SECTIONS[family]
+        e8 = _signed_pairs(8) | _half_signs(8, even=True)
+        roots = {a for a in e8 if all(a[i] + a[7] == 0 for i in cut)}
+    dim = len(next(iter(roots)))
+    return roots | {(0,) * dim}
+
+
+def form_coroots(roots, form) -> dict:
+    """alpha_check = 2 F alpha / (alpha | alpha) for each root, keyed by the
+    root as given: with ia = dr alpha and F the form, both rescaled by
+    integer_rows, it is 2 dr F ia / (ia . F ia), an int wherever exact."""
+    _, f_int = integer_rows(form)
+    roots = list(roots)
+    dr, iroots = integer_rows(roots)
+    out = {}
+    for a, ia in zip(roots, iroots):
+        fa = [sum(map(mul, row, ia)) for row in f_int]
+        norm = sum(map(mul, ia, fa))
+        if not norm and any(a):
+            raise ValueError(f"isotropic nonzero root {fs(a)} under the given form")
+        out[a] = tuple(_quotient(2 * dr * x, norm or 1) for x in fa)  # fa = 0 at a = 0
+    return out

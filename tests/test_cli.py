@@ -465,6 +465,32 @@ MALFORMED = {
     "family entry without cosets": (["ars", "check", "--in"],
                                     "malformed_datum_family_no_cosets.json",
                                     "a lattice subset has no key 'cosets'"),
+    # a root system reads only its own keys, and each coordinate as an int or
+    # a string: a list raised a TypeError, the float 0.1 was read as
+    # 3602879701896397/36028797018963968, and a mistyped key was ignored
+    "root coordinate a list": (["roots", "classify", "--in"],
+                               "malformed_root_coordinate_list.json",
+                               "a coordinate of 'roots' of a root system must be an integer "
+                               "or a string \"p\" or \"p/q\", got ['1']"),
+    "root coordinate a float": (["roots", "classify", "--in"], "malformed_root_float.json",
+                                "a coordinate of 'roots' of a root system must be an integer "
+                                "or a string \"p\" or \"p/q\", got 0.1"),
+    "space key fomr": (["roots", "classify", "--in"], "malformed_space_key_fomr.json",
+                       "the space of a root system has an unknown key 'fomr'"),
+    "root system key rots": (["roots", "classify", "--in"], "malformed_root_system_key_rots.json",
+                             "a root system has an unknown key 'rots'"),
+    # a scalar token reads its numerators and denominators through json_int:
+    # int() read 2.5 as 2, a coeffs or field of the wrong type raised a
+    # TypeError or an AttributeError, and a word N named no key
+    "q token coefficient a float": (["qtorus", "centre", "--q"],
+                                    "malformed_q_token_coeff_float.json",
+                                    "a numerator of a scalar must be an integer, got 2.5"),
+    "q token coeffs an int": (["qtorus", "centre", "--q"], "malformed_q_token_coeffs_int.json",
+                              "the coeffs of a scalar must be a list of [num, den] pairs, got 5"),
+    "q token field an int": (["qtorus", "centre", "--q"], "malformed_q_token_field_int.json",
+                             "the field of a scalar must be a string, got 3"),
+    "q token zeta of a word": (["qtorus", "centre", "--q"], "malformed_q_token_zeta_word.json",
+                               "the N of a scalar field Q(zeta_N) must be an integer, got 'x'"),
 }
 
 

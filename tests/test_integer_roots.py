@@ -8,6 +8,7 @@ taken by HNF and agree with the rational ones.  ars_structure walks one of
 each real a and -a, and agrees with the walk over every real root.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -35,10 +36,12 @@ from lietor.rootsys import (
     build_classical,
     build_exceptional,
     indivisible_part,
+    integer_rows,
     normalized,
     root_strings_exhaustive,
 )
 from lietor.scalars import QQ, frac_to_str as fs
+import roots_reference as ref
 from eala_reference import root_reflection_data
 from test_refl import bc1_odd7_ars
 from test_root_traversals import CRITERION2
@@ -96,6 +99,81 @@ def test_sl_and_e_roots_are_int_tuples():
     prs = ars.to_prs(1)
     assert all(type(x) is int for a in prs.roots for x in a)
 
+
+# The builders against the given-coordinate enumeration they replaced: the
+# 24 systems of criterion 2 and the classical families up to rank 7.
+REFERENCE = list(dict.fromkeys(
+    CRITERION2 + [(fam, rk) for fam in ("A", "B", "C", "BC") for rk in range(1, 8)]
+    + [("D", rk) for rk in range(2, 8)]))
+
+
+@pytest.mark.parametrize("fam,rk", REFERENCE, ids=[f"{f}{r or ''}" for f, r in REFERENCE])
+def test_built_rows_are_the_integer_rows_of_the_reference(fam, rk):
+    rs = _build(fam, rk)
+    roots = sorted(ref.reference_roots(fam, rk))
+    dim = len(roots[0])
+    identity = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    coroots = ref.form_coroots(roots, identity)
+    scale, rows = integer_rows(roots)
+    coroot_scale, corows = integer_rows([coroots[a] for a in roots])
+    assert rs.space.form == identity
+    assert (rs.root_scale, rs.coroot_scale) == (scale, coroot_scale)
+    assert rs.rows == dict(zip(rows, corows))
+    # the view in given coordinates is the reference, root for root
+    assert rs.roots == set(roots) and dict(rs.coroots) == coroots
+    assert {a: rs.model.given(a) for a in rs.model.roots} == dict(zip(rows, roots))
+
+
+def test_the_exceptional_builds_and_their_models_make_no_fraction(monkeypatch):
+    """G2, F4 and E6-E8 are built as int rows and modelled on them, so no
+    Fraction is made or hashed."""
+    counts = Counter()
+    new, hash_ = Fraction.__new__, Fraction.__hash__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return hash_(self)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    for fam in ("G2", "F4", "E6", "E7", "E8"):
+        build_exceptional(fam).model
+    made = dict(counts)
+    hash(Fraction(1, 2))  # the counters see a Fraction
+    assert made == {} and counts == {"new": 1, "hash": 1}
+
+
+
+def _window_reference(ars, window):
+    """The windowed roots and their coroots in given coordinates, rescaled
+    by integer_rows, as to_prs built them before it read the rows of S."""
+    roots = ars.windowed_roots(window)
+    return PreReflectionSystem(ars.dim, roots, {a: ars.coroot(ars.split(a)[0]) for a in roots})
+
+
+@pytest.mark.parametrize("fam,rk,tier,window", [("F4", None, 2, 1), ("G2", None, 3, 1),
+                                                ("B", 2, 2, 2), ("BC", 1, 1, 2)])
+def test_window_rows_are_the_integer_rows_of_the_windowed_roots(fam, rk, tier, window):
+    ars = build_affine_rs(_build(fam, rk), tier)[0]
+    prs, ref = ars.to_prs(window), _window_reference(ars, window)
+    assert (prs.root_scale, prs.coroot_scale, prs.rows) == (ref.root_scale, ref.coroot_scale,
+                                                           ref.rows)
+
+
+def test_a_window_without_half_roots_has_root_scale_1():
+    # the roots of F4 with a coordinate +-1/2 lie outside the window, so
+    # the rows of the window are read over the least scale, 1
+    f4 = build_exceptional("F4")
+    fam = {a: LatticeSubset.full(1) if all(x == int(x) for x in a)
+           else LatticeSubset.finite(1, [(5,)]) for a in f4.roots}
+    ars = AffineReflectionSystem(f4, frozenset(), ExtensionDatum(f4, frozenset(), 1, fam))
+    prs, ref = ars.to_prs(1), _window_reference(ars, 1)
+    assert prs.root_scale == ref.root_scale == 1
+    assert (prs.coroot_scale, prs.rows) == (ref.coroot_scale, ref.rows)
 
 def test_a_missing_lambda_names_its_root_as_p_over_q():
     f4 = build_exceptional("F4")

@@ -30,6 +30,10 @@ FIXTURES = {
         "the full-lattice extension datum that the refl, eala and CLI tests build from",
     "refl.AffineReflectionSystem.contains":
         "the ReS2 oracle of tests/test_refl.py, one membership test per image",
+    "refl.AffineReflectionSystem.coroot":
+        "the coroot in given coordinates that the ReS oracles of tests/test_refl.py pair with",
+    "refl.AffineReflectionSystem.windowed_roots":
+        "the windowed roots in given coordinates, the reference for to_prs, which reads rows",
     "uce.UceAlgebra.project":
         "the covering map onto sl_n(A), the oracle of hc1_component",
     "graded.GradedAssocAlgebra.gen":

@@ -804,7 +804,7 @@ def test_one_model_per_root_system_in_the_criterion_2_loop(monkeypatch):
         assert validate_axioms(prs).ok
         predicates(prs)
         assert root_strings_exhaustive(rs)[0]
-        assert prs.model is rs.model and prs.coroots is rs.coroots
+        assert prs.model is rs.model and prs.rows is rs.rows
     assert len(systems) == len(built) == 24
 
 

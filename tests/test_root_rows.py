@@ -31,7 +31,6 @@ from lietor.refl import (
     validate_axioms,
 )
 from lietor.rootsys import (
-    IntegerRoots,
     RootSpace,
     RootSystem,
     build_classical,
@@ -72,7 +71,7 @@ def _rows_and_reference_agree(prs, form):
     assert root_strings_exhaustive(prs) == ref.root_strings_exhaustive(prs)
     assert check_form(prs, form) == ref.check_form(prs, form)
     assert connected_components(prs) == ref.connected_components(prs)
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = ref.integer_model(prs)
     assert max((len(s) for a in m.real for s in m.strings(a)), default=0) == ref.max_string_len(m)
 
 
@@ -218,7 +217,7 @@ def test_rows_match_on_affine_windows(fam, rk, tier, window):
     prs = ars.to_prs(window)
     _rows_and_reference_agree(prs, _ambient_affine_form(ars))
     assert ars_structure(ars, window)["max_string_len"] == ref.max_string_len(
-        IntegerRoots(prs.roots, prs.coroots))
+        ref.integer_model(prs))
 
 
 def test_images_outside_the_box_of_the_roots():
@@ -236,7 +235,7 @@ def test_images_outside_the_box_of_the_roots():
         coroots[tuple(s * x for x in a)] = tuple(s * x for x in a_check)
         coroots[tuple(s * x for x in b)] = tuple(s * x for x in b_check)
     prs = PreReflectionSystem(2, coroots, coroots)
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = ref.integer_model(prs)
     image = tuple(x - 4 * y for x, y in zip((0, -1), (-1, 0)))
     assert image == (4, -1) and image not in m.roots
 
@@ -257,11 +256,11 @@ def test_integral_roots_names_the_reference_pair():
     roots = {(zero, zero), (one, zero), (-one, zero), (zero, one), (zero, -one)}
     roots |= {(3 * s * one, 3 * t * one) for s in (1, -1) for t in (1, -1)}
     S = RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots)
-    m = IntegerRoots(S.roots, S.coroots)
+    m = ref.integer_model(S)
     a, b = ref.fractional_pairing(m)
     with pytest.raises(ValueError) as err:
         _integral_roots(S)
-    assert str(err.value) == (f"S is not integral: <{fs(m.orig[b])}, {fs(m.orig[a])}_check> "
+    assert str(err.value) == (f"S is not integral: <{fs(m.given(b))}, {fs(m.given(a))}_check> "
                               f"= {fs(m.pairing(b, a))}")
 
 
@@ -269,7 +268,7 @@ def test_integral_roots_names_the_reference_pair():
                                             ("BC", 2, "thirds"), ("F4", None, "diag")])
 def test_ed1_sums_match_the_reference(fam, rk, variant):
     rs = _base(fam, rk, variant)
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = ref.integer_model(rs)
     lam = {a: LatticeSubset.scaled_full(1, 1 + i % 3) for i, a in enumerate(sorted(rs.roots))}.get
     assert list(_ed1_sums(m, lam)) == list(ref.ed1_sums(m, lam))
 

@@ -26,7 +26,6 @@ from lietor.refl import (
     validate_axioms,
 )
 from lietor.rootsys import (
-    IntegerRoots,
     RootSystem,
     _strings,
     build_classical,
@@ -34,6 +33,7 @@ from lietor.rootsys import (
     root_strings_exhaustive,
 )
 from lietor.scalars import QQ, frac_to_str as fs
+from roots_reference import integer_model
 from test_refl import ARS_CASES, _small, _variants
 
 F = Fraction
@@ -45,14 +45,14 @@ CRITERION2 = ([("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
 
 
 def _strings_from_every_beta(rs, buffer=3, alphas=None):
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = integer_model(rs)
     max_len = 0
     for ia in m.order if alphas is None else alphas:
         if not any(ia):
             continue
-        alpha = m.orig[ia]
+        alpha = m.given(ia)
         for ib in m.order:
-            beta = m.orig[ib]
+            beta = m.given(ib)
             lo, cur = 0, ib
             while tuple(c - a for c, a in zip(cur, ia)) in m.roots:
                 cur, lo = tuple(c - a for c, a in zip(cur, ia)), lo - 1
@@ -70,7 +70,7 @@ def _strings_from_every_beta(rs, buffer=3, alphas=None):
 
 def _max_len_by_probe(ars, window):
     prs = ars.to_prs(window)
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = integer_model(prs)
     max_len = 0
     for a in m.real:
         steps = [tuple(i * y for y in a) for i in range(-6, 7)]
@@ -95,7 +95,7 @@ def _collinearity(a, b):
 
 
 def _pairwise_res3_and_reduced(prs):
-    m = IntegerRoots(prs.roots, prs.coroots)
+    m = integer_model(prs)
     real = sorted(m.real)
     witness, reduced = None, True
     for i, a in enumerate(real):
@@ -106,15 +106,15 @@ def _pairwise_res3_and_reduced(prs):
             if c not in (1, -1):
                 reduced = False
             if witness is None and m.cor[b] != tuple(QQ(x, c) for x in m.cor[a]):
-                witness = f"s_({fs(c)})*{fs(m.orig[a])} != s_{fs(m.orig[a])}"
+                witness = f"s_({fs(c)})*{fs(m.given(a))} != s_{fs(m.given(a))}"
     return (witness is None, witness), reduced
 
 
 def _string_middles(rs):
     """Nonzero roots b with b - a and b + a roots for some nonzero root a."""
-    m = IntegerRoots(rs.roots, rs.coroots)
+    m = integer_model(rs)
     nonzero = [a for a in m.roots if any(a)]
-    return sorted(m.orig[b] for b in nonzero if any(
+    return sorted(m.given(b) for b in nonzero if any(
         tuple(x - y for x, y in zip(b, a)) in m.roots
         and tuple(x + y for x, y in zip(b, a)) in m.roots for a in nonzero))
 
@@ -141,7 +141,7 @@ def test_root_layer_matches_the_pairwise_and_every_beta_references(fam, rk):
     # variants that repeat a case are skipped.
     cases, seen = [], set()
     for name, rs in _variants(base).items():
-        key = (rs.roots, frozenset(rs.coroots.items()))
+        key = (frozenset(rs.roots), frozenset(rs.coroots.items()))
         if key in seen:
             continue
         seen.add(key)
@@ -162,7 +162,7 @@ def test_root_layer_matches_the_pairwise_and_every_beta_references(fam, rk):
                 reasons.add(got[2][2] if got[2] else "ok")
         prs = PreReflectionSystem.from_root_system(rs)
         res3, reduced = _pairwise_res3_and_reduced(prs)
-        m = IntegerRoots(prs.roots, prs.coroots)
+        m = integer_model(prs)
         assert (_res3(m).ok, _res3(m).witness) == res3, name
         assert predicates(prs)["reduced"] is reduced, name
     # the plain system passes; the diag form and the rescaled coroot fail

@@ -22,7 +22,7 @@ from lietor.rootsys import (
     with_form,
 )
 from lietor.scalars import QQ, frac_to_str
-from roots_reference import coroot_from_form, direct_sum, reflect, root_string
+from roots_reference import coroot_from_form, direct_sum, integer_model, reflect, root_string
 from test_root_rows import SYSTEMS, _base
 from test_root_traversals import CRITERION2
 
@@ -78,13 +78,13 @@ def test_root_strings_exhaustive_small_ranks():
 
 
 def test_root_string_witness_is_a_function_of_the_root_set():
-    # A4 without its top root, built as a set difference and as a set
-    # comprehension: the two frozensets iterate in different orders, and
-    # the witness and the length read before it are the same.
+    # A4 without its top root, given in increasing and in decreasing order:
+    # the two store their rows in different orders, and the witness and the
+    # length read before it are the same.
     rs = build_classical("A", 4)
     top = max(rs.roots)
-    built = [PreReflectionSystem(rs.dim, roots, rs.coroots)
-             for roots in (rs.roots - {top}, {a for a in rs.roots if a != top})]
+    rest = sorted(rs.roots - {top})
+    built = [PreReflectionSystem(rs.dim, roots, rs.coroots) for roots in (rest, rest[::-1])]
     assert built[0].roots == built[1].roots and list(built[0].roots) != list(built[1].roots)
     got = {root_strings_exhaustive(prs) for prs in built}
     assert got == {(False, 0, ((-1, 0, 0, 0, 1), (-1, 0, 0, 0, 1), "p - q mismatch"))}
@@ -307,20 +307,20 @@ def test_d1_rejected():
 
 
 def test_integer_roots_reflect_decides_the_image():
-    from lietor.rootsys import IntegerRoots, RootSpace, with_form
+    from lietor.rootsys import RootSpace, with_form
 
     # B2 with long roots 3(+-e1 +-e2): <e1, (3, 3)_check> = 1/3, yet
     # s_(3,3)(e1) = (0, -1) is a root
     one, zero = F(1), F(0)
     roots = {(zero, zero), (one, zero), (-one, zero), (zero, one), (zero, -one)}
     roots |= {(3 * s * one, 3 * t * one) for s in (1, -1) for t in (1, -1)}
-    m = IntegerRoots(roots, RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots).coroots)
+    m = RootSystem(RootSpace(2, ((one, zero), (zero, one))), roots).model
     assert m.pairing((1, 0), (3, 3)) == F(1, 3)
     assert m.reflect((3, 3), (1, 0)) == (0, -1)
     # A2 under diag(1, 2, 3): s_(-1,0,1)((-1,1,0)) = (-1/2, 1, -1/2)
     diag = [[F(i + 1) if i == j else F(0) for j in range(3)] for i in range(3)]
     a2 = with_form(build_classical("A", 2), diag)
-    m = IntegerRoots(a2.roots, a2.coroots)
+    m = integer_model(a2)
     assert m.pairing((-1, 1, 0), (-1, 0, 1)) == F(1, 2)
     assert m.reflect((-1, 0, 1), (-1, 1, 0)) is None
     assert m.reflect((-1, 0, 1), (0, 0, 0)) == (0, 0, 0)
@@ -370,14 +370,14 @@ def test_isotropic_root_names_the_root():
 
 
 def test_pre_reflection_system_input_paths_agree():
-    """A frozenset of tuples and a dict of tuples are kept with their hashes;
-    any other input is re-keyed.  Both give the same read-only system."""
+    """Tuples and lists, ints and Fractions, give the same rows and the same
+    read-only system."""
     rs = build_classical("B", 2)
     coroots = dict(rs.coroots)
     kept = PreReflectionSystem(rs.dim, rs.roots, coroots)
-    rekeyed = PreReflectionSystem(rs.dim, [list(a) for a in rs.roots],
-                                  {a: list(c) for a, c in coroots.items()})
-    assert kept.roots is rs.roots and rekeyed.roots == rs.roots
+    rekeyed = PreReflectionSystem(rs.dim, [list(map(F, a)) for a in rs.roots],
+                                  {a: list(map(F, c)) for a, c in coroots.items()})
+    assert kept.rows == rekeyed.rows == rs.rows and rekeyed.roots == rs.roots
     assert dict(kept.coroots) == dict(rekeyed.coroots) == coroots
     coroots.clear()
     assert dict(kept.coroots) == dict(rs.coroots)
